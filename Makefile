@@ -1,4 +1,4 @@
-.PHONY: all build test check bench data numa secure figs-gate fsck races clean
+.PHONY: all build test check bench bench-pairs data numa secure figs-gate fsck races clean
 
 all: build
 
@@ -67,6 +67,15 @@ races: build
 
 bench: build
 	dune exec bench/main.exe -- region
+
+# Paired runs of the repository benchmark, BASE against the working
+# tree: N pairs at seed 1 and N at the hold-out seed 2, then --compare
+# and the pair-win tally of each end-to-end metric.
+W ?= ycsb-a
+BASE ?= HEAD
+N ?= 10
+bench-pairs:
+	bash scripts/bench-pairs.sh $(W) $(BASE) $(N)
 
 clean:
 	dune clean
