@@ -95,12 +95,13 @@ let run ?(include_leaks = true) region =
       let balloc = layout.Layout.balloc in
 
       (* --- namespace traversal -------------------------------------- *)
-      let reach_fentry = Hashtbl.create 256 in
-      let reach_inode = Hashtbl.create 256 in
-      let reach_dirhead = Hashtbl.create 64 in
+      let new_marks () = Reach.create ~size:(Region.size r) in
+      let reach_fentry = new_marks () in
+      let reach_inode = new_marks () in
+      let reach_dirhead = new_marks () in
       let rec walk_dir head =
-        if head <> 0 && not (Hashtbl.mem reach_dirhead head) then begin
-          Hashtbl.replace reach_dirhead head ();
+        if head <> 0 && not (Reach.mem reach_dirhead head) then begin
+          Reach.add reach_dirhead head;
           let names = Hashtbl.create 16 in
           try
             Dirblock.iter_chain r head (fun _ b ->
@@ -126,11 +127,11 @@ let run ?(include_leaks = true) region =
                     if Hashtbl.mem names name then
                       add (Duplicate_name { dir = head; name })
                     else Hashtbl.replace names name ();
-                    if Hashtbl.mem reach_fentry p then
+                    if Reach.mem reach_fentry p then
                       add (Duplicate_slot { fentry = p })
                     else begin
-                      Hashtbl.replace reach_fentry p ();
-                      Hashtbl.replace reach_inode (Fentry.target r p) ();
+                      Reach.add reach_fentry p;
+                      Reach.add reach_inode (Fentry.target r p);
                       if Fentry.is_dir r p then walk_dir (Fentry.dirblock r p)
                     end
                   end
@@ -141,8 +142,8 @@ let run ?(include_leaks = true) region =
         end
       in
       let root = Layout.root_fentry layout in
-      Hashtbl.replace reach_fentry root ();
-      Hashtbl.replace reach_inode (Fentry.target r root) ();
+      Reach.add reach_fentry root;
+      Reach.add reach_inode (Fentry.target r root);
       (try walk_dir (Fentry.dirblock r root)
        with Region.Media_error off ->
          add (Media { line = off / Region.line_size }));
@@ -161,7 +162,7 @@ let run ?(include_leaks = true) region =
             then add (Slab_state { slab = name; obj = p; flags })
             else if
               include_leaks && flags = Slab.flag_valid
-              && not (Hashtbl.mem reach p)
+              && not (Reach.mem reach p)
             then add (Leak { slab = name; obj = p }))
       in
       scan_slab "fentry" fentry_slab reach_fentry;
@@ -200,16 +201,16 @@ let run ?(include_leaks = true) region =
          Slab.iter_segments fentry_slab (fun seg ->
              used "fentry slab segment" seg
                (Slab.blocks_per_segment fentry_slab * bs));
-         Hashtbl.iter
-           (fun head () ->
+         Reach.iter
+           (fun head ->
              try
                Dirblock.iter_chain r head (fun _ b ->
                    used "directory block" b (Dirblock.size_of r b))
              with Region.Media_error off ->
                add (Media { line = off / Region.line_size }))
            reach_dirhead;
-         Hashtbl.iter
-           (fun inode () ->
+         Reach.iter
+           (fun inode ->
              try
                Inode.iter_extents r inode (fun addr blocks ->
                    used "extent" addr (blocks * bs));
@@ -223,8 +224,8 @@ let run ?(include_leaks = true) region =
              with Region.Media_error off ->
                add (Media { line = off / Region.line_size }))
            reach_inode;
-         Hashtbl.iter
-           (fun fe () ->
+         Reach.iter
+           (fun fe ->
              try
                match Fentry.spill r fe with
                | Some (addr, len) -> used "long-name spill" addr len

@@ -242,15 +242,17 @@ let drop_file_lock t inode =
   Hashtbl.remove s.file_locks inode;
   Hashtbl.remove s.extent_locks inode;
   Hashtbl.remove s.file_states inode;
-  (* range rows hash by (inode, row), so they can sit in any stripe *)
+  (* range rows hash by (inode, row), so they can sit in any stripe;
+     without range locks every table is empty *)
   Array.iter
     (fun s ->
-      let doomed =
-        Hashtbl.fold
-          (fun ((i, _) as key) _ acc -> if i = inode then key :: acc else acc)
-          s.range_locks []
-      in
-      List.iter (Hashtbl.remove s.range_locks) doomed)
+      if Hashtbl.length s.range_locks > 0 then
+        let doomed =
+          Hashtbl.fold
+            (fun ((i, _) as key) _ acc -> if i = inode then key :: acc else acc)
+            s.range_locks []
+        in
+        List.iter (Hashtbl.remove s.range_locks) doomed)
     t.stripes
 
 (** Reclaim every lock belonging to a deleted directory (its row locks,

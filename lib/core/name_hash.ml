@@ -6,11 +6,9 @@ let fnv_prime = 0x100000001b3L
 
 let hash64 (s : string) =
   let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) fnv_prime
+  done;
   !h
 
 (** Non-negative 62-bit hash. *)

@@ -299,14 +299,14 @@ type relink_job = {
   rl_move : bool;  (* counts as a completed rename *)
 }
 
-(* Per-worker reachability shard: tasks mark into their own shard
-   (cheap, unsynchronized) and shards are merged into the global tables
-   in worker-index order at each round barrier — the merged result is a
-   set union, independent of task placement and schedule. *)
+(* Per-worker reachability shard: tasks append marks to their own
+   vectors (cheap, unsynchronized) and the vectors are merged into the
+   global sets in worker-index order at each round barrier — the merged
+   result is a set union, independent of task placement and schedule. *)
 type shard = {
-  s_fentry : (int, unit) Hashtbl.t;
-  s_inode : (int, unit) Hashtbl.t;
-  s_dirhead : (int, unit) Hashtbl.t;
+  s_fentry : Reach.Vec.v;
+  s_inode : Reach.Vec.v;
+  s_dirhead : Reach.Vec.v;
 }
 
 let sweep_slice = 512
@@ -419,15 +419,16 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   in
 
   (* ---- global reachability + shards ------------------------------------ *)
-  let g_inode = Hashtbl.create 1024 in
-  let g_fentry = Hashtbl.create 1024 in
-  let g_dirhead = Hashtbl.create 256 in
+  let new_marks () = Reach.create ~size:(Region.size r) in
+  let g_inode = new_marks () in
+  let g_fentry = new_marks () in
+  let g_dirhead = new_marks () in
   let shards =
     Array.init nworkers (fun _ ->
         {
-          s_fentry = Hashtbl.create 256;
-          s_inode = Hashtbl.create 256;
-          s_dirhead = Hashtbl.create 64;
+          s_fentry = Reach.Vec.create ();
+          s_inode = Reach.Vec.create ();
+          s_dirhead = Reach.Vec.create ();
         })
   in
   (* merge (and clear) the shards in worker-index order; the result is
@@ -440,29 +441,19 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
     Array.iteri
       (fun w sh ->
         if w = 0 || not drop_mark_shard then begin
-          Hashtbl.iter (fun k () -> Hashtbl.replace g_fentry k ()) sh.s_fentry;
-          Hashtbl.iter (fun k () -> Hashtbl.replace g_inode k ()) sh.s_inode;
-          Hashtbl.iter
-            (fun k () -> Hashtbl.replace g_dirhead k ())
-            sh.s_dirhead
+          Reach.add_all g_fentry sh.s_fentry;
+          Reach.add_all g_inode sh.s_inode;
+          Reach.add_all g_dirhead sh.s_dirhead
         end;
-        Hashtbl.reset sh.s_fentry;
-        Hashtbl.reset sh.s_inode;
-        Hashtbl.reset sh.s_dirhead)
+        Reach.Vec.clear sh.s_fentry;
+        Reach.Vec.clear sh.s_inode;
+        Reach.Vec.clear sh.s_dirhead)
       shards
   in
-  let mark_f sh p =
-    if not (Hashtbl.mem g_fentry p || Hashtbl.mem sh.s_fentry p) then
-      Hashtbl.replace sh.s_fentry p ()
-  in
-  let mark_i sh i =
-    if not (Hashtbl.mem g_inode i || Hashtbl.mem sh.s_inode i) then
-      Hashtbl.replace sh.s_inode i ()
-  in
-  let mark_d sh h =
-    if not (Hashtbl.mem g_dirhead h || Hashtbl.mem sh.s_dirhead h) then
-      Hashtbl.replace sh.s_dirhead h ()
-  in
+  let mark g v k = if not (Reach.mem g k) then Reach.Vec.push v k in
+  let mark_f sh p = mark g_fentry sh.s_fentry p in
+  let mark_i sh i = mark g_inode sh.s_inode i in
+  let mark_d sh h = mark g_dirhead sh.s_dirhead h in
 
   (* ---- pass 1: resolve pending rename logs ----------------------------- *)
   (* Resolve every pending log BEFORE any row repair.  A crashed
@@ -485,8 +476,8 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
     while !continue_ do
       incr resolve_passes;
       let found = ref [] in
-      let seen = Hashtbl.create 256 in
-      Hashtbl.replace seen root_head ();
+      let seen = new_marks () in
+      Reach.add seen root_head;
       let pool = Workpool.create () in
       let do_collect head =
         (try
@@ -519,9 +510,9 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
                             && Fentry.is_dir r p
                           then begin
                             let child = Fentry.dirblock r p in
-                            if child <> 0 && not (Hashtbl.mem seen child)
+                            if child <> 0 && not (Reach.mem seen child)
                             then begin
-                              Hashtbl.replace seen child ();
+                              Reach.add seen child;
                               Workpool.push pool (Collect_logs child)
                             end
                           end
@@ -562,7 +553,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   in
 
   (* ---- pass 2: mark + repair ------------------------------------------- *)
-  let claimed = Hashtbl.create 1024 in
+  let claimed = new_marks () in
   let relinks : relink_job list ref = ref [] in
   (* parent slots of unreadable directory heads, detached in the
      sequential step (the slot bytes are owned by the parent's task) *)
@@ -570,8 +561,8 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   let do_mark pool sh head pslot =
     incr mark_tasks;
     let claim_push child pslot =
-      if child <> 0 && not (Hashtbl.mem claimed child) then begin
-        Hashtbl.replace claimed child ();
+      if child <> 0 && not (Reach.mem claimed child) then begin
+        Reach.add claimed child;
         Workpool.push pool (Mark { head = child; pslot })
       end
     in
@@ -722,8 +713,8 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
     let pool = Workpool.create () in
     List.iter
       (fun (h, ps) ->
-        if h <> 0 && not (Hashtbl.mem claimed h) then begin
-          Hashtbl.replace claimed h ();
+        if h <> 0 && not (Reach.mem claimed h) then begin
+          Reach.add claimed h;
           Workpool.push pool (Mark { head = h; pslot = ps })
         end)
       roots;
@@ -743,8 +734,8 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
              unreadable head was ever marked) *)
           List.iter
             (fun (b, row, s, p, tgt) ->
-              Hashtbl.remove g_fentry p;
-              Hashtbl.remove g_inode tgt;
+              Reach.remove g_fentry p;
+              Reach.remove g_inode tgt;
               quarantine_slot b row s)
             (List.sort compare !pending_quarantines);
           pending_quarantines := [];
@@ -774,8 +765,8 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
               with
               | None ->
                   (* the relink itself hit poisoned media: detach *)
-                  Hashtbl.remove g_fentry j.rl_p;
-                  Hashtbl.remove g_inode j.rl_tgt;
+                  Reach.remove g_fentry j.rl_p;
+                  Reach.remove g_inode j.rl_tgt;
                   (match j.rl_old with
                   | Some (b, row, s) -> quarantine_slot b row s
                   | None -> incr quarantined);
@@ -793,8 +784,8 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   in
 
   let root = Layout.root_fentry layout in
-  Hashtbl.replace g_fentry root ();
-  Hashtbl.replace g_inode (Fentry.target r root) ();
+  Reach.add g_fentry root;
+  Reach.add g_inode (Fentry.target r root);
   let root_head = Fentry.dirblock r root in
   (* [skip_log_resolution] deliberately breaks recovery (pass 1 is what
      disambiguates crashed renames); used by the negative tests proving
@@ -835,7 +826,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
     let slot_bytes = Slab.obj_header + Slab.obj_size slab in
     let to_free = ref [] in
     Slab.iter_segment_objects slab seg (fun p flags ->
-        if flags <> 0 && not (Hashtbl.mem reach p) then
+        if flags <> 0 && not (Reach.mem reach p) then
           if Region.range_poisoned r (p - Slab.obj_header) slot_bytes then
             (* the slot overlaps a poisoned line (possibly a neighbor's
                — slots are not line-aligned): it can be neither zeroed
@@ -913,17 +904,6 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
         done
     | Collect_logs _ | Mark _ -> assert false
   in
-  let sorted_keys h =
-    let a = Array.make (Hashtbl.length h) 0 in
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun k () ->
-        a.(!i) <- k;
-        incr i)
-      h;
-    Array.sort compare a;
-    a
-  in
   let slice pool arr mk =
     let n = Array.length arr in
     let lo = ref 0 in
@@ -948,9 +928,10 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   let pool_scan = Workpool.create () in
   Array.iter
     (fun head -> Workpool.push pool_scan (Sweep_chain head))
-    (sorted_keys g_dirhead);
-  slice pool_scan (sorted_keys g_inode) (fun a lo hi -> Sweep_inodes (a, lo, hi));
-  slice pool_scan (sorted_keys g_fentry) (fun a lo hi ->
+    (Reach.to_sorted_array g_dirhead);
+  slice pool_scan (Reach.to_sorted_array g_inode) (fun a lo hi ->
+      Sweep_inodes (a, lo, hi));
+  slice pool_scan (Reach.to_sorted_array g_fentry) (fun a lo hi ->
       Sweep_spills (a, lo, hi));
   run_sweep pool_scan;
   let pool_seg = Workpool.create () in

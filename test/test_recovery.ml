@@ -7,6 +7,7 @@ module Fs = Simurgh_core.Fs
 module Recovery = Simurgh_core.Recovery
 module Slab = Simurgh_alloc.Slab_alloc
 module Layout = Simurgh_core.Layout
+module Reach = Simurgh_core.Reach
 
 let fresh_region () = Simurgh_nvmm.Region.create (64 * 1024 * 1024)
 
@@ -346,6 +347,111 @@ let test_drop_mark_shard_flags () =
   let _ = Recovery.run region in
   fsck_clean "full recovery converges the damage" region
 
+(* A fixed crash image for the golden test: 12 directories of 60
+   files (more than one sweep slice of inodes and file entries), a
+   nested subtree, leaked slab objects and a cross-directory rename
+   crashed after its log entry was written. *)
+let golden_fixture () =
+  let region = fresh_region () in
+  let fs = Fs.mkfs ~euid:0 region in
+  populate fs;
+  for d = 0 to 11 do
+    Fs.mkdir fs (Printf.sprintf "/d%d" d);
+    for i = 0 to 59 do
+      Fs.create_file fs (Printf.sprintf "/d%d/f%d" d i)
+    done
+  done;
+  let layout = Fs.layout fs in
+  for _ = 1 to 9 do
+    ignore (Slab.alloc layout.Layout.inode_slab)
+  done;
+  for _ = 1 to 6 do
+    ignore (Slab.alloc layout.Layout.fentry_slab)
+  done;
+  Fs.set_crash_hook fs (fun l -> if l = "xrename:log" then raise Crash_now);
+  (try Fs.rename fs "/d3/f7" "/d8/moved" with Crash_now -> ());
+  region
+
+(* Golden: the fixed image recovers to the same report, virtual-time
+   makespan and media under every driver, pinned to literal values so
+   that any change which moves one of them shows up here. *)
+let test_golden_recovery () =
+  let region = golden_fixture () in
+  let cp = Simurgh_nvmm.Region.checkpoint region in
+  let recover par =
+    Simurgh_nvmm.Region.restore region cp;
+    Fs.invalidate_shared region;
+    let _, r = Recovery.run ~par region in
+    fsck_clean "golden image fsck" region;
+    ( Fmt.str "%a" Recovery.pp_report r,
+      Printf.sprintf "%h" r.Recovery.vtime_cycles,
+      Digest.to_hex (Simurgh_nvmm.Region.media_digest region) )
+  in
+  let vtime workers =
+    Recovery.Vtime { machine = Simurgh_sim.Machine.create (); workers }
+  in
+  let report =
+    "files=772 dirs=14 symlinks=1 completed_deletes=0 completed_renames=0 \
+     rolled_back=1 reclaimed(inodes=9 fentries=6) busy_cleared=0 \
+     blocks(used=1116 free=261009) quarantined=0 retries=0 passes=2 \
+     tasks(mark=15 sweep=27)"
+  in
+  let digest = "c2b9f0e9b4cfcb2ae96dc28dacf3a768" in
+  List.iter
+    (fun (what, par, cycles) ->
+      let rep, vc, dg = recover par in
+      Alcotest.(check string) (what ^ " report") report rep;
+      Alcotest.(check string) (what ^ " vtime_cycles") cycles vc;
+      Alcotest.(check string) (what ^ " media digest") digest dg)
+    [
+      ("seq", Recovery.Seq, "0x0p+0");
+      ("vtime 1 worker", vtime 1, "0x1.062f362762763p+21");
+      ("vtime 4 workers", vtime 4, "0x1.01bcbd306eb3ep+20");
+    ]
+
+(* The mark set against a Hashtbl reference: random adds, removes and
+   membership tests over 8-aligned offsets, biased toward the edges of
+   the 256 KiB windows one bit-chunk covers and the region's last word;
+   ascending iteration must equal the sorted distinct keys. *)
+let prop_reach_matches_hashtbl =
+  let size = (3 lsl 18) + 4096 in
+  let window = 1 lsl 18 in
+  let key =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun w -> w * 8) (int_bound ((size / 8) - 1));
+          map2
+            (fun c d -> (c * window) + (d * 8))
+            (int_bound 3) (int_range (-2) 1);
+          map (fun d -> size - 8 - (d * 8)) (int_bound 2);
+        ]
+      |> map (fun k -> max 0 (min (size - 8) k)))
+  in
+  let op = QCheck.Gen.(pair (int_bound 2) key) in
+  QCheck.Test.make ~name:"reach set matches a Hashtbl reference" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair int int))
+       QCheck.Gen.(list_size (int_bound 200) op))
+    (fun ops ->
+      let set = Reach.create ~size in
+      let ref_ = Hashtbl.create 16 in
+      List.for_all
+        (fun (o, k) ->
+          (match o with
+          | 0 ->
+              Reach.add set k;
+              Hashtbl.replace ref_ k ()
+          | 1 ->
+              Reach.remove set k;
+              Hashtbl.remove ref_ k
+          | _ -> ());
+          Reach.mem set k = Hashtbl.mem ref_ k)
+        ops
+      && Reach.cardinal set = Hashtbl.length ref_
+      && Array.to_list (Reach.to_sorted_array set)
+         = List.sort_uniq compare (Hashtbl.fold (fun k () l -> k :: l) ref_ []))
+
 let prop_recovery_preserves_random_trees =
   QCheck.Test.make ~name:"recovery preserves arbitrary populations" ~count:20
     QCheck.(list_of_size (QCheck.Gen.int_range 1 40) (int_range 0 30))
@@ -396,6 +502,8 @@ let () =
             test_parallel_matches_sequential;
           Alcotest.test_case "dropped mark shard is caught" `Quick
             test_drop_mark_shard_flags;
+          Alcotest.test_case "golden crash image" `Quick test_golden_recovery;
           QCheck_alcotest.to_alcotest prop_recovery_preserves_random_trees;
+          QCheck_alcotest.to_alcotest prop_reach_matches_hashtbl;
         ] );
     ]
