@@ -209,17 +209,17 @@ let find r ~head ~name =
     else begin
       let row = h mod rows r b in
       load_row r b row rowbuf;
-      let found = ref None in
       let s = ref 0 in
-      while !found = None && !s < slots_per_row do
+      while
+        !s < slots_per_row
+        &&
         let p = slot_of_row rowbuf !s in
-        if p <> 0 && Fentry.name_equals r p name then
-          found := Some (b, row, !s, p);
+        p = 0 || not (Fentry.name_equals r p name)
+      do
         incr s
       done;
-      match !found with
-      | Some _ as x -> (x, hops + 1)
-      | None -> go (hops + 1) (next r b)
+      if !s = slots_per_row then go (hops + 1) (next r b)
+      else (Some (b, row, !s, slot_of_row rowbuf !s), hops + 1)
     end
   in
   go 0 head
@@ -233,15 +233,12 @@ let find_free_slot r ~head ~hash =
     else begin
       let row = hash mod rows r b in
       load_row r b row rowbuf;
-      let free = ref None in
       let s = ref 0 in
-      while !free = None && !s < slots_per_row do
-        if slot_of_row rowbuf !s = 0 then free := Some (b, row, !s);
+      while !s < slots_per_row && slot_of_row rowbuf !s <> 0 do
         incr s
       done;
-      match !free with
-      | Some _ as x -> (x, hops + 1, b)
-      | None -> go (hops + 1) (next r b) b
+      if !s = slots_per_row then go (hops + 1) (next r b) b
+      else (Some (b, row, !s), hops + 1, b)
     end
   in
   go 0 head head

@@ -61,12 +61,12 @@ let name r e =
   let f = flags r e in
   if f land fl_longname = 0 then begin
     let len = Region.read_u8 r (f_name_len e) in
-    Bytes.to_string (Region.read_bytes r (f_name e) len)
+    Bytes.unsafe_to_string (Region.read_bytes r (f_name e) len)
   end
   else begin
     let spill = Region.read_u62 r (f_longname e) in
     let len = Region.read_u16 r spill in
-    Bytes.to_string (Region.read_bytes r (spill + 2) len)
+    Bytes.unsafe_to_string (Region.read_bytes r (spill + 2) len)
   end
 
 (** Write name + flags + target; long names spill into a block supplied
@@ -124,13 +124,7 @@ let name_equals r e n =
   let f = flags r e in
   if f land fl_longname = 0 then begin
     let len = Region.read_u8 r (f_name_len e) in
-    len = String.length n
-    &&
-    let rec cmp i =
-      i >= len
-      || Region.read_u8 r (f_name e + i) = Char.code n.[i] && cmp (i + 1)
-    in
-    cmp 0
+    len = String.length n && Region.equal_string r (f_name e) n
   end
   else String.equal (name r e) n
 

@@ -38,22 +38,60 @@ type file_state = {
     (under the file's extent lock — registry code must not take locks,
     so it cannot read the size itself without racing a publisher). *)
 
+(* Registry keys are ints and int pairs, hashed with an integer mix
+   instead of the polymorphic [Hashtbl.hash]/[compare]: multiply by an
+   odd 63-bit constant, then fold the high half down.  The fold matters:
+   directory heads are block-aligned, so the product alone keeps their
+   low 12 bits zero, and a table's bucket comes from the low bits.  The
+   stripe comes from the top bits instead (see {!stripe_of}). *)
+let mix x =
+  let h = x * 0x1e37_79b9_7f4a_7c15 in
+  h lxor (h lsr 32)
+
+let mix_pair (a, b) = mix (mix a + b)
+
+module Registry (K : Hashtbl.HashedType) = struct
+  include Hashtbl.Make (K)
+
+  let find_or_create tbl key make =
+    match find_opt tbl key with
+    | Some l -> l
+    | None ->
+        let l = make () in
+        replace tbl key l;
+        l
+end
+
+module Itbl = Registry (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = mix
+end)
+
+module Ptbl = Registry (struct
+  type t = int * int
+
+  let equal (a, b) (c, d) = Int.equal a c && Int.equal b d
+  let hash = mix_pair
+end)
+
 type stripe = {
-  row_locks : (int * int, Vlock.Spin.t) Hashtbl.t;
+  row_locks : Vlock.Spin.t Ptbl.t;
       (** (first dir block, row) -> spin lock *)
-  file_locks : (int, Vlock.Rw.t) Hashtbl.t;  (** inode pptr -> rwlock *)
-  append_locks : (int * int, Vlock.Spin.t) Hashtbl.t;
+  file_locks : Vlock.Rw.t Itbl.t;  (** inode pptr -> rwlock *)
+  append_locks : Vlock.Spin.t Ptbl.t;
       (** (first dir block, row) -> append lock; legacy mode keys
           everything under row 0 (one chain-extension lock per dir) *)
-  aux_locks : (int * int, Vlock.Spin.t) Hashtbl.t;
+  aux_locks : Vlock.Spin.t Ptbl.t;
       (** striped mode only: (dir, 0) = chain-link lock,
           (dir, 1) = rename-log lock (legacy single slot),
           (dir, 2 + s) = lock of rename-log ring slot [s] *)
-  range_locks : (int * int, Vlock.Rw.t) Hashtbl.t;
+  range_locks : Vlock.Rw.t Ptbl.t;
       (** range-lock mode: (inode pptr, byte row) -> rwlock *)
-  extent_locks : (int, Vlock.Rw.t) Hashtbl.t;
+  extent_locks : Vlock.Rw.t Itbl.t;
       (** range-lock mode: inode pptr -> extent-list/size-word lock *)
-  file_states : (int, file_state) Hashtbl.t;
+  file_states : file_state Itbl.t;
       (** range-lock mode: inode pptr -> append coordination words *)
 }
 
@@ -77,7 +115,8 @@ type t = {
           ([rename_log/ring_full_waits]) *)
 }
 
-let nstripes = 16
+let stripe_bits = 4
+let nstripes = 1 lsl stripe_bits
 
 let create ?(striped = false) () =
   {
@@ -85,13 +124,13 @@ let create ?(striped = false) () =
     stripes =
       Array.init nstripes (fun _ ->
           {
-            row_locks = Hashtbl.create 64;
-            file_locks = Hashtbl.create 64;
-            append_locks = Hashtbl.create 16;
-            aux_locks = Hashtbl.create 16;
-            range_locks = Hashtbl.create 64;
-            extent_locks = Hashtbl.create 16;
-            file_states = Hashtbl.create 16;
+            row_locks = Ptbl.create 64;
+            file_locks = Itbl.create 64;
+            append_locks = Ptbl.create 16;
+            aux_locks = Ptbl.create 16;
+            range_locks = Ptbl.create 64;
+            extent_locks = Itbl.create 16;
+            file_states = Itbl.create 16;
           });
     log_epoch = 0;
     log_slot_hint = 0;
@@ -123,35 +162,32 @@ let note_log_ring_full_wait t =
 let log_slot_acquisitions t = t.log_slot_acquisitions
 let log_ring_full_waits t = t.log_ring_full_waits
 
-let stripe_of t key = t.stripes.(Hashtbl.hash key land (nstripes - 1))
+(* The top [stripe_bits] bits of the mix.  Taking the stripe from the
+   low bits, as the tables take their buckets, would leave every key of
+   a stripe in one sixteenth of its buckets. *)
+let stripe_shift = Sys.int_size - stripe_bits
+let stripe_of t key = t.stripes.(mix key lsr stripe_shift)
+let stripe_of_pair t key = t.stripes.(mix_pair key lsr stripe_shift)
 
 let clear t =
   Array.iter
     (fun s ->
-      Hashtbl.reset s.row_locks;
-      Hashtbl.reset s.file_locks;
-      Hashtbl.reset s.append_locks;
-      Hashtbl.reset s.aux_locks;
-      Hashtbl.reset s.range_locks;
-      Hashtbl.reset s.extent_locks;
-      Hashtbl.reset s.file_states)
+      Ptbl.reset s.row_locks;
+      Itbl.reset s.file_locks;
+      Ptbl.reset s.append_locks;
+      Ptbl.reset s.aux_locks;
+      Ptbl.reset s.range_locks;
+      Itbl.reset s.extent_locks;
+      Itbl.reset s.file_states)
     t.stripes
-
-let find_or_create tbl key make =
-  match Hashtbl.find_opt tbl key with
-  | Some l -> l
-  | None ->
-      let l = make () in
-      Hashtbl.replace tbl key l;
-      l
 
 let row_lock t ~dir ~row =
   let key = (dir, row) in
-  find_or_create (stripe_of t key).row_locks key (fun () ->
+  Ptbl.find_or_create (stripe_of_pair t key).row_locks key (fun () ->
       Vlock.Spin.create ~site:"dir-row" ())
 
 let file_lock t inode =
-  find_or_create (stripe_of t inode).file_locks inode (fun () ->
+  Itbl.find_or_create (stripe_of t inode).file_locks inode (fun () ->
       (* striped readers: Simurgh keeps per-core reader indicators in
          shared DRAM, so concurrent readers of one file do not serialize
          on a counter line *)
@@ -180,7 +216,7 @@ let rows_of_range ~pos ~len =
    ("locks/file_range/r03" etc., satellite: no more single-site blur). *)
 let range_lock t inode ~row =
   let key = (inode, row) in
-  find_or_create (stripe_of t key).range_locks key (fun () ->
+  Ptbl.find_or_create (stripe_of_pair t key).range_locks key (fun () ->
       Vlock.Rw.create
         ~site:(Printf.sprintf "file-range/r%02d" (row land 15))
         ~striped:true ())
@@ -189,7 +225,7 @@ let range_lock t inode ~row =
     and the size word.  Extent-list growth and the size publish take it
     exclusive; offset mapping during copies takes it shared. *)
 let extent_lock t inode =
-  find_or_create (stripe_of t inode).extent_locks inode (fun () ->
+  Itbl.find_or_create (stripe_of t inode).extent_locks inode (fun () ->
       Vlock.Rw.create ~site:"file-extent" ~striped:true ())
 
 (** The file's append/extend coordination words, created on first touch
@@ -197,13 +233,13 @@ let extent_lock t inode =
     the caller so the probe is ordered against concurrent publishes). *)
 let file_state t inode =
   let s = stripe_of t inode in
-  match Hashtbl.find_opt s.file_states inode with
+  match Itbl.find_opt s.file_states inode with
   | Some st -> st
   | None ->
       (* lookup + insert runs without a scheduling point, so two
          threads can never each mint their own state for one inode *)
       let st = { reserved = -1; published = -1 } in
-      Hashtbl.replace s.file_states inode st;
+      Itbl.replace s.file_states inode st;
       st
 
 (** Chain-extension serialization for an insert into [row] of directory
@@ -211,21 +247,21 @@ let file_state t inode =
     insert funnels through it).  Striped mode: one lock per hash row. *)
 let dir_append_lock ?(row = 0) t dir =
   let key = (dir, if t.striped then row else 0) in
-  find_or_create (stripe_of t key).append_locks key (fun () ->
+  Ptbl.find_or_create (stripe_of_pair t key).append_locks key (fun () ->
       Vlock.Spin.create ~site:"dir-append" ())
 
 (** Striped mode: short directory-global lock held only while physically
     linking a freshly initialized hash block into the chain. *)
 let chain_lock t dir =
   let key = (dir, 0) in
-  find_or_create (stripe_of t key).aux_locks key (fun () ->
+  Ptbl.find_or_create (stripe_of_pair t key).aux_locks key (fun () ->
       Vlock.Spin.create ~site:"dir-chain" ())
 
 (** Striped mode: serializes the directory's single persistent
     rename-log entry (the first hash block has exactly one log slot). *)
 let log_lock t dir =
   let key = (dir, 1) in
-  find_or_create (stripe_of t key).aux_locks key (fun () ->
+  Ptbl.find_or_create (stripe_of_pair t key).aux_locks key (fun () ->
       Vlock.Spin.create ~site:"dir-log" ())
 
 (** Log-ring mode: lock of ring slot [slot] of directory [dir].  Each
@@ -234,25 +270,25 @@ let log_lock t dir =
     serialization point disappears. *)
 let log_slot_lock t dir ~slot =
   let key = (dir, 2 + slot) in
-  find_or_create (stripe_of t key).aux_locks key (fun () ->
+  Ptbl.find_or_create (stripe_of_pair t key).aux_locks key (fun () ->
       Vlock.Spin.create ~site:"dir-log" ())
 
 let drop_file_lock t inode =
   let s = stripe_of t inode in
-  Hashtbl.remove s.file_locks inode;
-  Hashtbl.remove s.extent_locks inode;
-  Hashtbl.remove s.file_states inode;
+  Itbl.remove s.file_locks inode;
+  Itbl.remove s.extent_locks inode;
+  Itbl.remove s.file_states inode;
   (* range rows hash by (inode, row), so they can sit in any stripe;
      without range locks every table is empty *)
   Array.iter
     (fun s ->
-      if Hashtbl.length s.range_locks > 0 then
+      if Ptbl.length s.range_locks > 0 then
         let doomed =
-          Hashtbl.fold
+          Ptbl.fold
             (fun ((i, _) as key) _ acc -> if i = inode then key :: acc else acc)
             s.range_locks []
         in
-        List.iter (Hashtbl.remove s.range_locks) doomed)
+        List.iter (Ptbl.remove s.range_locks) doomed)
     t.stripes
 
 (** Reclaim every lock belonging to a deleted directory (its row locks,
@@ -263,11 +299,11 @@ let drop_file_lock t inode =
 let drop_dir_locks t ~dir =
   let drop_keyed tbl =
     let doomed =
-      Hashtbl.fold
+      Ptbl.fold
         (fun ((d, _) as key) _ acc -> if d = dir then key :: acc else acc)
         tbl []
     in
-    List.iter (Hashtbl.remove tbl) doomed
+    List.iter (Ptbl.remove tbl) doomed
   in
   Array.iter
     (fun s ->
@@ -281,9 +317,9 @@ let drop_dir_locks t ~dir =
 let sizes t =
   Array.fold_left
     (fun (r, f, a) s ->
-      ( r + Hashtbl.length s.row_locks,
-        f + Hashtbl.length s.file_locks,
-        a + Hashtbl.length s.append_locks + Hashtbl.length s.aux_locks ))
+      ( r + Ptbl.length s.row_locks,
+        f + Itbl.length s.file_locks,
+        a + Ptbl.length s.append_locks + Ptbl.length s.aux_locks ))
     (0, 0, 0) t.stripes
 
 (** Range-mode registry sizes (byte-range rows, extent locks + append
@@ -291,6 +327,6 @@ let sizes t =
 let range_sizes t =
   Array.fold_left
     (fun (r, e) s ->
-      ( r + Hashtbl.length s.range_locks,
-        e + Hashtbl.length s.extent_locks + Hashtbl.length s.file_states ))
+      ( r + Ptbl.length s.range_locks,
+        e + Itbl.length s.extent_locks + Itbl.length s.file_states ))
     (0, 0) t.stripes

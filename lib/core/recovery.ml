@@ -668,7 +668,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
     in
     match read_block head with
     | None -> head_unreadable ()
-    | Some (_, _, snap) when Array.exists (fun o -> o = None) snap ->
+    | Some (_, _, snap) when Array.exists Option.is_none snap ->
         head_unreadable ()
     | Some (nrows, nxt, snap) ->
         mark_d sh head;
@@ -693,7 +693,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
                 incr quarantined;
                 Dirblock.set_next r prev 0
             | Some (nrows, nxt, snap)
-              when Array.exists (fun o -> o = None) snap ->
+              when Array.exists Option.is_none snap ->
                 process_block ~salvage:true b nrows snap;
                 Dirblock.set_next r prev nxt;
                 walk prev nxt

@@ -24,6 +24,10 @@
     layer above (allocators, directory blocks, the file data path, the
     baselines, the KV store) funnels through here, so the substrate must
     run at memcpy speed to avoid hiding the mechanisms being measured.
+    A region with nothing to intercept — [Fast], no guard, no store or
+    access hook, no poisoned line — is [plain]: every accessor then
+    tests that flag and the range once, bumps the same statistics and
+    touches the image directly; anything else takes the checked path.
 
     An optional [guard] models the protected-page check: when installed,
     every access calls it first, and the Simurgh security layer makes it
@@ -71,6 +75,11 @@ type t = {
   mutable on_fence : (unit -> unit) option;
       (** tracing hook: called on every [sfence] (and hence [persist]) *)
   mutable guard : (write:bool -> unit) option;
+  mutable plain : bool;
+      (** derived: [mode = Fast], no [guard], no [on_store] or
+          [on_access] hook and no poisoned line.  Kept current by
+          {!refresh_plain}, which every function changing one of those
+          calls; the accessors' fast path is taken only when it holds. *)
   mutable user_slot : exn option;
       (** opaque per-region slot for a higher layer's shared volatile
           state (the FS stores its shared-DRAM structures here so every
@@ -99,6 +108,7 @@ let create ?(mode = Fast) ?name size =
       on_access = None;
       on_fence = None;
       guard = None;
+      plain = mode = Fast;
       user_slot = None;
       stores = 0;
       loads = 0;
@@ -140,8 +150,20 @@ let size t = t.size
 let mode t = t.mode
 let user_slot t = t.user_slot
 let set_user_slot t v = t.user_slot <- v
-let set_guard t g = t.guard <- Some g
-let clear_guard t = t.guard <- None
+
+let refresh_plain t =
+  t.plain <-
+    t.mode = Fast && Option.is_none t.guard && Option.is_none t.on_store
+    && Option.is_none t.on_access
+    && Hashtbl.length t.poisoned = 0
+
+let set_guard t g =
+  t.guard <- Some g;
+  refresh_plain t
+
+let clear_guard t =
+  t.guard <- None;
+  refresh_plain t
 
 let check t ~write =
   match t.guard with None -> () | Some g -> g ~write
@@ -169,16 +191,25 @@ let bounds t off len =
       (Printf.sprintf "Region: access [%d, %d) outside region of %d bytes"
          off (off + len) t.size)
 
-let count_load t off len =
-  (match t.on_access with None -> () | Some f -> f ~off ~len ~write:false);
+(* [off, off+len) lies inside the region (no overflow for any ints). *)
+let[@inline] fits t off len = off >= 0 && len >= 0 && off <= t.size - len
+
+let[@inline] note_load t len =
   t.loads <- t.loads + 1;
   t.load_bytes <- t.load_bytes + len
+
+let[@inline] note_store t len =
+  t.stores <- t.stores + 1;
+  t.store_bytes <- t.store_bytes + len
+
+let count_load t off len =
+  (match t.on_access with None -> () | Some f -> f ~off ~len ~write:false);
+  note_load t len
 
 let count_store t off len =
   (match t.on_store with None -> () | Some f -> f ());
   (match t.on_access with None -> () | Some f -> f ~off ~len ~write:true);
-  t.stores <- t.stores + 1;
-  t.store_bytes <- t.store_bytes + len
+  note_store t len
 
 (* Raise [Media_error] when [off, off+len) touches a poisoned line.  The
    empty-table fast path keeps the check to one length read per load. *)
@@ -232,9 +263,15 @@ let strict_write_lines t off len write_line =
     incr ln
   done
 
-(* --- raw byte access -------------------------------------------------- *)
+(* --- raw byte access --------------------------------------------------
 
-let read_byte t off =
+   Every accessor [f] is a one-test fast path for a [plain] region and an
+   in-range access, and otherwise [f_checked]: hooks, guard, bounds,
+   poison and the Strict overlay, in that order.  Both bump the same
+   statistics, so [loads]/[stores]/[load_bytes]/[store_bytes] do not
+   depend on which path ran. *)
+
+let read_byte_checked t off =
   count_load t off 1;
   check t ~write:false;
   bounds t off 1;
@@ -247,7 +284,14 @@ let read_byte t off =
       | Some (buf, _) -> Char.code (Bytes.get buf (off - (ln * line_size)))
       | None -> Char.code (Bytes.get t.image off))
 
-let write_byte t off v =
+let read_byte t off =
+  if t.plain && fits t off 1 then begin
+    note_load t 1;
+    Char.code (Bytes.unsafe_get t.image off)
+  end
+  else read_byte_checked t off
+
+let write_byte_checked t off v =
   count_store t off 1;
   check t ~write:true;
   bounds t off 1;
@@ -260,9 +304,14 @@ let write_byte t off v =
       st := Dirty;
       Bytes.set buf (off - (ln * line_size)) (Char.chr (v land 0xff))
 
-(** Read [len] bytes at [off] into [dst] starting at [pos] — the
-    allocation-free variant of {!read_bytes} for hot loops. *)
-let read_bytes_into t off dst ~pos ~len =
+let write_byte t off v =
+  if t.plain && fits t off 1 then begin
+    note_store t 1;
+    Bytes.unsafe_set t.image off (Char.unsafe_chr (v land 0xff))
+  end
+  else write_byte_checked t off v
+
+let read_bytes_into_checked t off dst ~pos ~len =
   count_load t off len;
   check t ~write:false;
   bounds t off len;
@@ -273,15 +322,22 @@ let read_bytes_into t off dst ~pos ~len =
   | Fast -> Bytes.blit t.image off dst pos len
   | Strict -> strict_read_into t off dst pos len
 
+(** Read [len] bytes at [off] into [dst] starting at [pos] — the
+    allocation-free variant of {!read_bytes} for hot loops. *)
+let read_bytes_into t off dst ~pos ~len =
+  if t.plain && fits t off len && pos >= 0 && pos <= Bytes.length dst - len
+  then begin
+    note_load t len;
+    Bytes.unsafe_blit t.image off dst pos len
+  end
+  else read_bytes_into_checked t off dst ~pos ~len
+
 let read_bytes t off len =
   let out = Bytes.create len in
   read_bytes_into t off out ~pos:0 ~len;
   out
 
-(** Write [len] bytes of [src] starting at [pos] to [off] — the
-    allocation-free variant of {!write_bytes} for hot loops (no
-    intermediate [Bytes.sub]). *)
-let write_bytes_from t off src ~pos ~len =
+let write_bytes_from_checked t off src ~pos ~len =
   count_store t off len;
   check t ~write:true;
   bounds t off len;
@@ -294,11 +350,21 @@ let write_bytes_from t off src ~pos ~len =
       strict_write_lines t off len (fun buf boff doff n ->
           Bytes.blit src (pos + doff) buf boff n)
 
+(** Write [len] bytes of [src] starting at [pos] to [off] — the
+    allocation-free variant of {!write_bytes} for hot loops (no
+    intermediate [Bytes.sub]). *)
+let write_bytes_from t off src ~pos ~len =
+  if t.plain && fits t off len && pos >= 0 && pos <= Bytes.length src - len
+  then begin
+    note_store t len;
+    Bytes.unsafe_blit src pos t.image off len
+  end
+  else write_bytes_from_checked t off src ~pos ~len
+
 let write_bytes t off src =
   write_bytes_from t off src ~pos:0 ~len:(Bytes.length src)
 
-(* Write straight from a string: no [Bytes.of_string] copy. *)
-let write_string t off s =
+let write_string_checked t off s =
   let len = String.length s in
   count_store t off len;
   check t ~write:true;
@@ -310,7 +376,16 @@ let write_string t off s =
       strict_write_lines t off len (fun buf boff doff n ->
           Bytes.blit_string s doff buf boff n)
 
-let zero t off len =
+(* Write straight from a string: no [Bytes.of_string] copy. *)
+let write_string t off s =
+  let len = String.length s in
+  if t.plain && fits t off len then begin
+    note_store t len;
+    Bytes.unsafe_blit_string s 0 t.image off len
+  end
+  else write_string_checked t off s
+
+let zero_checked t off len =
   count_store t off len;
   check t ~write:true;
   bounds t off len;
@@ -320,6 +395,39 @@ let zero t off len =
   | Strict ->
       strict_write_lines t off len (fun buf boff _ n ->
           Bytes.fill buf boff n '\000')
+
+let zero t off len =
+  if t.plain && fits t off len then begin
+    note_store t len;
+    Bytes.unsafe_fill t.image off len '\000'
+  end
+  else zero_checked t off len
+
+(** Do the [String.length s] bytes at [off] equal [s]?  Compares in
+    place and accounts exactly like a {!read_byte} loop that stops at
+    the first mismatch: one 1-byte load per byte read, the mismatching
+    byte included. *)
+let equal_string t off s =
+  let len = String.length s in
+  if t.plain && fits t off len then begin
+    let i = ref 0 in
+    while
+      !i < len
+      && Bytes.unsafe_get t.image (off + !i) = String.unsafe_get s !i
+    do
+      incr i
+    done;
+    let n = if !i < len then !i + 1 else len in
+    t.loads <- t.loads + n;
+    t.load_bytes <- t.load_bytes + n;
+    !i = len
+  end
+  else
+    let rec go i =
+      i >= len
+      || (read_byte t (off + i) = Char.code (String.unsafe_get s i) && go (i + 1))
+    in
+    go 0
 
 (* --- fixed-width little-endian accessors ------------------------------
 
@@ -346,7 +454,7 @@ let strict_write_word t off set v =
   st := Dirty;
   set buf (off - (ln * line_size)) v
 
-let read_u16 t off =
+let read_u16_checked t off =
   count_load t off 2;
   check t ~write:false;
   bounds t off 2;
@@ -361,7 +469,14 @@ let read_u16 t off =
       end
       else strict_read_word t off Bytes.get_uint16_le
 
-let write_u16 t off v =
+let read_u16 t off =
+  if t.plain && fits t off 2 then begin
+    note_load t 2;
+    Bytes.get_uint16_le t.image off
+  end
+  else read_u16_checked t off
+
+let write_u16_checked t off v =
   count_store t off 2;
   check t ~write:true;
   bounds t off 2;
@@ -378,10 +493,17 @@ let write_u16 t off v =
       end
       else strict_write_word t off Bytes.set_uint16_le v
 
+let write_u16 t off v =
+  if t.plain && fits t off 2 then begin
+    note_store t 2;
+    Bytes.set_uint16_le t.image off (v land 0xffff)
+  end
+  else write_u16_checked t off v
+
 let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
 let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
-let read_u32 t off =
+let read_u32_checked t off =
   count_load t off 4;
   check t ~write:false;
   bounds t off 4;
@@ -396,7 +518,14 @@ let read_u32 t off =
       end
       else strict_read_word t off get_u32
 
-let write_u32 t off v =
+let read_u32 t off =
+  if t.plain && fits t off 4 then begin
+    note_load t 4;
+    get_u32 t.image off
+  end
+  else read_u32_checked t off
+
+let write_u32_checked t off v =
   count_store t off 4;
   check t ~write:true;
   bounds t off 4;
@@ -412,6 +541,13 @@ let write_u32 t off v =
       end
       else strict_write_word t off set_u32 v
 
+let write_u32 t off v =
+  if t.plain && fits t off 4 then begin
+    note_store t 4;
+    set_u32 t.image off v
+  end
+  else write_u32_checked t off v
+
 (* 62 usable bits: offsets, sizes and persistent pointers all fit.
    [Int64.to_int] keeps the low 63 bits with OCaml-int wraparound —
    bit-identical to composing the word from byte loads. *)
@@ -423,7 +559,7 @@ let get_u62 b off = Int64.to_int (Bytes.get_int64_le b off)
 let set_u62 b off v =
   Bytes.set_int64_le b off (Int64.of_int (v land 0x3fff_ffff_ffff_ffff))
 
-let read_u62 t off =
+let read_u62_checked t off =
   count_load t off 8;
   check t ~write:false;
   bounds t off 8;
@@ -438,7 +574,14 @@ let read_u62 t off =
       end
       else strict_read_word t off get_u62
 
-let write_u62 t off v =
+let read_u62 t off =
+  if t.plain && fits t off 8 then begin
+    note_load t 8;
+    get_u62 t.image off
+  end
+  else read_u62_checked t off
+
+let write_u62_checked t off v =
   count_store t off 8;
   check t ~write:true;
   bounds t off 8;
@@ -454,10 +597,14 @@ let write_u62 t off v =
       end
       else strict_write_word t off set_u62 v
 
-(** Load two adjacent u62 words (e.g. a free-list node's next/count pair)
-    with one guard/bounds/stats round and, in Strict mode, a single
-    overlay lookup when the pair does not straddle a line. *)
-let read_u62_pair t off =
+let write_u62 t off v =
+  if t.plain && fits t off 8 then begin
+    note_store t 8;
+    set_u62 t.image off v
+  end
+  else write_u62_checked t off v
+
+let read_u62_pair_checked t off =
   count_load t off 16;
   check t ~write:false;
   bounds t off 16;
@@ -479,8 +626,17 @@ let read_u62_pair t off =
         in
         (get_u62 b boff, get_u62 b (boff + 8))
 
-(** Store two adjacent u62 words in one round (see {!read_u62_pair}). *)
-let write_u62_pair t off v0 v1 =
+(** Load two adjacent u62 words (e.g. a free-list node's next/count pair)
+    with one guard/bounds/stats round and, in Strict mode, a single
+    overlay lookup when the pair does not straddle a line. *)
+let read_u62_pair t off =
+  if t.plain && fits t off 16 then begin
+    note_load t 16;
+    (get_u62 t.image off, get_u62 t.image (off + 8))
+  end
+  else read_u62_pair_checked t off
+
+let write_u62_pair_checked t off v0 v1 =
   count_store t off 16;
   check t ~write:true;
   bounds t off 16;
@@ -505,6 +661,15 @@ let write_u62_pair t off v0 v1 =
         set_u62 buf boff v0;
         set_u62 buf (boff + 8) v1
       end
+
+(** Store two adjacent u62 words in one round (see {!read_u62_pair}). *)
+let write_u62_pair t off v0 v1 =
+  if t.plain && fits t off 16 then begin
+    note_store t 16;
+    set_u62 t.image off v0;
+    set_u62 t.image (off + 8) v1
+  end
+  else write_u62_pair_checked t off v0 v1
 
 (* --- persistence primitives ------------------------------------------ *)
 
@@ -654,7 +819,8 @@ let poison t off len =
   let first = line_of off and last = line_of (off + max (len - 1) 0) in
   for ln = first to last do
     Hashtbl.replace t.poisoned ln ()
-  done
+  done;
+  refresh_plain t
 
 (** Clear poison from the lines covering [off, off+len). *)
 let scrub t off len =
@@ -662,7 +828,8 @@ let scrub t off len =
   let first = line_of off and last = line_of (off + max (len - 1) 0) in
   for ln = first to last do
     Hashtbl.remove t.poisoned ln
-  done
+  done;
+  refresh_plain t
 
 (** Does any line covering [off, off+len) carry poison? *)
 let range_poisoned t off len =
@@ -689,16 +856,24 @@ let iter_poisoned_lines t f =
 
 (** Install [f] to run before every store; a crash explorer uses this to
     cut power between any two stores of an operation. *)
-let set_store_hook t f = t.on_store <- Some f
+let set_store_hook t f =
+  t.on_store <- Some f;
+  refresh_plain t
 
-let clear_store_hook t = t.on_store <- None
+let clear_store_hook t =
+  t.on_store <- None;
+  refresh_plain t
 
 (** Install [f] to run before every load/store with the byte range and
     direction — the schedule explorer's race detector and preemption
     points attach here without the region depending on the sim layer. *)
-let set_access_hook t f = t.on_access <- Some f
+let set_access_hook t f =
+  t.on_access <- Some f;
+  refresh_plain t
 
-let clear_access_hook t = t.on_access <- None
+let clear_access_hook t =
+  t.on_access <- None;
+  refresh_plain t
 
 (** Install [f] to run on every [sfence] (and hence every [persist]). *)
 let set_fence_hook t f = t.on_fence <- Some f
@@ -741,6 +916,7 @@ let restore t cp =
   t.pending <- cp.cp_pending;
   Hashtbl.reset t.poisoned;
   List.iter (fun ln -> Hashtbl.replace t.poisoned ln ()) cp.cp_poisoned;
+  refresh_plain t;
   t.user_slot <- cp.cp_user_slot
 
 (* --- file-backed persistence ------------------------------------------ *)

@@ -339,125 +339,282 @@ module Ref = struct
   let crash t = if t.strict then Hashtbl.reset t.overlay
 
   let unpersisted_lines t = Hashtbl.length t.overlay
+
+  let copy t =
+    let overlay = Hashtbl.create 64 in
+    Hashtbl.iter
+      (fun ln (buf, fl) -> Hashtbl.replace overlay ln (Bytes.copy buf, ref !fl))
+      t.overlay;
+    { t with image = Bytes.copy t.image; overlay }
 end
 
+(* Every op runs on [r] and on [twin], a region of the same mode that a
+   no-op access hook keeps on the checked path; [r] takes the fast path
+   whenever it is plain.  Return values, exceptions, statistics, guard
+   calls and media must agree after every op, and the byte reference
+   [m] tracks every op that did not raise.  Guard toggles, poison,
+   scrub, checkpoint/restore and out-of-range accesses move [r] on and
+   off the fast path. *)
 let differential_run ~strict ~seed ~ops =
   let size = 4096 + 40 (* partial tail cache line *) in
   let rng = Simurgh_sim.Rng.create (Int64.of_int seed) in
+  let rand n = Simurgh_sim.Rng.int rng n in
   let mode = if strict then Region.Strict else Region.Fast in
   let r = Region.create ~mode size in
-  let m = Ref.create ~strict size in
+  let twin = Region.create ~mode size in
+  Region.set_access_hook twin (fun ~off:_ ~len:_ ~write:_ -> ());
+  let m = ref (Ref.create ~strict size) in
+  let guard_calls = (ref 0, ref 0) and guarded = ref false in
+  let saved = ref None in
   let ck name i cond =
     if not cond then
       Alcotest.failf "%s diverged (strict=%b seed=%d op %d)" name strict seed i
   in
+  let outcome f region =
+    match f region with
+    | v -> Ok v
+    | exception ((Invalid_argument _ | Region.Media_error _) as e) -> Error e
+  in
+  (* [f] on both regions ([g] on the twin when given): equal outcomes
+     and statistics; [Some v] unless it raised *)
+  let both ?g i name f =
+    let a = outcome f r in
+    let b = outcome (Option.value g ~default:f) twin in
+    ck (name ^ " outcome") i (a = b);
+    ck (name ^ " stats") i (Region.stats r = Region.stats twin);
+    Result.to_option a
+  in
+  let store i name f g = Option.iter g (both i name f) in
+  let load ?g i name f expect =
+    Option.iter (fun v -> ck name i (v = expect ())) (both ?g i name f)
+  in
   let compare_all i =
     ck "visible image" i
-      (Bytes.equal (Region.read_bytes r 0 size) (Ref.read_bytes m 0 size));
+      (Region.media_digest r = Digest.bytes (Ref.read_bytes !m 0 size));
     if strict then begin
       ck "unpersisted lines" i
-        (Region.unpersisted_lines r = Ref.unpersisted_lines m);
+        (Region.unpersisted_lines r = Ref.unpersisted_lines !m);
       let path = Filename.temp_file "simurgh_diff" ".img" in
       Region.save_to_file r path;
       let persisted = Region.load_from_file path in
       Sys.remove path;
       ck "persistent image" i
-        (Bytes.equal (Region.read_bytes persisted 0 size) m.Ref.image)
+        (Bytes.equal (Region.read_bytes persisted 0 size) !m.Ref.image)
     end
   in
-  let rand_off len = Simurgh_sim.Rng.int rng (size - len + 1) in
-  let rand_len () = Simurgh_sim.Rng.int rng 300 in
-  let rand_payload len =
-    Bytes.init len (fun _ -> Char.chr (Simurgh_sim.Rng.int rng 256))
+  let rand_off len = rand (size - len + 1) in
+  let rand_len () = rand 300 in
+  let rand_payload len = Bytes.init len (fun _ -> Char.chr (rand 256)) in
+  let read_u8_loop off s region =
+    let rec go k =
+      k >= String.length s
+      || (Region.read_u8 region (off + k) = Char.code s.[k] && go (k + 1))
+    in
+    go 0
+  in
+  (* out-of-range: an accessor of [width] bytes just below 0 or just
+     past the end *)
+  let out_of_range i =
+    let kind = rand 16 in
+    let width =
+      match kind with
+      | 0 | 1 -> 1
+      | 2 | 3 -> 2
+      | 4 | 5 -> 4
+      | 6 | 7 -> 8
+      | 8 | 9 -> 16
+      | _ -> 1 + rand 20
+    in
+    let off =
+      match rand 4 with
+      | 0 -> -1
+      | 1 -> -width
+      | 2 -> size - width + 1
+      | _ -> size + rand 9
+    in
+    let s = String.make width 'x' in
+    let buf = Bytes.create width in
+    match kind with
+    | 0 -> ignore (both i "oob read_u8" (fun r -> Region.read_u8 r off))
+    | 1 -> ignore (both i "oob write_u8" (fun r -> Region.write_u8 r off 7))
+    | 2 -> ignore (both i "oob read_u16" (fun r -> Region.read_u16 r off))
+    | 3 -> ignore (both i "oob write_u16" (fun r -> Region.write_u16 r off 7))
+    | 4 -> ignore (both i "oob read_u32" (fun r -> Region.read_u32 r off))
+    | 5 -> ignore (both i "oob write_u32" (fun r -> Region.write_u32 r off 7))
+    | 6 -> ignore (both i "oob read_u62" (fun r -> Region.read_u62 r off))
+    | 7 -> ignore (both i "oob write_u62" (fun r -> Region.write_u62 r off 7))
+    | 8 ->
+        ignore (both i "oob read_u62_pair" (fun r -> Region.read_u62_pair r off))
+    | 9 ->
+        ignore
+          (both i "oob write_u62_pair" (fun r -> Region.write_u62_pair r off 1 2))
+    | 10 -> ignore (both i "oob read_bytes" (fun r -> Region.read_bytes r off width))
+    | 11 -> ignore (both i "oob write_string" (fun r -> Region.write_string r off s))
+    | 12 -> ignore (both i "oob zero" (fun r -> Region.zero r off width))
+    | 13 ->
+        (* in range, but the destination/source window is not *)
+        let off = rand_off width in
+        ignore
+          (both i "bad dst read_bytes_into" (fun r ->
+               Region.read_bytes_into r off buf ~pos:1 ~len:width));
+        ignore
+          (both i "bad src write_bytes_from" (fun r ->
+               Region.write_bytes_from r off buf ~pos:(-1) ~len:width))
+    | _ ->
+        ignore
+          (both i "oob equal_string"
+             (fun r -> Region.equal_string r off s)
+             ~g:(read_u8_loop off s))
+  in
+  (* [equal_string] on [r] against the [read_u8] loop on the twin *)
+  let equal_string_case i =
+    let len = 1 + rand 70 in
+    let off = rand_off len in
+    let cur = Bytes.to_string (Ref.read_bytes !m off len) in
+    let flip k =
+      String.mapi (fun j c -> if j = k then Char.chr (Char.code c lxor 1) else c) cur
+    in
+    let kind = rand 5 in
+    let s =
+      match kind with
+      | 0 -> flip 0
+      | 1 -> flip (len - 1)
+      | 2 | 4 -> cur
+      | _ -> ""
+    in
+    (* kind 4: a poisoned line under the compared bytes *)
+    let bad = off + rand len in
+    let fresh = kind = 4 && not (Region.range_poisoned r bad 1) in
+    if fresh then (Region.poison r bad 1; Region.poison twin bad 1);
+    load i "equal_string"
+      (fun r -> Region.equal_string r off s)
+      ~g:(read_u8_loop off s)
+      (fun () -> String.equal (String.sub cur 0 (String.length s)) s);
+    if fresh then (Region.scrub r bad 1; Region.scrub twin bad 1)
   in
   for i = 1 to ops do
-    (match Simurgh_sim.Rng.int rng 17 with
+    (match rand 24 with
     | 0 ->
-        let off = rand_off 1 and v = Simurgh_sim.Rng.int rng 256 in
-        Region.write_u8 r off v;
-        Ref.write_byte m off v
+        let off = rand_off 1 and v = rand 256 in
+        store i "write_u8" (fun r -> Region.write_u8 r off v) (fun () ->
+            Ref.write_byte !m off v)
     | 1 ->
-        let off = rand_off 2 and v = Simurgh_sim.Rng.int rng 65536 in
-        Region.write_u16 r off v;
-        Ref.write_u16 m off v
+        let off = rand_off 2 and v = rand 65536 in
+        store i "write_u16" (fun r -> Region.write_u16 r off v) (fun () ->
+            Ref.write_u16 !m off v)
     | 2 ->
-        let off = rand_off 4 and v = Simurgh_sim.Rng.int rng max_int in
-        Region.write_u32 r off v;
-        Ref.write_u32 m off v
+        let off = rand_off 4 and v = rand max_int in
+        store i "write_u32" (fun r -> Region.write_u32 r off v) (fun () ->
+            Ref.write_u32 !m off v)
     | 3 ->
-        let off = rand_off 8 and v = Simurgh_sim.Rng.int rng max_int in
-        Region.write_u62 r off v;
-        Ref.write_u62 m off v
+        let off = rand_off 8 and v = rand max_int in
+        store i "write_u62" (fun r -> Region.write_u62 r off v) (fun () ->
+            Ref.write_u62 !m off v)
     | 4 ->
         let off = rand_off 8 in
-        ck "read_u8" i (Region.read_u8 r off = Ref.read_byte m off);
-        ck "read_u16" i (Region.read_u16 r off = Ref.read_u16 m off);
-        ck "read_u32" i (Region.read_u32 r off = Ref.read_u32 m off);
-        ck "read_u62" i (Region.read_u62 r off = Ref.read_u62 m off)
+        load i "read_u8" (fun r -> Region.read_u8 r off) (fun () ->
+            Ref.read_byte !m off);
+        load i "read_u16" (fun r -> Region.read_u16 r off) (fun () ->
+            Ref.read_u16 !m off);
+        load i "read_u32" (fun r -> Region.read_u32 r off) (fun () ->
+            Ref.read_u32 !m off);
+        load i "read_u62" (fun r -> Region.read_u62 r off) (fun () ->
+            Ref.read_u62 !m off)
     | 5 ->
         let len = rand_len () in
         let off = rand_off len in
-        ck "read_bytes" i
-          (Bytes.equal (Region.read_bytes r off len) (Ref.read_bytes m off len))
+        load i "read_bytes" (fun r -> Region.read_bytes r off len) (fun () ->
+            Ref.read_bytes !m off len)
     | 6 ->
         let len = rand_len () in
         let off = rand_off len in
         let src = rand_payload len in
-        Region.write_bytes r off src;
-        Ref.write_bytes m off src
+        store i "write_bytes" (fun r -> Region.write_bytes r off src) (fun () ->
+            Ref.write_bytes !m off src)
     | 7 ->
         let len = rand_len () in
         let off = rand_off len in
         let src = rand_payload len in
-        Region.write_string r off (Bytes.to_string src);
-        Ref.write_bytes m off src
+        store i "write_string"
+          (fun r -> Region.write_string r off (Bytes.to_string src))
+          (fun () -> Ref.write_bytes !m off src)
     | 8 ->
         let len = rand_len () in
         let off = rand_off len in
-        Region.zero r off len;
-        Ref.zero m off len
+        store i "zero" (fun r -> Region.zero r off len) (fun () ->
+            Ref.zero !m off len)
     | 9 ->
         let len = rand_len () in
         let off = rand_off len in
         let src = rand_payload len in
-        Region.ntstore r off src;
-        Ref.ntstore m off src
+        store i "ntstore" (fun r -> Region.ntstore r off src) (fun () ->
+            Ref.ntstore !m off src)
     | 10 | 11 ->
         let len = rand_len () in
         let off = rand_off len in
-        Region.clwb r off len;
-        Ref.clwb m off len
+        store i "clwb" (fun r -> Region.clwb r off len) (fun () ->
+            Ref.clwb !m off len)
     | 12 | 13 ->
-        Region.sfence r;
-        Ref.sfence m
+        store i "sfence" Region.sfence (fun () -> Ref.sfence !m)
     | 14 ->
         let len = rand_len () in
         let off = rand_off len in
-        Region.persist r off len;
-        Ref.persist m off len
+        store i "persist" (fun r -> Region.persist r off len) (fun () ->
+            Ref.persist !m off len)
     | 15 ->
         (* paired-word path (block-allocator node access) *)
-        let off = 8 * Simurgh_sim.Rng.int rng ((size - 16) / 8 + 1) in
-        let v0 = Simurgh_sim.Rng.int rng max_int
-        and v1 = Simurgh_sim.Rng.int rng max_int in
-        Region.write_u62_pair r off v0 v1;
-        Ref.write_u62 m off v0;
-        Ref.write_u62 m (off + 8) v1;
-        let a, b = Region.read_u62_pair r off in
-        ck "u62_pair" i (a = Ref.read_u62 m off && b = Ref.read_u62 m (off + 8))
-    | _ ->
+        let off = 8 * rand ((size - 16) / 8 + 1) in
+        let v0 = rand max_int and v1 = rand max_int in
+        store i "write_u62_pair"
+          (fun r -> Region.write_u62_pair r off v0 v1)
+          (fun () ->
+            Ref.write_u62 !m off v0;
+            Ref.write_u62 !m (off + 8) v1);
+        load i "read_u62_pair" (fun r -> Region.read_u62_pair r off) (fun () ->
+            (Ref.read_u62 !m off, Ref.read_u62 !m (off + 8)))
+    | 16 ->
         (* power failure at a random point (Strict only: crash raises in
            Fast mode, where there is nothing volatile to lose) *)
         if strict then begin
           Region.crash r;
-          Ref.crash m
-        end);
+          Region.crash twin;
+          Ref.crash !m
+        end
+    | 17 ->
+        let gr, gt = guard_calls in
+        if !guarded then (Region.clear_guard r; Region.clear_guard twin)
+        else begin
+          Region.set_guard r (fun ~write:_ -> incr gr);
+          Region.set_guard twin (fun ~write:_ -> incr gt)
+        end;
+        guarded := not !guarded
+    | 18 ->
+        let off = rand_off 1 in
+        Region.poison r off 1;
+        Region.poison twin off 1
+    | 19 ->
+        Region.scrub r 0 size;
+        Region.scrub twin 0 size
+    | 20 ->
+        saved := Some (Region.checkpoint r, Region.checkpoint twin, Ref.copy !m)
+    | 21 ->
+        Option.iter
+          (fun (a, b, c) ->
+            Region.restore r a;
+            Region.restore twin b;
+            m := Ref.copy c)
+          !saved
+    | 22 -> out_of_range i
+    | _ -> equal_string_case i);
+    ck "guard calls" i (!(fst guard_calls) = !(snd guard_calls));
+    ck "media" i (Region.media_digest r = Region.media_digest twin);
     if i mod 100 = 0 then compare_all i
   done;
   compare_all ops;
   if strict then begin
     Region.crash r;
-    Ref.crash m
+    Region.crash twin;
+    Ref.crash !m
   end;
   compare_all (ops + 1)
 

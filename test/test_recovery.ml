@@ -373,19 +373,29 @@ let golden_fixture () =
   region
 
 (* Golden: the fixed image recovers to the same report, virtual-time
-   makespan and media under every driver, pinned to literal values so
-   that any change which moves one of them shows up here. *)
+   makespan, media and region access counts under every driver, pinned
+   to literal values so that any change which moves one of them shows
+   up here.  The counts matter on their own: recovery charges virtual
+   time from them, and the [nvmm.*] metrics report them. *)
 let test_golden_recovery () =
   let region = golden_fixture () in
   let cp = Simurgh_nvmm.Region.checkpoint region in
   let recover par =
     Simurgh_nvmm.Region.restore region cp;
     Fs.invalidate_shared region;
+    let s0 = Simurgh_nvmm.Region.stats region in
     let _, r = Recovery.run ~par region in
+    let s1 = Simurgh_nvmm.Region.stats region in
     fsck_clean "golden image fsck" region;
     ( Fmt.str "%a" Recovery.pp_report r,
       Printf.sprintf "%h" r.Recovery.vtime_cycles,
-      Digest.to_hex (Simurgh_nvmm.Region.media_digest region) )
+      Digest.to_hex (Simurgh_nvmm.Region.media_digest region),
+      Simurgh_nvmm.Region.(
+        Printf.sprintf "loads=%d stores=%d load_bytes=%d store_bytes=%d fences=%d"
+          (s1.loads - s0.loads) (s1.stores - s0.stores)
+          (s1.load_bytes - s0.load_bytes)
+          (s1.store_bytes - s0.store_bytes)
+          (s1.fences - s0.fences)) )
   in
   let vtime workers =
     Recovery.Vtime { machine = Simurgh_sim.Machine.create (); workers }
@@ -397,12 +407,16 @@ let test_golden_recovery () =
      tasks(mark=15 sweep=27)"
   in
   let digest = "c2b9f0e9b4cfcb2ae96dc28dacf3a768" in
+  let accesses =
+    "loads=31904 stores=126 load_bytes=962364 store_bytes=2134 fences=106"
+  in
   List.iter
     (fun (what, par, cycles) ->
-      let rep, vc, dg = recover par in
+      let rep, vc, dg, acc = recover par in
       Alcotest.(check string) (what ^ " report") report rep;
       Alcotest.(check string) (what ^ " vtime_cycles") cycles vc;
-      Alcotest.(check string) (what ^ " media digest") digest dg)
+      Alcotest.(check string) (what ^ " media digest") digest dg;
+      Alcotest.(check string) (what ^ " region accesses") accesses acc)
     [
       ("seq", Recovery.Seq, "0x0p+0");
       ("vtime 1 worker", vtime 1, "0x1.062f362762763p+21");
