@@ -186,7 +186,7 @@ let overlay_line t ln =
 (* --- bounds / accounting ---------------------------------------------- *)
 
 let bounds t off len =
-  if off < 0 || len < 0 || off + len > t.size then
+  if off < 0 || len < 0 || off > t.size - len then
     invalid_arg
       (Printf.sprintf "Region: access [%d, %d) outside region of %d bytes"
          off (off + len) t.size)

@@ -412,8 +412,8 @@ let differential_run ~strict ~seed ~ops =
     in
     go 0
   in
-  (* out-of-range: an accessor of [width] bytes just below 0 or just
-     past the end *)
+  (* out-of-range: an accessor of [width] bytes just below 0, just
+     past the end, or where [off + width] overflows *)
   let out_of_range i =
     let kind = rand 16 in
     let width =
@@ -426,10 +426,11 @@ let differential_run ~strict ~seed ~ops =
       | _ -> 1 + rand 20
     in
     let off =
-      match rand 4 with
+      match rand 5 with
       | 0 -> -1
       | 1 -> -width
       | 2 -> size - width + 1
+      | 3 -> max_int - rand width
       | _ -> size + rand 9
     in
     let s = String.make width 'x' in
