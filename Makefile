@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-pairs data numa secure figs-gate fsck races clean
+.PHONY: all build test check bench bench-pairs prof data numa secure figs-gate fsck races clean
 
 all: build
 
@@ -76,6 +76,13 @@ BASE ?= HEAD
 N ?= 10
 bench-pairs:
 	bash scripts/bench-pairs.sh $(W) $(BASE) $(N)
+
+# Host-time profile of one benchmark workload: an LD_PRELOAD sampler
+# (scripts/pcprof.c) records the interrupted program counter on every
+# SIGPROF, nm -n symbolises it, and the top self-time symbols print.
+# ARGS replaces the default run arguments (--seed 1 --seconds 8).
+prof:
+	bash scripts/prof.sh $(W) $(ARGS)
 
 clean:
 	dune clean

@@ -232,15 +232,10 @@ let extent_lock t inode =
     with [init ()] (the persistent size, read under the extent lock by
     the caller so the probe is ordered against concurrent publishes). *)
 let file_state t inode =
-  let s = stripe_of t inode in
-  match Itbl.find_opt s.file_states inode with
-  | Some st -> st
-  | None ->
-      (* lookup + insert runs without a scheduling point, so two
-         threads can never each mint their own state for one inode *)
-      let st = { reserved = -1; published = -1 } in
-      Itbl.replace s.file_states inode st;
-      st
+  (* lookup + insert runs without a scheduling point, so two threads can
+     never each mint their own state for one inode *)
+  Itbl.find_or_create (stripe_of t inode).file_states inode (fun () ->
+      { reserved = -1; published = -1 })
 
 (** Chain-extension serialization for an insert into [row] of directory
     [dir].  Legacy mode: one lock for the whole directory (every row-full

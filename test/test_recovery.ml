@@ -373,7 +373,7 @@ let golden_fixture () =
   region
 
 (* Golden: the fixed image recovers to the same report, virtual-time
-   makespan, media and region access counts under every driver, pinned
+   makespan, media and region access counts under every [par] mode, pinned
    to literal values so that any change which moves one of them shows
    up here.  The counts matter on their own: recovery charges virtual
    time from them, and the [nvmm.*] metrics report them. *)
