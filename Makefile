@@ -80,9 +80,8 @@ bench-pairs:
 # Host-time profile of one benchmark workload: an LD_PRELOAD sampler
 # (scripts/pcprof.c) records the interrupted program counter on every
 # SIGPROF, nm -n symbolises it, and the top self-time symbols print.
-# ARGS replaces the default run arguments (--seed 1 --seconds 8).
 prof:
-	bash scripts/prof.sh $(W) $(ARGS)
+	bash scripts/prof.sh $(W)
 
 clean:
 	dune clean

@@ -62,8 +62,11 @@ __attribute__((destructor)) static void stop(void) {
   struct itimerval off = {{0, 0}, {0, 0}};
   setitimer(ITIMER_PROF, &off, NULL);
   const char *path = getenv("PCPROF_OUT");
-  FILE *f = fopen(path ? path : "pcprof.txt", "w");
-  if (!f) return;
+  FILE *f = path ? fopen(path, "w") : NULL;
+  if (!f) {
+    fprintf(stderr, "pcprof: set PCPROF_OUT to a writable file\n");
+    return;
+  }
   dl_iterate_phdr(find_program, NULL);
   for (size_t i = 0; i < nsamples; i++) {
     uintptr_t pc = samples[i];

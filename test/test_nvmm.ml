@@ -352,9 +352,10 @@ end
    no-op access hook keeps on the checked path; [r] takes the fast path
    whenever it is plain.  Return values, exceptions, statistics, guard
    calls and media must agree after every op, and the byte reference
-   [m] tracks every op that did not raise.  Guard toggles, poison,
-   scrub, checkpoint/restore and out-of-range accesses move [r] on and
-   off the fast path. *)
+   [m] tracks every op that did not raise.  An op may raise only where
+   it must: out of range, or over a poisoned line.  Guard toggles,
+   poison, scrub, checkpoint/restore and out-of-range accesses move [r]
+   on and off the fast path. *)
 let differential_run ~strict ~seed ~ops =
   let size = 4096 + 40 (* partial tail cache line *) in
   let rng = Simurgh_sim.Rng.create (Int64.of_int seed) in
@@ -376,17 +377,34 @@ let differential_run ~strict ~seed ~ops =
     | exception ((Invalid_argument _ | Region.Media_error _) as e) -> Error e
   in
   (* [f] on both regions ([g] on the twin when given): equal outcomes
-     and statistics; [Some v] unless it raised *)
-  let both ?g i name f =
+     and statistics, and the outcome [expect] allows; [Some v] unless
+     it raised *)
+  let both ?g ?(expect = `Value) i name f =
     let a = outcome f r in
     let b = outcome (Option.value g ~default:f) twin in
     ck (name ^ " outcome") i (a = b);
     ck (name ^ " stats") i (Region.stats r = Region.stats twin);
+    (match (expect, a) with
+    | `Value, Error e ->
+        Alcotest.failf "%s raised %s (strict=%b seed=%d op %d)" name
+          (Printexc.to_string e) strict seed i
+    | `Raise, Ok _ ->
+        Alcotest.failf "%s did not raise (strict=%b seed=%d op %d)" name strict
+          seed i
+    | (`Value | `Raise | `Either), _ -> ());
     Result.to_option a
   in
-  let store i name f g = Option.iter g (both i name f) in
-  let load ?g i name f expect =
-    Option.iter (fun v -> ck name i (v = expect ())) (both ?g i name f)
+  (* an in-range access of [len] bytes at [off] raises iff it touches a
+     poisoned line; like the accessors, a 0-byte access touches the line
+     at [off] ([size] is not a multiple of the line size, so [off = size]
+     lies on the last line) *)
+  let expect_at off len =
+    if Region.range_poisoned r (min off (size - 1)) (max len 1) then `Raise
+    else `Value
+  in
+  let store ?expect i name f g = Option.iter g (both ?expect i name f) in
+  let load ?g ?expect i name f expect_v =
+    Option.iter (fun v -> ck name i (v = expect_v ())) (both ?g ?expect i name f)
   in
   let compare_all i =
     ck "visible image" i
@@ -435,35 +453,33 @@ let differential_run ~strict ~seed ~ops =
     in
     let s = String.make width 'x' in
     let buf = Bytes.create width in
+    let oob name f = ignore (both ~expect:`Raise i name f) in
     match kind with
-    | 0 -> ignore (both i "oob read_u8" (fun r -> Region.read_u8 r off))
-    | 1 -> ignore (both i "oob write_u8" (fun r -> Region.write_u8 r off 7))
-    | 2 -> ignore (both i "oob read_u16" (fun r -> Region.read_u16 r off))
-    | 3 -> ignore (both i "oob write_u16" (fun r -> Region.write_u16 r off 7))
-    | 4 -> ignore (both i "oob read_u32" (fun r -> Region.read_u32 r off))
-    | 5 -> ignore (both i "oob write_u32" (fun r -> Region.write_u32 r off 7))
-    | 6 -> ignore (both i "oob read_u62" (fun r -> Region.read_u62 r off))
-    | 7 -> ignore (both i "oob write_u62" (fun r -> Region.write_u62 r off 7))
-    | 8 ->
-        ignore (both i "oob read_u62_pair" (fun r -> Region.read_u62_pair r off))
-    | 9 ->
-        ignore
-          (both i "oob write_u62_pair" (fun r -> Region.write_u62_pair r off 1 2))
-    | 10 -> ignore (both i "oob read_bytes" (fun r -> Region.read_bytes r off width))
-    | 11 -> ignore (both i "oob write_string" (fun r -> Region.write_string r off s))
-    | 12 -> ignore (both i "oob zero" (fun r -> Region.zero r off width))
+    | 0 -> oob "oob read_u8" (fun r -> Region.read_u8 r off)
+    | 1 -> oob "oob write_u8" (fun r -> Region.write_u8 r off 7)
+    | 2 -> oob "oob read_u16" (fun r -> Region.read_u16 r off)
+    | 3 -> oob "oob write_u16" (fun r -> Region.write_u16 r off 7)
+    | 4 -> oob "oob read_u32" (fun r -> Region.read_u32 r off)
+    | 5 -> oob "oob write_u32" (fun r -> Region.write_u32 r off 7)
+    | 6 -> oob "oob read_u62" (fun r -> Region.read_u62 r off)
+    | 7 -> oob "oob write_u62" (fun r -> Region.write_u62 r off 7)
+    | 8 -> oob "oob read_u62_pair" (fun r -> Region.read_u62_pair r off)
+    | 9 -> oob "oob write_u62_pair" (fun r -> Region.write_u62_pair r off 1 2)
+    | 10 -> oob "oob read_bytes" (fun r -> Region.read_bytes r off width)
+    | 11 -> oob "oob write_string" (fun r -> Region.write_string r off s)
+    | 12 -> oob "oob zero" (fun r -> Region.zero r off width)
     | 13 ->
         (* in range, but the destination/source window is not *)
         let off = rand_off width in
-        ignore
-          (both i "bad dst read_bytes_into" (fun r ->
-               Region.read_bytes_into r off buf ~pos:1 ~len:width));
-        ignore
-          (both i "bad src write_bytes_from" (fun r ->
-               Region.write_bytes_from r off buf ~pos:(-1) ~len:width))
+        oob "bad dst read_bytes_into" (fun r ->
+            Region.read_bytes_into r off buf ~pos:1 ~len:width);
+        oob "bad src write_bytes_from" (fun r ->
+            Region.write_bytes_from r off buf ~pos:(-1) ~len:width)
     | _ ->
+        (* like the loop it replaces, a mismatch inside the region
+           returns false before the first out-of-range byte *)
         ignore
-          (both i "oob equal_string"
+          (both ~expect:`Either i "oob equal_string"
              (fun r -> Region.equal_string r off s)
              ~g:(read_u8_loop off s))
   in
@@ -487,9 +503,12 @@ let differential_run ~strict ~seed ~ops =
     let bad = off + rand len in
     let fresh = kind = 4 && not (Region.range_poisoned r bad 1) in
     if fresh then (Region.poison r bad 1; Region.poison twin bad 1);
+    (* the loop reads up to and including the first mismatch *)
+    let read = match kind with 0 -> 1 | 3 -> 0 | _ -> len in
     load i "equal_string"
       (fun r -> Region.equal_string r off s)
       ~g:(read_u8_loop off s)
+      ~expect:(if read = 0 then `Value else expect_at off read)
       (fun () -> String.equal (String.sub cur 0 (String.length s)) s);
     if fresh then (Region.scrub r bad 1; Region.scrub twin bad 1)
   in
@@ -497,58 +516,58 @@ let differential_run ~strict ~seed ~ops =
     (match rand 24 with
     | 0 ->
         let off = rand_off 1 and v = rand 256 in
-        store i "write_u8" (fun r -> Region.write_u8 r off v) (fun () ->
+        store i "write_u8" ~expect:(expect_at off 1) (fun r -> Region.write_u8 r off v) (fun () ->
             Ref.write_byte !m off v)
     | 1 ->
         let off = rand_off 2 and v = rand 65536 in
-        store i "write_u16" (fun r -> Region.write_u16 r off v) (fun () ->
+        store i "write_u16" ~expect:(expect_at off 2) (fun r -> Region.write_u16 r off v) (fun () ->
             Ref.write_u16 !m off v)
     | 2 ->
         let off = rand_off 4 and v = rand max_int in
-        store i "write_u32" (fun r -> Region.write_u32 r off v) (fun () ->
+        store i "write_u32" ~expect:(expect_at off 4) (fun r -> Region.write_u32 r off v) (fun () ->
             Ref.write_u32 !m off v)
     | 3 ->
         let off = rand_off 8 and v = rand max_int in
-        store i "write_u62" (fun r -> Region.write_u62 r off v) (fun () ->
+        store i "write_u62" ~expect:(expect_at off 8) (fun r -> Region.write_u62 r off v) (fun () ->
             Ref.write_u62 !m off v)
     | 4 ->
         let off = rand_off 8 in
-        load i "read_u8" (fun r -> Region.read_u8 r off) (fun () ->
+        load i "read_u8" ~expect:(expect_at off 1) (fun r -> Region.read_u8 r off) (fun () ->
             Ref.read_byte !m off);
-        load i "read_u16" (fun r -> Region.read_u16 r off) (fun () ->
+        load i "read_u16" ~expect:(expect_at off 2) (fun r -> Region.read_u16 r off) (fun () ->
             Ref.read_u16 !m off);
-        load i "read_u32" (fun r -> Region.read_u32 r off) (fun () ->
+        load i "read_u32" ~expect:(expect_at off 4) (fun r -> Region.read_u32 r off) (fun () ->
             Ref.read_u32 !m off);
-        load i "read_u62" (fun r -> Region.read_u62 r off) (fun () ->
+        load i "read_u62" ~expect:(expect_at off 8) (fun r -> Region.read_u62 r off) (fun () ->
             Ref.read_u62 !m off)
     | 5 ->
         let len = rand_len () in
         let off = rand_off len in
-        load i "read_bytes" (fun r -> Region.read_bytes r off len) (fun () ->
+        load i "read_bytes" ~expect:(expect_at off len) (fun r -> Region.read_bytes r off len) (fun () ->
             Ref.read_bytes !m off len)
     | 6 ->
         let len = rand_len () in
         let off = rand_off len in
         let src = rand_payload len in
-        store i "write_bytes" (fun r -> Region.write_bytes r off src) (fun () ->
+        store i "write_bytes" ~expect:(expect_at off len) (fun r -> Region.write_bytes r off src) (fun () ->
             Ref.write_bytes !m off src)
     | 7 ->
         let len = rand_len () in
         let off = rand_off len in
         let src = rand_payload len in
-        store i "write_string"
+        store i "write_string" ~expect:(expect_at off len)
           (fun r -> Region.write_string r off (Bytes.to_string src))
           (fun () -> Ref.write_bytes !m off src)
     | 8 ->
         let len = rand_len () in
         let off = rand_off len in
-        store i "zero" (fun r -> Region.zero r off len) (fun () ->
+        store i "zero" ~expect:(expect_at off len) (fun r -> Region.zero r off len) (fun () ->
             Ref.zero !m off len)
     | 9 ->
         let len = rand_len () in
         let off = rand_off len in
         let src = rand_payload len in
-        store i "ntstore" (fun r -> Region.ntstore r off src) (fun () ->
+        store i "ntstore" ~expect:(expect_at off len) (fun r -> Region.ntstore r off src) (fun () ->
             Ref.ntstore !m off src)
     | 10 | 11 ->
         let len = rand_len () in
@@ -566,12 +585,12 @@ let differential_run ~strict ~seed ~ops =
         (* paired-word path (block-allocator node access) *)
         let off = 8 * rand ((size - 16) / 8 + 1) in
         let v0 = rand max_int and v1 = rand max_int in
-        store i "write_u62_pair"
+        store i "write_u62_pair" ~expect:(expect_at off 16)
           (fun r -> Region.write_u62_pair r off v0 v1)
           (fun () ->
             Ref.write_u62 !m off v0;
             Ref.write_u62 !m (off + 8) v1);
-        load i "read_u62_pair" (fun r -> Region.read_u62_pair r off) (fun () ->
+        load i "read_u62_pair" ~expect:(expect_at off 16) (fun r -> Region.read_u62_pair r off) (fun () ->
             (Ref.read_u62 !m off, Ref.read_u62 !m (off + 8)))
     | 16 ->
         (* power failure at a random point (Strict only: crash raises in
