@@ -79,7 +79,8 @@ bench-pairs:
 
 # Host-time profile of one benchmark workload: an LD_PRELOAD sampler
 # (scripts/pcprof.c) records the interrupted program counter on every
-# SIGPROF, nm -n symbolises it, and the top self-time symbols print.
+# SIGVTALRM (user CPU time), nm -n symbolises it, and the top self-time
+# symbols print.
 prof:
 	bash scripts/prof.sh $(W)
 

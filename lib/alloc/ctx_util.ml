@@ -6,8 +6,5 @@ let with_spin ?ctx lock f =
   match ctx with
   | None -> f ()
   | Some ctx ->
-      Simurgh_sim.Vlock.Spin.acquire ctx lock;
       (* exception-safe: errors (e.g. media faults) must release locks *)
-      Fun.protect
-        ~finally:(fun () -> Simurgh_sim.Vlock.Spin.release ctx lock)
-        f
+      Simurgh_sim.Vlock.Spin.with_lock ctx lock f

@@ -35,11 +35,6 @@ let atomic ?ctx ~contended () =
 let posted ?ctx f =
   match ctx with None -> f () | Some c -> Machine.with_posted_writes c f
 
-let with_spin ?ctx lock f =
-  match ctx with
-  | None -> f ()
-  | Some c ->
-      Vlock.Spin.acquire c lock;
-      (* exception-safe: a media fault mid-critical-section must not
-         leave the lock held (the process keeps running after EIO) *)
-      Fun.protect ~finally:(fun () -> Vlock.Spin.release c lock) f
+(* exception-safe: a media fault mid-critical-section must not leave the
+   lock held (the process keeps running after EIO) *)
+let with_spin = Simurgh_alloc.Ctx_util.with_spin

@@ -38,15 +38,11 @@ type file_state = {
     (under the file's extent lock — registry code must not take locks,
     so it cannot read the size itself without racing a publisher). *)
 
-(* Registry keys are ints and int pairs, hashed with an integer mix
-   instead of the polymorphic [Hashtbl.hash]/[compare]: multiply by an
-   odd 63-bit constant, then fold the high half down.  The fold matters:
-   directory heads are block-aligned, so the product alone keeps their
-   low 12 bits zero, and a table's bucket comes from the low bits.  The
-   stripe comes from the top bits instead (see {!stripe_of}). *)
-let mix x =
-  let h = x * 0x1e37_79b9_7f4a_7c15 in
-  h lxor (h lsr 32)
+(* Registry keys are ints and int pairs, hashed with {!Simurgh_util.mix}
+   instead of the polymorphic [Hashtbl.hash]/[compare] (directory heads
+   are block-aligned, hence the mix's fold).  The stripe comes from the
+   top bits instead (see {!stripe_of}). *)
+let mix = Simurgh_util.mix
 
 let mix_pair (a, b) = mix (mix a + b)
 

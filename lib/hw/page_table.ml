@@ -19,36 +19,38 @@ type pte = {
   mutable writable : bool;
 }
 
-type t = { entries : (int, pte) Hashtbl.t }
+module Tbl = Simurgh_util.Int_tbl
 
-let create () = { entries = Hashtbl.create 64 }
+type t = { entries : pte Tbl.t }
+
+let create () = { entries = Tbl.create 64 }
 let page_of_addr addr = addr lsr page_shift
 let offset_of_addr addr = addr land (page_size - 1)
 
 let find t page =
-  match Hashtbl.find_opt t.entries page with
+  match Tbl.find_opt t.entries page with
   | Some pte when pte.present -> pte
   | _ -> Fault.raise_ (Page_not_present page)
 
-let find_opt t page = Hashtbl.find_opt t.entries page
+let find_opt t page = Tbl.find_opt t.entries page
 
 (** Install a mapping for [page]. *)
 let map t ~page ~kernel ~writable =
-  match Hashtbl.find_opt t.entries page with
+  match Tbl.find_opt t.entries page with
   | Some pte when pte.present && pte.ep ->
       Fault.raise_ (Write_to_protected_mapping page)
   | _ ->
-      Hashtbl.replace t.entries page
+      Tbl.replace t.entries page
         { present = true; kernel; ep = false; writable }
 
 (** Replace a mapping (the [mmap] path applications control).  Refuses to
     touch pages carrying protected functions. *)
 let remap t ~page ~kernel ~writable =
-  (match Hashtbl.find_opt t.entries page with
+  (match Tbl.find_opt t.entries page with
   | Some pte when pte.present && pte.ep ->
       Fault.raise_ (Write_to_protected_mapping page)
   | _ -> ());
-  Hashtbl.replace t.entries page
+  Tbl.replace t.entries page
     { present = true; kernel; ep = false; writable }
 
 (** Set the execute-protected bit; only legal in kernel mode. *)

@@ -2,13 +2,16 @@ type privileged = { cpu_ref : Cpu.t }
 
 type slot = Nop | Fn of string
 
+module Tbl = Simurgh_util.Int_tbl
+
 type t = {
   cpu : Cpu.t;
+  witness : privileged;  (** the one witness every protected call presents *)
   mutable code_pages : int list;  (** pages holding protected code *)
   mutable stack_pages : int list;  (** pages holding protected stacks *)
-  slots : (int, slot) Hashtbl.t;  (** address -> slot *)
+  slots : slot Tbl.t;  (** address -> slot *)
   by_name : (string, int) Hashtbl.t;
-  bodies : (int, privileged -> unit) Hashtbl.t;
+  bodies : (privileged -> unit) Tbl.t;
       (** monomorphic trampoline per address; the typed closure is
           captured by the stub returned from [register] *)
   mutable next_page : int;
@@ -35,11 +38,12 @@ let bootstrap cpu ~euid ~egid =
   let t =
     {
       cpu;
+      witness = { cpu_ref = cpu };
       code_pages = [];
       stack_pages = [];
-      slots = Hashtbl.create 16;
+      slots = Tbl.create 16;
       by_name = Hashtbl.create 16;
-      bodies = Hashtbl.create 16;
+      bodies = Tbl.create 16;
       next_page = code_base_page;
       next_slot = 0;
       sealed = false;
@@ -74,7 +78,7 @@ let fresh_code_page t =
      (Section 3.1's open() example, Fig. 1). *)
   List.iter
     (fun off ->
-      Hashtbl.replace t.slots ((page * Page_table.page_size) + off) Nop)
+      Tbl.replace t.slots ((page * Page_table.page_size) + off) Nop)
     entry_offsets;
   t.code_pages <- page :: t.code_pages;
   page
@@ -88,15 +92,19 @@ let assign_address t =
 
 (* --- jmpp / pret semantics ------------------------------------------- *)
 
+let rec is_entry_offset offset = function
+  | [] -> false
+  | o :: rest -> Int.equal offset o || is_entry_offset offset rest
+
 let jmpp_check t addr =
   let page = Page_table.page_of_addr addr in
   let offset = Page_table.offset_of_addr addr in
   (match Page_table.find_opt t.cpu.Cpu.page_table page with
   | Some pte when pte.Page_table.present && pte.Page_table.ep -> ()
   | Some _ | None -> Fault.raise_ (Jmpp_target_not_protected page));
-  if not (List.mem offset entry_offsets) then
+  if not (is_entry_offset offset entry_offsets) then
     Fault.raise_ (Jmpp_bad_entry_offset { page; offset });
-  match Hashtbl.find_opt t.slots addr with
+  match Tbl.find_opt t.slots addr with
   | Some (Fn _) -> ()
   | Some Nop | None ->
       (* the first instruction at an unused entry is a nop: jumping there
@@ -120,14 +128,16 @@ let pret t =
     c.Cpu.on_protected_stack <- false
   end
 
-(* Exception-safe unwinding (same shape as Charge.with_lock): [enter] and
-   [pret] bracket the body via [Fun.protect], and nothing that can raise
-   runs between [enter] and the handler installation.  A fault inside the
-   body therefore always restores the privilege level and never leaves the
-   nesting counter stuck in kernel mode. *)
+let pret_bracket t () () = pret t
+
+(* Exception-safe unwinding (same shape as Vlock's [with_lock]): [enter]
+   and [pret] bracket the body via [Simurgh_util.bracket], and nothing
+   that can raise runs between [enter] and the handler installation.  A
+   fault inside the body therefore always restores the privilege level
+   and never leaves the nesting counter stuck in kernel mode. *)
 let protected_call t body =
   enter t;
-  Fun.protect ~finally:(fun () -> pret t) body
+  Simurgh_util.bracket pret_bracket t () () body
 
 let jmpp_raw t addr =
   jmpp_check t addr;
@@ -135,20 +145,20 @@ let jmpp_raw t addr =
      switch but before the unwinding handler is installed would strand the
      CPU in kernel mode (the with_lock leak pattern fixed in the locking
      layer). *)
-  let body = Hashtbl.find t.bodies addr in
-  protected_call t (fun () -> body { cpu_ref = t.cpu })
+  let body = Tbl.find t.bodies addr in
+  protected_call t (fun () -> body t.witness)
 
 let register t ~name f =
   if t.sealed then
     invalid_arg "Protected.register: universe sealed after bootstrap";
   let addr = assign_address t in
-  Hashtbl.replace t.slots addr (Fn name);
+  Tbl.replace t.slots addr (Fn name);
   Hashtbl.replace t.by_name name addr;
   (* Monomorphic trampoline used by jmpp_raw (argument-less). *)
-  Hashtbl.replace t.bodies addr (fun _witness -> ());
+  Tbl.replace t.bodies addr (fun _witness -> ());
   fun arg ->
     jmpp_check t addr;
-    protected_call t (fun () -> f { cpu_ref = t.cpu } arg)
+    protected_call t (fun () -> f t.witness arg)
 
 let seal t = t.sealed <- true
 let address_of t name = Hashtbl.find t.by_name name

@@ -4,7 +4,12 @@
     [wait_by_site] refs: a registry lives inside one {!Run.t} (one
     engine run / one machine), so consecutive experiments cannot bleed
     wait cycles into each other.  Sites are the call-site labels the
-    locks are created with ("dir-row", "balloc-seg", "vfs-rwsem", ...). *)
+    locks are created with ("dir-row", "balloc-seg", "vfs-rwsem", ...).
+
+    Recording is hash-free: each lock resolves its site once per
+    (lock, registry) through a {!handle}, after which an acquisition
+    costs two integer adds and one float add, and the float adds go to
+    an all-float record (stored unboxed, no allocation). *)
 
 type kind = Spin | Mutex | Rwlock
 
@@ -13,21 +18,34 @@ let kind_name = function
   | Mutex -> "mutex"
   | Rwlock -> "rwlock"
 
+type cycles = {
+  mutable wait : float;  (** virtual cycles spent waiting *)
+  mutable hold : float;  (** virtual cycles the lock was held *)
+}
+
 type site = {
   kind : kind;
   mutable acquisitions : int;
   mutable contended : int;  (** acquisitions that had to wait *)
-  mutable wait_cycles : float;  (** virtual cycles spent waiting *)
-  mutable hold_cycles : float;  (** virtual cycles the lock was held *)
+  cycles : cycles;
 }
 
-type t = (string, site) Hashtbl.t
+let hold_cycles s = s.cycles.hold
 
-let create () : t = Hashtbl.create 16
-let clear (t : t) = Hashtbl.reset t
+type t = {
+  sites : (string, site) Hashtbl.t;
+  mutable generation : int;
+      (** bumped by {!clear}: sites resolved before it are stale *)
+}
+
+let create () : t = { sites = Hashtbl.create 16; generation = 0 }
+
+let clear (t : t) =
+  Hashtbl.reset t.sites;
+  t.generation <- t.generation + 1
 
 let site (t : t) name kind =
-  match Hashtbl.find_opt t name with
+  match Hashtbl.find_opt t.sites name with
   | Some s -> s
   | None ->
       let s =
@@ -35,54 +53,84 @@ let site (t : t) name kind =
           kind;
           acquisitions = 0;
           contended = 0;
-          wait_cycles = 0.0;
-          hold_cycles = 0.0;
+          cycles = { wait = 0.0; hold = 0.0 };
         }
       in
-      Hashtbl.replace t name s;
+      Hashtbl.replace t.sites name s;
       s
+
+(** A lock's handle on its site: the label and kind it reports under,
+    and the site last resolved, valid while it names the same registry
+    (physical equality) at the same generation. *)
+type handle = {
+  name : string;
+  site_kind : kind;
+  mutable reg : t;
+  mutable gen : int;
+  mutable cached : site;
+}
+
+(* Placeholders of a fresh handle: generation -1 never matches. *)
+let unresolved = create ()
+let no_site = site (create ()) "" Spin
+
+let handle name site_kind =
+  { name; site_kind; reg = unresolved; gen = -1; cached = no_site }
+
+(** [h]'s site in [reg]: a hash lookup (and, on first use in [reg], an
+    insertion — so registry order is the order of first use, as with a
+    lookup on every acquisition) only when [h] is stale. *)
+let resolve h (reg : t) =
+  if h.reg == reg && h.gen = reg.generation then h.cached
+  else begin
+    let s = site reg h.name h.site_kind in
+    h.reg <- reg;
+    h.gen <- reg.generation;
+    h.cached <- s;
+    s
+  end
 
 (** One acquisition: [wait] virtual cycles spent blocked (0 when the
     lock was free). *)
-let record_acquire t ~site:name ~kind ~wait =
-  let s = site t name kind in
+let[@inline] acquired s ~wait =
   s.acquisitions <- s.acquisitions + 1;
   if wait > 0.0 then begin
     s.contended <- s.contended + 1;
-    s.wait_cycles <- s.wait_cycles +. wait
+    s.cycles.wait <- s.cycles.wait +. wait
   end
 
-let record_hold t ~site:name ~kind ~hold =
-  if hold > 0.0 then begin
-    let s = site t name kind in
-    s.hold_cycles <- s.hold_cycles +. hold
-  end
+let[@inline] held s ~hold =
+  if hold > 0.0 then s.cycles.hold <- s.cycles.hold +. hold
+
+(** {!acquired} by site name. *)
+let record_acquire t ~site:name ~kind ~wait = acquired (site t name kind) ~wait
 
 let total_wait (t : t) =
-  Hashtbl.fold (fun _ s acc -> acc +. s.wait_cycles) t 0.0
+  Hashtbl.fold (fun _ s acc -> acc +. s.cycles.wait) t.sites 0.0
 
 let total_acquisitions (t : t) =
-  Hashtbl.fold (fun _ s acc -> acc + s.acquisitions) t 0
+  Hashtbl.fold (fun _ s acc -> acc + s.acquisitions) t.sites 0
 
 let wait_of (t : t) name =
-  match Hashtbl.find_opt t name with Some s -> s.wait_cycles | None -> 0.0
+  match Hashtbl.find_opt t.sites name with
+  | Some s -> s.cycles.wait
+  | None -> 0.0
 
 (** Aggregate (acquisitions, contended, wait_cycles) over every site
     whose name starts with [prefix] — striped lock families (e.g. the
     per-row "file-range/" sites) report per-row for attribution but are
     usually summarized as one line. *)
 let sum_of_prefix (t : t) prefix =
-  let plen = String.length prefix in
   Hashtbl.fold
     (fun name s ((acq, cont, wait) as acc) ->
-      if String.length name >= plen && String.sub name 0 plen = prefix then
-        (acq + s.acquisitions, cont + s.contended, wait +. s.wait_cycles)
+      if String.starts_with ~prefix name then
+        (acq + s.acquisitions, cont + s.contended, wait +. s.cycles.wait)
       else acc)
-    t (0, 0, 0.0)
+    t.sites (0, 0, 0.0)
 
 (** Sorted (site, stats) pairs — deterministic export order. *)
 let to_list (t : t) =
-  Hashtbl.fold (fun k s acc -> (k, s) :: acc) t []
+  Hashtbl.fold (fun k s acc -> (k, s) :: acc) t.sites []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let merge_into (dst : t) (src : t) =
@@ -91,9 +139,9 @@ let merge_into (dst : t) (src : t) =
       let d = site dst name s.kind in
       d.acquisitions <- d.acquisitions + s.acquisitions;
       d.contended <- d.contended + s.contended;
-      d.wait_cycles <- d.wait_cycles +. s.wait_cycles;
-      d.hold_cycles <- d.hold_cycles +. s.hold_cycles)
-    src
+      d.cycles.wait <- d.cycles.wait +. s.cycles.wait;
+      d.cycles.hold <- d.cycles.hold +. s.cycles.hold)
+    src.sites
 
 let to_json t =
   Json.List
@@ -106,7 +154,7 @@ let to_json t =
              ("acquisitions", Json.Int s.acquisitions);
              ("contended", Json.Int s.contended);
              ("uncontended", Json.Int (s.acquisitions - s.contended));
-             ("wait_cycles", Json.Float s.wait_cycles);
-             ("hold_cycles", Json.Float s.hold_cycles);
+             ("wait_cycles", Json.Float s.cycles.wait);
+             ("hold_cycles", Json.Float s.cycles.hold);
            ])
        (to_list t))

@@ -21,37 +21,36 @@ let emin = -14
 let emax = 64
 let nbuckets = (emax - emin + 1) * subs
 
-type t = {
-  counts : int array;
-  mutable count : int;
+(* The float statistics sit in an all-float record (stored unboxed), so
+   [record] allocates nothing. *)
+type moments = {
   mutable sum : float;
   mutable min_v : float;
   mutable max_v : float;
 }
 
+type t = { counts : int array; mutable count : int; m : moments }
+
 let create () =
   {
     counts = Array.make nbuckets 0;
     count = 0;
-    sum = 0.0;
-    min_v = infinity;
-    max_v = neg_infinity;
+    m = { sum = 0.0; min_v = infinity; max_v = neg_infinity };
   }
 
 let clear t =
   Array.fill t.counts 0 nbuckets 0;
   t.count <- 0;
-  t.sum <- 0.0;
-  t.min_v <- infinity;
-  t.max_v <- neg_infinity
+  t.m.sum <- 0.0;
+  t.m.min_v <- infinity;
+  t.m.max_v <- neg_infinity
 
 let copy t =
+  let m = t.m in
   {
     counts = Array.copy t.counts;
     count = t.count;
-    sum = t.sum;
-    min_v = t.min_v;
-    max_v = t.max_v;
+    m = { sum = m.sum; min_v = m.min_v; max_v = m.max_v };
   }
 
 (* Bucket index of a (finite, >= 0) value. *)
@@ -80,16 +79,16 @@ let record t v =
     let i = index_of v in
     t.counts.(i) <- t.counts.(i) + 1;
     t.count <- t.count + 1;
-    t.sum <- t.sum +. v;
-    if v < t.min_v then t.min_v <- v;
-    if v > t.max_v then t.max_v <- v
+    t.m.sum <- t.m.sum +. v;
+    if v < t.m.min_v then t.m.min_v <- v;
+    if v > t.m.max_v then t.m.max_v <- v
   end
 
 let count t = t.count
-let sum t = t.sum
-let min_value t = if t.count = 0 then 0.0 else t.min_v
-let max_value t = if t.count = 0 then 0.0 else t.max_v
-let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
+let sum t = t.m.sum
+let min_value t = if t.count = 0 then 0.0 else t.m.min_v
+let max_value t = if t.count = 0 then 0.0 else t.m.max_v
+let mean t = if t.count = 0 then 0.0 else t.m.sum /. float_of_int t.count
 
 (* Estimated value of the 0-indexed order statistic [k]; exact at the
    ends, uniform-within-bucket in the interior. *)
@@ -113,7 +112,7 @@ let value_at_rank t k =
      with Exit -> ());
     (* clamp into the observed range: bucket edges can slightly
        over/undershoot the true extremes *)
-    Float.min (Float.max !res t.min_v) t.max_v
+    Float.min (Float.max !res t.m.min_v) t.m.max_v
   end
 
 let percentile t p =
@@ -133,9 +132,9 @@ let merge a b =
   let t = copy a in
   Array.iteri (fun i c -> t.counts.(i) <- t.counts.(i) + c) b.counts;
   t.count <- a.count + b.count;
-  t.sum <- a.sum +. b.sum;
-  t.min_v <- Float.min a.min_v b.min_v;
-  t.max_v <- Float.max a.max_v b.max_v;
+  t.m.sum <- a.m.sum +. b.m.sum;
+  t.m.min_v <- Float.min a.m.min_v b.m.min_v;
+  t.m.max_v <- Float.max a.m.max_v b.m.max_v;
   t
 
 (** Summary used by the JSON export. *)

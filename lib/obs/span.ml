@@ -11,42 +11,46 @@
     - [copy_bytes]: payload bytes moved by read/write/append, converted
       to "data copy" cycles by the cost model at reporting time.
 
-    "Application" time is derived: total minus copy minus FS.  Fields
-    are plain mutable floats so the hot recording paths stay a single
-    add. *)
+    "Application" time is derived: total minus copy minus FS.  The
+    cycle fields live in an all-float record, which OCaml stores
+    unboxed, so the hot recording paths stay a single add with no
+    allocation. *)
 
-type t = {
-  mutable fs_cycles : float;
-  mutable lock_wait_cycles : float;
-  mutable flush_cycles : float;
-  mutable copy_bytes : int;
+type cycles = {
+  mutable fs : float;
+  mutable lock_wait : float;
+  mutable flush : float;
 }
 
+type t = { cycles : cycles; mutable copy_bytes : int }
+
 let create () =
-  { fs_cycles = 0.0; lock_wait_cycles = 0.0; flush_cycles = 0.0; copy_bytes = 0 }
+  { cycles = { fs = 0.0; lock_wait = 0.0; flush = 0.0 }; copy_bytes = 0 }
+
+let fs_cycles t = t.cycles.fs
 
 let clear t =
-  t.fs_cycles <- 0.0;
-  t.lock_wait_cycles <- 0.0;
-  t.flush_cycles <- 0.0;
+  t.cycles.fs <- 0.0;
+  t.cycles.lock_wait <- 0.0;
+  t.cycles.flush <- 0.0;
   t.copy_bytes <- 0
 
-let add_fs t c = t.fs_cycles <- t.fs_cycles +. c
-let add_lock_wait t c = t.lock_wait_cycles <- t.lock_wait_cycles +. c
-let add_flush t c = t.flush_cycles <- t.flush_cycles +. c
+let[@inline] add_fs t c = t.cycles.fs <- t.cycles.fs +. c
+let[@inline] add_lock_wait t c = t.cycles.lock_wait <- t.cycles.lock_wait +. c
+let[@inline] add_flush t c = t.cycles.flush <- t.cycles.flush +. c
 let add_copy_bytes t b = t.copy_bytes <- t.copy_bytes + b
 
 let merge_into dst src =
-  dst.fs_cycles <- dst.fs_cycles +. src.fs_cycles;
-  dst.lock_wait_cycles <- dst.lock_wait_cycles +. src.lock_wait_cycles;
-  dst.flush_cycles <- dst.flush_cycles +. src.flush_cycles;
+  add_fs dst src.cycles.fs;
+  add_lock_wait dst src.cycles.lock_wait;
+  add_flush dst src.cycles.flush;
   dst.copy_bytes <- dst.copy_bytes + src.copy_bytes
 
 let to_json t =
   Json.Obj
     [
-      ("fs_cycles", Json.Float t.fs_cycles);
-      ("lock_wait_cycles", Json.Float t.lock_wait_cycles);
-      ("flush_cycles", Json.Float t.flush_cycles);
+      ("fs_cycles", Json.Float t.cycles.fs);
+      ("lock_wait_cycles", Json.Float t.cycles.lock_wait);
+      ("flush_cycles", Json.Float t.cycles.flush);
       ("copy_bytes", Json.Int t.copy_bytes);
     ]

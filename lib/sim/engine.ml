@@ -34,11 +34,7 @@ let run ?(schedule = Schedule.legacy) (threads : Sthread.t array)
   let alive = Array.make n true in
   let remaining = ref n in
   while !remaining > 0 do
-    let i =
-      Schedule.pick_min schedule ~n
-        ~now:(fun i -> threads.(i).Sthread.now)
-        ~alive:(fun i -> alive.(i))
-    in
+    let i = Schedule.pick_min schedule threads alive in
     if not (step threads.(i)) then begin
       alive.(i) <- false;
       decr remaining

@@ -27,9 +27,9 @@ let create ?(cm = Cost_model.default) ?obs () =
   Simurgh_obs.Collect.note_run obs;
   {
     cm;
-    nvmm_read_srv = Resource.create "nvmm-read";
-    nvmm_write_srv = Resource.create "nvmm-write";
-    dram_srv = Resource.create "dram";
+    nvmm_read_srv = Resource.create ();
+    nvmm_write_srv = Resource.create ();
+    dram_srv = Resource.create ();
     extra_nvmm_srvs = [||];
     obs;
   }
@@ -44,9 +44,7 @@ let set_regions t n =
     t.extra_nvmm_srvs <-
       Array.init (n - 1) (fun i ->
           if i < extra then t.extra_nvmm_srvs.(i)
-          else
-            ( Resource.create (Printf.sprintf "nvmm-read-%d" (i + 1)),
-              Resource.create (Printf.sprintf "nvmm-write-%d" (i + 1)) ))
+          else (Resource.create (), Resource.create ()))
   end
 
 let regions t = 1 + Array.length t.extra_nvmm_srvs

@@ -14,16 +14,18 @@
     can arrive slightly out of virtual-time order within overlapping
     operations; the debt formulation stays work-conserving in that case
     (an earlier-timestamped request queues behind the current backlog
-    rather than jumping to another thread's later timestamp). *)
+    rather than jumping to another thread's later timestamp).
+
+    The state is an all-float record, which OCaml stores unboxed: a
+    charge updates it in place without allocating. *)
 
 type t = {
-  name : string;
   mutable debt : float;  (** queued work, cycles *)
   mutable last : float;  (** last arrival considered for draining *)
   mutable busy : float;  (** total service cycles (utilization) *)
 }
 
-let create name = { name; debt = 0.0; last = 0.0; busy = 0.0 }
+let create () = { debt = 0.0; last = 0.0; busy = 0.0 }
 
 let reset t =
   t.debt <- 0.0;
@@ -36,7 +38,7 @@ let reset t =
    queue behind the current backlog — both [serve] and [push_work] MUST
    share this exact sequence, otherwise per-region server replicas drift
    apart on the out-of-order path and on [busy] accounting. *)
-let drain_and_queue t ~now ~dur =
+let[@inline] drain_and_queue t ~now ~dur =
   if now > t.last then begin
     let elapsed = now -. t.last in
     t.debt <- (if t.debt > elapsed then t.debt -. elapsed else 0.0);
@@ -47,17 +49,17 @@ let drain_and_queue t ~now ~dur =
 
 (** [serve t ~now ~dur] returns the completion time of a request of
     [dur] cycles issued at [now]. *)
-let serve t ~now ~dur =
+let[@inline] serve t ~now ~dur =
   drain_and_queue t ~now ~dur;
   now +. t.debt
 
 (** Queue work without waiting for it: used by locks to append their
     hold duration at release time.  Identical drain/queue/busy semantics
     to {!serve} by construction; only the completion wait differs. *)
-let push_work t ~now ~dur = drain_and_queue t ~now ~dur
+let[@inline] push_work t ~now ~dur = drain_and_queue t ~now ~dur
 
 (** Outstanding backlog as seen at [now] (0 when fully drained). *)
-let pending t ~now =
+let[@inline] pending t ~now =
   if now > t.last then
     if t.debt > now -. t.last then t.debt -. (now -. t.last) else 0.0
   else t.debt

@@ -137,31 +137,39 @@ let note_ran policy i =
   match policy with Fair f -> f.last <- i | Legacy | Random _ | Driven _ -> ()
 
 (** Pick the next thread for the virtual-time engine: the minimum-time
-    alive thread, equal-time ties routed through the policy.  [Legacy]
-    reproduces the historical scan (lowest index among ties) exactly. *)
-let pick_min policy ~n ~now ~alive =
+    thread among those with [alive.(i)], equal-time ties routed through
+    the policy; [-1] when none is alive.  [Legacy] reproduces the
+    historical scan (lowest index among ties) exactly.  Reads the clocks
+    and flags in place: the engine calls this on every step. *)
+let pick_min policy (threads : Sthread.t array) (alive : bool array) =
+  let n = Array.length threads in
   match policy with
   | Legacy ->
       (* historical scan: first strictly-smaller time wins, so the
          lowest index among equal minimal times is chosen *)
       let best = ref (-1) in
       for i = 0 to n - 1 do
-        if alive i && (!best < 0 || now i < now !best) then best := i
+        if alive.(i) then
+          if !best < 0 then best := i
+          else if threads.(i).Sthread.now < threads.(!best).Sthread.now then
+            best := i
       done;
       !best
   | _ ->
       let tmin = ref infinity and any = ref (-1) in
       for i = 0 to n - 1 do
-        if alive i then begin
+        if alive.(i) then begin
+          let now = threads.(i).Sthread.now in
           if !any < 0 then any := i;
-          if now i < !tmin then tmin := now i
+          if now < !tmin then tmin := now
         end
       done;
       if !any < 0 then -1
       else begin
         let ties = ref [] in
         for i = n - 1 downto 0 do
-          if alive i && now i = !tmin then ties := i :: !ties
+          if alive.(i) && threads.(i).Sthread.now = !tmin then
+            ties := i :: !ties
         done;
         let i = tie_break policy !ties in
         note_ran policy i;

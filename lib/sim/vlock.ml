@@ -24,8 +24,12 @@
       ambient {!Race} detector with the lock's unique id.
 
     Each [with_*] helper releases on the way out {e even when the body
-    raises} ([Fun.protect]) — a [Media_error]→EIO path throwing inside
-    a critical section must not leak the lock. *)
+    raises} ({!Simurgh_util.bracket}) — a [Media_error]→EIO path
+    throwing inside a critical section must not leak the lock.
+
+    Recording allocates nothing and hashes nothing: each lock resolves
+    its contention site once per run ({!Contention.resolve}), and the
+    floats it updates live in all-float records. *)
 
 open Simurgh_obs
 
@@ -36,15 +40,20 @@ let fresh_lock_id () =
   incr next_lock_id;
   !next_lock_id
 
-(* Record one acquisition into the machine-scoped contention registry. *)
-let record_acquire (ctx : Machine.ctx) ~site ~kind ~wait =
+(* Record one acquisition into the machine-scoped contention registry,
+   at the lock's [site]. *)
+let[@inline] record_acquire (ctx : Machine.ctx) site ~wait =
   let run = Machine.ctx_obs ctx in
-  Contention.record_acquire run.Run.contention ~site ~kind ~wait;
+  Contention.acquired (Contention.resolve site run.Run.contention) ~wait;
   Span.add_lock_wait run.Run.spans wait
 
-let record_hold (ctx : Machine.ctx) ~site ~kind ~hold =
+(* Only called with [hold > 0]: a zero hold must not create the site. *)
+let[@inline] record_hold (ctx : Machine.ctx) site ~hold =
   let run = Machine.ctx_obs ctx in
-  Contention.record_hold run.Run.contention ~site ~kind ~hold
+  Contention.held (Contention.resolve site run.Run.contention) ~hold
+
+(* The acquire time of a held lock, in an all-float record (unboxed). *)
+type stamp = { mutable at : float }
 
 (** Busy-wait spin lock (Simurgh's atomic flags, per-line busy bits).
 
@@ -60,25 +69,23 @@ module Spin = struct
     id : int;
     server : Resource.t;  (** backlog of hold durations *)
     mutable last_holder : int;
-    mutable entered_at : float;
+    entered : stamp;
     mutable owner : int;  (** executing owner under the explorer, -1 free *)
     mutable depth : int;  (** re-entrant acquisition depth *)
-    site : string;
-    kind : Contention.kind;
-        (** how the site is reported (a Mutex's inner spin reports as
-            [Mutex]) *)
+    site : Contention.handle;
+        (** where contention is reported (a Mutex's inner spin reports
+            as [Mutex]) *)
   }
 
   let create ?(site = "anon") ?(kind = Contention.Spin) () =
     {
       id = fresh_lock_id ();
-      server = Resource.create site;
+      server = Resource.create ();
       last_holder = -1;
-      entered_at = 0.0;
+      entered = { at = 0.0 };
       owner = -1;
       depth = 0;
-      site;
-      kind;
+      site = Contention.handle site kind;
     }
 
   (** Is the lock held (execution-level) right now?  Distinct from
@@ -91,25 +98,25 @@ module Spin = struct
     Schedule.point Schedule.Acquire;
     if t.owner = tid then t.depth <- t.depth + 1
     else begin
-      Schedule.wait_while (fun () -> t.owner >= 0);
+      (* tested first, here and in [Rw]: a free lock builds no closure *)
+      if t.owner >= 0 then Schedule.wait_while (fun () -> t.owner >= 0);
       t.owner <- tid;
       t.depth <- 1
     end;
     Machine.atomic ctx ~contended:(t.last_holder <> tid);
     let done_at = Resource.serve t.server ~now:thr.Sthread.now ~dur:0.0 in
-    record_acquire ctx ~site:t.site ~kind:t.kind
-      ~wait:(done_at -. thr.Sthread.now);
+    record_acquire ctx t.site ~wait:(done_at -. thr.Sthread.now);
     Sthread.wait_until thr done_at;
-    t.entered_at <- thr.Sthread.now;
+    t.entered.at <- thr.Sthread.now;
     t.last_holder <- tid;
     Race.on_acquire t.id
 
   let release (ctx : Machine.ctx) t =
     let thr = ctx.Machine.thr in
-    let hold = thr.Sthread.now -. t.entered_at in
+    let hold = thr.Sthread.now -. t.entered.at in
     if hold > 0.0 then begin
-      Resource.push_work t.server ~now:t.entered_at ~dur:hold;
-      record_hold ctx ~site:t.site ~kind:t.kind ~hold
+      Resource.push_work t.server ~now:t.entered.at ~dur:hold;
+      record_hold ctx t.site ~hold
     end;
     Race.on_release t.id;
     if t.depth > 1 then t.depth <- t.depth - 1
@@ -119,9 +126,11 @@ module Spin = struct
     end;
     Schedule.point Schedule.Release
 
+  let release_bracket ctx t () = release ctx t
+
   let with_lock ctx t f =
     acquire ctx t;
-    Fun.protect ~finally:(fun () -> release ctx t) f
+    Simurgh_util.bracket release_bracket ctx t () f
 
   (** Is the lock (probably) held at [now]?  Used by the allocator to
       skip busy segments and by crash detection. *)
@@ -153,7 +162,7 @@ module Mutex = struct
 
   let with_lock ctx t f =
     acquire ctx t;
-    Fun.protect ~finally:(fun () -> release ctx t) f
+    Simurgh_util.bracket Spin.release_bracket ctx t.spin () f
 
   let contentions t = t.contentions
 end
@@ -181,7 +190,7 @@ module Rw = struct
     mutable writer : int;  (** executing writer under the explorer *)
     mutable wdepth : int;
     mutable readers : int;  (** executing reader count under the explorer *)
-    site : string;
+    site : Contention.handle;
     striped : bool;
         (** distributed (per-core) reader counters: readers do not bounce
             a shared line.  Simurgh's per-file locks use this; the Linux
@@ -192,14 +201,14 @@ module Rw = struct
   let create ?(site = "rwlock") ?(striped = false) () =
     {
       id = fresh_lock_id ();
-      counter = Resource.create "rwlock-counter";
-      excl = Resource.create "rwlock-excl";
-      rd = Resource.create "rwlock-rd";
+      counter = Resource.create ();
+      excl = Resource.create ();
+      rd = Resource.create ();
       last_toucher = -1;
       writer = -1;
       wdepth = 0;
       readers = 0;
-      site;
+      site = Contention.handle site Contention.Rwlock;
       striped;
     }
 
@@ -228,14 +237,15 @@ module Rw = struct
     let thr = ctx.Machine.thr in
     Schedule.point Schedule.Acquire;
     (* a thread already holding the write side may also read *)
-    Schedule.wait_while (fun () ->
-        t.writer >= 0 && t.writer <> thr.Sthread.tid);
+    if t.writer >= 0 && t.writer <> thr.Sthread.tid then
+      Schedule.wait_while (fun () ->
+          t.writer >= 0 && t.writer <> thr.Sthread.tid);
     t.readers <- t.readers + 1;
     if t.striped then Machine.atomic ctx ~contended:false
     else touch_counter ctx t;
     (* wait behind outstanding writer holds *)
     let done_at = Resource.serve t.excl ~now:thr.Sthread.now ~dur:0.0 in
-    record_acquire ctx ~site:t.site ~kind:Contention.Rwlock
+    record_acquire ctx t.site
       ~wait:(Float.max 0.0 (done_at -. thr.Sthread.now));
     Sthread.wait_until thr done_at;
     Race.on_acquire t.id;
@@ -248,7 +258,7 @@ module Rw = struct
     let hold = thr.Sthread.now -. entered_at in
     if hold > 0.0 then begin
       Resource.push_work t.rd ~now:entered_at ~dur:(hold /. read_parallelism);
-      record_hold ctx ~site:t.site ~kind:Contention.Rwlock ~hold
+      record_hold ctx t.site ~hold
     end;
     Race.on_release t.id;
     t.readers <- t.readers - 1;
@@ -260,7 +270,8 @@ module Rw = struct
     Schedule.point Schedule.Acquire;
     if t.writer = tid then t.wdepth <- t.wdepth + 1
     else begin
-      Schedule.wait_while (fun () -> t.writer >= 0 || t.readers > 0);
+      if t.writer >= 0 || t.readers > 0 then
+        Schedule.wait_while (fun () -> t.writer >= 0 || t.readers > 0);
       t.writer <- tid;
       t.wdepth <- 1
     end;
@@ -268,7 +279,7 @@ module Rw = struct
     let d1 = Resource.serve t.excl ~now:thr.Sthread.now ~dur:0.0 in
     let d2 = Resource.serve t.rd ~now:thr.Sthread.now ~dur:0.0 in
     let done_at = Float.max d1 d2 in
-    record_acquire ctx ~site:t.site ~kind:Contention.Rwlock
+    record_acquire ctx t.site
       ~wait:(Float.max 0.0 (done_at -. thr.Sthread.now));
     Sthread.wait_until thr done_at;
     Race.on_acquire t.id;
@@ -279,7 +290,7 @@ module Rw = struct
     let hold = thr.Sthread.now -. entered_at in
     if hold > 0.0 then begin
       Resource.push_work t.excl ~now:entered_at ~dur:hold;
-      record_hold ctx ~site:t.site ~kind:Contention.Rwlock ~hold
+      record_hold ctx t.site ~hold
     end;
     Race.on_release t.id;
     if t.wdepth > 1 then t.wdepth <- t.wdepth - 1
@@ -291,9 +302,9 @@ module Rw = struct
 
   let with_read ctx t f =
     let tok = read_acquire ctx t in
-    Fun.protect ~finally:(fun () -> read_release ctx t tok) f
+    Simurgh_util.bracket read_release ctx t tok f
 
   let with_write ctx t f =
     let tok = write_acquire ctx t in
-    Fun.protect ~finally:(fun () -> write_release ctx t tok) f
+    Simurgh_util.bracket write_release ctx t tok f
 end

@@ -72,7 +72,7 @@ let lookup ?ctx t ~parent name =
 let insert ?ctx t ~parent name node =
   let ins () =
     Hashtbl.replace t.table (parent, name)
-      { node; refcount = Resource.create "d_lockref"; last_toucher = -1 }
+      { node; refcount = Resource.create (); last_toucher = -1 }
   in
   match ctx with
   | Some c ->

@@ -38,7 +38,7 @@ let copy_cycles cm bytes =
 let breakdown cm (run : Obs.Run.t) ~total_cycles =
   let spans = run.Obs.Run.spans in
   let copy = copy_cycles cm spans.Obs.Span.copy_bytes in
-  let fs = Float.max 0.0 (spans.Obs.Span.fs_cycles -. copy) in
+  let fs = Float.max 0.0 (Obs.Span.fs_cycles spans -. copy) in
   let app = Float.max 0.0 (total_cycles -. fs -. copy) in
   let tot = Float.max 1.0 (app +. copy +. fs) in
   (app /. tot, copy /. tot, fs /. tot)

@@ -5,7 +5,11 @@
 # workload once with the sampler preloaded (--seed 1 --seconds 8), maps
 # every sampled program counter to its enclosing symbol with `nm -n`,
 # and prints the 30 symbols with the largest share of samples (self
-# time).  Shared-library samples are named by dladdr.
+# time) of user CPU time.  Shared-library samples are named by dladdr,
+# or, in unexported library code, after the nearest libc entry point
+# (see pcprof.c).  The run samples the whole process: set-up, the
+# timed phase, the percentile sort, recovery and fsck, so its shares
+# are not shares of the benchmark's host_ns_per_op.
 set -euo pipefail
 w=${1:?usage: prof.sh WORKLOAD}
 cd "$(dirname "$0")/.."
@@ -24,7 +28,7 @@ export LC_ALL=C
 } | sort | awk '$2 == 0 { sym = $3; next } { print sym }' > "$out/$w.syms"
 grep '^=' "$out/$w.samples" | cut -c3- >> "$out/$w.syms"
 total=$(wc -l < "$out/$w.syms")
-echo "prof: $w, $total samples at 1 kHz of CPU time"
+echo "prof: $w, $total samples at 1 kHz of user CPU time"
 sort "$out/$w.syms" | uniq -c | sort -rn | head -n 30 \
   | awk -v n="$total" '{ printf "%6.2f%%  %s\n", 100 * $1 / n, $2 }'
 echo "prof: by module (OCaml symbols by compilation unit, everything else as C)"

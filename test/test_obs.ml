@@ -150,7 +150,7 @@ let test_run_merge () =
   check_float "counter" 3.0 (Metrics.get m.Run.counters "x");
   Alcotest.(check int) "hist merged" 2
     (Histogram.count (Run.hist m "fs/op"));
-  check_float "span fs" 100.0 m.Run.spans.Span.fs_cycles;
+  check_float "span fs" 100.0 (Span.fs_cycles m.Run.spans);
   Alcotest.(check int) "span bytes" 4096 m.Run.spans.Span.copy_bytes;
   (* sources untouched *)
   Alcotest.(check int) "a hist intact" 1 (Histogram.count (Run.hist a "fs/op"))

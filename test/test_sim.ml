@@ -114,21 +114,21 @@ let test_zipf_rank_order () =
 (* --- resource (leaky-bucket server) -------------------------------------- *)
 
 let test_resource_idle_no_wait () =
-  let r = Resource.create "x" in
+  let r = Resource.create () in
   (* well-spaced requests see only their own duration *)
   check_float "t=0" 10.0 (Resource.serve r ~now:0.0 ~dur:10.0);
   check_float "t=100" 110.0 (Resource.serve r ~now:100.0 ~dur:10.0);
   check_float "t=200" 210.0 (Resource.serve r ~now:200.0 ~dur:10.0)
 
 let test_resource_saturation () =
-  let r = Resource.create "x" in
+  let r = Resource.create () in
   (* back-to-back requests at the same instant queue up *)
   check_float "1st" 10.0 (Resource.serve r ~now:0.0 ~dur:10.0);
   check_float "2nd" 20.0 (Resource.serve r ~now:0.0 ~dur:10.0);
   check_float "3rd" 30.0 (Resource.serve r ~now:0.0 ~dur:10.0)
 
 let test_resource_out_of_order_bounded () =
-  let r = Resource.create "x" in
+  let r = Resource.create () in
   ignore (Resource.serve r ~now:1000.0 ~dur:5.0);
   (* an earlier-timestamped request queues behind backlog (5), not behind
      the other thread's wall-clock position (1000) *)
@@ -136,7 +136,7 @@ let test_resource_out_of_order_bounded () =
   Alcotest.(check bool) "no timestamp jump" true (done_at < 100.0)
 
 let test_resource_drain () =
-  let r = Resource.create "x" in
+  let r = Resource.create () in
   ignore (Resource.serve r ~now:0.0 ~dur:100.0);
   (* after enough idle time the debt is gone *)
   check_float "drained" 1010.0 (Resource.serve r ~now:1000.0 ~dur:10.0)
@@ -152,7 +152,7 @@ let prop_resource_pending_nonneg_drains =
   QCheck.Test.make
     ~name:"Resource.pending non-negative and monotone-draining" ~count:300
     resource_trace (fun ops ->
-      let r = Resource.create "p" in
+      let r = Resource.create () in
       let now = ref 0.0 in
       let ok = ref true in
       List.iter
@@ -171,7 +171,7 @@ let prop_resource_pending_nonneg_drains =
 let prop_resource_serve_push_agree =
   QCheck.Test.make ~name:"serve and push_work agree on queued debt"
     ~count:300 resource_trace (fun ops ->
-      let a = Resource.create "a" and b = Resource.create "b" in
+      let a = Resource.create () and b = Resource.create () in
       let now = ref 0.0 in
       let ok = ref true in
       List.iter
@@ -282,7 +282,7 @@ let test_spin_with_lock_releases_on_raise () =
   Alcotest.(check int) "acquisition recorded" 1
     stats.Simurgh_obs.Contention.acquisitions;
   Alcotest.(check bool) "hold recorded" true
-    (stats.Simurgh_obs.Contention.hold_cycles > 0.0);
+    (Simurgh_obs.Contention.hold_cycles stats > 0.0);
   (* another thread can still take the lock *)
   Vlock.Spin.with_lock c1 l (fun () -> Machine.cpu c1 10.0);
   Alcotest.(check bool) "reacquired and released" false (Vlock.Spin.locked l)
@@ -415,7 +415,7 @@ let test_machine_charges_advance_clock () =
    push_work is serve minus the completion wait -- identical debt and
    busy accounting. *)
 let test_resource_drain_oracle () =
-  let r = Resource.create "oracle" in
+  let r = Resource.create () in
   check_float "idle serve pays own duration" 10.0
     (Resource.serve r ~now:0.0 ~dur:10.0);
   (* 5 cycles elapsed drain 5 of the 10 queued; 5 + (5 + 10) = 20 *)
@@ -521,6 +521,109 @@ let test_contention_reset_on_machine_reset () =
   check_float "reset clears contention" 0.0
     (Simurgh_obs.Contention.total_wait run.Simurgh_obs.Run.contention)
 
+(* Each lock caches its contention site per run.  The cache must follow
+   the machine the acquiring context belongs to (one lock shared by two
+   machines, A then B then A) and must go stale when [Machine.reset]
+   clears the run, or acquisitions land in the wrong run's counters. *)
+let test_contention_cache_follows_run () =
+  let ma = Machine.create () and mb = Machine.create () in
+  let ca = Machine.ctx ma (Sthread.create 0)
+  and cb = Machine.ctx mb (Sthread.create 0) in
+  let spin = Vlock.Spin.create ~site:"cache-spin" () in
+  let rw = Vlock.Rw.create ~site:"cache-rw" () in
+  let use c =
+    Vlock.Spin.with_lock c spin (fun () -> Machine.cpu c 100.0);
+    Vlock.Rw.with_read c rw (fun () -> Machine.cpu c 50.0);
+    Vlock.Rw.with_write c rw (fun () -> Machine.cpu c 50.0)
+  in
+  (* (site, acquisitions, held at all) *)
+  let counts m =
+    List.map
+      (fun (name, s) ->
+        ( name,
+          s.Simurgh_obs.Contention.acquisitions,
+          Simurgh_obs.Contention.hold_cycles s > 0.0 ))
+      (Simurgh_obs.Contention.to_list (Machine.obs m).Simurgh_obs.Run.contention)
+  in
+  let expect = Alcotest.(check (list (triple string int bool))) in
+  let one_round = [ ("cache-rw", 2, true); ("cache-spin", 1, true) ] in
+  use ca;
+  use cb;
+  use ca;
+  expect "A counts its two rounds"
+    [ ("cache-rw", 4, true); ("cache-spin", 2, true) ]
+    (counts ma);
+  expect "B counts its one round" one_round (counts mb);
+  Machine.reset ma;
+  expect "reset A is empty" [] (counts ma);
+  use ca;
+  expect "A after reset counts only the new round" one_round (counts ma);
+  expect "B untouched" one_round (counts mb)
+
+(* The bracket around [with_read]/[with_write] frees the lock and
+   re-raises the body's own exception. *)
+let test_rw_bracket_propagates () =
+  let m = Machine.create () in
+  let c = Machine.ctx m (Sthread.create 0) in
+  let l = Vlock.Rw.create () in
+  let raised with_ =
+    match with_ c l (fun () -> failwith "inside") with
+    | () -> None
+    | exception Failure msg -> Some msg
+  in
+  Alcotest.(check (option string)) "read re-raises" (Some "inside")
+    (raised Vlock.Rw.with_read);
+  Alcotest.(check int) "no reader left" 0 l.Vlock.Rw.readers;
+  Alcotest.(check (option string)) "write re-raises" (Some "inside")
+    (raised Vlock.Rw.with_write);
+  Alcotest.(check int) "no writer left" (-1) l.Vlock.Rw.writer;
+  Vlock.Rw.with_write c l (fun () -> ());
+  Alcotest.(check int) "write lock free again" (-1) l.Vlock.Rw.writer
+
+(* [Schedule.pick_min] reads the engine's thread array and alive flags
+   in place.  Under [Legacy] it must pick exactly what the historical
+   closure-based scan picked: the lowest index among the minimal live
+   clocks, or -1 when no thread is live.  Clocks come from {0..3} so
+   ties are common. *)
+let prop_pick_min_legacy =
+  let closure_scan ~n ~now ~alive =
+    let best = ref (-1) in
+    for i = 0 to n - 1 do
+      if alive i && (!best < 0 || now i < now !best) then best := i
+    done;
+    !best
+  in
+  QCheck.Test.make ~name:"Legacy pick_min = lowest minimal live index"
+    ~count:500
+    QCheck.(list_of_size Gen.(int_range 0 12) (pair (int_range 0 3) bool))
+    (fun l ->
+      let n = List.length l in
+      let threads =
+        Array.of_list
+          (List.mapi
+             (fun i (clock, _) ->
+               let t = Sthread.create i in
+               t.Sthread.now <- float_of_int clock;
+               t)
+             l)
+      in
+      let alive = Array.of_list (List.map snd l) in
+      let expected =
+        let best = ref (-1) in
+        List.iteri
+          (fun i (clock, live) ->
+            if live && (!best < 0 || clock < fst (List.nth l !best)) then
+              best := i)
+          l;
+        !best
+      in
+      let picked = Schedule.pick_min Schedule.legacy threads alive in
+      picked = expected
+      && picked
+         = closure_scan ~n
+             ~now:(fun i -> threads.(i).Sthread.now)
+             ~alive:(fun i -> alive.(i)))
+
 let () =
   Alcotest.run "sim"
     [
@@ -561,6 +664,8 @@ let () =
             test_rw_with_write_releases_on_raise;
           Alcotest.test_case "overlapping reader holds" `Quick
             test_rw_overlapping_readers_holds;
+          Alcotest.test_case "rw bracket re-raises" `Quick
+            test_rw_bracket_propagates;
         ] );
       ( "engine",
         [
@@ -577,6 +682,7 @@ let () =
           Alcotest.test_case "resource drain oracle" `Quick
             test_resource_drain_oracle;
           Alcotest.test_case "stats" `Quick test_stats;
+          QCheck_alcotest.to_alcotest prop_pick_min_legacy;
         ] );
       ( "stats",
         [
@@ -590,5 +696,7 @@ let () =
             test_contention_scoped_per_run;
           Alcotest.test_case "contention reset" `Quick
             test_contention_reset_on_machine_reset;
+          Alcotest.test_case "contention cache follows run" `Quick
+            test_contention_cache_follows_run;
         ] );
     ]
