@@ -49,12 +49,23 @@ type point = {
   speedup : float list;  (** seq_model_s / model_s *)
   checker_violations : int;
   report : Recovery.report;  (** from the last (widest) parallel run *)
+  peak_rss_mb : float option;
+      (** the process's peak resident set after the point, MB *)
 }
 
 (* ~1.8 KB of metadata per file covers fentry + inode slab slots, the
    48-entries-per-dir hash blocks (two 4 KiB blocks per directory) and
    allocator slack at every sweep point. *)
 let region_bytes ~files = (96 * 1024 * 1024) + (files * 1800)
+
+(* [VmHWM] of /proc/self/status in MB; [None] where that file is missing. *)
+let peak_rss_mb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | s ->
+      String.split_on_char '\n' s
+      |> List.find_map (fun l ->
+             Scanf.sscanf_opt l "VmHWM: %d kB" (fun kb -> float_of_int kb /. 1024.))
 
 let populate fs ~files =
   let dirs = max 1 ((files + files_per_dir - 1) / files_per_dir) in
@@ -117,6 +128,7 @@ let measure ~files =
       List.map (fun s -> if s > 0.0 then seq_model_s /. s else 0.0) model_s;
     checker_violations;
     report = last_report;
+    peak_rss_mb = peak_rss_mb ();
   }
 
 let run ~scale =
@@ -130,17 +142,20 @@ let run ~scale =
     |> List.sort_uniq compare
   in
   Printf.printf
-    "%-9s %-6s | %-9s %-9s | %s | %s\n" "files" "dirs" "wall(s)" "model(s)"
-    "model seconds at w=1/2/4/8" "speedup";
+    "%-9s %-6s | %-9s %-9s | %s | %s | %s\n" "files" "dirs" "wall(s)" "model(s)"
+    "model seconds at w=1/2/4/8" "speedup" "peak RSS";
   let points =
     List.map
       (fun files ->
         let p = measure ~files in
-        Printf.printf "%-9d %-6d | %9.3f %9.4f | %s | %s | fsck %s\n" p.files
+        Printf.printf "%-9d %-6d | %9.3f %9.4f | %s | %s | %s | fsck %s\n" p.files
           p.dirs p.seq_wall_s p.seq_model_s
           (String.concat " "
              (List.map (Printf.sprintf "%9.4f") p.model_s))
           (String.concat " " (List.map (Printf.sprintf "%5.2f") p.speedup))
+          (match p.peak_rss_mb with
+          | Some mb -> Printf.sprintf "%.0f MB" mb
+          | None -> "n/a")
           (if p.checker_violations = 0 then "clean"
            else Printf.sprintf "%d VIOLATIONS" p.checker_violations);
         tally
@@ -182,7 +197,8 @@ let run ~scale =
      fetches at NVMM latency/MLP, bulk segment scans at streaming \
      bandwidth, sequential phases on worker 0); seq_wall_s: host \
      wall-clock of the plain sequential run, sanity anchor only; speedup: \
-     model_s[w=1] / model_s[w]\",\n";
+     model_s[w=1] / model_s[w]; peak_rss_mb: the process's peak resident \
+     set (VmHWM) after the point, null where unavailable\",\n";
   out "  \"points\": [\n";
   List.iteri
     (fun i p ->
@@ -192,6 +208,10 @@ let run ~scale =
       out "     \"model_s\": [%s],\n" (floats p.model_s);
       out "     \"speedup\": [%s],\n" (floats p.speedup);
       out "     \"checker_violations\": %d,\n" p.checker_violations;
+      out "     \"peak_rss_mb\": %s,\n"
+        (match p.peak_rss_mb with
+        | Some mb -> Printf.sprintf "%.1f" mb
+        | None -> "null");
       let r = p.report in
       out
         "     \"report\": {\"files\": %d, \"dirs\": %d, \

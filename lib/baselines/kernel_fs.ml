@@ -226,7 +226,9 @@ let max_symlink_depth = 40
 
 let rec resolve_parent ?ctx ?(depth = 0) t path =
   if depth > max_symlink_depth then Errno.raise_ ELOOP path;
-  let parents, final = Path.split_parent path in
+  walk_parent ?ctx ~depth t path (Path.split_parent path)
+
+and walk_parent ?ctx ~depth t path (parents, final) =
   let rec walk stack node = function
     | [] -> (node, final)
     | ".." :: rest -> (
@@ -249,16 +251,16 @@ let rec resolve_parent ?ctx ?(depth = 0) t path =
 
 let rec resolve ?ctx ?(follow = true) ?(depth = 0) t path =
   if depth > max_symlink_depth then Errno.raise_ ELOOP path;
-  if Path.split path = [] then t.root
-  else begin
-    let parent, final = resolve_parent ?ctx t path in
-    match lookup_child ?ctx t parent final with
-    | None -> Errno.raise_ ENOENT path
-    | Some n ->
-        if follow && n.kind = Types.Symlink then
-          resolve ?ctx ~follow ~depth:(depth + 1) t n.symlink_target
-        else n
-  end
+  match Path.parse path with
+  | None -> t.root
+  | Some pf -> (
+      let parent, final = walk_parent ?ctx ~depth:0 t path pf in
+      match lookup_child ?ctx t parent final with
+      | None -> Errno.raise_ ENOENT path
+      | Some n ->
+          if follow && n.kind = Types.Symlink then
+            resolve ?ctx ~follow ~depth:(depth + 1) t n.symlink_target
+          else n)
 
 (* --- metadata operations --------------------------------------------------- *)
 

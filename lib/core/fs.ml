@@ -608,7 +608,10 @@ let max_symlink_depth = 40
    final component name.  Follows symlinks in intermediate components. *)
 let rec resolve_parent ?ctx ?(depth = 0) t path =
   if depth > max_symlink_depth then Errno.raise_ ELOOP path;
-  let parents, final = Path.split_parent path in
+  walk_parent ?ctx ~depth t path (Path.split_parent path)
+
+(* [resolve_parent] on a path already parsed into [parents] and [final] *)
+and walk_parent ?ctx ~depth t path (parents, final) =
   let rec walk (stack : dirref list) (d : dirref) = function
     | [] -> (d, final)
     | ".." :: rest -> (
@@ -652,19 +655,18 @@ and read_symlink_target t fe =
    symlink component. *)
 let rec resolve ?ctx ?(follow = true) ?(depth = 0) t path =
   if depth > max_symlink_depth then Errno.raise_ ELOOP path;
-  if Path.split path = [] then (* the root itself *)
-    (root_dirref t, Layout.root_fentry t.layout)
-  else begin
-    let d, final = resolve_parent ?ctx t path in
-    check_perm_fe ?ctx t d.dfentry ~want:1;
-    match dir_lookup_fe ?ctx t d final with
-    | None -> Errno.raise_ ENOENT path
-    | Some fe ->
-        if follow && Fentry.is_symlink t.region fe then
-          resolve ?ctx ~follow ~depth:(depth + 1) t
-            (read_symlink_target t fe)
-        else (d, fe)
-  end
+  match Path.parse path with
+  | None -> (* the root itself *) (root_dirref t, Layout.root_fentry t.layout)
+  | Some pf -> (
+      let d, final = walk_parent ?ctx ~depth:0 t path pf in
+      check_perm_fe ?ctx t d.dfentry ~want:1;
+      match dir_lookup_fe ?ctx t d final with
+      | None -> Errno.raise_ ENOENT path
+      | Some fe ->
+          if follow && Fentry.is_symlink t.region fe then
+            resolve ?ctx ~follow ~depth:(depth + 1) t
+              (read_symlink_target t fe)
+          else (d, fe))
 
 (* --- row locking --------------------------------------------------------- *)
 

@@ -35,6 +35,13 @@
 
 let line_size = 64
 
+(* Checkpoints share or copy the image a page at a time. *)
+let page_bits = 12
+let page_size = 1 lsl page_bits
+
+(* Shared by every checkpoint page that was never written; never mutated. *)
+let zero_page = Bytes.make page_size '\000'
+
 type mode = Fast | Strict
 
 type line_state = Dirty | Flushing
@@ -93,6 +100,14 @@ type t = {
   mutable fences : int;
   mutable media_errors : int;  (** loads that hit a poisoned line *)
   mutable crash_images : int;  (** crash / crash_image applications *)
+  versions : int array;
+      (** per page: the epoch of the last change to the persistent image,
+          0 if it never changed since {!create} *)
+  mutable epoch : int;  (** stamps changes; above every checkpoint's epoch *)
+  mutable last_epoch : int;  (** epoch of the latest checkpoint, 0 if none *)
+  mutable last_pages : Bytes.t array;  (** that checkpoint's pages *)
+  mutable page_copies : int;
+      (** pages that checkpoint copied and restore copied or zero-filled *)
 }
 
 let create ?(mode = Fast) ?name size =
@@ -118,6 +133,11 @@ let create ?(mode = Fast) ?name size =
       fences = 0;
       media_errors = 0;
       crash_images = 0;
+      versions = Array.make ((size + page_size - 1) / page_size) 0;
+      epoch = 1;
+      last_epoch = 0;
+      last_pages = [||];
+      page_copies = 0;
     }
   in
   (* fold the region's access statistics into the active experiment's
@@ -201,6 +221,14 @@ let[@inline] note_load t len =
 let[@inline] note_store t len =
   t.stores <- t.stores + 1;
   t.store_bytes <- t.store_bytes + len
+
+(* The persistent image under [off, off+len) changed in this epoch.  The
+   caller has range-checked the access. *)
+let[@inline] stamp t off len =
+  if len > 0 then
+    for p = off lsr page_bits to (off + len - 1) lsr page_bits do
+      Array.unsafe_set t.versions p t.epoch
+    done
 
 let count_load t off len =
   (match t.on_access with None -> () | Some f -> f ~off ~len ~write:false);
@@ -297,7 +325,9 @@ let write_byte_checked t off v =
   bounds t off 1;
   check_poison t off 1;
   match t.mode with
-  | Fast -> Bytes.unsafe_set t.image off (Char.chr (v land 0xff))
+  | Fast ->
+      Bytes.unsafe_set t.image off (Char.chr (v land 0xff));
+      stamp t off 1
   | Strict ->
       let ln = line_of off in
       let buf, st = overlay_line t ln in
@@ -307,7 +337,8 @@ let write_byte_checked t off v =
 let write_byte t off v =
   if t.plain && fits t off 1 then begin
     note_store t 1;
-    Bytes.unsafe_set t.image off (Char.unsafe_chr (v land 0xff))
+    Bytes.unsafe_set t.image off (Char.unsafe_chr (v land 0xff));
+    stamp t off 1
   end
   else write_byte_checked t off v
 
@@ -345,7 +376,9 @@ let write_bytes_from_checked t off src ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length src then
     invalid_arg "Region.write_bytes_from: source range";
   match t.mode with
-  | Fast -> Bytes.blit src pos t.image off len
+  | Fast ->
+      Bytes.blit src pos t.image off len;
+      stamp t off len
   | Strict ->
       strict_write_lines t off len (fun buf boff doff n ->
           Bytes.blit src (pos + doff) buf boff n)
@@ -357,7 +390,8 @@ let write_bytes_from t off src ~pos ~len =
   if t.plain && fits t off len && pos >= 0 && pos <= Bytes.length src - len
   then begin
     note_store t len;
-    Bytes.unsafe_blit src pos t.image off len
+    Bytes.unsafe_blit src pos t.image off len;
+    stamp t off len
   end
   else write_bytes_from_checked t off src ~pos ~len
 
@@ -371,7 +405,9 @@ let write_string_checked t off s =
   bounds t off len;
   check_poison t off len;
   match t.mode with
-  | Fast -> Bytes.blit_string s 0 t.image off len
+  | Fast ->
+      Bytes.blit_string s 0 t.image off len;
+      stamp t off len
   | Strict ->
       strict_write_lines t off len (fun buf boff doff n ->
           Bytes.blit_string s doff buf boff n)
@@ -381,7 +417,8 @@ let write_string t off s =
   let len = String.length s in
   if t.plain && fits t off len then begin
     note_store t len;
-    Bytes.unsafe_blit_string s 0 t.image off len
+    Bytes.unsafe_blit_string s 0 t.image off len;
+    stamp t off len
   end
   else write_string_checked t off s
 
@@ -391,7 +428,9 @@ let zero_checked t off len =
   bounds t off len;
   check_poison t off len;
   match t.mode with
-  | Fast -> Bytes.fill t.image off len '\000'
+  | Fast ->
+      Bytes.fill t.image off len '\000';
+      stamp t off len
   | Strict ->
       strict_write_lines t off len (fun buf boff _ n ->
           Bytes.fill buf boff n '\000')
@@ -399,7 +438,8 @@ let zero_checked t off len =
 let zero t off len =
   if t.plain && fits t off len then begin
     note_store t len;
-    Bytes.unsafe_fill t.image off len '\000'
+    Bytes.unsafe_fill t.image off len '\000';
+    stamp t off len
   end
   else zero_checked t off len
 
@@ -483,7 +523,9 @@ let write_u16_checked t off v =
   check_poison t off 2;
   let v = v land 0xffff in
   match t.mode with
-  | Fast -> Bytes.set_uint16_le t.image off v
+  | Fast ->
+      Bytes.set_uint16_le t.image off v;
+      stamp t off 2
   | Strict ->
       if straddles off 2 then begin
         let tmp = Bytes.create 2 in
@@ -496,7 +538,8 @@ let write_u16_checked t off v =
 let write_u16 t off v =
   if t.plain && fits t off 2 then begin
     note_store t 2;
-    Bytes.set_uint16_le t.image off (v land 0xffff)
+    Bytes.set_uint16_le t.image off (v land 0xffff);
+    stamp t off 2
   end
   else write_u16_checked t off v
 
@@ -531,7 +574,9 @@ let write_u32_checked t off v =
   bounds t off 4;
   check_poison t off 4;
   match t.mode with
-  | Fast -> set_u32 t.image off v
+  | Fast ->
+      set_u32 t.image off v;
+      stamp t off 4
   | Strict ->
       if straddles off 4 then begin
         let tmp = Bytes.create 4 in
@@ -544,7 +589,8 @@ let write_u32_checked t off v =
 let write_u32 t off v =
   if t.plain && fits t off 4 then begin
     note_store t 4;
-    set_u32 t.image off v
+    set_u32 t.image off v;
+    stamp t off 4
   end
   else write_u32_checked t off v
 
@@ -587,7 +633,9 @@ let write_u62_checked t off v =
   bounds t off 8;
   check_poison t off 8;
   match t.mode with
-  | Fast -> set_u62 t.image off v
+  | Fast ->
+      set_u62 t.image off v;
+      stamp t off 8
   | Strict ->
       if straddles off 8 then begin
         let tmp = Bytes.create 8 in
@@ -600,7 +648,8 @@ let write_u62_checked t off v =
 let write_u62 t off v =
   if t.plain && fits t off 8 then begin
     note_store t 8;
-    set_u62 t.image off v
+    set_u62 t.image off v;
+    stamp t off 8
   end
   else write_u62_checked t off v
 
@@ -644,7 +693,8 @@ let write_u62_pair_checked t off v0 v1 =
   match t.mode with
   | Fast ->
       set_u62 t.image off v0;
-      set_u62 t.image (off + 8) v1
+      set_u62 t.image (off + 8) v1;
+      stamp t off 16
   | Strict ->
       if straddles off 16 then begin
         let tmp = Bytes.create 16 in
@@ -667,7 +717,8 @@ let write_u62_pair t off v0 v1 =
   if t.plain && fits t off 16 then begin
     note_store t 16;
     set_u62 t.image off v0;
-    set_u62 t.image (off + 8) v1
+    set_u62 t.image (off + 8) v1;
+    stamp t off 16
   end
   else write_u62_pair_checked t off v0 v1
 
@@ -709,6 +760,12 @@ let ntstore_from t off src ~pos ~len =
   write_bytes_from t off src ~pos ~len;
   clwb t off len
 
+(* Commit one overlay line to the persistent image (a fence, or an early eviction). *)
+let commit_line t ln buf =
+  let base = ln * line_size in
+  Bytes.blit buf 0 t.image base (min line_size (t.size - base));
+  stamp t base 1
+
 (** Commit all pending (Flushing) lines to the persistent image.  Walks
     only the worklist built up by [clwb] — O(lines actually pending),
     not O(overlay size).  A line re-dirtied after its [clwb] is skipped
@@ -725,9 +782,7 @@ let sfence t =
         (fun ln ->
           match Hashtbl.find_opt t.overlay ln with
           | Some (buf, st) when !st = Flushing ->
-              let base = ln * line_size in
-              let len = min line_size (t.size - base) in
-              Bytes.blit buf 0 t.image base len;
+              commit_line t ln buf;
               Hashtbl.remove t.overlay ln
           | Some _ | None -> ())
         work
@@ -736,11 +791,6 @@ let sfence t =
 let persist t off len =
   clwb t off len;
   sfence t
-
-(* Commit one overlay line to the persistent image (early eviction). *)
-let commit_line t ln buf =
-  let base = ln * line_size in
-  Bytes.blit buf 0 t.image base (min line_size (t.size - base))
 
 (** Power failure with an eviction adversary.  On real NVMM the cache
     may evict any dirty line to media *before* the fence, so at a crash
@@ -880,35 +930,73 @@ let set_fence_hook t f = t.on_fence <- Some f
 
 let clear_fence_hook t = t.on_fence <- None
 
-(** Deep snapshot of the full region state (image, overlay, pending
-    worklist, poison set, user slot) so an explorer can replay many
-    crash images from one crash point without re-running the workload. *)
+(** Snapshot of the region state (image, overlay, pending worklist,
+    poison set, user slot) so an explorer can replay many crash images
+    from one crash point without re-running the workload.  The image is
+    held as immutable pages: a page never written shares {!zero_page}, a
+    page unchanged since the region's previous checkpoint shares that
+    checkpoint's page, and only the pages written since are copied.  A
+    checkpoint can only be restored into the region it came from. *)
 type checkpoint = {
-  cp_size : int;
-  cp_image : Bytes.t;
+  cp_region : t;
+  cp_epoch : int;  (** pages with a newer version changed after it *)
+  cp_pages : Bytes.t array;
   cp_overlay : (int * Bytes.t * line_state) list;
   cp_pending : int list;
   cp_poisoned : int list;
   cp_user_slot : exn option;
 }
 
-let checkpoint t =
-  {
-    cp_size = t.size;
-    cp_image = Bytes.copy t.image;
-    cp_overlay =
-      Hashtbl.fold
-        (fun ln (buf, st) acc -> (ln, Bytes.copy buf, !st) :: acc)
-        t.overlay [];
-    cp_pending = t.pending;
-    cp_poisoned = Hashtbl.fold (fun ln () acc -> ln :: acc) t.poisoned [];
-    cp_user_slot = t.user_slot;
-  }
+let page_len t p = min page_size (t.size - (p lsl page_bits))
 
+let checkpoint t =
+  let pages =
+    Array.mapi
+      (fun p v ->
+        if v = 0 then zero_page
+        else if v <= t.last_epoch then t.last_pages.(p)
+        else begin
+          t.page_copies <- t.page_copies + 1;
+          Bytes.sub t.image (p lsl page_bits) (page_len t p)
+        end)
+      t.versions
+  in
+  let cp =
+    {
+      cp_region = t;
+      cp_epoch = t.epoch;
+      cp_pages = pages;
+      cp_overlay =
+        Hashtbl.fold
+          (fun ln (buf, st) acc -> (ln, Bytes.copy buf, !st) :: acc)
+          t.overlay [];
+      cp_pending = t.pending;
+      cp_poisoned = Hashtbl.fold (fun ln () acc -> ln :: acc) t.poisoned [];
+      cp_user_slot = t.user_slot;
+    }
+  in
+  t.last_epoch <- t.epoch;
+  t.last_pages <- pages;
+  t.epoch <- t.epoch + 1;
+  cp
+
+(** Rewind [t] to [cp]: only the pages changed since [cp] are copied
+    back (or zero-filled, if blank in [cp]), and each is stamped with the
+    current epoch, so later checkpoints see it as changed.  Raises
+    [Invalid_argument] if [cp] was taken of another region. *)
 let restore t cp =
-  if cp.cp_size <> t.size then
-    invalid_arg "Region.restore: checkpoint from a different-sized region";
-  Bytes.blit cp.cp_image 0 t.image 0 t.size;
+  if cp.cp_region != t then
+    invalid_arg "Region.restore: checkpoint of another region";
+  Array.iteri
+    (fun p v ->
+      if v > cp.cp_epoch then begin
+        let src = cp.cp_pages.(p) and base = p lsl page_bits in
+        if src == zero_page then Bytes.fill t.image base (page_len t p) '\000'
+        else Bytes.blit src 0 t.image base (page_len t p);
+        t.versions.(p) <- t.epoch;
+        t.page_copies <- t.page_copies + 1
+      end)
+    t.versions;
   Hashtbl.reset t.overlay;
   List.iter
     (fun (ln, buf, st) -> Hashtbl.replace t.overlay ln (Bytes.copy buf, ref st))
@@ -939,6 +1027,7 @@ let load_from_file ?(mode = Fast) path =
       let size = in_channel_length ic in
       let t = create ~mode size in
       really_input ic t.image 0 size;
+      stamp t 0 size;
       t)
 
 type stats = {
@@ -950,6 +1039,8 @@ type stats = {
   fences : int;
   media_errors : int;  (** loads that hit a poisoned line *)
   crash_images : int;  (** crash / crash_image applications *)
+  page_copies : int;
+      (** pages that checkpoint copied and restore copied or zero-filled *)
 }
 
 let stats (t : t) : stats =
@@ -962,4 +1053,5 @@ let stats (t : t) : stats =
     fences = t.fences;
     media_errors = t.media_errors;
     crash_images = t.crash_images;
+    page_copies = t.page_copies;
   }

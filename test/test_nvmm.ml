@@ -180,6 +180,65 @@ let test_checkpoint_restore () =
     (String.make 8 '\000')
     (Bytes.to_string (Region.read_bytes r 128 8))
 
+(* Checkpoints and restores cost the pages that changed: the
+   [page_copies] count moves by exactly the pages copied or filled. *)
+let test_checkpoint_page_costs () =
+  let page = 4096 in
+  (* [f ()], checking that it copied or filled [want] pages of [r] *)
+  let ck_on r name want f =
+    let c0 = (Region.stats r).Region.page_copies in
+    let v = f () in
+    Alcotest.(check int) name want ((Region.stats r).Region.page_copies - c0);
+    v
+  in
+  let r = Region.create ((8 * page) + 100) in
+  let ck name want f = ck_on r name want f in
+  let blank = ck "fresh region: nothing to copy" 0 (fun () -> Region.checkpoint r) in
+  (* k = 4 distinct pages: 0, 2 (twice), 5 and the partial tail page *)
+  Region.write_u62 r 0 1;
+  Region.write_string r (2 * page) "two";
+  Region.write_u8 r ((2 * page) + 99) 2;
+  Region.zero r ((5 * page) + 8) 16;
+  Region.write_u32 r ((8 * page) + 90) 3;
+  let cp1 = ck "checkpoint copies the k written pages" 4 (fun () -> Region.checkpoint r) in
+  let cp2 = ck "no stores since: nothing to copy" 0 (fun () -> Region.checkpoint r) in
+  (* j = 3 pages touched: page 0, and pages 6 and 7 by one store *)
+  Region.write_u62 r 0 9;
+  ck "restore rewinds the j touched pages" 3 (fun () ->
+      Region.write_string r ((7 * page) - 2) "abcd";
+      Region.restore r cp2);
+  Alcotest.(check int) "page 0 rewound" 1 (Region.read_u62 r 0);
+  Alcotest.(check string) "straddled pages rewound" "\000\000\000\000"
+    (Bytes.to_string (Region.read_bytes r ((7 * page) - 2) 4));
+  (* a restore stamps the pages it rewinds, so the next restore
+     rewinds them again even though their contents match *)
+  ck "restore right after a restore" 3 (fun () -> Region.restore r cp1);
+  (* the 4 pages written before cp1 and pages 0, 6, 7: zero-filled *)
+  ck "older checkpoint: pages changed since it" 6 (fun () -> Region.restore r blank);
+  Alcotest.(check string) "blank again" (String.make 8 '\000')
+    (Bytes.to_string (Region.read_bytes r (2 * page) 8));
+  (* the rewound pages count as changed for the next checkpoint, and a
+     newer checkpoint still restores over them *)
+  ck "checkpoint after a restore" 6 (fun () -> ignore (Region.checkpoint r));
+  ck "newer checkpoint after an older restore" 6 (fun () -> Region.restore r cp1);
+  Alcotest.(check string) "cp1 contents" "two"
+    (Bytes.to_string (Region.read_bytes r (2 * page) 3));
+  (* Strict: a store stays in the overlay until the fence commits it *)
+  let s = Region.create ~mode:Region.Strict (4 * page) in
+  ignore (Region.checkpoint s);
+  Region.write_u62 s page 7;
+  ck_on s "overlay store: no page changed" 0 (fun () -> ignore (Region.checkpoint s));
+  Region.persist s page 8;
+  ck_on s "fence commits one page" 1 (fun () -> ignore (Region.checkpoint s))
+
+let test_foreign_checkpoint_rejected () =
+  let a = Region.create 8192 and b = Region.create 8192 in
+  let cp = Region.checkpoint a in
+  Alcotest.check_raises "another region's checkpoint"
+    (Invalid_argument "Region.restore: checkpoint of another region")
+    (fun () -> Region.restore b cp);
+  Region.restore a cp
+
 let prop_strict_persist_roundtrip =
   QCheck.Test.make ~name:"strict: persisted writes survive crash" ~count:100
     QCheck.(pair (int_range 0 4000) (string_of_size (Gen.int_range 1 64)))
@@ -355,9 +414,13 @@ end
    [m] tracks every op that did not raise.  An op may raise only where
    it must: out of range, or over a poisoned line.  Guard toggles,
    poison, scrub, checkpoint/restore and out-of-range accesses move [r]
-   on and off the fast path. *)
+   on and off the fast path.  The region spans three 4 KiB pages and a
+   partial tail line, a quarter of the accesses sit on a page boundary,
+   and the last three checkpoints can each be restored, so older ones
+   are restored after newer ones and checkpoints follow restores. *)
 let differential_run ~strict ~seed ~ops =
-  let size = 4096 + 40 (* partial tail cache line *) in
+  let page = 4096 in
+  let size = (3 * page) + 40 (* partial tail cache line *) in
   let rng = Simurgh_sim.Rng.create (Int64.of_int seed) in
   let rand n = Simurgh_sim.Rng.int rng n in
   let mode = if strict then Region.Strict else Region.Fast in
@@ -366,7 +429,7 @@ let differential_run ~strict ~seed ~ops =
   Region.set_access_hook twin (fun ~off:_ ~len:_ ~write:_ -> ());
   let m = ref (Ref.create ~strict size) in
   let guard_calls = (ref 0, ref 0) and guarded = ref false in
-  let saved = ref None in
+  let saved = ref [] in
   let ck name i cond =
     if not cond then
       Alcotest.failf "%s diverged (strict=%b seed=%d op %d)" name strict seed i
@@ -406,21 +469,27 @@ let differential_run ~strict ~seed ~ops =
   let load ?g ?expect i name f expect_v =
     Option.iter (fun v -> ck name i (v = expect_v ())) (both ?g ?expect i name f)
   in
-  let compare_all i =
+  (* [~durable] also reads the persistent image back through a file *)
+  let compare_all ?(durable = true) i =
     ck "visible image" i
       (Region.media_digest r = Digest.bytes (Ref.read_bytes !m 0 size));
     if strict then begin
       ck "unpersisted lines" i
         (Region.unpersisted_lines r = Ref.unpersisted_lines !m);
-      let path = Filename.temp_file "simurgh_diff" ".img" in
-      Region.save_to_file r path;
-      let persisted = Region.load_from_file path in
-      Sys.remove path;
-      ck "persistent image" i
-        (Bytes.equal (Region.read_bytes persisted 0 size) !m.Ref.image)
+      if durable then begin
+        let path = Filename.temp_file "simurgh_diff" ".img" in
+        Region.save_to_file r path;
+        let persisted = Region.load_from_file path in
+        Sys.remove path;
+        ck "persistent image" i
+          (Bytes.equal (Region.read_bytes persisted 0 size) !m.Ref.image)
+      end
     end
   in
-  let rand_off len = rand (size - len + 1) in
+  let rand_off len =
+    if rand 4 = 0 then min (size - len) (page * (1 + rand 3) - rand (len + 1))
+    else rand (size - len + 1)
+  in
   let rand_len () = rand 300 in
   let rand_payload len = Bytes.init len (fun _ -> Char.chr (rand 256)) in
   let read_u8_loop off s region =
@@ -511,6 +580,10 @@ let differential_run ~strict ~seed ~ops =
       ~expect:(if read = 0 then `Value else expect_at off read)
       (fun () -> String.equal (String.sub cur 0 (String.length s)) s);
     if fresh then (Region.scrub r bad 1; Region.scrub twin bad 1)
+  in
+  let save () =
+    let cp = (Region.checkpoint r, Region.checkpoint twin, Ref.copy !m) in
+    saved := List.filteri (fun k _ -> k < 3) (cp :: !saved)
   in
   for i = 1 to ops do
     (match rand 24 with
@@ -615,15 +688,16 @@ let differential_run ~strict ~seed ~ops =
     | 19 ->
         Region.scrub r 0 size;
         Region.scrub twin 0 size
-    | 20 ->
-        saved := Some (Region.checkpoint r, Region.checkpoint twin, Ref.copy !m)
+    | 20 -> save ()
     | 21 ->
-        Option.iter
-          (fun (a, b, c) ->
-            Region.restore r a;
-            Region.restore twin b;
-            m := Ref.copy c)
-          !saved
+        if !saved <> [] then begin
+          let a, b, c = List.nth !saved (rand (List.length !saved)) in
+          store i "restore"
+            (fun r -> Region.restore r (if r == twin then b else a))
+            (fun () -> m := Ref.copy c);
+          compare_all ~durable:false i;
+          if rand 2 = 0 then save ()
+        end
     | 22 -> out_of_range i
     | _ -> equal_string_case i);
     ck "guard calls" i (!(fst guard_calls) = !(snd guard_calls));
@@ -723,6 +797,10 @@ let () =
             test_poison_scrub;
           Alcotest.test_case "checkpoint/restore" `Quick
             test_checkpoint_restore;
+          Alcotest.test_case "checkpoint/restore page costs" `Quick
+            test_checkpoint_page_costs;
+          Alcotest.test_case "foreign checkpoint rejected" `Quick
+            test_foreign_checkpoint_rejected;
           Alcotest.test_case "fast-mode crash rejected" `Quick
             test_fast_mode_crash_rejected;
           Alcotest.test_case "save/load roundtrip" `Quick

@@ -61,6 +61,44 @@ let prop_dirname_basename =
       Path.split (Path.concat (Path.dirname p) (Path.basename p))
       = Path.split p)
 
+(* The one-pass parser against the definitions it replaced: split on
+   every '/', drop empty and "." components, and reverse twice to peel
+   off the final one. *)
+let old_split p =
+  String.split_on_char '/' p |> List.filter (fun c -> c <> "" && c <> ".")
+
+let old_parse p =
+  match List.rev (old_split p) with
+  | [] -> None
+  | name :: rev_parents -> Some (List.rev rev_parents, name)
+
+let prop_parse_matches_old =
+  let gen_path =
+    QCheck.Gen.(
+      map2
+        (fun lead comps -> (if lead then "/" else "") ^ String.concat "/" comps)
+        bool
+        (list_size (int_range 0 8)
+           (oneof
+              [
+                oneofl [ ""; "."; ".."; "..."; ".a"; "a." ];
+                string_size ~gen:(oneofl [ 'a'; 'b'; '.'; '/' ]) (int_range 0 4);
+              ])))
+  in
+  QCheck.Test.make ~name:"split/parse/dirname match the two-pass definitions"
+    ~count:2000 (QCheck.make ~print:Fun.id gen_path) (fun p ->
+      Path.split p = old_split p
+      && Path.parse p = old_parse p
+      && Path.dirname p
+         = (match old_parse p with
+           | None -> "/"
+           | Some (parents, _) -> "/" ^ String.concat "/" parents)
+      &&
+      match (Path.split_parent p, old_parse p) with
+      | got, Some want -> got = want
+      | _, None -> false
+      | exception Errno.Err (Errno.EINVAL, _) -> old_parse p = None)
+
 let () =
   Alcotest.run "path"
     [
@@ -71,5 +109,6 @@ let () =
           Alcotest.test_case "basename" `Quick test_basename;
           Alcotest.test_case "concat" `Quick test_concat;
           QCheck_alcotest.to_alcotest prop_dirname_basename;
+          QCheck_alcotest.to_alcotest prop_parse_matches_old;
         ] );
     ]
