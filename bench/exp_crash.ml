@@ -3,16 +3,20 @@
 
     Three parts, mirroring the robustness toolchain:
 
-    + {b explore}: crash-image exploration of the four Fig. 5 state
-      machines (create / unlink / same-dir rename / cross-dir rename),
-      each mutating machine also in the scaled configuration (striped
-      locks + resolve cache + allocator caches — volatile-only, so
-      every image must recover identically).
+    + {b explore}: crash-image exploration of every machine of the
+      shared table {!Simurgh_core.Explore.machines}: the four Fig. 5
+      state machines (create / unlink / same-dir rename / cross-dir
+      rename), the mutating ones also scaled (striped locks + resolve
+      cache + allocator caches), the renames on log-ring media, the
+      byte-range append/extend and the cross-region shard machines.
       At every NVMM store and every labeled persist point the eviction
       adversary enumerates subsets of the unpersisted cache lines
       (exhaustive up to 10 pending lines, seeded samples beyond); every
-      image is recovered ({!Simurgh_core.Recovery.run}) and must pass
-      the offline checker ({!Simurgh_core.Check.run}).
+      image is recovered ({!Simurgh_core.Recovery.run_all}), must pass
+      the offline checker ({!Simurgh_core.Check.run_all}) and the
+      machine's atomicity oracle.  Recovery itself is then crashed and
+      re-entered ({!Simurgh_core.Explore.run_reentrant}).  Any violating
+      or failing image makes the run exit 1.
     + {b media}: a poisoned data line surfaces as an [EIO] error return
       with the process still alive; poisoned metadata is quarantined by
       recovery with the rest of the namespace intact.
@@ -38,198 +42,6 @@ module Slab = Simurgh_alloc.Slab_alloc
 module Obs = Simurgh_obs
 
 exception Crash_now
-
-let ops =
-  [
-    ( "create",
-      false,
-      (fun fs -> Fs.mkdir fs "/d"),
-      fun fs -> Fs.create_file fs "/d/f" );
-    ( "unlink",
-      false,
-      (fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.create_file fs "/d/f"),
-      fun fs -> Fs.unlink fs "/d/f" );
-    ( "rename",
-      false,
-      (fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.create_file fs "/d/old"),
-      fun fs -> Fs.rename fs "/d/old" "/d/new" );
-    ( "cross-rename",
-      false,
-      (fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.mkdir fs "/e";
-        Fs.create_file fs "/d/m"),
-      fun fs -> Fs.rename fs "/d/m" "/e/m2" );
-    (* the same Fig. 5 state machines with the scalability features on:
-       the striped insert (reserve/busy/grow), the reserve-then-log
-       rename window and the per-thread allocator caches must leave
-       every crash image recoverable too *)
-    ( "striped-create",
-      true,
-      (fun fs -> Fs.mkdir fs "/d"),
-      fun fs -> Fs.create_file fs "/d/f" );
-    ( "striped-rename",
-      true,
-      (fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.create_file fs "/d/old"),
-      fun fs -> Fs.rename fs "/d/old" "/d/new" );
-    ( "striped-xrename",
-      true,
-      (fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.mkdir fs "/e";
-        Fs.create_file fs "/d/m"),
-      fun fs -> Fs.rename fs "/d/m" "/e/m2" );
-  ]
-
-(* The two rename state machines again on log-ring media (per-directory
-   ring of rename-log slots, scaled mount): a crash may now leave any
-   slot of the ring pending, and every image must still recover to an
-   empty ring. *)
-let ring_ops =
-  [
-    ( "ring-rename",
-      (fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.create_file fs "/d/old"),
-      fun fs -> Fs.rename fs "/d/old" "/d/new" );
-    ( "ring-xrename",
-      (fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.mkdir fs "/e";
-        Fs.create_file fs "/d/m"),
-      fun fs -> Fs.rename fs "/d/m" "/e/m2" );
-  ]
-
-(* Crash exploration of the byte-range data path: the staged
-   (batched-writeback) extent window and the append/extend publish
-   point.  Beyond fsck-cleanliness these carry a [verify] oracle on
-   every recovered image: the size is either the old or the new value
-   (the publish is a single 8-aligned u62 store), and a published size
-   never covers bytes whose stores had not retired — no torn data, and
-   a hole left by a past-EOF write reads back as zeros. *)
-
-let page = 4096
-
-let read_file fs path =
-  let st = Fs.stat fs path in
-  let fd = Fs.openf fs Types.rdonly path in
-  let b = Fs.pread fs fd ~pos:0 ~len:st.Types.size in
-  Fs.close fs fd;
-  b
-
-let expect_uniform b ~pos ~len c ~what =
-  for i = pos to pos + len - 1 do
-    if Bytes.get b i <> c then
-      failwith
-        (Printf.sprintf "%s: byte %d is %C, want %C" what i (Bytes.get b i) c)
-  done
-
-let one_page_setup fs =
-  let fd = Fs.openf fs (Types.creat Types.rdwr) "/f" in
-  ignore (Fs.pwrite fs fd ~pos:0 (Bytes.make page 'a'));
-  Fs.close fs fd
-
-let range_ops =
-  [
-    ( "range-append",
-      one_page_setup,
-      (fun fs ->
-        let fd = Fs.openf fs Types.rdwr "/f" in
-        ignore (Fs.append fs fd (Bytes.make page 'b'));
-        Fs.close fs fd),
-      fun fs ->
-        let got = read_file fs "/f" in
-        (match Bytes.length got with
-        | n when n = page -> ()
-        | n when n = 2 * page ->
-            expect_uniform got ~pos:page ~len:page 'b'
-              ~what:"published append bytes"
-        | n ->
-            failwith
-              (Printf.sprintf "size %d, want %d or %d" n page (2 * page)));
-        expect_uniform got ~pos:0 ~len:page 'a' ~what:"pre-crash prefix" );
-    ( "range-extend",
-      one_page_setup,
-      (fun fs ->
-        let fd = Fs.openf fs Types.rdwr "/f" in
-        ignore (Fs.pwrite fs fd ~pos:(2 * page) (Bytes.make page 'c'));
-        Fs.close fs fd),
-      fun fs ->
-        let got = read_file fs "/f" in
-        (match Bytes.length got with
-        | n when n = page -> ()
-        | n when n = 3 * page ->
-            expect_uniform got ~pos:page ~len:page '\000' ~what:"hole";
-            expect_uniform got ~pos:(2 * page) ~len:page 'c'
-              ~what:"published extend bytes"
-        | n ->
-            failwith
-              (Printf.sprintf "size %d, want %d or %d" n page (3 * page)));
-        expect_uniform got ~pos:0 ~len:page 'a' ~what:"pre-crash prefix" );
-  ]
-
-(* Multi-region (sharded) exploration: cross-region renames and creates
-   against a 2-region Shard, with the eviction adversary ranging over
-   the union of both regions' unpersisted lines.  Each region recovers
-   independently and must come out checker-clean; the rename verify
-   oracle additionally pins the copy+unlink contract (the source is
-   unlinked last, so once it is gone the destination is complete). *)
-module Shard = Simurgh_core.Shard
-module Name_hash = Simurgh_core.Name_hash
-
-(* a top-level dir name that routes to region [r] of a 2-region shard *)
-let shard_dir r =
-  let rec go i =
-    let n = Printf.sprintf "d%d_%d" r i in
-    if Name_hash.home n ~regions:2 = r then n else go (i + 1)
-  in
-  "/" ^ go 0
-
-let xfile_bytes = 256
-
-let multi_ops =
-  let d0 = shard_dir 0 and d1 = shard_dir 1 in
-  let src = d0 ^ "/m" and dst = d1 ^ "/m2" in
-  [
-    ( "xregion-rename",
-      (fun sh ->
-        Shard.mkdir sh d0;
-        Shard.mkdir sh d1;
-        let fd = Shard.openf sh (Types.creat Types.rdwr) src in
-        ignore (Shard.pwrite sh fd ~pos:0 (Bytes.make xfile_bytes 'x'));
-        Shard.close sh fd),
-      (fun sh -> Shard.rename sh src dst),
-      Some
-        (fun sh ->
-          if not (Shard.exists sh src) then begin
-            let st = Shard.stat sh dst in
-            if st.Types.size <> xfile_bytes then
-              failwith
-                (Printf.sprintf
-                   "dest size %d after source unlink, want %d" st.Types.size
-                   xfile_bytes);
-            let fd = Shard.openf sh Types.rdonly dst in
-            let got = Shard.pread sh fd ~pos:0 ~len:xfile_bytes in
-            Shard.close sh fd;
-            Bytes.iter
-              (fun c -> if c <> 'x' then failwith "torn dest after unlink")
-              got
-          end) );
-    ( "xregion-create",
-      (fun sh ->
-        Shard.mkdir sh d0;
-        Shard.mkdir sh d1),
-      (fun sh ->
-        Shard.create_file sh (d0 ^ "/a");
-        Shard.create_file sh (d1 ^ "/b")),
-      None );
-  ]
 
 (* Media plane: EIO containment on a poisoned data line, then metadata
    quarantine.  Returns (eio_returns_seen, quarantined, violations). *)
@@ -290,22 +102,9 @@ let run ~scale =
       st.Explore.failures
   in
   List.iter
-    (fun (name, scaled, setup, op) ->
-      tally name (Explore.run ~samples ~scaled ~setup ~op ()))
-    ops;
-  List.iter
-    (fun (name, setup, op) ->
-      tally name (Explore.run ~samples ~scaled:true ~ring:4 ~setup ~op ()))
-    ring_ops;
-  List.iter
-    (fun (name, setup, op, verify) ->
-      tally name
-        (Explore.run ~samples ~scaled:true ~range:true ~setup ~op ~verify ()))
-    range_ops;
-  List.iter
-    (fun (name, setup, op, verify) ->
-      tally name (Explore.run_multi ~samples ~regions:2 ~setup ~op ?verify ()))
-    multi_ops;
+    (fun (m : Explore.machine) ->
+      tally m.Explore.name (Explore.run_machine ~samples m))
+    Explore.machines;
   (* crash-during-recovery: crash the op, then crash RECOVERY at its
      own store points and labeled hooks, re-enter on every eviction
      subset — each image must reach a media fixpoint (idempotence: 2
@@ -368,7 +167,10 @@ let run ~scale =
     "  total: %d crash points, %d images explored, %d checker \
      violations%s\n"
     !points !images !violations
-    (if !violations = 0 then " -- all images recover clean" else " (BUG)")
+    (if !violations = 0 then " -- all images recover clean" else " (BUG)");
+  (* a violating image fails the run, so the smoke run in [make check]
+     gates exploration the way [--check] and [--races] gate theirs *)
+  if !violations <> 0 then exit 1
 
 (** Standalone fsck self-check, used by [--check] / [make fsck]: the
     checker must pass a correctly recovered crash image AND flag a

@@ -6,15 +6,13 @@
     thread interleavings of the same operations
     ({!Simurgh_core.Sched_explore}).  Every schedule must produce the
     same final namespace and a clean fsck; the race detector
-    ({!Simurgh_sim.Race}) must stay silent on the decentralized
-    (private-directory) scenarios and on the striped-lock
-    shared-directory scenarios ({!Simurgh_core.Sched_explore.striped_scenarios}),
-    on the byte-range data-path scenarios
-    ({!Simurgh_core.Sched_explore.data_scenarios}, the correctness gate
-    for the [range_locks] configuration) and on the concurrent-rename
-    log-ring scenarios ({!Simurgh_core.Sched_explore.ring_scenarios},
-    the correctness gate for the [log_ring] format).  Two extra parts
-    keep the tooling honest:
+    ({!Simurgh_sim.Race}) must stay silent on every gated scenario
+    ({!Simurgh_core.Sched_explore.gated}: the decentralized
+    private-directory machines, the striped-lock shared-directory
+    ones, the byte-range data-path ones for the [range_locks]
+    configuration and the concurrent renames on a rename-log ring)
+    and on parallel recovery.  Two extra parts keep the tooling
+    honest:
 
     + {b shared-dir}: disjoint names in one directory — real
       cross-thread lock traffic plus the lock-free lookup path; its
@@ -56,148 +54,143 @@ let print_stats (st : Sched.stats) =
    trees anyway and the rest is seeded sampling. *)
 let budget_of ~scale = max 24 (int_of_float (120.0 *. scale))
 
-let run ~scale =
-  Util.header
-    "sched: schedule exploration + happens-before race detection";
+let print_recovery (st : Sched.recovery_stats) =
+  Printf.printf
+    "  %-11s %4d schedules (%4d distinct), %6d yield points, oracle \
+     failures %d, races %d\n"
+    st.Sched.rscenario st.Sched.rschedules st.Sched.rdistinct
+    st.Sched.ryields
+    (List.length st.Sched.rfailures)
+    (List.length st.Sched.rraces);
+  List.iter
+    (fun (label, detail) -> Printf.printf "    FAIL %s: %s\n" label detail)
+    st.Sched.rfailures;
+  List.iter
+    (fun r -> Printf.printf "    RACE %s\n" (Race.report_to_string r))
+    st.Sched.rraces
+
+type results = {
+  gated : Sched.stats list;
+  recovery : Sched.recovery_stats list;
+      (** fiber-mode mark-and-sweep over a crashed image, then a
+          poisoned one *)
+  shared : Sched.stats;  (** informational: one shared directory *)
+  negative : Race.report list;  (** must be non-empty *)
+}
+
+(* Explore every scenario once, printing one line each. *)
+let explore ~scale =
   let budget = budget_of ~scale in
-  let schedules = ref 0
-  and distinct = ref 0
-  and yields = ref 0
-  and switches = ref 0
-  and failures = ref 0
-  and races = ref 0
-  and lines = ref 0
-  and accesses = ref 0 in
-  List.iter
-    (fun sc ->
-      let st = Sched.run ~budget sc in
-      print_stats st;
-      schedules := !schedules + st.Sched.schedules;
-      distinct := !distinct + st.Sched.distinct;
-      yields := !yields + st.Sched.yields;
-      switches := !switches + st.Sched.switches;
-      failures := !failures + List.length st.Sched.failures;
-      races := !races + List.length st.Sched.races;
-      lines := max !lines st.Sched.lines_tracked;
-      accesses := !accesses + st.Sched.accesses)
-    (Sched.default_scenarios ~threads:2 @ Sched.striped_scenarios ~threads:2
-    @ Sched.data_scenarios ~threads:2 @ Sched.ring_scenarios ~threads:2);
-  (* parallel recovery: fiber-mode mark-and-sweep over a crashed image
-     (and a poisoned variant) must be schedule-independent — identical
-     durable media and report under every worker interleaving — plus
-     fsck-clean and race-free *)
-  let rec_failures = ref 0 and rec_races = ref 0 in
-  List.iter
-    (fun poison ->
-      let st =
-        Sched.recovery_run ~budget:(max 8 (budget / 4)) ~poison ()
-      in
-      Printf.printf
-        "  %-11s %4d schedules (%4d distinct), %6d yield points, oracle \
-         failures %d, races %d\n"
-        st.Sched.rscenario st.Sched.rschedules st.Sched.rdistinct
-        st.Sched.ryields
-        (List.length st.Sched.rfailures)
-        (List.length st.Sched.rraces);
-      List.iter
-        (fun (label, detail) ->
-          Printf.printf "    FAIL %s: %s\n" label detail)
-        st.Sched.rfailures;
-      List.iter
-        (fun r -> Printf.printf "    RACE %s\n" (Race.report_to_string r))
-        st.Sched.rraces;
-      rec_failures := !rec_failures + List.length st.Sched.rfailures;
-      rec_races := !rec_races + List.length st.Sched.rraces;
-      schedules := !schedules + st.Sched.rschedules;
-      distinct := !distinct + st.Sched.rdistinct;
-      yields := !yields + st.Sched.ryields)
-    [ false; true ];
-  failures := !failures + !rec_failures;
-  races := !races + !rec_races;
-  (* informational: cross-thread traffic in one shared directory *)
-  let shared = Sched.run ~budget:(max 12 (budget / 2)) (Sched.shared_scenario ~threads:3) in
+  let gated =
+    List.map
+      (fun sc ->
+        let st = Sched.run ~budget sc in
+        print_stats st;
+        st)
+      (Sched.gated ~threads:2)
+  in
+  let recovery =
+    List.map
+      (fun poison ->
+        let st = Sched.recovery_run ~budget:(max 8 (budget / 4)) ~poison () in
+        print_recovery st;
+        st)
+      [ false; true ]
+  in
+  let shared =
+    Sched.run ~budget:(max 12 (budget / 2)) (Sched.shared_scenario ~threads:3)
+  in
   print_stats shared;
-  failures := !failures + List.length shared.Sched.failures;
-  let neg = Sched.negative_control () in
-  Printf.printf "  negative control (no lock): %s\n"
-    (match neg with
-    | [] -> "NO REPORT -- detector is broken"
+  let negative = Sched.negative_control () in
+  Printf.printf "  negative control (unlocked stores): %s\n"
+    (match negative with
+    | [] -> "MISSED -- detector is broken"
     | rs ->
         Printf.sprintf "caught (%d report%s)" (List.length rs)
           (if List.length rs = 1 then "" else "s"));
+  { gated; recovery; shared; negative }
+
+(* The gate over one exploration: every gated scenario and parallel
+   recovery must be oracle-clean and race-free over at least two
+   distinct interleavings, the shared-dir scenario oracle-clean, and
+   the negative control must fire.  One message per violation. *)
+let gate r =
+  let scenario name ~failures ~races ~distinct =
+    (if failures + races > 0 then
+       [ Printf.sprintf "%s: %d oracle failures, %d races" name failures races ]
+     else [])
+    @
+    if distinct < 2 then
+      [ Printf.sprintf "%s: only %d distinct schedule(s) explored" name distinct ]
+    else []
+  in
+  List.concat_map
+    (fun (st : Sched.stats) ->
+      scenario st.Sched.scenario ~failures:(List.length st.Sched.failures)
+        ~races:(List.length st.Sched.races) ~distinct:st.Sched.distinct)
+    r.gated
+  @ List.concat_map
+      (fun (st : Sched.recovery_stats) ->
+        scenario st.Sched.rscenario ~failures:(List.length st.Sched.rfailures)
+          ~races:(List.length st.Sched.rraces) ~distinct:st.Sched.rdistinct)
+      r.recovery
+  @ (match r.shared.Sched.failures with
+    | [] -> []
+    | l -> [ Printf.sprintf "shared-dir: %d oracle failures" (List.length l) ])
+  @ if r.negative = [] then [ "negative control: detector is broken" ] else []
+
+let run ~scale =
+  Util.header
+    "sched: schedule exploration + happens-before race detection";
+  let r = explore ~scale in
+  let n = List.length in
+  let sum f = List.fold_left (fun acc st -> acc + f st) 0 in
+  let gated f = sum f r.gated and recovery f = sum f r.recovery in
+  let rec_failures = recovery (fun st -> n st.Sched.rfailures)
+  and rec_races = recovery (fun st -> n st.Sched.rraces) in
+  let schedules =
+    gated (fun st -> st.Sched.schedules) + recovery (fun st -> st.Sched.rschedules)
+  and distinct =
+    gated (fun st -> st.Sched.distinct) + recovery (fun st -> st.Sched.rdistinct)
+  and failures =
+    gated (fun st -> n st.Sched.failures) + n r.shared.Sched.failures
+    + rec_failures
+  and races = gated (fun st -> n st.Sched.races) + rec_races in
   Obs.Collect.note_source (fun () ->
-      [
-        ("sched/schedules_explored", float_of_int !schedules);
-        ("sched/schedules_distinct", float_of_int !distinct);
-        ("sched/yield_points", float_of_int !yields);
-        ("sched/switches", float_of_int !switches);
-        ("sched/oracle_failures", float_of_int !failures);
-        ("race/lines_tracked", float_of_int !lines);
-        ("race/reports", float_of_int !races);
-        ("race/accesses", float_of_int !accesses);
-        ("race/negative_control_reports", float_of_int (List.length neg));
-        ( "race/shared_dir_reports",
-          float_of_int (List.length shared.Sched.races) );
-        ("sched/recovery_failures", float_of_int !rec_failures);
-        ("sched/recovery_races", float_of_int !rec_races);
-      ]);
+      List.map
+        (fun (k, v) -> (k, float_of_int v))
+        [
+          ("sched/schedules_explored", schedules);
+          ("sched/schedules_distinct", distinct);
+          ( "sched/yield_points",
+            gated (fun st -> st.Sched.yields)
+            + recovery (fun st -> st.Sched.ryields) );
+          ("sched/switches", gated (fun st -> st.Sched.switches));
+          ("sched/oracle_failures", failures);
+          ( "race/lines_tracked",
+            List.fold_left (fun m st -> max m st.Sched.lines_tracked) 0 r.gated
+          );
+          ("race/reports", races);
+          ("race/accesses", gated (fun st -> st.Sched.accesses));
+          ("race/negative_control_reports", n r.negative);
+          ("race/shared_dir_reports", n r.shared.Sched.races);
+          ("sched/recovery_failures", rec_failures);
+          ("sched/recovery_races", rec_races);
+        ]);
   Printf.printf
     "  total: %d schedules (%d distinct), %d oracle failures, %d races on \
      decentralized scenarios%s\n"
-    !schedules !distinct !failures !races
-    (if !failures = 0 && !races = 0 && neg <> [] then
-       " -- schedule-invariant and race-free"
-     else " (BUG)")
+    schedules distinct failures races
+    (if gate r = [] then " -- schedule-invariant and race-free" else " (BUG)")
 
-(** Standalone self-check, used by [--races] / [make races]: every
-    default scenario must be schedule-invariant, fsck-clean and
-    race-free, AND the negative control must fire (so a trivially
-    silent detector cannot pass).  Returns a process exit code. *)
+(** Standalone self-check, used by [--races] / [make races]: the gate
+    over {!explore} (so a trivially silent detector cannot pass).
+    Returns a process exit code. *)
 let selfcheck ~scale () =
-  let budget = budget_of ~scale in
-  let bad = ref 0 in
-  List.iter
-    (fun sc ->
-      let st = Sched.run ~budget sc in
-      print_stats st;
-      if st.Sched.failures <> [] || st.Sched.races <> [] then incr bad;
-      if st.Sched.distinct < 2 then begin
-        Printf.printf "    FAIL %s: only %d distinct schedule(s) explored\n"
-          st.Sched.scenario st.Sched.distinct;
-        incr bad
-      end)
-    (Sched.default_scenarios ~threads:2 @ Sched.striped_scenarios ~threads:2
-    @ Sched.data_scenarios ~threads:2 @ Sched.ring_scenarios ~threads:2);
-  (* parallel recovery must hold the same bar: schedule-independent
-     media, clean fsck, zero races, several distinct interleavings *)
-  List.iter
-    (fun poison ->
-      let st =
-        Sched.recovery_run ~budget:(max 8 (budget / 4)) ~poison ()
-      in
-      Printf.printf
-        "  %-11s %4d schedules (%4d distinct), oracle failures %d, races \
-         %d\n"
-        st.Sched.rscenario st.Sched.rschedules st.Sched.rdistinct
-        (List.length st.Sched.rfailures)
-        (List.length st.Sched.rraces);
-      List.iter
-        (fun (label, detail) ->
-          Printf.printf "    FAIL %s: %s\n" label detail)
-        st.Sched.rfailures;
-      if st.Sched.rfailures <> [] || st.Sched.rraces <> [] then incr bad;
-      if st.Sched.rdistinct < 2 then begin
-        Printf.printf
-          "    FAIL %s: only %d distinct interleaving(s) explored\n"
-          st.Sched.rscenario st.Sched.rdistinct;
-        incr bad
-      end)
-    [ false; true ];
-  let neg = Sched.negative_control () in
-  Printf.printf "races: negative control (unlocked stores): %s\n"
-    (if neg <> [] then
-       Printf.sprintf "caught (%d report%s)" (List.length neg)
-         (if List.length neg = 1 then "" else "s")
-     else "MISSED");
-  if neg = [] then incr bad;
-  if !bad = 0 then 0 else 1
+  match gate (explore ~scale) with
+  | [] ->
+      print_endline "races: gate passed";
+      0
+  | bad ->
+      List.iter (fun m -> print_endline ("races: FAIL " ^ m)) bad;
+      1

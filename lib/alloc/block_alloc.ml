@@ -306,6 +306,7 @@ let segment_busy ?ctx t i =
     sweeps disappear.  Threads spread across segments by tid initially,
     following the paper's core-count-proportional segmentation. *)
 let set_thread_segments t on = t.tseg_enabled <- on
+let thread_segments t = t.tseg_enabled
 
 let ctx_tid (ctx : Simurgh_sim.Machine.ctx option) =
   match ctx with

@@ -7,25 +7,27 @@
     {e early}, so at a crash point every unpersisted line is
     {e independently} lost or already durable ([Region.crash_image]).
 
-    [run] turns that into a systematic search.  For one FS operation it
+    {!explore} turns that into a systematic search over a region array.
+    For one unit of work it
 
-    + replays the operation once per {e crash point} — before every
-      NVMM store ([Region.set_store_hook]) and at every labeled Fig. 5
-      hook ([Fs.set_crash_hook]) — restoring a checkpoint of the
-      post-setup state each time;
+    + replays the work once per {e crash point} — before every NVMM
+      store of any region ([Region.set_store_hook]) and at every labeled
+      hook firing ({!points}, {!crash_at}) — restoring a checkpoint of
+      the post-setup state each time;
     + at each crash point enumerates eviction subsets of the unpersisted
-      lines: exhaustively when at most [max_exhaustive] lines are
-      pending ([2^n] images), otherwise drop-all, keep-all and
-      [samples]-2 seeded random subsets;
-    + for every crash image runs full recovery ({!Recovery.run}) and
-      then the offline checker ({!Check.run}), which must report zero
-      violations; an optional [verify] callback can additionally inspect
-      the recovered file system.
+      lines of every region ({!each_image});
+    + for every crash image runs full recovery ({!Recovery.run_all}) and
+      then the offline checker ({!Check.run_all}), which must report
+      zero violations; an optional [verify] callback can additionally
+      inspect the recovered file system.
 
-    The returned {!stats} aggregates points, images and any violating
-    images (which make the calling test fail with a precise
-    reproduction label). *)
+    {!run} is the one-region call, {!run_multi} the sharded one, and
+    {!run_reentrant} reuses the same three steps with recovery itself as
+    the unit of work.  The returned {!stats} aggregates points, images
+    and any violating images (which make the calling test fail with a
+    precise reproduction label). *)
 
+open Simurgh_fs_common
 open Simurgh_nvmm
 
 exception Crash_now
@@ -46,157 +48,202 @@ let point_label = function
   | Store n -> Printf.sprintf "store:%d" n
   | Hook (l, n) -> Printf.sprintf "hook:%s#%d" l n
 
+(* -- the explorer config ----------------------------------------------- *)
+
+(** How the explored file system is formatted and mounted.  [scaled]
+    turns on the volatile scalability features (striped locks, resolve
+    cache, allocator caches), [range] the byte-range data-path locks,
+    [ring] the rename-log ring size (0 = single slot) and [secure] the
+    security plane.  Every mount of a config uses the same flags, so
+    recovery and post-crash traffic run through the configured paths. *)
+type config = { scaled : bool; range : bool; ring : int; secure : bool }
+
+let plain = { scaled = false; range = false; ring = 0; secure = false }
+let striped = { plain with scaled = true }
+let ranged = { striped with range = true }
+
+let mkfs ?(cores = 2) c region =
+  Fs.mkfs ~cores ~euid:0 ~striped_locks:c.scaled ~rcache:c.scaled
+    ~alloc_caches:c.scaled ~range_locks:c.range ~log_ring:c.ring
+    ~secure:c.secure region
+
 (* Mount a fresh FS handle on [region] as a new "process" would: the
    shared volatile state is discarded (a crash wiped DRAM) and rebuilt
-   from NVMM.  [scaled] re-enables the volatile scalability features
-   (striped locks, resolve cache, allocator caches) on the new mount,
-   so recovery and post-crash traffic run through the striped paths. *)
-let fresh_mount ?(range = false) ~scaled region =
+   from NVMM. *)
+let mount c region =
   Fs.invalidate_shared region;
   (* a dead process's page-table mappings die with it: if the crashed
      mount had guarded the region (secure mode), the new process starts
      unguarded until it installs its own protection *)
   Region.clear_guard region;
-  Fs.mount ~euid:0 ~striped_locks:scaled ~rcache:scaled ~alloc_caches:scaled
-    ~range_locks:range region
+  Fs.mount ~euid:0 ~striped_locks:c.scaled ~rcache:c.scaled
+    ~alloc_caches:c.scaled ~range_locks:c.range region
 
 let default_size = 4 lsl 20
 
-let run ?(seed = 7L) ?(max_exhaustive = 10) ?(samples = 64)
-    ?(size = default_size) ?(scaled = false) ?(range = false) ?(ring = 0)
-    ?(secure = false) ?verify ~setup ~op () =
-  let region = Region.create ~mode:Region.Strict size in
-  let fs0 =
-    Fs.mkfs ~cores:2 ~euid:0 ~striped_locks:scaled ~rcache:scaled
-      ~alloc_caches:scaled ~range_locks:range ~log_ring:ring ~secure region
+(* -- the driver ---------------------------------------------------------
+
+   A unit of work is [start : unit -> (string -> unit) -> unit]: [start ()]
+   mounts (or otherwise prepares) without observation and returns a
+   closure that runs the work, calling the hook at each labeled point.
+   Store hooks are armed only after [start ()] returns, so the mount's
+   own stores are never crash points. *)
+
+(** Every crash point of the work, in firing order: one per NVMM store
+    across [regions] (the work is single-threaded, so a global store
+    count is a stable address), then every labeled hook firing. *)
+let points regions start =
+  let work = start () in
+  let stores = ref 0 and hooks = ref [] and fired = Hashtbl.create 16 in
+  Array.iter (fun r -> Region.set_store_hook r (fun () -> incr stores)) regions;
+  Fun.protect
+    ~finally:(fun () -> Array.iter Region.clear_store_hook regions)
+    (fun () ->
+      work (fun label ->
+          let n = 1 + Option.value ~default:0 (Hashtbl.find_opt fired label) in
+          Hashtbl.replace fired label n;
+          hooks := Hook (label, n) :: !hooks));
+  List.init !stores (fun i -> Store (i + 1)) @ List.rev !hooks
+
+(** Run the work up to [point] and stop there, as a power failure would.
+    A point past the work's end (a hook that did not fire) runs it to
+    completion: still explored. *)
+let crash_at regions start point =
+  let work = start () in
+  let k = ref 0 in
+  let fire n =
+    incr k;
+    if !k = n then raise Crash_now
   in
-  setup fs0;
+  let hook =
+    match point with
+    | Store n ->
+        Array.iter (fun r -> Region.set_store_hook r (fun () -> fire n)) regions;
+        ignore
+    | Hook (label, n) -> fun l -> if l = label then fire n
+  in
+  Fun.protect
+    ~finally:(fun () -> Array.iter Region.clear_store_hook regions)
+    (fun () -> try work hook with Crash_now -> ())
+
+(** The unpersisted lines of every region, tagged [(region, line)]. *)
+let pending regions =
+  Array.concat
+    (Array.to_list
+       (Array.mapi
+          (fun i r ->
+            Array.of_list (List.map (fun ln -> (i, ln)) (Region.pending_lines r)))
+          regions))
+
+(** The eviction adversary: call [f keep] once per crash image, where
+    [keep] tells which [pending] lines were already durable.  Every
+    subset when at most [max_exhaustive] lines are pending ([2^n]
+    images), otherwise drop-all, keep-all and [samples]-2 subsets drawn
+    from [rng]. *)
+let each_image rng ~max_exhaustive ~samples pending f =
+  let subset pick =
+    let keep = Hashtbl.create 16 in
+    Array.iteri (fun i ln -> if pick i then Hashtbl.replace keep ln ()) pending;
+    f (Hashtbl.mem keep)
+  in
+  let n = Array.length pending in
+  if n <= max_exhaustive then
+    for mask = 0 to (1 lsl n) - 1 do
+      subset (fun i -> mask land (1 lsl i) <> 0)
+    done
+  else begin
+    f (fun _ -> false);
+    f (fun _ -> true);
+    for _ = 3 to samples do
+      subset (fun _ -> Simurgh_sim.Rng.int rng 2 = 1)
+    done
+  end
+
+(* Restore [cps] and apply the crash image [keep]: the volatile state of
+   every region is gone with the power. *)
+let crash_image regions cps keep =
+  Array.iteri
+    (fun i r ->
+      Region.restore r cps.(i);
+      Region.crash_image r ~keep:(fun ln -> keep (i, ln));
+      Fs.invalidate_shared r;
+      Region.clear_guard r)
+    regions
+
+(* "keep={...}": the kept lines, region-tagged only across regions *)
+let keep_label regions pending keep =
+  let line (i, ln) =
+    if Array.length regions > 1 then Printf.sprintf "%d:%d" i ln
+    else string_of_int ln
+  in
+  Printf.sprintf "keep={%s}"
+    (Array.to_list pending |> List.filter keep |> List.map line
+   |> String.concat ",")
+
+(** [explore ~regions ~mount ~fss op] explores [op] over the set-up
+    [regions].  [mount ()] attaches a fresh handle, [fss] lists its
+    per-region FS handles (whose crash hooks label the points; labels
+    get a ["<region>:"] tag when there are several regions).  Each image
+    is recovered with {!Recovery.run_all}, checked with
+    {!Check.run_all} and, when clean, handed to [verify] on a fresh
+    mount. *)
+let explore ?(seed = 7L) ?(max_exhaustive = 10) ?(samples = 64) ~regions
+    ~mount ~fss ?verify op =
   (* the operation's own writes must be the only unpersisted lines at
      the crash point; drain everything setup left behind (e.g. zeroed
      directory-block tails that were never clwb'd) *)
-  Region.persist_all region;
-  let cp0 = Region.checkpoint region in
-
-  (* Pass 1: dry-run the op to discover its crash points. *)
-  let stores = ref 0 in
-  let hooks = ref [] (* (label, occurrence) in firing order, reversed *) in
-  let hook_count = Hashtbl.create 16 in
-  let fs = fresh_mount ~range ~scaled region in
-  Region.set_store_hook region (fun () -> incr stores);
-  Fs.set_crash_hook fs (fun label ->
-      let n = (try Hashtbl.find hook_count label with Not_found -> 0) + 1 in
-      Hashtbl.replace hook_count label n;
-      hooks := (label, n) :: !hooks);
-  op fs;
-  Region.clear_store_hook region;
-  let points =
-    List.init !stores (fun i -> Store (i + 1))
-    @ List.rev_map (fun (l, n) -> Hook (l, n)) !hooks
+  Array.iter Region.persist_all regions;
+  let cp0 = Array.map Region.checkpoint regions in
+  let tag = Array.length regions > 1 in
+  let start () =
+    let h = mount () in
+    fun hook ->
+      Array.iteri
+        (fun i fs ->
+          Fs.set_crash_hook fs
+            (if tag then fun l -> hook (Printf.sprintf "%d:%s" i l) else hook))
+        (fss h);
+      op h
   in
-
+  let points = points regions start in
   let rng = Simurgh_sim.Rng.create seed in
-  let images = ref 0 in
-  let max_pending = ref 0 in
-  let failures = ref [] in
-
+  let images = ref 0 and max_pending = ref 0 and failures = ref [] in
   List.iter
     (fun point ->
-      (* restore the post-setup state and run the op up to [point] *)
-      Region.restore region cp0;
-      let fs = fresh_mount ~range ~scaled region in
-      (match point with
-      | Store n ->
-          let k = ref 0 in
-          Region.set_store_hook region (fun () ->
-              incr k;
-              if !k = n then raise Crash_now)
-      | Hook (label, n) ->
-          let k = ref 0 in
-          Fs.set_crash_hook fs (fun l ->
-              if l = label then begin
-                incr k;
-                if !k = n then raise Crash_now
-              end));
-      (match op fs with
-      | () -> () (* point past the op's end (hook miss): still explored *)
-      | exception Crash_now -> ());
-      Region.clear_store_hook region;
-
-      let pending = Array.of_list (Region.pending_lines region) in
-      let n = Array.length pending in
-      if n > !max_pending then max_pending := n;
-      let cp_crash = Region.checkpoint region in
-      let explore_mask keep_of =
-        incr images;
-        Region.restore region cp_crash;
-        Region.crash_image region ~keep:keep_of;
-        Fs.invalidate_shared region;
-        Region.clear_guard region;
-        (match Recovery.run region with
-        | _layout, _report -> (
-            match Check.run region with
-            | [] -> (
-                match verify with
-                | None -> ()
-                | Some v -> (
-                    try v (fresh_mount ~range ~scaled region)
-                    with e ->
-                      let kept =
-                        Array.to_list pending
-                        |> List.filter keep_of
-                        |> List.map string_of_int
-                        |> String.concat ","
-                      in
-                      failures :=
-                        ( Printf.sprintf "%s keep={%s}" (point_label point)
-                            kept,
-                          [
-                            Check.Structure
-                              ("verify: " ^ Printexc.to_string e);
-                          ] )
-                        :: !failures))
-            | viols ->
-                let kept =
-                  Array.to_list pending
-                  |> List.filter keep_of
-                  |> List.map string_of_int
-                  |> String.concat ","
-                in
-                failures :=
-                  (Printf.sprintf "%s keep={%s}" (point_label point) kept,
-                   viols)
-                  :: !failures)
-        | exception e ->
+      Array.iteri (fun i r -> Region.restore r cp0.(i)) regions;
+      crash_at regions start point;
+      let pending = pending regions in
+      max_pending := max !max_pending (Array.length pending);
+      let cp = Array.map Region.checkpoint regions in
+      each_image rng ~max_exhaustive ~samples pending (fun keep ->
+          incr images;
+          crash_image regions cp keep;
+          let fail viols =
             failures :=
-              ( Printf.sprintf "%s: recovery raised %s" (point_label point)
-                  (Printexc.to_string e),
-                [] )
-              :: !failures)
-      in
-      let keep_of_mask mask =
-        let keep = Hashtbl.create 8 in
-        Array.iteri
-          (fun i ln -> if mask land (1 lsl i) <> 0 then Hashtbl.replace keep ln ())
-          pending;
-        fun ln -> Hashtbl.mem keep ln
-      in
-      if n <= max_exhaustive then
-        for mask = 0 to (1 lsl n) - 1 do
-          explore_mask (keep_of_mask mask)
-        done
-      else begin
-        (* sampled: the two extreme images plus seeded random subsets *)
-        explore_mask (fun _ -> false);
-        explore_mask (fun _ -> true);
-        for _ = 3 to samples do
-          let keep = Hashtbl.create 16 in
-          Array.iter
-            (fun ln ->
-              if Simurgh_sim.Rng.int rng 2 = 1 then Hashtbl.replace keep ln ())
-            pending;
-          explore_mask (fun ln -> Hashtbl.mem keep ln)
-        done
-      end)
+              ( Printf.sprintf "%s %s" (point_label point)
+                  (keep_label regions pending keep),
+                viols )
+              :: !failures
+          in
+          match Recovery.run_all regions with
+          | _ -> (
+              match Check.run_all regions with
+              | [] -> (
+                  match verify with
+                  | None -> ()
+                  | Some v -> (
+                      try v (mount ())
+                      with e ->
+                        fail
+                          [ Check.Structure ("verify: " ^ Printexc.to_string e) ]
+                      ))
+              | viols -> fail (List.map snd viols))
+          | exception e ->
+              failures :=
+                ( Printf.sprintf "%s: recovery raised %s" (point_label point)
+                    (Printexc.to_string e),
+                  [] )
+                :: !failures))
     points;
   {
     crash_points = List.length points;
@@ -205,179 +252,33 @@ let run ?(seed = 7L) ?(max_exhaustive = 10) ?(samples = 64)
     failures = List.rev !failures;
   }
 
-(* -- multi-region (sharded) exploration -------------------------------- *)
+(** One Strict region formatted with [config]: the single-region
+    explorer. *)
+let run ?seed ?max_exhaustive ?samples ?(size = default_size)
+    ?(config = plain) ?verify ~setup ~op () =
+  let region = Region.create ~mode:Region.Strict size in
+  setup (mkfs config region);
+  explore ?seed ?max_exhaustive ?samples ~regions:[| region |]
+    ~mount:(fun () -> mount config region)
+    ~fss:(fun fs -> [| fs |])
+    ?verify op
 
 (** [run_multi ~regions ~setup ~op ()] is {!run} lifted to a sharded
     namespace: the operation runs against a {!Shard.t} over [regions]
-    Strict regions, crash points are discovered across {e all} regions
-    (stores are counted globally; labeled hooks are tagged with the
-    region that fired them), and at every point the eviction subsets
-    range over the union of every region's unpersisted lines — so an
-    image can lose lines on the source region of a cross-region rename
-    while keeping them on the destination, and vice versa.  Recovery is
-    {!Recovery.run_all} (each region its own crash domain) and the
-    oracle is {!Check.run_all} reporting zero violations on every
-    region. *)
-let run_multi ?(seed = 7L) ?(max_exhaustive = 10) ?(samples = 64)
-    ?(size = default_size) ?(regions = 2) ?verify ~setup ~op () =
+    Strict regions, so an image can lose lines on the source region of a
+    cross-region rename while keeping them on the destination, and vice
+    versa.  Each region recovers as its own crash domain. *)
+let run_multi ?seed ?max_exhaustive ?samples ?(size = default_size)
+    ?(regions = 2) ?verify ~setup ~op () =
   let sh0 = Shard.mkfs ~mode:Region.Strict ~obs:false ~regions ~euid:0 size in
   let rs = Shard.regions sh0 in
   setup sh0;
-  Array.iter Region.persist_all rs;
-  let cps = Array.map Region.checkpoint rs in
-  let fresh () =
-    Array.iter Fs.invalidate_shared rs;
-    Shard.mount ~obs:false ~euid:0 rs
-  in
-
-  (* Pass 1: dry-run to discover crash points across every region.  The
-     op is single-threaded, so the interleaving of stores across regions
-     is deterministic and a global store counter is a stable address. *)
-  let stores = ref 0 in
-  let hooks = ref [] in
-  let hook_count = Hashtbl.create 16 in
-  let sh = fresh () in
-  Array.iter
-    (fun r -> Region.set_store_hook r (fun () -> incr stores))
-    rs;
-  for i = 0 to regions - 1 do
-    Fs.set_crash_hook (Shard.fs_of sh i) (fun label ->
-        let l = Printf.sprintf "%d:%s" i label in
-        let n = (try Hashtbl.find hook_count l with Not_found -> 0) + 1 in
-        Hashtbl.replace hook_count l n;
-        hooks := (l, n) :: !hooks)
-  done;
-  op sh;
-  Array.iter Region.clear_store_hook rs;
-  let points =
-    List.init !stores (fun i -> Store (i + 1))
-    @ List.rev_map (fun (l, n) -> Hook (l, n)) !hooks
-  in
-
-  (* a tagged hook label is "<region>:<original label>" *)
-  let split_tag l =
-    match String.index_opt l ':' with
-    | Some k ->
-        (int_of_string (String.sub l 0 k),
-         String.sub l (k + 1) (String.length l - k - 1))
-    | None -> (0, l)
-  in
-
-  let rng = Simurgh_sim.Rng.create seed in
-  let images = ref 0 in
-  let max_pending = ref 0 in
-  let failures = ref [] in
-
-  List.iter
-    (fun point ->
-      Array.iteri (fun i r -> Region.restore r cps.(i)) rs;
-      let sh = fresh () in
-      (match point with
-      | Store n ->
-          let k = ref 0 in
-          Array.iter
-            (fun r ->
-              Region.set_store_hook r (fun () ->
-                  incr k;
-                  if !k = n then raise Crash_now))
-            rs
-      | Hook (tagged, n) ->
-          let ri, label = split_tag tagged in
-          let k = ref 0 in
-          Fs.set_crash_hook (Shard.fs_of sh ri) (fun l ->
-              if l = label then begin
-                incr k;
-                if !k = n then raise Crash_now
-              end));
-      (match op sh with
-      | () -> ()
-      | exception Crash_now -> ());
-      Array.iter Region.clear_store_hook rs;
-
-      (* unpersisted lines across every region, tagged by region *)
-      let pending =
-        Array.of_list
-          (List.concat
-             (List.mapi
-                (fun i r ->
-                  List.map (fun ln -> (i, ln)) (Region.pending_lines r))
-                (Array.to_list rs)))
-      in
-      let n = Array.length pending in
-      if n > !max_pending then max_pending := n;
-      let cp_crash = Array.map Region.checkpoint rs in
-      let label_of keep_of =
-        Printf.sprintf "%s keep={%s}" (point_label point)
-          (Array.to_list pending |> List.filter keep_of
-          |> List.map (fun (i, ln) -> Printf.sprintf "%d:%d" i ln)
-          |> String.concat ",")
-      in
-      let explore_mask keep_of =
-        incr images;
-        Array.iteri (fun i r -> Region.restore r cp_crash.(i)) rs;
-        Array.iteri
-          (fun i r ->
-            Region.crash_image r ~keep:(fun ln -> keep_of (i, ln));
-            Fs.invalidate_shared r;
-            Region.clear_guard r)
-          rs;
-        match Recovery.run_all rs with
-        | _ -> (
-            match Check.run_all rs with
-            | [] -> (
-                match verify with
-                | None -> ()
-                | Some v -> (
-                    try v (fresh ())
-                    with e ->
-                      failures :=
-                        ( label_of keep_of,
-                          [
-                            Check.Structure
-                              ("verify: " ^ Printexc.to_string e);
-                          ] )
-                        :: !failures))
-            | viols ->
-                failures :=
-                  (label_of keep_of, List.map snd viols) :: !failures)
-        | exception e ->
-            failures :=
-              ( Printf.sprintf "%s: recovery raised %s" (point_label point)
-                  (Printexc.to_string e),
-                [] )
-              :: !failures
-      in
-      let keep_of_mask mask =
-        let keep = Hashtbl.create 8 in
-        Array.iteri
-          (fun i tln ->
-            if mask land (1 lsl i) <> 0 then Hashtbl.replace keep tln ())
-          pending;
-        fun tln -> Hashtbl.mem keep tln
-      in
-      if n <= max_exhaustive then
-        for mask = 0 to (1 lsl n) - 1 do
-          explore_mask (keep_of_mask mask)
-        done
-      else begin
-        explore_mask (fun _ -> false);
-        explore_mask (fun _ -> true);
-        for _ = 3 to samples do
-          let keep = Hashtbl.create 16 in
-          Array.iter
-            (fun tln ->
-              if Simurgh_sim.Rng.int rng 2 = 1 then Hashtbl.replace keep tln ())
-            pending;
-          explore_mask (fun tln -> Hashtbl.mem keep tln)
-        done
-      end)
-    points;
-  {
-    crash_points = List.length points;
-    images = !images;
-    max_pending = !max_pending;
-    failures = List.rev !failures;
-  }
+  explore ?seed ?max_exhaustive ?samples ~regions:rs
+    ~mount:(fun () ->
+      Array.iter Fs.invalidate_shared rs;
+      Shard.mount ~obs:false ~euid:0 rs)
+    ~fss:(fun sh -> Array.init regions (Shard.fs_of sh))
+    ?verify op
 
 (* -- crash-during-recovery re-entrancy -------------------------------- *)
 
@@ -391,39 +292,46 @@ type reentrant_stats = {
       (** images that diverged, raised, or failed the offline checker *)
 }
 
+(* [count] points strided over 1..[total] *)
+let strided ~count total =
+  let st = max 1 (total / max 1 count) in
+  List.init count (fun i -> 1 + (i * st))
+  |> List.filter (fun p -> p <= total)
+  |> List.sort_uniq compare
+
+let stores points =
+  List.length (List.filter (function Store _ -> true | Hook _ -> false) points)
+
 (** [run_reentrant ~setup ~op ()] crashes recovery {e itself} and
     re-enters it.  For a strided sample of the operation's store points
     it takes the dirtiest crash image (every unpersisted line dropped),
-    dry-runs recovery on it to discover recovery's own crash points —
-    strided NVMM stores plus first/middle/last firing of every labeled
-    {!Recovery} hook (pending-log resolution, mark repairs, quarantine
-    detaches, sweep frees) — then crashes recovery at each, enumerates
-    eviction subsets of recovery's unpersisted lines exactly like
-    {!run}, and re-runs recovery on every image until the durable media
-    digest reaches a fixpoint.  Convergence must take at most 4 passes
-    (idempotence predicts 2: repair, then confirm) and every terminal
-    image must pass {!Check.run}. *)
+    discovers recovery's own crash points — strided NVMM stores plus
+    first/middle/last firing of every labeled {!Recovery} hook
+    (pending-log resolution, mark repairs, quarantine detaches, sweep
+    frees) — then crashes recovery at each, enumerates eviction subsets
+    of recovery's unpersisted lines exactly like {!explore}, and re-runs
+    recovery on every image until the durable media digest reaches a
+    fixpoint.  Convergence must take at most 4 passes (idempotence
+    predicts 2: repair, then confirm) and every terminal image must pass
+    {!Check.run}. *)
 let run_reentrant ?(seed = 11L) ?(max_exhaustive = 8) ?(samples = 12)
     ?(size = default_size) ?(op_points = 5) ?(rec_stores = 8) ~setup ~op () =
   let region = Region.create ~mode:Region.Strict size in
-  let fs0 = Fs.mkfs ~cores:2 ~euid:0 region in
-  setup fs0;
+  let regions = [| region |] in
+  setup (mkfs plain region);
   Region.persist_all region;
   let cp0 = Region.checkpoint region in
-
-  (* dry-run the op once to count its stores, then stride [op_points]
-     crash points across them *)
-  let stores = ref 0 in
-  let fs = fresh_mount ~scaled:false region in
-  Region.set_store_hook region (fun () -> incr stores);
-  op fs;
-  Region.clear_store_hook region;
-  let stride = max 1 (!stores / max 1 op_points) in
-  let op_crashes =
-    List.init op_points (fun i -> 1 + (i * stride))
-    |> List.filter (fun p -> p <= !stores)
-    |> List.sort_uniq compare
+  let start_op () =
+    let fs = mount plain region in
+    fun hook ->
+      Fs.set_crash_hook fs hook;
+      op fs
   in
+  let start_recovery () =
+    Fs.invalidate_shared region;
+    fun crash_hook -> ignore (Recovery.run ~crash_hook region)
+  in
+  let op_crashes = strided ~count:op_points (stores (points regions start_op)) in
 
   let rng = Simurgh_sim.Rng.create seed in
   let rec_points = ref 0 in
@@ -436,43 +344,27 @@ let run_reentrant ?(seed = 11L) ?(max_exhaustive = 8) ?(samples = 12)
       (* 1. crash the op at store [opn]; drop every unpersisted line —
             the dirtiest image recovery can be handed *)
       Region.restore region cp0;
-      let fs = fresh_mount ~scaled:false region in
-      let k = ref 0 in
-      Region.set_store_hook region (fun () ->
-          incr k;
-          if !k = opn then raise Crash_now);
-      (match op fs with () -> () | exception Crash_now -> ());
-      Region.clear_store_hook region;
+      crash_at regions start_op (Store opn);
       Region.crash_image region ~keep:(fun _ -> false);
       let cp_dirty = Region.checkpoint region in
 
-      (* 2. dry-run recovery on the dirty image to discover its own
-            crash points *)
-      let rstores = ref 0 in
-      let hook_fires = Hashtbl.create 8 in
-      Fs.invalidate_shared region;
-      Region.set_store_hook region (fun () -> incr rstores);
-      Recovery.set_crash_hook (fun label ->
-          Hashtbl.replace hook_fires label
-            (1 + try Hashtbl.find hook_fires label with Not_found -> 0));
-      ignore (Recovery.run region);
-      Recovery.clear_crash_hook ();
-      Region.clear_store_hook region;
+      (* 2. discover recovery's own crash points on the dirty image *)
+      let rpoints = points regions start_recovery in
       let store_pts =
-        let st = max 1 (!rstores / max 1 rec_stores) in
-        List.init rec_stores (fun i -> 1 + (i * st))
-        |> List.filter (fun p -> p <= !rstores)
-        |> List.sort_uniq compare
-        |> List.map (fun n -> Store n)
+        List.map (fun n -> Store n) (strided ~count:rec_stores (stores rpoints))
       in
       let hook_pts =
+        let fires = Hashtbl.create 8 in
+        List.iter
+          (function Hook (l, n) -> Hashtbl.replace fires l n | Store _ -> ())
+          rpoints;
         Hashtbl.fold
           (fun label fires acc ->
-            [ 1; (fires + 1) / 2; fires ]
-            |> List.sort_uniq compare
-            |> List.map (fun n -> Hook (label, n))
-            |> fun l -> l @ acc)
-          hook_fires []
+            List.map
+              (fun n -> Hook (label, n))
+              (List.sort_uniq compare [ 1; (fires + 1) / 2; fires ])
+            @ acc)
+          fires []
         |> List.sort compare
       in
 
@@ -483,92 +375,43 @@ let run_reentrant ?(seed = 11L) ?(max_exhaustive = 8) ?(samples = 12)
         (fun point ->
           incr rec_points;
           Region.restore region cp_dirty;
-          Fs.invalidate_shared region;
-          (match point with
-          | Store n ->
-              let k = ref 0 in
-              Region.set_store_hook region (fun () ->
-                  incr k;
-                  if !k = n then raise Crash_now)
-          | Hook (label, n) ->
-              let k = ref 0 in
-              Recovery.set_crash_hook (fun l ->
-                  if l = label then begin
-                    incr k;
-                    if !k = n then raise Crash_now
-                  end));
-          (match Recovery.run region with
-          | _ -> () (* point past recovery's end: still explored *)
-          | exception Crash_now -> ());
-          Region.clear_store_hook region;
-          Recovery.clear_crash_hook ();
-
-          let pending = Array.of_list (Region.pending_lines region) in
-          let n = Array.length pending in
-          let cp_crash = Region.checkpoint region in
-          let explore_mask keep_of =
-            incr images;
-            Region.restore region cp_crash;
-            Region.crash_image region ~keep:keep_of;
-            let label () =
-              Printf.sprintf "op-store:%d %s keep={%s}" opn
-                (point_label point)
-                (Array.to_list pending |> List.filter keep_of
-                |> List.map string_of_int |> String.concat ",")
-            in
-            let rec fix prev passes =
-              if passes > 4 then Error "no media fixpoint after 4 passes"
-              else begin
-                Fs.invalidate_shared region;
-                Region.clear_guard region;
-                ignore (Recovery.run region);
-                Region.persist_all region;
-                let d = Region.media_digest region in
-                if prev = Some d then Ok passes else fix (Some d) (passes + 1)
-              end
-            in
-            match fix None 1 with
-            | Ok passes -> (
-                if passes > !max_passes then max_passes := passes;
-                match Check.run region with
-                | [] -> ()
-                | v :: _ as viols ->
-                    failures :=
-                      Printf.sprintf "%s: %d checker violations (%s)"
-                        (label ()) (List.length viols)
-                        (Format.asprintf "%a" Check.pp_violation v)
-                      :: !failures)
-            | Error msg -> failures := (label () ^ ": " ^ msg) :: !failures
-            | exception e ->
-                failures :=
-                  (label () ^ ": recovery raised " ^ Printexc.to_string e)
-                  :: !failures
-          in
-          let keep_of_mask mask =
-            let keep = Hashtbl.create 8 in
-            Array.iteri
-              (fun i ln ->
-                if mask land (1 lsl i) <> 0 then Hashtbl.replace keep ln ())
-              pending;
-            fun ln -> Hashtbl.mem keep ln
-          in
-          if n <= max_exhaustive then
-            for mask = 0 to (1 lsl n) - 1 do
-              explore_mask (keep_of_mask mask)
-            done
-          else begin
-            explore_mask (fun _ -> false);
-            explore_mask (fun _ -> true);
-            for _ = 3 to samples do
-              let keep = Hashtbl.create 16 in
-              Array.iter
-                (fun ln ->
-                  if Simurgh_sim.Rng.int rng 2 = 1 then
-                    Hashtbl.replace keep ln ())
-                pending;
-              explore_mask (fun ln -> Hashtbl.mem keep ln)
-            done
-          end)
+          crash_at regions start_recovery point;
+          let pending = pending regions in
+          let cp_crash = [| Region.checkpoint region |] in
+          each_image rng ~max_exhaustive ~samples pending (fun keep ->
+              incr images;
+              crash_image regions cp_crash keep;
+              let label () =
+                Printf.sprintf "op-store:%d %s %s" opn (point_label point)
+                  (keep_label regions pending keep)
+              in
+              let rec fix prev passes =
+                if passes > 4 then Error "no media fixpoint after 4 passes"
+                else begin
+                  Fs.invalidate_shared region;
+                  Region.clear_guard region;
+                  ignore (Recovery.run region);
+                  Region.persist_all region;
+                  let d = Region.media_digest region in
+                  if prev = Some d then Ok passes else fix (Some d) (passes + 1)
+                end
+              in
+              match fix None 1 with
+              | Ok passes -> (
+                  if passes > !max_passes then max_passes := passes;
+                  match Check.run region with
+                  | [] -> ()
+                  | v :: _ as viols ->
+                      failures :=
+                        Printf.sprintf "%s: %d checker violations (%s)"
+                          (label ()) (List.length viols)
+                          (Format.asprintf "%a" Check.pp_violation v)
+                        :: !failures)
+              | Error msg -> failures := (label () ^ ": " ^ msg) :: !failures
+              | exception e ->
+                  failures :=
+                    (label () ^ ": recovery raised " ^ Printexc.to_string e)
+                    :: !failures))
         (store_pts @ hook_pts))
     op_crashes;
   {
@@ -577,3 +420,219 @@ let run_reentrant ?(seed = 11L) ?(max_exhaustive = 8) ?(samples = 12)
     max_passes = !max_passes;
     reentry_failures = List.rev !failures;
   }
+
+(* -- the Fig. 5 crash machines ------------------------------------------ *)
+
+(** One explored state machine: [setup] builds the pre-state, [op] is
+    the operation crashed at every point, [verify] is the atomicity
+    oracle every recovered image must pass. *)
+type 'fs steps = {
+  setup : 'fs -> unit;
+  op : 'fs -> unit;
+  verify : 'fs -> unit;
+}
+
+type machine = { name : string; config : config; steps : target }
+
+and target =
+  | Single of Fs.t steps  (** one region formatted with [config] *)
+  | Sharded of Shard.t steps  (** a plain 2-region shard *)
+
+(* create/unlink/rename/cross-rename are Fig. 5's four state machines *)
+let create =
+  {
+    setup = (fun fs -> Fs.mkdir fs "/d");
+    op = (fun fs -> Fs.create_file fs "/d/f");
+    verify =
+      (fun fs ->
+        (* the file exists as a valid file or not at all; a retry must
+           succeed either way *)
+        match Fs.stat fs "/d/f" with
+        | st -> if st.Types.kind <> Types.File then failwith "create: not a file"
+        | exception Errno.Err (ENOENT, _) -> Fs.create_file fs "/d/f");
+  }
+
+let unlink =
+  {
+    setup =
+      (fun fs ->
+        Fs.mkdir fs "/d";
+        Fs.create_file fs "/d/f");
+    op = (fun fs -> Fs.unlink fs "/d/f");
+    verify =
+      (fun fs ->
+        if Fs.exists fs "/d/f" then Fs.unlink fs "/d/f";
+        Fs.create_file fs "/d/f");
+  }
+
+(* exactly one of [a] and [b] names the file *)
+let one_of exists a b fs =
+  let x = exists fs a and y = exists fs b in
+  if x = y then failwith (Printf.sprintf "not atomic: %s=%b %s=%b" a x b y)
+
+let rename =
+  {
+    setup =
+      (fun fs ->
+        Fs.mkdir fs "/d";
+        Fs.create_file fs "/d/old");
+    op = (fun fs -> Fs.rename fs "/d/old" "/d/new");
+    verify = one_of Fs.exists "/d/old" "/d/new";
+  }
+
+let xrename =
+  {
+    setup =
+      (fun fs ->
+        Fs.mkdir fs "/d";
+        Fs.mkdir fs "/e";
+        Fs.create_file fs "/d/m");
+    op = (fun fs -> Fs.rename fs "/d/m" "/e/m2");
+    verify = one_of Fs.exists "/d/m" "/e/m2";
+  }
+
+(* The byte-range data path: the staged (batched-writeback) extent
+   window and the append/extend publish point.  The size is either the
+   old or the new value (the publish is a single 8-aligned u62 store),
+   and a published size never covers bytes whose stores had not retired
+   — no torn data, and a hole left by a past-EOF write reads back as
+   zeros. *)
+let page = 4096
+
+let read_file fs path =
+  let st = Fs.stat fs path in
+  let fd = Fs.openf fs Types.rdonly path in
+  let b = Fs.pread fs fd ~pos:0 ~len:st.Types.size in
+  Fs.close fs fd;
+  b
+
+let expect_uniform b ~pos ~len c ~what =
+  for i = pos to pos + len - 1 do
+    if Bytes.get b i <> c then
+      failwith
+        (Printf.sprintf "%s: byte %d is %C, want %C" what i (Bytes.get b i) c)
+  done
+
+let one_page_setup fs =
+  let fd = Fs.openf fs (Types.creat Types.rdwr) "/f" in
+  ignore (Fs.pwrite fs fd ~pos:0 (Bytes.make page 'a'));
+  Fs.close fs fd
+
+(* [write fs fd] grows the one-page file to [pages] pages whose tail
+   page is [c]; any page in between is a hole *)
+let grow ~pages ~c write =
+  {
+    setup = one_page_setup;
+    op =
+      (fun fs ->
+        let fd = Fs.openf fs Types.rdwr "/f" in
+        ignore (write fs fd (Bytes.make page c));
+        Fs.close fs fd);
+    verify =
+      (fun fs ->
+        let got = read_file fs "/f" in
+        (match Bytes.length got with
+        | n when n = page -> ()
+        | n when n = pages * page ->
+            expect_uniform got ~pos:page ~len:((pages - 2) * page) '\000'
+              ~what:"hole";
+            expect_uniform got ~pos:((pages - 1) * page) ~len:page c
+              ~what:"published bytes"
+        | n ->
+            failwith
+              (Printf.sprintf "size %d, want %d or %d" n page (pages * page)));
+        expect_uniform got ~pos:0 ~len:page 'a' ~what:"pre-crash prefix");
+  }
+
+(* a top-level dir name that routes to region [r] of a 2-region shard *)
+let shard_dir r =
+  let rec go i =
+    let n = Printf.sprintf "d%d_%d" r i in
+    if Name_hash.home n ~regions:2 = r then n else go (i + 1)
+  in
+  "/" ^ go 0
+
+let xfile_bytes = 256
+
+(* Cross-region rename: the source is unlinked last, so once it is gone
+   the destination is complete. *)
+let xregion_rename =
+  let d0 = shard_dir 0 and d1 = shard_dir 1 in
+  let src = d0 ^ "/m" and dst = d1 ^ "/m2" in
+  {
+    setup =
+      (fun sh ->
+        Shard.mkdir sh d0;
+        Shard.mkdir sh d1;
+        let fd = Shard.openf sh (Types.creat Types.rdwr) src in
+        ignore (Shard.pwrite sh fd ~pos:0 (Bytes.make xfile_bytes 'x'));
+        Shard.close sh fd);
+    op = (fun sh -> Shard.rename sh src dst);
+    verify =
+      (fun sh ->
+        if not (Shard.exists sh src) then begin
+          let st = Shard.stat sh dst in
+          if st.Types.size <> xfile_bytes then
+            failwith
+              (Printf.sprintf "dest size %d after source unlink, want %d"
+                 st.Types.size xfile_bytes);
+          let fd = Shard.openf sh Types.rdonly dst in
+          let got = Shard.pread sh fd ~pos:0 ~len:xfile_bytes in
+          Shard.close sh fd;
+          Bytes.iter
+            (fun c -> if c <> 'x' then failwith "torn dest after unlink")
+            got
+        end);
+  }
+
+(* One create on each region: each file exists whole or not at all. *)
+let xregion_create =
+  let files = [ shard_dir 0 ^ "/a"; shard_dir 1 ^ "/b" ] in
+  {
+    setup =
+      (fun sh ->
+        Shard.mkdir sh (shard_dir 0);
+        Shard.mkdir sh (shard_dir 1));
+    op = (fun sh -> List.iter (Shard.create_file sh) files);
+    verify =
+      (fun sh ->
+        List.iter
+          (fun f ->
+            match Shard.stat sh f with
+            | st ->
+                if st.Types.kind <> Types.File then failwith (f ^ ": not a file")
+            | exception Errno.Err (ENOENT, _) -> Shard.create_file sh f)
+          files);
+  }
+
+(** Every explored crash machine: Fig. 5's four state machines, the
+    mutating ones again with the scalability features on (striped
+    insert, reserve-then-log rename window, per-thread allocator
+    caches), the renames on log-ring media (any ring slot may be left
+    pending), the byte-range append/extend publish, and the sharded
+    cross-region rename and creates. *)
+let machines =
+  let fs name config s = { name; config; steps = Single s } in
+  let ring = { striped with ring = 4 } in
+  [
+    fs "create" plain create;
+    fs "unlink" plain unlink;
+    fs "rename" plain rename;
+    fs "cross-rename" plain xrename;
+    fs "striped-create" striped create;
+    fs "striped-rename" striped rename;
+    fs "striped-xrename" striped xrename;
+    fs "ring-rename" ring rename;
+    fs "ring-xrename" ring xrename;
+    fs "range-append" ranged (grow ~pages:2 ~c:'b' (fun fs fd b -> Fs.append fs fd b));
+    fs "range-extend" ranged
+      (grow ~pages:3 ~c:'c' (fun fs fd b -> Fs.pwrite fs fd ~pos:(2 * page) b));
+    { name = "xregion-rename"; config = plain; steps = Sharded xregion_rename };
+    { name = "xregion-create"; config = plain; steps = Sharded xregion_create };
+  ]
+
+let run_machine ?samples m =
+  match m.steps with
+  | Single s ->
+      run ?samples ~config:m.config ~setup:s.setup ~op:s.op ~verify:s.verify ()
+  | Sharded s -> run_multi ?samples ~setup:s.setup ~op:s.op ~verify:s.verify ()

@@ -218,7 +218,7 @@ let of_layout ?(call_mode = Protected) ?(relaxed_writes = false)
     match shared with
     | Some (locks, rc, quota) -> (locks, rc, quota)
     | None ->
-        ( Locks.create ~striped:striped_locks (),
+        ( Locks.create ~striped:striped_locks ~range:range_locks (),
           (if rcache then Some (Rcache.create ()) else None),
           Quota.create () )
   in
@@ -234,7 +234,7 @@ let of_layout ?(call_mode = Protected) ?(relaxed_writes = false)
       relaxed_writes;
       coarse_dir_locks;
       rcache = rc;
-      range_locks;
+      range_locks = Locks.range locks;
       log_ring = layout.Layout.log_ring;
       crash_hook = ignore;
       logical_time = 0;
@@ -334,16 +334,33 @@ let mkfs ?(cores = 10) ?segments ?call_mode ?relaxed_writes ?coarse_dir_locks
     joins the existing shared-DRAM state (allocator caches, locks,
     resolve cache), so independent "processes" cooperate exactly as the
     paper describes; only the open-file map and the credentials are
-    per-process.  Crash recovery is in {!Recovery}. *)
+    per-process.  A joining mount inherits the first mount's
+    [striped_locks], [rcache], [range_locks] and [alloc_caches]; passing
+    one that disagrees raises [Invalid_argument].  Crash recovery is in
+    {!Recovery}. *)
 let mount ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks ?rcache
-    ?range_locks ?(alloc_caches = false) ?euid ?egid region =
+    ?range_locks ?alloc_caches ?euid ?egid region =
   match lookup_shared region with
   | Some (layout, locks, rc, quota) ->
-      (* joining mounts inherit the shared structures; the feature flags
-         of the first mount win — except [range_locks], which selects a
-         locking *protocol* and must agree across every mount of the
-         region (the reservation words live in the shared registry) *)
-      of_layout ?call_mode ?relaxed_writes ?coarse_dir_locks ?range_locks
+      (* joining mounts inherit the shared structures and with them the
+         first mount's feature flags, [range_locks]'s data-path protocol
+         included; an explicit flag that disagrees would silently run a
+         second protocol next to the first, so it is refused *)
+      let agree flag want have =
+        match want with
+        | Some w when w <> have ->
+            invalid_arg
+              (Printf.sprintf
+                 "Fs.mount: %s=%b, but the region is mounted with %s=%b" flag
+                 w flag have)
+        | _ -> ()
+      in
+      agree "striped_locks" striped_locks (Locks.striped locks);
+      agree "rcache" rcache (Option.is_some rc);
+      agree "range_locks" range_locks (Locks.range locks);
+      agree "alloc_caches" alloc_caches
+        (Simurgh_alloc.Block_alloc.thread_segments layout.Layout.balloc);
+      of_layout ?call_mode ?relaxed_writes ?coarse_dir_locks
         ~shared:(locks, rc, quota) ?euid ?egid layout
   | None ->
       let layout = Layout.attach region in
@@ -351,7 +368,7 @@ let mount ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks ?rcache
         of_layout ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks
           ?rcache ?range_locks ?euid ?egid layout
       in
-      if alloc_caches then enable_alloc_caches layout;
+      if alloc_caches = Some true then enable_alloc_caches layout;
       register_shared region layout fs.locks fs.rcache fs.quota;
       Layout.set_clean_shutdown layout false;
       fs

@@ -93,6 +93,11 @@ type stripe = {
 
 type t = {
   striped : bool;
+  range : bool;
+      (** the data-path protocol: byte-range row/extent locks and the
+          append reservation words instead of one rwlock per file.
+          Every mount of a region shares this registry, so they all run
+          the same protocol *)
   stripes : stripe array;
   mutable log_epoch : int;
       (** Mount-global rename-log epoch: each log-ring rename stamps the
@@ -114,9 +119,10 @@ type t = {
 let stripe_bits = 4
 let nstripes = 1 lsl stripe_bits
 
-let create ?(striped = false) () =
+let create ?(striped = false) ?(range = false) () =
   {
     striped;
+    range;
     stripes =
       Array.init nstripes (fun _ ->
           {
@@ -135,6 +141,7 @@ let create ?(striped = false) () =
   }
 
 let striped t = t.striped
+let range t = t.range
 
 (** Next rename-log epoch (monotone within this mount, starts at 1 so a
     stamped slot is never confused with the zeroed legacy epoch). *)

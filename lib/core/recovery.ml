@@ -52,8 +52,9 @@
     never aborts half-swept.
 
     {b Re-entrancy}: recovery's own stores go through the region like
-    any other writer, and [set_crash_hook] labels its semantic store
-    points (log resolution, quarantine, repairs, sweep frees) so the
+    any other writer, and [run]'s [crash_hook] labels its semantic store
+    points ("recovery:resolve-log", "recovery:quarantine",
+    "recovery:mark-repair", "recovery:sweep-free") so the
     crash explorer can crash {e into} recovery and re-run it; every pass
     is idempotent, so a second complete run over any such image is a
     media no-op (asserted by digest in {!Explore.run_reentrant}).
@@ -136,20 +137,6 @@ let counters () =
     ("recovery/sweep_tasks", float_of_int !obs_sweep_tasks);
     ("recovery/resolve_passes", float_of_int !obs_resolve_passes);
   ]
-
-(* --- crash hooks -------------------------------------------------------- *)
-
-(* Labelled semantic store points inside recovery itself, mirroring
-   [Fs.set_crash_hook]: the re-entrancy explorer installs a hook that
-   raises at the n-th firing to crash recovery mid-flight.  Labels:
-   "recovery:resolve-log", "recovery:mark-repair", "recovery:quarantine",
-   "recovery:sweep-free". *)
-let crash_hook : (string -> unit) option ref = ref None
-let set_crash_hook f = crash_hook := Some f
-let clear_crash_hook () = crash_hook := None
-
-let hook label =
-  match !crash_hook with Some f -> f label | None -> ()
 
 (* Bounded retry on a media fault before escalating to quarantine.  A
    real DIMM can return corrected data on a later read (transient
@@ -311,8 +298,11 @@ type shard = {
 
 let sweep_slice = 512
 
+(* [crash_hook] is called at every labeled semantic store point; the
+   re-entrancy explorer raises from it to crash recovery mid-flight. *)
 let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
-    region =
+    ?(crash_hook = ignore) region =
+  let hook = crash_hook in
   (* a crash wipes shared DRAM: discard any cached volatile state *)
   Fs.invalidate_shared region;
   let layout = Layout.attach region in

@@ -47,17 +47,10 @@ module Sthread = Simurgh_sim.Sthread
 type scenario = {
   name : string;
   threads : int;
-  scaled : bool;
-      (** mount with the scalability features on (striped locks,
-          per-thread allocator caches, resolve cache) — the correctness
-          gate for the striped shared-directory paths *)
-  range : bool;
-      (** mount with byte-range data-path locking — the correctness
-          gate for the range/append/publish protocols *)
-  ring : int;
-      (** format with a rename-log ring of this many slots (0 = legacy
-          single slot) — the correctness gate for concurrent renames
-          claiming independent log slots of one directory *)
+  config : Explore.config;
+      (** how the region is formatted and mounted: the striped,
+          byte-range and log-ring gates are base scenarios run under
+          {!Explore.striped}, {!Explore.ranged} or a ring config *)
   invariant : bool;
       (** assert the namespace snapshot identical across schedules.
           Off for scenarios whose outcome legitimately depends on the
@@ -71,6 +64,10 @@ type scenario = {
       (** one simulated thread's work; [site] labels the current
           operation for race reports *)
 }
+
+let scenario ?(config = Explore.plain) ?(invariant = true) ?check_final
+    ~threads name ~setup body =
+  { name; threads; config; invariant; check_final; setup; body }
 
 type stats = {
   scenario : string;
@@ -109,10 +106,41 @@ let rec snapshot_dir fs path acc =
 
 let snapshot fs = String.concat "\n" (List.rev (snapshot_dir fs "/" []))
 
-let fresh_mount ?(range = false) ~scaled region =
-  Fs.invalidate_shared region;
-  Fs.mount ~euid:0 ~striped_locks:scaled ~rcache:scaled ~alloc_caches:scaled
-    ~range_locks:range region
+(* --- race detection --------------------------------------------------- *)
+
+(* [let watched, reports = race_log ()]: [watched region race f] runs
+   [f] with [race] active, watching every access and fence of [region].
+   A store yields before its bytes change, so another thread can slip
+   in between intent and store, and is recorded atomically with it; a
+   fence is a persist point and a happens-before edge.  The run's
+   reports join [reports ()], deduplicated by (line, site, site). *)
+let race_log () =
+  let seen = Hashtbl.create 16 and all = ref [] in
+  let collect race =
+    List.iter
+      (fun (r : Race.report) ->
+        let k = (r.Race.line, r.Race.site_a, r.Race.site_b) in
+        if not (Hashtbl.mem seen k) then begin
+          Hashtbl.replace seen k ();
+          all := r :: !all
+        end)
+      (Race.reports race)
+  in
+  let watched region race f =
+    Region.set_access_hook region (fun ~off ~len ~write ->
+        if write then Schedule.point Schedule.Store;
+        Race.on_access ~off ~len ~write);
+    Region.set_fence_hook region (fun () ->
+        Schedule.point Schedule.Persist;
+        Race.on_fence ());
+    Fun.protect
+      ~finally:(fun () ->
+        Region.clear_access_hook region;
+        Region.clear_fence_hook region;
+        collect race)
+      (fun () -> Race.with_active race f)
+  in
+  (watched, fun () -> List.rev !all)
 
 let default_size = 4 lsl 20
 
@@ -121,19 +149,14 @@ let default_size = 4 lsl 20
 let run ?(seed = 11L) ?(budget = 128) ?(size = default_size) sc =
   let threads = sc.threads in
   let region = Region.create size in
-  let fs0 =
-    Fs.mkfs ~cores:threads ~euid:0 ~striped_locks:sc.scaled ~rcache:sc.scaled
-      ~alloc_caches:sc.scaled ~range_locks:sc.range ~log_ring:sc.ring region
-  in
-  sc.setup fs0;
+  sc.setup (Explore.mkfs ~cores:threads sc.config region);
   Region.persist_all region;
   let cp0 = Region.checkpoint region in
 
   let yields = ref 0 and switches = ref 0 in
   let hashes = Hashtbl.create (2 * budget) in
   let failures = ref [] in
-  let races = ref [] in
-  let race_seen = Hashtbl.create 16 in
+  let watched, races = race_log () in
   let lines_tracked = ref 0 and accesses = ref 0 in
   let reference = ref None in
   let schedules = ref 0 in
@@ -141,7 +164,7 @@ let run ?(seed = 11L) ?(budget = 128) ?(size = default_size) sc =
   let run_one label policy =
     incr schedules;
     Region.restore region cp0;
-    let fs = fresh_mount ~range:sc.range ~scaled:sc.scaled region in
+    let fs = Explore.mount sc.config region in
     let machine = Machine.create () in
     let race = Race.create ~threads in
     (* the block allocator's persistent segment lock words are read
@@ -150,22 +173,13 @@ let run ?(seed = 11L) ?(budget = 128) ?(size = default_size) sc =
     Simurgh_alloc.Block_alloc.iter_lock_words
       (Fs.layout fs).Layout.balloc
       (fun ~off ~len -> Race.exclude race ~off ~len);
-    Region.set_access_hook region (fun ~off ~len ~write ->
-        (* yield before the bytes change, so another thread can slip in
-           between intent and store — then record atomically with it *)
-        if write then Schedule.point Schedule.Store;
-        Race.on_access ~off ~len ~write);
-    Region.set_fence_hook region (fun () ->
-        Schedule.point Schedule.Persist;
-        Race.on_fence ());
     let bodies =
       Array.init threads (fun tid () ->
           let thr = Sthread.create ~seed tid in
           let ctx = Machine.ctx machine thr in
           sc.body ~tid ~site:(fun s -> Race.set_site race ~tid s) fs ctx)
     in
-    (match
-       Race.with_active race (fun () -> Engine.explore ~schedule:policy bodies)
+    (match watched region race (fun () -> Engine.explore ~schedule:policy bodies)
      with
     | (o : Engine.explore_outcome) ->
         yields := !yields + o.Engine.yields;
@@ -174,18 +188,8 @@ let run ?(seed = 11L) ?(budget = 128) ?(size = default_size) sc =
     | exception e ->
         failures := (label, "run: " ^ Printexc.to_string e) :: !failures;
         Hashtbl.replace hashes (Hashtbl.hash label) ());
-    Region.clear_access_hook region;
-    Region.clear_fence_hook region;
     lines_tracked := max !lines_tracked (Race.lines_tracked race);
     accesses := !accesses + Race.accesses race;
-    List.iter
-      (fun (r : Race.report) ->
-        let k = (r.Race.line, r.Race.site_a, r.Race.site_b) in
-        if not (Hashtbl.mem race_seen k) then begin
-          Hashtbl.replace race_seen k ();
-          races := r :: !races
-        end)
-      (Race.reports race);
     (* oracles: same final namespace (when the scenario promises it),
        the scenario's own final-state predicate, clean fsck — on every
        schedule *)
@@ -249,7 +253,7 @@ let run ?(seed = 11L) ?(budget = 128) ?(size = default_size) sc =
     yields = !yields;
     switches = !switches;
     failures = List.rev !failures;
-    races = List.rev !races;
+    races = races ();
     lines_tracked = !lines_tracked;
     accesses = !accesses;
   }
@@ -269,106 +273,57 @@ let mk_private_dirs threads fs =
   done
 
 let create_scenario ~threads =
-  {
-    name = "create";
-    threads;
-    scaled = false;
-    range = false;
-    ring = 0;
-    invariant = true;
-    check_final = None;
-    setup = (fun fs -> mk_private_dirs threads fs);
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "create";
-        Fs.create_file ~ctx fs (tdir tid ^ "/a");
-        Fs.create_file ~ctx fs (tdir tid ^ "/b"));
-  }
+  scenario ~threads "create" ~setup:(mk_private_dirs threads)
+    (fun ~tid ~site fs ctx ->
+      site "create";
+      Fs.create_file ~ctx fs (tdir tid ^ "/a");
+      Fs.create_file ~ctx fs (tdir tid ^ "/b"))
 
 let unlink_scenario ~threads =
-  {
-    name = "unlink";
-    threads;
-    scaled = false;
-    range = false;
-    ring = 0;
-    invariant = true;
-    check_final = None;
-    setup =
-      (fun fs ->
-        mk_private_dirs threads fs;
-        for tid = 0 to threads - 1 do
-          Fs.create_file fs (tdir tid ^ "/a");
-          Fs.create_file fs (tdir tid ^ "/b")
-        done);
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "unlink";
-        Fs.unlink ~ctx fs (tdir tid ^ "/a");
-        Fs.unlink ~ctx fs (tdir tid ^ "/b"));
-  }
+  scenario ~threads "unlink"
+    ~setup:(fun fs ->
+      mk_private_dirs threads fs;
+      for tid = 0 to threads - 1 do
+        Fs.create_file fs (tdir tid ^ "/a");
+        Fs.create_file fs (tdir tid ^ "/b")
+      done)
+    (fun ~tid ~site fs ctx ->
+      site "unlink";
+      Fs.unlink ~ctx fs (tdir tid ^ "/a");
+      Fs.unlink ~ctx fs (tdir tid ^ "/b"))
 
 let rename_scenario ~threads =
-  {
-    name = "rename";
-    threads;
-    scaled = false;
-    range = false;
-    ring = 0;
-    invariant = true;
-    check_final = None;
-    setup =
-      (fun fs ->
-        for tid = 0 to threads - 1 do
-          Fs.mkdir fs (tdir tid);
-          Fs.mkdir fs (Printf.sprintf "/u%d" tid);
-          Fs.create_file fs (tdir tid ^ "/a")
-        done);
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "rename";
-        Fs.rename ~ctx fs (tdir tid ^ "/a") (tdir tid ^ "/b");
-        site "xrename";
-        Fs.rename ~ctx fs (tdir tid ^ "/b")
-          (Printf.sprintf "/u%d/c" tid));
-  }
+  scenario ~threads "rename"
+    ~setup:(fun fs ->
+      for tid = 0 to threads - 1 do
+        Fs.mkdir fs (tdir tid);
+        Fs.mkdir fs (Printf.sprintf "/u%d" tid);
+        Fs.create_file fs (tdir tid ^ "/a")
+      done)
+    (fun ~tid ~site fs ctx ->
+      site "rename";
+      Fs.rename ~ctx fs (tdir tid ^ "/a") (tdir tid ^ "/b");
+      site "xrename";
+      Fs.rename ~ctx fs (tdir tid ^ "/b") (Printf.sprintf "/u%d/c" tid))
 
 let rw_scenario ~threads =
-  {
-    name = "read-write";
-    threads;
-    scaled = false;
-    range = false;
-    ring = 0;
-    invariant = true;
-    check_final = None;
-    setup =
-      (fun fs ->
-        mk_private_dirs threads fs;
-        for tid = 0 to threads - 1 do
-          Fs.create_file fs (tdir tid ^ "/f")
-        done);
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "open";
-        let fd = Fs.openf ~ctx fs Types.rdwr (tdir tid ^ "/f") in
-        site "append";
-        ignore (Fs.append ~ctx fs fd (Bytes.make 200 (Char.chr (97 + tid))));
-        site "pread";
-        let got = Fs.pread ~ctx fs fd ~pos:0 ~len:200 in
-        if Bytes.length got <> 200 || Bytes.get got 0 <> Char.chr (97 + tid)
-        then failwith "read-write scenario: wrong data read back";
-        site "close";
-        Fs.close ~ctx fs fd);
-  }
-
-let default_scenarios ~threads =
-  [
-    create_scenario ~threads;
-    unlink_scenario ~threads;
-    rename_scenario ~threads;
-    rw_scenario ~threads;
-  ]
+  scenario ~threads "read-write"
+    ~setup:(fun fs ->
+      mk_private_dirs threads fs;
+      for tid = 0 to threads - 1 do
+        Fs.create_file fs (tdir tid ^ "/f")
+      done)
+    (fun ~tid ~site fs ctx ->
+      site "open";
+      let fd = Fs.openf ~ctx fs Types.rdwr (tdir tid ^ "/f") in
+      site "append";
+      ignore (Fs.append ~ctx fs fd (Bytes.make 200 (Char.chr (97 + tid))));
+      site "pread";
+      let got = Fs.pread ~ctx fs fd ~pos:0 ~len:200 in
+      if Bytes.length got <> 200 || Bytes.get got 0 <> Char.chr (97 + tid)
+      then failwith "read-write scenario: wrong data read back";
+      site "close";
+      Fs.close ~ctx fs fd)
 
 (* Shared-directory variant: disjoint names in ONE directory, so the
    per-row spin locks, the append lock and the lock-free lookup path all
@@ -378,28 +333,19 @@ let default_scenarios ~threads =
    inserting into, Simurgh's by-design benign race (atomic 8-byte slot
    publish on real hardware) — and are reported, not asserted zero. *)
 let shared_scenario ~threads =
-  {
-    name = "shared-dir";
-    threads;
-    scaled = false;
-    range = false;
-    ring = 0;
-    invariant = true;
-    check_final = None;
-    setup = (fun fs -> Fs.mkdir fs "/s");
-    body =
-      (fun ~tid ~site fs ctx ->
-        let f i = Printf.sprintf "/s/f%d_%d" tid i in
-        site "create";
-        Fs.create_file ~ctx fs (f 0);
-        Fs.create_file ~ctx fs (f 1);
-        site "append";
-        let fd = Fs.openf ~ctx fs Types.rdwr (f 0) in
-        ignore (Fs.append ~ctx fs fd (Bytes.make 64 'x'));
-        Fs.close ~ctx fs fd;
-        site "unlink";
-        Fs.unlink ~ctx fs (f 1));
-  }
+  scenario ~threads "shared-dir"
+    ~setup:(fun fs -> Fs.mkdir fs "/s")
+    (fun ~tid ~site fs ctx ->
+      let f i = Printf.sprintf "/s/f%d_%d" tid i in
+      site "create";
+      Fs.create_file ~ctx fs (f 0);
+      Fs.create_file ~ctx fs (f 1);
+      site "append";
+      let fd = Fs.openf ~ctx fs Types.rdwr (f 0) in
+      ignore (Fs.append ~ctx fs fd (Bytes.make 64 'x'));
+      Fs.close ~ctx fs fd;
+      site "unlink";
+      Fs.unlink ~ctx fs (f 1))
 
 (* --- striped-mode scenarios -------------------------------------------- *)
 
@@ -420,201 +366,65 @@ let name_in_row ~row i =
    lock-free publication of a new hash block is benign-by-design and
    covered informationally by [shared_scenario], not asserted here). *)
 let striped_create_scenario ~threads =
-  {
-    name = "striped-create";
-    threads;
-    scaled = true;
-    range = false;
-    ring = 0;
-    invariant = true;
-    check_final = None;
-    setup = (fun fs -> Fs.mkdir fs "/s");
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "create";
-        Fs.create_file ~ctx fs ("/s/" ^ name_in_row ~row:tid 0);
-        Fs.create_file ~ctx fs ("/s/" ^ name_in_row ~row:tid 1));
-  }
+  scenario ~config:Explore.striped ~threads "striped-create"
+    ~setup:(fun fs -> Fs.mkdir fs "/s")
+    (fun ~tid ~site fs ctx ->
+      site "create";
+      Fs.create_file ~ctx fs ("/s/" ^ name_in_row ~row:tid 0);
+      Fs.create_file ~ctx fs ("/s/" ^ name_in_row ~row:tid 1))
 
 (* All threads hammer the SAME hash row: the row lock must serialize
    the EEXIST probe + insert sequences completely. *)
 let striped_same_row_scenario ~threads =
-  {
-    name = "striped-row";
-    threads;
-    scaled = true;
-    range = false;
-    ring = 0;
-    invariant = true;
-    check_final = None;
-    setup = (fun fs -> Fs.mkdir fs "/s");
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "create";
-        Fs.create_file ~ctx fs ("/s/" ^ name_in_row ~row:0 (2 * tid));
-        Fs.create_file ~ctx fs ("/s/" ^ name_in_row ~row:0 ((2 * tid) + 1)));
-  }
+  scenario ~config:Explore.striped ~threads "striped-row"
+    ~setup:(fun fs -> Fs.mkdir fs "/s")
+    (fun ~tid ~site fs ctx ->
+      site "create";
+      Fs.create_file ~ctx fs ("/s/" ^ name_in_row ~row:0 (2 * tid));
+      Fs.create_file ~ctx fs ("/s/" ^ name_in_row ~row:0 ((2 * tid) + 1)))
+
+let one_file_per_thread ~threads ~dirs fs =
+  List.iter (Fs.mkdir fs) dirs;
+  for tid = 0 to threads - 1 do
+    Fs.create_file fs ("/s/" ^ name_in_row ~row:tid 0)
+  done
 
 (* Same-directory renames from every thread: the directory's single
    persistent log slot is written by all of them, serialized by the
    striped-mode log lock — the explorer proves the write..clear windows
    never interleave (any overlap would corrupt the slot and diverge the
-   namespace or trip fsck). *)
+   namespace or trip fsck).  On log-ring media each rename instead
+   claims its own ring slot, so the log windows genuinely overlap in
+   time; with more threads than slots the claim loop takes its
+   ring-full fallback (blocking on the hint slot). *)
 let striped_rename_scenario ~threads =
-  {
-    name = "striped-rename";
-    threads;
-    scaled = true;
-    range = false;
-    ring = 0;
-    invariant = true;
-    check_final = None;
-    setup =
-      (fun fs ->
-        Fs.mkdir fs "/s";
-        for tid = 0 to threads - 1 do
-          Fs.create_file fs ("/s/" ^ name_in_row ~row:tid 0)
-        done);
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "rename";
-        Fs.rename ~ctx fs
-          ("/s/" ^ name_in_row ~row:tid 0)
-          ("/s/" ^ name_in_row ~row:(tid + 8) 1));
-  }
+  scenario ~config:Explore.striped ~threads "striped-rename"
+    ~setup:(one_file_per_thread ~threads ~dirs:[ "/s" ])
+    (fun ~tid ~site fs ctx ->
+      site "rename";
+      Fs.rename ~ctx fs
+        ("/s/" ^ name_in_row ~row:tid 0)
+        ("/s/" ^ name_in_row ~row:(tid + 8) 1))
 
 (* Cross-directory renames sharing one source directory (and hence one
-   source log slot) under striped locks. *)
+   source log slot, or one source ring) under striped locks. *)
 let striped_xrename_scenario ~threads =
-  {
-    name = "striped-xrename";
-    threads;
-    scaled = true;
-    range = false;
-    ring = 0;
-    invariant = true;
-    check_final = None;
-    setup =
-      (fun fs ->
-        Fs.mkdir fs "/s";
-        Fs.mkdir fs "/d";
-        for tid = 0 to threads - 1 do
-          Fs.create_file fs ("/s/" ^ name_in_row ~row:tid 0)
-        done);
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "xrename";
-        Fs.rename ~ctx fs
-          ("/s/" ^ name_in_row ~row:tid 0)
-          ("/d/" ^ name_in_row ~row:tid 1));
-  }
+  scenario ~config:Explore.striped ~threads "striped-xrename"
+    ~setup:(one_file_per_thread ~threads ~dirs:[ "/s"; "/d" ])
+    (fun ~tid ~site fs ctx ->
+      site "xrename";
+      Fs.rename ~ctx fs
+        ("/s/" ^ name_in_row ~row:tid 0)
+        ("/d/" ^ name_in_row ~row:tid 1))
 
-(** The striped-lock correctness gate ([make races] runs these next to
-    {!default_scenarios}): shared-directory create/rename traffic with
-    the scalability features on, asserted schedule-invariant, fsck-clean
-    and race-free. *)
-let striped_scenarios ~threads =
-  [
-    striped_create_scenario ~threads;
-    striped_same_row_scenario ~threads;
-    striped_rename_scenario ~threads;
-    striped_xrename_scenario ~threads;
-  ]
-
-(* --- rename-log-ring scenarios ----------------------------------------- *)
-
-(* Same-directory renames from every thread on log-ring media: instead
-   of serializing on the single log lock, each rename claims its own
-   ring slot, so the log windows genuinely overlap in time.  The
-   explorer proves the per-slot claim discipline keeps every
-   interleaving serializable (identical namespace), fsck-clean (no slot
-   left pending) and race-free (distinct slots never share lines; a
-   contended slot is handed over lock-to-lock). *)
-let ring_rename_scenario ~threads =
-  {
-    name = "ring-rename";
-    threads;
-    scaled = true;
-    range = false;
-    ring = 4;
-    invariant = true;
-    check_final = None;
-    setup =
-      (fun fs ->
-        Fs.mkdir fs "/s";
-        for tid = 0 to threads - 1 do
-          Fs.create_file fs ("/s/" ^ name_in_row ~row:tid 0)
-        done);
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "rename";
-        Fs.rename ~ctx fs
-          ("/s/" ^ name_in_row ~row:tid 0)
-          ("/s/" ^ name_in_row ~row:(tid + 8) 1));
-  }
-
-(* Cross-directory renames sharing one source directory: every thread
-   claims a slot of the SAME source ring concurrently. *)
-let ring_xrename_scenario ~threads =
-  {
-    name = "ring-xrename";
-    threads;
-    scaled = true;
-    range = false;
-    ring = 4;
-    invariant = true;
-    check_final = None;
-    setup =
-      (fun fs ->
-        Fs.mkdir fs "/s";
-        Fs.mkdir fs "/d";
-        for tid = 0 to threads - 1 do
-          Fs.create_file fs ("/s/" ^ name_in_row ~row:tid 0)
-        done);
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "xrename";
-        Fs.rename ~ctx fs
-          ("/s/" ^ name_in_row ~row:tid 0)
-          ("/d/" ^ name_in_row ~row:tid 1));
-  }
-
-(* Slot contention: more threads than ring slots forces the claim loop
-   through its ring-full fallback (blocking on the hint slot), which
-   must still serialize correctly. *)
-let ring_contention_scenario ~threads =
-  {
-    name = "ring-contention";
-    threads;
-    scaled = true;
-    range = false;
-    ring = 1;
-    invariant = true;
-    check_final = None;
-    setup =
-      (fun fs ->
-        Fs.mkdir fs "/s";
-        for tid = 0 to threads - 1 do
-          Fs.create_file fs ("/s/" ^ name_in_row ~row:tid 0)
-        done);
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "rename";
-        Fs.rename ~ctx fs
-          ("/s/" ^ name_in_row ~row:tid 0)
-          ("/s/" ^ name_in_row ~row:(tid + 8) 1));
-  }
-
-(** The log-ring correctness gate ([make races] runs these next to the
-    default, striped and data lists): concurrent renames over one
-    directory's slot ring, asserted schedule-invariant, fsck-clean and
-    race-free. *)
-let ring_scenarios ~threads =
-  [
-    ring_rename_scenario ~threads;
-    ring_xrename_scenario ~threads;
-    ring_contention_scenario ~threads;
-  ]
+(* The log-ring gate: the striped renames on media with a ring of
+   [slots] rename-log slots per directory.  The explorer proves the
+   per-slot claim discipline keeps every interleaving serializable
+   (identical namespace), fsck-clean (no slot left pending) and
+   race-free (distinct slots never share lines; a contended slot is
+   handed over lock-to-lock). *)
+let on_ring slots name sc =
+  { sc with name; config = { Explore.striped with ring = slots } }
 
 (* --- byte-range data-path scenarios ------------------------------------ *)
 
@@ -643,187 +453,152 @@ let uniform b ~pos ~len c =
   done;
   !ok
 
+(* one shared file "/f" of [len] bytes of [c] *)
+let shared_file ~len c fs =
+  let fd = Fs.openf fs (Types.creat Types.rdwr) "/f" in
+  ignore (Fs.pwrite fs fd ~pos:0 (Bytes.make len c));
+  Fs.close fs fd
+
 (* Every thread overwrites its own 4 KiB row of one shared file: fully
    deterministic outcome, and the per-row write locks never collide. *)
 let range_write_scenario ~threads =
-  {
-    name = "range-write";
-    threads;
-    scaled = true;
-    range = true;
-    ring = 0;
-    invariant = true;
-    check_final =
-      Some
-        (fun fs ->
-          let got = read_all fs "/f" in
-          if Bytes.length got <> threads * page then
-            Some (Printf.sprintf "size %d, want %d" (Bytes.length got)
-                    (threads * page))
-          else begin
-            let bad = ref None in
-            for tid = 0 to threads - 1 do
-              if not (uniform got ~pos:(tid * page) ~len:page (fill tid)) then
-                bad := Some (Printf.sprintf "row %d not thread %d's" tid tid)
-            done;
-            !bad
-          end);
-    setup =
-      (fun fs ->
-        let fd = Fs.openf fs (Types.creat Types.rdwr) "/f" in
-        ignore (Fs.pwrite fs fd ~pos:0 (Bytes.make (threads * page) 'o'));
-        Fs.close fs fd);
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "pwrite";
-        let fd = Fs.openf ~ctx fs Types.rdwr "/f" in
-        ignore
-          (Fs.pwrite ~ctx fs fd ~pos:(tid * page)
-             (Bytes.make page (fill tid)));
-        Fs.close ~ctx fs fd);
-  }
+  scenario ~config:Explore.ranged ~threads "range-write"
+    ~check_final:(fun fs ->
+      let got = read_all fs "/f" in
+      if Bytes.length got <> threads * page then
+        Some
+          (Printf.sprintf "size %d, want %d" (Bytes.length got) (threads * page))
+      else begin
+        let bad = ref None in
+        for tid = 0 to threads - 1 do
+          if not (uniform got ~pos:(tid * page) ~len:page (fill tid)) then
+            bad := Some (Printf.sprintf "row %d not thread %d's" tid tid)
+        done;
+        !bad
+      end)
+    ~setup:(shared_file ~len:(threads * page) 'o')
+    (fun ~tid ~site fs ctx ->
+      site "pwrite";
+      let fd = Fs.openf ~ctx fs Types.rdwr "/f" in
+      ignore (Fs.pwrite ~ctx fs fd ~pos:(tid * page) (Bytes.make page (fill tid)));
+      Fs.close ~ctx fs fd)
 
 (* Writer overwrites the row a reader is reading: the row lock must
    make the read atomic — all old bytes or all new bytes, never a mix.
    (Thread 0 writes; every other thread reads.) *)
 let range_overlap_scenario ~threads =
-  {
-    name = "range-rw";
-    threads;
-    scaled = true;
-    range = true;
-    ring = 0;
-    invariant = true;
-    check_final =
-      Some
-        (fun fs ->
-          let got = read_all fs "/f" in
-          if Bytes.length got = page && uniform got ~pos:0 ~len:page 'b' then
-            None
-          else Some "writer's bytes did not land");
-    setup =
-      (fun fs ->
-        let fd = Fs.openf fs (Types.creat Types.rdwr) "/f" in
-        ignore (Fs.pwrite fs fd ~pos:0 (Bytes.make page 'a'));
-        Fs.close fs fd);
-    body =
-      (fun ~tid ~site fs ctx ->
-        let fd = Fs.openf ~ctx fs Types.rdwr "/f" in
-        (if tid = 0 then begin
-           site "pwrite";
-           ignore (Fs.pwrite ~ctx fs fd ~pos:0 (Bytes.make page 'b'))
-         end
-         else begin
-           site "pread";
-           let got = Fs.pread ~ctx fs fd ~pos:0 ~len:page in
-           if
-             not
-               (uniform got ~pos:0 ~len:page 'a'
-               || uniform got ~pos:0 ~len:page 'b')
-           then failwith "range-rw: torn read"
-         end);
-        Fs.close ~ctx fs fd);
-  }
+  scenario ~config:Explore.ranged ~threads "range-rw"
+    ~check_final:(fun fs ->
+      let got = read_all fs "/f" in
+      if Bytes.length got = page && uniform got ~pos:0 ~len:page 'b' then None
+      else Some "writer's bytes did not land")
+    ~setup:(shared_file ~len:page 'a')
+    (fun ~tid ~site fs ctx ->
+      let fd = Fs.openf ~ctx fs Types.rdwr "/f" in
+      (if tid = 0 then begin
+         site "pwrite";
+         ignore (Fs.pwrite ~ctx fs fd ~pos:0 (Bytes.make page 'b'))
+       end
+       else begin
+         site "pread";
+         let got = Fs.pread ~ctx fs fd ~pos:0 ~len:page in
+         if
+           not
+             (uniform got ~pos:0 ~len:page 'a' || uniform got ~pos:0 ~len:page 'b')
+         then failwith "range-rw: torn read"
+       end);
+      Fs.close ~ctx fs fd)
 
 (* Concurrent appends to one file: sizes reserved by fetch-and-add,
    published in order.  The final size is deterministic; the block
    order is whatever the reservation order was, so the content oracle
    accepts any permutation of uniform per-thread pages. *)
 let range_append_scenario ~threads =
-  {
-    name = "range-append";
-    threads;
-    scaled = true;
-    range = true;
-    ring = 0;
-    invariant = true;
-    check_final =
-      Some
-        (fun fs ->
-          let got = read_all fs "/f" in
-          if Bytes.length got <> threads * page then
-            Some (Printf.sprintf "size %d, want %d" (Bytes.length got)
-                    (threads * page))
-          else begin
-            let seen = Array.make threads 0 in
-            let bad = ref None in
-            for k = 0 to threads - 1 do
-              let c = Bytes.get got (k * page) in
-              let tid = Char.code c - Char.code 'a' in
-              if tid < 0 || tid >= threads
-                 || not (uniform got ~pos:(k * page) ~len:page c)
-              then bad := Some (Printf.sprintf "page %d torn" k)
-              else seen.(tid) <- seen.(tid) + 1
-            done;
-            (match !bad with
-            | None ->
-                if Array.exists (fun n -> n <> 1) seen then
-                  bad := Some "pages are not a permutation of the appends"
-            | Some _ -> ());
-            !bad
-          end);
-    setup =
-      (fun fs ->
-        let fd = Fs.openf fs (Types.creat Types.wronly) "/f" in
-        Fs.close fs fd);
-    body =
-      (fun ~tid ~site fs ctx ->
-        site "append";
-        let fd = Fs.openf ~ctx fs Types.rdwr "/f" in
-        ignore (Fs.append ~ctx fs fd (Bytes.make page (fill tid)));
-        Fs.close ~ctx fs fd);
-  }
+  scenario ~config:Explore.ranged ~threads "range-append"
+    ~check_final:(fun fs ->
+      let got = read_all fs "/f" in
+      if Bytes.length got <> threads * page then
+        Some
+          (Printf.sprintf "size %d, want %d" (Bytes.length got) (threads * page))
+      else begin
+        let seen = Array.make threads 0 in
+        let bad = ref None in
+        for k = 0 to threads - 1 do
+          let c = Bytes.get got (k * page) in
+          let tid = Char.code c - Char.code 'a' in
+          if tid < 0 || tid >= threads
+             || not (uniform got ~pos:(k * page) ~len:page c)
+          then bad := Some (Printf.sprintf "page %d torn" k)
+          else seen.(tid) <- seen.(tid) + 1
+        done;
+        (match !bad with
+        | None ->
+            if Array.exists (fun n -> n <> 1) seen then
+              bad := Some "pages are not a permutation of the appends"
+        | Some _ -> ());
+        !bad
+      end)
+    ~setup:(fun fs ->
+      let fd = Fs.openf fs (Types.creat Types.wronly) "/f" in
+      Fs.close fs fd)
+    (fun ~tid ~site fs ctx ->
+      site "append";
+      let fd = Fs.openf ~ctx fs Types.rdwr "/f" in
+      ignore (Fs.append ~ctx fs fd (Bytes.make page (fill tid)));
+      Fs.close ~ctx fs fd)
 
 (* Append racing truncate(0): the whole-file fence serializes them, so
    the result is one of exactly two legal serializations — truncated
    after the append (empty file) or before it (just the appended page).
    Not schedule-invariant by design. *)
-let range_append_truncate_scenario ~threads:_ =
-  {
-    name = "range-append-trunc";
-    threads = 2;
-    scaled = true;
-    range = true;
-    ring = 0;
-    invariant = false;
-    check_final =
-      Some
-        (fun fs ->
-          let got = read_all fs "/f" in
-          match Bytes.length got with
-          | 0 -> None
-          | n when n = page ->
-              if uniform got ~pos:0 ~len:page 'b' then None
-              else Some "surviving page is not the append's bytes"
-          | n -> Some (Printf.sprintf "size %d, want 0 or %d" n page));
-    setup =
-      (fun fs ->
-        let fd = Fs.openf fs (Types.creat Types.rdwr) "/f" in
-        ignore (Fs.pwrite fs fd ~pos:0 (Bytes.make page 'a'));
-        Fs.close fs fd);
-    body =
-      (fun ~tid ~site fs ctx ->
-        if tid = 0 then begin
-          site "append";
-          let fd = Fs.openf ~ctx fs Types.rdwr "/f" in
-          ignore (Fs.append ~ctx fs fd (Bytes.make page 'b'));
-          Fs.close ~ctx fs fd
-        end
-        else begin
-          site "truncate";
-          Fs.truncate ~ctx fs "/f" 0
-        end);
-  }
+let range_append_truncate_scenario =
+  scenario ~config:Explore.ranged ~invariant:false ~threads:2
+    "range-append-trunc"
+    ~check_final:(fun fs ->
+      let got = read_all fs "/f" in
+      match Bytes.length got with
+      | 0 -> None
+      | n when n = page ->
+          if uniform got ~pos:0 ~len:page 'b' then None
+          else Some "surviving page is not the append's bytes"
+      | n -> Some (Printf.sprintf "size %d, want 0 or %d" n page))
+    ~setup:(shared_file ~len:page 'a')
+    (fun ~tid ~site fs ctx ->
+      if tid = 0 then begin
+        site "append";
+        let fd = Fs.openf ~ctx fs Types.rdwr "/f" in
+        ignore (Fs.append ~ctx fs fd (Bytes.make page 'b'));
+        Fs.close ~ctx fs fd
+      end
+      else begin
+        site "truncate";
+        Fs.truncate ~ctx fs "/f" 0
+      end)
 
-(** The range-locking correctness gate ([make races] runs these next to
-    the default and striped lists): concurrent byte-level traffic on one
-    shared file, asserted race-free and fsck-clean on every schedule. *)
-let data_scenarios ~threads =
+(** The gated scenarios ([make races] and [test_sched] run every one):
+    the private-directory state machines; shared-directory create and
+    rename traffic with the scalability features on; concurrent
+    byte-level traffic on one shared file under [range_locks]; and the
+    striped renames on a 4-slot ring and, with more threads than slots,
+    a 1-slot ring.  Each must be schedule-invariant (or pass its
+    final-state oracle), fsck-clean and race-free. *)
+let gated ~threads =
   [
+    create_scenario ~threads;
+    unlink_scenario ~threads;
+    rename_scenario ~threads;
+    rw_scenario ~threads;
+    striped_create_scenario ~threads;
+    striped_same_row_scenario ~threads;
+    striped_rename_scenario ~threads;
+    striped_xrename_scenario ~threads;
     range_write_scenario ~threads;
     range_overlap_scenario ~threads;
     range_append_scenario ~threads;
-    range_append_truncate_scenario ~threads;
+    range_append_truncate_scenario;
+    on_ring 4 "ring-rename" (striped_rename_scenario ~threads);
+    on_ring 4 "ring-xrename" (striped_xrename_scenario ~threads);
+    on_ring 1 "ring-contention" (striped_rename_scenario ~threads);
   ]
 
 (* --- parallel-recovery scenarios ---------------------------------------- *)
@@ -861,17 +636,12 @@ let build_crashed_image ~poison ~size =
   Fs.create_file fs "/d0/sub/leaf";
   Fs.symlink fs ~target:"/d0/f0" "/d0/link";
   Region.persist_all region;
-  let fs = fresh_mount ~scaled:false region in
+  let fs = Explore.mount Explore.plain region in
   Fs.create_file fs "/d1/extra0";
   Fs.create_file fs "/d1/extra1";
-  let k = ref 0 in
-  Region.set_store_hook region (fun () ->
-      incr k;
-      if !k = 6 then raise Explore.Crash_now);
-  (match Fs.rename fs "/d2/f0" "/d3/moved" with
-  | () -> ()
-  | exception Explore.Crash_now -> ());
-  Region.clear_store_hook region;
+  Explore.crash_at [| region |]
+    (fun () _ -> Fs.rename fs "/d2/f0" "/d3/moved")
+    (Explore.Store 6);
   Region.crash_image region ~keep:(fun _ -> false);
   if poison then begin
     let layout = Layout.attach region in
@@ -913,8 +683,7 @@ let recovery_run ?(seed = 23L) ?(budget = 24) ?(size = default_size)
           ^ String.concat "; " (List.map Check.violation_to_string viols) )
         :: !failures);
 
-  let races = ref [] in
-  let race_seen = Hashtbl.create 16 in
+  let watched, races = race_log () in
   let hashes = Hashtbl.create (2 * budget) in
   let yields = ref 0 in
   let ref_norm = { ref_report with Recovery.vtime_cycles = 0.0 } in
@@ -927,24 +696,16 @@ let recovery_run ?(seed = 23L) ?(budget = 24) ?(size = default_size)
     let layout = Layout.attach region in
     Simurgh_alloc.Block_alloc.iter_lock_words layout.Layout.balloc
       (fun ~off ~len -> Race.exclude race ~off ~len);
-    Region.set_access_hook region (fun ~off ~len ~write ->
-        if write then Schedule.point Schedule.Store;
-        Race.on_access ~off ~len ~write);
-    Region.set_fence_hook region (fun () ->
-        Schedule.point Schedule.Persist;
-        Race.on_fence ());
     Workpool.fiber_outcomes := [];
     let sched =
       Schedule.random (Int64.add seed (Int64.of_int ((j * 7919) + 13)))
     in
     (match
-       Race.with_active race (fun () ->
+       watched region race (fun () ->
            Recovery.run ~par:(Recovery.Fibers { schedule = sched; workers })
              region)
      with
     | _, report ->
-        Region.clear_access_hook region;
-        Region.clear_fence_hook region;
         Region.persist_all region;
         if Region.media_digest region <> ref_digest then
           failures :=
@@ -964,18 +725,8 @@ let recovery_run ?(seed = 23L) ?(budget = 24) ?(size = default_size)
                     (List.map Check.violation_to_string viols) )
               :: !failures)
     | exception e ->
-        Region.clear_access_hook region;
-        Region.clear_fence_hook region;
         failures :=
           (label, "recovery raised " ^ Printexc.to_string e) :: !failures);
-    List.iter
-      (fun (r : Race.report) ->
-        let k = (r.Race.line, r.Race.site_a, r.Race.site_b) in
-        if not (Hashtbl.mem race_seen k) then begin
-          Hashtbl.replace race_seen k ();
-          races := r :: !races
-        end)
-      (Race.reports race);
     let outs = !Workpool.fiber_outcomes in
     Workpool.fiber_outcomes := [];
     List.iter (fun (o : Engine.explore_outcome) ->
@@ -991,7 +742,7 @@ let recovery_run ?(seed = 23L) ?(budget = 24) ?(size = default_size)
     rdistinct = Hashtbl.length hashes;
     ryields = !yields;
     rfailures = List.rev !failures;
-    rraces = List.rev !races;
+    rraces = races ();
   }
 
 (* --- negative control --------------------------------------------------- *)
@@ -1001,13 +752,9 @@ let recovery_run ?(seed = 23L) ?(budget = 24) ?(size = default_size)
     (empty = the detector is broken). *)
 let negative_control ?(seed = 3L) ?(schedules = 8) () =
   let region = Region.create 4096 in
-  let all = ref [] in
-  let seen = Hashtbl.create 4 in
+  let watched, races = race_log () in
   for s = 0 to schedules - 1 do
     let race = Race.create ~threads:2 in
-    Region.set_access_hook region (fun ~off ~len ~write ->
-        if write then Schedule.point Schedule.Store;
-        Race.on_access ~off ~len ~write);
     let bodies =
       Array.init 2 (fun tid () ->
           Race.set_site race ~tid (Printf.sprintf "racer%d" tid);
@@ -1015,24 +762,10 @@ let negative_control ?(seed = 3L) ?(schedules = 8) () =
           let v = Region.read_u62 region 512 in
           Region.write_u62 region 512 (v + tid + 1))
     in
-    (try
-       ignore
-         (Race.with_active race (fun () ->
-              Engine.explore
-                ~schedule:
-                  (Schedule.random (Int64.add seed (Int64.of_int (s * 31))))
-                bodies))
-     with e ->
-       Region.clear_access_hook region;
-       raise e);
-    Region.clear_access_hook region;
-    List.iter
-      (fun (r : Race.report) ->
-        let k = (r.Race.line, r.Race.site_a, r.Race.site_b) in
-        if not (Hashtbl.mem seen k) then begin
-          Hashtbl.replace seen k ();
-          all := r :: !all
-        end)
-      (Race.reports race)
+    ignore
+      (watched region race (fun () ->
+           Engine.explore
+             ~schedule:(Schedule.random (Int64.add seed (Int64.of_int (s * 31))))
+             bodies))
   done;
-  List.rev !all
+  races ()

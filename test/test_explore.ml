@@ -5,8 +5,10 @@
    every NVMM store and every labeled persist point, every subset of the
    unpersisted cache lines (the hardware may have evicted any of them
    early), recovers from each resulting image and runs the offline
-   checker — which must find nothing, for every image, for each of the
-   four Fig. 5 state machines.  A final negative test deliberately
+   checker — which must find nothing, for every image, for every
+   machine of the shared table ({!Explore.machines}: the four Fig. 5
+   state machines and their striped, log-ring, byte-range and
+   cross-region configurations).  A final negative test deliberately
    breaks recovery (skipping rename-log resolution) and proves the
    checker catches the damage, i.e. the oracle is not vacuous. *)
 
@@ -32,99 +34,28 @@ let assert_no_failures name (st : Explore.stats) =
   Alcotest.(check bool) (name ^ ": explored images") true
     (st.Explore.images >= st.Explore.crash_points)
 
-let test_explore_create () =
-  let st =
-    Explore.run
-      ~setup:(fun fs -> Fs.mkdir fs "/d")
-      ~op:(fun fs -> Fs.create_file fs "/d/f")
-      ~verify:(fun fs ->
-        (* atomicity: the file either exists as a valid file or not at
-           all; a later retry must succeed either way *)
-        match Fs.stat fs "/d/f" with
-        | st -> Alcotest.(check bool) "kind" true (st.Types.kind = Types.File)
-        | exception Errno.Err (ENOENT, _) -> Fs.create_file fs "/d/f")
-      ()
+(* Every machine of the shared table (the one [bench/main.exe crash]
+   prints), with its atomicity oracle on every recovered image. *)
+let machine_case (m : Explore.machine) =
+  let title =
+    match m.Explore.name with
+    | "cross-rename" -> "cross rename: all images recover clean"
+    | "ring-rename" -> "rename on log ring: all images clean"
+    | "ring-xrename" -> "cross rename on log ring: all images clean"
+    | "xregion-rename" -> "cross-region rename: all images clean"
+    | "xregion-create" -> "creates on both regions: all images clean"
+    | n -> n ^ ": all images recover clean"
   in
-  assert_no_failures "create" st
+  Alcotest.test_case title `Quick (fun () ->
+      assert_no_failures m.Explore.name (Explore.run_machine m))
 
-let test_explore_unlink () =
-  let st =
-    Explore.run
-      ~setup:(fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.create_file fs "/d/f")
-      ~op:(fun fs -> Fs.unlink fs "/d/f")
-      ~verify:(fun fs ->
-        if Fs.exists fs "/d/f" then Fs.unlink fs "/d/f";
-        Fs.create_file fs "/d/f")
-      ()
-  in
-  assert_no_failures "unlink" st
-
-let test_explore_rename () =
-  let st =
-    Explore.run
-      ~setup:(fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.create_file fs "/d/old")
-      ~op:(fun fs -> Fs.rename fs "/d/old" "/d/new")
-      ~verify:(fun fs ->
-        let o = Fs.exists fs "/d/old" and n = Fs.exists fs "/d/new" in
-        if o = n then
-          Alcotest.failf "rename not atomic: old=%b new=%b" o n)
-      ()
-  in
-  assert_no_failures "rename" st
-
-let test_explore_cross_rename () =
-  let st =
-    Explore.run
-      ~setup:(fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.mkdir fs "/e";
-        Fs.create_file fs "/d/m")
-      ~op:(fun fs -> Fs.rename fs "/d/m" "/e/m2")
-      ~verify:(fun fs ->
-        let s = Fs.exists fs "/d/m" and d = Fs.exists fs "/e/m2" in
-        if s = d then
-          Alcotest.failf "cross rename not atomic: src=%b dst=%b" s d)
-      ()
-  in
-  assert_no_failures "cross rename" st
-
-(* The same two rename state machines explored on log-ring media (ring
-   of 4 slots, scaled mount): every crash image — including those with a
-   pending ring slot — must recover to a checker-clean ring. *)
-let test_explore_rename_ring () =
-  let st =
-    Explore.run ~scaled:true ~ring:4
-      ~setup:(fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.create_file fs "/d/old")
-      ~op:(fun fs -> Fs.rename fs "/d/old" "/d/new")
-      ~verify:(fun fs ->
-        let o = Fs.exists fs "/d/old" and n = Fs.exists fs "/d/new" in
-        if o = n then
-          Alcotest.failf "ring rename not atomic: old=%b new=%b" o n)
-      ()
-  in
-  assert_no_failures "rename (log ring)" st
-
-let test_explore_cross_rename_ring () =
-  let st =
-    Explore.run ~scaled:true ~ring:4
-      ~setup:(fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.mkdir fs "/e";
-        Fs.create_file fs "/d/m")
-      ~op:(fun fs -> Fs.rename fs "/d/m" "/e/m2")
-      ~verify:(fun fs ->
-        let s = Fs.exists fs "/d/m" and d = Fs.exists fs "/e/m2" in
-        if s = d then
-          Alcotest.failf "ring cross rename not atomic: src=%b dst=%b" s d)
-      ()
-  in
-  assert_no_failures "cross rename (log ring)" st
+let single, sharded =
+  List.partition
+    (fun (m : Explore.machine) ->
+      match m.Explore.steps with
+      | Explore.Single _ -> true
+      | Explore.Sharded _ -> false)
+    Explore.machines
 
 (* Multi-slot pending states: a crash image that already carries TWO
    pending slots of one directory's ring (two processes died mid-rename)
@@ -289,103 +220,52 @@ let test_checker_clean_on_healthy_fs () =
   Alcotest.(check (list string)) "no violations" []
     (List.map Check.violation_to_string (Check.run region))
 
-(* -- multi-region (sharded) exploration --------------------------------
+(* -- the eviction adversary ---------------------------------------------- *)
 
-   The eviction adversary now ranges over the union of both regions'
-   unpersisted lines: a crash image can lose the destination region's
-   copy while keeping the source region's unlink progress and vice
-   versa.  Every image must recover per-region (Recovery.run_all) to a
-   checker-clean pair, and for the rename the copy+unlink contract
-   holds: the source is unlinked last, so once it is gone the
-   destination is complete. *)
-module Shard = Simurgh_core.Shard
-module Name_hash = Simurgh_core.Name_hash
+(* The kept subsets [each_image] yields over [n] region-tagged lines. *)
+let images ~seed ~max_exhaustive ~samples n =
+  let pending = Array.init n (fun i -> (i mod 2, 64 * i)) in
+  let got = ref [] in
+  Explore.each_image (Simurgh_sim.Rng.create seed) ~max_exhaustive ~samples
+    pending (fun keep ->
+      got := List.filter keep (Array.to_list pending) :: !got);
+  (Array.to_list pending, List.rev !got)
 
-let shard_dir r =
-  let rec go i =
-    let n = Printf.sprintf "d%d_%d" r i in
-    if Name_hash.home n ~regions:2 = r then n else go (i + 1)
-  in
-  "/" ^ go 0
+let test_each_image_exhaustive () =
+  let _, got = images ~seed:1L ~max_exhaustive:4 ~samples:64 4 in
+  Alcotest.(check int) "2^n images" 16 (List.length got);
+  Alcotest.(check int) "all distinct" 16
+    (List.length (List.sort_uniq compare got))
 
-let assert_no_multi_failures name (st : Explore.stats) =
-  (match st.Explore.failures with
-  | [] -> ()
-  | (label, viols) :: _ ->
-      Alcotest.failf "%s: %d violating crash image(s); first at %s: %s" name
-        (List.length st.Explore.failures)
-        label
-        (String.concat "; " (List.map Check.violation_to_string viols)));
-  Alcotest.(check bool) (name ^ ": has crash points") true
-    (st.Explore.crash_points > 0)
-
-let test_explore_multi_region_rename () =
-  let d0 = shard_dir 0 and d1 = shard_dir 1 in
-  let src = d0 ^ "/m" and dst = d1 ^ "/m2" in
-  let bytes = 128 in
-  let st =
-    Explore.run_multi ~regions:2
-      ~setup:(fun sh ->
-        Shard.mkdir sh d0;
-        Shard.mkdir sh d1;
-        let fd = Shard.openf sh (Types.creat Types.rdwr) src in
-        ignore (Shard.pwrite sh fd ~pos:0 (Bytes.make bytes 'x'));
-        Shard.close sh fd)
-      ~op:(fun sh -> Shard.rename sh src dst)
-      ~verify:(fun sh ->
-        if not (Shard.exists sh src) then begin
-          let got = Shard.stat sh dst in
-          if got.Types.size <> bytes then
-            failwith
-              (Printf.sprintf "dest size %d after source unlink, want %d"
-                 got.Types.size bytes)
-        end)
-      ()
-  in
-  assert_no_multi_failures "xregion-rename" st
-
-let test_explore_multi_region_creates () =
-  let d0 = shard_dir 0 and d1 = shard_dir 1 in
-  let st =
-    Explore.run_multi ~regions:2
-      ~setup:(fun sh ->
-        Shard.mkdir sh d0;
-        Shard.mkdir sh d1)
-      ~op:(fun sh ->
-        Shard.create_file sh (d0 ^ "/a");
-        Shard.create_file sh (d1 ^ "/b"))
-      ()
-  in
-  assert_no_multi_failures "xregion-creates" st
+let test_each_image_sampled () =
+  let all, got = images ~seed:5L ~max_exhaustive:3 ~samples:10 6 in
+  Alcotest.(check int) "samples images" 10 (List.length got);
+  (match got with
+  | drop :: keep :: _ ->
+      Alcotest.(check (list (pair int int))) "drop-all first" [] drop;
+      Alcotest.(check (list (pair int int))) "keep-all second" all keep
+  | _ -> Alcotest.fail "fewer than two images");
+  let _, again = images ~seed:5L ~max_exhaustive:3 ~samples:10 6 in
+  Alcotest.(check bool) "same seed, same sequence" true (got = again)
 
 let () =
   Alcotest.run "explore"
     [
       ( "crash-image exploration",
-        [
-          Alcotest.test_case "create: all images recover clean" `Quick
-            test_explore_create;
-          Alcotest.test_case "unlink: all images recover clean" `Quick
-            test_explore_unlink;
-          Alcotest.test_case "rename: all images recover clean" `Quick
-            test_explore_rename;
-          Alcotest.test_case "cross rename: all images recover clean" `Quick
-            test_explore_cross_rename;
-          Alcotest.test_case "rename on log ring: all images clean" `Quick
-            test_explore_rename_ring;
-          Alcotest.test_case "cross rename on log ring: all images clean"
-            `Quick test_explore_cross_rename_ring;
+        List.map machine_case single
+        @ [
           Alcotest.test_case "two pending ring slots: all images clean" `Quick
             test_explore_multi_slot_recovery;
           Alcotest.test_case "create with chain growth (sampled)" `Quick
             test_explore_create_chain_growth;
         ] );
-      ( "multi-region",
+      ("multi-region", List.map machine_case sharded);
+      ( "eviction adversary",
         [
-          Alcotest.test_case "cross-region rename: all images clean" `Quick
-            test_explore_multi_region_rename;
-          Alcotest.test_case "creates on both regions: all images clean"
-            `Quick test_explore_multi_region_creates;
+          Alcotest.test_case "every subset up to max_exhaustive" `Quick
+            test_each_image_exhaustive;
+          Alcotest.test_case "drop-all, keep-all, then seeded samples" `Quick
+            test_each_image_sampled;
         ] );
       ( "crash-during-recovery",
         [

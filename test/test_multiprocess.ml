@@ -122,6 +122,48 @@ let test_virtual_time_contention_across_processes () =
   Alcotest.(check bool) "virtual time advanced" true
     (o.Engine.makespan_cycles > 0.0)
 
+(* A joining mount runs the data-path protocol of the region, not its
+   own default: after [mkfs ~range_locks:true] a plain mount's pwrite
+   goes through the range protocol's shared append/publish words, so
+   the two mounts exclude each other. *)
+let test_join_inherits_range_locks () =
+  let region = Simurgh_nvmm.Region.create (32 * 1024 * 1024) in
+  let p1 = Fs.mkfs ~euid:0 ~range_locks:true region in
+  let p2 = Fs.mount ~euid:0 region in
+  Fs.create_file p1 "/f";
+  let fd = Fs.openf p2 Types.rdwr "/f" in
+  ignore (Fs.pwrite p2 fd ~pos:0 (Bytes.make 4096 'x'));
+  let _, states = Simurgh_core.Locks.range_sizes (Fs.locks p2) in
+  Fs.close p2 fd;
+  Alcotest.(check bool) "joining mount used the range protocol" true
+    (states > 0)
+
+(* An explicit flag that disagrees with the shared state is refused;
+   one that agrees is accepted. *)
+let test_join_refuses_other_flags () =
+  let region = Simurgh_nvmm.Region.create (32 * 1024 * 1024) in
+  let _ =
+    Fs.mkfs ~euid:0 ~range_locks:true ~striped_locks:true ~rcache:true
+      ~alloc_caches:true region
+  in
+  let refused name mount =
+    match mount () with
+    | _ -> Alcotest.failf "%s: disagreeing join accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  refused "range_locks" (fun () -> Fs.mount ~euid:0 ~range_locks:false region);
+  refused "striped_locks" (fun () ->
+      Fs.mount ~euid:0 ~striped_locks:false region);
+  refused "rcache" (fun () -> Fs.mount ~euid:0 ~rcache:false region);
+  refused "alloc_caches" (fun () -> Fs.mount ~euid:0 ~alloc_caches:false region);
+  let plain = Simurgh_nvmm.Region.create (32 * 1024 * 1024) in
+  let _ = Fs.mkfs ~euid:0 plain in
+  refused "range_locks on a plain region" (fun () ->
+      Fs.mount ~euid:0 ~range_locks:true plain);
+  ignore
+    (Fs.mount ~euid:0 ~range_locks:true ~striped_locks:true ~rcache:true
+       ~alloc_caches:true region)
+
 let () =
   Alcotest.run "multiprocess"
     [
@@ -140,5 +182,9 @@ let () =
             test_cross_process_rename_and_recovery;
           Alcotest.test_case "contention across processes" `Quick
             test_virtual_time_contention_across_processes;
+          Alcotest.test_case "join inherits range locks" `Quick
+            test_join_inherits_range_locks;
+          Alcotest.test_case "join refuses disagreeing flags" `Quick
+            test_join_refuses_other_flags;
         ] );
     ]

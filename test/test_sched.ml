@@ -5,6 +5,7 @@
 
 open Simurgh_sim
 module Sched = Simurgh_core.Sched_explore
+module Explore = Simurgh_core.Explore
 
 exception Poison
 
@@ -42,30 +43,29 @@ let check_invariant sc =
   Alcotest.(check int) "no races on the decentralized workload" 0
     (List.length st.Sched.races)
 
-let test_create_schedule_invariant () =
-  check_invariant (Sched.create_scenario ~threads:2)
-
-let test_rename_schedule_invariant () =
-  check_invariant (Sched.rename_scenario ~threads:2)
-
-let test_rw_schedule_invariant () =
-  check_invariant (Sched.rw_scenario ~threads:2)
-
-(* the striped-lock shared-directory paths must hold the same bar *)
-let test_striped_schedule_invariant () =
-  List.iter check_invariant (Sched.striped_scenarios ~threads:2)
-
-(* the byte-range data-path scenarios (disjoint writes, overlapping
-   read/write, concurrent appends, append vs truncate) are the
-   correctness gate for the range_locks configuration *)
-let test_data_schedule_invariant () =
-  List.iter check_invariant (Sched.data_scenarios ~threads:2)
-
-(* concurrent renames over one directory's rename-log ring (independent
-   slot claims, plus the threads > slots contention fallback) are the
-   correctness gate for the log_ring format *)
-let test_ring_schedule_invariant () =
-  List.iter check_invariant (Sched.ring_scenarios ~threads:2)
+(* Every gated scenario, one test per plain scenario and one per
+   configuration gate: the striped-lock shared-directory paths, the
+   byte-range data-path scenarios (disjoint writes, overlapping
+   read/write, concurrent appends, append vs truncate) for the
+   range_locks configuration, and the concurrent renames over one
+   directory's rename-log ring (independent slot claims, plus the
+   threads > slots contention fallback) for the log_ring format. *)
+let invariance_cases =
+  let title (sc : Sched.scenario) =
+    let c = sc.Sched.config in
+    if c.Explore.ring > 0 then "log ring"
+    else if c.Explore.range then "data range"
+    else if c.Explore.scaled then "striped"
+    else sc.Sched.name
+  in
+  List.fold_right
+    (fun sc groups ->
+      match groups with
+      | (t, scs) :: rest when t = title sc -> (t, sc :: scs) :: rest
+      | _ -> (title sc, [ sc ]) :: groups)
+    (Sched.gated ~threads:2) []
+  |> List.map (fun (t, scs) ->
+         Alcotest.test_case t `Quick (fun () -> List.iter check_invariant scs))
 
 (* --- parallel recovery --------------------------------------------------- *)
 
@@ -138,13 +138,8 @@ let () =
         [ Alcotest.test_case "enumerates tree" `Quick test_dfs_enumerates_tree ]
       );
       ( "invariance",
-        [
-          Alcotest.test_case "create" `Quick test_create_schedule_invariant;
-          Alcotest.test_case "rename" `Quick test_rename_schedule_invariant;
-          Alcotest.test_case "read-write" `Quick test_rw_schedule_invariant;
-          Alcotest.test_case "striped" `Quick test_striped_schedule_invariant;
-          Alcotest.test_case "data range" `Quick test_data_schedule_invariant;
-          Alcotest.test_case "log ring" `Quick test_ring_schedule_invariant;
+        invariance_cases
+        @ [
           Alcotest.test_case "parallel recovery" `Quick
             test_recovery_schedule_independent;
           Alcotest.test_case "parallel recovery with poison" `Quick

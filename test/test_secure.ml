@@ -244,7 +244,7 @@ let test_readdir_needs_read_permission () =
    (a fresh "process" with its own protected universe) stays atomic. *)
 let test_crash_inside_protected_rename () =
   let st =
-    Explore.run ~secure:true
+    Explore.run ~config:{ Explore.plain with secure = true }
       ~setup:(fun fs ->
         Fs.mkdir fs "/a";
         Fs.mkdir fs "/b";
