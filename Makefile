@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-pairs prof data numa secure figs-gate fsck races clean
+.PHONY: all build test check bench-commit bench-pairs prof figs-gate fsck races clean
 
 all: build
 
@@ -10,36 +10,31 @@ test: build
 
 # Full gate: build + unit/property/differential tests (four POSIX-suite
 # passes: default, striped, log-ring, range) + a quick smoke run of the
-# region data-path microbenchmark (writes BENCH_region.json), the
-# bounded crash-image explorer / media-fault / checker experiment
-# (including the log-ring rename machines and the crash-during-recovery
-# re-entrancy machines), the metadata-scalability sweep (writes
-# BENCH_scale.json with the 7d log-ring curve), the data-path scaling +
-# open-loop experiment (writes BENCH_data.json), the parallel
-# mark-and-sweep recovery figure (writes BENCH_recovery.json) and the
-# multi-region NUMA bandwidth figure (writes BENCH_numa.json) and the
-# security-plane overhead sweep with its <=15% protected-path gate
-# (writes BENCH_secure.json), plus the schedule-exploration /
-# race-detection and offline-fsck self-checks (both of which now also
-# gate parallel recovery) and the published-figure digest gate.
+# region data-path microbenchmark, the bounded crash-image explorer /
+# media-fault / checker experiment (including the log-ring rename
+# machines and the crash-during-recovery re-entrancy machines), the
+# metadata-scalability sweep, the data-path scaling + open-loop
+# experiment, the parallel mark-and-sweep recovery figure, the
+# multi-region NUMA bandwidth figure and the security-plane overhead
+# sweep with its <=15% protected-path gate, plus the schedule-exploration
+# / race-detection and offline-fsck self-checks (both of which also gate
+# parallel recovery) and the published-figure digest gate.  The smoke
+# run exports each experiment's result to _build/bench/BENCH_<id>.json
+# (schema simurgh-bench-v1) and writes no tracked file.
 check: test races fsck figs-gate
-	dune exec bench/main.exe -- --scale 0.05 region crash scale data recovery numa secure
+	dune exec bench/main.exe -- --scale 0.05 --json _build/bench \
+	  region crash scale data recovery numa secure
 
-# Data-path scaling: whole-file lock vs byte-range locking on one shared
-# file, plus open-loop tail latency (writes BENCH_data.json).
-data: build
-	dune exec bench/main.exe -- data
-
-# Multi-region NVMM: aggregate bandwidth vs region count plus the
-# cross-socket latency surcharge (writes BENCH_numa.json).
-numa: build
-	dune exec bench/main.exe -- numa
-
-# Security plane: plain vs protected entry vs full per-user enforcement
-# across FxMark at 1-40 threads, with the <=15% overhead gate on 7a
-# (writes BENCH_secure.json).
-secure: build
-	dune exec bench/main.exe -- secure
+# Regenerate the committed BENCH_*.json files, all at scale 1, one
+# process per experiment so that each file's host.peak_rss_mb is that
+# experiment's own.  This is the only target that writes them; compare
+# against the previous commit with `git diff BENCH_*.json`.  recovery's
+# 10^6-file point peaks near 6 GB: run this alone on an 8 GB host.
+BENCH_COMMIT = region scale data recovery numa secure
+bench-commit: build
+	for id in $(BENCH_COMMIT); do \
+	  dune exec bench/main.exe -- --scale 1 --json . $$id || exit 1; \
+	done
 
 # The security plane must not move a single byte of the published
 # figures when the permission flag is off: the deterministic
@@ -64,9 +59,6 @@ fsck: build
 # control (unlocked racing stores) must fire.
 races: build
 	dune exec bench/main.exe -- --scale 0.2 --races
-
-bench: build
-	dune exec bench/main.exe -- region
 
 # Paired runs of the repository benchmark, BASE against the working
 # tree: N pairs at seed 1 and N at the hold-out seed 2, then --compare

@@ -28,7 +28,8 @@
     [faults/explorer_failures], [faults/quarantined],
     [faults/checker_violations], plus the region- and fs-level
     [faults/poisoned_lines], [faults/media_errors], [faults/crash_images]
-    and [faults/eio_returns] sources. *)
+    and [faults/eio_returns] sources and the [recovery/*] totals of
+    every recovery run. *)
 
 open Simurgh_fs_common
 module Fs = Simurgh_core.Fs
@@ -151,18 +152,17 @@ let run ~scale =
      quarantined, post-recovery checker violations %d\n"
     media_eio media_quarantined
     (List.length media_viols);
-  Obs.Collect.note_source (fun () ->
-      [
-        ("faults/crash_points", float_of_int !points);
-        ("faults/images_explored", float_of_int !images);
-        ("faults/explorer_failures", float_of_int !failures);
-        ("faults/quarantined", float_of_int !quarantined);
-        ("faults/checker_violations", float_of_int !violations);
-        ("faults/recovery_crash_points", float_of_int !rec_points);
-        ("faults/recovery_reentry_images", float_of_int !rec_images);
-        ("faults/recovery_fixpoint_passes", float_of_int !rec_passes);
-      ]
-      @ Recovery.counters ());
+  Obs.Collect.add
+    [
+      ("faults/crash_points", float_of_int !points);
+      ("faults/images_explored", float_of_int !images);
+      ("faults/explorer_failures", float_of_int !failures);
+      ("faults/quarantined", float_of_int !quarantined);
+      ("faults/checker_violations", float_of_int !violations);
+      ("faults/recovery_crash_points", float_of_int !rec_points);
+      ("faults/recovery_reentry_images", float_of_int !rec_images);
+      ("faults/recovery_fixpoint_passes", float_of_int !rec_passes);
+    ];
   Printf.printf
     "  total: %d crash points, %d images explored, %d checker \
      violations%s\n"

@@ -19,17 +19,14 @@
       Zipf-popular file set, exposing the saturation knee in
       p50/p99/p999 sojourn time for both configurations.
 
-    Results go to stdout (mirrored into {!Simurgh_obs.Report} for
-    [--json]), to [data/*] observability counters, and always to
-    [BENCH_data.json] (schema [simurgh-data-v1]) so the perf trajectory
-    is kept across PRs. *)
+    Results go to stdout, mirrored into {!Simurgh_obs.Report} for
+    [--json]. *)
 
 open Simurgh_fs_common
 open Simurgh_sim
 module Fs = Simurgh_core.Fs
 module Region = Simurgh_nvmm.Region
 module Report = Simurgh_obs.Report
-module Collect = Simurgh_obs.Collect
 module Contention = Simurgh_obs.Contention
 
 let thread_counts = [ 1; 2; 4; 8; 16; 24 ]
@@ -121,16 +118,6 @@ let print_thread_header title =
   List.iter (fun t -> Printf.printf " %9d" t) thread_counts;
   print_newline ()
 
-type series = {
-  workload : string;
-  base_kops : float list;
-  range_kops : float list;
-  speedup : float list;
-  acq : int;
-  contended : int;
-  wait : float;
-}
-
 (* ---- open loop ------------------------------------------------------- *)
 
 let ol_clients = 16
@@ -139,7 +126,6 @@ let ol_theta = 0.99
 let ladder = [ 0.2; 0.5; 0.8; 0.9; 1.0; 1.1; 1.3 ]
 
 type ol_point = {
-  config : string;
   frac : float;
   offered_kops : float;
   achieved_kops : float;
@@ -199,7 +185,6 @@ let ol_sweep ~config ~ops ~capacity =
       in
       let us s = s *. 1.0e6 in
       {
-        config;
         frac;
         offered_kops = Util.kops r.Openloop.offered;
         achieved_kops = Util.kops r.Openloop.achieved;
@@ -231,13 +216,17 @@ let print_ol_points config points =
     points
 
 let run ~scale =
-  let counters = ref [] in
-  Collect.note_source (fun () -> !counters);
-  let tally k v = counters := (k, v) :: !counters in
   let ops = Util.scaled ~scale 400 in
   let tmax = List.fold_left max 1 thread_counts in
+  Report.note
+    (Printf.sprintf
+       "kops: virtual-time Kops/s of %d-byte ops, %d blocks per thread; \
+        whole-file: scaled metadata config with the per-file rw lock; \
+        byte-range: same config with range_locks (4 KiB row locks, \
+        reserve/publish appends; same on-media layout)"
+       io blocks_per_thread);
   (* --- closed loop ---------------------------------------------------- *)
-  let all =
+  let contention =
     List.map
       (fun wl ->
         let title =
@@ -257,103 +246,36 @@ let run ~scale =
         in
         let base_kops = List.map (fun c -> c.kops) base in
         let range_kops = List.map (fun c -> c.kops) rng in
-        let speedup =
-          List.map2 (fun r b -> if b > 0.0 then r /. b else 0.0) range_kops
-            base_kops
-        in
         Util.series "whole-file" " %9.0f" base_kops;
         Util.series "byte-range" " %9.0f" range_kops;
-        Util.series "speedup" " %9.2f" speedup;
-        let last l = List.nth l (List.length l - 1) in
-        let top = last rng in
+        Util.series "speedup" " %9.2f"
+          (List.map2 (fun r b -> if b > 0.0 then r /. b else 0.0) range_kops
+             base_kops);
+        let top = List.nth rng (List.length rng - 1) in
         Printf.printf
           "%-18s row-lock acquisitions %d (%d contended, %.0f cycles waited) \
            at t%d\n"
           "" top.range_acq top.range_contended top.range_wait tmax;
-        tally
-          (Printf.sprintf "data/%s/base_t%d_kops" (wl_name wl) tmax)
-          (last base_kops);
-        tally
-          (Printf.sprintf "data/%s/range_t%d_kops" (wl_name wl) tmax)
-          (last range_kops);
-        tally
-          (Printf.sprintf "data/%s/speedup_t%d" (wl_name wl) tmax)
-          (last speedup);
-        {
-          workload = wl_name wl;
-          base_kops;
-          range_kops;
-          speedup;
-          acq = top.range_acq;
-          contended = top.range_contended;
-          wait = top.range_wait;
-        })
+        (wl_name wl, top))
       [ Disjoint_write; Shared_append; Shared_read ]
   in
+  Report.table
+    ~title:(Printf.sprintf "data byte-range row-lock contention at t%d" tmax)
+    ~columns:[ "acquisitions"; "contended"; "wait_cycles" ];
+  List.iter
+    (fun (wl, c) ->
+      Report.row wl
+        [
+          float_of_int c.range_acq;
+          float_of_int c.range_contended;
+          c.range_wait;
+        ])
+    contention;
   (* --- open loop ------------------------------------------------------ *)
   let ol_ops = Util.scaled ~scale 300 in
-  let ol =
-    List.concat_map
-      (fun config ->
-        let op = ol_prepare ~range:(config = "range") in
-        let capacity = ol_capacity ~ops:ol_ops op in
-        tally
-          (Printf.sprintf "data/openloop/%s_capacity_kops" config)
-          (Util.kops capacity);
-        let points = ol_sweep ~config ~ops:ol_ops ~capacity in
-        print_ol_points config points;
-        (match List.rev points with
-        | over :: _ ->
-            tally
-              (Printf.sprintf "data/openloop/%s_p999_us_oversat" config)
-              over.p999_us
-        | [] -> ());
-        points)
-      [ "whole-file"; "range" ]
-  in
-  (* --- BENCH_data.json ------------------------------------------------ *)
-  let oc = open_out "BENCH_data.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  let floats l = String.concat ", " (List.map (Printf.sprintf "%.2f") l) in
-  out "{\n  \"schema\": \"simurgh-data-v1\",\n";
-  out "  \"run\": \"data\",\n  \"scale\": %g,\n" scale;
-  out "  \"thread_counts\": [%s],\n"
-    (String.concat ", " (List.map string_of_int thread_counts));
-  out "  \"io_bytes\": %d,\n  \"blocks_per_thread\": %d,\n" io
-    blocks_per_thread;
-  out
-    "  \"note\": \"kops: virtual-time Kops/s; whole-file: scaled metadata \
-     config with the per-file rw lock; byte-range: same config with \
-     range_locks (4 KiB row locks, reserve/publish appends; same on-media \
-     layout)\",\n";
-  out "  \"closed_loop\": [\n";
-  List.iteri
-    (fun i s ->
-      out "    {\"workload\": %S,\n" s.workload;
-      out "     \"whole_file_kops\": [%s],\n" (floats s.base_kops);
-      out "     \"byte_range_kops\": [%s],\n" (floats s.range_kops);
-      out "     \"speedup\": [%s],\n" (floats s.speedup);
-      out
-        "     \"range_contention_t%d\": {\"acquisitions\": %d, \"contended\": \
-         %d, \"wait_cycles\": %.0f}}%s\n"
-        tmax s.acq s.contended s.wait
-        (if i = List.length all - 1 then "" else ","))
-    all;
-  out "  ],\n";
-  out
-    "  \"open_loop\": {\"clients\": %d, \"files\": %d, \"zipf_theta\": %g, \
-     \"points\": [\n"
-    ol_clients ol_files ol_theta;
-  List.iteri
-    (fun i p ->
-      out
-        "    {\"config\": %S, \"load\": %.1f, \"offered_kops\": %.2f, \
-         \"achieved_kops\": %.2f, \"p50_us\": %.2f, \"p99_us\": %.2f, \
-         \"p999_us\": %.2f}%s\n"
-        p.config p.frac p.offered_kops p.achieved_kops p.p50_us p.p99_us
-        p.p999_us
-        (if i = List.length ol - 1 then "" else ","))
-    ol;
-  out "  ]}\n}\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_data.json\n"
+  List.iter
+    (fun config ->
+      let op = ol_prepare ~range:(config = "range") in
+      let capacity = ol_capacity ~ops:ol_ops op in
+      print_ol_points config (ol_sweep ~config ~ops:ol_ops ~capacity))
+    [ "whole-file"; "range" ]

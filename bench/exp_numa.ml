@@ -16,16 +16,14 @@
       through the file-system stack.
 
     Results go to stdout (mirrored into {!Simurgh_obs.Report} for
-    [--json]), to per-region [rN/region*] / [rN/region*\/alloc]
-    observability counters, and always to [BENCH_numa.json] (schema
-    [simurgh-numa-v1]) so the scaling trajectory is kept across PRs. *)
+    [--json]) and to per-region [rN/region*] / [rN/region*\/alloc]
+    observability counters. *)
 
 open Simurgh_fs_common
 open Simurgh_sim
 module Shard = Simurgh_core.Shard
 module Name_hash = Simurgh_core.Name_hash
 module Report = Simurgh_obs.Report
-module Collect = Simurgh_obs.Collect
 
 let region_counts = [ 1; 2; 4 ]
 let threads = 16
@@ -105,10 +103,13 @@ let run_latency ~home_socket ~ops =
 let gbps bytes_per_sec = bytes_per_sec /. 1.0e9
 
 let run ~scale =
-  let counters = ref [] in
-  Collect.note_source (fun () -> !counters);
-  let tally k v = counters := (k, v) :: !counters in
   let ops = Util.scaled ~scale 400 in
+  Report.note
+    "aggregate virtual-time pwrite bandwidth with one file per thread \
+     spread round-robin over N regions (each behind its own \
+     bandwidth-server pair, threads homed on their file's socket); \
+     latency: single-thread us/op against a region on the local vs the \
+     remote socket";
 
   (* --- aggregate bandwidth scaling ----------------------------------- *)
   let title =
@@ -126,9 +127,7 @@ let run ~scale =
     (fun (regions, b) ->
       let s = b /. base in
       Printf.printf "%-10d %9.2f %9.2f\n" regions (gbps b) s;
-      Report.row (Printf.sprintf "%d-region" regions) [ gbps b; s ];
-      tally (Printf.sprintf "numa/bw_gbps_r%d" regions) (gbps b);
-      tally (Printf.sprintf "numa/scaling_r%d" regions) s)
+      Report.row (Printf.sprintf "%d-region" regions) [ gbps b; s ])
     bw;
 
   (* --- cross-socket surcharge ---------------------------------------- *)
@@ -144,33 +143,4 @@ let run ~scale =
   Printf.printf "%-10s %9.2fx\n" "ratio" ratio;
   Report.row "local" [ us lat_local ];
   Report.row "remote" [ us lat_remote ];
-  Report.row "ratio" [ ratio ];
-  tally "numa/remote_local_ratio" ratio;
-
-  (* --- BENCH_numa.json ------------------------------------------------ *)
-  let oc = open_out "BENCH_numa.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"schema\": \"simurgh-numa-v1\",\n";
-  out "  \"run\": \"numa\",\n  \"scale\": %g,\n" scale;
-  out "  \"threads\": %d,\n  \"io_bytes\": %d,\n" threads io;
-  out
-    "  \"note\": \"aggregate virtual-time pwrite bandwidth with one file \
-     per thread spread round-robin over N regions (each behind its own \
-     bandwidth-server pair, threads homed on their file's socket); \
-     latency: single-thread us/op against a region on the local vs the \
-     remote socket\",\n";
-  out "  \"bandwidth\": [\n";
-  List.iteri
-    (fun i (regions, b) ->
-      out "    { \"regions\": %d, \"gbps\": %.3f, \"scaling\": %.3f }%s\n"
-        regions (gbps b) (b /. base)
-        (if i = List.length bw - 1 then "" else ","))
-    bw;
-  out "  ],\n";
-  out
-    "  \"latency\": { \"local_us\": %.3f, \"remote_us\": %.3f, \"ratio\": \
-     %.3f }\n"
-    (us lat_local) (us lat_remote) ratio;
-  out "}\n";
-  close_out oc;
-  Printf.printf "\nwrote BENCH_numa.json\n"
+  Report.row "ratio" [ ratio ]

@@ -23,7 +23,8 @@
     also carries leaked slab objects (crashed mid-create) so the sweep
     has real garbage to reclaim.
 
-    JSON: [BENCH_recovery.json], schema [simurgh-recovery-v1]. *)
+    Both tables, the per-point one and the widest run's recovery
+    report, are mirrored into {!Simurgh_obs.Report}. *)
 
 module Fs = Simurgh_core.Fs
 module Recovery = Simurgh_core.Recovery
@@ -33,7 +34,7 @@ module Region = Simurgh_nvmm.Region
 module Slab = Simurgh_alloc.Slab_alloc
 module Machine = Simurgh_sim.Machine
 module Cost_model = Simurgh_sim.Cost_model
-module Collect = Simurgh_obs.Collect
+module Report = Simurgh_obs.Report
 
 let worker_counts = [ 1; 2; 4; 8 ]
 let files_per_dir = 48
@@ -57,15 +58,6 @@ type point = {
    48-entries-per-dir hash blocks (two 4 KiB blocks per directory) and
    allocator slack at every sweep point. *)
 let region_bytes ~files = (96 * 1024 * 1024) + (files * 1800)
-
-(* [VmHWM] of /proc/self/status in MB; [None] where that file is missing. *)
-let peak_rss_mb () =
-  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
-  | exception Sys_error _ -> None
-  | s ->
-      String.split_on_char '\n' s
-      |> List.find_map (fun l ->
-             Scanf.sscanf_opt l "VmHWM: %d kB" (fun kb -> float_of_int kb /. 1024.))
 
 let populate fs ~files =
   let dirs = max 1 ((files + files_per_dir - 1) / files_per_dir) in
@@ -128,15 +120,31 @@ let measure ~files =
       List.map (fun s -> if s > 0.0 then seq_model_s /. s else 0.0) model_s;
     checker_violations;
     report = last_report;
-    peak_rss_mb = peak_rss_mb ();
+    peak_rss_mb = Report.peak_rss_mb ();
   }
 
 let run ~scale =
-  Util.header
-    "recovery: parallel mark-and-sweep recovery time vs file count";
-  let counters = ref [] in
-  Collect.note_source (fun () -> !counters @ Recovery.counters ());
-  let tally k v = counters := (k, v) :: !counters in
+  let title = "recovery: parallel mark-and-sweep recovery time vs file count" in
+  Util.header title;
+  Report.note
+    (Printf.sprintf
+       "model_s: virtual-time seconds of Recovery.run under the work-pool \
+        vtime driver at each worker count (dependent metadata line fetches \
+        at NVMM latency/MLP, bulk segment scans at streaming bandwidth, \
+        sequential phases on worker 0); seq_wall_s: host wall-clock of the \
+        plain sequential run, sanity anchor only; speedup: model_s[w=1] / \
+        model_s[w]; peak_rss_mb: the process's peak resident set (VmHWM) \
+        after the point, null where unavailable; paper anchor: %d objects \
+        recovered in %g s"
+       paper_objects paper_seconds);
+  let per_worker name =
+    List.map (fun w -> Printf.sprintf "%s_w%d" name w) worker_counts
+  in
+  Report.table ~title
+    ~columns:
+      ([ "files"; "dirs"; "seq_wall_s" ]
+      @ per_worker "model_s" @ per_worker "speedup"
+      @ [ "checker_violations"; "peak_rss_mb" ]);
   let file_counts =
     List.map (fun b -> Util.scaled ~scale b) [ 10_000; 100_000; 1_000_000 ]
     |> List.sort_uniq compare
@@ -158,14 +166,14 @@ let run ~scale =
           | None -> "n/a")
           (if p.checker_violations = 0 then "clean"
            else Printf.sprintf "%d VIOLATIONS" p.checker_violations);
-        tally
-          (Printf.sprintf "recovery/model_s_files%d" p.files)
-          p.seq_model_s;
-        tally
-          (Printf.sprintf "recovery/speedup_w8_files%d" p.files)
-          (List.nth p.speedup (List.length p.speedup - 1));
-        tally "recovery/checker_violations"
-          (float_of_int p.checker_violations);
+        Report.row
+          (Printf.sprintf "%d files" p.files)
+          ([ float_of_int p.files; float_of_int p.dirs; p.seq_wall_s ]
+          @ p.model_s @ p.speedup
+          @ [
+              float_of_int p.checker_violations;
+              Option.value p.peak_rss_mb ~default:nan;
+            ]);
         p)
       file_counts
   in
@@ -180,50 +188,31 @@ let run ~scale =
     (float_of_int paper_objects /. rate)
     paper_seconds
     (List.nth last.speedup (List.length last.speedup - 1));
-
-  (* --- BENCH_recovery.json --------------------------------------------- *)
-  let oc = open_out "BENCH_recovery.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  let floats l = String.concat ", " (List.map (Printf.sprintf "%.6f") l) in
-  out "{\n  \"schema\": \"simurgh-recovery-v1\",\n";
-  out "  \"run\": \"recovery\",\n  \"scale\": %g,\n" scale;
-  out "  \"worker_counts\": [%s],\n"
-    (String.concat ", " (List.map string_of_int worker_counts));
-  out "  \"paper_anchor\": {\"objects\": %d, \"seconds\": %g},\n"
-    paper_objects paper_seconds;
-  out
-    "  \"note\": \"model_s: virtual-time seconds of Recovery.run under the \
-     work-pool vtime driver at each worker count (dependent metadata line \
-     fetches at NVMM latency/MLP, bulk segment scans at streaming \
-     bandwidth, sequential phases on worker 0); seq_wall_s: host \
-     wall-clock of the plain sequential run, sanity anchor only; speedup: \
-     model_s[w=1] / model_s[w]; peak_rss_mb: the process's peak resident \
-     set (VmHWM) after the point, null where unavailable\",\n";
-  out "  \"points\": [\n";
-  List.iteri
-    (fun i p ->
-      out "    {\"files\": %d, \"dirs\": %d,\n" p.files p.dirs;
-      out "     \"seq_wall_s\": %.6f, \"seq_model_s\": %.6f,\n" p.seq_wall_s
-        p.seq_model_s;
-      out "     \"model_s\": [%s],\n" (floats p.model_s);
-      out "     \"speedup\": [%s],\n" (floats p.speedup);
-      out "     \"checker_violations\": %d,\n" p.checker_violations;
-      out "     \"peak_rss_mb\": %s,\n"
-        (match p.peak_rss_mb with
-        | Some mb -> Printf.sprintf "%.1f" mb
-        | None -> "null");
+  Report.table
+    ~title:
+      (Printf.sprintf "recovery report at w=%d"
+         (List.nth worker_counts (List.length worker_counts - 1)))
+    ~columns:
+      [
+        "reclaimed_inodes";
+        "reclaimed_fentries";
+        "quarantined";
+        "resolve_passes";
+        "mark_tasks";
+        "sweep_tasks";
+      ];
+  List.iter
+    (fun p ->
       let r = p.report in
-      out
-        "     \"report\": {\"files\": %d, \"dirs\": %d, \
-         \"reclaimed_inodes\": %d, \"reclaimed_fentries\": %d, \
-         \"quarantined\": %d, \"resolve_passes\": %d, \"mark_tasks\": %d, \
-         \"sweep_tasks\": %d}}%s\n"
-        r.Recovery.files r.Recovery.dirs r.Recovery.reclaimed_inodes
-        r.Recovery.reclaimed_fentries r.Recovery.quarantined
-        r.Recovery.resolve_passes r.Recovery.mark_tasks
-        r.Recovery.sweep_tasks
-        (if i = List.length points - 1 then "" else ","))
-    points;
-  out "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_recovery.json\n"
+      Report.row
+        (Printf.sprintf "%d files" p.files)
+        (List.map float_of_int
+           [
+             r.Recovery.reclaimed_inodes;
+             r.Recovery.reclaimed_fentries;
+             r.Recovery.quarantined;
+             r.Recovery.resolve_passes;
+             r.Recovery.mark_tasks;
+             r.Recovery.sweep_tasks;
+           ]))
+    points

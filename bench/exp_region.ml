@@ -4,12 +4,12 @@
     Reports ns/op and ops/s for u62 load/store, 4 KB blits and
     Strict-mode persist-barrier cycles, each against a byte-at-a-time
     reference that decomposes the access exactly like the seed
-    implementation did (one guard/bounds/stats round per byte).  Results
-    go to [BENCH_region.json] so later PRs have a perf trajectory; the
-    JSON also records the seed implementation's numbers measured on the
-    same machine before the word/line-granular rewrite. *)
+    implementation did (one guard/bounds/stats round per byte).  The
+    report table also carries the seed implementation's numbers measured
+    on the same machine before the word/line-granular rewrite. *)
 
 open Simurgh_nvmm
+module Report = Simurgh_obs.Report
 
 (* Seed-implementation wall-clock numbers (commit cdceb37, byte-at-a-time
    region), measured with the same loops on the machine this reproduction
@@ -65,16 +65,16 @@ let ref_read_bytes r off len =
 
 (* --- benchmark definitions --------------------------------------------- *)
 
-type result = {
-  name : string;
-  ns : float;
-  ref_ns : float;
-  iters : int;
-}
-
 let run ~scale =
-  Util.header "region: NVMM data-path microbenchmark (host wall-clock)";
-  let results = ref [] in
+  let title = "region: NVMM data-path microbenchmark (host wall-clock)" in
+  Util.header title;
+  Report.table ~title
+    ~columns:[ "ns_per_op"; "byte_ref_ns_per_op"; "seed_ns_per_op" ];
+  Report.note
+    "ns_per_op: current word/line-granular implementation; \
+     byte_ref_ns_per_op: byte-at-a-time decomposition through the same \
+     region (the seed access pattern); seed_ns_per_op: the actual seed \
+     implementation measured before the rewrite (commit cdceb37)";
   let bench name ~iters ~main ~reference =
     let iters = max 200 (int_of_float (float_of_int iters *. scale)) in
     (* warm up, then measure *)
@@ -84,7 +84,7 @@ let run ~scale =
     let ref_ns = time_ns_per_op iters reference in
     Printf.printf "%-28s %9.1f ns/op  %11.0f ops/s   byte-ref %9.1f ns/op  (%.1fx)\n"
       name ns (1e9 /. ns) ref_ns (ref_ns /. ns);
-    results := { name; ns; ref_ns; iters } :: !results
+    Report.row name [ ns; ref_ns; List.assoc name seed_ns ]
   in
   let mask = (1 lsl 16) - 1 in
   let fast = Region.create (1 lsl 22) in
@@ -166,31 +166,4 @@ let run ~scale =
       for i = 1 to n do
         Sys.opaque_identity (ref_read_bytes s6 ((i land 0xff) * 4096) 4096)
         |> ignore
-      done);
-  let results = List.rev !results in
-  (* --- BENCH_region.json -------------------------------------------- *)
-  let oc = open_out "BENCH_region.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"run\": \"region\",\n  \"scale\": %g,\n" scale;
-  out "  \"note\": \"ns_per_op: current word/line-granular implementation; \
-       byte_ref_ns_per_op: byte-at-a-time decomposition through the same \
-       region (the seed access pattern); seed_ns_per_op: the actual seed \
-       implementation measured before the rewrite (commit cdceb37)\",\n";
-  out "  \"results\": [\n";
-  List.iteri
-    (fun i r ->
-      let seed = List.assoc_opt r.name seed_ns in
-      out "    {\"name\": %S, \"iters\": %d, \"ns_per_op\": %.2f, \
-           \"ops_per_s\": %.0f, \"byte_ref_ns_per_op\": %.2f, \
-           \"speedup_vs_byte_ref\": %.2f"
-        r.name r.iters r.ns (1e9 /. r.ns) r.ref_ns (r.ref_ns /. r.ns);
-      (match seed with
-      | Some s ->
-          out ", \"seed_ns_per_op\": %.2f, \"speedup_vs_seed\": %.2f" s
-            (s /. r.ns)
-      | None -> ());
-      out "}%s\n" (if i = List.length results - 1 then "" else ","))
-    results;
-  out "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_region.json\n"
+      done)

@@ -13,14 +13,10 @@
     same on-media layout; only volatile coordination differs.
 
     Results are printed as the usual per-thread tables, mirrored into
-    {!Simurgh_obs.Report} for the [--json] flow, summarized as
-    [scale/*] observability counters, and always written to
-    [BENCH_scale.json] in the working directory so the perf trajectory
-    is kept across PRs. *)
+    {!Simurgh_obs.Report} for the [--json] flow. *)
 
 open Simurgh_workloads
 module Report = Simurgh_obs.Report
-module Collect = Simurgh_obs.Collect
 
 let thread_counts = [ 1; 2; 4; 8; 16; 24; 32; 40 ]
 
@@ -34,18 +30,6 @@ let benches =
     ("7a", Fxmark.Create_private, 1000);
   ]
 
-type series = {
-  bench_id : string;
-  bench_name : string;
-  ops : int;
-  seed_kops : float list;
-  scaled_kops : float list;
-  speedup : float list;
-  ring_kops : float list option;
-      (* third curve, rename benches only: the scaled configuration
-         plus the per-directory rename-log ring format *)
-}
-
 let print_thread_header title =
   Report.table ~title
     ~columns:(List.map (Printf.sprintf "t%d") thread_counts);
@@ -54,10 +38,9 @@ let print_thread_header title =
   print_newline ()
 
 (* Right-size the region per run: the sweep churns dozens of file
-   systems, and under [--json] the obs collector keeps each one alive
-   until the experiment drains — at the default 512 MB per region that
-   retains gigabytes for no benefit.  ~2 KB per created file plus fixed
-   slack covers every bench here with ample headroom. *)
+   systems, and the default 512 MB per region would allocate gigabytes
+   for no benefit.  ~2 KB per created file plus fixed slack covers every
+   bench here with ample headroom. *)
 let region_mb_for ~threads ~ops = max 96 (64 + (threads * ops * 2 / 1024))
 
 let sweep (t : Targets.target) bench ~ops =
@@ -68,36 +51,12 @@ let sweep (t : Targets.target) bench ~ops =
       Util.kops r.Fxmark.throughput)
     thread_counts
 
-(* The log-ring sweep keeps its hands on the file system so the
-   rename-log slot counters can be read back after each run. *)
-let sweep_ring bench ~ops =
-  let acquisitions = ref 0.0 and full_waits = ref 0.0 in
-  let kops =
-    List.map
-      (fun threads ->
-        let region_mb = region_mb_for ~threads ~ops in
-        let fs = Targets.fresh_simurgh_ring ~region_mb () in
-        let machine = Simurgh_sim.Machine.create () in
-        let r = Targets.Fx_simurgh.run machine fs bench ~threads ~ops in
-        let locks = Simurgh_core.Fs.locks fs in
-        acquisitions :=
-          !acquisitions
-          +. float_of_int (Simurgh_core.Locks.log_slot_acquisitions locks);
-        full_waits :=
-          !full_waits
-          +. float_of_int (Simurgh_core.Locks.log_ring_full_waits locks);
-        Util.kops r.Fxmark.throughput)
-      thread_counts
-  in
-  (kops, !acquisitions, !full_waits)
-
 let run ~scale =
-  let counters = ref [] in
-  (* sampled at drain time in the --json flow; harmless otherwise *)
-  Collect.note_source (fun () -> !counters);
-  let tally k v = counters := (k, v) :: !counters in
-  tally "scale/thread_max" (float_of_int (List.fold_left max 1 thread_counts));
-  let all = ref [] in
+  Report.note
+    "kops: virtual-time Kops/s; seed: stock configuration; scaled: \
+     striped directory locks + per-thread allocator caches + DRAM resolve \
+     cache (same on-media layout); logring: scaled plus the \
+     per-directory rename-log ring format (log_ring=16)";
   List.iter
     (fun (id, bench, base_ops) ->
       let ops = Util.scaled ~scale base_ops in
@@ -111,77 +70,18 @@ let run ~scale =
       Util.series "Simurgh" " %9.0f" seed_kops;
       let scaled_kops = sweep (Targets.simurgh_scaled ()) bench ~ops in
       Util.series "Simurgh-scaled" " %9.0f" scaled_kops;
-      let speedup =
-        List.map2 (fun sc se -> if se > 0.0 then sc /. se else 0.0)
-          scaled_kops seed_kops
-      in
-      Util.series "speedup" " %9.2f" speedup;
-      let tmax = List.fold_left max 1 thread_counts in
-      let last l = List.nth l (List.length l - 1) in
+      Util.series "speedup" " %9.2f"
+        (List.map2
+           (fun sc se -> if se > 0.0 then sc /. se else 0.0)
+           scaled_kops seed_kops);
       (* rename benches get the third curve: scaled + rename-log ring,
          the only configuration whose log windows can overlap *)
-      let ring_kops =
-        if bench <> Fxmark.Rename_shared then None
-        else begin
-          let kops, acquisitions, full_waits = sweep_ring bench ~ops in
-          Util.series "Simurgh-logring" " %9.0f" kops;
-          Util.series "ring/scaled"
-            " %9.2f"
-            (List.map2 (fun r sc -> if sc > 0.0 then r /. sc else 0.0) kops
-               scaled_kops);
-          tally (Printf.sprintf "scale/%s/ring_t%d_kops" id tmax) (last kops);
-          tally "rename_log/slot_acquisitions" acquisitions;
-          tally "rename_log/ring_full_waits" full_waits;
-          Some kops
-        end
-      in
-      tally (Printf.sprintf "scale/%s/seed_t%d_kops" id tmax) (last seed_kops);
-      tally
-        (Printf.sprintf "scale/%s/scaled_t%d_kops" id tmax)
-        (last scaled_kops);
-      tally (Printf.sprintf "scale/%s/speedup_t%d" id tmax) (last speedup);
-      all :=
-        {
-          bench_id = id;
-          bench_name = Fxmark.bench_name bench;
-          ops;
-          seed_kops;
-          scaled_kops;
-          speedup;
-          ring_kops;
-        }
-        :: !all)
-    benches;
-  let all = List.rev !all in
-  (* --- BENCH_scale.json ------------------------------------------------ *)
-  let oc = open_out "BENCH_scale.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  let floats l = String.concat ", " (List.map (Printf.sprintf "%.2f") l) in
-  out "{\n  \"schema\": \"simurgh-scale-v1\",\n";
-  out "  \"run\": \"scale\",\n  \"scale\": %g,\n" scale;
-  out "  \"thread_counts\": [%s],\n"
-    (String.concat ", " (List.map string_of_int thread_counts));
-  out
-    "  \"scaled_config\": {\"striped_locks\": true, \"rcache\": true, \
-     \"alloc_caches\": true},\n";
-  out
-    "  \"note\": \"kops: virtual-time Kops/s; seed: stock configuration; \
-     scaled: striped directory locks + per-thread allocator caches + DRAM \
-     resolve cache (same on-media layout); ring: scaled plus the \
-     per-directory rename-log ring format (log_ring=16)\",\n";
-  out "  \"benches\": [\n";
-  List.iteri
-    (fun i s ->
-      out "    {\"id\": %S, \"name\": %S, \"ops_per_thread\": %d,\n" s.bench_id
-        s.bench_name s.ops;
-      out "     \"seed_kops\": [%s],\n" (floats s.seed_kops);
-      out "     \"scaled_kops\": [%s],\n" (floats s.scaled_kops);
-      (match s.ring_kops with
-      | Some kops -> out "     \"ring_kops\": [%s],\n" (floats kops)
-      | None -> ());
-      out "     \"speedup\": [%s]}%s\n" (floats s.speedup)
-        (if i = List.length all - 1 then "" else ","))
-    all;
-  out "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_scale.json\n"
+      if bench = Fxmark.Rename_shared then begin
+        let kops = sweep (Targets.simurgh_ring ()) bench ~ops in
+        Util.series "Simurgh-logring" " %9.0f" kops;
+        Util.series "ring/scaled" " %9.2f"
+          (List.map2
+             (fun r sc -> if sc > 0.0 then r /. sc else 0.0)
+             kops scaled_kops)
+      end)
+    benches

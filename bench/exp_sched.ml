@@ -156,27 +156,27 @@ let run ~scale =
     gated (fun st -> n st.Sched.failures) + n r.shared.Sched.failures
     + rec_failures
   and races = gated (fun st -> n st.Sched.races) + rec_races in
-  Obs.Collect.note_source (fun () ->
-      List.map
-        (fun (k, v) -> (k, float_of_int v))
-        [
-          ("sched/schedules_explored", schedules);
-          ("sched/schedules_distinct", distinct);
-          ( "sched/yield_points",
-            gated (fun st -> st.Sched.yields)
-            + recovery (fun st -> st.Sched.ryields) );
-          ("sched/switches", gated (fun st -> st.Sched.switches));
-          ("sched/oracle_failures", failures);
-          ( "race/lines_tracked",
-            List.fold_left (fun m st -> max m st.Sched.lines_tracked) 0 r.gated
-          );
-          ("race/reports", races);
-          ("race/accesses", gated (fun st -> st.Sched.accesses));
-          ("race/negative_control_reports", n r.negative);
-          ("race/shared_dir_reports", n r.shared.Sched.races);
-          ("sched/recovery_failures", rec_failures);
-          ("sched/recovery_races", rec_races);
-        ]);
+  Obs.Collect.add
+    (List.map
+       (fun (k, v) -> (k, float_of_int v))
+       [
+         ("sched/schedules_explored", schedules);
+         ("sched/schedules_distinct", distinct);
+         ( "sched/yield_points",
+           gated (fun st -> st.Sched.yields)
+           + recovery (fun st -> st.Sched.ryields) );
+         ("sched/switches", gated (fun st -> st.Sched.switches));
+         ("sched/oracle_failures", failures);
+         ( "race/lines_tracked",
+           List.fold_left (fun m st -> max m st.Sched.lines_tracked) 0 r.gated
+         );
+         ("race/reports", races);
+         ("race/accesses", gated (fun st -> st.Sched.accesses));
+         ("race/negative_control_reports", n r.negative);
+         ("race/shared_dir_reports", n r.shared.Sched.races);
+         ("sched/recovery_failures", rec_failures);
+         ("sched/recovery_races", rec_races);
+       ]);
   Printf.printf
     "  total: %d schedules (%d distinct), %d oracle failures, %d races on \
      decentralized scenarios%s\n"

@@ -18,9 +18,8 @@
 
     The headline gate is the protected-vs-plain overhead on fig7a at the
     top thread count, which must stay at or below 15%.  Results are
-    printed as the usual per-thread tables, mirrored into
-    {!Simurgh_obs.Report}, summarized as [secure/*] counters, and always
-    written to [BENCH_secure.json].
+    printed as the usual per-thread tables and mirrored into
+    {!Simurgh_obs.Report}, the gate as a table of its own.
 
     A flag-off self-check asserts that a default (non-secure) format
     leaves the security plane entirely out of the media: superblock word
@@ -35,7 +34,6 @@ module Fentry = Simurgh_core.Fentry
 module Region = Simurgh_nvmm.Region
 module Slab = Simurgh_alloc.Slab_alloc
 module Report = Simurgh_obs.Report
-module Collect = Simurgh_obs.Collect
 
 let thread_counts = [ 1; 2; 4; 8; 16; 24; 32; 40 ]
 let overhead_budget_pct = 15.0
@@ -88,17 +86,6 @@ let overhead_pct base cost =
     (fun b c -> if b > 0.0 then (b -. c) /. b *. 100.0 else 0.0)
     base cost
 
-type series = {
-  bench_id : string;
-  bench_name : string;
-  ops : int;
-  plain_kops : float list;
-  protected_kops : float list;
-  secure_kops : float list;
-  protected_overhead_pct : float list;
-  secure_overhead_pct : float list;
-}
-
 let print_thread_header title =
   Report.table ~title
     ~columns:(List.map (Printf.sprintf "t%d") thread_counts);
@@ -128,13 +115,16 @@ let flag_off_selfcheck () =
     fe_size Fentry.secure_payload_size
 
 let run ~scale =
-  let counters = ref [] in
-  Collect.note_source (fun () -> !counters);
-  let tally k v = counters := (k, v) :: !counters in
+  Report.note
+    "kops: virtual-time Kops/s; plain: call_mode Plain (library call, \
+     insecure); protected: published configuration (jmpp/pret entry, root \
+     creds, legacy media); secure: protected entry + secure media owner \
+     words + non-root tenant + live per-uid quota; overhead_pct is \
+     relative to plain";
   flag_off_selfcheck ();
   let tmax = List.fold_left max 1 thread_counts in
   let last l = List.nth l (List.length l - 1) in
-  let all = ref [] in
+  let gate = ref nan in
   List.iter
     (fun (id, bench, base_ops) ->
       let ops = Util.scaled ~scale base_ops in
@@ -154,86 +144,25 @@ let run ~scale =
       Util.series "Simurgh-secure" " %9.0f" secure_kops;
       let protected_overhead_pct = overhead_pct plain_kops protected_kops in
       Util.series "protected ovh %" " %9.2f" protected_overhead_pct;
-      let secure_overhead_pct = overhead_pct plain_kops secure_kops in
-      Util.series "secure ovh %" " %9.2f" secure_overhead_pct;
-      tally
-        (Printf.sprintf "secure/%s/plain_t%d_kops" id tmax)
-        (last plain_kops);
-      tally
-        (Printf.sprintf "secure/%s/protected_t%d_kops" id tmax)
-        (last protected_kops);
-      tally
-        (Printf.sprintf "secure/%s/secure_t%d_kops" id tmax)
-        (last secure_kops);
-      tally
-        (Printf.sprintf "secure/%s/protected_overhead_t%d_pct" id tmax)
-        (last protected_overhead_pct);
-      tally
-        (Printf.sprintf "secure/%s/secure_overhead_t%d_pct" id tmax)
-        (last secure_overhead_pct);
-      all :=
-        {
-          bench_id = id;
-          bench_name = Fxmark.bench_name bench;
-          ops;
-          plain_kops;
-          protected_kops;
-          secure_kops;
-          protected_overhead_pct;
-          secure_overhead_pct;
-        }
-        :: !all)
+      Util.series "secure ovh %" " %9.2f" (overhead_pct plain_kops secure_kops);
+      if id = "7a" then gate := last protected_overhead_pct)
     benches;
-  let all = List.rev !all in
   (* --- the acceptance gate -------------------------------------------- *)
-  let gate =
-    match List.find_opt (fun s -> s.bench_id = "7a") all with
-    | Some s -> last s.protected_overhead_pct
-    | None -> nan
-  in
+  let gate = !gate in
   let gate_ok = gate <= overhead_budget_pct in
   Printf.printf
     "gate: fig7a protected-vs-plain overhead at t%d = %.2f%% (budget %.0f%%) \
      -> %s\n"
     tmax gate overhead_budget_pct
     (if gate_ok then "PASS" else "FAIL");
-  tally "secure/gate_overhead_pct" gate;
-  tally "secure/gate_pass" (if gate_ok then 1.0 else 0.0);
+  Report.table
+    ~title:
+      (Printf.sprintf "secure gate: fig7a protected-vs-plain overhead at t%d"
+         tmax)
+    ~columns:[ "overhead_pct"; "budget_pct"; "pass" ];
+  Report.row "7a" [ gate; overhead_budget_pct; (if gate_ok then 1.0 else 0.0) ];
   if not gate_ok then
     failwith
       (Printf.sprintf
          "secure: protected-path overhead %.2f%% exceeds the %.0f%% budget"
-         gate overhead_budget_pct);
-  (* --- BENCH_secure.json ----------------------------------------------- *)
-  let oc = open_out "BENCH_secure.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  let floats l = String.concat ", " (List.map (Printf.sprintf "%.2f") l) in
-  out "{\n  \"schema\": \"simurgh-secure-v1\",\n";
-  out "  \"run\": \"secure\",\n  \"scale\": %g,\n" scale;
-  out "  \"thread_counts\": [%s],\n"
-    (String.concat ", " (List.map string_of_int thread_counts));
-  out "  \"gate\": {\"bench\": \"7a\", \"threads\": %d, \
-       \"protected_overhead_pct\": %.2f, \"budget_pct\": %.1f, \"pass\": %b},\n"
-    tmax gate overhead_budget_pct gate_ok;
-  out
-    "  \"note\": \"kops: virtual-time Kops/s; plain: call_mode Plain \
-     (library call, insecure); protected: published configuration (jmpp/pret \
-     entry, root creds, legacy media); secure: protected entry + secure media \
-     owner words + non-root tenant + live per-uid quota; overhead_pct is \
-     relative to plain\",\n";
-  out "  \"benches\": [\n";
-  List.iteri
-    (fun i s ->
-      out "    {\"id\": %S, \"name\": %S, \"ops_per_thread\": %d,\n" s.bench_id
-        s.bench_name s.ops;
-      out "     \"plain_kops\": [%s],\n" (floats s.plain_kops);
-      out "     \"protected_kops\": [%s],\n" (floats s.protected_kops);
-      out "     \"secure_kops\": [%s],\n" (floats s.secure_kops);
-      out "     \"protected_overhead_pct\": [%s],\n"
-        (floats s.protected_overhead_pct);
-      out "     \"secure_overhead_pct\": [%s]}%s\n" (floats s.secure_overhead_pct)
-        (if i = List.length all - 1 then "" else ","))
-    all;
-  out "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_secure.json\n"
+         gate overhead_budget_pct)

@@ -9,10 +9,12 @@
       dune exec bench/main.exe -- --list
 
     With [--json DIR], each experiment additionally writes
-    [DIR/BENCH_<id>.json]: the printed tables plus the merged
-    observability snapshot (per-op latency percentiles, per-site lock
-    contention, region/allocator counters).  Schema: "simurgh-bench-v1",
-    documented in DESIGN.md. *)
+    [DIR/BENCH_<id>.json]: the printed tables and notes, the host block
+    (wall-clock seconds, peak RSS) and the merged observability snapshot
+    (per-op latency percentiles, per-site lock contention,
+    region/allocator counters).  Schema: "simurgh-bench-v1", documented
+    in DESIGN.md.  This is the only JSON the harness writes; the
+    committed BENCH_*.json files come from [make bench-commit]. *)
 
 module Obs = Simurgh_obs
 
@@ -35,21 +37,20 @@ let experiments : (string * string * (scale:float -> unit)) list =
     ("sched", "schedule exploration + happens-before race detection",
      Exp_sched.run);
     ("ablation", "ablations of Simurgh design choices", Exp_ablation.run);
-    ("bechamel", "wall-clock hot paths (host CPU)", Exp_bechamel.run);
-    ("region", "NVMM region data-path microbenchmark (wall-clock, JSON)",
+    ("region", "NVMM region data-path microbenchmark (wall-clock)",
      Exp_region.run);
-    ("scale", "metadata scalability: seed vs striped/cached Simurgh (JSON)",
+    ("scale", "metadata scalability: seed vs striped/cached Simurgh",
      Exp_scale.run);
-    ("data", "data-path scaling: byte-range locks + open-loop tail latency (JSON)",
+    ("data", "data-path scaling: byte-range locks + open-loop tail latency",
      Exp_data.run);
     ("recovery",
-     "recovery time vs file count + parallel-sweep speedup (JSON)",
+     "recovery time vs file count + parallel-sweep speedup",
      Exp_recovery.run);
     ("numa",
-     "multi-region NVMM: bandwidth scaling + cross-socket surcharge (JSON)",
+     "multi-region NVMM: bandwidth scaling + cross-socket surcharge",
      Exp_numa.run);
     ("secure",
-     "security plane: plain vs protected entry vs full enforcement (JSON)",
+     "security plane: plain vs protected entry vs full enforcement",
      Exp_secure.run);
   ]
 
@@ -104,9 +105,11 @@ let () =
               Obs.Report.discard ()
             end)
           (fun () ->
+            let t0 = Unix.gettimeofday () in
             f ~scale;
+            let wall_s = Unix.gettimeofday () -. t0 in
             let merged = Obs.Collect.drain () in
-            match Obs.Report.finish ~dir ~scale ~obs:merged with
+            match Obs.Report.finish ~dir ~scale ~wall_s ~obs:merged with
             | Some path -> Printf.printf "wrote %s\n" path
             | None -> ())
   in

@@ -27,6 +27,19 @@ let seg_header_size = 24
 let node_next = 0
 let node_count = 8
 
+(* Volatile operation counters (diagnostics; see Simurgh_obs), in a
+   record of their own so an observability source can read them without
+   keeping the allocator's region alive. *)
+type counters = {
+  mutable allocs : int;
+  mutable frees : int;
+  mutable blocks_allocated : int;
+  mutable blocks_freed : int;
+  mutable blocks_quarantined : int;
+      (** blocks withheld from the free lists at [free] time because a
+          poisoned line sat under them (never recycled; see statfs) *)
+}
+
 type t = {
   region : Region.t;
   off : int;  (** header location in the region *)
@@ -41,14 +54,7 @@ type t = {
           volatile — the persistent free lists are untouched, so fsck
           and recovery see exactly the same state either way *)
   mutable tseg_enabled : bool;
-  (* volatile operation counters (diagnostics; see Simurgh_obs) *)
-  mutable allocs : int;
-  mutable frees : int;
-  mutable blocks_allocated : int;
-  mutable blocks_freed : int;
-  mutable blocks_quarantined : int;
-      (** blocks withheld from the free lists at [free] time because a
-          poisoned line sat under them (never recycled; see statfs) *)
+  c : counters;
 }
 
 let header_size ~segments = header_fixed + (segments * seg_header_size)
@@ -95,11 +101,14 @@ let attach region ~off =
     locks = Array.init segments (fun _ -> Simurgh_sim.Vlock.Spin.create ~site:"balloc-seg" ());
     tseg = [||];
     tseg_enabled = false;
-    allocs = 0;
-    frees = 0;
-    blocks_allocated = 0;
-    blocks_freed = 0;
-    blocks_quarantined = 0;
+    c =
+      {
+        allocs = 0;
+        frees = 0;
+        blocks_allocated = 0;
+        blocks_freed = 0;
+        blocks_quarantined = 0;
+      };
   }
 
 let format region ~off ~base ~blocks ~block_size ~segments =
@@ -358,8 +367,8 @@ let alloc ?ctx ?(hint = 0) t n =
   let r = try_seg 0 ~skip_busy:(t.segments > 1) in
   (match r with
   | Some _ ->
-      t.allocs <- t.allocs + 1;
-      t.blocks_allocated <- t.blocks_allocated + n
+      t.c.allocs <- t.c.allocs + 1;
+      t.c.blocks_allocated <- t.c.blocks_allocated + n
   | None -> ());
   r
 
@@ -407,7 +416,7 @@ let free ?ctx t ~addr n =
         if Region.range_poisoned t.region (block_addr t blk) t.block_size
         then begin
           flush blk;
-          t.blocks_quarantined <- t.blocks_quarantined + 1
+          t.c.blocks_quarantined <- t.c.blocks_quarantined + 1
         end
         else if !run_start < 0 then run_start := blk
       done;
@@ -415,8 +424,8 @@ let free ?ctx t ~addr n =
       !freed
     end
   in
-  t.frees <- t.frees + 1;
-  t.blocks_freed <- t.blocks_freed + freed
+  t.c.frees <- t.c.frees + 1;
+  t.c.blocks_freed <- t.c.blocks_freed + freed
 
 (** Total free blocks (walks every list; diagnostic). *)
 let free_blocks t =
@@ -545,10 +554,10 @@ type stats = {
 (** Volatile operation counters (exported by the observability layer). *)
 let stats (t : t) : stats =
   {
-    allocs = t.allocs;
-    frees = t.frees;
-    blocks_allocated = t.blocks_allocated;
-    blocks_freed = t.blocks_freed;
-    blocks_quarantined = t.blocks_quarantined;
+    allocs = t.c.allocs;
+    frees = t.c.frees;
+    blocks_allocated = t.c.blocks_allocated;
+    blocks_freed = t.c.blocks_freed;
+    blocks_quarantined = t.c.blocks_quarantined;
     total_blocks = t.total_blocks;
   }

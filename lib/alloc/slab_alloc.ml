@@ -43,7 +43,10 @@ type t = {
           [cache_lock], so every cross-thread object transfer still
           synchronizes on the shared lock *)
   mutable tcache_enabled : bool;
-  mutable live : int;  (** volatile live-object counter (diagnostics) *)
+  live : int ref;
+      (** volatile live-object counter (diagnostics); a cell of its own
+          so an observability source can read it without keeping the
+          slab's region alive *)
   mutable allocs : int;
   mutable frees : int;
 }
@@ -75,7 +78,7 @@ let attach region ~off ~block_alloc =
       cache_lock = Simurgh_sim.Vlock.Spin.create ~site:"slab-cache" ();
       tcaches = [||];
       tcache_enabled = false;
-      live = 0;
+      live = ref 0;
       allocs = 0;
       frees = 0;
     }
@@ -162,7 +165,7 @@ let claim ?ctx t addr ~retry =
     Region.write_u8 t.region addr (flag_valid lor flag_dirty);
     Region.persist t.region addr 1;
     charge ?ctx ~read:1 ~write:1 ();
-    t.live <- t.live + 1;
+    incr t.live;
     t.allocs <- t.allocs + 1;
     Some (payload addr)
   end
@@ -232,7 +235,7 @@ let finish_free ?ctx t paddr =
   Region.write_u8 t.region addr 0;
   Region.persist t.region addr 1;
   charge ?ctx ~read:0 ~write:(1 + (t.obj_size / 64)) ();
-  t.live <- t.live - 1;
+  decr t.live;
   t.frees <- t.frees + 1;
   let tid = ctx_tid ctx in
   if t.tcache_enabled && tid >= 0 then begin
@@ -258,7 +261,7 @@ let free ?ctx t paddr =
 let obj_flags t paddr = flags t (paddr - obj_header)
 let is_live t paddr = obj_flags t paddr = flag_valid
 let is_unprocessed t paddr = obj_flags t paddr = flag_valid lor flag_dirty
-let live_objects t = t.live
+let live_objects t = !(t.live)
 
 (** Enumerate every object slot with its flags: (payload_addr, flags).
 
@@ -314,14 +317,14 @@ let iter_objects t f =
 let rebuild_cache ?(reclaim = false) t =
   Queue.clear t.free_cache;
   Array.iter Queue.clear t.tcaches;
-  t.live <- 0;
+  t.live := 0;
   iter_objects t (fun paddr f ->
       let addr = paddr - obj_header in
       if Region.range_poisoned t.region addr (slot_size t) then
         (* slot overlaps an uncorrectable line: never recycle it *)
-        (if f = flag_valid then t.live <- t.live + 1)
+        (if f = flag_valid then incr t.live)
       else if f = 0 then Queue.push addr t.free_cache
-      else if f = flag_valid then t.live <- t.live + 1
+      else if f = flag_valid then incr t.live
       else if reclaim then begin
         Region.zero t.region paddr t.obj_size;
         Region.write_u8 t.region addr 0;
@@ -346,4 +349,4 @@ let iter_segments t f =
 type stats = { live : int; allocs : int; frees : int }
 
 (** Volatile counters (exported by the observability layer). *)
-let stats (t : t) : stats = { live = t.live; allocs = t.allocs; frees = t.frees }
+let stats (t : t) : stats = { live = !(t.live); allocs = t.allocs; frees = t.frees }

@@ -116,8 +116,9 @@ let create ?(region = 0) profile =
   (* fold dcache effectiveness into the active experiment's snapshot
      (no-op outside the bench driver), mirroring what the Simurgh side
      reports as rcache/* *)
+  let dcache = t.dcache in
   Simurgh_obs.Collect.note_source (fun () ->
-      let hits, misses = Simurgh_vfs.Dcache.stats t.dcache in
+      let hits, misses = Simurgh_vfs.Dcache.stats dcache in
       [
         ("dcache/hits", float_of_int hits);
         ("dcache/misses", float_of_int misses);

@@ -106,7 +106,7 @@ type t = {
           directory-global log lock.  0 = the paper's single slot. *)
   mutable crash_hook : string -> unit;
   mutable logical_time : int;
-  mutable eio_returns : int;
+  eio_returns : int ref;
       (** operations that returned [EIO] after hitting a poisoned line *)
   secure : bool;
       (** the volume was formatted with the security plane: file entries
@@ -238,20 +238,23 @@ let of_layout ?(call_mode = Protected) ?(relaxed_writes = false)
       log_ring = layout.Layout.log_ring;
       crash_hook = ignore;
       logical_time = 0;
-      eio_returns = 0;
+      eio_returns = ref 0;
       secure = layout.Layout.secure;
       quota;
       penv = bootstrap_penv ~euid ~egid;
     }
   in
   (* lock-registry sizes and allocator counters join the experiment's
-     observability snapshot (no-op outside the bench driver) *)
+     observability snapshot (no-op outside the bench driver).  The source
+     holds only counter records and DRAM tables, never [fs] or [layout],
+     so a dropped mount's region can be freed before the drain. *)
+  let ba = layout.Layout.balloc.Simurgh_alloc.Block_alloc.c
+  and inodes_live = layout.Layout.inode_slab.Simurgh_alloc.Slab_alloc.live
+  and fentries_live = layout.Layout.fentry_slab.Simurgh_alloc.Slab_alloc.live
+  and eio_returns = fs.eio_returns in
   Simurgh_obs.Collect.note_source (fun () ->
-      let rows, files, appends = Locks.sizes fs.locks in
-      let range_rows, file_states = Locks.range_sizes fs.locks in
-      let ba = Simurgh_alloc.Block_alloc.stats layout.Layout.balloc in
-      let inodes = Simurgh_alloc.Slab_alloc.stats layout.Layout.inode_slab in
-      let fes = Simurgh_alloc.Slab_alloc.stats layout.Layout.fentry_slab in
+      let rows, files, appends = Locks.sizes locks in
+      let range_rows, file_states = Locks.range_sizes locks in
       [
         ("locks/row_locks", float_of_int rows);
         ("locks/file_locks", float_of_int files);
@@ -259,9 +262,9 @@ let of_layout ?(call_mode = Protected) ?(relaxed_writes = false)
         ("locks/file_range_locks", float_of_int range_rows);
         ("locks/file_states", float_of_int file_states);
         ( "rename_log/slot_acquisitions",
-          float_of_int (Locks.log_slot_acquisitions fs.locks) );
+          float_of_int (Locks.log_slot_acquisitions locks) );
         ( "rename_log/ring_full_waits",
-          float_of_int (Locks.log_ring_full_waits fs.locks) );
+          float_of_int (Locks.log_ring_full_waits locks) );
         ( "alloc/block_allocs",
           float_of_int ba.Simurgh_alloc.Block_alloc.allocs );
         ("alloc/block_frees", float_of_int ba.Simurgh_alloc.Block_alloc.frees);
@@ -269,13 +272,12 @@ let of_layout ?(call_mode = Protected) ?(relaxed_writes = false)
           float_of_int ba.Simurgh_alloc.Block_alloc.blocks_allocated );
         ( "alloc/blocks_freed",
           float_of_int ba.Simurgh_alloc.Block_alloc.blocks_freed );
-        ( "alloc/inodes_live",
-          float_of_int inodes.Simurgh_alloc.Slab_alloc.live );
-        ("alloc/fentries_live", float_of_int fes.Simurgh_alloc.Slab_alloc.live);
-        ("faults/eio_returns", float_of_int fs.eio_returns);
+        ("alloc/inodes_live", float_of_int !inodes_live);
+        ("alloc/fentries_live", float_of_int !fentries_live);
+        ("faults/eio_returns", float_of_int !eio_returns);
       ]
       @
-      match fs.rcache with
+      match rc with
       | None -> []
       | Some rc ->
           let s = Rcache.stats rc in
@@ -465,7 +467,7 @@ let entry_charge ?ctx t =
 let media_guard t f =
   try f () with
   | Region.Media_error off ->
-      t.eio_returns <- t.eio_returns + 1;
+      incr t.eio_returns;
       Errno.raise_ EIO (Printf.sprintf "uncorrectable media error at %#x" off)
 
 (* --- allocation helpers ------------------------------------------------- *)

@@ -111,33 +111,6 @@ type par =
   | Vtime of { machine : Machine.t; workers : int }
   | Fibers of { schedule : Simurgh_sim.Schedule.t; workers : int }
 
-(* --- observability ------------------------------------------------------ *)
-
-(* Cumulative across runs: the obs collector samples sources at drain
-   time, so per-run registration inside the library would be lost —
-   bench experiments export these via their own [Collect.note_source]
-   closure instead. *)
-let obs_runs = ref 0
-let obs_retries = ref 0
-let obs_quarantined = ref 0
-let obs_swept = ref 0
-let obs_mark_tasks = ref 0
-let obs_sweep_tasks = ref 0
-let obs_resolve_passes = ref 0
-
-(** [recovery/*] counters, cumulative over every {!run} in this
-    process. *)
-let counters () =
-  [
-    ("recovery/runs", float_of_int !obs_runs);
-    ("recovery/retries", float_of_int !obs_retries);
-    ("recovery/quarantined", float_of_int !obs_quarantined);
-    ("recovery/swept_objects", float_of_int !obs_swept);
-    ("recovery/mark_tasks", float_of_int !obs_mark_tasks);
-    ("recovery/sweep_tasks", float_of_int !obs_sweep_tasks);
-    ("recovery/resolve_passes", float_of_int !obs_resolve_passes);
-  ]
-
 (* Bounded retry on a media fault before escalating to quarantine.  A
    real DIMM can return corrected data on a later read (transient
    errors); the model's poison is persistent, so here the retries always
@@ -973,13 +946,20 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
         Array.fold_left (fun acc c -> Stdlib.max acc c.Sthread.now) 0.0 cl
     | None -> 0.0
   in
-  incr obs_runs;
-  obs_retries := !obs_retries + !retries;
-  obs_quarantined := !obs_quarantined + !quarantined;
-  obs_swept := !obs_swept + !reclaimed_inodes + !reclaimed_fentries;
-  obs_mark_tasks := !obs_mark_tasks + !mark_tasks;
-  obs_sweep_tasks := !obs_sweep_tasks + !sweep_tasks;
-  obs_resolve_passes := !obs_resolve_passes + !resolve_passes;
+  (* this run's totals join the active experiment's snapshot (no-op
+     outside the bench driver) *)
+  Simurgh_obs.Collect.add
+    (List.map
+       (fun (k, v) -> ("recovery/" ^ k, float_of_int v))
+       [
+         ("runs", 1);
+         ("retries", !retries);
+         ("quarantined", !quarantined);
+         ("swept_objects", !reclaimed_inodes + !reclaimed_fentries);
+         ("mark_tasks", !mark_tasks);
+         ("sweep_tasks", !sweep_tasks);
+         ("resolve_passes", !resolve_passes);
+       ]);
 
   ( layout,
     {

@@ -67,14 +67,13 @@ let shard_for t path = t.shards.(route t path)
 let note_alloc_sources ~prefix t =
   Array.iteri
     (fun i fs ->
-      let balloc = (Fs.layout fs).Layout.balloc in
+      let c = (Fs.layout fs).Layout.balloc.Simurgh_alloc.Block_alloc.c in
       let name = Printf.sprintf "%s%d/alloc" prefix i in
       Simurgh_obs.Collect.note_source ~name (fun () ->
-          let s = Simurgh_alloc.Block_alloc.stats balloc in
           [
-            (name ^ "/blocks_allocated", float_of_int s.blocks_allocated);
-            (name ^ "/blocks_freed", float_of_int s.blocks_freed);
-            (name ^ "/blocks_quarantined", float_of_int s.blocks_quarantined);
+            (name ^ "/blocks_allocated", float_of_int c.blocks_allocated);
+            (name ^ "/blocks_freed", float_of_int c.blocks_freed);
+            (name ^ "/blocks_quarantined", float_of_int c.blocks_quarantined);
           ]))
     t.shards
 

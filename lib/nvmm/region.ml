@@ -60,6 +60,19 @@ let () =
         Some (Printf.sprintf "Region.Media_error(line at %#x)" off)
     | _ -> None)
 
+(* Kept in a record of their own so an observability source can read
+   them without keeping the region (and its image) alive. *)
+type counters = {
+  mutable stores : int;  (** store operations *)
+  mutable loads : int;  (** load operations *)
+  mutable store_bytes : int;  (** bytes written across all stores *)
+  mutable load_bytes : int;  (** bytes read across all loads *)
+  mutable flushes : int;  (** clwb/ntstore, in cache lines covered *)
+  mutable fences : int;
+  mutable media_errors : int;  (** loads that hit a poisoned line *)
+  mutable crash_images : int;  (** crash / crash_image applications *)
+}
+
 type t = {
   image : Bytes.t;  (** the persistent image *)
   size : int;
@@ -92,14 +105,7 @@ type t = {
           state (the FS stores its shared-DRAM structures here so every
           mount of the region finds them; an exception constructor makes
           the slot type-safe without a dependency) *)
-  mutable stores : int;  (** statistics: store operations *)
-  mutable loads : int;  (** load operations *)
-  mutable store_bytes : int;  (** bytes written across all stores *)
-  mutable load_bytes : int;  (** bytes read across all loads *)
-  mutable flushes : int;  (** clwb/ntstore, in cache lines covered *)
-  mutable fences : int;
-  mutable media_errors : int;  (** loads that hit a poisoned line *)
-  mutable crash_images : int;  (** crash / crash_image applications *)
+  c : counters;  (** access and fault statistics *)
   versions : int array;
       (** per page: the epoch of the last change to the persistent image,
           0 if it never changed since {!create} *)
@@ -125,14 +131,17 @@ let create ?(mode = Fast) ?name size =
       guard = None;
       plain = mode = Fast;
       user_slot = None;
-      stores = 0;
-      loads = 0;
-      store_bytes = 0;
-      load_bytes = 0;
-      flushes = 0;
-      fences = 0;
-      media_errors = 0;
-      crash_images = 0;
+      c =
+        {
+          stores = 0;
+          loads = 0;
+          store_bytes = 0;
+          load_bytes = 0;
+          flushes = 0;
+          fences = 0;
+          media_errors = 0;
+          crash_images = 0;
+        };
       versions = Array.make ((size + page_size - 1) / page_size) 0;
       epoch = 1;
       last_epoch = 0;
@@ -149,20 +158,21 @@ let create ?(mode = Fast) ?name size =
      regions under one name is an error
      ({!Simurgh_obs.Collect.Duplicate_source}). *)
   let prefix = match name with None -> "region" | Some n -> n in
+  let c = t.c and poisoned = t.poisoned in
   Simurgh_obs.Collect.note_source ?name (fun () ->
-      let c k = prefix ^ "/" ^ k in
+      let k n = prefix ^ "/" ^ n in
       let f k = match name with None -> "faults/" ^ k | Some n -> n ^ "/faults/" ^ k in
       [
-        (c "loads", float_of_int t.loads);
-        (c "stores", float_of_int t.stores);
-        (c "load_bytes", float_of_int t.load_bytes);
-        (c "store_bytes", float_of_int t.store_bytes);
-        (c "flush_lines", float_of_int t.flushes);
-        (c "fences", float_of_int t.fences);
-        (c "bytes", float_of_int t.size);
-        (f "poisoned_lines", float_of_int (Hashtbl.length t.poisoned));
-        (f "media_errors", float_of_int t.media_errors);
-        (f "crash_images", float_of_int t.crash_images);
+        (k "loads", float_of_int c.loads);
+        (k "stores", float_of_int c.stores);
+        (k "load_bytes", float_of_int c.load_bytes);
+        (k "store_bytes", float_of_int c.store_bytes);
+        (k "flush_lines", float_of_int c.flushes);
+        (k "fences", float_of_int c.fences);
+        (k "bytes", float_of_int size);
+        (f "poisoned_lines", float_of_int (Hashtbl.length poisoned));
+        (f "media_errors", float_of_int c.media_errors);
+        (f "crash_images", float_of_int c.crash_images);
       ]);
   t
 
@@ -215,12 +225,12 @@ let bounds t off len =
 let[@inline] fits t off len = off >= 0 && len >= 0 && off <= t.size - len
 
 let[@inline] note_load t len =
-  t.loads <- t.loads + 1;
-  t.load_bytes <- t.load_bytes + len
+  t.c.loads <- t.c.loads + 1;
+  t.c.load_bytes <- t.c.load_bytes + len
 
 let[@inline] note_store t len =
-  t.stores <- t.stores + 1;
-  t.store_bytes <- t.store_bytes + len
+  t.c.stores <- t.c.stores + 1;
+  t.c.store_bytes <- t.c.store_bytes + len
 
 (* The persistent image under [off, off+len) changed in this epoch.  The
    caller has range-checked the access. *)
@@ -246,7 +256,7 @@ let check_poison t off len =
     let first = line_of off and last = line_of (off + max (len - 1) 0) in
     for ln = first to last do
       if Hashtbl.mem t.poisoned ln then begin
-        t.media_errors <- t.media_errors + 1;
+        t.c.media_errors <- t.c.media_errors + 1;
         raise (Media_error (ln * line_size))
       end
     done
@@ -458,8 +468,8 @@ let equal_string t off s =
       incr i
     done;
     let n = if !i < len then !i + 1 else len in
-    t.loads <- t.loads + n;
-    t.load_bytes <- t.load_bytes + n;
+    t.c.loads <- t.c.loads + n;
+    t.c.load_bytes <- t.c.load_bytes + n;
     !i = len
   end
   else
@@ -731,7 +741,7 @@ let write_u62_pair t off v0 v1 =
 let clwb t off len =
   bounds t off (max len 1);
   let first = line_of off and last = line_of (off + max (len - 1) 0) in
-  t.flushes <- t.flushes + (last - first + 1);
+  t.c.flushes <- t.c.flushes + (last - first + 1);
   match t.mode with
   | Fast -> ()
   | Strict ->
@@ -772,7 +782,7 @@ let commit_line t ln buf =
     (it needs another [clwb]), exactly as on real hardware. *)
 let sfence t =
   (match t.on_fence with None -> () | Some f -> f ());
-  t.fences <- t.fences + 1;
+  t.c.fences <- t.c.fences + 1;
   match t.mode with
   | Fast -> ()
   | Strict ->
@@ -810,7 +820,7 @@ let crash_image t ~keep =
         t.overlay;
       Hashtbl.reset t.overlay;
       t.pending <- [];
-      t.crash_images <- t.crash_images + 1
+      t.c.crash_images <- t.c.crash_images + 1
 
 (** Power failure: every line not yet committed by [sfence] is lost.
     Raises [Invalid_argument] in [Fast] mode (see [crash_image]). *)
@@ -1045,13 +1055,13 @@ type stats = {
 
 let stats (t : t) : stats =
   {
-    loads = t.loads;
-    stores = t.stores;
-    load_bytes = t.load_bytes;
-    store_bytes = t.store_bytes;
-    flushes = t.flushes;
-    fences = t.fences;
-    media_errors = t.media_errors;
-    crash_images = t.crash_images;
+    loads = t.c.loads;
+    stores = t.c.stores;
+    load_bytes = t.c.load_bytes;
+    store_bytes = t.c.store_bytes;
+    flushes = t.c.flushes;
+    fences = t.c.fences;
+    media_errors = t.c.media_errors;
+    crash_images = t.c.crash_images;
     page_copies = t.page_copies;
   }

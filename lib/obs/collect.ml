@@ -4,7 +4,9 @@
     one is active, every freshly created machine registers its
     observability run and every region / file system registers a counter
     source.  [drain] merges everything into one snapshot for the
-    experiment's JSON export and uninstalls the collector.
+    experiment's JSON export and uninstalls the collector.  Sources
+    hold counter records, never the region or file system they count,
+    so collecting keeps no region image alive.
 
     When no collector is installed (unit tests, library use) all
     registration calls are no-ops, so nothing is retained and runs stay
@@ -13,6 +15,7 @@
 type collector = {
   mutable runs : Run.t list;
   mutable sources : (unit -> (string * float) list) list;
+  added : Metrics.t;  (** counters given by [add] *)
   named : (string, unit) Hashtbl.t;
       (** names claimed by [note_source ~name] registrations *)
 }
@@ -28,7 +31,14 @@ let () =
 let current : collector option ref = ref None
 
 let install () =
-  current := Some { runs = []; sources = []; named = Hashtbl.create 8 }
+  current :=
+    Some
+      {
+        runs = [];
+        sources = [];
+        added = Metrics.create ();
+        named = Hashtbl.create 8;
+      }
 
 let active () = !current <> None
 
@@ -60,6 +70,14 @@ let note_source ?name f =
           Hashtbl.replace c.named n ());
       c.sources <- f :: c.sources
 
+(** Add (counter, value) pairs to the active collector's snapshot now,
+    summing with same-named counters — for totals known only once some
+    work is done (a recovery run, an explorer sweep). *)
+let add pairs =
+  match !current with
+  | None -> ()
+  | Some c -> List.iter (fun (k, v) -> Metrics.add c.added k v) pairs
+
 (** Merge all registered runs and sampled sources into one fresh run,
     then uninstall the collector. *)
 let drain () =
@@ -73,6 +91,7 @@ let drain () =
         (fun src ->
           List.iter (fun (k, v) -> Metrics.add acc.Run.counters k v) (src ()))
         (List.rev c.sources);
+      Metrics.merge_into acc.Run.counters c.added;
       acc
 
 (** Abandon the current collector without draining. *)

@@ -6,10 +6,14 @@
     merged observability snapshot to [BENCH_<id>.json].  When no
     experiment is active (library/test use) every call is a no-op.
 
+    This is the one result format of the harness: the committed
+    [BENCH_*.json] files are written by this writer and no other.
+
     Schema ("simurgh-bench-v1") — see DESIGN.md "Observability":
     {v
     { "schema": "simurgh-bench-v1",
       "run": "<experiment id>", "scale": <float>,
+      "host": { "wall_s": num, "peak_rss_mb": num | null },
       "tables": [ { "title": str, "columns": [str...],
                     "rows": [ { "label": str, "values": [num...] } ] } ],
       "notes": [str...],
@@ -92,9 +96,23 @@ let sanitize id =
       | _ -> '_')
     id
 
-(** Write BENCH_<id>.json into [dir] and close the experiment.  Returns
-    the path written. *)
-let finish ~dir ~scale ~obs =
+(** The process's peak resident set ([VmHWM] of /proc/self/status) in
+    MB; [None] where that file is missing. *)
+let peak_rss_mb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | s ->
+      String.split_on_char '\n' s
+      |> List.find_map (fun l ->
+             Scanf.sscanf_opt l "VmHWM: %d kB" (fun kb ->
+                 float_of_int kb /. 1024.))
+
+(** Write BENCH_<id>.json into [dir] and close the experiment.  [wall_s]
+    is the experiment's host wall-clock time; the host block also
+    records the process's peak RSS, which belongs to this experiment
+    when it is the only one the process ran.  Returns the path
+    written. *)
+let finish ~dir ~scale ~wall_s ~obs =
   match !current with
   | None -> None
   | Some e ->
@@ -106,6 +124,15 @@ let finish ~dir ~scale ~obs =
             ("schema", Json.Str "simurgh-bench-v1");
             ("run", Json.Str e.id);
             ("scale", Json.Float scale);
+            ( "host",
+              Json.Obj
+                [
+                  ("wall_s", Json.Float wall_s);
+                  ( "peak_rss_mb",
+                    match peak_rss_mb () with
+                    | Some mb -> Json.Float mb
+                    | None -> Json.Null );
+                ] );
             ("tables", Json.List (List.rev_map table_to_json e.tables));
             ( "notes",
               Json.List (List.rev_map (fun n -> Json.Str n) e.notes) );

@@ -261,6 +261,57 @@ let test_collect_region_namespacing () =
   Alcotest.(check (float 1e-9)) "no region/loads" 0.0
     (Metrics.get run.Run.counters "region/loads")
 
+(* A counter source holds counter records, never its owner: once a file
+   system and its region are dropped, a full major GC frees the region
+   (and its image), and the drain still reports what the region and the
+   block allocator counted. *)
+let[@inline never] mkfs_and_drop weak =
+  let region = Simurgh_nvmm.Region.create (8 * 1024 * 1024) in
+  Weak.set weak 0 (Some region);
+  let fs = Simurgh_core.Fs.mkfs ~euid:0 region in
+  Simurgh_core.Fs.mkdir fs "/d";
+  let fd =
+    Simurgh_core.Fs.openf fs
+      Simurgh_fs_common.Types.(creat rdwr)
+      "/d/f"
+  in
+  ignore (Simurgh_core.Fs.pwrite fs fd ~pos:0 (Bytes.make 8192 'x'));
+  Simurgh_core.Fs.close fs fd
+
+let test_collect_no_retention () =
+  Collect.install ();
+  let weak = Weak.create 1 in
+  mkfs_and_drop weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "region freed" false (Weak.check weak 0);
+  let run = Collect.drain () in
+  Alcotest.(check bool) "region/stores kept" true
+    (Metrics.get run.Run.counters "region/stores" > 0.0);
+  Alcotest.(check bool) "alloc/block_allocs kept" true
+    (Metrics.get run.Run.counters "alloc/block_allocs" > 0.0)
+
+(* Recovery's counters belong to the collector that was active during
+   the run: two runs under one collector drain [recovery/runs = 2], and
+   a fresh collector starts from none. *)
+let test_collect_recovery_scoped () =
+  let recover () =
+    let region = Simurgh_nvmm.Region.create (8 * 1024 * 1024) in
+    let fs = Simurgh_core.Fs.mkfs ~euid:0 region in
+    Simurgh_core.Fs.mkdir fs "/d";
+    Simurgh_core.Fs.create_file fs "/d/f";
+    Simurgh_core.Fs.invalidate_shared region;
+    ignore (Simurgh_core.Recovery.run region)
+  in
+  Collect.install ();
+  recover ();
+  recover ();
+  let run = Collect.drain () in
+  check_float "two runs" 2.0 (Metrics.get run.Run.counters "recovery/runs");
+  Collect.install ();
+  let run = Collect.drain () in
+  check_float "fresh collector" 0.0
+    (Metrics.get run.Run.counters "recovery/runs")
+
 (* --- cli ----------------------------------------------------------------- *)
 
 let known = [ "fig7"; "fig9"; "tab1" ]
@@ -331,6 +382,10 @@ let () =
             test_collect_named_source_duplicate;
           Alcotest.test_case "per-region namespacing" `Quick
             test_collect_region_namespacing;
+          Alcotest.test_case "no region retention" `Quick
+            test_collect_no_retention;
+          Alcotest.test_case "recovery counters scoped" `Quick
+            test_collect_recovery_scoped;
         ] );
       ( "cli",
         [
