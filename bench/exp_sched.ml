@@ -11,13 +11,17 @@
     private-directory machines, the striped-lock shared-directory
     ones, the byte-range data-path ones for the [range_locks]
     configuration and the concurrent renames on a rename-log ring)
-    and on parallel recovery.  Two extra parts keep the tooling
+    and on parallel recovery.  Three extra parts keep the tooling
     honest:
 
     + {b shared-dir}: disjoint names in one directory — real
       cross-thread lock traffic plus the lock-free lookup path; its
       race reports are informational (Simurgh's by-design benign
       8-byte slot publish), not asserted zero;
+    + {b step6}: an unlink whose Fig. 5b step 6 frees a chain block
+      while a create or rename holds a probed slot there
+      ({!Simurgh_core.Sched_explore.step6_scenarios}); oracle-gated,
+      its races informational like shared-dir's;
     + {b negative control}: two fibers storing to one word with no
       lock; the detector {e must} report it.
 
@@ -75,6 +79,9 @@ type results = {
       (** fiber-mode mark-and-sweep over a crashed image, then a
           poisoned one *)
   shared : Sched.stats;  (** informational: one shared directory *)
+  step6 : Sched.stats list;
+      (** step 6 against an in-flight insert: oracles gated, races
+          informational *)
   negative : Race.report list;  (** must be non-empty *)
 }
 
@@ -101,6 +108,14 @@ let explore ~scale =
     Sched.run ~budget:(max 12 (budget / 2)) (Sched.shared_scenario ~threads:3)
   in
   print_stats shared;
+  let step6 =
+    List.map
+      (fun sc ->
+        let st = Sched.run ~budget sc in
+        print_stats st;
+        st)
+      Sched.step6_scenarios
+  in
   let negative = Sched.negative_control () in
   Printf.printf "  negative control (unlocked stores): %s\n"
     (match negative with
@@ -108,7 +123,7 @@ let explore ~scale =
     | rs ->
         Printf.sprintf "caught (%d report%s)" (List.length rs)
           (if List.length rs = 1 then "" else "s"));
-  { gated; recovery; shared; negative }
+  { gated; recovery; shared; step6; negative }
 
 (* The gate over one exploration: every gated scenario and parallel
    recovery must be oracle-clean and race-free over at least two
@@ -134,9 +149,16 @@ let gate r =
         scenario st.Sched.rscenario ~failures:(List.length st.Sched.rfailures)
           ~races:(List.length st.Sched.rraces) ~distinct:st.Sched.rdistinct)
       r.recovery
-  @ (match r.shared.Sched.failures with
-    | [] -> []
-    | l -> [ Printf.sprintf "shared-dir: %d oracle failures" (List.length l) ])
+  @ List.concat_map
+      (fun (st : Sched.stats) ->
+        match st.Sched.failures with
+        | [] -> []
+        | l ->
+            [
+              Printf.sprintf "%s: %d oracle failures" st.Sched.scenario
+                (List.length l);
+            ])
+      (r.shared :: r.step6)
   @ if r.negative = [] then [ "negative control: detector is broken" ] else []
 
 let run ~scale =
@@ -153,7 +175,8 @@ let run ~scale =
   and distinct =
     gated (fun st -> st.Sched.distinct) + recovery (fun st -> st.Sched.rdistinct)
   and failures =
-    gated (fun st -> n st.Sched.failures) + n r.shared.Sched.failures
+    gated (fun st -> n st.Sched.failures)
+    + sum (fun st -> n st.Sched.failures) (r.shared :: r.step6)
     + rec_failures
   and races = gated (fun st -> n st.Sched.races) + rec_races in
   Obs.Collect.add

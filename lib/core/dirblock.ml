@@ -224,12 +224,80 @@ let find r ~head ~name =
   in
   go 0 head
 
-(** Find the first free slot for [hash] along the chain.  Returns
-    ((block, row, slot) option, hops, last_block). *)
-let find_free_slot r ~head ~hash =
+let rec mem_block b = function [] -> false | x :: l -> x = b || mem_block b l
+
+(** What {!probe} saw of one name's row along a chain. *)
+type probe = {
+  found : int;  (** the named entry; 0 when the name is absent *)
+  blk : int;
+  row : int;
+  slot : int;
+      (** on a hit, where [found] is linked; on a miss, the first free
+          slot of the name's row ([blk] = 0 when the row is full in
+          every block) *)
+  last : int;  (** the chain's last block that is not retired *)
+  hops : int;  (** blocks visited (for charging) *)
+}
+
+(** One pass over [name]'s row in every chain block: the entry if the
+    name is present, else the first free slot seen on the way and the
+    chain's last block, which the growth path appends after.  Blocks in
+    [retired] (being unlinked by Fig. 5b step 6, hence empty) are
+    stepped over: no slot is picked there and none is the last block. *)
+let probe ?(retired = []) r ~head ~name =
+  let h = Name_hash.hash name in
+  let rowbuf = Bytes.create row_bytes in
+  let found = ref 0 and fb = ref 0 and frow = ref 0 and fs = ref 0 in
+  let b = ref head and last = ref head and hops = ref 0 in
+  while !b <> 0 do
+    let blk = !b in
+    incr hops;
+    if mem_block blk retired then b := next r blk
+    else begin
+      let row = h mod rows r blk in
+      load_row r blk row rowbuf;
+      let s = ref 0 in
+      while !s < slots_per_row do
+        let p = slot_of_row rowbuf !s in
+        if p = 0 then begin
+          if !fb = 0 then begin
+            fb := blk;
+            frow := row;
+            fs := !s
+          end;
+          incr s
+        end
+        else if Fentry.name_equals r p name then begin
+          found := p;
+          fb := blk;
+          frow := row;
+          fs := !s;
+          s := slots_per_row
+        end
+        else incr s
+      done;
+      last := blk;
+      b := if !found <> 0 then 0 else next r blk
+    end
+  done;
+  {
+    found = !found;
+    blk = !fb;
+    row = !frow;
+    slot = !fs;
+    last = !last;
+    hops = !hops;
+  }
+
+(** The first free slot for [hash] along the chain from [head]:
+    ((block, row, slot) option, hops, last block visited).  Only the
+    growth path's re-check from {!probe}'s [last], under the append
+    lock, still needs it: every other search is {!probe}. *)
+let find_free_slot ?(retired = []) r ~head ~hash =
   let rowbuf = Bytes.create row_bytes in
   let rec go hops b last =
     if b = 0 then (None, hops, last)
+    else if mem_block b retired then go (hops + 1) (next r b) last
     else begin
       let row = hash mod rows r b in
       load_row r b row rowbuf;

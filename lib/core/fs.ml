@@ -689,11 +689,23 @@ let rec resolve ?ctx ?(follow = true) ?(depth = 0) t path =
 
 (* --- row locking --------------------------------------------------------- *)
 
+let release_row ctx (r : Locks.row) () =
+  r.Locks.pin <- 0;
+  match ctx with
+  | None -> ()
+  | Some c -> Simurgh_sim.Vlock.Spin.release c r.Locks.lock
+
 (* Lock a directory row: virtual-time spin lock plus the persistent busy
-   flag in the first hash block (crash detection). *)
-let lock_row ?ctx t (d : dirref) row =
+   flag in the first hash block (crash detection).  [f] gets the lock
+   row; its release clears the row's pin, so an insert that fails
+   between its probe and its fill leaves no block pinned. *)
+let lock_row ?ctx t (d : dirref) row f =
   let row = if t.coarse_dir_locks then 0 else row in
-  Charge.with_spin ?ctx (Locks.row_lock t.locks ~dir:d.dhead ~row)
+  let r = Locks.row_lock t.locks ~dir:d.dhead ~row in
+  (match ctx with
+  | None -> ()
+  | Some c -> Simurgh_sim.Vlock.Spin.acquire c r.Locks.lock);
+  Simurgh_util.bracket release_row ctx r () (fun () -> f r)
 
 let set_row_busy ?ctx t (d : dirref) row v =
   Dirblock.set_busy t.region d.dhead row v;
@@ -775,137 +787,162 @@ let chain_guard ?ctx t dir f =
 
 (* --- create -------------------------------------------------------------- *)
 
-(* Striped mode: find — growing the chain when the row is full — a free
-   slot for [hash]'s row, without writing it.  The caller must hold the
-   row lock of that row; since every mutator of a row takes its lock
-   first, the returned slot stays free until the caller fills it (chain
-   growth by other rows only adds slots).  Separating the search from
-   the write lets rename reserve its destination slot ahead of the log
-   window, so the directory-global log lock covers only the short
-   persistent rename sequence, never a chain scan. *)
-let rec striped_reserve ?ctx ?owner t (d : dirref) ~hash =
-  let lock_row = Dirblock.lock_row_of_hash hash in
-  let slot_ref, hops, last =
-    Dirblock.find_free_slot t.region ~head:d.dhead ~hash
+(* The locked lookup of a create or rename target (Fig. 5a: the row's
+   lock is held, then the name is checked): one {!Dirblock.probe} of
+   [n]'s row along the chain, which also finds the free slot the insert
+   fills.  On a miss that slot's block is pinned in the lock row [r], so
+   step 6 of a concurrent unlink cannot free it before the fill.
+   Uncharged: the caller charges the walk. *)
+let probe_target t (d : dirref) (r : Locks.row) n =
+  let p =
+    Dirblock.probe ~retired:(Locks.retired t.locks) t.region ~head:d.dhead
+      ~name:n
   in
-  Charge.read_lines ?ctx (hops + 1);
-  match slot_ref with
-  | Some s ->
-      hook t "insert:slot";
-      s
-  | None -> (
-      set_row_busy ?ctx t d lock_row true;
-      hook t "insert:busy";
-      let reserved =
-        Charge.with_spin ?ctx
-          (Locks.dir_append_lock ~row:lock_row t.locks d.dhead)
-          (fun () ->
-            (* re-check under the row's append lock: the chain may have
-               grown meanwhile *)
-            let slot_ref', hops', last' =
-              Dirblock.find_free_slot t.region ~head:last ~hash
-            in
-            Charge.read_lines ?ctx (hops' + 1);
-            match slot_ref' with
-            | Some s -> Some s
-            | None ->
-                (* grow: allocate and initialize the new block outside
-                   the chain lock, link under it *)
-                let new_rows =
-                  min Dirblock.max_rows (2 * Dirblock.rows t.region last')
-                in
-                let nb = alloc_dirblock ?ctx ?owner t ~rows:new_rows in
-                hook t "insert:newblock";
-                let linked =
-                  chain_guard ?ctx t d.dhead (fun () ->
-                      if Dirblock.next t.region last' = 0 then begin
-                        Dirblock.set_next t.region last' nb;
-                        Charge.write_lines ?ctx 2;
-                        true
-                      end
-                      else false)
-                in
-                if linked then begin
-                  hook t "insert:link";
-                  Some (nb, hash mod new_rows, 0)
-                end
-                else begin
-                  (* lost the link race: another row extended the chain
-                     after our re-check.  Return our block and rescan —
-                     the freshly linked block has a free slot in our
-                     row, so the retry terminates. *)
-                  free_dirblock ?ctx ?owner t nb;
-                  None
-                end)
-      in
-      hook t "insert:unbusy";
-      set_row_busy ?ctx t d lock_row false;
-      match reserved with
-      | Some s -> s
-      | None -> striped_reserve ?ctx ?owner t d ~hash)
+  if p.Dirblock.found = 0 then r.Locks.pin <- p.Dirblock.blk;
+  p
 
-(* Insert [fentry] into the row of [name] in directory [d], growing the
-   chain when the row is full (Fig. 5a steps 3-5). *)
-let insert_entry ?ctx ?owner t (d : dirref) ~name:n fentry =
+(* Store [fentry] in the probed or reserved slot and drop the pin. *)
+let fill_slot ?ctx t (r : Locks.row) (blk, row, s) fentry =
+  Dirblock.set_slot t.region blk row s fentry;
+  Charge.write_lines ?ctx 1;
+  r.Locks.pin <- 0
+
+(* Striped mode, a row full in every block: grow the chain from [last]
+   and return — pinned in [r], not written — a free slot for [hash]'s
+   row.  The caller holds the row lock of that row; since every mutator
+   of a row takes its lock first, the slot stays free until the caller
+   fills it (chain growth by other rows only adds slots).  Separating
+   the search from the write lets rename reserve its destination slot
+   ahead of the log window, so the directory-global log lock covers
+   only the short persistent rename sequence, never a chain scan. *)
+let rec striped_grow ?ctx ?owner t (d : dirref) (r : Locks.row) ~hash ~last =
+  let lock_row = Dirblock.lock_row_of_hash hash in
+  set_row_busy ?ctx t d lock_row true;
+  hook t "insert:busy";
+  let reserved =
+    Charge.with_spin ?ctx
+      (Locks.dir_append_lock ~row:lock_row t.locks d.dhead)
+      (fun () ->
+        (* re-check under the row's append lock: the chain may have
+           grown meanwhile *)
+        let slot_ref', hops', last' =
+          Dirblock.find_free_slot ~retired:(Locks.retired t.locks) t.region
+            ~head:last ~hash
+        in
+        Charge.read_lines ?ctx (hops' + 1);
+        match slot_ref' with
+        | Some ((b, _, _) as s) ->
+            r.Locks.pin <- b;
+            Some s
+        | None ->
+            (* grow: allocate and initialize the new block outside
+               the chain lock, link under it *)
+            let new_rows =
+              min Dirblock.max_rows (2 * Dirblock.rows t.region last')
+            in
+            let nb = alloc_dirblock ?ctx ?owner t ~rows:new_rows in
+            hook t "insert:newblock";
+            let linked =
+              chain_guard ?ctx t d.dhead (fun () ->
+                  if Dirblock.next t.region last' = 0 then begin
+                    Dirblock.set_next t.region last' nb;
+                    Charge.write_lines ?ctx 2;
+                    true
+                  end
+                  else false)
+            in
+            if linked then begin
+              hook t "insert:link";
+              r.Locks.pin <- nb;
+              Some (nb, hash mod new_rows, 0)
+            end
+            else begin
+              (* lost the link race: another row extended the chain
+                 after our re-check.  Return our block and rescan —
+                 the freshly linked block has a free slot in our
+                 row, so the retry terminates. *)
+              free_dirblock ?ctx ?owner t nb;
+              None
+            end)
+  in
+  hook t "insert:unbusy";
+  set_row_busy ?ctx t d lock_row false;
+  match reserved with
+  | Some s -> s
+  | None -> (
+      let slot_ref, hops, last =
+        Dirblock.find_free_slot ~retired:(Locks.retired t.locks) t.region
+          ~head:d.dhead ~hash
+      in
+      Charge.read_lines ?ctx (hops + 1);
+      match slot_ref with
+      | Some ((b, _, _) as s) ->
+          hook t "insert:slot";
+          r.Locks.pin <- b;
+          s
+      | None -> striped_grow ?ctx ?owner t d r ~hash ~last)
+
+(* Striped mode: the slot a probe of [hash]'s row found, or one the
+   chain grows for it. *)
+let striped_reserve ?ctx ?owner t (d : dirref) r ~hash (p : Dirblock.probe) =
+  if p.Dirblock.blk <> 0 then begin
+    hook t "insert:slot";
+    (p.Dirblock.blk, p.Dirblock.row, p.Dirblock.slot)
+  end
+  else striped_grow ?ctx ?owner t d r ~hash ~last:p.Dirblock.last
+
+(* Insert [fentry] into the slot probe [p] found for [name]'s row in
+   directory [d], growing the chain when the row is full (Fig. 5a steps
+   3-5). *)
+let insert_entry ?ctx ?owner t (d : dirref) r ~name:n (p : Dirblock.probe)
+    fentry =
   let hash = Name_hash.hash n in
   let lock_row = Dirblock.lock_row_of_hash hash in
-  if not (Locks.striped t.locks) then begin
-    (* legacy path: every row-full insert of a directory serializes on
-       one chain-extension lock *)
-    let slot_ref, hops, last =
-      Dirblock.find_free_slot t.region ~head:d.dhead ~hash
-    in
-    Charge.read_lines ?ctx (hops + 1);
-    match slot_ref with
-    | Some (blk, row, s) ->
-        hook t "insert:slot";
-        Dirblock.set_slot t.region blk row s fentry;
-        Charge.write_lines ?ctx 1
-    | None ->
-        (* Fig. 5a: set the busy flag of the whole line, create a new hash
-           block, link it, then persist the new entry's pointer. *)
-        set_row_busy ?ctx t d lock_row true;
-        hook t "insert:busy";
-        Charge.with_spin ?ctx (Locks.dir_append_lock t.locks d.dhead)
-          (fun () ->
-            (* re-check under the append lock: another process may have
-               extended the chain meanwhile *)
-            let slot_ref', hops', last' =
-              Dirblock.find_free_slot t.region ~head:last ~hash
-            in
-            Charge.read_lines ?ctx (hops' + 1);
-            match slot_ref' with
-            | Some (blk, row, s) ->
-                Dirblock.set_slot t.region blk row s fentry;
-                Charge.write_lines ?ctx 1
-            | None ->
-                let new_rows =
-                  min Dirblock.max_rows (2 * Dirblock.rows t.region last')
-                in
-                let nb = alloc_dirblock ?ctx ?owner t ~rows:new_rows in
-                hook t "insert:newblock";
-                Dirblock.set_next t.region last' nb;
-                Charge.write_lines ?ctx 2;
-                hook t "insert:link";
-                Dirblock.set_slot t.region nb (hash mod new_rows) 0 fentry;
-                Charge.write_lines ?ctx 1);
-        hook t "insert:unbusy";
-        set_row_busy ?ctx t d lock_row false
+  if p.Dirblock.blk <> 0 then begin
+    hook t "insert:slot";
+    fill_slot ?ctx t r (p.Dirblock.blk, p.Dirblock.row, p.Dirblock.slot) fentry
   end
-  else begin
+  else if not (Locks.striped t.locks) then begin
+    (* legacy path: every row-full insert of a directory serializes on
+       one chain-extension lock.  Fig. 5a: set the busy flag of the
+       whole line, create a new hash block, link it, then persist the
+       new entry's pointer. *)
+    set_row_busy ?ctx t d lock_row true;
+    hook t "insert:busy";
+    Charge.with_spin ?ctx (Locks.dir_append_lock t.locks d.dhead) (fun () ->
+        (* re-check under the append lock: another process may have
+           extended the chain meanwhile *)
+        let slot_ref', hops', last' =
+          Dirblock.find_free_slot ~retired:(Locks.retired t.locks) t.region
+            ~head:p.Dirblock.last ~hash
+        in
+        Charge.read_lines ?ctx (hops' + 1);
+        match slot_ref' with
+        | Some s -> fill_slot ?ctx t r s fentry
+        | None ->
+            let new_rows =
+              min Dirblock.max_rows (2 * Dirblock.rows t.region last')
+            in
+            let nb = alloc_dirblock ?ctx ?owner t ~rows:new_rows in
+            hook t "insert:newblock";
+            Dirblock.set_next t.region last' nb;
+            Charge.write_lines ?ctx 2;
+            hook t "insert:link";
+            fill_slot ?ctx t r (nb, hash mod new_rows, 0) fentry);
+    hook t "insert:unbusy";
+    set_row_busy ?ctx t d lock_row false
+  end
+  else
     (* striped path: row-full inserts of different rows proceed in
        parallel under per-row append locks; only the physical link of a
        new hash block takes the (short) directory-global chain lock *)
-    let blk, row, s = striped_reserve ?ctx ?owner t d ~hash in
-    Dirblock.set_slot t.region blk row s fentry;
-    Charge.write_lines ?ctx 1
-  end
+    fill_slot ?ctx t r (striped_reserve ?ctx ?owner t d r ~hash p) fentry
 
-let create_at ?ctx t (w : Hw.Protected.privileged) (d : dirref) ~name:n ~kind
+(* Fig. 5a steps 1-6 of a create whose row lock [r] is held and whose
+   probe [p] missed: inode, file entry, then the pointer into the slot
+   [p] found. *)
+let create_locked ?ctx t (d : dirref) r (p : Dirblock.probe) ~name:n ~kind
     ~perm ~target_inode =
-  Hw.Protected.check_privileged w t.penv.pcpu;
-  if String.length n > Fentry.name_max then Errno.raise_ ENAMETOOLONG n;
-  check_perm_fe ?ctx t d.dfentry ~want:3;
   let euid, egid = creds ?ctx t in
   (* quota owner of the new object's blocks: a hardlink's name belongs to
      the linked inode's owner, everything else to the creator *)
@@ -915,66 +952,79 @@ let create_at ?ctx t (w : Hw.Protected.privileged) (d : dirref) ~name:n ~kind
     | None -> euid
   in
   let qown = if Quota.enabled t.quota then Some file_owner else None in
-  let row = Dirblock.lock_row_of_name n in
-  lock_row ?ctx t d row (fun () ->
-      (match dir_lookup ?ctx t d n with
-      | Some _ -> Errno.raise_ EEXIST n
-      | None -> ());
-      (* Fig. 5a step 1: inode created and persisted (still dirty) *)
-      let inode =
-        match target_inode with
-        | Some i ->
-            Inode.set_nlink t.region i (Inode.nlink t.region i + 1);
-            Region.persist t.region i 16;
-            i
-        | None ->
-            let i = alloc_inode ?ctx t in
-            Inode.init t.region i
-              ~mode:(Inode.mode_of_kind ~perm kind)
-              ~uid:euid ~gid:egid ~now:(now ?ctx t);
-            Charge.write_lines ?ctx 2;
-            i
-      in
-      hook t "create:inode";
-      (* step 2: file entry created and linked to the inode *)
-      let fe = alloc_fentry ?ctx t in
-      Fentry.init t.region fe ~name:n
-        ~dir:(kind = Inode.Dir)
-        ~symlink:(kind = Inode.Symlink)
-        ~target:inode
-        ~alloc_spill:(fun b -> alloc_spill ?ctx ?owner:qown t b);
-      (* secure media: stamp the owner/mode word the protected entry
-         points check (a hardlink inherits the linked inode's identity) *)
-      if t.secure then begin
-        match target_inode with
-        | Some i ->
-            Fentry.set_owner t.region fe ~uid:(Inode.uid t.region i)
-              ~gid:(Inode.gid t.region i)
-              ~perm:(Inode.perm t.region i)
-        | None -> Fentry.set_owner t.region fe ~uid:euid ~gid:egid ~perm
-      end;
-      Charge.write_lines ?ctx 2;
-      hook t "create:fentry";
-      (* directories get their first hash block before becoming visible *)
-      if kind = Inode.Dir then begin
-        let db =
-          alloc_dirblock ?ctx ~ring:t.log_ring ?owner:qown t
-            ~rows:Dirblock.first_rows
-        in
-        Fentry.set_dirblock t.region fe db;
-        Charge.write_lines ?ctx 2
-      end;
-      (* steps 3-5: persist the pointer into the row *)
-      insert_entry ?ctx ?owner:(dir_quota_uid t d) t d ~name:n fe;
-      hook t "create:slot";
-      (* step 6: unset the dirty bits *)
-      (match target_inode with
-      | Some _ -> ()
-      | None -> Simurgh_alloc.Slab_alloc.commit ?ctx t.layout.Layout.inode_slab inode);
-      Simurgh_alloc.Slab_alloc.commit ?ctx t.layout.Layout.fentry_slab fe;
-      hook t "create:commit";
-      rcache_insert t d n fe;
-      fe)
+  (* Fig. 5a step 1: inode created and persisted (still dirty) *)
+  let inode =
+    match target_inode with
+    | Some i ->
+        Inode.set_nlink t.region i (Inode.nlink t.region i + 1);
+        Region.persist t.region i 16;
+        i
+    | None ->
+        let i = alloc_inode ?ctx t in
+        Inode.init t.region i
+          ~mode:(Inode.mode_of_kind ~perm kind)
+          ~uid:euid ~gid:egid ~now:(now ?ctx t);
+        Charge.write_lines ?ctx 2;
+        i
+  in
+  hook t "create:inode";
+  (* step 2: file entry created and linked to the inode *)
+  let fe = alloc_fentry ?ctx t in
+  Fentry.init t.region fe ~name:n
+    ~dir:(kind = Inode.Dir)
+    ~symlink:(kind = Inode.Symlink)
+    ~target:inode
+    ~alloc_spill:(fun b -> alloc_spill ?ctx ?owner:qown t b);
+  (* secure media: stamp the owner/mode word the protected entry
+     points check (a hardlink inherits the linked inode's identity) *)
+  if t.secure then begin
+    match target_inode with
+    | Some i ->
+        Fentry.set_owner t.region fe ~uid:(Inode.uid t.region i)
+          ~gid:(Inode.gid t.region i)
+          ~perm:(Inode.perm t.region i)
+    | None -> Fentry.set_owner t.region fe ~uid:euid ~gid:egid ~perm
+  end;
+  Charge.write_lines ?ctx 2;
+  hook t "create:fentry";
+  (* directories get their first hash block before becoming visible *)
+  if kind = Inode.Dir then begin
+    let db =
+      alloc_dirblock ?ctx ~ring:t.log_ring ?owner:qown t
+        ~rows:Dirblock.first_rows
+    in
+    Fentry.set_dirblock t.region fe db;
+    Charge.write_lines ?ctx 2
+  end;
+  (* steps 3-5: persist the pointer into the row *)
+  insert_entry ?ctx ?owner:(dir_quota_uid t d) t d r ~name:n p fe;
+  hook t "create:slot";
+  (* step 6: unset the dirty bits *)
+  (match target_inode with
+  | Some _ -> ()
+  | None ->
+      Simurgh_alloc.Slab_alloc.commit ?ctx t.layout.Layout.inode_slab inode);
+  Simurgh_alloc.Slab_alloc.commit ?ctx t.layout.Layout.fentry_slab fe;
+  hook t "create:commit";
+  rcache_insert t d n fe;
+  fe
+
+(* The probe of a create target, charged as the lookup it is: the chain
+   rows it read plus the name hash and compare. *)
+let charge_probe ?ctx (p : Dirblock.probe) =
+  Charge.read_lines ?ctx (p.Dirblock.hops + 1);
+  Charge.cpu ?ctx 40.0
+
+let create_at ?ctx t (w : Hw.Protected.privileged) (d : dirref) ~name:n ~kind
+    ~perm ~target_inode =
+  Hw.Protected.check_privileged w t.penv.pcpu;
+  if String.length n > Fentry.name_max then Errno.raise_ ENAMETOOLONG n;
+  check_perm_fe ?ctx t d.dfentry ~want:3;
+  lock_row ?ctx t d (Dirblock.lock_row_of_name n) (fun r ->
+      let p = probe_target t d r n in
+      charge_probe ?ctx p;
+      if p.Dirblock.found <> 0 then Errno.raise_ EEXIST n;
+      create_locked ?ctx t d r p ~name:n ~kind ~perm ~target_inode)
 
 let create_file ?ctx t ?(perm = 0o644) path =
   entry_charge ?ctx t;
@@ -1490,6 +1540,8 @@ let range_pread ?ctx t inode ~pos ~len =
 
 (* --- unlink / rmdir (Fig. 5b) --------------------------------------------- *)
 
+let unretire locks blk () = Locks.unretire locks blk
+
 let remove_entry ?ctx t (w : Hw.Protected.privileged) (d : dirref) ~name:n
     ~check_dir =
   Hw.Protected.check_privileged w t.penv.pcpu;
@@ -1503,7 +1555,7 @@ let remove_entry ?ctx t (w : Hw.Protected.privileged) (d : dirref) ~name:n
   (* owner uid the deferred blocks were charged to (captured before the
      inode is zeroed below; [None] when nothing is freed or quotas off) *)
   let freed_owner = ref None in
-  lock_row ?ctx t d row (fun () ->
+  lock_row ?ctx t d row (fun _ ->
       let found, hops = Dirblock.find t.region ~head:d.dhead ~name:n in
       Charge.read_lines ?ctx (hops + 1);
       match found with
@@ -1597,22 +1649,34 @@ let remove_entry ?ctx t (w : Hw.Protected.privileged) (d : dirref) ~name:n
           Charge.write_lines ?ctx 1;
           rcache_invalidate t d n;
           hook t "unlink:slot";
-          (* step 6 (optional): free an empty non-head hash block *)
+          (* step 6 (optional): free an empty non-head hash block.
+             Under the chain guard it must still be empty and unpinned:
+             an insert of another row may hold a probed slot there that
+             it fills only after yield points.  The retire mark keeps
+             every later probe out of it until it is unlinked. *)
           if blk <> d.dhead && Dirblock.block_empty t.region blk then begin
-            chain_guard ?ctx t d.dhead
-              (fun () ->
-                (* find predecessor and unlink *)
-                let rec pred p =
-                  if p = 0 then ()
-                  else
-                    let nxt = Dirblock.next t.region p in
-                    if nxt = blk then begin
-                      Dirblock.set_next t.region p (Dirblock.next t.region blk);
-                      free_dirblock ?ctx ?owner:(dir_quota_uid t d) t blk
-                    end
-                    else pred nxt
-                in
-                pred d.dhead);
+            chain_guard ?ctx t d.dhead (fun () ->
+                if
+                  Dirblock.block_empty t.region blk
+                  && not
+                       (Locks.pinned t.locks ~dir:d.dhead
+                          ~rows:Dirblock.first_rows blk)
+                then begin
+                  Locks.retire t.locks blk;
+                  Simurgh_util.bracket unretire t.locks blk () (fun () ->
+                      (* find predecessor and unlink *)
+                      let rec pred p =
+                        if p <> 0 then
+                          let nxt = Dirblock.next t.region p in
+                          if nxt = blk then begin
+                            Dirblock.set_next t.region p
+                              (Dirblock.next t.region blk);
+                            free_dirblock ?ctx ?owner:(dir_quota_uid t d) t blk
+                          end
+                          else pred nxt
+                      in
+                      pred d.dhead)
+                end);
             Charge.write_lines ?ctx 2
           end;
           hook t "unlink:done";
@@ -1642,6 +1706,25 @@ let rmdir ?ctx t path =
 
 (* --- rename (Fig. 5c / cross-directory) ----------------------------------- *)
 
+(* The destination probe of a rename, under its row lock [r].  An
+   existing destination is replaced (POSIX) and the row probed again
+   for the slot the removal freed; an absent one is one walk, and its
+   free slot is pinned for the insert. *)
+let dest_probe ?ctx t w (d : dirref) r ~new_n ~ofe =
+  let p = probe_target t d r new_n in
+  let p =
+    if p.Dirblock.found = 0 then p
+    else begin
+      remove_entry ?ctx t w d ~name:new_n
+        ~check_dir:
+          (if Fentry.is_dir t.region ofe then `Must_be_dir
+           else `Must_not_be_dir);
+      probe_target t d r new_n
+    end
+  in
+  Charge.read_lines ?ctx (p.Dirblock.hops + 1);
+  p
+
 (* Same-directory rename, Fig. 5c.  [d] is the directory, [old_n] the
    existing name, [new_n] the new one. *)
 let rename_same_dir ?ctx t w (d : dirref) ~old_n ~new_n =
@@ -1649,26 +1732,22 @@ let rename_same_dir ?ctx t w (d : dirref) ~old_n ~new_n =
   check_perm_fe ?ctx t d.dfentry ~want:3;
   let old_row = Dirblock.lock_row_of_name old_n in
   let new_row = Dirblock.lock_row_of_name new_n in
+  (* ascending row order; [f] gets the destination's lock row *)
   let lock2 f =
-    if old_row = new_row then lock_row ?ctx t d old_row f
+    if old_row = new_row then lock_row ?ctx t d new_row f
+    else if old_row < new_row then
+      lock_row ?ctx t d old_row (fun _ -> lock_row ?ctx t d new_row f)
     else
-      let r1 = min old_row new_row and r2 = max old_row new_row in
-      lock_row ?ctx t d r1 (fun () -> lock_row ?ctx t d r2 f)
+      lock_row ?ctx t d new_row (fun nr ->
+          lock_row ?ctx t d old_row (fun _ -> f nr))
   in
-  lock2 (fun () ->
+  lock2 (fun nr ->
       let found, hops = Dirblock.find t.region ~head:d.dhead ~name:old_n in
       Charge.read_lines ?ctx (hops + 1);
       match found with
       | None -> Errno.raise_ ENOENT old_n
       | Some (oblk, orow, oslot, ofe) ->
-          (* destination exists? POSIX: replace it *)
-          (match Dirblock.find t.region ~head:d.dhead ~name:new_n with
-          | Some _, _ ->
-              remove_entry ?ctx t w d ~name:new_n
-                ~check_dir:
-                  (if Fentry.is_dir t.region ofe then `Must_be_dir
-                   else `Must_not_be_dir)
-          | None, h -> Charge.read_lines ?ctx (h + 1));
+          let p = dest_probe ?ctx t w d nr ~new_n ~ofe in
           let inode = Fentry.target t.region ofe in
           (* step 1-2: shadow file entry pointing at the same inode *)
           let nfe = alloc_fentry ?ctx t in
@@ -1691,8 +1770,8 @@ let rename_same_dir ?ctx t w (d : dirref) ~old_n ~new_n =
           let reserved =
             if Locks.striped t.locks then
               Some
-                (striped_reserve ?ctx ?owner:(dir_quota_uid t d) t d
-                   ~hash:(Name_hash.hash new_n))
+                (striped_reserve ?ctx ?owner:(dir_quota_uid t d) t d nr
+                   ~hash:(Name_hash.hash new_n) p)
             else None
           in
           (* the claimed persistent log slot is held from write to clear *)
@@ -1714,12 +1793,10 @@ let rename_same_dir ?ctx t w (d : dirref) ~old_n ~new_n =
               hook t "rename:oldfree";
               (* step 7: pointer in the new line *)
               (match reserved with
-              | Some (blk, row, s) ->
-                  Dirblock.set_slot t.region blk row s nfe;
-                  Charge.write_lines ?ctx 1
+              | Some s -> fill_slot ?ctx t nr s nfe
               | None ->
-                  insert_entry ?ctx ?owner:(dir_quota_uid t d) t d ~name:new_n
-                    nfe);
+                  insert_entry ?ctx ?owner:(dir_quota_uid t d) t d nr
+                    ~name:new_n p nfe);
               hook t "rename:newslot";
               (* step 8: remove the mismatched pointer from the old line *)
               Dirblock.set_slot t.region oblk orow oslot 0;
@@ -1742,28 +1819,22 @@ let rename_cross_dir ?ctx t w (ds : dirref) ~old_n (dd : dirref) ~new_n =
   check_perm_fe ?ctx t dd.dfentry ~want:3;
   let src_row = Dirblock.lock_row_of_name old_n in
   let dst_row = Dirblock.lock_row_of_name new_n in
-  (* deterministic lock order on (dir head, row) *)
-  let locks =
-    List.sort compare [ (ds.dhead, src_row, ds); (dd.dhead, dst_row, dd) ]
+  (* deterministic lock order on (dir head, row); [f] gets the
+     destination's lock row *)
+  let with_locks f =
+    if compare (ds.dhead, src_row) (dd.dhead, dst_row) < 0 then
+      lock_row ?ctx t ds src_row (fun _ -> lock_row ?ctx t dd dst_row f)
+    else
+      lock_row ?ctx t dd dst_row (fun dr ->
+          lock_row ?ctx t ds src_row (fun _ -> f dr))
   in
-  let rec with_locks ls f =
-    match ls with
-    | [] -> f ()
-    | (_, row, d) :: rest -> lock_row ?ctx t d row (fun () -> with_locks rest f)
-  in
-  with_locks locks (fun () ->
+  with_locks (fun dr ->
       let found, hops = Dirblock.find t.region ~head:ds.dhead ~name:old_n in
       Charge.read_lines ?ctx (hops + 1);
       match found with
       | None -> Errno.raise_ ENOENT old_n
       | Some (oblk, orow, oslot, ofe) ->
-          (match Dirblock.find t.region ~head:dd.dhead ~name:new_n with
-          | Some _, _ ->
-              remove_entry ?ctx t w dd ~name:new_n
-                ~check_dir:
-                  (if Fentry.is_dir t.region ofe then `Must_be_dir
-                   else `Must_not_be_dir)
-          | None, h -> Charge.read_lines ?ctx (h + 1));
+          let p = dest_probe ?ctx t w dd dr ~new_n ~ofe in
           let inode = Fentry.target t.region ofe in
           (* shadow entry in the destination *)
           let nfe = alloc_fentry ?ctx t in
@@ -1783,8 +1854,8 @@ let rename_cross_dir ?ctx t w (ds : dirref) ~old_n (dd : dirref) ~new_n =
           let reserved =
             if Locks.striped t.locks then
               Some
-                (striped_reserve ?ctx ?owner:(dir_quota_uid t dd) t dd
-                   ~hash:(Name_hash.hash new_n))
+                (striped_reserve ?ctx ?owner:(dir_quota_uid t dd) t dd dr
+                   ~hash:(Name_hash.hash new_n) p)
             else None
           in
           with_log_slot ?ctx t ds.dhead (fun ~slot ~epoch ->
@@ -1800,12 +1871,10 @@ let rename_cross_dir ?ctx t w (ds : dirref) ~old_n (dd : dirref) ~new_n =
               hook t "xrename:busy";
               (* step 4: perform — link destination, clear source *)
               (match reserved with
-              | Some (blk, row, s) ->
-                  Dirblock.set_slot t.region blk row s nfe;
-                  Charge.write_lines ?ctx 1
+              | Some s -> fill_slot ?ctx t dr s nfe
               | None ->
-                  insert_entry ?ctx ?owner:(dir_quota_uid t dd) t dd
-                    ~name:new_n nfe);
+                  insert_entry ?ctx ?owner:(dir_quota_uid t dd) t dd dr
+                    ~name:new_n p nfe);
               hook t "xrename:dstslot";
               Dirblock.set_slot t.region oblk orow oslot 0;
               Charge.write_lines ?ctx 1;
@@ -1898,20 +1967,51 @@ let exists ?ctx t path =
   | _ -> true
   | exception Errno.Err ((ENOENT | ENOTDIR), _) -> false
 
+(* open(O_CREAT) as Linux's lookup-with-create: the parent is resolved
+   once and the final name is looked up by the locked probe a create
+   runs, so an absent name is created in the slot that probe found.
+   Write permission on the directory is needed only to create; a final
+   symlink is followed as {!resolve} does (a dangling one is EEXIST, as
+   the create of its name would be). *)
+let open_create ?ctx t w ~excl path =
+  match Path.parse path with
+  | None ->
+      if excl then Errno.raise_ EEXIST path;
+      Layout.root_fentry t.layout
+  | Some pf -> (
+      let d, n = walk_parent ?ctx ~depth:0 t path pf in
+      check_perm_fe ?ctx t d.dfentry ~want:1;
+      let fe =
+        lock_row ?ctx t d (Dirblock.lock_row_of_name n) (fun r ->
+            let p = probe_target t d r n in
+            charge_probe ?ctx p;
+            if p.Dirblock.found <> 0 then begin
+              if excl then Errno.raise_ EEXIST path;
+              p.Dirblock.found
+            end
+            else begin
+              Hw.Protected.check_privileged w t.penv.pcpu;
+              if String.length n > Fentry.name_max then
+                Errno.raise_ ENAMETOOLONG n;
+              check_perm_fe ?ctx t d.dfentry ~want:3;
+              create_locked ?ctx t d r p ~name:n ~kind:Inode.File ~perm:0o644
+                ~target_inode:None
+            end)
+      in
+      (* a file just created is never a symlink *)
+      if not (Fentry.is_symlink t.region fe) then fe
+      else
+        match resolve ?ctx ~depth:1 t (read_symlink_target t fe) with
+        | _, target -> target
+        | exception Errno.Err (ENOENT, _) -> Errno.raise_ EEXIST n)
+
 let openf ?ctx t (flags : Types.open_flags) path =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
   t.penv.g_open @@ fun w ->
   let fe =
-    match resolve ?ctx t path with
-    | _, fe ->
-        if flags.Types.excl && flags.Types.create then Errno.raise_ EEXIST path;
-        fe
-    | exception Errno.Err (ENOENT, _) when flags.Types.create ->
-        let d, n = resolve_parent ?ctx t path in
-        create_at ?ctx t w d ~name:n ~kind:Inode.File ~perm:0o644
-          ~target_inode:None
-    | exception e -> raise e
+    if flags.Types.create then open_create ?ctx t w ~excl:flags.Types.excl path
+    else snd (resolve ?ctx t path)
   in
   if Fentry.is_dir t.region fe then Errno.raise_ EISDIR path;
   let inode = Fentry.target t.region fe in

@@ -72,9 +72,17 @@ module Ptbl = Registry (struct
   let hash = mix_pair
 end)
 
+(** One directory lock row: its spin lock and the pin word of the
+    insert holding it.  An insert probes its row, then fills the free
+    slot it found only after yield points (the inode and file-entry
+    stores, a rename's log window); [pin] names the chain block of that
+    slot meanwhile, so Fig. 5b step 6 cannot free the block under it.
+    Set in the step that picks the slot, cleared once the slot pointer
+    is stored or the lock is released; 0 when no slot is held. *)
+type row = { lock : Vlock.Spin.t; mutable pin : int }
+
 type stripe = {
-  row_locks : Vlock.Spin.t Ptbl.t;
-      (** (first dir block, row) -> spin lock *)
+  row_locks : row Ptbl.t;  (** (first dir block, row) -> lock row *)
   file_locks : Vlock.Rw.t Itbl.t;  (** inode pptr -> rwlock *)
   append_locks : Vlock.Spin.t Ptbl.t;
       (** (first dir block, row) -> append lock; legacy mode keys
@@ -114,6 +122,11 @@ type t = {
   mutable log_ring_full_waits : int;
       (** obs: claims that found every ring slot held and had to block
           ([rename_log/ring_full_waits]) *)
+  mutable retired : int list;
+      (** chain blocks Fig. 5b step 6 is unlinking (empty and unpinned
+          when marked): probes step over them.  Block addresses are
+          region-unique, so one list serves every directory; it is
+          empty except inside a step-6 window *)
 }
 
 let stripe_bits = 4
@@ -138,6 +151,7 @@ let create ?(striped = false) ?(range = false) () =
     log_slot_hint = 0;
     log_slot_acquisitions = 0;
     log_ring_full_waits = 0;
+    retired = [];
   }
 
 let striped t = t.striped
@@ -187,7 +201,27 @@ let clear t =
 let row_lock t ~dir ~row =
   let key = (dir, row) in
   Ptbl.find_or_create (stripe_of_pair t key).row_locks key (fun () ->
-      Vlock.Spin.create ~site:"dir-row" ())
+      { lock = Vlock.Spin.create ~site:"dir-row" (); pin = 0 })
+
+(** True when an in-flight insert under one of directory [dir]'s
+    [rows] lock rows has pinned chain block [b].  Step 6 asks this
+    under the chain guard, so a probe that runs later sees the retire
+    mark instead. *)
+let pinned t ~dir ~rows b =
+  let rec go row =
+    row < rows
+    &&
+    let key = (dir, row) in
+    (match Ptbl.find_opt (stripe_of_pair t key).row_locks key with
+    | Some r -> r.pin = b
+    | None -> false)
+    || go (row + 1)
+  in
+  go 0
+
+let retire t b = t.retired <- b :: t.retired
+let unretire t b = t.retired <- List.filter (fun x -> x <> b) t.retired
+let retired t = t.retired
 
 let file_lock t inode =
   Itbl.find_or_create (stripe_of t inode).file_locks inode (fun () ->

@@ -141,31 +141,27 @@ let find_pointer region ~head ~target =
 let relink layout ~head p =
   let region = layout.Layout.region in
   let name = Fentry.name region p in
-  match Dirblock.find region ~head ~name with
-  | Some (b, row, s, _), _ -> (b, row, s) (* already correctly linked *)
-  | None, _ -> (
-      let hash = Name_hash.hash name in
-      let slot_ref, _, last = Dirblock.find_free_slot region ~head ~hash in
-      match slot_ref with
-      | Some (b, row, s) ->
-          Dirblock.set_slot region b row s p;
-          (b, row, s)
-      | None ->
-          let new_rows =
-            min Dirblock.max_rows (2 * Dirblock.rows region last)
-          in
-          let balloc = layout.Layout.balloc in
-          let bs = Balloc.block_size balloc in
-          let blocks = (Dirblock.size_for_rows new_rows + bs - 1) / bs in
-          (match Balloc.alloc balloc blocks with
-          | None ->
-              failwith "Recovery.relink: out of blocks extending directory"
-          | Some nb ->
-              Dirblock.init region nb ~rows:new_rows ();
-              Dirblock.set_next region last nb;
-              let row = hash mod new_rows in
-              Dirblock.set_slot region nb row 0 p;
-              (nb, row, 0)))
+  let { Dirblock.found; blk; row; slot; last; _ } =
+    Dirblock.probe region ~head ~name
+  in
+  if found <> 0 then (blk, row, slot) (* already correctly linked *)
+  else if blk <> 0 then begin
+    Dirblock.set_slot region blk row slot p;
+    (blk, row, slot)
+  end
+  else
+    let new_rows = min Dirblock.max_rows (2 * Dirblock.rows region last) in
+    let balloc = layout.Layout.balloc in
+    let bs = Balloc.block_size balloc in
+    let blocks = (Dirblock.size_for_rows new_rows + bs - 1) / bs in
+    match Balloc.alloc balloc blocks with
+    | None -> failwith "Recovery.relink: out of blocks extending directory"
+    | Some nb ->
+        Dirblock.init region nb ~rows:new_rows ();
+        Dirblock.set_next region last nb;
+        let row = Name_hash.hash name mod new_rows in
+        Dirblock.set_slot region nb row 0 p;
+        (nb, row, 0)
 
 (* --- pending rename logs ------------------------------------------------ *)
 

@@ -426,6 +426,59 @@ let striped_xrename_scenario ~threads =
 let on_ring slots name sc =
   { sc with name; config = { Explore.striped with ring = slots } }
 
+(* --- step 6 against an in-flight insert ----------------------------------- *)
+
+(* Fig. 5b step 6 frees a non-head chain block that an unlink emptied.
+   Head rows 1 and 2 of "/s" are full and one more row-1 name sits
+   alone in the second block; thread 0 unlinks it, so step 6 frees that
+   block, while thread 1 creates (or renames a file to) a row-2 name
+   whose first free slot is in that block.  The insert holds that slot
+   across yield points (inode and file-entry stores, the rename log
+   window), so step 6 must leave a pinned block alone and probes must
+   skip a retired one: otherwise the new entry lands in a freed block
+   and is lost.  The lock-free reads of chain and row lines make
+   benign, informational race reports, as in [shared_scenario]. *)
+let step6_scenario ~config ~rename name =
+  let lone = name_in_row ~row:1 8 and target = name_in_row ~row:2 8 in
+  scenario ~config ~threads:2 name
+    ~check_final:(fun fs ->
+      if not (Fs.exists fs ("/s/" ^ target)) then Some "new entry lost"
+      else if Fs.exists fs ("/s/" ^ lone) then Some "unlinked entry back"
+      else None)
+    ~setup:(fun fs ->
+      Fs.mkdir fs "/s";
+      for i = 0 to 7 do
+        Fs.create_file fs ("/s/" ^ name_in_row ~row:1 i);
+        Fs.create_file fs ("/s/" ^ name_in_row ~row:2 i)
+      done;
+      Fs.create_file fs ("/s/" ^ lone);
+      if rename then Fs.create_file fs ("/s/" ^ name_in_row ~row:3 0))
+    (fun ~tid ~site fs ctx ->
+      if tid = 0 then begin
+        site "unlink";
+        Fs.unlink ~ctx fs ("/s/" ^ lone)
+      end
+      else if rename then begin
+        site "rename";
+        Fs.rename ~ctx fs ("/s/" ^ name_in_row ~row:3 0) ("/s/" ^ target)
+      end
+      else begin
+        site "create";
+        Fs.create_file ~ctx fs ("/s/" ^ target)
+      end)
+
+(** The step-6 scenarios: create and rename, on the default and the
+    striped configuration.  Oracle-gated like every scenario; their
+    race reports are informational. *)
+let step6_scenarios =
+  List.concat_map
+    (fun (config, prefix) ->
+      [
+        step6_scenario ~config ~rename:false (prefix ^ "step6-create");
+        step6_scenario ~config ~rename:true (prefix ^ "step6-rename");
+      ])
+    [ (Explore.plain, ""); (Explore.striped, "striped-") ]
+
 (* --- byte-range data-path scenarios ------------------------------------ *)
 
 (* All four mount with [range_locks] (plus the striped registry): one

@@ -39,15 +39,15 @@ let alloc_fentry h name =
 (* Insert mimicking Fs.insert_entry's growth rule. *)
 let insert h name =
   let e = alloc_fentry h name in
-  let hash = Name_hash.hash name in
-  let slot_ref, _, last = Dirblock.find_free_slot h.region ~head:h.head ~hash in
-  (match slot_ref with
-  | Some (b, row, s) -> Dirblock.set_slot h.region b row s e
-  | None ->
-      let rows = min Dirblock.max_rows (2 * Dirblock.rows h.region last) in
-      let nb = alloc_block h rows in
-      Dirblock.set_next h.region last nb;
-      Dirblock.set_slot h.region nb (hash mod rows) 0 e);
+  let p = Dirblock.probe h.region ~head:h.head ~name in
+  (if p.Dirblock.blk <> 0 then
+     Dirblock.set_slot h.region p.Dirblock.blk p.Dirblock.row p.Dirblock.slot e
+   else
+     let last = p.Dirblock.last in
+     let rows = min Dirblock.max_rows (2 * Dirblock.rows h.region last) in
+     let nb = alloc_block h rows in
+     Dirblock.set_next h.region last nb;
+     Dirblock.set_slot h.region nb (Name_hash.hash name mod rows) 0 e);
   e
 
 let find h name =
@@ -261,6 +261,116 @@ let prop_map_semantics =
         ops
       && Dirblock.count_entries h.region h.head = Hashtbl.length model)
 
+(* --- probe ------------------------------------------------------------------ *)
+
+(* [probe] is the two walks it replaced, fused: over random chains of
+   1-4 blocks whose query rows are full or partly free and may hold the
+   query name, it returns what [find] returns on a hit and, on a miss,
+   [find_free_slot]'s slot (and its last block when the row is full
+   everywhere) after visiting every block. *)
+let prop_probe_is_find_and_free_slot =
+  let block_gen =
+    QCheck.Gen.(pair bool (list_repeat Dirblock.slots_per_row (int_range 0 9)))
+  in
+  QCheck.Test.make ~name:"probe = find + find_free_slot" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 4) block_gen))
+    (fun blocks ->
+      let h = mk () in
+      let q = "query" in
+      let hash = Name_hash.hash q in
+      let others = ref 0 in
+      let prev = ref 0 in
+      List.iteri
+        (fun i (full, slots) ->
+          let b =
+            if i = 0 then h.head
+            else alloc_block h (Dirblock.first_rows lsl i)
+          in
+          if !prev <> 0 then Dirblock.set_next h.region !prev b;
+          prev := b;
+          let row = hash mod Dirblock.rows h.region b in
+          List.iteri
+            (fun s k ->
+              (* 0-2 free (unless the row is full), 9 the query name *)
+              if k = 9 then
+                Dirblock.set_slot h.region b row s (alloc_fentry h q)
+              else if k > 2 || full then begin
+                incr others;
+                Dirblock.set_slot h.region b row s
+                  (alloc_fentry h (Printf.sprintf "other%d" !others))
+              end)
+            slots)
+        blocks;
+      let p = Dirblock.probe h.region ~head:h.head ~name:q in
+      match Dirblock.find h.region ~head:h.head ~name:q with
+      | Some (b, row, s, e), hops ->
+          p.Dirblock.found = e
+          && (p.Dirblock.blk, p.Dirblock.row, p.Dirblock.slot) = (b, row, s)
+          && p.Dirblock.hops = hops
+      | None, _ -> (
+          p.Dirblock.found = 0
+          && p.Dirblock.hops = Dirblock.chain_length h.region h.head
+          &&
+          match Dirblock.find_free_slot h.region ~head:h.head ~hash with
+          | Some slot, _, _ ->
+              (p.Dirblock.blk, p.Dirblock.row, p.Dirblock.slot) = slot
+          | None, _, last -> p.Dirblock.blk = 0 && p.Dirblock.last = last))
+
+(* One walk per create: in a directory with a 3-block chain, a create,
+   an O_CREAT|O_EXCL open and a rename to an absent name each load the
+   target name's row of every chain block exactly once. *)
+let test_one_walk_per_create () =
+  let module Fs = Simurgh_core.Fs in
+  let module Types = Simurgh_fs_common.Types in
+  let region = Region.create (32 * 1024 * 1024) in
+  let fs = Fs.mkfs ~euid:0 region in
+  Fs.mkdir fs "/d";
+  let names_where pred =
+    Seq.ints 0
+    |> Seq.map (Printf.sprintf "n%d")
+    |> Seq.filter (fun n -> pred (Name_hash.hash n))
+  in
+  (* 17 names of one 128-row: 8 fill the head row, 8 the second block's
+     row, the 17th grows a third block *)
+  Seq.take 17 (names_where (fun h -> h mod 128 = 5))
+  |> Seq.iter (fun n -> Fs.create_file fs ("/d/" ^ n));
+  let head = Fentry.dirblock region (snd (Fs.resolve fs "/d")) in
+  Alcotest.(check int) "three chain blocks" 3
+    (Dirblock.chain_length region head);
+  (* targets and the rename source in distinct lock rows *)
+  let in_row r =
+    Option.get (Seq.uncons (names_where (fun h -> h mod 64 = r))) |> fst
+  in
+  Fs.create_file fs ("/d/" ^ in_row 20);
+  let walks name op =
+    let hash = Name_hash.hash name in
+    let lines = ref [] in
+    Dirblock.iter_chain region head (fun _ b ->
+        let row = hash mod Dirblock.rows region b in
+        lines := Dirblock.f_slot region b row 0 :: !lines);
+    let lines = Array.of_list (List.rev !lines) in
+    let loads = Array.make (Array.length lines) 0 in
+    Region.set_access_hook region (fun ~off ~len ~write ->
+        if not write then
+          Array.iteri
+            (fun i l ->
+              if off < l + Dirblock.row_bytes && l < off + len then
+                loads.(i) <- loads.(i) + 1)
+            lines);
+    Fun.protect ~finally:(fun () -> Region.clear_access_hook region) op;
+    Alcotest.(check (array int))
+      (name ^ ": each chain row loaded once")
+      (Array.make (Array.length lines) 1)
+      loads
+  in
+  let a = in_row 9 and b = in_row 10 and c = in_row 11 in
+  walks a (fun () -> Fs.create_file fs ("/d/" ^ a));
+  walks b (fun () ->
+      Fs.close fs
+        (Fs.openf fs { (Types.creat Types.wronly) with Types.excl = true }
+           ("/d/" ^ b)));
+  walks c (fun () -> Fs.rename fs ("/d/" ^ in_row 20) ("/d/" ^ c))
+
 let () =
   Alcotest.run "dirblock"
     [
@@ -282,5 +392,11 @@ let () =
           Alcotest.test_case "log ring roundtrip" `Quick test_log_ring_roundtrip;
           Alcotest.test_case "ring block as map" `Quick test_ring_block_map;
           Alcotest.test_case "block empty" `Quick test_block_empty;
+        ] );
+      ( "probe",
+        [
+          QCheck_alcotest.to_alcotest prop_probe_is_find_and_free_slot;
+          Alcotest.test_case "one walk per create" `Quick
+            test_one_walk_per_create;
         ] );
     ]

@@ -67,6 +67,30 @@ let invariance_cases =
   |> List.map (fun (t, scs) ->
          Alcotest.test_case t `Quick (fun () -> List.iter check_invariant scs))
 
+(* Fig. 5b step 6 against an insert holding a probed slot in the block
+   it frees: every schedule must keep the new entry (namespace and fsck
+   oracles).  The budget reaches both halves of the protocol: without
+   the pin check every scenario loses the entry, and without the retire
+   mark one striped-rename schedule does (a probe between step 6's check
+   and its unlink store).  The lock-free chain and row reads race
+   benignly; their reports are printed, not asserted. *)
+let step6_cases =
+  List.map
+    (fun (sc : Sched.scenario) ->
+      Alcotest.test_case sc.Sched.name `Quick (fun () ->
+          let st = Sched.run ~budget:4096 sc in
+          List.iter
+            (fun r ->
+              Printf.printf "  %s RACE %s\n" sc.Sched.name
+                (Race.report_to_string r))
+            st.Sched.races;
+          match st.Sched.failures with
+          | [] -> ()
+          | (label, detail) :: _ ->
+              Alcotest.failf "%d schedules fail; first, %s: %s"
+                (List.length st.Sched.failures) label detail))
+    Sched.step6_scenarios
+
 (* --- parallel recovery --------------------------------------------------- *)
 
 (* Fiber-mode recovery over a crashed image: every random worker
@@ -145,6 +169,7 @@ let () =
           Alcotest.test_case "parallel recovery with poison" `Quick
             test_recovery_poison_schedule_independent;
         ] );
+      ("step6", step6_cases);
       ( "race-detector",
         [
           Alcotest.test_case "negative control" `Quick

@@ -227,6 +227,25 @@ let test_owner_word_travels_with_rename () =
   let fd = Fs.openf fs Types.rdwr "/home/sub/g" in
   Fs.close fs fd
 
+(* open(O_CREAT) in a directory the caller may search but not write:
+   an existing name opens (no write permission on the directory is
+   needed), O_EXCL reports the name's existence before any permission
+   on the directory, and only a create proper is refused. *)
+let test_open_creat_in_readonly_dir () =
+  let _, fs = mk_secure () in
+  Fs.mkdir fs ~perm:0o755 "/ro";
+  Fs.create_file fs ~perm:0o666 "/ro/f";
+  Fs.set_creds fs ~euid:1000 ~egid:1000;
+  let fd = Fs.openf fs (Types.creat Types.wronly) "/ro/f" in
+  Fs.close fs fd;
+  (match
+     Fs.openf fs { (Types.creat Types.wronly) with Types.excl = true } "/ro/f"
+   with
+  | _ -> Alcotest.fail "EEXIST expected"
+  | exception Errno.Err (EEXIST, _) -> ());
+  expect_eacces (fun () -> Fs.openf fs (Types.creat Types.wronly) "/ro/g");
+  Alcotest.(check bool) "nothing created" false (Fs.exists fs "/ro/g")
+
 let test_readdir_needs_read_permission () =
   let _, fs = mk_secure () in
   (* 0o711: others may traverse but not list *)
@@ -360,5 +379,7 @@ let () =
             test_owner_word_travels_with_rename;
           Alcotest.test_case "readdir needs read permission" `Quick
             test_readdir_needs_read_permission;
+          Alcotest.test_case "open O_CREAT in a read-only dir" `Quick
+            test_open_creat_in_readonly_dir;
         ] );
     ]
