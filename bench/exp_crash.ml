@@ -175,7 +175,10 @@ let run ~scale =
 (** Standalone fsck self-check, used by [--check] / [make fsck]: the
     checker must pass a correctly recovered crash image AND flag a
     deliberately mis-recovered one (negative control, so a trivially
-    empty checker cannot pass).  Returns a process exit code. *)
+    empty checker cannot pass).  After the legacy and log-ring
+    recoveries, the slabs' free caches recovery installed must also
+    equal a fresh rebuild ({!Check.free_caches}); a mismatch is listed
+    with the violations.  Returns a process exit code. *)
 let fsck () =
   let region = Region.create ~mode:Region.Strict (32 * 1024 * 1024) in
   let fs = Fs.mkfs ~euid:0 region in
@@ -191,8 +194,8 @@ let fsck () =
   Region.clear_guard region;
   let _ = Recovery.run ~skip_log_resolution:true region in
   let negative = Check.run region in
-  let _ = Recovery.run region in
-  let clean = Check.run region in
+  let layout, _ = Recovery.run region in
+  let clean = Check.run region @ Check.free_caches layout in
   Printf.printf "fsck: negative control (broken recovery): %s\n"
     (if negative <> [] then
        Printf.sprintf "caught (%d violations)" (List.length negative)
@@ -210,8 +213,8 @@ let fsck () =
   Fs.set_crash_hook rfs (fun l -> if l = "rename:swap" then raise Crash_now);
   (try Fs.rename rfs "/d/m" "/d/n" with Crash_now -> Region.crash ring_region);
   Region.clear_guard ring_region;
-  let _ = Recovery.run ring_region in
-  let ring_clean = Check.run ring_region in
+  let ring_layout, _ = Recovery.run ring_region in
+  let ring_clean = Check.run ring_region @ Check.free_caches ring_layout in
   Printf.printf "fsck: log-ring recovery: %d violation(s)\n"
     (List.length ring_clean);
   List.iter

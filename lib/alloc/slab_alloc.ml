@@ -136,8 +136,9 @@ let charge ?ctx ~read ~write () =
     every allocation synchronizes on [cache_lock]; on, threads pop from a
     private DRAM queue and touch the shared cache only to refill or spill
     a batch.  The caches are purely volatile: a cached object's
-    persistent flags still read free, so recovery's [rebuild_cache]
-    mark-and-sweep regenerates exactly the same free set after a crash. *)
+    persistent flags still read free, so the free set recovery's
+    segment sweep builds after a crash ({!segment_cache}) is exactly
+    the same. *)
 let set_thread_caches t on = t.tcache_enabled <- on
 
 let tcache_batch = 32
@@ -311,32 +312,7 @@ let iter_objects t f =
   in
   seg_loop (Region.read_u62 t.region (seg_list_head t))
 
-(** Rebuild the volatile free cache and the live counter from persistent
-    flags; [reclaim] additionally resets 11/01 (crash-interrupted)
-    objects to free.  Used at attach/recovery time. *)
-let rebuild_cache ?(reclaim = false) t =
-  Queue.clear t.free_cache;
-  Array.iter Queue.clear t.tcaches;
-  t.live := 0;
-  iter_objects t (fun paddr f ->
-      let addr = paddr - obj_header in
-      if Region.range_poisoned t.region addr (slot_size t) then
-        (* slot overlaps an uncorrectable line: never recycle it *)
-        (if f = flag_valid then incr t.live)
-      else if f = 0 then Queue.push addr t.free_cache
-      else if f = flag_valid then incr t.live
-      else if reclaim then begin
-        Region.zero t.region paddr t.obj_size;
-        Region.write_u8 t.region addr 0;
-        Region.persist t.region addr 1;
-        Queue.push addr t.free_cache
-      end)
-
-let obj_size t = t.obj_size
-let blocks_per_segment t = t.blocks_per_seg
-
-(** Enumerate slab segment base addresses (for block-usage marking in
-    full-system recovery). *)
+(** Enumerate slab segment base addresses, in segment-list order. *)
 let iter_segments t f =
   let rec go seg =
     if seg <> 0 then begin
@@ -345,6 +321,66 @@ let iter_segments t f =
     end
   in
   go (Region.read_u62 t.region (seg_list_head t))
+
+(** One segment's share of the volatile caches: its free slots in
+    ascending address order and its live-object count. *)
+type seg_cache = { free : int list; live : int }
+
+(** [segment_cache t seg final] walks [seg] once
+    ({!iter_segment_objects}) and classifies each slot by the flags
+    [final paddr flags] says it holds once the caller is done with it:
+    free slots are cached, live ones counted, and a slot overlapping an
+    uncorrectable line is never cached.  [final] may rewrite the slot it
+    visits. *)
+let segment_cache t seg final =
+  let free = ref [] and live = ref 0 in
+  iter_segment_objects t seg (fun paddr f ->
+      let f = final paddr f in
+      let addr = paddr - obj_header in
+      if Region.range_poisoned t.region addr (slot_size t) then
+        (if f = flag_valid then incr live)
+      else if f = 0 then free := addr :: !free
+      else if f = flag_valid then incr live);
+  { free = List.rev !free; live = !live }
+
+(** Replace the volatile caches and the live counter with [segs], one
+    {!segment_cache} per segment in segment-list order. *)
+let install_cache t segs =
+  Queue.clear t.free_cache;
+  Array.iter Queue.clear t.tcaches;
+  t.live := 0;
+  List.iter
+    (fun s ->
+      List.iter (fun addr -> Queue.push addr t.free_cache) s.free;
+      t.live := !(t.live) + s.live)
+    segs
+
+(** Rebuild the volatile free cache and the live counter from persistent
+    flags; [reclaim] additionally resets 11/01 (crash-interrupted)
+    objects to free.  Used when a region is mounted. *)
+let rebuild_cache ?(reclaim = false) t =
+  let final paddr f =
+    let addr = paddr - obj_header in
+    if
+      reclaim && f <> 0 && f <> flag_valid
+      && not (Region.range_poisoned t.region addr (slot_size t))
+    then begin
+      Region.zero t.region paddr t.obj_size;
+      Region.write_u8 t.region addr 0;
+      Region.persist t.region addr 1;
+      0
+    end
+    else f
+  in
+  let segs = ref [] in
+  iter_segments t (fun seg -> segs := segment_cache t seg final :: !segs);
+  install_cache t (List.rev !segs)
+
+(** The shared free cache's slots, in pop order. *)
+let free_slots t = List.of_seq (Queue.to_seq t.free_cache)
+
+let obj_size t = t.obj_size
+let blocks_per_segment t = t.blocks_per_seg
 
 type stats = { live : int; allocs : int; frees : int }
 

@@ -49,6 +49,8 @@ type violation =
           media can flag several slots of one block) *)
   | Busy_flag of { block : int; row : int }  (** stuck busy flag *)
   | Media of { line : int }  (** poisoned line hit while checking *)
+  | Free_cache of string
+      (** a slab's volatile free cache differs from a rebuild *)
 
 let pp_violation ppf = function
   | Structure s -> Fmt.pf ppf "structure: %s" s
@@ -70,6 +72,7 @@ let pp_violation ppf = function
   | Busy_flag { block; row } ->
       Fmt.pf ppf "busy flag stuck in block %#x row %d" block row
   | Media { line } -> Fmt.pf ppf "media error at line %#x while checking" line
+  | Free_cache s -> Fmt.pf ppf "free cache: %s" s
 
 let violation_to_string v = Fmt.str "%a" pp_violation v
 
@@ -267,3 +270,36 @@ let run_all ?include_leaks regions =
        (fun i region ->
          List.map (fun v -> (i, v)) (run ?include_leaks region))
        (Array.to_list regions))
+
+(** [free_caches layout] compares the slabs' volatile free caches that
+    [layout] holds (recovery installs them from its segment sweep) with
+    a fresh {!Slab.rebuild_cache} of the same image: the free queue, in
+    pop order, and the live count must be equal, or allocations after
+    recovery land elsewhere than after a plain mount.  Leaves [layout]
+    and the region untouched. *)
+let free_caches (layout : Layout.t) =
+  let fresh = Layout.attach layout.Layout.region in
+  List.concat_map
+    (fun (name, have, want) ->
+      Slab.rebuild_cache want;
+      let queue = Slab.free_slots have and queue' = Slab.free_slots want in
+      (if queue <> queue' then
+         [
+           Free_cache
+             (Printf.sprintf
+                "%s queue of %d slots differs from a rebuild's %d" name
+                (List.length queue) (List.length queue'));
+         ]
+       else [])
+      @
+      if Slab.live_objects have <> Slab.live_objects want then
+        [
+          Free_cache
+            (Printf.sprintf "%s live count %d, a rebuild counts %d" name
+               (Slab.live_objects have) (Slab.live_objects want));
+        ]
+      else [])
+    [
+      ("inode", layout.Layout.inode_slab, fresh.Layout.inode_slab);
+      ("fentry", layout.Layout.fentry_slab, fresh.Layout.fentry_slab);
+    ]

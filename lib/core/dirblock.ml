@@ -67,10 +67,11 @@ let ring r b = Region.read_u32 r (f_ring b)
 (** On-media size of this block (ring-aware). *)
 let size_of r b = size_for_rows ~ring:(ring r b) (rows r b)
 
+(* row 0 of a block with [ring] log slots *)
+let rows_base b ~ring = b + header + (ring * ring_slot_bytes)
+
 let f_slot r b row s =
-  b + header
-  + (ring r b * ring_slot_bytes)
-  + (((row * slots_per_row) + s) * 8)
+  rows_base b ~ring:(ring r b) + (((row * slots_per_row) + s) * 8)
 
 let slot r b row s = Region.read_u62 r (f_slot r b row s)
 
@@ -79,8 +80,15 @@ let slot r b row s = Region.read_u62 r (f_slot r b row s)
    (reused across chain hops) and pick slots out of the DRAM copy. *)
 let row_bytes = slots_per_row * 8
 
-let load_row r b row dst =
-  Region.read_bytes_into r (f_slot r b row 0) dst ~pos:0 ~len:row_bytes
+let load_row ?(pos = 0) r b row dst =
+  Region.read_bytes_into r (f_slot r b row 0) dst ~pos ~len:row_bytes
+
+(** All [nrows] rows of block [b] (with [ring] log slots) in one read,
+    row [i] at [i * row_bytes] of [dst]: a whole-block scan such as
+    recovery's reads them as one copy. *)
+let load_rows r b ~ring ~nrows dst =
+  Region.read_bytes_into r (rows_base b ~ring) dst ~pos:0
+    ~len:(nrows * row_bytes)
 
 let slot_of_row dst s = Int64.to_int (Bytes.get_int64_le dst (s * 8))
 

@@ -366,6 +366,8 @@ let mount ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks ?rcache
         ~shared:(locks, rc, quota) ?euid ?egid layout
   | None ->
       let layout = Layout.attach region in
+      Simurgh_alloc.Slab_alloc.rebuild_cache layout.Layout.inode_slab;
+      Simurgh_alloc.Slab_alloc.rebuild_cache layout.Layout.fentry_slab;
       let fs =
         of_layout ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks
           ?rcache ?range_locks ?euid ?egid layout

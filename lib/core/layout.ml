@@ -140,6 +140,9 @@ let format ?segments ?(log_ring = 0) ?(shard = (0, 1)) ?(secure = false) region
     secure;
   }
 
+(** Attach to a formatted region.  The slabs' volatile free caches start
+    empty: {!Fs.mount} rebuilds them and recovery installs the ones its
+    segment sweep builds. *)
 let attach region =
   if Region.read_u32 region f_magic <> magic then
     invalid_arg "Layout.attach: not a Simurgh region";
@@ -150,18 +153,13 @@ let attach region =
   let slab off =
     Simurgh_alloc.Slab_alloc.attach region ~off ~block_alloc:balloc
   in
-  let t =
-    {
-      region;
-      balloc;
-      inode_slab = slab (Region.read_u62 region f_inode_slab);
-      fentry_slab = slab (Region.read_u62 region f_fentry_slab);
-      log_ring = Region.read_u32 region f_log_ring;
-      regions = (match Region.read_u32 region f_regions with 0 -> 1 | n -> n);
-      shard_index = Region.read_u32 region f_shard;
-      secure = Region.read_u32 region f_secure <> 0;
-    }
-  in
-  Simurgh_alloc.Slab_alloc.rebuild_cache t.inode_slab;
-  Simurgh_alloc.Slab_alloc.rebuild_cache t.fentry_slab;
-  t
+  {
+    region;
+    balloc;
+    inode_slab = slab (Region.read_u62 region f_inode_slab);
+    fentry_slab = slab (Region.read_u62 region f_fentry_slab);
+    log_ring = Region.read_u32 region f_log_ring;
+    regions = (match Region.read_u32 region f_regions with 0 -> 1 | n -> n);
+    shard_index = Region.read_u32 region f_shard;
+    secure = Region.read_u32 region f_secure <> 0;
+  }

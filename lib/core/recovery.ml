@@ -16,7 +16,12 @@
        and rebuild the block allocator's free lists from the blocks
        referenced by reachable inodes, directory chains and slab
        segments (unreachable directory blocks and extents are implicitly
-       reclaimed).
+       reclaimed).  Each segment's sweep also builds its share of the
+       slab's volatile free cache, installed at the end.
+
+    Every pass reads each metadata object once, as one copy parsed in
+    DRAM: a directory block's header and rows, a file entry's slab
+    slot, an inode's extent slots, an overflow block (DESIGN.md §14).
 
     {b Parallel recovery} (DESIGN.md §14).  All three passes decompose
     into tasks over a {!Simurgh_sim.Workpool} frontier — one task per
@@ -92,7 +97,18 @@ type report = {
   vtime_cycles : float;
       (** {!Vtime} mode only: the recovery makespan (max worker clock);
           0 under {!Seq} and {!Fibers} *)
+  pass_cycles : (string * float) list;
+      (** {!Vtime} mode only: the makespan of each pass, in order —
+          [collect] (log collection and resolution), [mark], [scan]
+          (extent scrub and chain, extent and spill block marks),
+          [segments] (slab segment sweep) and [rebuild] (free lists and
+          caches); they sum to [vtime_cycles].  [\[\]] under {!Seq} and
+          {!Fibers} *)
 }
+
+(** [r] without its virtual-time measurements: equal for every driver
+    over the same image. *)
+let untimed r = { r with vtime_cycles = 0.0; pass_cycles = [] }
 
 let pp_report ppf r =
   Fmt.pf ppf
@@ -166,7 +182,7 @@ let relink layout ~head p =
 (* --- pending rename logs ------------------------------------------------ *)
 
 (* Resolve the pending log in [slot] of first-block [b].  Returns
-   [`Forward] or [`Back]. *)
+   [`Forward] or [`Back], with the log's source and destination heads. *)
 let resolve_log layout b ~slot =
   let region = layout.Layout.region in
   let src, dst, ofe, nfe = Dirblock.Log.read region b ~slot in
@@ -223,23 +239,187 @@ let resolve_log layout b ~slot =
     end
   in
   Dirblock.Log.clear region b ~slot;
-  outcome
+  (outcome, src, dst)
+
+(* --- one read per object ------------------------------------------------- *)
+
+(* Recovery reads each metadata object once, as one copy parsed in DRAM
+   (DESIGN.md §14).  Each reader has a per-field twin that makes the
+   reads the parsers replace: the reference the parsers are tested
+   against, and the fallback when a copy hits a poisoned line, so that a
+   fault's retries and quarantines are those of the per-field reads. *)
+
+(** What the mark pass needs of a linked file entry. *)
+type entry =
+  | Dead  (** not live: an interrupted delete *)
+  | Live of {
+      name : string;
+      target : int;
+      kind : [ `Dir of int | `Sym | `File ];
+      spill : (int * int) option;  (** a long name's spill: (addr, bytes) *)
+    }
+
+(** The entry at [p] from one copy of its slab slot,
+    [\[p - 8, p + obj_size)], and for a long name one read of its spill
+    block.  Raises [Media_error]. *)
+let read_entry r ~obj_size p =
+  let h = Slab.obj_header in
+  let b = Bytes.create (h + obj_size) in
+  Region.read_bytes_into r (p - h) b ~pos:0 ~len:(h + obj_size);
+  if Bytes.get_uint8 b 0 <> Slab.flag_valid then Dead
+  else
+    let f = Bytes.get_uint8 b (Fentry.f_flags h) in
+    let name, spill =
+      if f land Fentry.fl_longname = 0 then
+        let len = Bytes.get_uint8 b (Fentry.f_name_len h) in
+        if len <= Fentry.inline_name_max then
+          (Bytes.sub_string b (Fentry.f_name h) len, None)
+        else
+          ( Bytes.unsafe_to_string (Region.read_bytes r (Fentry.f_name p) len),
+            None )
+      else
+        let s = Region.get_u62 b (Fentry.f_longname h) in
+        let len = Region.read_u16 r s in
+        ( Bytes.unsafe_to_string (Region.read_bytes r (s + 2) len),
+          Some (s, 2 + len) )
+    in
+    let kind =
+      if f land Fentry.fl_dir <> 0 then
+        `Dir (Region.get_u62 b (Fentry.f_dirblock h))
+      else if f land Fentry.fl_symlink <> 0 then `Sym
+      else `File
+    in
+    Live { name; target = Region.get_u62 b (Fentry.f_target h); kind; spill }
+
+(** {!read_entry} from per-field reads. *)
+let read_entry_fields r slab p =
+  if not (Slab.is_live slab p) then Dead
+  else
+    let name = Fentry.name r p in
+    let target = Fentry.target r p in
+    let kind =
+      if Fentry.is_dir r p then `Dir (Fentry.dirblock r p)
+      else if Fentry.is_symlink r p then `Sym
+      else `File
+    in
+    Live { name; target; kind; spill = Fentry.spill r p }
+
+(* the inline extent slots and the overflow pointer, [+48, +120) *)
+let inode_extent_bytes = Inode.payload_size - Inode.f_extent 0 0
+
+(** Scrub [inode]'s torn extent slots, then report its extents
+    ([extent addr blocks], file order) and its overflow blocks
+    ([overflow b], chain order).  A crash inside a batched
+    extent-staging window (range_locks data path) can leave a torn slot
+    — address persisted, block count not, or the reverse.  Such a slot
+    maps zero bytes, so it is harmless to readers, but it would shadow
+    the slot forever (appends only fill addr = 0 slots): it is cleared,
+    and the block rebuild reclaims whatever the lost stores leaked.
+    Reads one copy of the slots and the overflow pointer and one per
+    overflow block.  Raises [Media_error] before reporting anything. *)
+let scan_inode r inode ~extent ~overflow =
+  let exts = ref [] and ovs = ref [] in
+  (* [n] slots of (addr u62, blocks u32, pad) at [first] in [b] *)
+  let scrub b ~first ~n ~clear =
+    for k = 0 to n - 1 do
+      let o = first + (k * 16) in
+      let addr = Region.get_u62 b o and blocks = Region.get_u32 b (o + 8) in
+      if (addr <> 0) <> (blocks <> 0) then clear k
+      else if addr <> 0 then exts := (addr, blocks) :: !exts
+    done
+  in
+  let b = Bytes.create inode_extent_bytes in
+  Region.read_bytes_into r (Inode.f_extent inode 0) b ~pos:0
+    ~len:inode_extent_bytes;
+  scrub b ~first:0 ~n:Inode.inline_extents ~clear:(fun k ->
+      Inode.write_extent r inode k ~addr:0 ~blocks:0);
+  let ob = Bytes.create Inode.overflow_bytes in
+  let rec chain blk =
+    if blk <> 0 then begin
+      Region.read_bytes_into r blk ob ~pos:0 ~len:Inode.overflow_bytes;
+      scrub ob ~first:(Inode.ov_extent 0 0) ~n:Inode.overflow_entries
+        ~clear:(fun k -> Inode.write_ov_extent r blk k ~addr:0 ~blocks:0);
+      ovs := blk :: !ovs;
+      chain (Region.get_u62 ob (Inode.ov_next 0))
+    end
+  in
+  chain (Region.get_u62 b (Inode.f_overflow 0 - Inode.f_extent 0 0));
+  List.iter (fun (addr, blocks) -> extent addr blocks) (List.rev !exts);
+  List.iter overflow (List.rev !ovs)
+
+(** {!scan_inode} from per-field reads. *)
+let scan_inode_fields r inode ~extent ~overflow =
+  let scrub_slot read write k =
+    let addr, blocks = read k in
+    if (addr <> 0 && blocks = 0) || (addr = 0 && blocks <> 0) then
+      write k ~addr:0 ~blocks:0
+  in
+  for k = 0 to Inode.inline_extents - 1 do
+    scrub_slot (Inode.read_extent r inode) (Inode.write_extent r inode) k
+  done;
+  let rec ov_scrub b =
+    if b <> 0 then begin
+      for k = 0 to Inode.overflow_entries - 1 do
+        scrub_slot (Inode.read_ov_extent r b) (Inode.write_ov_extent r b) k
+      done;
+      ov_scrub (Region.read_u62 r (Inode.ov_next b))
+    end
+  in
+  ov_scrub (Region.read_u62 r (Inode.f_overflow inode));
+  Inode.iter_extents r inode extent;
+  let rec ov b =
+    if b <> 0 then begin
+      overflow b;
+      ov (Region.read_u62 r (Inode.ov_next b))
+    end
+  in
+  ov (Region.read_u62 r (Inode.f_overflow inode))
+
+(* a chain block's first words: next u62, rows u32, ring u32 *)
+let header_words = 16
+
+(** Chain block [b]'s [(rows, next, ring)] from one read of its first
+    [header_words] bytes into [buf].  Raises [Media_error]. *)
+let read_header r b buf =
+  Region.read_bytes_into r b buf ~pos:0 ~len:header_words;
+  ( Region.get_u32 buf (Dirblock.f_rows 0),
+    Region.get_u62 buf (Dirblock.f_next 0),
+    Region.get_u32 buf (Dirblock.f_ring 0) )
+
+(** Block [b]'s [nrows] rows as one copy, row [i] at
+    [i * Dirblock.row_bytes], and which rows are unreadable: after a
+    fault the rows are read one by one, [row_read row dst ~pos] saying
+    whether row [row] could be read. *)
+let read_rows r b ~ring ~nrows ~row_read =
+  let buf = Bytes.create (nrows * Dirblock.row_bytes) in
+  match Dirblock.load_rows r b ~ring ~nrows buf with
+  | () -> (buf, Array.make nrows false)
+  | exception Region.Media_error _ ->
+      ( buf,
+        Array.init nrows (fun row ->
+            not (row_read row buf ~pos:(row * Dirblock.row_bytes))) )
+
+(* slot [s] of row [row] in a {!read_rows} copy *)
+let row_slot rows row s =
+  Region.get_u62 rows ((row * Dirblock.row_bytes) + (s * 8))
 
 (* --- full-system recovery ------------------------------------------------ *)
 
 (* The unit of work on the pool frontier. *)
 type task =
-  | Collect_logs of int  (* pass-1 read-only scan of one directory *)
+  | Collect_logs of int  (* read-only log scan of one directory *)
   | Mark of { head : int; pslot : (int * int * int * int * int) option }
       (* mark + repair one directory; [pslot] = (block, row, slot,
          fentry, inode) of the referencing entry in the parent — if the
          head turns out unreadable the slot is detached and the entry's
          marks dropped (in the sequential step: the slot bytes belong to
          the parent's task, so the child task must not write them) *)
-  | Sweep_seg of [ `Inode | `Fentry ] * int  (* one slab segment *)
+  | Sweep_seg of [ `Inode | `Fentry ] * int * int
+      (* one slab segment and its index in the segment list *)
   | Sweep_chain of int  (* block-mark one directory chain *)
   | Sweep_inodes of int array * int * int  (* extent scrub+mark, [lo,hi) *)
-  | Sweep_spills of int array * int * int  (* spill-block mark, [lo,hi) *)
+  | Sweep_spills of int array * int * int
+      (* spill-block mark, [lo,hi), from the spills mark recorded *)
 
 (* A deferred relink: a misplaced entry (interrupted same-directory
    rename, Fig. 5c steps 7-8) or an entry salvaged off a spliced
@@ -263,6 +443,8 @@ type shard = {
   s_fentry : Reach.Vec.v;
   s_inode : Reach.Vec.v;
   s_dirhead : Reach.Vec.v;
+  mutable s_spills : (int * (int * int)) list;
+      (* long-named entries met by mark: (entry, spill range) *)
 }
 
 let sweep_slice = 512
@@ -278,6 +460,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   let r = region in
   let inode_slab = layout.Layout.inode_slab in
   let fentry_slab = layout.Layout.fentry_slab in
+  let fentry_obj_size = Slab.obj_size fentry_slab in
   let balloc = layout.Layout.balloc in
   let nworkers =
     match par with
@@ -376,6 +559,22 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
         v
     | _ -> f ()
   in
+  let makespan () =
+    match clocks with
+    | Some cl ->
+        Array.fold_left (fun acc c -> Stdlib.max acc c.Sthread.now) 0.0 cl
+    | None -> 0.0
+  in
+  (* each pass ends on a barrier, so its makespan is the clock advance
+     since the previous pass ended *)
+  let pass_cycles = ref [] and pass_start = ref 0.0 in
+  let end_pass name =
+    if Option.is_some clocks then begin
+      let now = makespan () in
+      pass_cycles := (name, now -. !pass_start) :: !pass_cycles;
+      pass_start := now
+    end
+  in
 
   (* ---- global reachability + shards ------------------------------------ *)
   let new_marks () = Reach.create ~size:(Region.size r) in
@@ -388,6 +587,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
           s_fentry = Reach.Vec.create ();
           s_inode = Reach.Vec.create ();
           s_dirhead = Reach.Vec.create ();
+          s_spills = [];
         })
   in
   (* merge (and clear) the shards in worker-index order; the result is
@@ -396,17 +596,20 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
      deliberate parallel-merge bug behind make fsck's negative control:
      with >= 2 workers some reachable objects lose their marks and the
      sweep frees storage the namespace still references. *)
+  let g_spill = Hashtbl.create 16 in
   let merge_shards () =
     Array.iteri
       (fun w sh ->
         if w = 0 || not drop_mark_shard then begin
           Reach.add_all g_fentry sh.s_fentry;
           Reach.add_all g_inode sh.s_inode;
-          Reach.add_all g_dirhead sh.s_dirhead
+          Reach.add_all g_dirhead sh.s_dirhead;
+          List.iter (fun (p, sp) -> Hashtbl.replace g_spill p sp) sh.s_spills
         end;
         Reach.Vec.clear sh.s_fentry;
         Reach.Vec.clear sh.s_inode;
-        Reach.Vec.clear sh.s_dirhead)
+        Reach.Vec.clear sh.s_dirhead;
+        sh.s_spills <- [])
       shards
   in
   let mark g v k = if not (Reach.mem g k) then Reach.Vec.push v k in
@@ -426,17 +629,22 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
      resolved sequentially in ascending epoch order: slots of
      conflicting renames were stamped in their row-lock serialization
      order, so replaying by epoch is the deterministic linearization.
-     Resolution can change reachability (stale links dropped, shadows
-     committed), so collection iterates to a fixpoint — [log_seen] keys
-     on (head, slot) and guarantees termination. *)
+
+     Pass 1 follows every allocated entry (live or dirty, so shadows
+     too) from the root.  Resolution then only removes links and
+     commits shadows already linked, so it cannot reach a directory
+     pass 1 did not scan; the confirming pass k > 1 rescans only the
+     source and destination heads of the logs pass k-1 resolved, with
+     [seen] kept across passes (DESIGN.md §14).  [log_seen] keys on
+     (head, slot) and guarantees termination. *)
   let log_seen = Hashtbl.create 64 in
+  let seen = new_marks () in
   let resolve_logs root_head =
-    let continue_ = ref true in
-    while !continue_ do
+    (* the slab flags byte and the entry flags byte, in one read *)
+    let hdr_bytes = Slab.obj_header + 1 in
+    let rec pass heads =
       incr resolve_passes;
       let found = ref [] in
-      let seen = new_marks () in
-      Reach.add seen root_head;
       let pool = Workpool.create () in
       let do_collect head =
         (try
@@ -444,29 +652,37 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
              (fun (slot, epoch) -> found := (epoch, head, slot) :: !found)
              (Dirblock.Log.pending_slots r head)
          with Region.Media_error _ -> ());
-        let rowbuf = Bytes.create Dirblock.row_bytes in
+        let hb = Bytes.create header_words in
+        let hdr = Bytes.create hdr_bytes in
+        let row_read b row buf ~pos =
+          try
+            Dirblock.load_row ~pos r b row buf;
+            true
+          with Region.Media_error _ -> false
+        in
         let rec block b =
           if b <> 0 then begin
             match
-              try Some (Dirblock.rows r b, Dirblock.next r b)
-              with Region.Media_error _ -> None
+              try Some (read_header r b hb) with Region.Media_error _ -> None
             with
             | None -> ()
-            | Some (nrows, nxt) ->
+            | Some (nrows, nxt, ring) ->
+                let rows, bad =
+                  read_rows r b ~ring ~nrows ~row_read:(row_read b)
+                in
                 for row = 0 to nrows - 1 do
-                  if
-                    try
-                      Dirblock.load_row r b row rowbuf;
-                      true
-                    with Region.Media_error _ -> false
-                  then
+                  if not bad.(row) then
                     for s = 0 to Dirblock.slots_per_row - 1 do
-                      let p = Dirblock.slot_of_row rowbuf s in
+                      let p = row_slot rows row s in
                       if p <> 0 then
                         try
+                          Region.read_bytes_into r (p - Slab.obj_header) hdr
+                            ~pos:0 ~len:hdr_bytes;
                           if
-                            Slab.obj_flags fentry_slab p <> 0
-                            && Fentry.is_dir r p
+                            Bytes.get_uint8 hdr 0 <> 0
+                            && Bytes.get_uint8 hdr Slab.obj_header
+                               land Fentry.fl_dir
+                               <> 0
                           then begin
                             let child = Fentry.dirblock r p in
                             if child <> 0 && not (Reach.mem seen child)
@@ -483,7 +699,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
         in
         block head
       in
-      Workpool.push pool (Collect_logs root_head);
+      List.iter (fun h -> Workpool.push pool (Collect_logs h)) heads;
       run_pool pool (fun ~worker:_ task ->
           match task with
           | Collect_logs head -> do_collect head
@@ -494,21 +710,25 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
           !found
         |> List.sort_uniq compare
       in
-      match fresh with
-      | [] -> continue_ := false
-      | pending ->
+      if fresh <> [] then
+        let touched =
           seq_section (fun () ->
-              List.iter
+              List.concat_map
                 (fun (_, head, slot) ->
                   Hashtbl.replace log_seen (head, slot) ();
                   hook "recovery:resolve-log";
-                  try
-                    match resolve_log layout head ~slot with
-                    | `Forward -> incr completed_renames
-                    | `Back -> incr rolled_back
-                  with Region.Media_error _ -> ())
-                pending)
-    done
+                  match resolve_log layout head ~slot with
+                  | outcome, src, dst ->
+                      if outcome = `Forward then incr completed_renames
+                      else incr rolled_back;
+                      [ src; dst ]
+                  | exception Region.Media_error _ -> [])
+                fresh)
+        in
+        pass (List.sort_uniq compare (List.filter (( <> ) 0) touched))
+    in
+    Reach.add seen root_head;
+    pass [ root_head ]
   in
 
   (* ---- pass 2: mark + repair ------------------------------------------- *)
@@ -525,20 +745,20 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
         Workpool.push pool (Mark { head = child; pslot })
       end
     in
-    (* read one block's header and a snapshot of its rows; a row that
-       stays unreadable after the retry budget snapshots to [None] *)
+    (* read one block's header and a copy of its rows; a row that stays
+       unreadable after the retry budget is flagged in [bad] *)
+    let hb = Bytes.create header_words
+    and busyb = Bytes.create Dirblock.first_rows in
     let read_block b =
-      match try_read (fun () -> (Dirblock.rows r b, Dirblock.next r b)) with
+      match try_read (fun () -> read_header r b hb) with
       | None -> None
-      | Some (nrows, nxt) ->
-          let snap =
-            Array.init nrows (fun row ->
-                try_read (fun () ->
-                    let buf = Bytes.create Dirblock.row_bytes in
-                    Dirblock.load_row r b row buf;
-                    buf))
+      | Some (nrows, nxt, ring) ->
+          let rows, bad =
+            read_rows r b ~ring ~nrows ~row_read:(fun row buf ~pos ->
+                Option.is_some
+                  (try_read (fun () -> Dirblock.load_row ~pos r b row buf)))
           in
-          Some (nrows, nxt, snap)
+          Some (nrows, nxt, rows, bad)
     in
     (* Process one entry.  Everything is read (with retry) before
        anything is marked or written, so a fault can never strand a
@@ -549,23 +769,15 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
        queued for relinking instead. *)
     let process_entry ~salvage ~nrows b row s p =
       match
-        try_read (fun () ->
-            if not (Slab.is_live fentry_slab p) then `Dead
-            else
-              let name = Fentry.name r p in
-              let want = Name_hash.hash name mod nrows in
-              let tgt = Fentry.target r p in
-              let kind =
-                if Fentry.is_dir r p then `Dir (Fentry.dirblock r p)
-                else if Fentry.is_symlink r p then `Sym
-                else `File
-              in
-              `Live (want, tgt, kind))
+        match read_entry r ~obj_size:fentry_obj_size p with
+        | e -> Some e
+        | exception Region.Media_error _ ->
+            try_read (fun () -> read_entry_fields r fentry_slab p)
       with
       | None ->
           (* unreadable entry metadata: detach the slot *)
           if salvage then incr quarantined else quarantine_slot b row s
-      | Some `Dead ->
+      | Some Dead ->
           (* interrupted delete: complete it (zero the pointer); a
              salvaged dead entry's slot vanished with its block *)
           if not salvage then begin
@@ -573,7 +785,11 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
             Dirblock.set_slot r b row s 0
           end;
           incr completed_deletes
-      | Some (`Live (want, tgt, kind)) ->
+      | Some (Live { name; target = tgt; kind; spill }) ->
+          let want = Name_hash.hash name mod nrows in
+          Option.iter
+            (fun sp -> sh.s_spills <- (p, sp) :: sh.s_spills)
+            spill;
           let child = match kind with `Dir h -> Some h | _ -> None in
           if salvage || want <> row then begin
             (* misplaced (interrupted same-directory rename after the
@@ -604,17 +820,15 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
             | `File -> incr files
           end
     in
-    let process_block ~salvage b nrows snap =
-      Array.iteri
-        (fun row o ->
-          match o with
-          | None -> if salvage then incr quarantined
-          | Some rowbuf ->
-              for s = 0 to Dirblock.slots_per_row - 1 do
-                let p = Dirblock.slot_of_row rowbuf s in
-                if p <> 0 then process_entry ~salvage ~nrows b row s p
-              done)
-        snap
+    let process_block ~salvage b nrows rows bad =
+      for row = 0 to nrows - 1 do
+        if bad.(row) then (if salvage then incr quarantined)
+        else
+          for s = 0 to Dirblock.slots_per_row - 1 do
+            let p = row_slot rows row s in
+            if p <> 0 then process_entry ~salvage ~nrows b row s p
+          done
+      done
     in
     (* The head block is validated in full before anything below it is
        marked: an unreadable header or row quarantines the whole
@@ -627,20 +841,29 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
     in
     match read_block head with
     | None -> head_unreadable ()
-    | Some (_, _, snap) when Array.exists Option.is_none snap ->
-        head_unreadable ()
-    | Some (nrows, nxt, snap) ->
+    | Some (_, _, _, bad) when Array.exists Fun.id bad -> head_unreadable ()
+    | Some (nrows, nxt, rows, bad) ->
         mark_d sh head;
-        (* clear busy flags left behind by crashed lock holders *)
+        (* clear busy flags left behind by crashed lock holders: one
+           read of the 64 flag bytes, per-flag reads on a fault *)
+        let busy =
+          match
+            Region.read_bytes_into r (Dirblock.f_busy head 0) busyb ~pos:0
+              ~len:Dirblock.first_rows
+          with
+          | () -> fun row -> Bytes.get busyb row <> '\000'
+          | exception Region.Media_error _ -> (
+              fun row ->
+                try Dirblock.busy r head row
+                with Region.Media_error _ -> false)
+        in
         for row = 0 to Dirblock.first_rows - 1 do
-          if
-            try Dirblock.busy r head row with Region.Media_error _ -> false
-          then begin
+          if busy row then begin
             Dirblock.set_busy r head row false;
             incr cleared_busy
           end
         done;
-        process_block ~salvage:false head nrows snap;
+        process_block ~salvage:false head nrows rows bad;
         (* chain blocks degrade per-block, never per-directory: an
            unreadable header truncates the chain there (the orphaned
            tail is swept); a block with unreadable rows is spliced out
@@ -651,13 +874,12 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
             | None ->
                 incr quarantined;
                 Dirblock.set_next r prev 0
-            | Some (nrows, nxt, snap)
-              when Array.exists Option.is_none snap ->
-                process_block ~salvage:true b nrows snap;
+            | Some (nrows, nxt, rows, bad) when Array.exists Fun.id bad ->
+                process_block ~salvage:true b nrows rows bad;
                 Dirblock.set_next r prev nxt;
                 walk prev nxt
-            | Some (nrows, nxt, snap) ->
-                process_block ~salvage:false b nrows snap;
+            | Some (nrows, nxt, rows, bad) ->
+                process_block ~salvage:false b nrows rows bad;
                 walk b nxt
         in
         walk head nxt
@@ -750,7 +972,9 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
      disambiguates crashed renames); used by the negative tests proving
      the offline checker actually catches recovery bugs *)
   if not skip_log_resolution then resolve_logs root_head;
+  end_pass "collect";
   mark_rounds [ (root_head, None) ];
+  end_pass "mark";
 
   (* ---- pass 3: sweep ---------------------------------------------------- *)
   let bs = Balloc.block_size balloc in
@@ -775,74 +999,66 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   in
   let reclaimed_inodes = ref 0 in
   let reclaimed_fentries = ref 0 in
-  let sweep_segment which seg bm =
-    let slab, reach, counter =
+  let segments slab =
+    let l = ref [] in
+    Slab.iter_segments slab (fun seg -> l := seg :: !l);
+    Array.of_list (List.rev !l)
+  in
+  let inode_segs = segments inode_slab and fentry_segs = segments fentry_slab in
+  (* each segment task leaves its share of the slab's free cache here,
+     at its segment-list index; the last sequential step installs them
+     in that order *)
+  let inode_caches = Array.make (Array.length inode_segs) None in
+  let fentry_caches = Array.make (Array.length fentry_segs) None in
+  let sweep_segment which seg i bm =
+    let slab, reach, counter, caches =
       match which with
-      | `Inode -> (inode_slab, g_inode, reclaimed_inodes)
-      | `Fentry -> (fentry_slab, g_fentry, reclaimed_fentries)
+      | `Inode -> (inode_slab, g_inode, reclaimed_inodes, inode_caches)
+      | `Fentry -> (fentry_slab, g_fentry, reclaimed_fentries, fentry_caches)
     in
     mark_range bm seg (Slab.blocks_per_segment slab * bs);
     let slot_bytes = Slab.obj_header + Slab.obj_size slab in
     let to_free = ref [] in
-    Slab.iter_segment_objects slab seg (fun p flags ->
-        if flags <> 0 && not (Reach.mem reach p) then
-          if Region.range_poisoned r (p - Slab.obj_header) slot_bytes then
-            (* the slot overlaps a poisoned line (possibly a neighbor's
-               — slots are not line-aligned): it can be neither zeroed
-               nor recycled, so it stays allocated, quarantined in
-               place, until the media is scrubbed *)
-            incr quarantined
-          else to_free := p :: !to_free);
+    let cache =
+      Slab.segment_cache slab seg (fun p flags ->
+          if flags <> 0 && not (Reach.mem reach p) then
+            if Region.range_poisoned r (p - Slab.obj_header) slot_bytes
+            then begin
+              (* the slot overlaps a poisoned line (possibly a
+                 neighbor's — slots are not line-aligned): it can be
+                 neither zeroed nor recycled, so it stays allocated,
+                 quarantined in place, until the media is scrubbed *)
+              incr quarantined;
+              flags
+            end
+            else begin
+              to_free := p :: !to_free;
+              0
+            end
+          else flags)
+    in
     List.iter
       (fun p ->
         hook "recovery:sweep-free";
         if not (Slab.is_live slab p) then Slab.mark_dirty slab p;
         Slab.free slab p;
         incr counter)
-      !to_free
-  in
-  (* file extents + extent overflow chains.  A crash inside a batched
-     extent-staging window (range_locks data path) can leave a torn
-     slot — address persisted, block count not, or the reverse.  Such a
-     slot maps zero bytes so it is harmless to readers, but it would
-     shadow the slot forever (appends only fill addr = 0 slots): scrub
-     it back to empty here, and let the rebuild below reclaim whatever
-     blocks the lost stores leaked. *)
-  let scrub_slot read write k =
-    let addr, blocks = read k in
-    if (addr <> 0 && blocks = 0) || (addr = 0 && blocks <> 0) then
-      write k ~addr:0 ~blocks:0
+      !to_free;
+    caches.(i) <- Some cache
   in
   let sweep_inode bm inode =
+    let extent addr blocks = mark_range bm addr (blocks * bs) in
+    let overflow b = mark_range bm b Inode.overflow_bytes in
     try
-      for k = 0 to Inode.inline_extents - 1 do
-        scrub_slot (Inode.read_extent r inode) (Inode.write_extent r inode) k
-      done;
-      let rec ov_scrub b =
-        if b <> 0 then begin
-          for k = 0 to Inode.overflow_entries - 1 do
-            scrub_slot (Inode.read_ov_extent r b) (Inode.write_ov_extent r b) k
-          done;
-          ov_scrub (Region.read_u62 r (Inode.ov_next b))
-        end
-      in
-      ov_scrub (Region.read_u62 r (Inode.f_overflow inode));
-      Inode.iter_extents r inode (fun addr blocks ->
-          mark_range bm addr (blocks * bs));
-      let rec ov b =
-        if b <> 0 then begin
-          mark_range bm b Inode.overflow_bytes;
-          ov (Region.read_u62 r (Inode.ov_next b))
-        end
-      in
-      ov (Region.read_u62 r (Inode.f_overflow inode))
+      try scan_inode r inode ~extent ~overflow
+      with Region.Media_error _ -> scan_inode_fields r inode ~extent ~overflow
     with Region.Media_error _ -> incr quarantined
   in
   let do_sweep ~worker task =
     incr sweep_tasks;
     let bm = bitmaps.(worker) in
     match task with
-    | Sweep_seg (which, seg) -> sweep_segment which seg bm
+    | Sweep_seg (which, seg, i) -> sweep_segment which seg i bm
     | Sweep_chain head -> (
         try
           Dirblock.iter_chain r head (fun _ b ->
@@ -853,13 +1069,12 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
           sweep_inode bm arr.(k)
         done
     | Sweep_spills (arr, lo, hi) ->
+        (* the ranges mark read with each long-named entry; the root's
+           name "/" is inline *)
         for k = lo to hi - 1 do
-          let fe = arr.(k) in
-          try
-            match Fentry.spill r fe with
-            | Some (addr, len) -> mark_range bm addr len
-            | None -> ()
-          with Region.Media_error _ -> incr quarantined
+          match Hashtbl.find_opt g_spill arr.(k) with
+          | Some (addr, len) -> mark_range bm addr len
+          | None -> ()
         done
     | Collect_logs _ | Mark _ -> assert false
   in
@@ -879,11 +1094,11 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   in
   (* Two fenced phases: the scan phase scrubs torn extent slots (writes
      into reachable inodes) and block-marks chains/extents/spills; the
-     segment phase bulk-snapshots whole segments (reads every slot) and
-     frees the unreachable ones.  Splitting them keeps any task's writes
-     out of another concurrent task's read set — within a phase tasks
-     touch disjoint media, across phases the pool's fork/join fences
-     order them. *)
+     segment phase bulk-snapshots whole segments (reads every slot),
+     frees the unreachable ones and builds each segment's share of the
+     free cache.  Splitting them keeps any task's writes out of another
+     concurrent task's read set — within a phase tasks touch disjoint
+     media, across phases the pool's fork/join fences order them. *)
   let pool_scan = Workpool.create () in
   Array.iter
     (fun head -> Workpool.push pool_scan (Sweep_chain head))
@@ -893,12 +1108,16 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   slice pool_scan (Reach.to_sorted_array g_fentry) (fun a lo hi ->
       Sweep_spills (a, lo, hi));
   run_sweep pool_scan;
+  end_pass "scan";
   let pool_seg = Workpool.create () in
-  Slab.iter_segments inode_slab (fun seg ->
-      Workpool.push pool_seg (Sweep_seg (`Inode, seg)));
-  Slab.iter_segments fentry_slab (fun seg ->
-      Workpool.push pool_seg (Sweep_seg (`Fentry, seg)));
+  let push_segs which =
+    Array.iteri (fun i seg ->
+        Workpool.push pool_seg (Sweep_seg (which, seg, i)))
+  in
+  push_segs `Inode inode_segs;
+  push_segs `Fentry fentry_segs;
   run_sweep pool_seg;
+  end_pass "segments";
 
   (* merged bitmap, free-list rebuild, volatile caches *)
   let used_count = ref 0 in
@@ -931,31 +1150,42 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
           || Region.range_poisoned r (Balloc.base balloc + (b * bs)) bs
       in
       Balloc.rebuild_free_lists balloc ~in_use;
-      (* Volatile caches reflect the repaired truth. *)
-      Slab.rebuild_cache inode_slab;
-      Slab.rebuild_cache fentry_slab;
+      (* Volatile caches reflect the repaired truth: the segment tasks
+         built them (a segment whose task faulted is read again here) *)
+      let install slab segs caches =
+        Slab.install_cache slab
+          (Array.to_list
+             (Array.mapi
+                (fun i seg ->
+                  match caches.(i) with
+                  | Some c -> c
+                  | None -> Slab.segment_cache slab seg (fun _ f -> f))
+                segs))
+      in
+      install inode_slab inode_segs inode_caches;
+      install fentry_slab fentry_segs fentry_caches;
       Layout.set_clean_shutdown layout true);
+  end_pass "rebuild";
 
-  let vtime_cycles =
-    match clocks with
-    | Some cl ->
-        Array.fold_left (fun acc c -> Stdlib.max acc c.Sthread.now) 0.0 cl
-    | None -> 0.0
-  in
+  let vtime_cycles = makespan () in
+  let pass_cycles = List.rev !pass_cycles in
   (* this run's totals join the active experiment's snapshot (no-op
      outside the bench driver) *)
   Simurgh_obs.Collect.add
     (List.map
-       (fun (k, v) -> ("recovery/" ^ k, float_of_int v))
-       [
-         ("runs", 1);
-         ("retries", !retries);
-         ("quarantined", !quarantined);
-         ("swept_objects", !reclaimed_inodes + !reclaimed_fentries);
-         ("mark_tasks", !mark_tasks);
-         ("sweep_tasks", !sweep_tasks);
-         ("resolve_passes", !resolve_passes);
-       ]);
+       (fun (k, v) -> ("recovery/" ^ k, v))
+       (List.map
+          (fun (k, v) -> (k, float_of_int v))
+          [
+            ("runs", 1);
+            ("retries", !retries);
+            ("quarantined", !quarantined);
+            ("swept_objects", !reclaimed_inodes + !reclaimed_fentries);
+            ("mark_tasks", !mark_tasks);
+            ("sweep_tasks", !sweep_tasks);
+            ("resolve_passes", !resolve_passes);
+          ]
+       @ List.map (fun (pass, c) -> (pass ^ "_cycles", c)) pass_cycles));
 
   ( layout,
     {
@@ -976,6 +1206,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
       mark_tasks = !mark_tasks;
       sweep_tasks = !sweep_tasks;
       vtime_cycles;
+      pass_cycles;
     } )
 
 (** Recover every region of a sharded (multi-region) namespace.  Each
@@ -1027,7 +1258,7 @@ let repair_directory fs dirpath =
      can hold several after a multi-process crash) *)
   List.iter
     (fun (slot, _) ->
-      ignore (resolve_log layout head ~slot);
+      let _ : _ * int * int = resolve_log layout head ~slot in
       incr repaired)
     (List.sort
        (fun (_, e1) (_, e2) -> compare e1 e2)

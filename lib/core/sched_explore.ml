@@ -739,7 +739,7 @@ let recovery_run ?(seed = 23L) ?(budget = 24) ?(size = default_size)
   let watched, races = race_log () in
   let hashes = Hashtbl.create (2 * budget) in
   let yields = ref 0 in
-  let ref_norm = { ref_report with Recovery.vtime_cycles = 0.0 } in
+  let ref_norm = Recovery.untimed ref_report in
 
   for j = 0 to budget - 1 do
     let label = Printf.sprintf "%s/rnd%d" name j in
@@ -764,7 +764,7 @@ let recovery_run ?(seed = 23L) ?(budget = 24) ?(size = default_size)
           failures :=
             (label, "durable media diverged from sequential recovery")
             :: !failures;
-        if { report with Recovery.vtime_cycles = 0.0 } <> ref_norm then
+        if Recovery.untimed report <> ref_norm then
           failures :=
             (label, "recovery report diverged from sequential recovery")
             :: !failures;

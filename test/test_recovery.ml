@@ -297,7 +297,7 @@ let crashed_fixture () =
 let test_parallel_matches_sequential () =
   let region = crashed_fixture () in
   let cp = Simurgh_nvmm.Region.checkpoint region in
-  let norm (r : Recovery.report) = { r with Recovery.vtime_cycles = 0.0 } in
+  let norm = Recovery.untimed in
   Fs.invalidate_shared region;
   let _, rs = Recovery.run region in
   let ds = Simurgh_nvmm.Region.media_digest region in
@@ -373,9 +373,9 @@ let golden_fixture () =
   region
 
 (* Golden: the fixed image recovers to the same report, virtual-time
-   makespan, media and region access counts under every [par] mode, pinned
-   to literal values so that any change which moves one of them shows
-   up here.  The counts matter on their own: recovery charges virtual
+   makespan and per-pass cycles, media and region access counts under
+   every [par] mode, pinned to literal values so that any change which
+   moves one of them shows up here.  The counts matter on their own: recovery charges virtual
    time from them, and the [nvmm.*] metrics report them. *)
 let test_golden_recovery () =
   let region = golden_fixture () in
@@ -388,7 +388,11 @@ let test_golden_recovery () =
     let s1 = Simurgh_nvmm.Region.stats region in
     fsck_clean "golden image fsck" region;
     ( Fmt.str "%a" Recovery.pp_report r,
-      Printf.sprintf "%h" r.Recovery.vtime_cycles,
+      String.concat " "
+        (Printf.sprintf "%h" r.Recovery.vtime_cycles
+        :: List.map
+             (fun (pass, c) -> Printf.sprintf "%s=%h" pass c)
+             r.Recovery.pass_cycles),
       Digest.to_hex (Simurgh_nvmm.Region.media_digest region),
       Simurgh_nvmm.Region.(
         Printf.sprintf "loads=%d stores=%d load_bytes=%d store_bytes=%d fences=%d"
@@ -408,7 +412,7 @@ let test_golden_recovery () =
   in
   let digest = "c2b9f0e9b4cfcb2ae96dc28dacf3a768" in
   let accesses =
-    "loads=31904 stores=126 load_bytes=962364 store_bytes=2134 fences=106"
+    "loads=3167 stores=126 load_bytes=487801 store_bytes=2134 fences=106"
   in
   List.iter
     (fun (what, par, cycles) ->
@@ -419,8 +423,17 @@ let test_golden_recovery () =
       Alcotest.(check string) (what ^ " region accesses") accesses acc)
     [
       ("seq", Recovery.Seq, "0x0p+0");
-      ("vtime 1 worker", vtime 1, "0x1.062f362762763p+21");
-      ("vtime 4 workers", vtime 4, "0x1.01bcbd306eb3ep+20");
+      ( "vtime 1 worker",
+        vtime 1,
+        "0x1.39bda76276279p+18 collect=0x1.6b2e09d89d89ep+16 \
+         mark=0x1.3633b13b13b18p+16 \
+         scan=0x1.a5eb13b13b13cp+15 \
+         segments=0x1.5c10d89d89d9p+16 rebuild=0x1.68e8p+12" );
+      ( "vtime 4 workers",
+        vtime 4,
+        "0x1.128312c2cb4f6p+17 collect=0x1.8121f3c2430f8p+15 \
+         mark=0x1.8c3589d89d8ap+14 scan=0x1.08aac4ec4ec4ep+15 \
+         segments=0x1.9a0f9ae099484p+14 rebuild=0x1.68e8p+12" );
     ]
 
 (* The mark set against a Hashtbl reference: random adds, removes and
@@ -483,6 +496,297 @@ let prop_recovery_preserves_random_trees =
       let listed = List.sort compare (Fs.readdir fs' "/p") in
       listed = List.map (Printf.sprintf "f%02d") expected)
 
+(* --- one read per object: the snapshot parsers equal the field reads --- *)
+
+module Region = Simurgh_nvmm.Region
+module Balloc = Simurgh_alloc.Block_alloc
+module Fentry = Simurgh_core.Fentry
+module Inode = Simurgh_core.Inode
+module Check = Simurgh_core.Check
+
+let small_layout ~secure =
+  Layout.format ~secure (Region.create (4 * 1024 * 1024)) ~cores:1
+
+let alloc_blocks layout bytes =
+  let bs = Balloc.block_size layout.Layout.balloc in
+  Option.get (Balloc.alloc layout.Layout.balloc ((bytes + bs - 1) / bs))
+
+(* an entry's slab state, name, kind (0 file, 1 dir, 2 symlink), target
+   and dirblock *)
+let gen_entry =
+  QCheck.Gen.(
+    let* st =
+      oneofl
+        [
+          Slab.flag_valid;
+          Slab.flag_valid lor Slab.flag_dirty;
+          Slab.flag_dirty;
+        ]
+    in
+    let* len =
+      oneof
+        [
+          int_range 1 Fentry.inline_name_max;
+          int_range (Fentry.inline_name_max + 1) Fentry.name_max;
+        ]
+    in
+    let* name = string_size ~gen:(char_range 'a' 'z') (return len) in
+    let* kind = int_bound 2 in
+    let* tgt = int_range 1 100_000 in
+    let+ db = int_range 1 100_000 in
+    (st, name, kind, tgt * 8, db * 8))
+
+(* Mark's view of an entry, built from Fentry's field accessors *)
+let entry_reference r slab p =
+  if not (Slab.is_live slab p) then None
+  else
+    Some
+      ( Fentry.name r p,
+        Fentry.target r p,
+        (if Fentry.is_dir r p then `Dir (Fentry.dirblock r p)
+         else if Fentry.is_symlink r p then `Sym
+         else `File),
+        Fentry.spill r p )
+
+let entry_view = function
+  | Recovery.Dead -> None
+  | Recovery.Live { name; target; kind; spill } ->
+      Some (name, target, kind, spill)
+
+let prop_entry_snapshot =
+  QCheck.Test.make ~name:"entry snapshot parse equals the field reads"
+    ~count:100
+    (QCheck.make
+       QCheck.Gen.(pair bool (list_size (int_range 1 12) gen_entry)))
+    (fun (secure, entries) ->
+      let layout = small_layout ~secure in
+      let r = layout.Layout.region and slab = layout.Layout.fentry_slab in
+      List.for_all
+        (fun (st, name, kind, target, db) ->
+          let p = Option.get (Slab.alloc slab) in
+          Fentry.init r p ~name ~dir:(kind = 1) ~symlink:(kind = 2) ~target
+            ~alloc_spill:(alloc_blocks layout);
+          if kind = 1 then Fentry.set_dirblock r p db;
+          if secure then Fentry.set_owner r p ~uid:7 ~gid:8 ~perm:0o640;
+          Region.write_u8 r (p - Slab.obj_header) st;
+          let want = entry_reference r slab p in
+          entry_view (Recovery.read_entry r ~obj_size:(Slab.obj_size slab) p)
+          = want
+          && entry_view (Recovery.read_entry_fields r slab p) = want)
+        entries)
+
+(* an extent slot: empty, torn either way, or whole *)
+let gen_slot =
+  QCheck.Gen.(
+    let addr = map (fun a -> a * 256) (int_range 1 4096) in
+    let blocks = int_range 1 64 in
+    oneof
+      [
+        return (0, 0);
+        map (fun a -> (a, 0)) addr;
+        map (fun n -> (0, n)) blocks;
+        pair addr blocks;
+      ])
+
+(* The sweep's scrub and block marks, built from Inode's field
+   accessors *)
+let inode_reference r inode =
+  let marks = ref [] in
+  let scrub read write k =
+    let addr, blocks = read k in
+    if (addr <> 0) <> (blocks <> 0) then write k ~addr:0 ~blocks:0
+  in
+  for k = 0 to Inode.inline_extents - 1 do
+    scrub (Inode.read_extent r inode) (Inode.write_extent r inode) k
+  done;
+  let rec ov_scrub b =
+    if b <> 0 then begin
+      for k = 0 to Inode.overflow_entries - 1 do
+        scrub (Inode.read_ov_extent r b) (Inode.write_ov_extent r b) k
+      done;
+      ov_scrub (Region.read_u62 r (Inode.ov_next b))
+    end
+  in
+  ov_scrub (Region.read_u62 r (Inode.f_overflow inode));
+  Inode.iter_extents r inode (fun a n -> marks := `Extent (a, n) :: !marks);
+  let rec ov b =
+    if b <> 0 then begin
+      marks := `Overflow b :: !marks;
+      ov (Region.read_u62 r (Inode.ov_next b))
+    end
+  in
+  ov (Region.read_u62 r (Inode.f_overflow inode));
+  List.rev !marks
+
+let prop_inode_snapshot =
+  QCheck.Test.make ~name:"inode snapshot scan equals the field reads"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (list_repeat Inode.inline_extents gen_slot)
+           (list_size (int_bound 3)
+              (list_repeat Inode.overflow_entries gen_slot))))
+    (fun (inline, chain) ->
+      let layout = small_layout ~secure:false in
+      let r = layout.Layout.region in
+      let inode = Option.get (Slab.alloc layout.Layout.inode_slab) in
+      Inode.init r inode ~mode:(Inode.mode_of_kind Inode.File) ~uid:0 ~gid:0
+        ~now:0;
+      List.iteri
+        (fun k (addr, blocks) -> Inode.write_extent r inode k ~addr ~blocks)
+        inline;
+      let link =
+        List.fold_right
+          (fun slots next ->
+            let b = alloc_blocks layout Inode.overflow_bytes in
+            Region.zero r b Inode.overflow_bytes;
+            List.iteri
+              (fun k (addr, blocks) -> Inode.write_ov_extent r b k ~addr ~blocks)
+              slots;
+            Region.write_u62 r (Inode.ov_next b) next;
+            b)
+          chain 0
+      in
+      Region.write_u62 r (Inode.f_overflow inode) link;
+      let cp = Region.checkpoint r in
+      let run scan =
+        Region.restore r cp;
+        let marks = ref [] in
+        scan r inode
+          ~extent:(fun a n -> marks := `Extent (a, n) :: !marks)
+          ~overflow:(fun b -> marks := `Overflow b :: !marks);
+        (List.rev !marks, Region.media_digest r)
+      in
+      Region.restore r cp;
+      let want_marks = inode_reference r inode in
+      let want = (want_marks, Region.media_digest r) in
+      run Recovery.scan_inode = want && run Recovery.scan_inode_fields = want)
+
+(* --- free caches installed by the segment sweep ------------------------ *)
+
+(* Free slots in several segments of both slabs: every fifth file of
+   700 unlinked, leaked objects, and a crashed rename. *)
+let holey_fixture () =
+  let region = fresh_region () in
+  let fs = Fs.mkfs ~euid:0 region in
+  Fs.mkdir fs "/h";
+  for i = 0 to 699 do
+    Fs.create_file fs (Printf.sprintf "/h/f%d" i)
+  done;
+  for i = 0 to 139 do
+    Fs.unlink fs (Printf.sprintf "/h/f%d" (i * 5))
+  done;
+  let layout = Fs.layout fs in
+  for _ = 1 to 4 do
+    ignore (Slab.alloc layout.Layout.inode_slab);
+    ignore (Slab.alloc layout.Layout.fentry_slab)
+  done;
+  Fs.mkdir fs "/g";
+  Fs.set_crash_hook fs (fun l -> if l = "xrename:log" then raise Crash_now);
+  (try Fs.rename fs "/h/f1" "/g/moved" with Crash_now -> ());
+  region
+
+(* The caches recovery installs equal a fresh rebuild of the recovered
+   image, queue order included, under every driver. *)
+let test_installed_free_caches () =
+  List.iter
+    (fun (what, fixture) ->
+      List.iter
+        (fun (driver, par) ->
+          let region = fixture () in
+          Fs.invalidate_shared region;
+          let layout, _ = Recovery.run ~par region in
+          Alcotest.(check (list string))
+            (what ^ " " ^ driver)
+            []
+            (List.map Check.violation_to_string (Check.free_caches layout)))
+        [
+          ("seq", Recovery.Seq);
+          ( "vtime 4 workers",
+            Recovery.Vtime
+              { machine = Simurgh_sim.Machine.create (); workers = 4 } );
+        ])
+    [ ("holey image", holey_fixture); ("golden image", golden_fixture) ]
+
+(* --- media faults: recovery's report and the checker's verdict --------- *)
+
+(* [poison] picks one line of the golden image; the report and the
+   checker's violations after recovery are pinned, equal under the
+   sequential and the 4-worker drivers.  The pins are the per-field
+   reads' outcome: one copy per object falls back to them on a fault. *)
+let fault_case poison =
+  let outcome par =
+    let region = golden_fixture () in
+    let layout = Layout.attach region in
+    let r = region in
+    let resolve path =
+      let root = Layout.root_fentry layout in
+      List.fold_left
+        (fun fe name ->
+          match
+            Simurgh_core.Dirblock.find r ~head:(Fentry.dirblock r fe) ~name
+          with
+          | Some (_, _, _, p), _ -> p
+          | None, _ -> Alcotest.fail ("no " ^ name))
+        root
+        (String.split_on_char '/' path |> List.filter (( <> ) ""))
+    in
+    Region.poison r (poison layout resolve) 1;
+    Fs.invalidate_shared region;
+    let _, rep = Recovery.run ~par region in
+    ( Fmt.str "%a" Recovery.pp_report rep,
+      List.map Check.violation_to_string (Check.run region) )
+  in
+  let seq = outcome Recovery.Seq in
+  let vt =
+    outcome
+      (Recovery.Vtime { machine = Simurgh_sim.Machine.create (); workers = 4 })
+  in
+  Alcotest.(check (pair string (list string))) "vtime = seq" seq vt;
+  seq
+
+let test_fault_parity () =
+  let check what (report, viols) got =
+    Alcotest.(check string) (what ^ " report") report (fst got);
+    Alcotest.(check (list string)) (what ^ " checker") viols (snd got)
+  in
+  (* the extent slots of a file with data *)
+  check "inode extent line"
+    ( "files=772 dirs=14 symlinks=1 completed_deletes=0 completed_renames=0 \
+       rolled_back=1 reclaimed(inodes=9 fentries=6) busy_cleared=0 \
+       blocks(used=1096 free=261029) quarantined=1 retries=0 passes=2 \
+       tasks(mark=15 sweep=27)",
+      [ "media error at line 0xcca9 while checking" ] )
+    (fault_case (fun layout resolve ->
+         Inode.f_extent
+           (Fentry.target layout.Layout.region (resolve "/a/b/data"))
+           0));
+  (* the second line of a file entry's slab slot *)
+  check "file entry second line"
+    ( "files=771 dirs=14 symlinks=1 completed_deletes=0 completed_renames=0 \
+       rolled_back=1 reclaimed(inodes=10 fentries=6) busy_cleared=0 \
+       blocks(used=1116 free=261009) quarantined=2 retries=2 passes=2 \
+       tasks(mark=15 sweep=27)",
+      [] )
+    (fault_case (fun _ resolve ->
+         let fe = resolve "/d5/f3" in
+         (((fe - Slab.obj_header) / Region.line_size) + 1) * Region.line_size));
+  (* the flags line of the first leaked inode, in the newest segment *)
+  check "slab segment line"
+    ( "files=772 dirs=14 symlinks=1 completed_deletes=0 completed_renames=0 \
+       rolled_back=1 reclaimed(inodes=8 fentries=6) busy_cleared=0 \
+       blocks(used=1116 free=261009) quarantined=0 retries=0 passes=2 \
+       tasks(mark=15 sweep=27)",
+      [] )
+    (fault_case (fun layout _ ->
+         let slab = layout.Layout.inode_slab in
+         let leaked = ref 0 in
+         Slab.iter_objects slab (fun p f ->
+             if !leaked = 0 && f = Slab.flag_valid lor Slab.flag_dirty then
+               leaked := p);
+         !leaked - Slab.obj_header))
+
 let () =
   Alcotest.run "recovery"
     [
@@ -519,5 +823,14 @@ let () =
           Alcotest.test_case "golden crash image" `Quick test_golden_recovery;
           QCheck_alcotest.to_alcotest prop_recovery_preserves_random_trees;
           QCheck_alcotest.to_alcotest prop_reach_matches_hashtbl;
+        ] );
+      ( "read once",
+        [
+          QCheck_alcotest.to_alcotest prop_entry_snapshot;
+          QCheck_alcotest.to_alcotest prop_inode_snapshot;
+          Alcotest.test_case "installed free caches equal a rebuild" `Quick
+            test_installed_free_caches;
+          Alcotest.test_case "media faults: report and checker pinned" `Quick
+            test_fault_parity;
         ] );
     ]
