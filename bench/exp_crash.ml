@@ -92,9 +92,10 @@ let run ~scale =
     images := !images + st.Explore.images;
     failures := !failures + List.length st.Explore.failures;
     Printf.printf
-      "  explore %-13s crash points %3d, images %4d, max pending lines \
-       %2d, violating images %d\n"
-      name st.Explore.crash_points st.Explore.images st.Explore.max_pending
+      "  explore %-13s crash points %3d, fences %2d, images %4d, max pending \
+       lines %2d, violating images %d\n"
+      name st.Explore.crash_points st.Explore.fences st.Explore.images
+      st.Explore.max_pending
       (List.length st.Explore.failures);
     List.iter
       (fun (label, viols) ->

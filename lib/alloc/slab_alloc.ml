@@ -156,26 +156,43 @@ let ctx_tid (ctx : Simurgh_sim.Machine.ctx option) =
   | Some c -> c.Simurgh_sim.Machine.thr.Simurgh_sim.Sthread.tid
   | None -> -1
 
-(* Claim [addr]: persist valid+dirty, skipping stale cache entries
+(* --- flag transitions ------------------------------------------------
+
+   Each transition has one staged form, the store plus its [clwb]: a
+   caller that groups several transitions into one persist epoch closes
+   the epoch with a single [Region.sfence] and charges all of its lines
+   at once.  The fencing form is the staged form plus that [sfence] and
+   the transition's write-line charge. *)
+
+let stage_flags t addr f =
+  Region.write_u8 t.region addr f;
+  Region.clwb t.region addr 1
+
+let persist_flags ?ctx t addr f =
+  stage_flags t addr f;
+  Region.sfence t.region;
+  charge ?ctx ~read:0 ~write:1 ()
+
+(* Claim [addr]: stage valid+dirty, skipping stale cache entries
    (e.g. after recovery rebuilt state).  [retry] resumes the caller's
    search when the entry was stale. *)
 let claim ?ctx t addr ~retry =
   let f = flags t addr in
   if f land (flag_valid lor flag_dirty) <> 0 then retry ()
   else begin
-    Region.write_u8 t.region addr (flag_valid lor flag_dirty);
-    Region.persist t.region addr 1;
-    charge ?ctx ~read:1 ~write:1 ();
+    stage_flags t addr (flag_valid lor flag_dirty);
+    charge ?ctx ~read:1 ~write:0 ();
     incr t.live;
     t.allocs <- t.allocs + 1;
     Some (payload addr)
   end
 
-(** Allocate one object: returns the *payload* address with valid+dirty
-    set and persisted.  The caller initializes the payload and then calls
-    [commit] to clear the dirty bit.  Returns [None] when NVMM is
-    exhausted. *)
-let rec alloc ?ctx t =
+(** Claim one object, staged: returns the *payload* address with
+    valid+dirty stored and clwb'd but not fenced, so the caller's epoch
+    persists the claim together with the payload it initializes.  The
+    caller then calls [commit] (or [stage_commit]) to clear the dirty
+    bit.  Returns [None] when NVMM is exhausted. *)
+let rec stage_alloc ?ctx t =
   let tid = ctx_tid ctx in
   if t.tcache_enabled && tid >= 0 then alloc_cached ?ctx t tid
   else alloc_shared ?ctx t
@@ -205,37 +222,34 @@ and alloc_cached ?ctx t tid =
     (* thread-private pop: no shared-line atomic *)
     claim ?ctx t (Queue.pop q) ~retry:(fun () -> alloc_cached ?ctx t tid)
 
+(** Allocate one object with its claim persisted: [stage_alloc] plus
+    the fence. *)
+let alloc ?ctx t =
+  let p = stage_alloc ?ctx t in
+  if Option.is_some p then begin
+    Region.sfence t.region;
+    charge ?ctx ~read:0 ~write:1 ()
+  end;
+  p
+
 (** Clear the dirty bit: the object is initialized and linked. *)
-let commit ?ctx t paddr =
-  let addr = paddr - obj_header in
-  Region.write_u8 t.region addr flag_valid;
-  Region.persist t.region addr 1;
-  charge ?ctx ~read:0 ~write:1 ()
+let stage_commit t paddr = stage_flags t (paddr - obj_header) flag_valid
+let commit ?ctx t paddr = persist_flags ?ctx t (paddr - obj_header) flag_valid
 
 (** Mark an object unprocessed again (start of a teardown/transition). *)
 let mark_dirty ?ctx t paddr =
-  let addr = paddr - obj_header in
-  Region.write_u8 t.region addr (flag_valid lor flag_dirty);
-  Region.persist t.region addr 1;
-  charge ?ctx ~read:0 ~write:1 ()
+  persist_flags ?ctx t (paddr - obj_header) (flag_valid lor flag_dirty)
 
 (** First half of deallocation: unset valid, set dirty (state 01,
     Fig. 5b step 2) and persist.  The object is now recognizably
     mid-teardown for any observer, including recovery. *)
-let begin_free ?ctx t paddr =
-  let addr = paddr - obj_header in
-  Region.write_u8 t.region addr flag_dirty;
-  Region.persist t.region addr 1;
-  charge ?ctx ~read:0 ~write:1 ()
+let begin_free ?ctx t paddr = persist_flags ?ctx t (paddr - obj_header) flag_dirty
 
-(** Second half: zero the payload, then unset dirty (state 00). *)
-let finish_free ?ctx t paddr =
+(** Return a freed object to the volatile caches, once its zeroed flags
+    are durable: a slot handed out before that fence could be claimed
+    again while a crash would still show it allocated. *)
+let recycle ?ctx t paddr =
   let addr = paddr - obj_header in
-  Region.zero t.region paddr t.obj_size;
-  Region.persist t.region paddr t.obj_size;
-  Region.write_u8 t.region addr 0;
-  Region.persist t.region addr 1;
-  charge ?ctx ~read:0 ~write:(1 + (t.obj_size / 64)) ();
   decr t.live;
   t.frees <- t.frees + 1;
   let tid = ctx_tid ctx in
@@ -254,10 +268,38 @@ let finish_free ?ctx t paddr =
     Ctx_util.with_spin ?ctx t.cache_lock (fun () ->
         Queue.push addr t.free_cache)
 
+let stage_zero t paddr =
+  Region.zero t.region paddr t.obj_size;
+  Region.clwb t.region paddr t.obj_size
+
+(** Second half: zero the payload, then unset dirty (state 00). *)
+let finish_free ?ctx t paddr =
+  let addr = paddr - obj_header in
+  stage_zero t paddr;
+  Region.sfence t.region;
+  stage_flags t addr 0;
+  Region.sfence t.region;
+  charge ?ctx ~read:0 ~write:(1 + (t.obj_size / 64)) ();
+  recycle ?ctx t paddr
+
 (** Deallocate in one go: [begin_free] then [finish_free]. *)
 let free ?ctx t paddr =
   begin_free ?ctx t paddr;
   finish_free ?ctx t paddr
+
+(** Write lines of a whole deallocation (flags, payload, flags). *)
+let free_lines t = 2 + (t.obj_size / 64)
+
+(** A whole deallocation staged in the caller's epoch: 01, the zeroed
+    payload, 00, with no order among them.  Only where recovery treats
+    every intermediate state alike: a rename's old entry, which a
+    pending rename log frees on roll-forward in any state.  The caller
+    fences and then calls [recycle]. *)
+let stage_free t paddr =
+  let addr = paddr - obj_header in
+  stage_flags t addr flag_dirty;
+  stage_zero t paddr;
+  stage_flags t addr 0
 
 let obj_flags t paddr = flags t (paddr - obj_header)
 let is_live t paddr = obj_flags t paddr = flag_valid

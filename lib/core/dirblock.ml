@@ -92,9 +92,17 @@ let load_rows r b ~ring ~nrows dst =
 
 let slot_of_row dst s = Int64.to_int (Bytes.get_int64_le dst (s * 8))
 
+(* Each setter's staged form is the store plus its [clwb]; its fencing
+   form adds the [sfence].  A Fig. 5 op that groups several stores into
+   one persist epoch stages them and closes the epoch itself. *)
+let stage_slot r b row s v =
+  let o = f_slot r b row s in
+  Region.write_u62 r o v;
+  Region.clwb r o 8
+
 let set_slot r b row s v =
-  Region.write_u62 r (f_slot r b row s) v;
-  Region.persist r (f_slot r b row s) 8
+  stage_slot r b row s v;
+  Region.sfence r
 
 (* Busy (lock) rows always index the first block's 64 rows. *)
 let lock_row_of_hash h = h mod first_rows
@@ -102,9 +110,13 @@ let lock_row_of_name n = lock_row_of_hash (Name_hash.hash n)
 
 let busy r b row = Region.read_u8 r (f_busy b row) <> 0
 
-let set_busy r b row v =
+let stage_busy r b row v =
   Region.write_u8 r (f_busy b row) (if v then 1 else 0);
-  Region.persist r (f_busy b row) 1
+  Region.clwb r (f_busy b row) 1
+
+let set_busy r b row v =
+  stage_busy r b row v;
+  Region.sfence r
 
 (** Initialize a freshly allocated block of [rows] rows.  [ring] ring
     log slots (first blocks of log-ring directories only; 0 keeps the

@@ -11,9 +11,11 @@
     For one unit of work it
 
     + replays the work once per {e crash point} — before every NVMM
-      store of any region ([Region.set_store_hook]) and at every labeled
-      hook firing ({!points}, {!crash_at}) — restoring a checkpoint of
-      the post-setup state each time;
+      store of any region ([Region.set_store_hook]), at every [sfence]
+      before it commits ([Region.set_fence_hook]: the point where a
+      persist epoch's lines are all pending at once) and at every
+      labeled hook firing ({!points}, {!crash_at}) — restoring a
+      checkpoint of the post-setup state each time;
     + at each crash point enumerates eviction subsets of the unpersisted
       lines of every region ({!each_image});
     + for every crash image runs full recovery ({!Recovery.run_all}) and
@@ -33,7 +35,8 @@ open Simurgh_nvmm
 exception Crash_now
 
 type stats = {
-  crash_points : int;  (** store-granular + labeled hook points *)
+  crash_points : int;  (** store-granular, fence and labeled hook points *)
+  fences : int;  (** sfences of one uninterrupted run of the work *)
   images : int;  (** crash images explored (recoveries performed) *)
   max_pending : int;  (** largest unpersisted-line set at any point *)
   failures : (string * Check.violation list) list;
@@ -41,11 +44,14 @@ type stats = {
           ["<point> keep={lines}"] *)
 }
 
-type point = Store of int  (** crash before the [n]-th store (1-based) *)
-           | Hook of string * int  (** crash at n-th firing of a label *)
+type point =
+  | Store of int  (** crash before the [n]-th store (1-based) *)
+  | Fence of int  (** crash at the [n]-th sfence, before it commits *)
+  | Hook of string * int  (** crash at n-th firing of a label *)
 
 let point_label = function
   | Store n -> Printf.sprintf "store:%d" n
+  | Fence n -> Printf.sprintf "fence:%d" n
   | Hook (l, n) -> Printf.sprintf "hook:%s#%d" l n
 
 (* -- the explorer config ----------------------------------------------- *)
@@ -89,21 +95,35 @@ let default_size = 4 lsl 20
    Store hooks are armed only after [start ()] returns, so the mount's
    own stores are never crash points. *)
 
-(** Every crash point of the work, in firing order: one per NVMM store
-    across [regions] (the work is single-threaded, so a global store
-    count is a stable address), then every labeled hook firing. *)
+let clear_hooks regions =
+  Array.iter
+    (fun r ->
+      Region.clear_store_hook r;
+      Region.clear_fence_hook r)
+    regions
+
+(** Every crash point of the work: one per NVMM store across [regions]
+    (the work is single-threaded, so a global store count is a stable
+    address), one per sfence, then every labeled hook firing. *)
 let points regions start =
   let work = start () in
-  let stores = ref 0 and hooks = ref [] and fired = Hashtbl.create 16 in
-  Array.iter (fun r -> Region.set_store_hook r (fun () -> incr stores)) regions;
+  let stores = ref 0 and fences = ref 0 in
+  let hooks = ref [] and fired = Hashtbl.create 16 in
+  Array.iter
+    (fun r ->
+      Region.set_store_hook r (fun () -> incr stores);
+      Region.set_fence_hook r (fun () -> incr fences))
+    regions;
   Fun.protect
-    ~finally:(fun () -> Array.iter Region.clear_store_hook regions)
+    ~finally:(fun () -> clear_hooks regions)
     (fun () ->
       work (fun label ->
           let n = 1 + Option.value ~default:0 (Hashtbl.find_opt fired label) in
           Hashtbl.replace fired label n;
           hooks := Hook (label, n) :: !hooks));
-  List.init !stores (fun i -> Store (i + 1)) @ List.rev !hooks
+  List.init !stores (fun i -> Store (i + 1))
+  @ List.init !fences (fun i -> Fence (i + 1))
+  @ List.rev !hooks
 
 (** Run the work up to [point] and stop there, as a power failure would.
     A point past the work's end (a hook that did not fire) runs it to
@@ -120,10 +140,13 @@ let crash_at regions start point =
     | Store n ->
         Array.iter (fun r -> Region.set_store_hook r (fun () -> fire n)) regions;
         ignore
+    | Fence n ->
+        Array.iter (fun r -> Region.set_fence_hook r (fun () -> fire n)) regions;
+        ignore
     | Hook (label, n) -> fun l -> if l = label then fire n
   in
   Fun.protect
-    ~finally:(fun () -> Array.iter Region.clear_store_hook regions)
+    ~finally:(fun () -> clear_hooks regions)
     (fun () -> try work hook with Crash_now -> ())
 
 (** The unpersisted lines of every region, tagged [(region, line)]. *)
@@ -180,6 +203,10 @@ let keep_label regions pending keep =
     (Array.to_list pending |> List.filter keep |> List.map line
    |> String.concat ",")
 
+(** Pending lines up to which a crash point's eviction subsets are all
+    explored; past it they are sampled. *)
+let max_exhaustive = 10
+
 (** [explore ~regions ~mount ~fss op] explores [op] over the set-up
     [regions].  [mount ()] attaches a fresh handle, [fss] lists its
     per-region FS handles (whose crash hooks label the points; labels
@@ -187,8 +214,8 @@ let keep_label regions pending keep =
     is recovered with {!Recovery.run_all}, checked with
     {!Check.run_all} and, when clean, handed to [verify] on a fresh
     mount. *)
-let explore ?(seed = 7L) ?(max_exhaustive = 10) ?(samples = 64) ~regions
-    ~mount ~fss ?verify op =
+let explore ?(seed = 7L) ?(max_exhaustive = max_exhaustive) ?(samples = 64)
+    ~regions ~mount ~fss ?verify op =
   (* the operation's own writes must be the only unpersisted lines at
      the crash point; drain everything setup left behind (e.g. zeroed
      directory-block tails that were never clwb'd) *)
@@ -247,6 +274,8 @@ let explore ?(seed = 7L) ?(max_exhaustive = 10) ?(samples = 64) ~regions
     points;
   {
     crash_points = List.length points;
+    fences =
+      List.length (List.filter (function Fence _ -> true | _ -> false) points);
     images = !images;
     max_pending = !max_pending;
     failures = List.rev !failures;
@@ -300,7 +329,7 @@ let strided ~count total =
   |> List.sort_uniq compare
 
 let stores points =
-  List.length (List.filter (function Store _ -> true | Hook _ -> false) points)
+  List.length (List.filter (function Store _ -> true | _ -> false) points)
 
 (** [run_reentrant ~setup ~op ()] crashes recovery {e itself} and
     re-enters it.  For a strided sample of the operation's store points
@@ -356,7 +385,7 @@ let run_reentrant ?(seed = 11L) ?(max_exhaustive = 8) ?(samples = 12)
       let hook_pts =
         let fires = Hashtbl.create 8 in
         List.iter
-          (function Hook (l, n) -> Hashtbl.replace fires l n | Store _ -> ())
+          (function Hook (l, n) -> Hashtbl.replace fires l n | _ -> ())
           rpoints;
         Hashtbl.fold
           (fun label fires acc ->

@@ -53,9 +53,13 @@ let set_target r e v =
   Region.write_u62 r (f_target e) v;
   Region.persist r (f_target e) 8
 
-let set_dirblock r e v =
+let stage_dirblock r e v =
   Region.write_u62 r (f_dirblock e) v;
-  Region.persist r (f_dirblock e) 8
+  Region.clwb r (f_dirblock e) 8
+
+let set_dirblock r e v =
+  stage_dirblock r e v;
+  Region.sfence r
 
 let name r e =
   let f = flags r e in
@@ -69,9 +73,11 @@ let name r e =
     Bytes.unsafe_to_string (Region.read_bytes r (spill + 2) len)
   end
 
-(** Write name + flags + target; long names spill into a block supplied
-    by [alloc_spill] (one small block-allocator chunk). *)
-let init r e ~name:n ~dir ~symlink ~target:tgt ~alloc_spill =
+(** Write name + flags + target, staged (stores plus [clwb], no fence);
+    long names spill into a block supplied by [alloc_spill] (one small
+    block-allocator chunk), staged with them: nothing reaches the spill
+    before the entry. *)
+let stage_init r e ~name:n ~dir ~symlink ~target:tgt ~alloc_spill =
   let len = String.length n in
   if len = 0 || len > name_max then invalid_arg "Fentry.init: bad name length";
   let base_flags =
@@ -87,14 +93,19 @@ let init r e ~name:n ~dir ~symlink ~target:tgt ~alloc_spill =
     let spill = alloc_spill (2 + len) in
     Region.write_u16 r spill len;
     Region.write_string r (spill + 2) n;
-    Region.persist r spill (2 + len);
+    Region.clwb r spill (2 + len);
     Region.write_u8 r (f_flags e) (base_flags lor fl_longname);
     Region.write_u8 r (f_name_len e) 0;
     Region.write_u62 r (f_longname e) spill
   end;
   Region.write_u62 r (f_target e) tgt;
   Region.write_u62 r (f_dirblock e) 0;
-  Region.persist r e payload_size
+  Region.clwb r e payload_size
+
+(** [stage_init] plus the fence. *)
+let init r e ~name ~dir ~symlink ~target ~alloc_spill =
+  stage_init r e ~name ~dir ~symlink ~target ~alloc_spill;
+  Region.sfence r
 
 (* --- owner/mode word (secure media only) ----------------------------- *)
 
@@ -106,18 +117,22 @@ let pack_owner ~uid ~gid ~perm =
   ((uid land 0xffffff) lsl 36) lor ((gid land 0xffffff) lsl 12)
   lor (perm land 0xfff)
 
-let set_owner r e ~uid ~gid ~perm =
+let stage_owner r e ~uid ~gid ~perm =
   Region.write_u62 r (f_owner e) (pack_owner ~uid ~gid ~perm);
-  Region.persist r (f_owner e) 8
+  Region.clwb r (f_owner e) 8
+
+let set_owner r e ~uid ~gid ~perm =
+  stage_owner r e ~uid ~gid ~perm;
+  Region.sfence r
 
 (** [(uid, gid, mode)] from the owner word. *)
 let owner r e =
   let w = Region.read_u62 r (f_owner e) in
   ((w lsr 36) land 0xffffff, (w lsr 12) land 0xffffff, w land 0xfff)
 
-let copy_owner r ~src ~dst =
+let stage_copy_owner r ~src ~dst =
   Region.write_u62 r (f_owner dst) (Region.read_u62 r (f_owner src));
-  Region.persist r (f_owner dst) 8
+  Region.clwb r (f_owner dst) 8
 
 (** Compare without allocating for the common inline case. *)
 let name_equals r e n =

@@ -474,15 +474,28 @@ let media_guard t f =
 
 (* --- allocation helpers ------------------------------------------------- *)
 
-let alloc_inode ?ctx t =
-  match Simurgh_alloc.Slab_alloc.alloc ?ctx t.layout.Layout.inode_slab with
+(* A fresh inode or file entry, claimed (valid+dirty) but staged: the
+   caller's persist epoch makes the claim durable with the payload. *)
+let claim_inode ?ctx t =
+  match
+    Simurgh_alloc.Slab_alloc.stage_alloc ?ctx t.layout.Layout.inode_slab
+  with
   | Some i -> i
   | None -> Errno.raise_ ENOSPC "out of inode objects"
 
-let alloc_fentry ?ctx t =
-  match Simurgh_alloc.Slab_alloc.alloc ?ctx t.layout.Layout.fentry_slab with
+let claim_fentry ?ctx t =
+  match
+    Simurgh_alloc.Slab_alloc.stage_alloc ?ctx t.layout.Layout.fentry_slab
+  with
   | Some e -> e
   | None -> Errno.raise_ ENOSPC "out of file-entry objects"
+
+(* Close a persist epoch (DESIGN.md §18): every store the
+   op staged since its last fence becomes durable at one sfence, charged
+   as one write of its [lines] lines. *)
+let close_epoch ?ctx t ~lines =
+  Region.sfence t.region;
+  Charge.write_lines ?ctx lines
 
 let block_size t = Simurgh_alloc.Block_alloc.block_size t.layout.Layout.balloc
 
@@ -803,10 +816,10 @@ let probe_target t (d : dirref) (r : Locks.row) n =
   if p.Dirblock.found = 0 then r.Locks.pin <- p.Dirblock.blk;
   p
 
-(* Store [fentry] in the probed or reserved slot and drop the pin. *)
-let fill_slot ?ctx t (r : Locks.row) (blk, row, s) fentry =
-  Dirblock.set_slot t.region blk row s fentry;
-  Charge.write_lines ?ctx 1;
+(* Stage [fentry] in the probed or reserved slot and drop the pin.  The
+   caller's epoch fences the slot and charges its line. *)
+let fill_slot t (r : Locks.row) (blk, row, s) fentry =
+  Dirblock.stage_slot t.region blk row s fentry;
   r.Locks.pin <- 0
 
 (* Striped mode, a row full in every block: grow the chain from [last]
@@ -895,14 +908,15 @@ let striped_reserve ?ctx ?owner t (d : dirref) r ~hash (p : Dirblock.probe) =
 
 (* Insert [fentry] into the slot probe [p] found for [name]'s row in
    directory [d], growing the chain when the row is full (Fig. 5a steps
-   3-5). *)
+   3-5).  The slot store itself is staged: the caller's epoch fences it
+   and charges its one line. *)
 let insert_entry ?ctx ?owner t (d : dirref) r ~name:n (p : Dirblock.probe)
     fentry =
   let hash = Name_hash.hash n in
   let lock_row = Dirblock.lock_row_of_hash hash in
   if p.Dirblock.blk <> 0 then begin
     hook t "insert:slot";
-    fill_slot ?ctx t r (p.Dirblock.blk, p.Dirblock.row, p.Dirblock.slot) fentry
+    fill_slot t r (p.Dirblock.blk, p.Dirblock.row, p.Dirblock.slot) fentry
   end
   else if not (Locks.striped t.locks) then begin
     (* legacy path: every row-full insert of a directory serializes on
@@ -920,7 +934,7 @@ let insert_entry ?ctx ?owner t (d : dirref) r ~name:n (p : Dirblock.probe)
         in
         Charge.read_lines ?ctx (hops' + 1);
         match slot_ref' with
-        | Some s -> fill_slot ?ctx t r s fentry
+        | Some s -> fill_slot t r s fentry
         | None ->
             let new_rows =
               min Dirblock.max_rows (2 * Dirblock.rows t.region last')
@@ -930,7 +944,7 @@ let insert_entry ?ctx ?owner t (d : dirref) r ~name:n (p : Dirblock.probe)
             Dirblock.set_next t.region last' nb;
             Charge.write_lines ?ctx 2;
             hook t "insert:link";
-            fill_slot ?ctx t r (nb, hash mod new_rows, 0) fentry);
+            fill_slot t r (nb, hash mod new_rows, 0) fentry);
     hook t "insert:unbusy";
     set_row_busy ?ctx t d lock_row false
   end
@@ -938,11 +952,11 @@ let insert_entry ?ctx ?owner t (d : dirref) r ~name:n (p : Dirblock.probe)
     (* striped path: row-full inserts of different rows proceed in
        parallel under per-row append locks; only the physical link of a
        new hash block takes the (short) directory-global chain lock *)
-    fill_slot ?ctx t r (striped_reserve ?ctx ?owner t d r ~hash p) fentry
+    fill_slot t r (striped_reserve ?ctx ?owner t d r ~hash p) fentry
 
 (* Fig. 5a steps 1-6 of a create whose row lock [r] is held and whose
    probe [p] missed: inode, file entry, then the pointer into the slot
-   [p] found. *)
+   [p] found, in three persist epochs (DESIGN.md §18). *)
 let create_locked ?ctx t (d : dirref) r (p : Dirblock.probe) ~name:n ~kind
     ~perm ~target_inode =
   let euid, egid = creds ?ctx t in
@@ -954,25 +968,25 @@ let create_locked ?ctx t (d : dirref) r (p : Dirblock.probe) ~name:n ~kind
     | None -> euid
   in
   let qown = if Quota.enabled t.quota then Some file_owner else None in
-  (* Fig. 5a step 1: inode created and persisted (still dirty) *)
-  let inode =
+  (* epoch 1, Fig. 5a steps 1-2: the inode (or a hardlink's nlink) and
+     the file entry, claimed and initialized.  Nothing reaches them
+     before the slot pointer, and mark-and-sweep reclaims an unreachable
+     object in any state, so their stores need no order among them. *)
+  let inode, inode_lines =
     match target_inode with
     | Some i ->
-        Inode.set_nlink t.region i (Inode.nlink t.region i + 1);
-        Region.persist t.region i 16;
-        i
+        Inode.stage_nlink t.region i (Inode.nlink t.region i + 1);
+        (i, 1)
     | None ->
-        let i = alloc_inode ?ctx t in
-        Inode.init t.region i
+        let i = claim_inode ?ctx t in
+        Inode.stage_init t.region i
           ~mode:(Inode.mode_of_kind ~perm kind)
           ~uid:euid ~gid:egid ~now:(now ?ctx t);
-        Charge.write_lines ?ctx 2;
-        i
+        (i, 3)
   in
   hook t "create:inode";
-  (* step 2: file entry created and linked to the inode *)
-  let fe = alloc_fentry ?ctx t in
-  Fentry.init t.region fe ~name:n
+  let fe = claim_fentry ?ctx t in
+  Fentry.stage_init t.region fe ~name:n
     ~dir:(kind = Inode.Dir)
     ~symlink:(kind = Inode.Symlink)
     ~target:inode
@@ -982,31 +996,42 @@ let create_locked ?ctx t (d : dirref) r (p : Dirblock.probe) ~name:n ~kind
   if t.secure then begin
     match target_inode with
     | Some i ->
-        Fentry.set_owner t.region fe ~uid:(Inode.uid t.region i)
+        Fentry.stage_owner t.region fe ~uid:(Inode.uid t.region i)
           ~gid:(Inode.gid t.region i)
           ~perm:(Inode.perm t.region i)
-    | None -> Fentry.set_owner t.region fe ~uid:euid ~gid:egid ~perm
+    | None -> Fentry.stage_owner t.region fe ~uid:euid ~gid:egid ~perm
   end;
-  Charge.write_lines ?ctx 2;
-  hook t "create:fentry";
   (* directories get their first hash block before becoming visible *)
-  if kind = Inode.Dir then begin
-    let db =
-      alloc_dirblock ?ctx ~ring:t.log_ring ?owner:qown t
-        ~rows:Dirblock.first_rows
-    in
-    Fentry.set_dirblock t.region fe db;
-    Charge.write_lines ?ctx 2
-  end;
-  (* steps 3-5: persist the pointer into the row *)
+  let dir_lines =
+    if kind = Inode.Dir then begin
+      let db =
+        alloc_dirblock ?ctx ~ring:t.log_ring ?owner:qown t
+          ~rows:Dirblock.first_rows
+      in
+      Fentry.stage_dirblock t.region fe db;
+      2
+    end
+    else 0
+  in
+  close_epoch ?ctx t ~lines:(inode_lines + 3 + dir_lines);
+  hook t "create:fentry";
+  (* epoch 2, steps 3-5: the pointer into the row publishes the entry *)
   insert_entry ?ctx ?owner:(dir_quota_uid t d) t d r ~name:n p fe;
+  close_epoch ?ctx t ~lines:1;
   hook t "create:slot";
-  (* step 6: unset the dirty bits *)
-  (match target_inode with
-  | Some _ -> ()
-  | None ->
-      Simurgh_alloc.Slab_alloc.commit ?ctx t.layout.Layout.inode_slab inode);
-  Simurgh_alloc.Slab_alloc.commit ?ctx t.layout.Layout.fentry_slab fe;
+  (* epoch 3, step 6: unset the dirty bits.  Recovery reads a linked
+     entry that is still dirty as a create that never happened, and
+     commits the inode of a linked live entry, so either commit may
+     become durable first. *)
+  let commit_lines =
+    match target_inode with
+    | Some _ -> 1
+    | None ->
+        Simurgh_alloc.Slab_alloc.stage_commit t.layout.Layout.inode_slab inode;
+        2
+  in
+  Simurgh_alloc.Slab_alloc.stage_commit t.layout.Layout.fentry_slab fe;
+  close_epoch ?ctx t ~lines:commit_lines;
   hook t "create:commit";
   rcache_insert t d n fe;
   fe
@@ -1727,13 +1752,31 @@ let dest_probe ?ctx t w (d : dirref) r ~new_n ~ofe =
   Charge.read_lines ?ctx (p.Dirblock.hops + 1);
   p
 
-(* Same-directory rename, Fig. 5c.  [d] is the directory, [old_n] the
-   existing name, [new_n] the new one. *)
+(* Fig. 5c steps 1-2, staged in the caller's epoch: a shadow file entry
+   named [n] that points at [ofe]'s inode and carries its identity. *)
+let stage_shadow ?ctx t ofe ~name:n =
+  let inode = Fentry.target t.region ofe in
+  let nfe = claim_fentry ?ctx t in
+  Fentry.stage_init t.region nfe ~name:n
+    ~dir:(Fentry.is_dir t.region ofe)
+    ~symlink:(Fentry.is_symlink t.region ofe)
+    ~target:inode
+    ~alloc_spill:(fun b ->
+      alloc_spill ?ctx ?owner:(quota_uid_of_inode t inode) t b);
+  if Fentry.is_dir t.region ofe then
+    Fentry.stage_dirblock t.region nfe (Fentry.dirblock t.region ofe);
+  if t.secure then Fentry.stage_copy_owner t.region ~src:ofe ~dst:nfe;
+  nfe
+
+(* Same-directory rename, Fig. 5c, in seven persist epochs (DESIGN.md
+   §18).  [d] is the directory, [old_n] the existing name, [new_n] the
+   new one. *)
 let rename_same_dir ?ctx t w (d : dirref) ~old_n ~new_n =
   Hw.Protected.check_privileged w t.penv.pcpu;
   check_perm_fe ?ctx t d.dfentry ~want:3;
   let old_row = Dirblock.lock_row_of_name old_n in
   let new_row = Dirblock.lock_row_of_name new_n in
+  let fentry_slab = t.layout.Layout.fentry_slab in
   (* ascending row order; [f] gets the destination's lock row *)
   let lock2 f =
     if old_row = new_row then lock_row ?ctx t d new_row f
@@ -1750,20 +1793,9 @@ let rename_same_dir ?ctx t w (d : dirref) ~old_n ~new_n =
       | None -> Errno.raise_ ENOENT old_n
       | Some (oblk, orow, oslot, ofe) ->
           let p = dest_probe ?ctx t w d nr ~new_n ~ofe in
-          let inode = Fentry.target t.region ofe in
-          (* step 1-2: shadow file entry pointing at the same inode *)
-          let nfe = alloc_fentry ?ctx t in
-          Fentry.init t.region nfe ~name:new_n
-            ~dir:(Fentry.is_dir t.region ofe)
-            ~symlink:(Fentry.is_symlink t.region ofe)
-            ~target:inode
-            ~alloc_spill:(fun b ->
-              alloc_spill ?ctx ?owner:(quota_uid_of_inode t inode) t b);
-          if Fentry.is_dir t.region ofe then
-            Fentry.set_dirblock t.region nfe (Fentry.dirblock t.region ofe);
-          (* the shadow carries the same identity as the original *)
-          if t.secure then Fentry.copy_owner t.region ~src:ofe ~dst:nfe;
-          Charge.write_lines ?ctx 2;
+          (* epoch 1, steps 1-2: the shadow, unreachable until step 5 *)
+          let nfe = stage_shadow ?ctx t ofe ~name:new_n in
+          close_epoch ?ctx t ~lines:3;
           hook t "rename:shadow";
           (* striped mode: reserve the destination slot before the log
              window (the held row lock keeps it free), so the
@@ -1778,35 +1810,42 @@ let rename_same_dir ?ctx t w (d : dirref) ~old_n ~new_n =
           in
           (* the claimed persistent log slot is held from write to clear *)
           with_log_slot ?ctx t d.dhead (fun ~slot ~epoch ->
-              (* step 3-4: mark the hash block and the old line busy *)
+              (* epochs 2-3, step 3: the log, its payload durable before
+                 its state bit *)
               Dirblock.Log.write t.region d.dhead ~slot ~epoch ~src:d.dhead
                 ~dst:d.dhead ~fentry:ofe ~new_entry:nfe;
-              set_row_busy ?ctx t d old_row true;
               Charge.write_lines ?ctx 2;
               hook t "rename:log";
-              (* step 5: old slot now points to the shadow (hash
-                 mismatch) *)
-              Dirblock.set_slot t.region oblk orow oslot nfe;
-              Charge.write_lines ?ctx 1;
+              (* epoch 4, steps 4-5: the old line busy, and the old slot
+                 now points to the shadow (hash mismatch).  Once the
+                 swap is durable, recovery rolls forward. *)
+              Dirblock.stage_busy t.region d.dhead old_row true;
+              Dirblock.stage_slot t.region oblk orow oslot nfe;
+              close_epoch ?ctx t ~lines:2;
               hook t "rename:swap";
-              (* step 6: the old file entry is no longer needed *)
-              Simurgh_alloc.Slab_alloc.free ?ctx t.layout.Layout.fentry_slab
-                ofe;
+              (* epoch 5, steps 6-7: the unreachable old entry freed and
+                 the pointer in the new line; the old slot still links
+                 the shadow whichever of them is lost *)
+              Simurgh_alloc.Slab_alloc.stage_free fentry_slab ofe;
               hook t "rename:oldfree";
-              (* step 7: pointer in the new line *)
               (match reserved with
-              | Some s -> fill_slot ?ctx t nr s nfe
+              | Some s -> fill_slot t nr s nfe
               | None ->
                   insert_entry ?ctx ?owner:(dir_quota_uid t d) t d nr
                     ~name:new_n p nfe);
+              close_epoch ?ctx t
+                ~lines:(Simurgh_alloc.Slab_alloc.free_lines fentry_slab + 1);
+              Simurgh_alloc.Slab_alloc.recycle ?ctx fentry_slab ofe;
               hook t "rename:newslot";
-              (* step 8: remove the mismatched pointer from the old line *)
-              Dirblock.set_slot t.region oblk orow oslot 0;
-              Charge.write_lines ?ctx 1;
+              (* epoch 6, step 8: the mismatched pointer goes only once
+                 the new one is durable; the shadow's commit and the busy
+                 flag are redone by a roll-forward *)
+              Dirblock.stage_slot t.region oblk orow oslot 0;
               hook t "rename:oldslot";
-              Simurgh_alloc.Slab_alloc.commit ?ctx t.layout.Layout.fentry_slab
-                nfe;
-              set_row_busy ?ctx t d old_row false;
+              Simurgh_alloc.Slab_alloc.stage_commit fentry_slab nfe;
+              Dirblock.stage_busy t.region d.dhead old_row false;
+              close_epoch ?ctx t ~lines:3;
+              (* epoch 7: the log clear, once every redo is durable *)
               Dirblock.Log.clear t.region d.dhead ~slot;
               Charge.write_lines ?ctx 2;
               hook t "rename:done");
@@ -1814,13 +1853,15 @@ let rename_same_dir ?ctx t w (d : dirref) ~old_n ~new_n =
           rcache_insert t d new_n nfe)
 
 (* Cross-directory rename: one log entry in the source directory marks
-   the transaction (paper Fig. 5 text). *)
+   the transaction (paper Fig. 5 text), in six persist epochs (DESIGN.md
+   §18). *)
 let rename_cross_dir ?ctx t w (ds : dirref) ~old_n (dd : dirref) ~new_n =
   Hw.Protected.check_privileged w t.penv.pcpu;
   check_perm_fe ?ctx t ds.dfentry ~want:3;
   check_perm_fe ?ctx t dd.dfentry ~want:3;
   let src_row = Dirblock.lock_row_of_name old_n in
   let dst_row = Dirblock.lock_row_of_name new_n in
+  let fentry_slab = t.layout.Layout.fentry_slab in
   (* deterministic lock order on (dir head, row); [f] gets the
      destination's lock row *)
   let with_locks f =
@@ -1837,19 +1878,9 @@ let rename_cross_dir ?ctx t w (ds : dirref) ~old_n (dd : dirref) ~new_n =
       | None -> Errno.raise_ ENOENT old_n
       | Some (oblk, orow, oslot, ofe) ->
           let p = dest_probe ?ctx t w dd dr ~new_n ~ofe in
-          let inode = Fentry.target t.region ofe in
-          (* shadow entry in the destination *)
-          let nfe = alloc_fentry ?ctx t in
-          Fentry.init t.region nfe ~name:new_n
-            ~dir:(Fentry.is_dir t.region ofe)
-            ~symlink:(Fentry.is_symlink t.region ofe)
-            ~target:inode
-            ~alloc_spill:(fun b ->
-              alloc_spill ?ctx ?owner:(quota_uid_of_inode t inode) t b);
-          if Fentry.is_dir t.region ofe then
-            Fentry.set_dirblock t.region nfe (Fentry.dirblock t.region ofe);
-          if t.secure then Fentry.copy_owner t.region ~src:ofe ~dst:nfe;
-          Charge.write_lines ?ctx 2;
+          (* epoch 1: the shadow entry for the destination *)
+          let nfe = stage_shadow ?ctx t ofe ~name:new_n in
+          close_epoch ?ctx t ~lines:3;
           hook t "xrename:shadow";
           (* striped mode: reserve the destination slot ahead of the log
              window, as in [rename_same_dir] *)
@@ -1861,33 +1892,39 @@ let rename_cross_dir ?ctx t w (ds : dirref) ~old_n (dd : dirref) ~new_n =
             else None
           in
           with_log_slot ?ctx t ds.dhead (fun ~slot ~epoch ->
-              (* step 1-2: the operation recorded in the source log
-                 entry *)
+              (* epochs 2-3, steps 1-2: the operation recorded in the
+                 source log entry *)
               Dirblock.Log.write t.region ds.dhead ~slot ~epoch ~src:ds.dhead
                 ~dst:dd.dhead ~fentry:ofe ~new_entry:nfe;
               Charge.write_lines ?ctx 2;
               hook t "xrename:log";
-              (* step 3: both rows busy *)
-              set_row_busy ?ctx t ds src_row true;
-              set_row_busy ?ctx t dd dst_row true;
+              (* epoch 4, steps 3-4: both rows busy and the destination
+                 link.  Recovery rolls forward iff the shadow is linked
+                 (and its flags nonzero), so every store after this
+                 epoch is an idempotent redo. *)
+              Dirblock.stage_busy t.region ds.dhead src_row true;
+              Dirblock.stage_busy t.region dd.dhead dst_row true;
               hook t "xrename:busy";
-              (* step 4: perform — link destination, clear source *)
               (match reserved with
-              | Some s -> fill_slot ?ctx t dr s nfe
+              | Some s -> fill_slot t dr s nfe
               | None ->
                   insert_entry ?ctx ?owner:(dir_quota_uid t dd) t dd dr
                     ~name:new_n p nfe);
+              close_epoch ?ctx t ~lines:3;
               hook t "xrename:dstslot";
-              Dirblock.set_slot t.region oblk orow oslot 0;
-              Charge.write_lines ?ctx 1;
+              (* epoch 5, the redo steps: clear the source slot, free the
+                 old entry, commit the shadow, clear both busy flags *)
+              Dirblock.stage_slot t.region oblk orow oslot 0;
               hook t "xrename:srcslot";
-              Simurgh_alloc.Slab_alloc.free ?ctx t.layout.Layout.fentry_slab
-                ofe;
-              Simurgh_alloc.Slab_alloc.commit ?ctx t.layout.Layout.fentry_slab
-                nfe;
+              Simurgh_alloc.Slab_alloc.stage_free fentry_slab ofe;
+              Simurgh_alloc.Slab_alloc.stage_commit fentry_slab nfe;
               hook t "xrename:oldfree";
-              set_row_busy ?ctx t ds src_row false;
-              set_row_busy ?ctx t dd dst_row false;
+              Dirblock.stage_busy t.region ds.dhead src_row false;
+              Dirblock.stage_busy t.region dd.dhead dst_row false;
+              close_epoch ?ctx t
+                ~lines:(Simurgh_alloc.Slab_alloc.free_lines fentry_slab + 4);
+              Simurgh_alloc.Slab_alloc.recycle ?ctx fentry_slab ofe;
+              (* epoch 6: the log clear, once every redo is durable *)
               Dirblock.Log.clear t.region ds.dhead ~slot;
               Charge.write_lines ?ctx 2;
               hook t "xrename:done");

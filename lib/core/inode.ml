@@ -72,9 +72,10 @@ let set_nlink r i v = Region.write_u32 r (f_nlink i) v
 let set_size r i v = Region.write_u62 r (f_size i) v
 let set_mtime r i v = Region.write_u62 r (f_mtime i) v
 
-(** Initialize a freshly allocated inode and persist it (Fig. 5a step 1:
-    "the inode is created and persisted"). *)
-let init r i ~mode:m ~uid:u ~gid:g ~now =
+(** Initialize a freshly allocated inode, staged: stores plus [clwb]
+    (Fig. 5a step 1, "the inode is created and persisted", completes at
+    the fence that closes the caller's epoch). *)
+let stage_init r i ~mode:m ~uid:u ~gid:g ~now =
   Region.write_u32 r (f_mode i) m;
   Region.write_u32 r (f_uid i) u;
   Region.write_u32 r (f_gid i) g;
@@ -87,7 +88,16 @@ let init r i ~mode:m ~uid:u ~gid:g ~now =
     Region.write_u62 r (f_extent i k + 8) 0
   done;
   Region.write_u62 r (f_overflow i) 0;
-  Region.persist r i payload_size
+  Region.clwb r i payload_size
+
+(** [stage_init] plus the fence. *)
+let init r i ~mode ~uid ~gid ~now =
+  stage_init r i ~mode ~uid ~gid ~now;
+  Region.sfence r
+
+let stage_nlink r i v =
+  set_nlink r i v;
+  Region.clwb r (f_nlink i) 4
 
 let read_extent r i k =
   let addr = Region.read_u62 r (f_extent i k) in

@@ -1035,6 +1035,13 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
               to_free := p :: !to_free;
               0
             end
+          else if flags = Slab.flag_valid lor Slab.flag_dirty then begin
+            (* reached but unprocessed: a create whose file entry's
+               commit became durable before its inode's (one epoch,
+               DESIGN.md §18); finish its step 6 *)
+            Slab.commit slab p;
+            Slab.flag_valid
+          end
           else flags)
     in
     List.iter

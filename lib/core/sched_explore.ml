@@ -671,7 +671,8 @@ type recovery_stats = {
 
 (* A populated, genuinely crashed image for recovery to chew on: a
    durable tree (directories, files, a nested subdir, a symlink), then
-   a dirty tail — two creates and a rename crashed mid-flight — with
+   a dirty tail — two creates and a rename crashed at the fence of its
+   log payload, so its shadow entry is durable and unprocessed — with
    every unpersisted line dropped.  [poison] additionally poisons one
    subdirectory's head-block line, so the parallel mark pass exercises
    the quarantine escalation under contention. *)
@@ -694,7 +695,7 @@ let build_crashed_image ~poison ~size =
   Fs.create_file fs "/d1/extra1";
   Explore.crash_at [| region |]
     (fun () _ -> Fs.rename fs "/d2/f0" "/d3/moved")
-    (Explore.Store 6);
+    (Explore.Fence 2);
   Region.crash_image region ~keep:(fun _ -> false);
   if poison then begin
     let layout = Layout.attach region in

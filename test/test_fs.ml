@@ -796,6 +796,44 @@ let test_shard_remount () =
   | _ -> Alcotest.fail "expected invalid_arg on permuted regions"
   | exception Invalid_argument _ -> ()
 
+(* Fig. 5 persist epochs (DESIGN.md §18): each namespace
+   op fences exactly where recovery needs an order, in every
+   configuration.  A create is three epochs (inode and entry, slot,
+   commits), a mkdir adds its first hash block's allocation and
+   initialization, a same-directory rename is seven and a
+   cross-directory rename six; unlink keeps its nine.  A count that
+   drops must first be shown safe by the crash explorer. *)
+let test_persist_epochs () =
+  List.iter
+    (fun (config, mkfs) ->
+      let region = Simurgh_nvmm.Region.create (16 * 1024 * 1024) in
+      let fs = mkfs region in
+      let expect op want f =
+        let fences () = (Simurgh_nvmm.Region.stats region).fences in
+        let f0 = fences () in
+        f ();
+        Alcotest.(check int) (config ^ ": " ^ op) want (fences () - f0)
+      in
+      Fs.mkdir fs "/a";
+      Fs.mkdir fs "/b";
+      expect "create" 3 (fun () -> Fs.create_file fs "/a/f");
+      expect "mkdir" 7 (fun () -> Fs.mkdir fs "/a/d");
+      expect "same-directory rename" 7 (fun () -> Fs.rename fs "/a/f" "/a/g");
+      expect "cross-directory rename" 6 (fun () ->
+          Fs.rename fs "/a/g" "/b/h");
+      expect "unlink" 9 (fun () -> Fs.unlink fs "/b/h");
+      Fs.create_file fs "/a/t";
+      expect "hardlink" 3 (fun () -> Fs.hardlink fs ~existing:"/a/t" "/a/l"))
+    [
+      ("default", fun r -> Fs.mkfs ~euid:0 r);
+      ( "scaled",
+        fun r ->
+          Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true ~alloc_caches:true
+            r );
+      ("log-ring", fun r -> Fs.mkfs ~euid:0 ~striped_locks:true ~log_ring:4 r);
+      ("secure", fun r -> Fs.mkfs ~euid:0 ~secure:true r);
+    ]
+
 let () =
   Alcotest.run "fs"
     [
@@ -821,6 +859,7 @@ let () =
           Alcotest.test_case "rmdir frees blocks" `Quick
             test_dir_hash_block_freed_on_rmdir;
           Alcotest.test_case "rename directory" `Quick test_rename_directory;
+          Alcotest.test_case "persist epochs" `Quick test_persist_epochs;
           Alcotest.test_case "symlink intermediate" `Quick
             test_symlink_intermediate;
           Alcotest.test_case "interleaved unlink" `Quick
