@@ -179,7 +179,12 @@ let run ~scale =
     empty checker cannot pass).  After the legacy and log-ring
     recoveries, the slabs' free caches recovery installed must also
     equal a fresh rebuild ({!Check.free_caches}); a mismatch is listed
-    with the violations.  Returns a process exit code. *)
+    with the violations.  Two positive controls cover the block free
+    lists, which live in shared DRAM: fsck of a live mount after
+    allocation churn (it must read the live allocator, the media copy
+    being stale) and fsck across a clean unmount and a mount (the media
+    checkpoint, then the lists loaded from it).  Returns a process exit
+    code. *)
 let fsck () =
   let region = Region.create ~mode:Region.Strict (32 * 1024 * 1024) in
   let fs = Fs.mkfs ~euid:0 region in
@@ -253,7 +258,37 @@ let fsck () =
   List.iter
     (fun v -> print_endline ("  " ^ Check.violation_to_string v))
     par_clean;
+  (* the free-list controls: churn allocates and frees blocks (data
+     extents, directory blocks) long after the format's checkpoint *)
+  let live_region = Region.create ~mode:Region.Strict (32 * 1024 * 1024) in
+  let lfs = Fs.mkfs ~euid:0 live_region in
+  for d = 0 to 5 do
+    let dir = Printf.sprintf "/c%d" d in
+    Fs.mkdir lfs dir;
+    for i = 0 to 11 do
+      let path = Printf.sprintf "%s/f%d" dir i in
+      let fd = Fs.openf lfs (Types.creat Types.rdwr) path in
+      ignore (Fs.append lfs fd (Bytes.make (1000 * (i + 1)) 'c'));
+      Fs.close lfs fd;
+      if i mod 3 = 0 then Fs.unlink lfs path
+    done;
+    if d mod 2 = 1 then Fs.mkdir lfs (dir ^ "/sub")
+  done;
+  Fs.rmdir lfs "/c1/sub";
+  let live_clean = Check.run live_region in
+  Printf.printf "fsck: live mount after alloc/free churn: %d violation(s)\n"
+    (List.length live_clean);
+  Fs.unmount lfs;
+  let ckpt_clean = Check.run live_region in
+  let lfs = Fs.mount ~euid:0 live_region in
+  let remount_clean = ckpt_clean @ Check.run live_region in
+  Fs.unmount lfs;
+  Printf.printf "fsck: after unmount and mount: %d violation(s)\n"
+    (List.length remount_clean);
+  List.iter
+    (fun v -> print_endline ("  " ^ Check.violation_to_string v))
+    (live_clean @ remount_clean);
   if negative <> [] && clean = [] && ring_clean = [] && par_negative <> []
-     && par_clean = []
+     && par_clean = [] && live_clean = [] && remount_clean = []
   then 0
   else 1

@@ -18,11 +18,16 @@ module Fs = Simurgh_core.Fs
 module Region = Simurgh_nvmm.Region
 open Cmdliner
 
+(* A cleanly saved image mounts directly; any other is recovered first. *)
 let load_fs img =
   let region = Region.load_from_file img in
-  Fs.mount ~euid:0 region
+  fst (Simurgh_core.Recovery.mount_auto ~euid:0 region)
 
-let save region img = Region.save_to_file region img
+(* Unmount before saving: the last unmount checkpoints the block free
+   lists and sets the clean flag, so the saved image needs no recovery. *)
+let save fs img =
+  Fs.unmount fs;
+  Region.save_to_file (Fs.region fs) img
 
 let img_arg =
   Arg.(
@@ -57,8 +62,7 @@ let mkfs_cmd =
   let run img size_mb =
     wrap (fun () ->
         let region = Region.create (size_mb * 1024 * 1024) in
-        let _fs = Fs.mkfs ~euid:0 region in
-        save region img;
+        save (Fs.mkfs ~euid:0 region) img;
         Printf.printf "formatted %s (%d MiB)\n" img size_mb)
   in
   Cmd.v (Cmd.info "mkfs" ~doc:"Create and format a region image.")
@@ -78,7 +82,7 @@ let mkdir_cmd =
     wrap (fun () ->
         let fs = load_fs img in
         Fs.mkdir fs path;
-        save (Fs.region fs) img)
+        save fs img)
   in
   Cmd.v (Cmd.info "mkdir" ~doc:"Create a directory.")
     Term.(const run $ img_arg $ path_arg 1)
@@ -98,7 +102,7 @@ let write_cmd =
         let fd = Fs.openf fs Types.rdwr path in
         ignore (Fs.pwrite fs fd ~pos:0 (Bytes.of_string data));
         Fs.close fs fd;
-        save (Fs.region fs) img)
+        save fs img)
   in
   Cmd.v (Cmd.info "write" ~doc:"Write a string to a file (replacing it).")
     Term.(const run $ img_arg $ path_arg 1 $ data)
@@ -123,7 +127,7 @@ let import_cmd =
         let fd = Fs.openf fs Types.rdwr path in
         ignore (Fs.pwrite fs fd ~pos:0 buf);
         Fs.close fs fd;
-        save (Fs.region fs) img;
+        save fs img;
         Printf.printf "imported %d bytes\n" len)
   in
   Cmd.v (Cmd.info "import" ~doc:"Import a local file.")
@@ -162,7 +166,7 @@ let rm_cmd =
         (match (Fs.stat fs path).Types.kind with
         | Types.Dir -> Fs.rmdir fs path
         | _ -> Fs.unlink fs path);
-        save (Fs.region fs) img)
+        save fs img)
   in
   Cmd.v (Cmd.info "rm" ~doc:"Remove a file or an empty directory.")
     Term.(const run $ img_arg $ path_arg 1)
@@ -172,7 +176,7 @@ let mv_cmd =
     wrap (fun () ->
         let fs = load_fs img in
         Fs.rename fs a b;
-        save (Fs.region fs) img)
+        save fs img)
   in
   Cmd.v (Cmd.info "mv" ~doc:"Rename/move.")
     Term.(const run $ img_arg $ path_arg 1 $ path_arg 2)
@@ -183,7 +187,7 @@ let fsck_cmd =
         let region = Region.load_from_file img in
         let _, report = Simurgh_core.Recovery.run region in
         Fmt.pr "%a\n" Simurgh_core.Recovery.pp_report report;
-        save region img)
+        Region.save_to_file region img)
   in
   Cmd.v
     (Cmd.info "fsck"

@@ -2,8 +2,7 @@
 
     The managed space is divided into [segments] contiguous block ranges
     (the paper uses 2x the core count, following Hoard).  Each segment
-    keeps an address-ordered free list of ranges threaded through the
-    free blocks themselves; a per-segment busy flag provides mutual
+    keeps a free list of ranges; a per-segment busy flag provides mutual
     exclusion and a [last_accessed] timestamp lets peers detect a holder
     that crashed while holding the lock.  Threads pick a segment with a
     modulo function of the allocation hint (the inode pointer), which
@@ -16,14 +15,25 @@
     coalesced (ranges sorted and merged) and the walk retried — lazy
     coalescing keeps the common path short while still recovering large
     contiguous ranges, and a format/alloc-all/free-all cycle restores
-    the initial state. *)
+    the initial state.
+
+    {b The free lists live in shared DRAM} (DESIGN.md §7), next to the
+    slabs' free caches: an allocation or a free touches no NVMM but the
+    segment's lock word.  Recovery rebuilds the lists from reachability
+    after a crash ({!rebuild_free_lists}), so their media copy is only a
+    checkpoint: written at format, by the rebuild and by the last clean
+    unmount ({!checkpoint}), and read back by {!attach} [~load:true]
+    when the region was unmounted cleanly.  On media each segment's list
+    is threaded through the free blocks themselves, a 16-byte
+    [next, count] node at the head of each range. *)
 
 open Simurgh_nvmm
 
 let magic = 0xb10ca1
 let header_fixed = 32
 let seg_header_size = 24
-(* Free-range node, stored in the first 16 bytes of the range itself. *)
+(* Free-range node of the media checkpoint, stored in the first 16
+   bytes of the range itself. *)
 let node_next = 0
 let node_count = 8
 
@@ -40,6 +50,16 @@ type counters = {
           poisoned line sat under them (never recycled; see statfs) *)
 }
 
+(* One segment's free list: range [k] starts at byte address
+   [addr.(k)] and spans [count.(k)] blocks, for [k < len].  The list
+   head is [len - 1], so a head insert is a push and a first-fit walk
+   runs down from the top. *)
+type seg = {
+  mutable addr : int array;
+  mutable count : int array;
+  mutable len : int;
+}
+
 type t = {
   region : Region.t;
   off : int;  (** header location in the region *)
@@ -48,11 +68,14 @@ type t = {
   base : int;  (** first managed byte *)
   total_blocks : int;
   locks : Simurgh_sim.Vlock.Spin.t array;  (** virtual-time segment locks *)
+  segs : seg array;  (** the free lists (shared DRAM) *)
+  mutable loaded : bool;
+      (** the lists hold the allocator's state: false after an attach
+          without [~load] (a crash image) until {!rebuild_free_lists} *)
   mutable tseg : int array;
       (** per-thread segment affinity (indexed by simulated tid, -1 =
           unset): where the thread's last allocation succeeded.  Purely
-          volatile — the persistent free lists are untouched, so fsck
-          and recovery see exactly the same state either way *)
+          volatile, like the lists it points into *)
   mutable tseg_enabled : bool;
   c : counters;
 }
@@ -84,32 +107,131 @@ let seg_block_count t i =
 let block_addr t b = t.base + (b * t.block_size)
 let block_of_addr t addr = (addr - t.base) / t.block_size
 
-let attach region ~off =
+(* --- the DRAM lists ---------------------------------------------------- *)
+
+let clear_seg s = s.len <- 0
+
+(* Head insert. *)
+let push s ~addr ~count =
+  if s.len = Array.length s.addr then begin
+    let cap = max 8 (2 * s.len) in
+    let grow a = Array.append a (Array.make (cap - s.len) 0) in
+    s.addr <- grow s.addr;
+    s.count <- grow s.count
+  end;
+  s.addr.(s.len) <- addr;
+  s.count.(s.len) <- count;
+  s.len <- s.len + 1
+
+(* Unlink range [k], keeping the order of the others. *)
+let remove s k =
+  let above = s.len - 1 - k in
+  Array.blit s.addr (k + 1) s.addr k above;
+  Array.blit s.count (k + 1) s.count k above;
+  s.len <- s.len - 1
+
+(* Visit segment [i]'s ranges from the head. *)
+let iter_seg t i f =
+  let s = t.segs.(i) in
+  for k = s.len - 1 downto 0 do
+    f s.addr.(k) s.count.(k)
+  done
+
+(* --- the media checkpoint ---------------------------------------------- *)
+
+let read_node t addr = Region.read_u62_pair t.region (addr + node_next)
+
+let write_node t addr ~next ~count =
+  Region.write_u62_pair t.region (addr + node_next) next count;
+  Region.persist t.region addr 16
+
+(* Write segment [i]'s list to media, head first: each node is written
+   with no successor and then linked from its predecessor, and the head
+   word and the segment header are persisted last. *)
+let store_seg t i =
+  let head = ref 0 and tail = ref 0 in
+  iter_seg t i (fun addr count ->
+      write_node t addr ~next:0 ~count;
+      if !head = 0 then head := addr
+      else begin
+        Region.write_u62 t.region (!tail + node_next) addr;
+        Region.persist t.region !tail 16
+      end;
+      tail := addr);
+  Region.write_u62 t.region (seg_head t i) !head;
+  Region.persist t.region (seg_off t i) seg_header_size
+
+(* Read segment [i]'s media list into DRAM, in list order. *)
+let load_seg t i =
+  let rec collect node acc =
+    if node = 0 then acc
+    else
+      let next, count = read_node t node in
+      collect next ((node, count) :: acc)
+  in
+  let s = t.segs.(i) in
+  clear_seg s;
+  (* [collect] returns the tail first: pushing in that order leaves the
+     head on top *)
+  List.iter
+    (fun (addr, count) -> push s ~addr ~count)
+    (collect (Region.read_u62 t.region (seg_head t i)) [])
+
+(** Load the media checkpoint into the DRAM lists.  Only a checkpoint
+    that no later allocation outdates is the allocator's state: one
+    written by format, by recovery's rebuild or by the last clean
+    unmount. *)
+let load t =
+  for i = 0 to t.segments - 1 do
+    load_seg t i
+  done;
+  t.loaded <- true
+
+(** Write every DRAM list to its media checkpoint (the last clean
+    unmount does this before it sets the clean flag). *)
+let checkpoint t =
+  for i = 0 to t.segments - 1 do
+    store_seg t i
+  done
+
+(** Attach to a formatted allocator header.  [~load:true] reads the
+    free lists from the media checkpoint; [~load:false] (a crash image)
+    leaves them empty, and allocating or freeing raises until
+    {!rebuild_free_lists} has run. *)
+let attach ~load:load_lists region ~off =
   let m = Region.read_u32 region off in
   if m <> magic then invalid_arg "Block_alloc.attach: bad magic";
   let block_size = Region.read_u32 region (off + 4) in
   let segments = Region.read_u32 region (off + 8) in
   let base = Region.read_u62 region (off + 16) in
   let total_blocks = Region.read_u62 region (off + 24) in
-  {
-    region;
-    off;
-    block_size;
-    segments;
-    base;
-    total_blocks;
-    locks = Array.init segments (fun _ -> Simurgh_sim.Vlock.Spin.create ~site:"balloc-seg" ());
-    tseg = [||];
-    tseg_enabled = false;
-    c =
-      {
-        allocs = 0;
-        frees = 0;
-        blocks_allocated = 0;
-        blocks_freed = 0;
-        blocks_quarantined = 0;
-      };
-  }
+  let t =
+    {
+      region;
+      off;
+      block_size;
+      segments;
+      base;
+      total_blocks;
+      locks =
+        Array.init segments (fun _ ->
+            Simurgh_sim.Vlock.Spin.create ~site:"balloc-seg" ());
+      segs = Array.init segments (fun _ -> { addr = [||]; count = [||]; len = 0 });
+      loaded = false;
+      tseg = [||];
+      tseg_enabled = false;
+      c =
+        {
+          allocs = 0;
+          frees = 0;
+          blocks_allocated = 0;
+          blocks_freed = 0;
+          blocks_quarantined = 0;
+        };
+    }
+  in
+  if load_lists then load t;
+  t
 
 let format region ~off ~base ~blocks ~block_size ~segments =
   if block_size < 16 then
@@ -121,7 +243,7 @@ let format region ~off ~base ~blocks ~block_size ~segments =
   Region.write_u32 region (off + 8) segments;
   Region.write_u62 region (off + 16) base;
   Region.write_u62 region (off + 24) blocks;
-  let t = attach region ~off in
+  let t = attach ~load:false region ~off in
   for i = 0 to segments - 1 do
     Region.write_u8 region (seg_flag t i) 0;
     Region.write_u62 region (seg_last_accessed t i) 0;
@@ -129,22 +251,24 @@ let format region ~off ~base ~blocks ~block_size ~segments =
     if count > 0 then begin
       let node = block_addr t first in
       Region.write_u62_pair region (node + node_next) 0 count;
-      Region.write_u62 region (seg_head t i) node
+      Region.write_u62 region (seg_head t i) node;
+      push t.segs.(i) ~addr:node ~count
     end
     else Region.write_u62 region (seg_head t i) 0
   done;
   Region.persist region off (header_size ~segments);
+  t.loaded <- true;
   t
 
 (* --- virtual-time charging ------------------------------------------- *)
 
-let charge_lines ?ctx ~read ~write () =
+(** CPU cycles charged per free-list node visited (a DRAM hop). *)
+let node_cycles = 20.0
+
+let charge_nodes ?ctx n =
   match ctx with
   | None -> ()
-  | Some ctx ->
-      (* free-list nodes are hot under allocation churn: blended latency *)
-      Simurgh_sim.Machine.nvmm_meta_read_lines ctx read;
-      Simurgh_sim.Machine.nvmm_write_lines ctx write
+  | Some ctx -> Simurgh_sim.Machine.cpu ctx (node_cycles *. float_of_int n)
 
 (* --- segment locking with crash detection ----------------------------- *)
 
@@ -192,30 +316,11 @@ let recover_segment t i =
 
 (* --- free-list manipulation (caller holds the segment lock) ----------- *)
 
-(* The next/count pair is 16 adjacent bytes at the head of the range:
-   one paired word access per node keeps free-list walks at one region
-   round per hop. *)
-let read_node t addr = Region.read_u62_pair t.region (addr + node_next)
-
-let write_node t addr ~next ~count =
-  Region.write_u62_pair t.region (addr + node_next) next count;
-  Region.persist t.region addr 16
-
-(* Sort and merge every range of segment [i]; caller holds the lock. *)
+(* Sort and merge every range of segment [i]; the merged list runs in
+   ascending address order from the head. *)
 let coalesce_segment ?ctx t i =
-  let head_addr = seg_head t i in
-  let ranges = ref [] in
-  let hops = ref 0 in
-  let rec collect node =
-    if node <> 0 then begin
-      incr hops;
-      let next, count = read_node t node in
-      ranges := (node, count) :: !ranges;
-      collect next
-    end
-  in
-  collect (Region.read_u62 t.region head_addr);
-  let sorted = List.sort compare !ranges in
+  let s = t.segs.(i) in
+  let ranges = List.init s.len (fun k -> (s.addr.(k), s.count.(k))) in
   let merged =
     List.fold_left
       (fun acc (a, c) ->
@@ -223,19 +328,13 @@ let coalesce_segment ?ctx t i =
         | (pa, pc) :: rest when pa + (pc * t.block_size) = a ->
             (pa, pc + c) :: rest
         | _ -> (a, c) :: acc)
-      [] sorted
-    (* accumulated in descending address order: rebuild ascending list *)
+      [] (List.sort compare ranges)
+    (* accumulated in descending address order: pushing it leaves the
+       lowest address on top *)
   in
-  let rec rebuild next = function
-    | [] -> next
-    | (a, c) :: rest ->
-        write_node t a ~next ~count:c;
-        rebuild a rest
-  in
-  let head = rebuild 0 merged in
-  Region.write_u62 t.region head_addr head;
-  Region.persist t.region head_addr 8;
-  charge_lines ?ctx ~read:!hops ~write:(!hops + 1) ()
+  charge_nodes ?ctx s.len;
+  clear_seg s;
+  List.iter (fun (addr, count) -> push s ~addr ~count) merged
 
 (* First-fit within a segment; splits the tail of the chosen range.
    A walk that exceeds [walk_budget] hops without a fit triggers a
@@ -243,11 +342,12 @@ let coalesce_segment ?ctx t i =
 let walk_budget = 48
 
 let alloc_in_segment ?ctx t i n =
-  let head_addr = seg_head t i in
+  let s = t.segs.(i) in
   let rec attempt ~may_coalesce =
-    let rec walk prev node hops =
-      if node = 0 then begin
-        charge_lines ?ctx ~read:(min hops walk_budget + 1) ~write:0 ();
+    let rec walk hops =
+      let k = s.len - 1 - hops in
+      if k < 0 then begin
+        charge_nodes ?ctx (min hops walk_budget + 1);
         if may_coalesce && hops > 0 then begin
           coalesce_segment ?ctx t i;
           attempt ~may_coalesce:false
@@ -255,51 +355,40 @@ let alloc_in_segment ?ctx t i n =
         else None
       end
       else if hops > walk_budget && may_coalesce then begin
-        charge_lines ?ctx ~read:(walk_budget + 1) ~write:0 ();
+        charge_nodes ?ctx (walk_budget + 1);
         coalesce_segment ?ctx t i;
         attempt ~may_coalesce:false
       end
       else
-        let next, count = read_node t node in
+        let count = s.count.(k) in
         if count >= n then begin
           let remaining = count - n in
-          let grabbed = node + (remaining * t.block_size) in
-          if remaining = 0 then begin
-            (* unlink the node *)
-            (match prev with
-            | None -> Region.write_u62 t.region head_addr next
-            | Some p ->
-                Region.write_u62 t.region (p + node_next) next);
-            Region.persist t.region
-              (match prev with None -> head_addr | Some p -> p)
-              16
-          end
-          else write_node t node ~next ~count:remaining;
-          charge_lines ?ctx ~read:(hops + 1) ~write:2 ();
+          let grabbed = s.addr.(k) + (remaining * t.block_size) in
+          if remaining = 0 then remove s k else s.count.(k) <- remaining;
+          charge_nodes ?ctx (hops + 1);
           Some grabbed
         end
-        else walk (Some node) next (hops + 1)
+        else walk (hops + 1)
     in
-    walk None (Region.read_u62 t.region head_addr) 0
+    walk 0
   in
   attempt ~may_coalesce:true
 
 (* O(1) head insert (deferred coalescing). *)
 let free_in_segment ?ctx t i ~addr ~count =
-  let head_addr = seg_head t i in
-  let old_head = Region.read_u62 t.region head_addr in
-  write_node t addr ~next:old_head ~count;
-  Region.write_u62 t.region head_addr addr;
-  Region.persist t.region head_addr 8;
-  charge_lines ?ctx ~read:0 ~write:2 ()
+  push t.segs.(i) ~addr ~count;
+  charge_nodes ?ctx 1
 
-
+let require_loaded t what =
+  if not t.loaded then
+    invalid_arg
+      (Printf.sprintf
+         "Block_alloc.%s: free lists not loaded (a crash image before \
+          recovery's rebuild)"
+         what)
 
 (* --- public API -------------------------------------------------------- *)
 
-(** Allocate [n] contiguous blocks; [hint] (e.g. the file's inode
-    pointer) selects the starting segment.  Returns the byte address of
-    the range, or [None] when no segment can satisfy the request. *)
 let segment_busy ?ctx t i =
   match ctx with
   | None -> false
@@ -330,8 +419,12 @@ let thread_segment t tid =
   if t.tseg.(tid) < 0 then t.tseg.(tid) <- tid mod t.segments;
   t.tseg.(tid)
 
+(** Allocate [n] contiguous blocks; [hint] (e.g. the file's inode
+    pointer) selects the starting segment.  Returns the byte address of
+    the range, or [None] when no segment can satisfy the request. *)
 let alloc ?ctx ?(hint = 0) t n =
   if n <= 0 then invalid_arg "Block_alloc.alloc: n must be positive";
+  require_loaded t "alloc";
   let tid = ctx_tid ctx in
   let affine = t.tseg_enabled && tid >= 0 in
   let start =
@@ -384,6 +477,7 @@ let alloc ?ctx ?(hint = 0) t n =
     [free + used + quarantined = capacity]. *)
 let free ?ctx t ~addr n =
   if n <= 0 then invalid_arg "Block_alloc.free: n must be positive";
+  require_loaded t "free";
   let b = block_of_addr t addr in
   if b < 0 || b + n > t.total_blocks then
     invalid_arg "Block_alloc.free: range outside managed space";
@@ -427,67 +521,43 @@ let free ?ctx t ~addr n =
   t.c.frees <- t.c.frees + 1;
   t.c.blocks_freed <- t.c.blocks_freed + freed
 
-(** Total free blocks (walks every list; diagnostic). *)
-let free_blocks t =
-  let total = ref 0 in
-  for i = 0 to t.segments - 1 do
-    let rec walk node =
-      if node <> 0 then begin
-        let next, count = read_node t node in
-        total := !total + count;
-        walk next
-      end
-    in
-    walk (Region.read_u62 t.region (seg_head t i))
-  done;
-  !total
-
 (** Visit every free range as [(byte address, block count)] across all
-    segments.  Offline use (fsck): assumes no concurrent mutators. *)
+    segments, each list from its head.  Assumes no concurrent
+    mutators. *)
 let iter_free_ranges t f =
   for i = 0 to t.segments - 1 do
-    let rec walk node =
-      if node <> 0 then begin
-        let next, count = read_node t node in
-        f node count;
-        walk next
-      end
-    in
-    walk (Region.read_u62 t.region (seg_head t i))
+    iter_seg t i f
   done
+
+(** Total free blocks (diagnostic). *)
+let free_blocks t =
+  let total = ref 0 in
+  iter_free_ranges t (fun _ count -> total := !total + count);
+  !total
 
 (** Structural check: every free range lies within its segment and no
     two ranges overlap (lists are unordered between coalesces). *)
 let check_invariants t =
   let ok = ref (Ok ()) in
   let fail fmt = Printf.ksprintf (fun s -> ok := Error s) fmt in
-  (try
-     for i = 0 to t.segments - 1 do
-       let lo = block_addr t (seg_first_block t i) in
-       let hi = lo + (seg_block_count t i * t.block_size) in
-       let ranges = ref [] in
-       let rec walk node =
-         if node <> 0 then begin
-           let next, count = read_node t node in
-           if node < lo || node + (count * t.block_size) > hi then
-             fail "segment %d: range %#x+%d blocks escapes [%#x,%#x)" i node
-               count lo hi;
-           ranges := (node, count) :: !ranges;
-           walk next
-         end
-       in
-       walk (Region.read_u62 t.region (seg_head t i));
-       let sorted = List.sort compare !ranges in
-       let rec overlap = function
-         | (a, c) :: ((b, _) :: _ as rest) ->
-             if a + (c * t.block_size) > b then
-               fail "segment %d: overlapping free ranges at %#x" i b;
-             overlap rest
-         | _ -> ()
-       in
-       overlap sorted
-     done
-   with e -> fail "exception: %s" (Printexc.to_string e));
+  for i = 0 to t.segments - 1 do
+    let lo = block_addr t (seg_first_block t i) in
+    let hi = lo + (seg_block_count t i * t.block_size) in
+    let ranges = ref [] in
+    iter_seg t i (fun addr count ->
+        if addr < lo || addr + (count * t.block_size) > hi then
+          fail "segment %d: range %#x+%d blocks escapes [%#x,%#x)" i addr
+            count lo hi;
+        ranges := (addr, count) :: !ranges);
+    let rec overlap = function
+      | (a, c) :: ((b, _) :: _ as rest) ->
+          if a + (c * t.block_size) > b then
+            fail "segment %d: overlapping free ranges at %#x" i b;
+          overlap rest
+      | _ -> ()
+    in
+    overlap (List.sort compare !ranges)
+  done;
   !ok
 
 let block_size t = t.block_size
@@ -511,25 +581,21 @@ let quarantined_blocks t =
 
 (** Rebuild every segment's free list from scratch given a predicate
     telling which blocks are in use (full-system mark-and-sweep recovery,
-    paper Section 5.5).  Also clears any stuck segment locks. *)
+    paper Section 5.5), in address order from the head, and write it to
+    the media checkpoint.  Also clears any stuck segment locks. *)
 let rebuild_free_lists t ~in_use =
   for i = 0 to t.segments - 1 do
     Region.write_u8 t.region (seg_flag t i) 0;
+    let s = t.segs.(i) in
+    clear_seg s;
     let first = seg_first_block t i and count = seg_block_count t i in
-    (* collect maximal free runs in address order *)
-    let head = ref 0 in
-    let tail = ref 0 (* address of last node written *) in
+    (* maximal free runs, collected in descending address order so the
+       lowest ends up on top *)
+    let runs = ref [] in
     let run_start = ref (-1) in
     let flush_run stop =
       if !run_start >= 0 then begin
-        let addr = block_addr t !run_start in
-        write_node t addr ~next:0 ~count:(stop - !run_start);
-        if !head = 0 then head := addr
-        else begin
-          Region.write_u62 t.region (!tail + node_next) addr;
-          Region.persist t.region !tail 16
-        end;
-        tail := addr;
+        runs := (block_addr t !run_start, stop - !run_start) :: !runs;
         run_start := -1
       end
     in
@@ -538,9 +604,10 @@ let rebuild_free_lists t ~in_use =
       else if !run_start < 0 then run_start := b
     done;
     flush_run (first + count);
-    Region.write_u62 t.region (seg_head t i) !head;
-    Region.persist t.region (seg_off t i) seg_header_size
-  done
+    List.iter (fun (addr, count) -> push s ~addr ~count) !runs;
+    store_seg t i
+  done;
+  t.loaded <- true
 
 type stats = {
   allocs : int;

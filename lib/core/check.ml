@@ -80,13 +80,25 @@ let violation_to_string v = Fmt.str "%a" pp_violation v
     consistent file system).  [include_leaks:false] skips the
     live-but-unreachable check — the runtime single-directory repair
     path ({!Recovery.repair_directory}) legitimately leaves objects of
-    {e other} crashed directories for the next full scan. *)
+    {e other} crashed directories for the next full scan.  The block
+    free lists are read from the live allocator when the region is
+    mounted (its shared-DRAM state), otherwise from their media
+    checkpoint. *)
 let run ?(include_leaks = true) region =
   let out = ref [] in
   let add v = out := v :: !out in
   let r = region in
+  let attach () =
+    match Fs.lookup_shared region with
+    | Some s -> s.Fs.s_layout
+    | None ->
+        let layout = Layout.attach region in
+        if not (Layout.clean_shutdown layout) then
+          Balloc.load layout.Layout.balloc;
+        layout
+  in
   match
-    try Ok (Layout.attach region) with
+    try Ok (attach ()) with
     | Invalid_argument m -> Error m
     | Region.Media_error off -> Error (Printf.sprintf "media error at %#x" off)
   with

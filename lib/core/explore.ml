@@ -75,7 +75,8 @@ let mkfs ?(cores = 2) c region =
 
 (* Mount a fresh FS handle on [region] as a new "process" would: the
    shared volatile state is discarded (a crash wiped DRAM) and rebuilt
-   from NVMM. *)
+   from NVMM, so the image must have been unmounted cleanly or
+   recovered. *)
 let mount c region =
   Fs.invalidate_shared region;
   (* a dead process's page-table mappings die with it: if the crashed
@@ -286,7 +287,9 @@ let explore ?(seed = 7L) ?(max_exhaustive = max_exhaustive) ?(samples = 64)
 let run ?seed ?max_exhaustive ?samples ?(size = default_size)
     ?(config = plain) ?verify ~setup ~op () =
   let region = Region.create ~mode:Region.Strict size in
-  setup (mkfs config region);
+  let fs = mkfs config region in
+  setup fs;
+  Fs.unmount fs;
   explore ?seed ?max_exhaustive ?samples ~regions:[| region |]
     ~mount:(fun () -> mount config region)
     ~fss:(fun fs -> [| fs |])
@@ -302,6 +305,7 @@ let run_multi ?seed ?max_exhaustive ?samples ?(size = default_size)
   let sh0 = Shard.mkfs ~mode:Region.Strict ~obs:false ~regions ~euid:0 size in
   let rs = Shard.regions sh0 in
   setup sh0;
+  Shard.unmount sh0;
   explore ?seed ?max_exhaustive ?samples ~regions:rs
     ~mount:(fun () ->
       Array.iter Fs.invalidate_shared rs;
@@ -347,7 +351,9 @@ let run_reentrant ?(seed = 11L) ?(max_exhaustive = 8) ?(samples = 12)
     ?(size = default_size) ?(op_points = 5) ?(rec_stores = 8) ~setup ~op () =
   let region = Region.create ~mode:Region.Strict size in
   let regions = [| region |] in
-  setup (mkfs plain region);
+  let fs = mkfs plain region in
+  setup fs;
+  Fs.unmount fs;
   Region.persist_all region;
   let cp0 = Region.checkpoint region in
   let start_op () =

@@ -116,6 +116,7 @@ type t = {
       (** per-uid block quotas (region-shared volatile state; disabled —
           zero cost — until the first limit is installed) *)
   penv : penv;  (** this mount's protected entry points (one process) *)
+  mutable unmounted : bool;
 }
 
 type fd = int
@@ -242,6 +243,7 @@ let of_layout ?(call_mode = Protected) ?(relaxed_writes = false)
       secure = layout.Layout.secure;
       quota;
       penv = bootstrap_penv ~euid ~egid;
+      unmounted = false;
     }
   in
   (* lock-registry sizes and allocator counters join the experiment's
@@ -291,20 +293,40 @@ let of_layout ?(call_mode = Protected) ?(relaxed_writes = false)
 
 (* Shared-DRAM state per region (paper Section 4: concurrent processes
    are "coordinated through accesses to NVMM and shared DRAM").  Every
-   mount of the same region must share the volatile allocator caches and
-   the lock registry, otherwise two "processes" would hand out the same
-   metadata objects.  The state lives in the region's user slot, so its
-   lifetime is exactly the region's (no global registry to leak). *)
-exception Shared_state of Layout.t * Locks.t * Rcache.t option * Quota.t
+   mount of the same region must share the volatile allocator state
+   (the block free lists and the slab free caches) and the lock
+   registry, otherwise two "processes" would hand out the same blocks
+   and objects.  The state lives in the region's user slot, so its
+   lifetime is exactly the region's (no global registry to leak), and
+   counts the live mounts so that only the last one checkpoints. *)
+type shared = {
+  s_layout : Layout.t;
+  s_locks : Locks.t;
+  s_rcache : Rcache.t option;
+  s_quota : Quota.t;
+  mutable s_mounts : int;
+}
+
+exception Shared_state of shared
 
 let lookup_shared region =
   match Region.user_slot region with
-  | Some (Shared_state (layout, locks, rc, quota)) ->
-      Some (layout, locks, rc, quota)
+  | Some (Shared_state s) -> Some s
   | Some _ | None -> None
 
+(** Make [layout] and the given volatile structures the region's live
+    shared state, with one mount. *)
 let register_shared region layout locks rcache quota =
-  Region.set_user_slot region (Some (Shared_state (layout, locks, rcache, quota)))
+  Region.set_user_slot region
+    (Some
+       (Shared_state
+          {
+            s_layout = layout;
+            s_locks = locks;
+            s_rcache = rcache;
+            s_quota = quota;
+            s_mounts = 1;
+          }))
 
 (* [alloc_caches] turns on the allocators' per-thread structures; they
    hang off the (shared) layout, so one enable covers every mount. *)
@@ -333,17 +355,19 @@ let mkfs ?(cores = 10) ?segments ?call_mode ?relaxed_writes ?coarse_dir_locks
   fs
 
 (** Attach to an already-formatted region: a second mount of a region
-    joins the existing shared-DRAM state (allocator caches, locks,
+    joins the existing shared-DRAM state (allocator state, locks,
     resolve cache), so independent "processes" cooperate exactly as the
     paper describes; only the open-file map and the credentials are
     per-process.  A joining mount inherits the first mount's
     [striped_locks], [rcache], [range_locks] and [alloc_caches]; passing
-    one that disagrees raises [Invalid_argument].  Crash recovery is in
-    {!Recovery}. *)
+    one that disagrees raises [Invalid_argument].  With no live shared
+    state the region must have been unmounted cleanly (or recovered):
+    a crash image raises [Invalid_argument], and is mounted with
+    {!Recovery.mount_auto}. *)
 let mount ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks ?rcache
     ?range_locks ?alloc_caches ?euid ?egid region =
   match lookup_shared region with
-  | Some (layout, locks, rc, quota) ->
+  | Some s ->
       (* joining mounts inherit the shared structures and with them the
          first mount's feature flags, [range_locks]'s data-path protocol
          included; an explicit flag that disagrees would silently run a
@@ -357,14 +381,23 @@ let mount ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks ?rcache
                  w flag have)
         | _ -> ()
       in
-      agree "striped_locks" striped_locks (Locks.striped locks);
-      agree "rcache" rcache (Option.is_some rc);
-      agree "range_locks" range_locks (Locks.range locks);
+      agree "striped_locks" striped_locks (Locks.striped s.s_locks);
+      agree "rcache" rcache (Option.is_some s.s_rcache);
+      agree "range_locks" range_locks (Locks.range s.s_locks);
       agree "alloc_caches" alloc_caches
-        (Simurgh_alloc.Block_alloc.thread_segments layout.Layout.balloc);
-      of_layout ?call_mode ?relaxed_writes ?coarse_dir_locks
-        ~shared:(locks, rc, quota) ?euid ?egid layout
+        (Simurgh_alloc.Block_alloc.thread_segments s.s_layout.Layout.balloc);
+      let fs =
+        of_layout ?call_mode ?relaxed_writes ?coarse_dir_locks
+          ~shared:(s.s_locks, s.s_rcache, s.s_quota)
+          ?euid ?egid s.s_layout
+      in
+      s.s_mounts <- s.s_mounts + 1;
+      fs
   | None ->
+      if not (Layout.clean_shutdown_of_region region) then
+        invalid_arg
+          "Fs.mount: the region was not unmounted cleanly and no mount is \
+           live (a crash image); mount it with Recovery.mount_auto";
       let layout = Layout.attach region in
       Simurgh_alloc.Slab_alloc.rebuild_cache layout.Layout.inode_slab;
       Simurgh_alloc.Slab_alloc.rebuild_cache layout.Layout.fentry_slab;
@@ -381,7 +414,25 @@ let mount ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks ?rcache
     state is gone by definition; {!Recovery} calls this). *)
 let invalidate_shared region = Region.set_user_slot region None
 
-let unmount t = Layout.set_clean_shutdown t.layout true
+(** End this mount.  The last live mount of the region checkpoints the
+    block free lists to media, sets the clean flag and releases the
+    shared state, so the next mount loads the lists instead of
+    recovering.  Any other unmount leaves the media alone: the other
+    mounts keep writing.  A handle whose shared state is gone (a crash
+    wiped it) or that was already unmounted does nothing. *)
+let unmount t =
+  if not t.unmounted then begin
+    t.unmounted <- true;
+    match lookup_shared t.region with
+    | Some s when s.s_layout == t.layout ->
+        s.s_mounts <- s.s_mounts - 1;
+        if s.s_mounts = 0 then begin
+          Simurgh_alloc.Block_alloc.checkpoint t.layout.Layout.balloc;
+          Layout.set_clean_shutdown t.layout true;
+          invalidate_shared t.region
+        end
+    | Some _ | None -> ()
+  end
 
 let region t = t.region
 let layout t = t.layout

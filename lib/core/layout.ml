@@ -142,14 +142,21 @@ let format ?segments ?(log_ring = 0) ?(shard = (0, 1)) ?(secure = false) region
 
 (** Attach to a formatted region.  The slabs' volatile free caches start
     empty: {!Fs.mount} rebuilds them and recovery installs the ones its
-    segment sweep builds. *)
+    segment sweep builds.  The block allocator's free lists are loaded
+    from their media checkpoint only when the clean flag is set: any
+    other image is a crash image, whose lists only recovery's rebuild
+    may produce. *)
 let attach region =
   if Region.read_u32 region f_magic <> magic then
     invalid_arg "Layout.attach: not a Simurgh region";
   if Region.read_u32 region f_version <> version then
     invalid_arg "Layout.attach: version mismatch";
   let balloc_off = Region.read_u62 region f_balloc in
-  let balloc = Simurgh_alloc.Block_alloc.attach region ~off:balloc_off in
+  let balloc =
+    Simurgh_alloc.Block_alloc.attach
+      ~load:(clean_shutdown_of_region region)
+      region ~off:balloc_off
+  in
   let slab off =
     Simurgh_alloc.Slab_alloc.attach region ~off ~block_alloc:balloc
   in

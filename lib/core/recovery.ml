@@ -44,7 +44,11 @@
     increments) and only write media they own (their directory's
     blocks); every repair whose placement depends on allocation order
     (relinking a moved or salvaged entry, growing a chain) is deferred
-    to a deterministically-sorted sequential step between rounds.  The
+    to a deterministically-sorted sequential step between rounds.  A
+    relink that must grow a chain waits longer, until the free-list
+    rebuild: the block free lists are shared-DRAM state, and a crash
+    image's media copy predates its last allocations, so recovery
+    allocates no block before it has rebuilt them.  The
     sched-explorer asserts one media digest and one report across all
     explored interleavings.
 
@@ -153,18 +157,21 @@ let find_pointer region ~head ~target =
    stale link was just removed — the stale link sat in a *different*
    row (that is why it was stale) — so a full row must grow the chain
    exactly like [Fs.insert_entry] (Fig. 5a steps 3-5), not drop the
-   entry.  Returns the slot the entry is now linked in. *)
-let relink layout ~head p =
+   entry.  Returns the slot the entry is now linked in, or [None] when
+   the row is full and [grow] is false: full recovery allocates no
+   block before its free-list rebuild, so it grows chains after it. *)
+let relink ~grow layout ~head p =
   let region = layout.Layout.region in
   let name = Fentry.name region p in
   let { Dirblock.found; blk; row; slot; last; _ } =
     Dirblock.probe region ~head ~name
   in
-  if found <> 0 then (blk, row, slot) (* already correctly linked *)
+  if found <> 0 then Some (blk, row, slot) (* already correctly linked *)
   else if blk <> 0 then begin
     Dirblock.set_slot region blk row slot p;
-    (blk, row, slot)
+    Some (blk, row, slot)
   end
+  else if not grow then None
   else
     let new_rows = min Dirblock.max_rows (2 * Dirblock.rows region last) in
     let balloc = layout.Layout.balloc in
@@ -177,13 +184,31 @@ let relink layout ~head p =
         Dirblock.set_next region last nb;
         let row = Name_hash.hash name mod new_rows in
         Dirblock.set_slot region nb row 0 p;
-        (nb, row, 0)
+        Some (nb, row, 0)
+
+(* Relink [p] into [head], commit it if it is unprocessed and zero its
+   [old] slot: relink first, so a crash in between leaves a transient
+   duplicate (repaired on re-entry), never an unlinked live entry.
+   [None] as for [relink]. *)
+let move_entry ~grow layout ~head p ~old =
+  match relink ~grow layout ~head p with
+  | None -> None
+  | Some slot' ->
+      let fentry_slab = layout.Layout.fentry_slab in
+      if Slab.is_unprocessed fentry_slab p then Slab.commit fentry_slab p;
+      (match old with
+      | Some (b, row, s) when (b, row, s) <> slot' ->
+          Dirblock.set_slot layout.Layout.region b row s 0
+      | _ -> ());
+      Some slot'
 
 (* --- pending rename logs ------------------------------------------------ *)
 
 (* Resolve the pending log in [slot] of first-block [b].  Returns
-   [`Forward] or [`Back], with the log's source and destination heads. *)
-let resolve_log layout b ~slot =
+   [`Forward] or [`Back], with the log's source and destination heads.
+   A roll-forward whose shadow needs a chain to grow with [grow] false
+   leaves the shadow's stale link for the mark pass to relink. *)
+let resolve_log ~grow layout b ~slot =
   let region = layout.Layout.region in
   let src, dst, ofe, nfe = Dirblock.Log.read region b ~slot in
   let fentry_slab = layout.Layout.fentry_slab in
@@ -209,8 +234,9 @@ let resolve_log layout b ~slot =
             mod Dirblock.rows region blk
           in
           if row <> want then begin
-            ignore (relink layout ~head:dst nfe);
-            Dirblock.set_slot region blk row s 0
+            match relink ~grow layout ~head:dst nfe with
+            | Some _ -> Dirblock.set_slot region blk row s 0
+            | None -> ()
           end
       | None -> ());
       (* remove the old entry's remaining link in the source *)
@@ -423,9 +449,10 @@ type task =
 
 (* A deferred relink: a misplaced entry (interrupted same-directory
    rename, Fig. 5c steps 7-8) or an entry salvaged off a spliced
-   poisoned chain block.  Relinking allocates slots (and possibly
-   blocks), so it runs in the deterministically-sorted sequential step
-   between mark rounds, never inside a parallel task. *)
+   poisoned chain block.  Relinking allocates slots, so it runs in the
+   deterministically-sorted sequential step between mark rounds, never
+   inside a parallel task; one that must grow the chain waits for the
+   free-list rebuild. *)
 type relink_job = {
   rl_head : int;
   rl_p : int;
@@ -717,7 +744,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
                 (fun (_, head, slot) ->
                   Hashtbl.replace log_seen (head, slot) ();
                   hook "recovery:resolve-log";
-                  match resolve_log layout head ~slot with
+                  match resolve_log ~grow:false layout head ~slot with
                   | outcome, src, dst ->
                       if outcome = `Forward then incr completed_renames
                       else incr rolled_back;
@@ -734,6 +761,9 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   (* ---- pass 2: mark + repair ------------------------------------------- *)
   let claimed = new_marks () in
   let relinks : relink_job list ref = ref [] in
+  (* relinks that must grow a chain: they wait for the free-list
+     rebuild, their entry still linked at its old slot (if any) *)
+  let waiting : relink_job list ref = ref [] in
   (* parent slots of unreadable directory heads, detached in the
      sequential step (the slot bytes are owned by the parent's task) *)
   let pending_quarantines : (int * int * int * int * int) list ref = ref [] in
@@ -917,7 +947,8 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
             (fun (b, row, s, p, tgt) ->
               Reach.remove g_fentry p;
               Reach.remove g_inode tgt;
-              quarantine_slot b row s)
+              (* block 0: a waiting salvaged entry, linked nowhere yet *)
+              if b <> 0 then quarantine_slot b row s else incr quarantined)
             (List.sort compare !pending_quarantines);
           pending_quarantines := [];
           let jobs =
@@ -932,17 +963,8 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
               hook "recovery:mark-repair";
               match
                 try_read (fun () ->
-                    (* relink before zeroing the old slot: a crash in
-                       between leaves a transient duplicate (repaired on
-                       re-entry), never an unlinked live entry *)
-                    let slot' = relink layout ~head:j.rl_head j.rl_p in
-                    if Slab.is_unprocessed fentry_slab j.rl_p then
-                      Slab.commit fentry_slab j.rl_p;
-                    (match j.rl_old with
-                    | Some (b, row, s) when (b, row, s) <> slot' ->
-                        Dirblock.set_slot r b row s 0
-                    | _ -> ());
-                    slot')
+                    move_entry ~grow:false layout ~head:j.rl_head j.rl_p
+                      ~old:j.rl_old)
               with
               | None ->
                   (* the relink itself hit poisoned media: detach *)
@@ -952,12 +974,18 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
                   | Some (b, row, s) -> quarantine_slot b row s
                   | None -> incr quarantined);
                   None
-              | Some slot' ->
+              | Some placed ->
                   if j.rl_move then incr completed_renames;
+                  if placed = None then waiting := j :: !waiting;
+                  (* a waiting entry's child is traversed from its old
+                     slot (block 0 when it has none) *)
+                  let b', row', s' =
+                    match (placed, j.rl_old) with
+                    | Some slot', _ | None, Some slot' -> slot'
+                    | None, None -> (0, 0, 0)
+                  in
                   Option.map
-                    (fun h ->
-                      let b', row', s' = slot' in
-                      (h, Some (b', row', s', j.rl_p, j.rl_tgt)))
+                    (fun h -> (h, Some (b', row', s', j.rl_p, j.rl_tgt)))
                     j.rl_child)
             jobs)
     in
@@ -1157,6 +1185,29 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
           || Region.range_poisoned r (Balloc.base balloc + (b * bs)) bs
       in
       Balloc.rebuild_free_lists balloc ~in_use;
+      (* the relinks that wait for a chain to grow, in the order mark
+         queued them; one whose subtree was quarantined meanwhile lost
+         its marks and is dropped.  Their blocks come from the rebuilt
+         lists, which are checkpointed again afterwards. *)
+      let free0 = Balloc.free_blocks balloc in
+      List.iter
+        (fun j ->
+          if Reach.mem g_fentry j.rl_p then begin
+            hook "recovery:mark-repair";
+            match
+              try_read (fun () ->
+                  move_entry ~grow:true layout ~head:j.rl_head j.rl_p
+                    ~old:j.rl_old)
+            with
+            | Some _ -> ()
+            | None -> incr quarantined (* left linked where it was *)
+          end)
+        (List.rev !waiting);
+      let grown = free0 - Balloc.free_blocks balloc in
+      if grown > 0 then begin
+        used_count := !used_count + grown;
+        Balloc.checkpoint balloc
+      end;
       (* Volatile caches reflect the repaired truth: the segment tasks
          built them (a segment whose task faulted is read again here) *)
       let install slab segs caches =
@@ -1265,7 +1316,7 @@ let repair_directory fs dirpath =
      can hold several after a multi-process crash) *)
   List.iter
     (fun (slot, _) ->
-      let _ : _ * int * int = resolve_log layout head ~slot in
+      let _ : _ * int * int = resolve_log ~grow:true layout head ~slot in
       incr repaired)
     (List.sort
        (fun (_, e1) (_, e2) -> compare e1 e2)
@@ -1284,12 +1335,7 @@ let repair_directory fs dirpath =
       end);
   List.iter
     (fun (b, row, s, p) ->
-      (* relink first, then drop the old slot: a crash in between
-         leaves a repairable duplicate, never an unlinked live entry *)
-      let slot' = relink layout ~head p in
-      if Slab.is_unprocessed layout.Layout.fentry_slab p then
-        Slab.commit layout.Layout.fentry_slab p;
-      if slot' <> (b, row, s) then Dirblock.set_slot region b row s 0;
+      ignore (move_entry ~grow:true layout ~head p ~old:(Some (b, row, s)));
       incr repaired)
     !moves;
   for row = 0 to Dirblock.first_rows - 1 do

@@ -149,7 +149,9 @@ let default_size = 4 lsl 20
 let run ?(seed = 11L) ?(budget = 128) ?(size = default_size) sc =
   let threads = sc.threads in
   let region = Region.create size in
-  sc.setup (Explore.mkfs ~cores:threads sc.config region);
+  let fs = Explore.mkfs ~cores:threads sc.config region in
+  sc.setup fs;
+  Fs.unmount fs;
   Region.persist_all region;
   let cp0 = Region.checkpoint region in
 
@@ -689,6 +691,7 @@ let build_crashed_image ~poison ~size =
   Fs.mkdir fs "/d0/sub";
   Fs.create_file fs "/d0/sub/leaf";
   Fs.symlink fs ~target:"/d0/f0" "/d0/link";
+  Fs.unmount fs;
   Region.persist_all region;
   let fs = Explore.mount Explore.plain region in
   Fs.create_file fs "/d1/extra0";

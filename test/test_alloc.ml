@@ -11,6 +11,10 @@ let mk_balloc ?(segments = 4) ?(blocks = 1024) () =
   let base = 4096 in
   (region, B.format region ~off ~base ~blocks ~block_size:256 ~segments)
 
+let mk_ctx tid =
+  let m = Simurgh_sim.Machine.create () in
+  Simurgh_sim.Machine.ctx m (Simurgh_sim.Sthread.create tid)
+
 let check_inv b =
   match B.check_invariants b with
   | Ok () -> ()
@@ -59,13 +63,23 @@ let test_balloc_hint_spreads () =
   in
   Alcotest.(check bool) "multiple segments used" true (List.length segs > 1)
 
+(* The free lists are DRAM state: a second attach sees them only
+   through a checkpoint, and an attach that loads none refuses to
+   allocate. *)
 let test_balloc_attach () =
   let region, b = mk_balloc () in
   let a = Option.get (B.alloc b 5) in
-  let b2 = B.attach region ~off:0 in
-  Alcotest.(check int) "state persisted" (B.free_blocks b) (B.free_blocks b2);
+  B.checkpoint b;
+  let b2 = B.attach ~load:true region ~off:0 in
+  Alcotest.(check int) "checkpoint reloaded" (B.free_blocks b) (B.free_blocks b2);
   B.free b2 ~addr:a 5;
-  Alcotest.(check int) "free through reattach" 1024 (B.free_blocks b2)
+  Alcotest.(check int) "free through reattach" 1024 (B.free_blocks b2);
+  let b3 = B.attach ~load:false region ~off:0 in
+  Alcotest.check_raises "no lists, no alloc"
+    (Invalid_argument
+       "Block_alloc.alloc: free lists not loaded (a crash image before \
+        recovery's rebuild)")
+    (fun () -> ignore (B.alloc b3 1))
 
 let test_balloc_stuck_segment_recovery () =
   let region, b = mk_balloc ~segments:1 ~blocks:64 () in
@@ -115,6 +129,231 @@ let prop_balloc_random_ops =
       List.iter (fun (a, n) -> B.free b ~addr:a n) !live;
       B.free_blocks b = total
       && match B.check_invariants b with Ok () -> true | Error _ -> false)
+
+(* The media-list allocator the DRAM lists replaced, kept as the
+   reference: each segment's list is threaded through the free blocks
+   (a [next, count] node at the head of each range, a head word per
+   segment), frees insert at the head, a first-fit walk splits the
+   tail of the first fitting range, and a walk past the budget (or one
+   that fails) coalesces the segment and retries once. *)
+module Ref = struct
+  let bs = 256
+  let base = 4096
+  let walk_budget = 48
+
+  type t = { r : Region.t; segs : int; blocks : int }
+
+  let per t = (t.blocks + t.segs - 1) / t.segs
+  let head i = 8 * i
+  let node t = Region.read_u62_pair t.r
+
+  let create ~segs ~blocks =
+    let t = { r = Region.create (1 lsl 21); segs; blocks } in
+    for i = 0 to segs - 1 do
+      let first = i * per t in
+      let count = min (per t) (blocks - first) in
+      if count > 0 then begin
+        let a = base + (first * bs) in
+        Region.write_u62_pair t.r a 0 count;
+        Region.write_u62 t.r (head i) a
+      end
+    done;
+    t
+
+  let coalesce t i =
+    let rec collect a acc =
+      if a = 0 then acc
+      else
+        let next, c = node t a in
+        collect next ((a, c) :: acc)
+    in
+    let merged =
+      List.fold_left
+        (fun acc (a, c) ->
+          match acc with
+          | (pa, pc) :: rest when pa + (pc * bs) = a -> (pa, pc + c) :: rest
+          | _ -> (a, c) :: acc)
+        []
+        (List.sort compare (collect (Region.read_u62 t.r (head i)) []))
+    in
+    let h =
+      List.fold_left
+        (fun next (a, c) ->
+          Region.write_u62_pair t.r a next c;
+          a)
+        0 merged
+    in
+    Region.write_u62 t.r (head i) h
+
+  let rec alloc_in t i n ~may_coalesce =
+    let rec walk prev a hops =
+      if a = 0 then
+        if may_coalesce && hops > 0 then begin
+          coalesce t i;
+          alloc_in t i n ~may_coalesce:false
+        end
+        else None
+      else if hops > walk_budget && may_coalesce then begin
+        coalesce t i;
+        alloc_in t i n ~may_coalesce:false
+      end
+      else
+        let next, c = node t a in
+        if c >= n then begin
+          if c = n then
+            Region.write_u62 t.r
+              (match prev with None -> head i | Some p -> p)
+              next
+          else Region.write_u62_pair t.r a next (c - n);
+          Some (a + ((c - n) * bs))
+        end
+        else walk (Some a) next (hops + 1)
+    in
+    walk None (Region.read_u62 t.r (head i)) 0
+
+  let alloc t ~hint n =
+    let start = abs (hint * 0x9e3779b1) mod t.segs in
+    let rec sweep k ~again =
+      if k >= t.segs then if again then sweep 0 ~again:false else None
+      else
+        match alloc_in t ((start + k) mod t.segs) n ~may_coalesce:true with
+        | Some a -> Some a
+        | None -> sweep (k + 1) ~again
+    in
+    sweep 0 ~again:(t.segs > 1)
+
+  let free t ~addr n =
+    let i = min ((addr - base) / bs / per t) (t.segs - 1) in
+    Region.write_u62_pair t.r addr (Region.read_u62 t.r (head i)) n;
+    Region.write_u62 t.r (head i) addr
+
+  let ranges t =
+    List.concat
+      (List.init t.segs (fun i ->
+           let rec walk a =
+             if a = 0 then []
+             else
+               let next, c = node t a in
+               (a, c) :: walk next
+           in
+           walk (Region.read_u62 t.r (head i))))
+end
+
+let ranges b =
+  let l = ref [] in
+  B.iter_free_ranges b (fun a c -> l := (a, c) :: !l);
+  List.rev !l
+
+(* The DRAM lists against the reference: the same calls return the same
+   addresses and leave the same ranges in the same list order, and a
+   checkpoint reloads them unchanged. *)
+let prop_balloc_matches_reference =
+  QCheck.Test.make ~name:"block allocator: DRAM lists equal the media lists"
+    ~count:200
+    QCheck.(
+      pair (int_range 1 3)
+        (list_of_size
+           Gen.(int_range 0 400)
+           (make
+              Gen.(
+                frequency
+                  [
+                    (* many small allocations and frees grow the lists
+                       past the walk budget; large requests then walk
+                       them and coalesce *)
+                    (4, map2 (fun k n -> (true, k, n)) small_nat (int_range 1 2));
+                    (4, map (fun k -> (false, k, 0)) small_nat);
+                    (1, map2 (fun k n -> (true, k, n)) small_nat (int_range 8 40));
+                  ]))))
+    (fun (segs, ops) ->
+      let blocks = 250 in
+      let region, b = mk_balloc ~segments:segs ~blocks () in
+      let r = Ref.create ~segs ~blocks in
+      let live = ref [] in
+      List.iter
+        (fun (is_alloc, k, n) ->
+          if is_alloc then begin
+            let got = B.alloc ~hint:k b n and want = Ref.alloc r ~hint:k n in
+            if got <> want then
+              QCheck.Test.fail_reportf "alloc %d blocks: %s, reference %s" n
+                (Option.fold ~none:"none" ~some:string_of_int got)
+                (Option.fold ~none:"none" ~some:string_of_int want);
+            Option.iter (fun a -> live := (a, n) :: !live) got
+          end
+          else
+            match !live with
+            | [] -> ()
+            | l ->
+                let a, n = List.nth l (k mod List.length l) in
+                live := List.filter (fun x -> x <> (a, n)) l;
+                B.free b ~addr:a n;
+                Ref.free r ~addr:a n;
+          if ranges b <> Ref.ranges r then
+            QCheck.Test.fail_report "free ranges differ from the reference")
+        ops;
+      B.checkpoint b;
+      ranges (B.attach ~load:true region ~off:0) = ranges b)
+
+(* The walk budget's boundary, against the reference: a fit at the 49th
+   node is taken without a coalesce. *)
+let test_balloc_walk_budget () =
+  let _, b = mk_balloc ~segments:1 ~blocks:250 () in
+  let r = Ref.create ~segs:1 ~blocks:250 in
+  let alloc n =
+    let got = B.alloc b n in
+    Alcotest.(check (option int)) "reference address" (Ref.alloc r ~hint:0 n) got;
+    Option.get got
+  in
+  let free a n =
+    B.free b ~addr:a n;
+    Ref.free r ~addr:a n
+  in
+  let pair = alloc 2 in
+  let singles = List.init 95 (fun _ -> alloc 1) in
+  free pair 2;
+  (* 48 non-adjacent single blocks go on top of the pair *)
+  List.iteri (fun i a -> if i mod 2 = 0 then free a 1) singles;
+  Alcotest.(check int) "the pair, at the 49th node" pair (alloc 2);
+  Alcotest.(check (list (pair int int))) "same lists" (Ref.ranges r) (ranges b)
+
+(* Allocation and free under a ctx touch NVMM only in the segment lock
+   words: per segment locked, the busy flag and stamp (two stores, one
+   fence) and the release (one store, one fence). *)
+let test_balloc_lock_words_only () =
+  let region, b = mk_balloc ~segments:4 ~blocks:1024 () in
+  let ctx = mk_ctx 0 in
+  let words = ref [] in
+  B.iter_lock_words b (fun ~off ~len -> words := (off, len) :: !words);
+  let stray = ref 0 and locks = ref 0 in
+  Region.set_access_hook region (fun ~off ~len ~write ->
+      if write then begin
+        if not (List.exists (fun (o, l) -> off >= o && off + len <= o + l) !words)
+        then incr stray;
+        if len = 8 then incr locks
+      end);
+  let s0 = Region.stats region in
+  let live = ref [] in
+  for i = 0 to 199 do
+    match B.alloc ~ctx ~hint:i b (1 + (i mod 7)) with
+    | Some a ->
+        live := (a, 1 + (i mod 7)) :: !live;
+        if i mod 3 = 0 then begin
+          let a, n = List.hd !live in
+          live := List.tl !live;
+          B.free ~ctx b ~addr:a n
+        end
+    | None -> ()
+  done;
+  List.iter (fun (a, n) -> B.free ~ctx b ~addr:a n) !live;
+  let s1 = Region.stats region in
+  Region.clear_access_hook region;
+  Alcotest.(check int) "no store outside a lock word" 0 !stray;
+  Alcotest.(check bool) "segments were locked" true (!locks > 0);
+  Alcotest.(check int) "three lock-word stores per lock" (3 * !locks)
+    (s1.Region.stores - s0.Region.stores);
+  Alcotest.(check int) "two fences per lock" (2 * !locks)
+    (s1.Region.fences - s0.Region.fences);
+  Alcotest.(check int) "all free again" 1024 (B.free_blocks b)
 
 (* --- slab allocator ------------------------------------------------------- *)
 
@@ -227,10 +466,6 @@ let prop_slab_states =
 
 (* --- per-thread caches (scaled configuration) ----------------------------- *)
 
-let mk_ctx tid =
-  let m = Simurgh_sim.Machine.create () in
-  Simurgh_sim.Machine.ctx m (Simurgh_sim.Sthread.create tid)
-
 (* With thread affinity on, a thread keeps allocating from the segment
    its last allocation succeeded in (initially tid mod segments), and
    moves on only when that segment runs dry. *)
@@ -322,6 +557,10 @@ let () =
             test_balloc_stuck_segment_recovery;
           Alcotest.test_case "rebuild" `Quick test_balloc_rebuild;
           QCheck_alcotest.to_alcotest prop_balloc_random_ops;
+          QCheck_alcotest.to_alcotest prop_balloc_matches_reference;
+          Alcotest.test_case "walk budget" `Quick test_balloc_walk_budget;
+          Alcotest.test_case "lock words only" `Quick
+            test_balloc_lock_words_only;
         ] );
       ( "slab",
         [

@@ -214,8 +214,9 @@ let test_cross_rename_crashes () =
    grow the hash-block chain exactly like the runtime insert path would
    have — the old code hit an "impossible" no-free-slot case and
    silently dropped the entry. *)
-let test_rename_into_full_row () =
-  let region, fs = mk_strict () in
+(* In /d, a file named [src] and the fillers of the row "b" hashes to,
+   which [src] does not: renaming [src] to "b" must grow the chain. *)
+let full_row fs =
   Fs.mkdir fs "/d";
   let rows = Simurgh_core.Dirblock.first_rows in
   let row_of n = Simurgh_core.Name_hash.hash n mod rows in
@@ -242,6 +243,11 @@ let test_rename_into_full_row () =
     go [] 0
   in
   List.iter (fun n -> Fs.create_file fs ("/d/" ^ n)) fillers;
+  (src, fillers)
+
+let test_rename_into_full_row () =
+  let region, fs = mk_strict () in
+  let src, fillers = full_row fs in
   Fs.set_crash_hook fs (fun l -> if l = "rename:oldfree" then raise Crash_now);
   (try Fs.rename fs ("/d/" ^ src) "/d/b"
    with Crash_now -> Simurgh_nvmm.Region.crash region);
@@ -259,6 +265,46 @@ let test_rename_into_full_row () =
   Alcotest.(check (list string)) "checker clean" []
     (List.map Simurgh_core.Check.violation_to_string
        (Simurgh_core.Check.run region))
+
+(* The media free lists are only a checkpoint: on a crash image they
+   predate every allocation since the last clean mount.  The relink
+   that completes a rename into a full row grows the chain, and must
+   take its block from the lists recovery rebuilds, not from that
+   copy, where it would land on a block allocated since (directory
+   blocks come from segment 0, where the relink looks first). *)
+let test_relink_after_stale_checkpoint () =
+  let region, fs = mk_strict () in
+  let src, fillers = full_row fs in
+  Fs.unmount fs;
+  let fs = Fs.mount ~euid:0 region in
+  let late = List.init 8 (Printf.sprintf "/late%d") in
+  List.iter (Fs.mkdir fs) late;
+  let fd = Fs.openf fs (Types.creat Types.rdwr) "/late0/data" in
+  ignore (Fs.append fs fd (Bytes.make 20000 'z'));
+  Fs.close fs fd;
+  Fs.set_crash_hook fs (fun l -> if l = "rename:oldfree" then raise Crash_now);
+  (try Fs.rename fs ("/d/" ^ src) "/d/b"
+   with Crash_now -> Simurgh_nvmm.Region.crash region);
+  Simurgh_nvmm.Region.clear_guard region;
+  let fs', report = Recovery.mount_after_crash ~euid:0 region in
+  Alcotest.(check bool) "rename rolled forward" true
+    (report.Recovery.completed_renames >= 1);
+  Alcotest.(check bool) "renamed entry in the grown chain" true
+    (Fs.exists fs' "/d/b");
+  List.iter
+    (fun n -> Alcotest.(check bool) n true (Fs.exists fs' ("/d/" ^ n)))
+    fillers;
+  List.iter (fun d -> Alcotest.(check bool) d true (Fs.exists fs' d)) late;
+  Alcotest.(check int) "late data" 20000
+    (Fs.stat fs' "/late0/data").Types.size;
+  let fsck what =
+    Alcotest.(check (list string)) what []
+      (List.map Simurgh_core.Check.violation_to_string
+         (Simurgh_core.Check.run region))
+  in
+  fsck "fsck of the live allocator";
+  Fs.unmount fs';
+  fsck "fsck of the checkpoint"
 
 (* --- recovery idempotence --------------------------------------------------- *)
 
@@ -365,6 +411,8 @@ let () =
             test_cross_rename_crashes;
           Alcotest.test_case "rename into a full row" `Quick
             test_rename_into_full_row;
+          Alcotest.test_case "relink after a stale checkpoint" `Quick
+            test_relink_after_stale_checkpoint;
           Alcotest.test_case "recovery idempotent" `Quick
             test_recovery_idempotent;
           Alcotest.test_case "write crash size consistent" `Quick

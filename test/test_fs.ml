@@ -799,10 +799,12 @@ let test_shard_remount () =
 (* Fig. 5 persist epochs (DESIGN.md §18): each namespace
    op fences exactly where recovery needs an order, in every
    configuration.  A create is three epochs (inode and entry, slot,
-   commits), a mkdir adds its first hash block's allocation and
-   initialization, a same-directory rename is seven and a
-   cross-directory rename six; unlink keeps its nine.  A count that
-   drops must first be shown safe by the crash explorer. *)
+   commits), a mkdir adds its first hash block's allocation (the
+   segment lock word's two fences: the free lists are DRAM) and
+   initialization, a symlink its target block's allocation and write,
+   a same-directory rename is seven and a cross-directory rename six;
+   unlink keeps its nine.  A count that drops must first be shown safe
+   by the crash explorer. *)
 let test_persist_epochs () =
   List.iter
     (fun (config, mkfs) ->
@@ -817,7 +819,8 @@ let test_persist_epochs () =
       Fs.mkdir fs "/a";
       Fs.mkdir fs "/b";
       expect "create" 3 (fun () -> Fs.create_file fs "/a/f");
-      expect "mkdir" 7 (fun () -> Fs.mkdir fs "/a/d");
+      expect "mkdir" 6 (fun () -> Fs.mkdir fs "/a/d");
+      expect "symlink" 8 (fun () -> Fs.symlink fs ~target:"/a/f" "/a/s");
       expect "same-directory rename" 7 (fun () -> Fs.rename fs "/a/f" "/a/g");
       expect "cross-directory rename" 6 (fun () ->
           Fs.rename fs "/a/g" "/b/h");

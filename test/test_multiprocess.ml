@@ -164,6 +164,75 @@ let test_join_refuses_other_flags () =
     (Fs.mount ~euid:0 ~range_locks:true ~striped_locks:true ~rcache:true
        ~alloc_caches:true region)
 
+(* --- mount lifecycle ------------------------------------------------------ *)
+
+module Layout = Simurgh_core.Layout
+module Recovery = Simurgh_core.Recovery
+module B = Simurgh_alloc.Block_alloc
+
+let free_ranges fs =
+  let l = ref [] in
+  B.iter_free_ranges (Fs.layout fs).Layout.balloc (fun a c -> l := (a, c) :: !l);
+  List.rev !l
+
+(* A crash image (clean flag clear, no live mount) is refused by a plain
+   mount, which names the recovering one: attaching it would keep its
+   unprocessed objects, pending logs and busy flags, and see no block
+   free lists. *)
+let test_mount_refuses_crash_image () =
+  let region = Simurgh_nvmm.Region.create (16 * 1024 * 1024) in
+  let fs = Fs.mkfs ~euid:0 region in
+  Fs.create_file fs "/f";
+  Fs.invalidate_shared region;
+  (match Fs.mount ~euid:0 region with
+  | _ -> Alcotest.fail "a crash image was mounted without recovery"
+  | exception Invalid_argument m ->
+      let needle = "Recovery.mount_auto" in
+      let rec has i =
+        i + String.length needle <= String.length m
+        && (String.sub m i (String.length needle) = needle || has (i + 1))
+      in
+      Alcotest.(check bool) ("names " ^ needle ^ ": " ^ m) true (has 0));
+  let fs', report = Recovery.mount_auto ~euid:0 region in
+  Alcotest.(check bool) "mount_auto recovers it" true (report <> None);
+  Alcotest.(check bool) "file kept" true (Fs.exists fs' "/f")
+
+(* Only the last live mount's unmount checkpoints and sets the clean
+   flag: while another mount keeps writing, a crash must still send
+   [mount_auto] through recovery. *)
+let test_last_unmount_checkpoints () =
+  let scenario () =
+    let region, p1, p2 = fresh_pair () in
+    Fs.mkdir p1 "/d";
+    Fs.unmount p2;
+    Alcotest.(check bool) "first unmount leaves the flag clear" false
+      (Layout.clean_shutdown_of_region region);
+    let fd = Fs.openf p1 (Types.creat Types.rdwr) "/d/f" in
+    ignore (Fs.append p1 fd (Bytes.make 8192 'x'));
+    Fs.close p1 fd;
+    (region, p1)
+  in
+  (* a crash with p1 still mounted *)
+  let region, _ = scenario () in
+  Fs.invalidate_shared region;
+  let fs, report = Recovery.mount_auto ~euid:0 region in
+  Alcotest.(check bool) "the crash is recovered" true (report <> None);
+  Alcotest.(check int) "appended data kept" 8192 (Fs.stat fs "/d/f").Types.size;
+  (* no crash: p1's unmount is the last, and the next mount loads the
+     free lists it checkpointed *)
+  let region, p1 = scenario () in
+  let before = free_ranges p1 in
+  Fs.unmount p1;
+  Alcotest.(check bool) "last unmount sets the flag" true
+    (Layout.clean_shutdown_of_region region);
+  let fs, report = Recovery.mount_auto ~euid:0 region in
+  Alcotest.(check bool) "fast path" true (report = None);
+  Alcotest.(check (list (pair int int))) "free ranges round-trip" before
+    (free_ranges fs);
+  Alcotest.(check (list string)) "fsck clean" []
+    (List.map Simurgh_core.Check.violation_to_string
+       (Simurgh_core.Check.run region))
+
 let () =
   Alcotest.run "multiprocess"
     [
@@ -186,5 +255,12 @@ let () =
             test_join_inherits_range_locks;
           Alcotest.test_case "join refuses disagreeing flags" `Quick
             test_join_refuses_other_flags;
+        ] );
+      ( "mount-lifecycle",
+        [
+          Alcotest.test_case "mount refuses a crash image" `Quick
+            test_mount_refuses_crash_image;
+          Alcotest.test_case "only the last unmount checkpoints" `Quick
+            test_last_unmount_checkpoints;
         ] );
     ]
