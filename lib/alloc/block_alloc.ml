@@ -251,6 +251,9 @@ let format region ~off ~base ~blocks ~block_size ~segments =
     if count > 0 then begin
       let node = block_addr t first in
       Region.write_u62_pair region (node + node_next) 0 count;
+      (* the header's fence below makes the node durable with it, before
+         [Layout.format] persists the clean flag that loads this list *)
+      Region.clwb region (node + node_next) 16;
       Region.write_u62 region (seg_head t i) node;
       push t.segs.(i) ~addr:node ~count
     end

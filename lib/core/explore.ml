@@ -526,9 +526,10 @@ let xrename =
     verify = one_of Fs.exists "/d/m" "/e/m2";
   }
 
-(* The byte-range data path: the staged (batched-writeback) extent
-   window and the append/extend publish point.  The size is either the
-   old or the new value (the publish is a single 8-aligned u62 store),
+(* The data path, under the file lock or the byte-range locks: the
+   data epoch (staged extent slots, hole and payload) and the
+   append/extend publish point.  The size is either the old or the new
+   value (the publish is a single 8-aligned u62 store),
    and a published size never covers bytes whose stores had not retired
    — no torn data, and a hole left by a past-EOF write reads back as
    zeros. *)
@@ -577,6 +578,49 @@ let grow ~pages ~c write =
             failwith
               (Printf.sprintf "size %d, want %d or %d" n page (pages * page)));
         expect_uniform got ~pos:0 ~len:page 'a' ~what:"pre-crash prefix");
+  }
+
+(* An append past a file whose inline extent slots are all full: its
+   allocation links a new overflow block (zeroed and persisted first)
+   and stages the extent in it.  The setup fills slots 1-3 with
+   fallocates one block past the mapped capacity, each taking one slack
+   allocation, then sets the size to the capacity. *)
+let spill_append =
+  let slack fs = Fs.append_slack_blocks * Fs.block_size fs in
+  let cap fs = page + (3 * slack fs) in
+  {
+    setup =
+      (fun fs ->
+        one_page_setup fs;
+        let fd = Fs.openf fs Types.rdwr "/f" in
+        for k = 0 to 2 do
+          Fs.fallocate fs fd ~len:(page + (k * slack fs) + Fs.block_size fs)
+        done;
+        Fs.fallocate fs fd ~len:(cap fs);
+        Fs.close fs fd;
+        let inode = (Fs.stat fs "/f").Types.ino in
+        let region = (Fs.layout fs).Layout.region in
+        if
+          fst (Inode.read_extent region inode (Inode.inline_extents - 1)) = 0
+          || Region.read_u62 region (Inode.f_overflow inode) <> 0
+        then failwith "spill-append: setup did not fill the inline slots");
+    op =
+      (fun fs ->
+        let fd = Fs.openf fs Types.rdwr "/f" in
+        ignore (Fs.append fs fd (Bytes.make page 'c'));
+        Fs.close fs fd);
+    verify =
+      (fun fs ->
+        let size = (Fs.stat fs "/f").Types.size and old = cap fs in
+        if size = old + page then begin
+          let fd = Fs.openf fs Types.rdonly "/f" in
+          let got = Fs.pread fs fd ~pos:old ~len:page in
+          Fs.close fs fd;
+          expect_uniform got ~pos:0 ~len:page 'c' ~what:"published bytes"
+        end
+        else if size <> old then
+          failwith
+            (Printf.sprintf "size %d, want %d or %d" size old (old + page)));
   }
 
 (* a top-level dir name that routes to region [r] of a 2-region shard *)
@@ -644,11 +688,16 @@ let xregion_create =
     mutating ones again with the scalability features on (striped
     insert, reserve-then-log rename window, per-thread allocator
     caches), the renames on log-ring media (any ring slot may be left
-    pending), the byte-range append/extend publish, and the sharded
-    cross-region rename and creates. *)
+    pending), the data path's append and extending pwrite (default and
+    byte-range locking) and an append that links an overflow extent
+    block, and the sharded cross-region rename and creates. *)
 let machines =
   let fs name config s = { name; config; steps = Single s } in
   let ring = { striped with ring = 4 } in
+  let append = grow ~pages:2 ~c:'b' (fun fs fd b -> Fs.append fs fd b) in
+  let extend =
+    grow ~pages:3 ~c:'c' (fun fs fd b -> Fs.pwrite fs fd ~pos:(2 * page) b)
+  in
   [
     fs "create" plain create;
     fs "unlink" plain unlink;
@@ -659,9 +708,11 @@ let machines =
     fs "striped-xrename" striped xrename;
     fs "ring-rename" ring rename;
     fs "ring-xrename" ring xrename;
-    fs "range-append" ranged (grow ~pages:2 ~c:'b' (fun fs fd b -> Fs.append fs fd b));
-    fs "range-extend" ranged
-      (grow ~pages:3 ~c:'c' (fun fs fd b -> Fs.pwrite fs fd ~pos:(2 * page) b));
+    fs "append" plain append;
+    fs "extend" plain extend;
+    fs "range-append" ranged append;
+    fs "range-extend" ranged extend;
+    fs "spill-append" plain spill_append;
     { name = "xregion-rename"; config = plain; steps = Sharded xregion_rename };
     { name = "xregion-create"; config = plain; steps = Sharded xregion_create };
   ]

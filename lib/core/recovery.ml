@@ -545,8 +545,9 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   (* Virtual-time charging is a pure function of each task's region
      traffic: load *operations* are dependent line fetches (latency,
      mlp-overlapped), bytes beyond one line per op are streaming
-     bandwidth (bulk snapshots), stores are posted line writes, fences
-     and per-op bookkeeping are CPU cycles.  Fiber mode charges nothing
+     bandwidth (bulk snapshots), stores are served line writes (each
+     waits behind the device's write queue), fences and per-op
+     bookkeeping are CPU cycles.  Fiber mode charges nothing
      (its clock is never reported); Seq charges nothing. *)
   let charge ctx (s0 : Region.stats) =
     let s1 = Region.stats r in

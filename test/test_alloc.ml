@@ -81,6 +81,20 @@ let test_balloc_attach () =
         recovery's rebuild)")
     (fun () -> ignore (B.alloc b3 1))
 
+(* Format's free lists are durable before [Layout.format] persists the
+   clean flag that makes an attach load them: a power cut right after
+   format leaves an image whose lists read back whole. *)
+let test_balloc_format_durable () =
+  let module L = Simurgh_core.Layout in
+  let region = Region.create ~mode:Region.Strict (1 lsl 21) in
+  let formatted = B.free_blocks (L.format region ~cores:1).L.balloc in
+  Region.crash_image region ~keep:(fun _ -> false);
+  Alcotest.(check bool) "clean flag durable" true
+    (L.clean_shutdown_of_region region);
+  let b = (L.attach region).L.balloc in
+  Alcotest.(check int) "lists durable" formatted (B.free_blocks b);
+  Alcotest.(check bool) "allocates" true (B.alloc b 1 <> None)
+
 let test_balloc_stuck_segment_recovery () =
   let region, b = mk_balloc ~segments:1 ~blocks:64 () in
   (* simulate a crash while holding the segment lock: flag set, stale *)
@@ -553,6 +567,8 @@ let () =
           Alcotest.test_case "coalescing" `Quick test_balloc_coalescing;
           Alcotest.test_case "hint spreads" `Quick test_balloc_hint_spreads;
           Alcotest.test_case "attach" `Quick test_balloc_attach;
+          Alcotest.test_case "format is durable" `Quick
+            test_balloc_format_durable;
           Alcotest.test_case "stuck segment recovery" `Quick
             test_balloc_stuck_segment_recovery;
           Alcotest.test_case "rebuild" `Quick test_balloc_rebuild;

@@ -354,6 +354,64 @@ let test_write_crash_size_consistent () =
   Alcotest.(check int) "readable" st.Types.size (Bytes.length b);
   Fs.close fs' fd
 
+(* An append that stages many extent ranges (the allocator has no
+   contiguous run for it) must keep its slots in order across a crash:
+   a surviving slot behind a lost one would be mapped ahead of where it
+   was written, and the next allocation would fill the lost slot in
+   front of it, moving bytes already written and published.  The crash
+   point is the fence that closes the data epoch (the first with the
+   payload's lines pending), and the image keeps only the inode line
+   holding the overflow link and the overflow block's second line
+   (overflow slots 3 to 7; slot 3 straddles its first line). *)
+let test_append_split_slots_ordered () =
+  let module R = Simurgh_nvmm.Region in
+  let module B = Simurgh_alloc.Block_alloc in
+  let module Inode = Simurgh_core.Inode in
+  let region, fs = mk_strict () in
+  let fd = Fs.openf fs (Types.creat Types.rdwr) "/split" in
+  let inode = (Fs.stat fs "/split").Types.ino in
+  (* free runs of at most four blocks: a 64-block append takes 16
+     ranges, 4 inline and 12 in one overflow block *)
+  let balloc = (Fs.layout fs).Simurgh_core.Layout.balloc in
+  let bs = B.block_size balloc in
+  let rec grab acc =
+    match B.alloc balloc 1 with Some a -> grab (a :: acc) | None -> acc
+  in
+  List.iteri
+    (fun i addr -> if i mod 5 <> 4 then B.free balloc ~addr 1)
+    (List.sort compare (grab []));
+  R.persist_all region;
+  let keep = ref [] in
+  R.set_fence_hook region (fun () ->
+      if R.unpersisted_lines region > 32 * bs / R.line_size then begin
+        let ov = R.read_u62 region (Inode.f_overflow inode) in
+        keep :=
+          [ Inode.f_overflow inode / R.line_size; (ov / R.line_size) + 1 ];
+        raise Crash_now
+      end);
+  (match Fs.append fs fd (Bytes.make (64 * bs) 'x') with
+  | _ -> Alcotest.fail "no crash at the data epoch"
+  | exception Crash_now -> ());
+  R.clear_fence_hook region;
+  R.crash_image region ~keep:(fun ln -> List.mem ln !keep);
+  R.clear_guard region;
+  let fs', _ = Recovery.mount_after_crash ~euid:0 region in
+  Alcotest.(check int) "append unpublished" 0
+    (Fs.stat fs' "/split").Types.size;
+  let fd = Fs.openf fs' Types.rdwr "/split" in
+  (* block by block: the appends within what recovery left mapped
+     publish bytes, and the first one past it fills a fresh slot *)
+  let fill i = Char.chr (Char.code 'a' + (i mod 26)) in
+  for i = 0 to 63 do
+    ignore (Fs.append fs' fd (Bytes.make bs (fill i)))
+  done;
+  let b = Fs.pread fs' fd ~pos:0 ~len:(64 * bs) in
+  Fs.close fs' fd;
+  for i = 0 to 63 do
+    Alcotest.(check bool) (Printf.sprintf "block %d kept" i) true
+      (Bytes.sub b (i * bs) bs = Bytes.make bs (fill i))
+  done
+
 (* Randomized crash points over random op sequences: after any crash and
    recovery the file system must list cleanly and support new work. *)
 let prop_random_crash_points =
@@ -417,6 +475,8 @@ let () =
             test_recovery_idempotent;
           Alcotest.test_case "write crash size consistent" `Quick
             test_write_crash_size_consistent;
+          Alcotest.test_case "split append keeps slots in order" `Quick
+            test_append_split_slots_ordered;
           QCheck_alcotest.to_alcotest prop_random_crash_points;
         ] );
     ]

@@ -50,10 +50,16 @@ let machine_case (m : Explore.machine) =
       let st = Explore.run_machine m in
       assert_no_failures m.Explore.name st;
       (* a Fig. 5 persist epoch must stay small enough that every crash
-         point's eviction subsets are all explored; only the byte-range
-         data path, whose fences each commit a 4 KiB page (64 lines),
-         is sampled *)
-      if not (List.mem m.Explore.name [ "range-append"; "range-extend" ]) then
+         point's eviction subsets are all explored; only the data path,
+         whose fences each commit a 4 KiB page (64 lines), is sampled *)
+      if
+        not
+          (List.mem m.Explore.name
+             [
+               "append"; "extend"; "range-append"; "range-extend";
+               "spill-append";
+             ])
+      then
         Alcotest.(check bool)
           (Printf.sprintf "%s: max pending lines %d <= %d" m.Explore.name
              st.Explore.max_pending Explore.max_exhaustive)

@@ -803,8 +803,10 @@ let test_shard_remount () =
    segment lock word's two fences: the free lists are DRAM) and
    initialization, a symlink its target block's allocation and write,
    a same-directory rename is seven and a cross-directory rename six;
-   unlink keeps its nine.  A count that drops must first be shown safe
-   by the crash explorer. *)
+   unlink keeps its nine.  An extending write (append, pwrite,
+   fallocate, truncate-grow) is its block allocation's two fences, one
+   data epoch (extent slots, hole and payload) and the size publish.
+   A count that drops must first be shown safe by the crash explorer. *)
 let test_persist_epochs () =
   List.iter
     (fun (config, mkfs) ->
@@ -826,7 +828,15 @@ let test_persist_epochs () =
           Fs.rename fs "/a/g" "/b/h");
       expect "unlink" 9 (fun () -> Fs.unlink fs "/b/h");
       Fs.create_file fs "/a/t";
-      expect "hardlink" 3 (fun () -> Fs.hardlink fs ~existing:"/a/t" "/a/l"))
+      expect "hardlink" 3 (fun () -> Fs.hardlink fs ~existing:"/a/t" "/a/l");
+      let fd = Fs.openf fs (Types.creat Types.rdwr) "/a/data" in
+      let page = Bytes.make 4096 'x' in
+      expect "fresh-file append" 4 (fun () -> ignore (Fs.append fs fd page));
+      expect "extending pwrite" 4 (fun () ->
+          ignore (Fs.pwrite fs fd ~pos:8192 page));
+      expect "fallocate" 4 (fun () -> Fs.fallocate fs fd ~len:(128 * 1024));
+      Fs.close fs fd;
+      expect "truncate-grow" 4 (fun () -> Fs.truncate fs "/a/data" (256 * 1024)))
     [
       ("default", fun r -> Fs.mkfs ~euid:0 r);
       ( "scaled",
@@ -835,6 +845,10 @@ let test_persist_epochs () =
             r );
       ("log-ring", fun r -> Fs.mkfs ~euid:0 ~striped_locks:true ~log_ring:4 r);
       ("secure", fun r -> Fs.mkfs ~euid:0 ~secure:true r);
+      ( "ranged",
+        fun r ->
+          Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true ~alloc_caches:true
+            ~range_locks:true r );
     ]
 
 let () =
