@@ -37,6 +37,7 @@ module Cost_model = Simurgh_sim.Cost_model
 module Report = Simurgh_obs.Report
 
 let worker_counts = [ 1; 2; 4; 8 ]
+let ledger_workers = 4
 let files_per_dir = 48
 let paper_objects = 761_720
 let paper_seconds = 4.1
@@ -50,6 +51,8 @@ type point = {
   speedup : float list;  (** seq_model_s / model_s *)
   checker_violations : int;
   report : Recovery.report;  (** from the last (widest) parallel run *)
+  passes_w4 : (string * float) list;
+      (** the model seconds of each recovery pass at {!ledger_workers} *)
   peak_rss_mb : float option;
       (** the process's peak resident set after the point, MB *)
 }
@@ -101,15 +104,24 @@ let measure ~files =
           Recovery.run ~par:(Recovery.Vtime { machine; workers }) region
         in
         let viols = List.length (Check.run region) in
-        (Cost_model.seconds machine.Machine.cm r.Recovery.vtime_cycles, viols, r))
+        ( workers,
+          Cost_model.seconds machine.Machine.cm r.Recovery.vtime_cycles,
+          viols,
+          r,
+          List.map
+            (fun (pass, c) -> (pass, Cost_model.seconds machine.Machine.cm c))
+            r.Recovery.pass_cycles ))
       worker_counts
   in
-  let model_s = List.map (fun (s, _, _) -> s) runs in
+  let model_s = List.map (fun (_, s, _, _, _) -> s) runs in
   let seq_model_s = List.hd model_s in
   let checker_violations =
-    List.fold_left (fun a (_, v, _) -> a + v) 0 runs
+    List.fold_left (fun a (_, _, v, _, _) -> a + v) 0 runs
   in
-  let _, _, last_report = List.nth runs (List.length runs - 1) in
+  let _, _, _, last_report, _ = List.nth runs (List.length runs - 1) in
+  let _, _, _, _, passes_w4 =
+    List.find (fun (w, _, _, _, _) -> w = ledger_workers) runs
+  in
   {
     files;
     dirs;
@@ -120,6 +132,7 @@ let measure ~files =
       List.map (fun s -> if s > 0.0 then seq_model_s /. s else 0.0) model_s;
     checker_violations;
     report = last_report;
+    passes_w4;
     peak_rss_mb = Report.peak_rss_mb ();
   }
 
@@ -177,6 +190,21 @@ let run ~scale =
         p)
       file_counts
   in
+  (* the per-pass ledger: where each point's recovery time goes *)
+  let pass_names = List.map fst (List.hd points).passes_w4 in
+  Report.table
+    ~title:(Printf.sprintf "passes at w=%d (model seconds)" ledger_workers)
+    ~columns:("files" :: List.map (fun p -> p ^ "_s") pass_names);
+  List.iter
+    (fun p ->
+      Printf.printf "passes at w=%d, %d files: %s\n" ledger_workers p.files
+        (String.concat " "
+           (List.map (fun (pass, s) -> Printf.sprintf "%s=%.3g" pass s)
+              p.passes_w4));
+      Report.row
+        (Printf.sprintf "%d files" p.files)
+        (float_of_int p.files :: List.map snd p.passes_w4))
+    points;
   let last = List.nth points (List.length points - 1) in
   let objs = last.files + last.dirs in
   let rate = float_of_int objs /. Float.max 1e-9 last.seq_model_s in

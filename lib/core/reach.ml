@@ -101,7 +101,7 @@ let to_sorted_array t =
   a
 
 (** An append-only int vector: a worker's unsynchronized mark shard,
-    merged into a set with {!add_all}. *)
+    read back by index range. *)
 module Vec = struct
   type v = { mutable a : int array; mutable n : int }
 
@@ -115,12 +115,4 @@ module Vec = struct
     end;
     v.a.(v.n) <- x;
     v.n <- v.n + 1
-
-  let clear v = v.n <- 0
 end
-
-(** Add every key of [v] to [t]. *)
-let add_all t (v : Vec.v) =
-  for i = 0 to v.Vec.n - 1 do
-    add t v.Vec.a.(i)
-  done

@@ -2,17 +2,26 @@
 
     Full-system recovery is a mark-and-sweep pass:
 
-    1. {b Resolve}: every directory first-block with a pending log entry
-       (an interrupted intra- or cross-directory rename) is rolled
-       forward if the shadow entry became reachable, rolled back
-       otherwise.
-    2. {b Mark}: traverse the metadata graph from the root, repairing as
-       it goes — slots that point to non-live file entries are completed
-       deletions (Fig. 5b: "the next process accessing the same line
-       identifies a null pointer and completes the remaining steps"), and
-       entries linked in a row that does not match their name hash are
-       interrupted renames whose remaining steps are executed.
-    3. {b Sweep}: reclaim every allocated-but-unreachable metadata object
+    1. {b Mark}: one traversal of the metadata graph from the root reads
+       every directory once.  It records what mark needs — the entries
+       to mark, the subdirectories to follow, the repairs to make — and
+       the directory's pending rename logs.  It follows every
+       {e allocated} entry, live or dirty, so that a log reachable only
+       through an unresolved rename shadow is found too.
+    2. {b Resolve}: every pending log (an interrupted intra- or
+       cross-directory rename) is rolled forward if the shadow entry
+       became reachable, rolled back otherwise, in epoch order; the
+       directories a log touched are then read again.
+    3. {b Commit}: the directories reached through live entries are
+       committed from the root, repairing as they go — slots that point
+       to non-live file entries are completed deletions (Fig. 5b: "the
+       next process accessing the same line identifies a null pointer
+       and completes the remaining steps"), and entries linked in a row
+       that does not match their name hash are interrupted renames whose
+       remaining steps are executed.  Repairs wait for this step because
+       a rename's dirty shadow looks like an interrupted delete until
+       its log is resolved.
+    4. {b Sweep}: reclaim every allocated-but-unreachable metadata object
        and rebuild the block allocator's free lists from the blocks
        referenced by reachable inodes, directory chains and slab
        segments (unreachable directory blocks and extents are implicitly
@@ -23,11 +32,11 @@
     DRAM: a directory block's header and rows, a file entry's slab
     slot, an inode's extent slots, an overflow block (DESIGN.md §14).
 
-    {b Parallel recovery} (DESIGN.md §14).  All three passes decompose
+    {b Parallel recovery} (DESIGN.md §14).  Mark and sweep decompose
     into tasks over a {!Simurgh_sim.Workpool} frontier — one task per
-    directory for log collection and for mark, one per slab segment /
-    directory chain / inode slice for sweep — and the same task set runs
-    under one of three drivers, chosen by [?par]:
+    directory for mark, one per slab segment / directory chain / inode
+    slice for sweep — and the same task set runs under one of three
+    drivers, chosen by [?par]:
 
     + {!Seq} (default): the reference sequential execution;
     + {!Vtime}: virtual-time list scheduling over per-worker
@@ -38,19 +47,17 @@
       interleaved at every store/lock/atomic — this is what the
       schedule explorer and the race detector drive.
 
-    Parallel recovery is {e schedule-independent}: tasks only make
-    commutative, idempotent updates to shared state (set-union marks
-    into per-worker shards merged in worker order, bitmap ORs, counter
-    increments) and only write media they own (their directory's
-    blocks); every repair whose placement depends on allocation order
-    (relinking a moved or salvaged entry, growing a chain) is deferred
-    to a deterministically-sorted sequential step between rounds.  A
-    relink that must grow a chain waits longer, until the free-list
-    rebuild: the block free lists are shared-DRAM state, and a crash
-    image's media copy predates its last allocations, so recovery
-    allocates no block before it has rebuilt them.  The
-    sched-explorer asserts one media digest and one report across all
-    explored interleavings.
+    Parallel recovery is {e schedule-independent}: mark tasks write no
+    media and append only to per-worker shards; sweep tasks make
+    commutative, idempotent updates to shared state (bitmap ORs,
+    counter increments) and only write media they own.  Log resolution
+    and every repair mark finds run in deterministically-sorted
+    sequential steps between rounds.  A relink that must grow a chain
+    waits longer, until the free-list rebuild: the block free lists are
+    shared-DRAM state, and a crash image's media copy predates its last
+    allocations, so recovery allocates no block before it has rebuilt
+    them.  The sched-explorer asserts one media digest and one report
+    across all explored interleavings.
 
     {b Fault containment}: a poisoned line hit during recovery gets a
     bounded re-read ([retry_budget]) and then escalates to quarantine —
@@ -95,15 +102,19 @@ type report = {
       (** namespace entries / subtrees detached because their metadata
           sits on poisoned (uncorrectable) lines *)
   retries : int;  (** bounded media re-reads before quarantine *)
-  resolve_passes : int;  (** log-collection passes until fixpoint *)
-  mark_tasks : int;  (** directory mark tasks executed *)
+  resolve_passes : int;
+      (** log passes until fixpoint: 1 with no log, 2 with logs *)
+  mark_tasks : int;
+      (** directories committed by mark (one marked again after a log
+          counts once) *)
   sweep_tasks : int;  (** segment / chain / slice sweep tasks *)
   vtime_cycles : float;
       (** {!Vtime} mode only: the recovery makespan (max worker clock);
           0 under {!Seq} and {!Fibers} *)
   pass_cycles : (string * float) list;
       (** {!Vtime} mode only: the makespan of each pass, in order —
-          [collect] (log collection and resolution), [mark], [scan]
+          [mark] (the traversal, log resolution, the confirming pass and
+          the commit rounds), [scan]
           (extent scrub and chain, extent and spill block marks),
           [segments] (slab segment sweep) and [rebuild] (free lists and
           caches); they sum to [vtime_cycles].  [\[\]] under {!Seq} and
@@ -138,6 +149,19 @@ type par =
 let retry_budget = 2
 
 (* --- helpers ----------------------------------------------------------- *)
+
+(* Bounded re-read of poisoned media; [None] after the budget is spent,
+   at which point the caller quarantines.  [retried] counts a re-read. *)
+let read_retrying ~retried f =
+  let rec go k =
+    match f () with
+    | v -> Some v
+    | exception Region.Media_error _ when k > 0 ->
+        retried ();
+        go (k - 1)
+    | exception Region.Media_error _ -> None
+  in
+  go retry_budget
 
 (* Does any slot in the chain starting at [head] point to [target]? *)
 let find_pointer region ~head ~target =
@@ -277,7 +301,10 @@ let resolve_log ~grow layout b ~slot =
 
 (** What the mark pass needs of a linked file entry. *)
 type entry =
-  | Dead  (** not live: an interrupted delete *)
+  | Dead of int
+      (** not live: an interrupted delete, or a rename's shadow until its
+          log is resolved; the directory head of an allocated (dirty)
+          directory entry, else 0 *)
   | Live of {
       name : string;
       target : int;
@@ -292,9 +319,14 @@ let read_entry r ~obj_size p =
   let h = Slab.obj_header in
   let b = Bytes.create (h + obj_size) in
   Region.read_bytes_into r (p - h) b ~pos:0 ~len:(h + obj_size);
-  if Bytes.get_uint8 b 0 <> Slab.flag_valid then Dead
+  let f = Bytes.get_uint8 b (Fentry.f_flags h) in
+  let slab_flags = Bytes.get_uint8 b 0 in
+  if slab_flags <> Slab.flag_valid then
+    Dead
+      (if slab_flags <> 0 && f land Fentry.fl_dir <> 0 then
+         Region.get_u62 b (Fentry.f_dirblock h)
+       else 0)
   else
-    let f = Bytes.get_uint8 b (Fentry.f_flags h) in
     let name, spill =
       if f land Fentry.fl_longname = 0 then
         let len = Bytes.get_uint8 b (Fentry.f_name_len h) in
@@ -319,7 +351,11 @@ let read_entry r ~obj_size p =
 
 (** {!read_entry} from per-field reads. *)
 let read_entry_fields r slab p =
-  if not (Slab.is_live slab p) then Dead
+  if not (Slab.is_live slab p) then
+    Dead
+      (if Slab.obj_flags slab p <> 0 && Fentry.is_dir r p then
+         Fentry.dirblock r p
+       else 0)
   else
     let name = Fentry.name r p in
     let target = Fentry.target r p in
@@ -433,13 +469,9 @@ let row_slot rows row s =
 
 (* The unit of work on the pool frontier. *)
 type task =
-  | Collect_logs of int  (* read-only log scan of one directory *)
-  | Mark of { head : int; pslot : (int * int * int * int * int) option }
-      (* mark + repair one directory; [pslot] = (block, row, slot,
-         fentry, inode) of the referencing entry in the parent — if the
-         head turns out unreadable the slot is detached and the entry's
-         marks dropped (in the sequential step: the slot bytes belong to
-         the parent's task, so the child task must not write them) *)
+  | Mark of int
+      (* read one directory (its head block's address) and record what
+         mark and log discovery need of it in a [dir_mark] *)
   | Sweep_seg of [ `Inode | `Fentry ] * int * int
       (* one slab segment and its index in the segment list *)
   | Sweep_chain of int  (* block-mark one directory chain *)
@@ -462,16 +494,52 @@ type relink_job = {
   rl_move : bool;  (* counts as a completed rename *)
 }
 
-(* Per-worker reachability shard: tasks append marks to their own
-   vectors (cheap, unsynchronized) and the vectors are merged into the
-   global sets in worker-index order at each round barrier — the merged
-   result is a set union, independent of task placement and schedule. *)
+(* A media write a Mark task found necessary.  Tasks only read: a dirty
+   shadow looks like an interrupted delete until its rename log is
+   resolved, so every write waits for the sequential step that commits
+   the directory. *)
+type repair =
+  | Zero_slot of int * int * int  (* an interrupted delete's link *)
+  | Quarantine_slot of int * int * int  (* an unreadable entry's link *)
+  | Set_next of int * int  (* truncate or splice a chain: (block, next) *)
+  | Clear_busy of int  (* a crashed lock holder's busy row *)
+
+(* What one Mark task read of its directory, kept until the sequential
+   step commits it (the directory is reached through live entries) or a
+   resolved log touches it (it is marked again).  Counts are this
+   directory's share of the report. *)
+type dir_mark = {
+  d_worker : int;
+  d_lo : int;
+      (* its (file entry, inode) marks are [d_lo, d_hi) of the worker's
+         shard vector, in pairs *)
+  mutable d_hi : int;
+  mutable d_unreadable : bool;
+      (* the head's header or a head row stayed unreadable: the whole
+         directory is quarantined through its parent's slot *)
+  mutable d_children : (int * (int * int * int * int * int)) list;
+      (* live, correctly placed subdirectories: (head, (block, row,
+         slot, file entry, inode) of the link), reversed *)
+  mutable d_relinks : relink_job list;
+  mutable d_repairs : repair list;  (* reversed *)
+  mutable d_spills : (int * (int * int)) list;
+      (* long-named entries: (entry, spill range) *)
+  mutable d_files : int;
+  mutable d_dirs : int;
+  mutable d_symlinks : int;
+  mutable d_deletes : int;
+  mutable d_quarantined : int;
+  mutable d_retries : int;
+}
+
+(* Per-worker shard: tasks append marks and found logs to their own
+   worker's shard (cheap, unsynchronized); the sequential steps read
+   them back by range or in worker-index order, so what they merge does
+   not depend on task placement or schedule. *)
 type shard = {
-  s_fentry : Reach.Vec.v;
-  s_inode : Reach.Vec.v;
-  s_dirhead : Reach.Vec.v;
-  mutable s_spills : (int * (int * int)) list;
-      (* long-named entries met by mark: (entry, spill range) *)
+  s_marks : Reach.Vec.v;  (* (file entry, inode) pairs *)
+  mutable s_logs : (int * int * int) list;
+      (* pending rename logs found: (epoch, head, slot) *)
 }
 
 let sweep_slice = 512
@@ -506,19 +574,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   let sweep_tasks = ref 0 in
   let files = ref 0 and dirs = ref 0 and symlinks = ref 0 in
 
-  (* bounded re-read of poisoned media; [None] after the budget is
-     spent, at which point the caller quarantines *)
-  let try_read f =
-    let rec go k =
-      match f () with
-      | v -> Some v
-      | exception Region.Media_error _ when k > 0 ->
-          incr retries;
-          go (k - 1)
-      | exception Region.Media_error _ -> None
-    in
-    go retry_budget
-  in
+  let try_read f = read_retrying ~retried:(fun () -> incr retries) f in
 
   (* A subtree behind a poisoned metadata line cannot be traversed;
      detach it by zeroing the referencing slot (which lives in the
@@ -609,190 +665,122 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   let g_inode = new_marks () in
   let g_fentry = new_marks () in
   let g_dirhead = new_marks () in
+  let g_spill = Hashtbl.create 16 in
   let shards =
     Array.init nworkers (fun _ ->
-        {
-          s_fentry = Reach.Vec.create ();
-          s_inode = Reach.Vec.create ();
-          s_dirhead = Reach.Vec.create ();
-          s_spills = [];
-        })
-  in
-  (* merge (and clear) the shards in worker-index order; the result is
-     the set union, so it does not depend on which worker marked what.
-     [drop_mark_shard] discards every shard but worker 0's — the
-     deliberate parallel-merge bug behind make fsck's negative control:
-     with >= 2 workers some reachable objects lose their marks and the
-     sweep frees storage the namespace still references. *)
-  let g_spill = Hashtbl.create 16 in
-  let merge_shards () =
-    Array.iteri
-      (fun w sh ->
-        if w = 0 || not drop_mark_shard then begin
-          Reach.add_all g_fentry sh.s_fentry;
-          Reach.add_all g_inode sh.s_inode;
-          Reach.add_all g_dirhead sh.s_dirhead;
-          List.iter (fun (p, sp) -> Hashtbl.replace g_spill p sp) sh.s_spills
-        end;
-        Reach.Vec.clear sh.s_fentry;
-        Reach.Vec.clear sh.s_inode;
-        Reach.Vec.clear sh.s_dirhead;
-        sh.s_spills <- [])
-      shards
-  in
-  let mark g v k = if not (Reach.mem g k) then Reach.Vec.push v k in
-  let mark_f sh p = mark g_fentry sh.s_fentry p in
-  let mark_i sh i = mark g_inode sh.s_inode i in
-  let mark_d sh h = mark g_dirhead sh.s_dirhead h in
-
-  (* ---- pass 1: resolve pending rename logs ----------------------------- *)
-  (* Resolve every pending log BEFORE any row repair.  A crashed
-     cross-directory rename leaves its shadow entry dirty in the
-     destination; were the destination repaired first, the shadow would
-     be mistaken for an interrupted delete and the file lost.  The log
-     in the source directory disambiguates, so logs must win.
-
-     Collection (a read-only tree scan) runs as one pool task per
-     directory; the found (epoch, head, slot) triples are sorted and
-     resolved sequentially in ascending epoch order: slots of
-     conflicting renames were stamped in their row-lock serialization
-     order, so replaying by epoch is the deterministic linearization.
-
-     Pass 1 follows every allocated entry (live or dirty, so shadows
-     too) from the root.  Resolution then only removes links and
-     commits shadows already linked, so it cannot reach a directory
-     pass 1 did not scan; the confirming pass k > 1 rescans only the
-     source and destination heads of the logs pass k-1 resolved, with
-     [seen] kept across passes (DESIGN.md §14).  [log_seen] keys on
-     (head, slot) and guarantees termination. *)
-  let log_seen = Hashtbl.create 64 in
-  let seen = new_marks () in
-  let resolve_logs root_head =
-    (* the slab flags byte and the entry flags byte, in one read *)
-    let hdr_bytes = Slab.obj_header + 1 in
-    let rec pass heads =
-      incr resolve_passes;
-      let found = ref [] in
-      let pool = Workpool.create () in
-      let do_collect head =
-        (try
-           List.iter
-             (fun (slot, epoch) -> found := (epoch, head, slot) :: !found)
-             (Dirblock.Log.pending_slots r head)
-         with Region.Media_error _ -> ());
-        let hb = Bytes.create header_words in
-        let hdr = Bytes.create hdr_bytes in
-        let row_read b row buf ~pos =
-          try
-            Dirblock.load_row ~pos r b row buf;
-            true
-          with Region.Media_error _ -> false
-        in
-        let rec block b =
-          if b <> 0 then begin
-            match
-              try Some (read_header r b hb) with Region.Media_error _ -> None
-            with
-            | None -> ()
-            | Some (nrows, nxt, ring) ->
-                let rows, bad =
-                  read_rows r b ~ring ~nrows ~row_read:(row_read b)
-                in
-                for row = 0 to nrows - 1 do
-                  if not bad.(row) then
-                    for s = 0 to Dirblock.slots_per_row - 1 do
-                      let p = row_slot rows row s in
-                      if p <> 0 then
-                        try
-                          Region.read_bytes_into r (p - Slab.obj_header) hdr
-                            ~pos:0 ~len:hdr_bytes;
-                          if
-                            Bytes.get_uint8 hdr 0 <> 0
-                            && Bytes.get_uint8 hdr Slab.obj_header
-                               land Fentry.fl_dir
-                               <> 0
-                          then begin
-                            let child = Fentry.dirblock r p in
-                            if child <> 0 && not (Reach.mem seen child)
-                            then begin
-                              Reach.add seen child;
-                              Workpool.push pool (Collect_logs child)
-                            end
-                          end
-                        with Region.Media_error _ -> ()
-                    done
-                done;
-                block nxt
-          end
-        in
-        block head
-      in
-      List.iter (fun h -> Workpool.push pool (Collect_logs h)) heads;
-      run_pool pool (fun ~worker:_ task ->
-          match task with
-          | Collect_logs head -> do_collect head
-          | _ -> assert false);
-      let fresh =
-        List.filter
-          (fun (_, head, slot) -> not (Hashtbl.mem log_seen (head, slot)))
-          !found
-        |> List.sort_uniq compare
-      in
-      if fresh <> [] then
-        let touched =
-          seq_section (fun () ->
-              List.concat_map
-                (fun (_, head, slot) ->
-                  Hashtbl.replace log_seen (head, slot) ();
-                  hook "recovery:resolve-log";
-                  match resolve_log ~grow:false layout head ~slot with
-                  | outcome, src, dst ->
-                      if outcome = `Forward then incr completed_renames
-                      else incr rolled_back;
-                      [ src; dst ]
-                  | exception Region.Media_error _ -> [])
-                fresh)
-        in
-        pass (List.sort_uniq compare (List.filter (( <> ) 0) touched))
-    in
-    Reach.add seen root_head;
-    pass [ root_head ]
+        { s_marks = Reach.Vec.create (); s_logs = [] })
   in
 
-  (* ---- pass 2: mark + repair ------------------------------------------- *)
+  (* ---- pass 1: mark, with rename-log discovery ------------------------- *)
+  (* One traversal from the root reads every directory once, as a [Mark]
+     task that records what mark needs of it in a [dir_mark] and the
+     pending rename logs of its head in its worker's shard.  It follows
+     the directory of every *allocated* entry, live or dirty, so a log
+     reachable only through an unresolved shadow is found as well.
+
+     Logs must win over row repair: a crashed cross-directory rename
+     leaves its shadow entry dirty in the destination, and until the log
+     in the source is resolved the shadow looks like an interrupted
+     delete.  So tasks write nothing; their repairs wait in the
+     [dir_mark] for the sequential step that commits the directory.  The
+     found logs are sorted and resolved sequentially in ascending epoch
+     order: slots of conflicting renames were stamped in their row-lock
+     serialization order, so replaying by epoch is the deterministic
+     linearization.  Resolution only removes links, frees entries and
+     commits or re-homes shadows already linked in a log's source or
+     destination, so only those directories' records go stale: the
+     confirming pass marks them again, and finds no new log unless
+     resolution exposed one.  [log_seen] keys on (head, slot) and
+     guarantees termination (DESIGN.md §14). *)
   let claimed = new_marks () in
-  let relinks : relink_job list ref = ref [] in
-  (* relinks that must grow a chain: they wait for the free-list
-     rebuild, their entry still linked at its old slot (if any) *)
-  let waiting : relink_job list ref = ref [] in
-  (* parent slots of unreadable directory heads, detached in the
-     sequential step (the slot bytes are owned by the parent's task) *)
-  let pending_quarantines : (int * int * int * int * int) list ref = ref [] in
-  let do_mark pool sh head pslot =
-    incr mark_tasks;
-    let claim_push child pslot =
+  let marked : (int, dir_mark) Hashtbl.t = Hashtbl.create 64 in
+  let do_mark pool d head =
+    let sh = shards.(d.d_worker) in
+    let try_read f =
+      read_retrying ~retried:(fun () -> d.d_retries <- d.d_retries + 1) f
+    in
+    let discover child =
       if child <> 0 && not (Reach.mem claimed child) then begin
         Reach.add claimed child;
-        Workpool.push pool (Mark { head = child; pslot })
+        Workpool.push pool (Mark child)
       end
     in
-    (* read one block's header and a copy of its rows; a row that stays
-       unreadable after the retry budget is flagged in [bad] *)
-    let hb = Bytes.create header_words
-    and busyb = Bytes.create Dirblock.first_rows in
-    let read_block b =
-      match try_read (fun () -> read_header r b hb) with
+    let repair x = d.d_repairs <- x :: d.d_repairs in
+    let hb = Bytes.create header_words in
+    (* a read under the retry budget, or without [retry] just once *)
+    let attempt ~retry f =
+      if retry then try_read f
+      else try Some (f ()) with Region.Media_error _ -> None
+    in
+    (* one block's header and a copy of its rows; a row that stays
+       unreadable is flagged in [bad] *)
+    let read_block ~retry b =
+      match attempt ~retry (fun () -> read_header r b hb) with
       | None -> None
       | Some (nrows, nxt, ring) ->
           let rows, bad =
             read_rows r b ~ring ~nrows ~row_read:(fun row buf ~pos ->
                 Option.is_some
-                  (try_read (fun () -> Dirblock.load_row ~pos r b row buf)))
+                  (attempt ~retry (fun () ->
+                       Dirblock.load_row ~pos r b row buf)))
           in
           Some (nrows, nxt, rows, bad)
     in
+    (* the head's pending log slots as [(slot, epoch)]: a ring's slots in
+       one copy; after a fault, the per-slot reads *)
+    let pending_slots () =
+      try Dirblock.Log.pending_slots r head
+      with Region.Media_error _ -> []
+    in
+    let ring_logs ring =
+      let n = ring * Dirblock.ring_slot_bytes in
+      let b = Bytes.create n in
+      match
+        Region.read_bytes_into r (head + Dirblock.header) b ~pos:0 ~len:n
+      with
+      | () ->
+          List.filter_map
+            (fun slot ->
+              let o = slot * Dirblock.ring_slot_bytes in
+              if Bytes.get_uint8 b (Dirblock.Log.f_state o) = 0 then None
+              else Some (slot, Region.get_u62 b (Dirblock.Log.f_epoch o)))
+            (List.init ring Fun.id)
+      | exception Region.Media_error _ -> pending_slots ()
+    in
+    (* The head's [Dirblock.header] bytes in one copy: next, rows, ring,
+       the busy flags and the legacy log slot; after a fault, the reads
+       it replaces.  [(nrows, next, ring, busy, logs)]. *)
+    let read_head () =
+      let h = Bytes.create Dirblock.header in
+      match Region.read_bytes_into r head h ~pos:0 ~len:Dirblock.header with
+      | () ->
+          let ring = Region.get_u32 h (Dirblock.f_ring 0) in
+          Some
+            ( Region.get_u32 h (Dirblock.f_rows 0),
+              Region.get_u62 h (Dirblock.f_next 0),
+              ring,
+              (fun row -> Bytes.get_uint8 h (Dirblock.f_busy 0 row) <> 0),
+              if ring > 0 then ring_logs ring
+              else if Bytes.get_uint8 h (Dirblock.f_log 0) <> 0 then [ (0, 0) ]
+              else [] )
+      | exception Region.Media_error _ ->
+          Option.map
+            (fun (nrows, nxt, ring) ->
+              ( nrows,
+                nxt,
+                ring,
+                (fun row ->
+                  try Dirblock.busy r head row
+                  with Region.Media_error _ -> false),
+                pending_slots () ))
+            (try_read (fun () -> read_header r head hb))
+    in
+    let mark p tgt =
+      Reach.Vec.push sh.s_marks p;
+      Reach.Vec.push sh.s_marks tgt
+    in
     (* Process one entry.  Everything is read (with retry) before
-       anything is marked or written, so a fault can never strand a
+       anything is recorded, so a fault can never strand a
        half-processed entry: either the whole entry is acted on, or its
        slot is quarantined with no marks made.  [salvage] entries sit on
        a block being spliced out — their slot no longer exists, so
@@ -807,29 +795,28 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
       with
       | None ->
           (* unreadable entry metadata: detach the slot *)
-          if salvage then incr quarantined else quarantine_slot b row s
-      | Some Dead ->
+          if salvage then d.d_quarantined <- d.d_quarantined + 1
+          else repair (Quarantine_slot (b, row, s))
+      | Some (Dead child) ->
           (* interrupted delete: complete it (zero the pointer); a
-             salvaged dead entry's slot vanished with its block *)
-          if not salvage then begin
-            hook "recovery:mark-repair";
-            Dirblock.set_slot r b row s 0
-          end;
-          incr completed_deletes
+             salvaged dead entry's slot vanished with its block.  A
+             dirty directory entry may be a rename's shadow: its
+             directory is read for logs. *)
+          if not salvage then repair (Zero_slot (b, row, s));
+          d.d_deletes <- d.d_deletes + 1;
+          discover child
       | Some (Live { name; target = tgt; kind; spill }) ->
           let want = Name_hash.hash name mod nrows in
-          Option.iter
-            (fun sp -> sh.s_spills <- (p, sp) :: sh.s_spills)
-            spill;
+          Option.iter (fun sp -> d.d_spills <- (p, sp) :: d.d_spills) spill;
           let child = match kind with `Dir h -> Some h | _ -> None in
-          if salvage || want <> row then begin
+          mark p tgt;
+          Option.iter discover child;
+          if salvage || want <> row then
             (* misplaced (interrupted same-directory rename after the
                swap: finish steps 7-8 of Fig. 5c) or salvaged: mark now,
                relink in the sequential step, traverse the child dir in
                the next round *)
-            mark_f sh p;
-            mark_i sh tgt;
-            relinks :=
+            d.d_relinks <-
               {
                 rl_head = head;
                 rl_p = p;
@@ -838,22 +825,19 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
                 rl_child = child;
                 rl_move = not salvage;
               }
-              :: !relinks
-          end
-          else begin
-            mark_f sh p;
-            mark_i sh tgt;
+              :: d.d_relinks
+          else
             match kind with
             | `Dir h ->
-                incr dirs;
-                claim_push h (Some (b, row, s, p, tgt))
-            | `Sym -> incr symlinks
-            | `File -> incr files
-          end
+                d.d_dirs <- d.d_dirs + 1;
+                d.d_children <- (h, (b, row, s, p, tgt)) :: d.d_children
+            | `Sym -> d.d_symlinks <- d.d_symlinks + 1
+            | `File -> d.d_files <- d.d_files + 1
     in
     let process_block ~salvage b nrows rows bad =
       for row = 0 to nrows - 1 do
-        if bad.(row) then (if salvage then incr quarantined)
+        if bad.(row) then (
+          if salvage then d.d_quarantined <- d.d_quarantined + 1)
         else
           for s = 0 to Dirblock.slots_per_row - 1 do
             let p = row_slot rows row s in
@@ -861,89 +845,245 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
           done
       done
     in
+    (* A quarantined directory is detached, but the logs below it are
+       still resolved: its readable rows and chain are read for
+       subdirectories only, without retries (the sweep reclaims the
+       rest). *)
+    let rec discover_only nrows nxt rows bad =
+      for row = 0 to nrows - 1 do
+        if not bad.(row) then
+          for s = 0 to Dirblock.slots_per_row - 1 do
+            let p = row_slot rows row s in
+            if p <> 0 then
+              match
+                try read_entry r ~obj_size:fentry_obj_size p
+                with Region.Media_error _ -> (
+                  try read_entry_fields r fentry_slab p
+                  with Region.Media_error _ -> Dead 0)
+              with
+              | Live { kind = `Dir h; _ } | Dead h -> discover h
+              | Live _ -> ()
+          done
+      done;
+      if nxt <> 0 then
+        Option.iter
+          (fun (nrows, nxt, rows, bad) -> discover_only nrows nxt rows bad)
+          (read_block ~retry:false nxt)
+    in
     (* The head block is validated in full before anything below it is
        marked: an unreadable header or row quarantines the whole
        directory by detaching the parent slot, with no marks made (a
        partially-marked quarantined subtree would leak). *)
-    let head_unreadable () =
+    match read_head () with
+    | None -> d.d_unreadable <- true
+    | Some (nrows, nxt, ring, busy, logs) ->
+        List.iter
+          (fun (slot, epoch) -> sh.s_logs <- (epoch, head, slot) :: sh.s_logs)
+          logs;
+        let rows, bad =
+          read_rows r head ~ring ~nrows ~row_read:(fun row buf ~pos ->
+              Option.is_some
+                (try_read (fun () -> Dirblock.load_row ~pos r head row buf)))
+        in
+        if Array.exists Fun.id bad then begin
+          d.d_unreadable <- true;
+          discover_only nrows nxt rows bad
+        end
+        else begin
+          (* busy flags left behind by crashed lock holders *)
+          for row = 0 to Dirblock.first_rows - 1 do
+            if busy row then repair (Clear_busy row)
+          done;
+          process_block ~salvage:false head nrows rows bad;
+          (* chain blocks degrade per-block, never per-directory: an
+             unreadable header truncates the chain there (the orphaned
+             tail is swept); a block with unreadable rows is spliced
+             out and its readable entries salvaged *)
+          let rec walk prev b =
+            if b <> 0 then
+              match read_block ~retry:true b with
+              | None ->
+                  d.d_quarantined <- d.d_quarantined + 1;
+                  repair (Set_next (prev, 0))
+              | Some (nrows, nxt, rows, bad) when Array.exists Fun.id bad ->
+                  process_block ~salvage:true b nrows rows bad;
+                  repair (Set_next (prev, nxt));
+                  walk prev nxt
+              | Some (nrows, nxt, rows, bad) ->
+                  process_block ~salvage:false b nrows rows bad;
+                  walk b nxt
+          in
+          walk head nxt
+        end
+  in
+  (* one frontier drain from [heads], marked even if claimed before (a
+     confirming pass replaces their records) *)
+  let mark_dirs heads =
+    let pool = Workpool.create () in
+    List.iter
+      (fun h ->
+        Reach.add claimed h;
+        Workpool.push pool (Mark h))
+      heads;
+    run_pool pool (fun ~worker task ->
+        match task with
+        | Mark head ->
+            let v = shards.(worker).s_marks in
+            let d =
+              {
+                d_worker = worker;
+                d_lo = v.Reach.Vec.n;
+                d_hi = v.Reach.Vec.n;
+                d_unreadable = false;
+                d_children = [];
+                d_relinks = [];
+                d_repairs = [];
+                d_spills = [];
+                d_files = 0;
+                d_dirs = 0;
+                d_symlinks = 0;
+                d_deletes = 0;
+                d_quarantined = 0;
+                d_retries = 0;
+              }
+            in
+            (* backstop: no fault may abort the frontier half-read *)
+            (try do_mark pool d head
+             with Region.Media_error _ ->
+               d.d_quarantined <- d.d_quarantined + 1);
+            d.d_hi <- v.Reach.Vec.n;
+            Hashtbl.replace marked head d
+        | _ -> assert false)
+  in
+  let log_seen = Hashtbl.create 64 in
+  let rec mark_and_resolve heads =
+    mark_dirs heads;
+    let found =
+      Array.fold_left
+        (fun acc sh ->
+          let l = sh.s_logs in
+          sh.s_logs <- [];
+          List.rev_append l acc)
+        [] shards
+    in
+    (* [skip_log_resolution] deliberately breaks recovery (resolution is
+       what disambiguates crashed renames); used by the negative tests
+       proving the offline checker actually catches recovery bugs *)
+    if not skip_log_resolution then begin
+      incr resolve_passes;
+      let fresh =
+        List.filter
+          (fun (_, head, slot) -> not (Hashtbl.mem log_seen (head, slot)))
+          found
+        |> List.sort_uniq compare
+      in
+      if fresh <> [] then
+        let touched =
+          seq_section (fun () ->
+              List.concat_map
+                (fun (_, head, slot) ->
+                  Hashtbl.replace log_seen (head, slot) ();
+                  hook "recovery:resolve-log";
+                  match resolve_log ~grow:false layout head ~slot with
+                  | outcome, src, dst ->
+                      if outcome = `Forward then incr completed_renames
+                      else incr rolled_back;
+                      [ src; dst ]
+                  | exception Region.Media_error _ -> (
+                      (* a fault mid-resolution: its directories may
+                         still have changed *)
+                      try
+                        let src, dst, _, _ = Dirblock.Log.read r head ~slot in
+                        [ src; dst ]
+                      with Region.Media_error _ -> []))
+                fresh)
+        in
+        mark_and_resolve
+          (List.sort_uniq compare (List.filter (( <> ) 0) touched))
+    end
+  in
+
+  (* ---- commit: mark rounds ----------------------------------------------- *)
+  (* A directory's record is committed — its marks merged, its counts
+     added, its repairs applied — when the closure over live, correctly
+     placed links from the round's roots reaches it; a directory reached
+     only through a non-live entry never is, and the sweep reclaims it.
+     Each round is one sequential step: commit, then detach the parent
+     slots of unreadable heads, then the relinks, sorted on (directory,
+     entry, old slot) so slot placement and chain growth are
+     schedule-independent.  Relinked subdirectories are the next round's
+     roots.  Rounds terminate: every round consumes relink jobs found in
+     the previous one, and an entry is relinked at most once. *)
+  let committed = new_marks () in
+  let relinks : relink_job list ref = ref [] in
+  (* relinks that must grow a chain: they wait for the free-list
+     rebuild, their entry still linked at its old slot (if any) *)
+  let waiting : relink_job list ref = ref [] in
+  (* parent slots of unreadable directory heads *)
+  let pending_quarantines : (int * int * int * int * int) list ref = ref [] in
+  let apply_repair head = function
+    | Zero_slot (b, row, s) ->
+        hook "recovery:mark-repair";
+        Dirblock.set_slot r b row s 0
+    | Quarantine_slot (b, row, s) -> quarantine_slot b row s
+    | Set_next (b, nxt) -> Dirblock.set_next r b nxt
+    | Clear_busy row ->
+        Dirblock.set_busy r head row false;
+        incr cleared_busy
+  in
+  (* [drop_mark_shard] discards the marks of every record but worker
+     0's — the deliberate parallel-merge bug behind make fsck's negative
+     control: with >= 2 workers some reachable objects lose their marks
+     and the sweep frees storage the namespace still references. *)
+  let commit head pslot d =
+    incr mark_tasks;
+    retries := !retries + d.d_retries;
+    quarantined := !quarantined + d.d_quarantined;
+    completed_deletes := !completed_deletes + d.d_deletes;
+    files := !files + d.d_files;
+    dirs := !dirs + d.d_dirs;
+    symlinks := !symlinks + d.d_symlinks;
+    if d.d_unreadable then
       match pslot with
       | Some q -> pending_quarantines := q :: !pending_quarantines
       | None -> incr quarantined (* the root itself: nothing to detach *)
-    in
-    match read_block head with
-    | None -> head_unreadable ()
-    | Some (_, _, _, bad) when Array.exists Fun.id bad -> head_unreadable ()
-    | Some (nrows, nxt, rows, bad) ->
-        mark_d sh head;
-        (* clear busy flags left behind by crashed lock holders: one
-           read of the 64 flag bytes, per-flag reads on a fault *)
-        let busy =
-          match
-            Region.read_bytes_into r (Dirblock.f_busy head 0) busyb ~pos:0
-              ~len:Dirblock.first_rows
-          with
-          | () -> fun row -> Bytes.get busyb row <> '\000'
-          | exception Region.Media_error _ -> (
-              fun row ->
-                try Dirblock.busy r head row
-                with Region.Media_error _ -> false)
-        in
-        for row = 0 to Dirblock.first_rows - 1 do
-          if busy row then begin
-            Dirblock.set_busy r head row false;
-            incr cleared_busy
-          end
+    else begin
+      if d.d_worker = 0 || not drop_mark_shard then begin
+        Reach.add g_dirhead head;
+        let v = shards.(d.d_worker).s_marks.Reach.Vec.a in
+        for k = 0 to ((d.d_hi - d.d_lo) / 2) - 1 do
+          Reach.add g_fentry v.(d.d_lo + (2 * k));
+          Reach.add g_inode v.(d.d_lo + (2 * k) + 1)
         done;
-        process_block ~salvage:false head nrows rows bad;
-        (* chain blocks degrade per-block, never per-directory: an
-           unreadable header truncates the chain there (the orphaned
-           tail is swept); a block with unreadable rows is spliced out
-           and its readable entries salvaged *)
-        let rec walk prev b =
-          if b <> 0 then
-            match read_block b with
-            | None ->
-                incr quarantined;
-                Dirblock.set_next r prev 0
-            | Some (nrows, nxt, rows, bad) when Array.exists Fun.id bad ->
-                process_block ~salvage:true b nrows rows bad;
-                Dirblock.set_next r prev nxt;
-                walk prev nxt
-            | Some (nrows, nxt, rows, bad) ->
-                process_block ~salvage:false b nrows rows bad;
-                walk b nxt
-        in
-        walk head nxt
+        List.iter (fun (p, sp) -> Hashtbl.replace g_spill p sp) d.d_spills
+      end;
+      List.iter (apply_repair head) (List.rev d.d_repairs);
+      relinks := List.rev_append d.d_relinks !relinks
+    end
   in
-  (* One mark round = a parallel frontier drain + the sequential merge
-     and relink step.  Relinks sort on (directory, entry, old slot) so
-     slot placement and chain growth are schedule-independent; relinked
-     subdirectories seed the next round.  Rounds terminate: every round
-     consumes relink jobs discovered in the previous one, and an entry
-     is relinked at most once. *)
   let rec mark_rounds roots =
-    let pool = Workpool.create () in
-    List.iter
-      (fun (h, ps) ->
-        if h <> 0 && not (Reach.mem claimed h) then begin
-          Reach.add claimed h;
-          Workpool.push pool (Mark { head = h; pslot = ps })
-        end)
-      roots;
-    run_pool pool (fun ~worker task ->
-        match task with
-        | Mark { head; pslot } ->
-            (* backstop: no fault may abort the frontier half-marked *)
-            (try do_mark pool shards.(worker) head pslot
-             with Region.Media_error _ -> incr quarantined)
-        | _ -> assert false);
     let next_roots =
       seq_section (fun () ->
-          merge_shards ();
+          let q = Queue.create () in
+          let visit (h, pslot) =
+            if h <> 0 && not (Reach.mem committed h) then begin
+              Reach.add committed h;
+              Queue.push (h, pslot) q
+            end
+          in
+          List.iter visit roots;
+          while not (Queue.is_empty q) do
+            let h, pslot = Queue.pop q in
+            let d = Hashtbl.find marked h in
+            commit h pslot d;
+            if not d.d_unreadable then
+              List.iter
+                (fun (c, ps) -> visit (c, Some ps))
+                (List.rev d.d_children)
+          done;
           (* detach entries whose directory head proved unreadable, and
-             drop their marks so the sweep reclaims them (the old code
-             path un-marked the whole subtree; here nothing below an
-             unreadable head was ever marked) *)
+             drop their marks so the sweep reclaims them (nothing below
+             an unreadable head was marked) *)
           List.iter
             (fun (b, row, s, p, tgt) ->
               Reach.remove g_fentry p;
@@ -997,11 +1137,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   Reach.add g_fentry root;
   Reach.add g_inode (Fentry.target r root);
   let root_head = Fentry.dirblock r root in
-  (* [skip_log_resolution] deliberately breaks recovery (pass 1 is what
-     disambiguates crashed renames); used by the negative tests proving
-     the offline checker actually catches recovery bugs *)
-  if not skip_log_resolution then resolve_logs root_head;
-  end_pass "collect";
+  mark_and_resolve [ root_head ];
   mark_rounds [ (root_head, None) ];
   end_pass "mark";
 
@@ -1112,7 +1248,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
           | Some (addr, len) -> mark_range bm addr len
           | None -> ()
         done
-    | Collect_logs _ | Mark _ -> assert false
+    | Mark _ -> assert false
   in
   let slice pool arr mk =
     let n = Array.length arr in
@@ -1228,23 +1364,31 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
 
   let vtime_cycles = makespan () in
   let pass_cycles = List.rev !pass_cycles in
-  (* this run's totals join the active experiment's snapshot (no-op
-     outside the bench driver) *)
-  Simurgh_obs.Collect.add
-    (List.map
-       (fun (k, v) -> ("recovery/" ^ k, v))
-       (List.map
-          (fun (k, v) -> (k, float_of_int v))
-          [
-            ("runs", 1);
-            ("retries", !retries);
-            ("quarantined", !quarantined);
-            ("swept_objects", !reclaimed_inodes + !reclaimed_fentries);
-            ("mark_tasks", !mark_tasks);
-            ("sweep_tasks", !sweep_tasks);
-            ("resolve_passes", !resolve_passes);
-          ]
-       @ List.map (fun (pass, c) -> (pass ^ "_cycles", c)) pass_cycles));
+  (* this run's totals: under [Vtime], in the counters of the machine
+     that drove it (which join the active experiment's snapshot when the
+     machine was made under one); otherwise in the active experiment's
+     snapshot (no-op outside the bench driver) *)
+  let totals =
+    List.map
+      (fun (k, v) -> ("recovery/" ^ k, v))
+      (List.map
+         (fun (k, v) -> (k, float_of_int v))
+         [
+           ("runs", 1);
+           ("retries", !retries);
+           ("quarantined", !quarantined);
+           ("swept_objects", !reclaimed_inodes + !reclaimed_fentries);
+           ("mark_tasks", !mark_tasks);
+           ("sweep_tasks", !sweep_tasks);
+           ("resolve_passes", !resolve_passes);
+         ]
+      @ List.map (fun (pass, c) -> (pass ^ "_cycles", c)) pass_cycles)
+  in
+  (match par with
+  | Vtime { machine; _ } ->
+      let counters = (Machine.obs machine).Simurgh_obs.Run.counters in
+      List.iter (fun (k, v) -> Simurgh_obs.Metrics.add counters k v) totals
+  | Seq | Fibers _ -> Simurgh_obs.Collect.add totals);
 
   ( layout,
     {

@@ -312,6 +312,39 @@ let test_collect_recovery_scoped () =
   check_float "fresh collector" 0.0
     (Metrics.get run.Run.counters "recovery/runs")
 
+(* A [Vtime] recovery's totals land in the counters of the machine that
+   drove it, with no collector installed: one run, and per-pass cycles
+   that sum to the makespan. *)
+let test_recovery_machine_counters () =
+  let region = Simurgh_nvmm.Region.create (8 * 1024 * 1024) in
+  let fs = Simurgh_core.Fs.mkfs ~euid:0 region in
+  Simurgh_core.Fs.mkdir fs "/d";
+  Simurgh_core.Fs.create_file fs "/d/f";
+  Simurgh_core.Fs.invalidate_shared region;
+  Collect.discard ();
+  let machine = Simurgh_sim.Machine.create () in
+  let _, r =
+    Simurgh_core.Recovery.run
+      ~par:(Simurgh_core.Recovery.Vtime { machine; workers = 2 })
+      region
+  in
+  let counters = (Simurgh_sim.Machine.obs machine).Run.counters in
+  check_float "one run" 1.0 (Metrics.get counters "recovery/runs");
+  let passes = r.Simurgh_core.Recovery.pass_cycles in
+  Alcotest.(check (list string))
+    "passes"
+    [ "mark"; "scan"; "segments"; "rebuild" ]
+    (List.map fst passes);
+  let sum =
+    List.fold_left
+      (fun acc (pass, _) ->
+        acc +. Metrics.get counters ("recovery/" ^ pass ^ "_cycles"))
+      0.0 passes
+  in
+  Alcotest.(check bool) "cycles measured" true (sum > 0.0);
+  Alcotest.(check (float 1e-6)) "passes sum to the makespan"
+    r.Simurgh_core.Recovery.vtime_cycles sum
+
 (* --- cli ----------------------------------------------------------------- *)
 
 let known = [ "fig7"; "fig9"; "tab1" ]
@@ -386,6 +419,8 @@ let () =
             test_collect_no_retention;
           Alcotest.test_case "recovery counters scoped" `Quick
             test_collect_recovery_scoped;
+          Alcotest.test_case "recovery counters in the machine" `Quick
+            test_recovery_machine_counters;
         ] );
       ( "cli",
         [

@@ -180,6 +180,57 @@ let test_two_pending_logs_two_dirs () =
     (Fs.exists fs' "/d2/c" <> Fs.exists fs' "/d2/d");
   fsck_clean "both pending logs resolved" region
 
+(* Nested crashed renames: /p/x/f -> /q/g crashes at [xrename], then
+   /p/x -> /p/y crashes at [rename] before the old entry is gone.  The
+   first rename's log sits in /p/x's head, which is then reachable only
+   through /p/y, a dirty shadow: recovery must follow allocated entries,
+   not only live ones, to find that log with the others and resolve them
+   in epoch order, and must not zero the shadow as an interrupted delete
+   before the second log is resolved. *)
+let test_nested_crashed_renames () =
+  List.iter
+    (fun (xlabel, label, renames, rolled_back, present, absent) ->
+      let what = xlabel ^ " then " ^ label in
+      let region = fresh_region () in
+      let fs = Fs.mkfs ~euid:0 region in
+      List.iter (Fs.mkdir fs) [ "/p"; "/p/x"; "/q" ];
+      Fs.create_file fs "/p/x/f";
+      Fs.create_file fs "/p/x/h";
+      Fs.set_crash_hook fs (fun l -> if l = xlabel then raise Crash_now);
+      (try Fs.rename fs "/p/x/f" "/q/g" with Crash_now -> ());
+      Fs.set_crash_hook fs (fun l -> if l = label then raise Crash_now);
+      (try Fs.rename fs "/p/x" "/p/y" with Crash_now -> ());
+      Fs.invalidate_shared region;
+      let _, rep = Recovery.run region in
+      (* both logs are found by the first pass: a traversal that
+         followed only live entries would find /p/x's log only once
+         resolving /p commits the shadow, in a third pass *)
+      Alcotest.(check (triple int int int))
+        (what ^ ": completed and rolled-back renames, log passes")
+        (renames, rolled_back, 2)
+        ( rep.Recovery.completed_renames,
+          rep.Recovery.rolled_back_renames,
+          rep.Recovery.resolve_passes );
+      fsck_clean (what ^ ": fsck") region;
+      let fs' = Fs.mount ~euid:0 region in
+      List.iter
+        (fun p ->
+          Alcotest.(check bool) (what ^ ": " ^ p) true (Fs.exists fs' p))
+        present;
+      List.iter
+        (fun p ->
+          Alcotest.(check bool) (what ^ ": no " ^ p) false (Fs.exists fs' p))
+        absent;
+      Fs.unmount fs')
+    [
+      ( "xrename:dstslot", "rename:swap", 2, 0,
+        [ "/p/y"; "/p/y/h"; "/q/g" ], [ "/p/x"; "/p/y/f" ] );
+      ( "xrename:dstslot", "rename:newslot", 2, 0,
+        [ "/p/y"; "/p/y/h"; "/q/g" ], [ "/p/x"; "/p/y/f" ] );
+      ( "xrename:busy", "rename:swap", 1, 1,
+        [ "/p/y"; "/p/y/f"; "/p/y/h" ], [ "/p/x"; "/q/g" ] );
+    ]
+
 (* Same regression on log-ring media: two crashed renames in ONE
    directory leave two pending slots of the same first hash block's
    ring.  Recovery must resolve both — in epoch order — and leave the
@@ -331,14 +382,18 @@ let test_parallel_matches_sequential () =
    shard but worker 0's loses the subtree marks made by other workers,
    so the sweep frees reachable objects and the checker must object —
    proving the checker actually guards the parallel merge.  A full
-   recovery afterwards converges the damaged image back to clean. *)
+   recovery afterwards converges the damaged image back to clean.  The
+   image has three directories and a pending log in /a, which the
+   confirming pass marks again on worker 0 after the barrier; with two
+   workers the root and /a/b also land on worker 0, so three workers
+   are needed for a committed record (/a/b's) to come from another. *)
 let test_drop_mark_shard_flags () =
   let region = crashed_fixture () in
   Fs.invalidate_shared region;
   let machine = Simurgh_sim.Machine.create () in
   let _ =
     Recovery.run
-      ~par:(Recovery.Vtime { machine; workers = 2 })
+      ~par:(Recovery.Vtime { machine; workers = 3 })
       ~drop_mark_shard:true region
   in
   Alcotest.(check bool) "checker flags the lost marks" true
@@ -412,7 +467,7 @@ let test_golden_recovery () =
   in
   let digest = "c2b9f0e9b4cfcb2ae96dc28dacf3a768" in
   let accesses =
-    "loads=3128 stores=126 load_bytes=487322 store_bytes=2134 fences=106"
+    "loads=2230 stores=126 load_bytes=427618 store_bytes=2134 fences=106"
   in
   List.iter
     (fun (what, par, cycles) ->
@@ -425,15 +480,14 @@ let test_golden_recovery () =
       ("seq", Recovery.Seq, "0x0p+0");
       ( "vtime 1 worker",
         vtime 1,
-        "0x1.39bda76276279p+18 collect=0x1.6b2e09d89d89ep+16 \
-         mark=0x1.3633b13b13b18p+16 \
+        "0x1.028809d89d89ep+18 mark=0x1.c48b44ec4ec5p+16 \
          scan=0x1.a5eb13b13b13cp+15 \
-         segments=0x1.5c10d89d89d9p+16 rebuild=0x1.68e8p+12" );
+         segments=0x1.5c10d89d89d88p+16 rebuild=0x1.68e800000002p+12" );
       ( "vtime 4 workers",
         vtime 4,
-        "0x1.128312c2cb4f6p+17 collect=0x1.8121f3c2430f8p+15 \
-         mark=0x1.8c3589d89d8ap+14 scan=0x1.08aac4ec4ec4ep+15 \
-         segments=0x1.9a0f9ae099484p+14 rebuild=0x1.68e8p+12" );
+        "0x1.dd0f357d12a0cp+16 mark=0x1.b74ed89d89d8ap+15 \
+         scan=0x1.08aac4ec4ec4ep+15 \
+         segments=0x1.9a0f9ae09948p+14 rebuild=0x1.68e8p+12" );
     ]
 
 (* The mark set against a Hashtbl reference: random adds, removes and
@@ -521,6 +575,7 @@ let gen_entry =
           Slab.flag_valid;
           Slab.flag_valid lor Slab.flag_dirty;
           Slab.flag_dirty;
+          0;
         ]
     in
     let* len =
@@ -536,11 +591,17 @@ let gen_entry =
     let+ db = int_range 1 100_000 in
     (st, name, kind, tgt * 8, db * 8))
 
-(* Mark's view of an entry, built from Fentry's field accessors *)
+(* Mark's view of an entry, built from Fentry's field accessors: a
+   non-live entry carries the directory head of an allocated directory
+   entry (a rename's shadow is followed for its logs) *)
 let entry_reference r slab p =
-  if not (Slab.is_live slab p) then None
+  if not (Slab.is_live slab p) then
+    Error
+      (if Slab.obj_flags slab p <> 0 && Fentry.is_dir r p then
+         Fentry.dirblock r p
+       else 0)
   else
-    Some
+    Ok
       ( Fentry.name r p,
         Fentry.target r p,
         (if Fentry.is_dir r p then `Dir (Fentry.dirblock r p)
@@ -549,9 +610,9 @@ let entry_reference r slab p =
         Fentry.spill r p )
 
 let entry_view = function
-  | Recovery.Dead -> None
+  | Recovery.Dead head -> Error head
   | Recovery.Live { name; target; kind; spill } ->
-      Some (name, target, kind, spill)
+      Ok (name, target, kind, spill)
 
 let prop_entry_snapshot =
   QCheck.Test.make ~name:"entry snapshot parse equals the field reads"
@@ -808,6 +869,8 @@ let () =
             test_repair_directory_process_crash;
           Alcotest.test_case "two pending logs, two directories" `Quick
             test_two_pending_logs_two_dirs;
+          Alcotest.test_case "nested crashed renames" `Quick
+            test_nested_crashed_renames;
           Alcotest.test_case "two pending slots, one log ring" `Quick
             test_two_pending_slots_one_ring;
           Alcotest.test_case "clean shutdown fast path" `Quick
