@@ -226,10 +226,11 @@ let fsck () =
   List.iter
     (fun v -> print_endline ("  " ^ Check.violation_to_string v))
     ring_clean;
-  (* broken-parallel-sweep negative control: drop every mark shard but
-     worker 0's during a 2-worker recovery — the sweep then frees
-     reachable objects, which the checker must flag (the merge step is
-     guarded, not assumed); a full recovery converges the damage *)
+  (* broken-merge negative control: drop the marks of every other
+     committed directory record during a 2-worker recovery — the sweep
+     then frees reachable objects, which the checker must flag (the
+     merge step is guarded, not assumed); a full recovery converges the
+     damage *)
   let par_region = Region.create ~mode:Region.Strict (32 * 1024 * 1024) in
   let pfs = Fs.mkfs ~euid:0 par_region in
   Fs.mkdir pfs "/d";

@@ -306,19 +306,29 @@ let is_live t paddr = obj_flags t paddr = flag_valid
 let is_unprocessed t paddr = obj_flags t paddr = flag_valid lor flag_dirty
 let live_objects t = !(t.live)
 
-(** Enumerate every object slot with its flags: (payload_addr, flags).
+(** Enumerate every object slot with its flags and its bytes:
+    [f payload_addr flags slot].
 
-    The valid/dirty flag walk snapshots each segment's slot area with one
-    bulk line-granular load and scans the flag bytes in DRAM — one region
+    The walk snapshots each segment's slot area with one bulk
+    line-granular load and scans the flag bytes in DRAM — one region
     round per segment instead of one per object, which is what recovery
-    pays when it sweeps every slab after a crash.  A callback may mutate
-    the object it is visiting (the snapshot is only consulted for later
-    objects' flags, which no callback touches).
+    pays when it sweeps every slab after a crash.  [slot] is
+    [Some (snap, off)]: the slot's bytes, header first, at [off] of the
+    segment's snapshot [snap], so a visitor parses the object without
+    reading it again.  A callback may mutate the object it is visiting
+    (the snapshot is only consulted for later objects, which no callback
+    touches); the snapshot of that slot is then stale.
+
+    After a poisoned line anywhere in the segment the walk degrades to
+    one header load per slot, [slot] is [None] (the visitor reads the
+    fields it needs itself), and a slot whose header is unreadable goes
+    to [unreadable payload_addr] instead (it stays allocated —
+    quarantined, never recycled).
 
     [iter_segment_objects] visits one segment — the unit of work for a
-    parallel sweep worker; [iter_objects] walks the whole segment
-    list. *)
-let iter_segment_objects t seg f =
+    parallel sweep worker; [iter_objects] walks the whole segment list,
+    without the bytes. *)
+let iter_segment_objects ?(unreadable = ignore) t seg f =
   let seg_bytes = seg_header + (t.objs_per_seg * slot_size t) in
   let snap = Bytes.create seg_bytes in
   match
@@ -329,26 +339,21 @@ let iter_segment_objects t seg f =
   with
   | `Snapshot ->
       for i = 0 to t.objs_per_seg - 1 do
-        let addr = obj_addr t seg i in
-        let fl = Char.code (Bytes.get snap (addr - seg)) in
-        f (payload addr) fl
+        let off = obj_addr t seg i - seg in
+        f (payload (seg + off)) (Bytes.get_uint8 snap off) (Some (snap, off))
       done
   | `Faulted ->
-      (* a poisoned line somewhere in the segment: degrade from the
-         bulk snapshot to per-object header loads so the healthy
-         objects are still visited; unreadable ones are skipped
-         (they stay allocated — quarantined, never recycled) *)
       for i = 0 to t.objs_per_seg - 1 do
         let addr = obj_addr t seg i in
         match Region.read_u8 t.region addr with
-        | fl -> f (payload addr) fl
-        | exception Region.Media_error _ -> ()
+        | fl -> f (payload addr) fl None
+        | exception Region.Media_error _ -> unreadable (payload addr)
       done
 
 let iter_objects t f =
   let rec seg_loop seg =
     if seg <> 0 then begin
-      iter_segment_objects t seg f;
+      iter_segment_objects t seg (fun p fl _ -> f p fl);
       seg_loop (Region.read_u62 t.region seg)
     end
   in
@@ -370,14 +375,15 @@ type seg_cache = { free : int list; live : int }
 
 (** [segment_cache t seg final] walks [seg] once
     ({!iter_segment_objects}) and classifies each slot by the flags
-    [final paddr flags] says it holds once the caller is done with it:
-    free slots are cached, live ones counted, and a slot overlapping an
-    uncorrectable line is never cached.  [final] may rewrite the slot it
-    visits. *)
-let segment_cache t seg final =
+    [final paddr flags slot] says it holds once the caller is done with
+    it: free slots are cached, live ones counted, and a slot overlapping
+    an uncorrectable line is never cached.  [final] may rewrite the slot
+    it visits; [unreadable] gets the slots whose header is unreadable,
+    which are neither cached nor counted. *)
+let segment_cache ?unreadable t seg final =
   let free = ref [] and live = ref 0 in
-  iter_segment_objects t seg (fun paddr f ->
-      let f = final paddr f in
+  iter_segment_objects ?unreadable t seg (fun paddr f slot ->
+      let f = final paddr f slot in
       let addr = paddr - obj_header in
       if Region.range_poisoned t.region addr (slot_size t) then
         (if f = flag_valid then incr live)
@@ -401,7 +407,7 @@ let install_cache t segs =
     flags; [reclaim] additionally resets 11/01 (crash-interrupted)
     objects to free.  Used when a region is mounted. *)
 let rebuild_cache ?(reclaim = false) t =
-  let final paddr f =
+  let final paddr f _ =
     let addr = paddr - obj_header in
     if
       reclaim && f <> 0 && f <> flag_valid

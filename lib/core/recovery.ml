@@ -22,19 +22,25 @@
        a rename's dirty shadow looks like an interrupted delete until
        its log is resolved.
     4. {b Sweep}: reclaim every allocated-but-unreachable metadata object
-       and rebuild the block allocator's free lists from the blocks
-       referenced by reachable inodes, directory chains and slab
-       segments (unreachable directory blocks and extents are implicitly
-       reclaimed).  Each segment's sweep also builds its share of the
-       slab's volatile free cache, installed at the end.
+       and block-mark what is reachable: directory chains, slab
+       segments, spill blocks, and the extents and overflow blocks of
+       every reachable inode, which its segment's sweep parses from the
+       segment's snapshot.  Each segment's sweep also builds its share
+       of the slab's volatile free cache.
+    5. {b Rebuild}: the block allocator's free lists from the marks
+       (unreachable directory blocks and extents are implicitly
+       reclaimed), then the relinks that grow a chain, and the caches
+       are installed.
 
-    Every pass reads each metadata object once, as one copy parsed in
-    DRAM: a directory block's header and rows, a file entry's slab
-    slot, an inode's extent slots, an overflow block (DESIGN.md §14).
+    The report times three passes: [mark] (steps 1-3), [segments] (4)
+    and [rebuild] (5).  Every pass reads each metadata object once, as
+    one copy parsed in DRAM: a directory block's header and rows, a file
+    entry's slab slot, a slab segment (with its inodes' extent slots),
+    an overflow block (DESIGN.md §14).
 
     {b Parallel recovery} (DESIGN.md §14).  Mark and sweep decompose
     into tasks over a {!Simurgh_sim.Workpool} frontier — one task per
-    directory for mark, one per slab segment / directory chain / inode
+    directory for mark, one per slab segment / directory chain / spill
     slice for sweep — and the same task set runs under one of three
     drivers, chosen by [?par]:
 
@@ -50,9 +56,9 @@
     Parallel recovery is {e schedule-independent}: mark tasks write no
     media and append only to per-worker shards; sweep tasks make
     commutative, idempotent updates to shared state (bitmap ORs,
-    counter increments) and only write media they own.  Log resolution
-    and every repair mark finds run in deterministically-sorted
-    sequential steps between rounds.  A relink that must grow a chain
+    counter increments) and only write media no other sweep task reads.
+    Log resolution and every repair mark finds run in
+    deterministically-sorted sequential steps between rounds.  A relink that must grow a chain
     waits longer, until the free-list rebuild: the block free lists are
     shared-DRAM state, and a crash image's media copy predates its last
     allocations, so recovery allocates no block before it has rebuilt
@@ -107,18 +113,17 @@ type report = {
   mark_tasks : int;
       (** directories committed by mark (one marked again after a log
           counts once) *)
-  sweep_tasks : int;  (** segment / chain / slice sweep tasks *)
+  sweep_tasks : int;  (** segment / chain / spill-slice sweep tasks *)
   vtime_cycles : float;
       (** {!Vtime} mode only: the recovery makespan (max worker clock);
           0 under {!Seq} and {!Fibers} *)
   pass_cycles : (string * float) list;
       (** {!Vtime} mode only: the makespan of each pass, in order —
           [mark] (the traversal, log resolution, the confirming pass and
-          the commit rounds), [scan]
-          (extent scrub and chain, extent and spill block marks),
-          [segments] (slab segment sweep) and [rebuild] (free lists and
-          caches); they sum to [vtime_cycles].  [\[\]] under {!Seq} and
-          {!Fibers} *)
+          the commit rounds), [segments] (the sweep: slab segments with
+          their inodes' extent scrub and marks, chain and spill block
+          marks) and [rebuild] (free lists and caches); they sum to
+          [vtime_cycles].  [\[\]] under {!Seq} and {!Fibers} *)
 }
 
 (** [r] without its virtual-time measurements: equal for every driver
@@ -366,9 +371,6 @@ let read_entry_fields r slab p =
     in
     Live { name; target; kind; spill = Fentry.spill r p }
 
-(* the inline extent slots and the overflow pointer, [+48, +120) *)
-let inode_extent_bytes = Inode.payload_size - Inode.f_extent 0 0
-
 (** Scrub [inode]'s torn extent slots, then report its extents
     ([extent addr blocks], file order) and its overflow blocks
     ([overflow b], chain order).  A crash inside a batched
@@ -377,9 +379,11 @@ let inode_extent_bytes = Inode.payload_size - Inode.f_extent 0 0
     maps zero bytes, so it is harmless to readers, but it would shadow
     the slot forever (appends only fill addr = 0 slots): it is cleared,
     and the block rebuild reclaims whatever the lost stores leaked.
-    Reads one copy of the slots and the overflow pointer and one per
-    overflow block.  Raises [Media_error] before reporting anything. *)
-let scan_inode r inode ~extent ~overflow =
+    The slots and the overflow pointer are parsed from [slot], the
+    inode's slab slot at [off] of [snap], header first, as
+    {!Slab.iter_segment_objects} hands it; each overflow block is read
+    as one copy.  Raises [Media_error] before reporting anything. *)
+let scan_inode r (snap, off) inode ~extent ~overflow =
   let exts = ref [] and ovs = ref [] in
   (* [n] slots of (addr u62, blocks u32, pad) at [first] in [b] *)
   let scrub b ~first ~n ~clear =
@@ -390,11 +394,9 @@ let scan_inode r inode ~extent ~overflow =
       else if addr <> 0 then exts := (addr, blocks) :: !exts
     done
   in
-  let b = Bytes.create inode_extent_bytes in
-  Region.read_bytes_into r (Inode.f_extent inode 0) b ~pos:0
-    ~len:inode_extent_bytes;
-  scrub b ~first:0 ~n:Inode.inline_extents ~clear:(fun k ->
-      Inode.write_extent r inode k ~addr:0 ~blocks:0);
+  let payload = off + Slab.obj_header in
+  scrub snap ~first:(Inode.f_extent payload 0) ~n:Inode.inline_extents
+    ~clear:(fun k -> Inode.write_extent r inode k ~addr:0 ~blocks:0);
   let ob = Bytes.create Inode.overflow_bytes in
   let rec chain blk =
     if blk <> 0 then begin
@@ -405,37 +407,49 @@ let scan_inode r inode ~extent ~overflow =
       chain (Region.get_u62 ob (Inode.ov_next 0))
     end
   in
-  chain (Region.get_u62 b (Inode.f_overflow 0 - Inode.f_extent 0 0));
+  chain (Region.get_u62 snap (Inode.f_overflow payload));
   List.iter (fun (addr, blocks) -> extent addr blocks) (List.rev !exts);
   List.iter overflow (List.rev !ovs)
 
-(** {!scan_inode} from per-field reads. *)
+(** {!scan_inode} from per-field reads.  A field on a poisoned line is
+    skipped, not the inode: an unreadable slot reports nothing (nor is
+    it scrubbed), and an unreadable overflow pointer ends the chain, so
+    every extent that still reads stays marked.  Returns [false] when a
+    field was skipped. *)
 let scan_inode_fields r inode ~extent ~overflow =
-  let scrub_slot read write k =
-    let addr, blocks = read k in
-    if (addr <> 0 && blocks = 0) || (addr = 0 && blocks <> 0) then
-      write k ~addr:0 ~blocks:0
+  let complete = ref true in
+  let exts = ref [] and ovs = ref [] in
+  let slot read write k =
+    match read k with
+    | exception Region.Media_error _ -> complete := false
+    | addr, blocks ->
+        if (addr <> 0) <> (blocks <> 0) then (
+          try write k ~addr:0 ~blocks:0
+          with Region.Media_error _ -> complete := false)
+        else if addr <> 0 then exts := (addr, blocks) :: !exts
+  in
+  let next a =
+    try Region.read_u62 r a
+    with Region.Media_error _ ->
+      complete := false;
+      0
   in
   for k = 0 to Inode.inline_extents - 1 do
-    scrub_slot (Inode.read_extent r inode) (Inode.write_extent r inode) k
+    slot (Inode.read_extent r inode) (Inode.write_extent r inode) k
   done;
-  let rec ov_scrub b =
+  let rec chain b =
     if b <> 0 then begin
       for k = 0 to Inode.overflow_entries - 1 do
-        scrub_slot (Inode.read_ov_extent r b) (Inode.write_ov_extent r b) k
+        slot (Inode.read_ov_extent r b) (Inode.write_ov_extent r b) k
       done;
-      ov_scrub (Region.read_u62 r (Inode.ov_next b))
+      ovs := b :: !ovs;
+      chain (next (Inode.ov_next b))
     end
   in
-  ov_scrub (Region.read_u62 r (Inode.f_overflow inode));
-  Inode.iter_extents r inode extent;
-  let rec ov b =
-    if b <> 0 then begin
-      overflow b;
-      ov (Region.read_u62 r (Inode.ov_next b))
-    end
-  in
-  ov (Region.read_u62 r (Inode.f_overflow inode))
+  chain (next (Inode.f_overflow inode));
+  List.iter (fun (addr, blocks) -> extent addr blocks) (List.rev !exts);
+  List.iter overflow (List.rev !ovs);
+  !complete
 
 (* a chain block's first words: next u62, rows u32, ring u32 *)
 let header_words = 16
@@ -473,9 +487,10 @@ type task =
       (* read one directory (its head block's address) and record what
          mark and log discovery need of it in a [dir_mark] *)
   | Sweep_seg of [ `Inode | `Fentry ] * int * int
-      (* one slab segment and its index in the segment list *)
+      (* one slab segment and its index in the segment list; an inode
+         segment's task also scrubs and block-marks its reachable
+         inodes' extents *)
   | Sweep_chain of int  (* block-mark one directory chain *)
-  | Sweep_inodes of int array * int * int  (* extent scrub+mark, [lo,hi) *)
   | Sweep_spills of int array * int * int
       (* spill-block mark, [lo,hi), from the spills mark recorded *)
 
@@ -1031,10 +1046,12 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
         Dirblock.set_busy r head row false;
         incr cleared_busy
   in
-  (* [drop_mark_shard] discards the marks of every record but worker
-     0's — the deliberate parallel-merge bug behind make fsck's negative
-     control: with >= 2 workers some reachable objects lose their marks
-     and the sweep frees storage the namespace still references. *)
+  (* [drop_mark_shard] discards the marks of every other committed
+     record, in commit order (the root's is kept) — the deliberate merge
+     bug behind make fsck's negative control: whatever the worker count
+     and whichever worker made each record, some reachable objects lose
+     their marks and the sweep frees storage the namespace still
+     references. *)
   let commit head pslot d =
     incr mark_tasks;
     retries := !retries + d.d_retries;
@@ -1048,7 +1065,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
       | Some q -> pending_quarantines := q :: !pending_quarantines
       | None -> incr quarantined (* the root itself: nothing to detach *)
     else begin
-      if d.d_worker = 0 || not drop_mark_shard then begin
+      if !mark_tasks mod 2 = 1 || not drop_mark_shard then begin
         Reach.add g_dirhead head;
         let v = shards.(d.d_worker).s_marks.Reach.Vec.a in
         for k = 0 to ((d.d_hi - d.d_lo) / 2) - 1 do
@@ -1175,6 +1192,22 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
      in that order *)
   let inode_caches = Array.make (Array.length inode_segs) None in
   let fentry_caches = Array.make (Array.length fentry_segs) None in
+  (* a reachable inode's extents, from its slot in the segment snapshot
+     or, after a fault, field by field; a skipped field quarantines the
+     inode's unreadable part, the rest stays marked *)
+  let scan_extents bm inode slot =
+    let extent addr blocks = mark_range bm addr (blocks * bs) in
+    let overflow b = mark_range bm b Inode.overflow_bytes in
+    let fields () =
+      if not (scan_inode_fields r inode ~extent ~overflow) then
+        incr quarantined
+    in
+    match slot with
+    | Some slot -> (
+        try scan_inode r slot inode ~extent ~overflow
+        with Region.Media_error _ -> fields ())
+    | None -> fields ()
+  in
   let sweep_segment which seg i bm =
     let slab, reach, counter, caches =
       match which with
@@ -1184,8 +1217,14 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
     mark_range bm seg (Slab.blocks_per_segment slab * bs);
     let slot_bytes = Slab.obj_header + Slab.obj_size slab in
     let to_free = ref [] in
+    let scan p slot =
+      if which = `Inode && Reach.mem reach p then scan_extents bm p slot
+    in
     let cache =
-      Slab.segment_cache slab seg (fun p flags ->
+      Slab.segment_cache slab seg
+        ~unreadable:(fun p -> scan p None)
+        (fun p flags slot ->
+          scan p slot;
           if flags <> 0 && not (Reach.mem reach p) then
             if Region.range_poisoned r (p - Slab.obj_header) slot_bytes
             then begin
@@ -1218,14 +1257,6 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
       !to_free;
     caches.(i) <- Some cache
   in
-  let sweep_inode bm inode =
-    let extent addr blocks = mark_range bm addr (blocks * bs) in
-    let overflow b = mark_range bm b Inode.overflow_bytes in
-    try
-      try scan_inode r inode ~extent ~overflow
-      with Region.Media_error _ -> scan_inode_fields r inode ~extent ~overflow
-    with Region.Media_error _ -> incr quarantined
-  in
   let do_sweep ~worker task =
     incr sweep_tasks;
     let bm = bitmaps.(worker) in
@@ -1236,10 +1267,6 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
           Dirblock.iter_chain r head (fun _ b ->
               mark_range bm b (Dirblock.size_of r b))
         with Region.Media_error _ -> ())
-    | Sweep_inodes (arr, lo, hi) ->
-        for k = lo to hi - 1 do
-          sweep_inode bm arr.(k)
-        done
     | Sweep_spills (arr, lo, hi) ->
         (* the ranges mark read with each long-named entry; the root's
            name "/" is inline *)
@@ -1250,45 +1277,31 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
         done
     | Mark _ -> assert false
   in
-  let slice pool arr mk =
-    let n = Array.length arr in
-    let lo = ref 0 in
-    while !lo < n do
-      let hi = min n (!lo + sweep_slice) in
-      Workpool.push pool (mk arr !lo hi);
-      lo := hi
-    done
-  in
-  let run_sweep pool =
-    run_pool pool (fun ~worker task ->
-        try do_sweep ~worker task
-        with Region.Media_error _ -> incr quarantined)
-  in
-  (* Two fenced phases: the scan phase scrubs torn extent slots (writes
-     into reachable inodes) and block-marks chains/extents/spills; the
-     segment phase bulk-snapshots whole segments (reads every slot),
-     frees the unreachable ones and builds each segment's share of the
-     free cache.  Splitting them keeps any task's writes out of another
-     concurrent task's read set — within a phase tasks touch disjoint
-     media, across phases the pool's fork/join fences order them. *)
-  let pool_scan = Workpool.create () in
-  Array.iter
-    (fun head -> Workpool.push pool_scan (Sweep_chain head))
-    (Reach.to_sorted_array g_dirhead);
-  slice pool_scan (Reach.to_sorted_array g_inode) (fun a lo hi ->
-      Sweep_inodes (a, lo, hi));
-  slice pool_scan (Reach.to_sorted_array g_fentry) (fun a lo hi ->
-      Sweep_spills (a, lo, hi));
-  run_sweep pool_scan;
-  end_pass "scan";
-  let pool_seg = Workpool.create () in
+  (* One pool.  A segment task bulk-snapshots its segment, scrubs and
+     block-marks the extents of its reachable inodes from that snapshot,
+     frees its unreachable slots and builds its share of the free cache;
+     chain and spill tasks block-mark.  Writes stay disjoint from every
+     other task's reads: a segment task writes only its own slots and its
+     own inodes' overflow blocks, and chain and spill tasks write nothing,
+     so no phase split or barrier is needed between them. *)
+  let pool = Workpool.create () in
   let push_segs which =
-    Array.iteri (fun i seg ->
-        Workpool.push pool_seg (Sweep_seg (which, seg, i)))
+    Array.iteri (fun i seg -> Workpool.push pool (Sweep_seg (which, seg, i)))
   in
   push_segs `Inode inode_segs;
   push_segs `Fentry fentry_segs;
-  run_sweep pool_seg;
+  Array.iter
+    (fun head -> Workpool.push pool (Sweep_chain head))
+    (Reach.to_sorted_array g_dirhead);
+  let entries = Reach.to_sorted_array g_fentry in
+  let n = Array.length entries in
+  for k = 0 to ((n + sweep_slice - 1) / sweep_slice) - 1 do
+    let lo = k * sweep_slice in
+    Workpool.push pool (Sweep_spills (entries, lo, min n (lo + sweep_slice)))
+  done;
+  run_pool pool (fun ~worker task ->
+      try do_sweep ~worker task
+      with Region.Media_error _ -> incr quarantined);
   end_pass "segments";
 
   (* merged bitmap, free-list rebuild, volatile caches *)
@@ -1354,7 +1367,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
                 (fun i seg ->
                   match caches.(i) with
                   | Some c -> c
-                  | None -> Slab.segment_cache slab seg (fun _ f -> f))
+                  | None -> Slab.segment_cache slab seg (fun _ f _ -> f))
                 segs))
       in
       install inode_slab inode_segs inode_caches;

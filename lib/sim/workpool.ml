@@ -1,8 +1,8 @@
 (** A deterministic dynamic task pool with three interchangeable drivers.
 
     Recovery (and any future bulk scan) decomposes its work into tasks —
-    directory subtrees for the mark pass, slab segments and inode slices
-    for the sweep — and pushes them into a shared frontier.  Tasks may
+    directory subtrees for the mark pass, slab segments and directory
+    chains for the sweep — and pushes them into a shared frontier.  Tasks may
     push further tasks while executing (the mark frontier grows as
     subdirectories are discovered).  The pool then runs the *same* task
     set under one of three drivers:

@@ -333,7 +333,7 @@ let test_recovery_machine_counters () =
   let passes = r.Simurgh_core.Recovery.pass_cycles in
   Alcotest.(check (list string))
     "passes"
-    [ "mark"; "scan"; "segments"; "rebuild" ]
+    [ "mark"; "segments"; "rebuild" ]
     (List.map fst passes);
   let sum =
     List.fold_left

@@ -378,29 +378,32 @@ let test_parallel_matches_sequential () =
     (rv.Recovery.vtime_cycles > 0.0);
   fsck_clean "fibers recovery fsck" region
 
-(* The broken-parallel-sweep negative control: dropping every mark
-   shard but worker 0's loses the subtree marks made by other workers,
-   so the sweep frees reachable objects and the checker must object —
-   proving the checker actually guards the parallel merge.  A full
-   recovery afterwards converges the damaged image back to clean.  The
-   image has three directories and a pending log in /a, which the
-   confirming pass marks again on worker 0 after the barrier; with two
-   workers the root and /a/b also land on worker 0, so three workers
-   are needed for a committed record (/a/b's) to come from another. *)
+(* The broken-merge negative control: dropping the marks of every
+   other committed directory record loses reachable objects' marks, so
+   the sweep frees them and the checker must object — proving the
+   checker actually guards the merge.  The records dropped do not
+   depend on which worker made them, so the control fires at any worker
+   count.  A full recovery afterwards converges the damaged image back
+   to clean. *)
 let test_drop_mark_shard_flags () =
-  let region = crashed_fixture () in
-  Fs.invalidate_shared region;
-  let machine = Simurgh_sim.Machine.create () in
-  let _ =
-    Recovery.run
-      ~par:(Recovery.Vtime { machine; workers = 3 })
-      ~drop_mark_shard:true region
-  in
-  Alcotest.(check bool) "checker flags the lost marks" true
-    (Simurgh_core.Check.run region <> []);
-  Fs.invalidate_shared region;
-  let _ = Recovery.run region in
-  fsck_clean "full recovery converges the damage" region
+  List.iter
+    (fun workers ->
+      let region = crashed_fixture () in
+      Fs.invalidate_shared region;
+      let machine = Simurgh_sim.Machine.create () in
+      let _ =
+        Recovery.run
+          ~par:(Recovery.Vtime { machine; workers })
+          ~drop_mark_shard:true region
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "checker flags the lost marks (%d workers)" workers)
+        true
+        (Simurgh_core.Check.run region <> []);
+      Fs.invalidate_shared region;
+      let _ = Recovery.run region in
+      fsck_clean "full recovery converges the damage" region)
+    [ 2; 3 ]
 
 (* A fixed crash image for the golden test: 12 directories of 60
    files (more than one sweep slice of inodes and file entries), a
@@ -463,11 +466,11 @@ let test_golden_recovery () =
     "files=772 dirs=14 symlinks=1 completed_deletes=0 completed_renames=0 \
      rolled_back=1 reclaimed(inodes=9 fentries=6) busy_cleared=0 \
      blocks(used=1116 free=261009) quarantined=0 retries=0 passes=2 \
-     tasks(mark=15 sweep=27)"
+     tasks(mark=15 sweep=25)"
   in
   let digest = "c2b9f0e9b4cfcb2ae96dc28dacf3a768" in
   let accesses =
-    "loads=2230 stores=126 load_bytes=427618 store_bytes=2134 fences=106"
+    "loads=1443 stores=126 load_bytes=370954 store_bytes=2134 fences=106"
   in
   List.iter
     (fun (what, par, cycles) ->
@@ -480,14 +483,12 @@ let test_golden_recovery () =
       ("seq", Recovery.Seq, "0x0p+0");
       ( "vtime 1 worker",
         vtime 1,
-        "0x1.028809d89d89ep+18 mark=0x1.c48b44ec4ec5p+16 \
-         scan=0x1.a5eb13b13b13cp+15 \
-         segments=0x1.5c10d89d89d88p+16 rebuild=0x1.68e800000002p+12" );
+        "0x1.a1084ec4ec4ecp+17 mark=0x1.c48b44ec4ec5p+16 \
+         segments=0x1.66f6d89d89d88p+16 rebuild=0x1.68e8p+12" );
       ( "vtime 4 workers",
         vtime 4,
-        "0x1.dd0f357d12a0cp+16 mark=0x1.b74ed89d89d8ap+15 \
-         scan=0x1.08aac4ec4ec4ep+15 \
-         segments=0x1.9a0f9ae09948p+14 rebuild=0x1.68e8p+12" );
+        "0x1.58b9d306eb3e4p+16 mark=0x1.b74ed89d89d8ap+15 \
+         segments=0x1.9a0f9ae09947cp+14 rebuild=0x1.68e8p+12" );
     ]
 
 (* The mark set against a Hashtbl reference: random adds, removes and
@@ -679,50 +680,133 @@ let inode_reference r inode =
   ov (Region.read_u62 r (Inode.f_overflow inode));
   List.rev !marks
 
+(* [inode]'s extent slots and a fresh chain of overflow blocks, one per
+   list of [chain], written through Inode's field accessors *)
+let write_inode layout inode (inline, chain) =
+  let r = layout.Layout.region in
+  Region.write_u8 r (inode - Slab.obj_header) Slab.flag_valid;
+  Inode.init r inode ~mode:(Inode.mode_of_kind Inode.File) ~uid:0 ~gid:0
+    ~now:0;
+  List.iteri
+    (fun k (addr, blocks) -> Inode.write_extent r inode k ~addr ~blocks)
+    inline;
+  let link =
+    List.fold_right
+      (fun slots next ->
+        let b = alloc_blocks layout Inode.overflow_bytes in
+        Region.zero r b Inode.overflow_bytes;
+        List.iteri
+          (fun k (addr, blocks) -> Inode.write_ov_extent r b k ~addr ~blocks)
+          slots;
+        Region.write_u62 r (Inode.ov_next b) next;
+        b)
+      chain 0
+  in
+  Region.write_u62 r (Inode.f_overflow inode) link
+
+(* The inode slab's first segment and its slot [i]'s inode *)
+let inode_slot layout i =
+  let slab = layout.Layout.inode_slab in
+  let seg = ref 0 in
+  Slab.iter_segments slab (fun s -> if !seg = 0 then seg := s);
+  (!seg, Slab.payload (Slab.obj_addr slab !seg i))
+
+(* The sweep's entry point: scan every inode of [inodes] from its slot
+   in the segment snapshot *)
+let scan_segment layout seg inodes ~marks =
+  Slab.iter_segment_objects layout.Layout.inode_slab seg (fun p _ slot ->
+      if List.mem p inodes then
+        Recovery.scan_inode layout.Layout.region (Option.get slot) p
+          ~extent:(fun a n -> marks p (`Extent (a, n)))
+          ~overflow:(fun b -> marks p (`Overflow b)))
+
 let prop_inode_snapshot =
   QCheck.Test.make ~name:"inode snapshot scan equals the field reads"
-    ~count:200
+    ~count:300
     (QCheck.make
        QCheck.Gen.(
-         pair
+         triple
+           (* a slot of the 256 in an inode segment, the ends included *)
+           (oneof [ oneofl [ 0; 255 ]; int_bound 255 ])
            (list_repeat Inode.inline_extents gen_slot)
            (list_size (int_bound 3)
               (list_repeat Inode.overflow_entries gen_slot))))
-    (fun (inline, chain) ->
+    (fun (i, inline, chain) ->
       let layout = small_layout ~secure:false in
       let r = layout.Layout.region in
-      let inode = Option.get (Slab.alloc layout.Layout.inode_slab) in
-      Inode.init r inode ~mode:(Inode.mode_of_kind Inode.File) ~uid:0 ~gid:0
-        ~now:0;
-      List.iteri
-        (fun k (addr, blocks) -> Inode.write_extent r inode k ~addr ~blocks)
-        inline;
-      let link =
-        List.fold_right
-          (fun slots next ->
-            let b = alloc_blocks layout Inode.overflow_bytes in
-            Region.zero r b Inode.overflow_bytes;
-            List.iteri
-              (fun k (addr, blocks) -> Inode.write_ov_extent r b k ~addr ~blocks)
-              slots;
-            Region.write_u62 r (Inode.ov_next b) next;
-            b)
-          chain 0
-      in
-      Region.write_u62 r (Inode.f_overflow inode) link;
+      let seg, inode = inode_slot layout i in
+      write_inode layout inode (inline, chain);
       let cp = Region.checkpoint r in
       let run scan =
         Region.restore r cp;
         let marks = ref [] in
-        scan r inode
-          ~extent:(fun a n -> marks := `Extent (a, n) :: !marks)
-          ~overflow:(fun b -> marks := `Overflow b :: !marks);
+        scan (fun m -> marks := m :: !marks);
         (List.rev !marks, Region.media_digest r)
       in
       Region.restore r cp;
       let want_marks = inode_reference r inode in
       let want = (want_marks, Region.media_digest r) in
-      run Recovery.scan_inode = want && run Recovery.scan_inode_fields = want)
+      run (fun mark -> scan_segment layout seg [ inode ] ~marks:(fun _ -> mark))
+      = want
+      && run (fun mark ->
+             assert (
+               Recovery.scan_inode_fields r inode
+                 ~extent:(fun a n -> mark (`Extent (a, n)))
+                 ~overflow:(fun b -> mark (`Overflow b))))
+         = want)
+
+(* Every slot of a segment at once: slot [i]'s four inline slots are the
+   base-4 digits of [i] (each empty, torn either way, or whole, so the
+   256 slots hold every combination) and its chain has [i mod 4]
+   overflow blocks.  One snapshot scan of the segment, the field reads
+   of every inode, and the reference leave the same media and make the
+   same marks per inode. *)
+let test_inode_snapshot_every_slot () =
+  let layout = small_layout ~secure:false in
+  let r = layout.Layout.region in
+  let n = layout.Layout.inode_slab.Slab.objs_per_seg in
+  let slot_of i k =
+    let a = 256 * (1 + i) and b = 1 + k in
+    match k mod 4 with 0 -> (0, 0) | 1 -> (a, 0) | 2 -> (0, b) | _ -> (a, b)
+  in
+  let inodes =
+    List.init n (fun i ->
+        let seg, inode = inode_slot layout i in
+        let digit k = (i lsr (2 * k)) land 3 in
+        write_inode layout inode
+          ( List.init Inode.inline_extents (fun k -> slot_of i (digit k)),
+            List.init (i mod 4) (fun c ->
+                List.init Inode.overflow_entries (fun k ->
+                    slot_of i (c + k + i))) );
+        (seg, inode))
+  in
+  let seg = fst (List.hd inodes) and inodes = List.map snd inodes in
+  let cp = Region.checkpoint r in
+  (* every scan visits the inodes in slot order *)
+  let run scan =
+    Region.restore r cp;
+    let marks = ref [] in
+    scan (fun p m -> marks := (p, m) :: !marks);
+    (List.rev !marks, Region.media_digest r)
+  in
+  let want =
+    run (fun mark ->
+        List.iter
+          (fun p -> List.iter (mark p) (inode_reference r p))
+          inodes)
+  in
+  Alcotest.(check bool) "snapshot scan" true
+    (run (fun mark -> scan_segment layout seg inodes ~marks:mark) = want);
+  Alcotest.(check bool) "field reads" true
+    (run (fun mark ->
+         List.iter
+           (fun p ->
+             assert (
+               Recovery.scan_inode_fields r p
+                 ~extent:(fun a n -> mark p (`Extent (a, n)))
+                 ~overflow:(fun b -> mark p (`Overflow b))))
+           inodes)
+    = want)
 
 (* --- free caches installed by the segment sweep ------------------------ *)
 
@@ -817,7 +901,7 @@ let test_fault_parity () =
     ( "files=772 dirs=14 symlinks=1 completed_deletes=0 completed_renames=0 \
        rolled_back=1 reclaimed(inodes=9 fentries=6) busy_cleared=0 \
        blocks(used=1096 free=261029) quarantined=1 retries=0 passes=2 \
-       tasks(mark=15 sweep=27)",
+       tasks(mark=15 sweep=25)",
       [ "media error at line 0xcca9 while checking" ] )
     (fault_case (fun layout resolve ->
          Inode.f_extent
@@ -828,17 +912,29 @@ let test_fault_parity () =
     ( "files=771 dirs=14 symlinks=1 completed_deletes=0 completed_renames=0 \
        rolled_back=1 reclaimed(inodes=10 fentries=6) busy_cleared=0 \
        blocks(used=1116 free=261009) quarantined=2 retries=2 passes=2 \
-       tasks(mark=15 sweep=27)",
+       tasks(mark=15 sweep=25)",
       [] )
     (fault_case (fun _ resolve ->
          let fe = resolve "/d5/f3" in
          (((fe - Slab.obj_header) / Region.line_size) + 1) * Region.line_size));
+  (* the slab header line of a reachable inode with data: its slot's
+     flags and the tail of the previous slot (its last extent slot's
+     block count and its overflow pointer) *)
+  check "inode slab header line"
+    ( "files=772 dirs=14 symlinks=1 completed_deletes=0 completed_renames=0 \
+       rolled_back=1 reclaimed(inodes=9 fentries=6) busy_cleared=0 \
+       blocks(used=1116 free=261009) quarantined=1 retries=0 passes=2 \
+       tasks(mark=15 sweep=25)",
+      [ "media error at line 0xcca8 while checking" ] )
+    (fault_case (fun layout resolve ->
+         Fentry.target layout.Layout.region (resolve "/a/b/data")
+         - Slab.obj_header));
   (* the flags line of the first leaked inode, in the newest segment *)
   check "slab segment line"
     ( "files=772 dirs=14 symlinks=1 completed_deletes=0 completed_renames=0 \
        rolled_back=1 reclaimed(inodes=8 fentries=6) busy_cleared=0 \
        blocks(used=1116 free=261009) quarantined=0 retries=0 passes=2 \
-       tasks(mark=15 sweep=27)",
+       tasks(mark=15 sweep=25)",
       [] )
     (fault_case (fun layout _ ->
          let slab = layout.Layout.inode_slab in
@@ -891,6 +987,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_entry_snapshot;
           QCheck_alcotest.to_alcotest prop_inode_snapshot;
+          Alcotest.test_case "inode snapshot scan at every slot" `Quick
+            test_inode_snapshot_every_slot;
           Alcotest.test_case "installed free caches equal a rebuild" `Quick
             test_installed_free_caches;
           Alcotest.test_case "media faults: report and checker pinned" `Quick
