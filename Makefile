@@ -9,9 +9,10 @@ test: build
 	dune runtest
 
 # Full gate: build + unit/property/differential tests (four POSIX-suite
-# passes: default, striped, log-ring, range) + a quick smoke run of the
-# region data-path microbenchmark, the bounded crash-image explorer /
-# media-fault / checker experiment (including the log-ring rename
+# passes: default, scaled, log-ring, range) and the five examples + a
+# quick smoke run of the region data-path microbenchmark, the bounded
+# crash-image explorer / media-fault / checker experiment (including
+# the log-ring rename
 # machines and the crash-during-recovery re-entrancy machines), the
 # metadata-scalability sweep, the data-path scaling + open-loop
 # experiment, the parallel mark-and-sweep recovery figure, the

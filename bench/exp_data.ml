@@ -49,8 +49,7 @@ let wl_name = function
    only delta is the data-path protocol. *)
 let fresh ~range ~region_mb =
   let region = Region.create (region_mb * 1024 * 1024) in
-  Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true ~alloc_caches:true
-    ~range_locks:range region
+  Fs.mkfs ~euid:0 ~scaled:true ~range_locks:range region
 
 (* Appends grow the file by [threads * ops * io]; everything else works
    in place on a small pre-sized file. *)

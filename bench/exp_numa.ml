@@ -48,7 +48,7 @@ let run_bw ~regions ~ops =
   let machine = Machine.create () in
   let sh =
     Shard.mkfs ~machine ~prefix:(Printf.sprintf "r%d/region" regions)
-      ~regions ~euid:0 ~striped_locks:true ~rcache:true ~alloc_caches:true
+      ~regions ~euid:0 ~scaled:true
       (64 * 1024 * 1024)
   in
   let dirs =

@@ -14,6 +14,12 @@ module Recovery = Simurgh_core.Recovery
 
 exception Power_failure
 
+let require what ok =
+  if not ok then begin
+    prerr_endline ("crash_recovery: invariant failed: " ^ what);
+    exit 1
+  end
+
 let () =
   let region =
     Simurgh_nvmm.Region.create ~mode:Simurgh_nvmm.Region.Strict
@@ -54,12 +60,15 @@ let () =
   let in_archive = Fs.exists fs' "/archive/mail07" in
   Printf.printf "mail07: inbox=%b archive=%b (exactly one must hold)\n"
     in_inbox in_archive;
-  assert (in_inbox <> in_archive);
+  require "mail07 is in exactly one directory" (in_inbox <> in_archive);
   let where = if in_inbox then "/inbox/mail07" else "/archive/mail07" in
   let fd = Fs.openf fs' Types.rdonly where in
-  Printf.printf "its content survived: %S\n"
-    (Bytes.to_string (Fs.pread fs' fd ~pos:0 ~len:100));
+  let content = Bytes.to_string (Fs.pread fs' fd ~pos:0 ~len:100) in
+  Printf.printf "its content survived: %S\n" content;
+  require "mail07's content survived" (content = "do not lose this");
   Fs.close fs' fd;
-  Printf.printf "other messages intact: %d in /inbox\n"
-    (List.length (Fs.readdir fs' "/inbox"));
+  let others = List.length (Fs.readdir fs' "/inbox") in
+  Printf.printf "other messages intact: %d in /inbox\n" others;
+  require "/inbox keeps its other messages"
+    (others = if in_inbox then 20 else 19);
   print_endline "crash recovery done"

@@ -6,6 +6,12 @@
 open Simurgh_fs_common
 module Fs = Simurgh_core.Fs
 
+let require what ok =
+  if not ok then begin
+    prerr_endline ("quickstart: invariant failed: " ^ what);
+    exit 1
+  end
+
 let () =
   (* 1. A 64 MiB simulated NVMM region (stands in for an mmap'ed
         /dev/dax namespace). *)
@@ -30,6 +36,8 @@ let () =
   Printf.printf "wrote %d bytes\n" n;
   let back = Fs.pread fs fd ~pos:0 ~len:n in
   Printf.printf "read back: %s" (Bytes.to_string back);
+  require "the bytes read back are the bytes written"
+    (Bytes.to_string back = text);
   Fs.close fs fd;
 
   (* 5. Metadata operations. *)
@@ -49,6 +57,7 @@ let () =
   (* 7. Remount: everything is persistent in the region. *)
   Fs.unmount fs;
   let fs2 = Fs.mount ~euid:0 ~egid:0 region in
-  Printf.printf "after remount, README still has %d bytes\n"
-    (Fs.stat fs2 "/projects/simurgh/README").Types.size;
+  let size = (Fs.stat fs2 "/projects/simurgh/README").Types.size in
+  Printf.printf "after remount, README still has %d bytes\n" size;
+  require "README keeps its size across the remount" (size = n);
   print_endline "quickstart done"

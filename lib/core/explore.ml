@@ -56,12 +56,12 @@ let point_label = function
 
 (* -- the explorer config ----------------------------------------------- *)
 
-(** How the explored file system is formatted and mounted.  [scaled]
-    turns on the volatile scalability features (striped locks, resolve
-    cache, allocator caches), [range] the byte-range data-path locks,
-    [ring] the rename-log ring size (0 = single slot) and [secure] the
-    security plane.  Every mount of a config uses the same flags, so
-    recovery and post-crash traffic run through the configured paths. *)
+(** How the explored file system is formatted.  [scaled] turns on the
+    scalability protocol (striped locks, resolve cache, allocator
+    caches), [range] the byte-range data-path locks, [ring] the
+    rename-log ring size (0 = single slot) and [secure] the security
+    plane.  The format word records them, so recovery and post-crash
+    traffic run through the configured paths. *)
 type config = { scaled : bool; range : bool; ring : int; secure : bool }
 
 let plain = { scaled = false; range = false; ring = 0; secure = false }
@@ -69,22 +69,20 @@ let striped = { plain with scaled = true }
 let ranged = { striped with range = true }
 
 let mkfs ?(cores = 2) c region =
-  Fs.mkfs ~cores ~euid:0 ~striped_locks:c.scaled ~rcache:c.scaled
-    ~alloc_caches:c.scaled ~range_locks:c.range ~log_ring:c.ring
-    ~secure:c.secure region
+  Fs.mkfs ~cores ~euid:0 ~scaled:c.scaled ~range_locks:c.range
+    ~log_ring:c.ring ~secure:c.secure region
 
 (* Mount a fresh FS handle on [region] as a new "process" would: the
    shared volatile state is discarded (a crash wiped DRAM) and rebuilt
    from NVMM, so the image must have been unmounted cleanly or
    recovered. *)
-let mount c region =
+let mount region =
   Fs.invalidate_shared region;
   (* a dead process's page-table mappings die with it: if the crashed
      mount had guarded the region (secure mode), the new process starts
      unguarded until it installs its own protection *)
   Region.clear_guard region;
-  Fs.mount ~euid:0 ~striped_locks:c.scaled ~rcache:c.scaled
-    ~alloc_caches:c.scaled ~range_locks:c.range region
+  Fs.mount ~euid:0 region
 
 let default_size = 4 lsl 20
 
@@ -291,7 +289,7 @@ let run ?seed ?max_exhaustive ?samples ?(size = default_size)
   setup fs;
   Fs.unmount fs;
   explore ?seed ?max_exhaustive ?samples ~regions:[| region |]
-    ~mount:(fun () -> mount config region)
+    ~mount:(fun () -> mount region)
     ~fss:(fun fs -> [| fs |])
     ?verify op
 
@@ -357,7 +355,7 @@ let run_reentrant ?(seed = 11L) ?(max_exhaustive = 8) ?(samples = 12)
   Region.persist_all region;
   let cp0 = Region.checkpoint region in
   let start_op () =
-    let fs = mount plain region in
+    let fs = mount region in
     fun hook ->
       Fs.set_crash_hook fs hook;
       op fs

@@ -84,21 +84,9 @@ type t = {
   mutable euid : int;
   mutable egid : int;
   call_mode : call_mode;
-  relaxed_writes : bool;
-      (** disable the per-file write lock (Fig. 7k "relaxed") *)
-  coarse_dir_locks : bool;
-      (** ablation: one lock per directory instead of per-line busy
-          flags — the "whole-directory lock" counterfactual *)
   rcache : Rcache.t option;
       (** Simurgh-side DRAM resolve cache (shared across mounts);
           [None] = seed behavior, every component scanned in NVMM *)
-  range_locks : bool;
-      (** byte-range data-path locking: writers hold only the 4 KiB
-          rows they touch, appends reserve bytes with a fetch-and-add
-          and publish the size in order, and whole-file operations
-          (truncate, O_TRUNC, unlink) fence everyone out through an
-          exclusive pass over the per-file lock.  Off = seed behavior,
-          one rwlock per file around every data operation. *)
   log_ring : int;
       (** format-time rename-log ring size (from the superblock): each
           directory's first hash block carries this many log slots, and
@@ -210,19 +198,32 @@ let bootstrap_penv ~euid ~egid =
   Hw.Protected.seal univ;
   penv
 
-let of_layout ?(call_mode = Protected) ?(relaxed_writes = false)
-    ?(coarse_dir_locks = false) ?(striped_locks = false) ?(rcache = false)
-    ?(range_locks = false) ?shared ?(euid = 1000) ?(egid = 1000) layout =
-  (* [shared] joins an existing mount's shared-DRAM state; otherwise the
-     requested feature flags shape a fresh registry/cache *)
-  let locks, rc, quota =
-    match shared with
-    | Some (locks, rc, quota) -> (locks, rc, quota)
-    | None ->
-        ( Locks.create ~striped:striped_locks ~range:range_locks (),
-          (if rcache then Some (Rcache.create ()) else None),
-          Quota.create () )
-  in
+(* Shared-DRAM state per region (paper Section 4: concurrent processes
+   are "coordinated through accesses to NVMM and shared DRAM").  Every
+   mount of the same region must share the volatile allocator state
+   (the block free lists and the slab free caches) and the lock
+   registry, otherwise two "processes" would hand out the same blocks
+   and objects.  The state lives in the region's user slot, so its
+   lifetime is exactly the region's (no global registry to leak), and
+   counts the live mounts so that only the last one checkpoints. *)
+type shared = {
+  s_layout : Layout.t;
+  s_locks : Locks.t;
+  s_rcache : Rcache.t option;
+  s_quota : Quota.t;
+  mutable s_mounts : int;
+}
+
+exception Shared_state of shared
+
+let lookup_shared region =
+  match Region.user_slot region with
+  | Some (Shared_state s) -> Some s
+  | Some _ | None -> None
+
+(* A process's handle on the region's shared state [s] *)
+let of_shared ?(call_mode = Protected) ?(euid = 1000) ?(egid = 1000) s =
+  let layout = s.s_layout and locks = s.s_locks and rc = s.s_rcache in
   let fs =
     {
       layout;
@@ -232,16 +233,13 @@ let of_layout ?(call_mode = Protected) ?(relaxed_writes = false)
       euid;
       egid;
       call_mode;
-      relaxed_writes;
-      coarse_dir_locks;
       rcache = rc;
-      range_locks = Locks.range locks;
       log_ring = layout.Layout.log_ring;
       crash_hook = ignore;
       logical_time = 0;
       eio_returns = ref 0;
       secure = layout.Layout.secure;
-      quota;
+      quota = s.s_quota;
       penv = bootstrap_penv ~euid ~egid;
       unmounted = false;
     }
@@ -291,108 +289,68 @@ let of_layout ?(call_mode = Protected) ?(relaxed_writes = false)
           ]);
   fs
 
-(* Shared-DRAM state per region (paper Section 4: concurrent processes
-   are "coordinated through accesses to NVMM and shared DRAM").  Every
-   mount of the same region must share the volatile allocator state
-   (the block free lists and the slab free caches) and the lock
-   registry, otherwise two "processes" would hand out the same blocks
-   and objects.  The state lives in the region's user slot, so its
-   lifetime is exactly the region's (no global registry to leak), and
-   counts the live mounts so that only the last one checkpoints. *)
-type shared = {
-  s_layout : Layout.t;
-  s_locks : Locks.t;
-  s_rcache : Rcache.t option;
-  s_quota : Quota.t;
-  mutable s_mounts : int;
-}
-
-exception Shared_state of shared
-
-let lookup_shared region =
-  match Region.user_slot region with
-  | Some (Shared_state s) -> Some s
-  | Some _ | None -> None
-
-(** Make [layout] and the given volatile structures the region's live
-    shared state, with one mount. *)
-let register_shared region layout locks rcache quota =
-  Region.set_user_slot region
-    (Some
-       (Shared_state
-          {
-            s_layout = layout;
-            s_locks = locks;
-            s_rcache = rcache;
-            s_quota = quota;
-            s_mounts = 1;
-          }))
-
-(* [alloc_caches] turns on the allocators' per-thread structures; they
-   hang off the (shared) layout, so one enable covers every mount. *)
-let enable_alloc_caches layout =
-  Simurgh_alloc.Block_alloc.set_thread_segments layout.Layout.balloc true;
-  Simurgh_alloc.Slab_alloc.set_thread_caches layout.Layout.inode_slab true;
-  Simurgh_alloc.Slab_alloc.set_thread_caches layout.Layout.fentry_slab true
-
-(** Format a fresh region and return a mounted file system.  [log_ring]
-    selects the rename-log ring size at format time (0 = the paper's
-    single per-directory log slot, on-media bit-identical). *)
-let mkfs ?(cores = 10) ?segments ?call_mode ?relaxed_writes ?coarse_dir_locks
-    ?striped_locks ?rcache ?range_locks ?(alloc_caches = false) ?log_ring
-    ?shard ?secure ?euid ?egid region =
-  let layout = Layout.format ?segments ?log_ring ?shard ?secure region ~cores in
-  make_root layout;
-  let fs =
-    of_layout ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks
-      ?rcache ?range_locks ?euid ?egid layout
+(** Bring [layout] up as the region's first live mount: fresh shared
+    state on the format's protocol (with the allocators' per-thread
+    structures when the format is scaled) registered in the region, the
+    clean flag cleared, and a handle on it.  {!mkfs}, a {!mount} with no
+    live mount and recovery all end here. *)
+let bring_up ?call_mode ?euid ?egid layout =
+  let scaled = layout.Layout.scaled and range = layout.Layout.range_locks in
+  let s =
+    {
+      s_layout = layout;
+      s_locks = Locks.create ~striped:scaled ~range ();
+      s_rcache = (if scaled then Some (Rcache.create ()) else None);
+      s_quota = Quota.create ();
+      s_mounts = 1;
+    }
   in
-  if alloc_caches then enable_alloc_caches layout;
-  register_shared region layout fs.locks fs.rcache fs.quota;
+  let fs = of_shared ?call_mode ?euid ?egid s in
+  if scaled then begin
+    (* the per-thread structures hang off the (shared) layout, so one
+       enable covers every mount *)
+    Simurgh_alloc.Block_alloc.set_thread_segments layout.Layout.balloc true;
+    Simurgh_alloc.Slab_alloc.set_thread_caches layout.Layout.inode_slab true;
+    Simurgh_alloc.Slab_alloc.set_thread_caches layout.Layout.fentry_slab true
+  end;
+  Region.set_user_slot fs.region (Some (Shared_state s));
   (* the FS is live from here: only a clean [unmount] sets the flag
      back, so a crash leaves it clear and forces full recovery *)
   Layout.set_clean_shutdown layout false;
   fs
 
+(** Format a fresh region and return a mounted file system.  [log_ring]
+    selects the rename-log ring size (0 = the paper's single
+    per-directory log slot, on-media bit-identical).  The protocol is
+    chosen here and recorded in the superblock's format word, which
+    every later mount and recovery reads: [scaled] turns on striped
+    directory locks, the DRAM resolve cache and per-thread allocator
+    caches, [range_locks] the byte-range data path, [coarse_dir_locks]
+    one lock per directory (an ablation) and [relaxed_writes] no per-file
+    write lock (Fig. 7k "relaxed"). *)
+let mkfs ?(cores = 10) ?segments ?call_mode ?relaxed_writes ?coarse_dir_locks
+    ?scaled ?range_locks ?log_ring ?shard ?secure ?euid ?egid region =
+  let layout =
+    Layout.format ?segments ?log_ring ?shard ?secure ?scaled ?range_locks
+      ?coarse_dir_locks ?relaxed_writes region ~cores
+  in
+  make_root layout;
+  bring_up ?call_mode ?euid ?egid layout
+
 (** Attach to an already-formatted region: a second mount of a region
     joins the existing shared-DRAM state (allocator state, locks,
     resolve cache), so independent "processes" cooperate exactly as the
-    paper describes; only the open-file map and the credentials are
-    per-process.  A joining mount inherits the first mount's
-    [striped_locks], [rcache], [range_locks] and [alloc_caches]; passing
-    one that disagrees raises [Invalid_argument].  With no live shared
-    state the region must have been unmounted cleanly (or recovered):
-    a crash image raises [Invalid_argument], and is mounted with
+    paper describes; only the open-file map, the entry mode and the
+    credentials are per-process.  Every mount runs the protocol the
+    region was formatted with (see {!mkfs}).  With no live shared state
+    the region must have been unmounted cleanly (or recovered): a crash
+    image raises [Invalid_argument], and is mounted with
     {!Recovery.mount_auto}. *)
-let mount ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks ?rcache
-    ?range_locks ?alloc_caches ?euid ?egid region =
+let mount ?call_mode ?euid ?egid region =
   match lookup_shared region with
   | Some s ->
-      (* joining mounts inherit the shared structures and with them the
-         first mount's feature flags, [range_locks]'s data-path protocol
-         included; an explicit flag that disagrees would silently run a
-         second protocol next to the first, so it is refused *)
-      let agree flag want have =
-        match want with
-        | Some w when w <> have ->
-            invalid_arg
-              (Printf.sprintf
-                 "Fs.mount: %s=%b, but the region is mounted with %s=%b" flag
-                 w flag have)
-        | _ -> ()
-      in
-      agree "striped_locks" striped_locks (Locks.striped s.s_locks);
-      agree "rcache" rcache (Option.is_some s.s_rcache);
-      agree "range_locks" range_locks (Locks.range s.s_locks);
-      agree "alloc_caches" alloc_caches
-        (Simurgh_alloc.Block_alloc.thread_segments s.s_layout.Layout.balloc);
-      let fs =
-        of_layout ?call_mode ?relaxed_writes ?coarse_dir_locks
-          ~shared:(s.s_locks, s.s_rcache, s.s_quota)
-          ?euid ?egid s.s_layout
-      in
       s.s_mounts <- s.s_mounts + 1;
-      fs
+      of_shared ?call_mode ?euid ?egid s
   | None ->
       if not (Layout.clean_shutdown_of_region region) then
         invalid_arg
@@ -401,14 +359,7 @@ let mount ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks ?rcache
       let layout = Layout.attach region in
       Simurgh_alloc.Slab_alloc.rebuild_cache layout.Layout.inode_slab;
       Simurgh_alloc.Slab_alloc.rebuild_cache layout.Layout.fentry_slab;
-      let fs =
-        of_layout ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks
-          ?rcache ?range_locks ?euid ?egid layout
-      in
-      if alloc_caches = Some true then enable_alloc_caches layout;
-      register_shared region layout fs.locks fs.rcache fs.quota;
-      Layout.set_clean_shutdown layout false;
-      fs
+      bring_up ?call_mode ?euid ?egid layout
 
 (** Forget the shared state of a region (after a crash, the volatile
     state is gone by definition; {!Recovery} calls this). *)
@@ -437,9 +388,6 @@ let unmount t =
 let region t = t.region
 let layout t = t.layout
 let locks t = t.locks
-let locks_of t = t.locks
-let rcache_of t = t.rcache
-let quota_of t = t.quota
 let set_crash_hook t f = t.crash_hook <- f
 let set_creds t ~euid ~egid =
   t.euid <- euid;
@@ -766,7 +714,7 @@ let release_row ctx (r : Locks.row) () =
    row; its release clears the row's pin, so an insert that fails
    between its probe and its fill leaves no block pinned. *)
 let lock_row ?ctx t (d : dirref) row f =
-  let row = if t.coarse_dir_locks then 0 else row in
+  let row = if t.layout.Layout.coarse_dir_locks then 0 else row in
   let r = Locks.row_lock t.locks ~dir:d.dhead ~row in
   (match ctx with
   | None -> ()
@@ -1723,7 +1671,7 @@ let remove_entry ?ctx t (w : Hw.Protected.privileged) (d : dirref) ~name:n
                drains them all before the inode and its blocks go away.
                Safe under the directory row lock — data ops never wait
                on directory rows, so the holders always finish. *)
-            (if t.range_locks then
+            (if t.layout.Layout.range_locks then
                match ctx with
                | None -> ()
                | Some c ->
@@ -2147,7 +2095,7 @@ let openf ?ctx t (flags : Types.open_flags) path =
          Charge.write_lines ?ctx 2
        end
      in
-     if t.range_locks then
+     if t.layout.Layout.range_locks then
        with_fence_excl ?ctx t inode (fun () ->
            trunc_body ();
            let st = state_of ?ctx t inode in
@@ -2175,7 +2123,7 @@ let fd_entry t fd =
   | None -> Errno.raise_ EBADF (string_of_int fd)
 
 let with_write_lock ?ctx t inode f =
-  if t.relaxed_writes then f ()
+  if t.layout.Layout.relaxed_writes then f ()
   else
     match ctx with
     | None -> f ()
@@ -2186,7 +2134,7 @@ let with_write_lock ?ctx t inode f =
         Simurgh_sim.Vlock.Rw.with_write c l f
 
 let with_read_lock ?ctx t inode f =
-  if t.relaxed_writes then f ()
+  if t.layout.Layout.relaxed_writes then f ()
   else
     match ctx with
     | None -> f ()
@@ -2207,7 +2155,8 @@ let pwrite ?ctx t fd ~pos src =
     Errno.raise_ EINVAL (Printf.sprintf "pwrite pos %d + len overflow" pos);
   let e = fd_entry t fd in
   if e.Openfile.mode = Openfile.Rdonly then Errno.raise_ EBADF "read-only fd";
-  if t.range_locks then range_pwrite ?ctx t w e.Openfile.inode ~pos src
+  if t.layout.Layout.range_locks then
+    range_pwrite ?ctx t w e.Openfile.inode ~pos src
   else
     with_write_lock ?ctx t e.Openfile.inode (fun () ->
         write_data ?ctx t w e.Openfile.inode ~pos src)
@@ -2218,7 +2167,7 @@ let append ?ctx t fd src =
   t.penv.g_append @@ fun w ->
   let e = fd_entry t fd in
   if e.Openfile.mode = Openfile.Rdonly then Errno.raise_ EBADF "read-only fd";
-  if t.range_locks then begin
+  if t.layout.Layout.range_locks then begin
     let newpos = range_append ?ctx t w e.Openfile.inode src in
     e.Openfile.pos <- newpos;
     Bytes.length src
@@ -2240,7 +2189,8 @@ let pread ?ctx t fd ~pos ~len =
     Errno.raise_ EINVAL (Printf.sprintf "pread pos %d + len %d overflow" pos len);
   let e = fd_entry t fd in
   if e.Openfile.mode = Openfile.Wronly then Errno.raise_ EBADF "write-only fd";
-  if t.range_locks then range_pread ?ctx t e.Openfile.inode ~pos ~len
+  if t.layout.Layout.range_locks then
+    range_pread ?ctx t e.Openfile.inode ~pos ~len
   else
     with_read_lock ?ctx t e.Openfile.inode (fun () ->
         read_data ?ctx t e.Openfile.inode ~pos ~len)
@@ -2261,7 +2211,7 @@ let fallocate ?ctx t fd ~len =
       Charge.write_lines ?ctx 1
     end
   in
-  if t.range_locks then
+  if t.layout.Layout.range_locks then
     with_fence_excl ?ctx t inode (fun () ->
         body ();
         (* the fence drained every reservation, so both words move *)
@@ -2315,7 +2265,7 @@ let truncate ?ctx t path len =
       Charge.write_lines ?ctx 1
     end
   in
-  if t.range_locks then
+  if t.layout.Layout.range_locks then
     with_fence_excl ?ctx t inode (fun () ->
         body ();
         (* nothing is in flight behind the exclusive fence: reset the

@@ -25,10 +25,18 @@ let f_root_fentry = 24 (* pptr to the root directory's file entry *)
 let f_balloc = 32 (* offset of the block-allocator header *)
 let f_inode_slab = 40
 let f_fentry_slab = 48
-let f_log_ring = 56 (* rename-log ring slots per directory; 0 = legacy *)
+let f_format = 56 (* rename-log ring size (bits 0-7) and protocol flags *)
 let f_regions = 60 (* region count of the sharded namespace; 0 = legacy 1 *)
 let f_shard = 64 (* this region's shard index within [f_regions] *)
 let f_secure = 68 (* security plane: per-fentry owner words; 0 = legacy *)
+
+(* protocol flags of the format word, above the ring size (0 = legacy
+   single slot); a default format sets none, so its word is the bare
+   ring size *)
+let bit_scaled = 0x100
+let bit_range_locks = 0x200
+let bit_coarse_dir_locks = 0x400
+let bit_relaxed_writes = 0x800
 
 type t = {
   region : Region.t;
@@ -47,6 +55,21 @@ type t = {
           as 1; the superblock words are only written when sharded, so
           single-region media stays bit-identical. *)
   shard_index : int;  (** this region's index within [regions] *)
+  scaled : bool;
+      (** Metadata-scalability protocol: striped directory locks, the
+          DRAM resolve cache and per-thread allocator caches. *)
+  range_locks : bool;
+      (** Byte-range data-path locking: writers hold only the 4 KiB
+          rows they touch, appends reserve bytes with a fetch-and-add
+          and publish the size in order, and whole-file operations
+          (truncate, O_TRUNC, unlink) fence everyone out through an
+          exclusive pass over the per-file lock.  Off = seed behavior,
+          one rwlock per file around every data operation. *)
+  coarse_dir_locks : bool;
+      (** Ablation: one lock per directory instead of per-row locks,
+          the "whole-directory lock" counterfactual. *)
+  relaxed_writes : bool;
+      (** Ablation: no per-file write lock (Fig. 7k "relaxed"). *)
   secure : bool;
       (** Security plane formatted in: file entries carry the packed
           owner/mode word at +72 (80-byte slab objects) and the protected
@@ -70,8 +93,11 @@ let set_clean_shutdown t v =
   Region.write_u8 t.region f_clean (if v then 1 else 0);
   Region.persist t.region f_clean 1
 
-let format ?segments ?(log_ring = 0) ?(shard = (0, 1)) ?(secure = false) region
-    ~cores =
+(** Format [region].  The protocol flags decide which locks a mount
+    takes, so they go to the format word, where every mount reads them. *)
+let format ?segments ?(log_ring = 0) ?(shard = (0, 1)) ?(secure = false)
+    ?(scaled = false) ?(range_locks = false) ?(coarse_dir_locks = false)
+    ?(relaxed_writes = false) region ~cores =
   let size = Region.size region in
   if size < 1 lsl 20 then invalid_arg "Layout.format: region too small";
   if log_ring < 0 || log_ring > 255 then
@@ -83,7 +109,12 @@ let format ?segments ?(log_ring = 0) ?(shard = (0, 1)) ?(secure = false) region
   Region.write_u32 region f_version version;
   Region.write_u62 region f_region_size size;
   Region.write_u62 region f_root_fentry 0;
-  Region.write_u32 region f_log_ring log_ring;
+  let bit b on = if on then b else 0 in
+  Region.write_u32 region f_format
+    (log_ring lor bit bit_scaled scaled
+    lor bit bit_range_locks range_locks
+    lor bit bit_coarse_dir_locks coarse_dir_locks
+    lor bit bit_relaxed_writes relaxed_writes);
   if regions > 1 then begin
     (* only sharded media carries the words: a single-region format
        leaves offsets 60/64 untouched (zero), so legacy images stay
@@ -137,6 +168,10 @@ let format ?segments ?(log_ring = 0) ?(shard = (0, 1)) ?(secure = false) region
     log_ring;
     regions;
     shard_index;
+    scaled;
+    range_locks;
+    coarse_dir_locks;
+    relaxed_writes;
     secure;
   }
 
@@ -160,13 +195,20 @@ let attach region =
   let slab off =
     Simurgh_alloc.Slab_alloc.attach region ~off ~block_alloc:balloc
   in
+  let w = Region.read_u32 region f_format in
+  (* a flag this code does not know would be a protocol it cannot run *)
+  if w lsr 12 <> 0 then invalid_arg "Layout.attach: unknown format flags";
   {
     region;
     balloc;
     inode_slab = slab (Region.read_u62 region f_inode_slab);
     fentry_slab = slab (Region.read_u62 region f_fentry_slab);
-    log_ring = Region.read_u32 region f_log_ring;
+    log_ring = w land 0xff;
     regions = (match Region.read_u32 region f_regions with 0 -> 1 | n -> n);
     shard_index = Region.read_u32 region f_shard;
+    scaled = w land bit_scaled <> 0;
+    range_locks = w land bit_range_locks <> 0;
+    coarse_dir_locks = w land bit_coarse_dir_locks <> 0;
+    relaxed_writes = w land bit_relaxed_writes <> 0;
     secure = Region.read_u32 region f_secure <> 0;
   }

@@ -492,7 +492,7 @@ type task =
          inodes' extents *)
   | Sweep_chain of int  (* block-mark one directory chain *)
   | Sweep_spills of int array * int * int
-      (* spill-block mark, [lo,hi), from the spills mark recorded *)
+      (* spill-block mark of the long-named entries [lo,hi) *)
 
 (* A deferred relink: a misplaced entry (interrupted same-directory
    rename, Fig. 5c steps 7-8) or an entry salvaged off a spliced
@@ -1268,12 +1268,10 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
               mark_range bm b (Dirblock.size_of r b))
         with Region.Media_error _ -> ())
     | Sweep_spills (arr, lo, hi) ->
-        (* the ranges mark read with each long-named entry; the root's
-           name "/" is inline *)
+        (* the ranges mark read with each long-named entry *)
         for k = lo to hi - 1 do
-          match Hashtbl.find_opt g_spill arr.(k) with
-          | Some (addr, len) -> mark_range bm addr len
-          | None -> ()
+          let addr, len = Hashtbl.find g_spill arr.(k) in
+          mark_range bm addr len
         done
     | Mark _ -> assert false
   in
@@ -1293,7 +1291,15 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   Array.iter
     (fun head -> Workpool.push pool (Sweep_chain head))
     (Reach.to_sorted_array g_dirhead);
-  let entries = Reach.to_sorted_array g_fentry in
+  (* an entry mark recorded a spill for can have lost its mark since, to
+     a quarantine or a failed relink: its spill is reclaimed *)
+  let entries =
+    Hashtbl.fold
+      (fun p _ acc -> if Reach.mem g_fentry p then p :: acc else acc)
+      g_spill []
+    |> Array.of_list
+  in
+  Array.sort compare entries;
   let n = Array.length entries in
   for k = 0 to ((n + sweep_slice - 1) / sweep_slice) - 1 do
     let lo = k * sweep_slice in
@@ -1435,14 +1441,11 @@ let run_all ?par ?skip_log_resolution ?drop_mark_shard regions =
     (fun region -> run ?par ?skip_log_resolution ?drop_mark_shard region)
     regions
 
-(** Recover and mount in one step. *)
-let mount_after_crash ?call_mode ?relaxed_writes ?euid ?egid region =
+(** Recover and mount in one step, on the protocol the region was
+    formatted with. *)
+let mount_after_crash ?call_mode ?euid ?egid region =
   let layout, report = run region in
-  let fs = Fs.of_layout ?call_mode ?relaxed_writes ?euid ?egid layout in
-  Fs.register_shared region layout (Fs.locks_of fs) (Fs.rcache_of fs)
-    (Fs.quota_of fs);
-  Layout.set_clean_shutdown layout false;
-  (fs, report)
+  (Fs.bring_up ?call_mode ?euid ?egid layout, report)
 
 (** Mount with the clean-shutdown fast path (paper §4.3: "if the file
     system was unmounted cleanly, no recovery is necessary").  A set
@@ -1450,15 +1453,11 @@ let mount_after_crash ?call_mode ?relaxed_writes ?euid ?egid region =
     and skip the mark-and-sweep entirely ([None]).  A clear flag means a
     crash (mounting clears it, only a clean unmount sets it back), so a
     full {!run} is performed ([Some report]). *)
-let mount_auto ?call_mode ?relaxed_writes ?euid ?egid region =
-  if Layout.clean_shutdown_of_region region then begin
-    let fs = Fs.mount ?call_mode ?relaxed_writes ?euid ?egid region in
-    (fs, None)
-  end
+let mount_auto ?call_mode ?euid ?egid region =
+  if Layout.clean_shutdown_of_region region then
+    (Fs.mount ?call_mode ?euid ?egid region, None)
   else
-    let fs, report =
-      mount_after_crash ?call_mode ?relaxed_writes ?euid ?egid region
-    in
+    let fs, report = mount_after_crash ?call_mode ?euid ?egid region in
     (fs, Some report)
 
 (** Runtime (process-crash) recovery for a single directory: repair its

@@ -48,8 +48,8 @@ type scenario = {
   name : string;
   threads : int;
   config : Explore.config;
-      (** how the region is formatted and mounted: the striped,
-          byte-range and log-ring gates are base scenarios run under
+      (** how the region is formatted: the striped, byte-range and
+          log-ring gates are base scenarios run under
           {!Explore.striped}, {!Explore.ranged} or a ring config *)
   invariant : bool;
       (** assert the namespace snapshot identical across schedules.
@@ -166,7 +166,7 @@ let run ?(seed = 11L) ?(budget = 128) ?(size = default_size) sc =
   let run_one label policy =
     incr schedules;
     Region.restore region cp0;
-    let fs = Explore.mount sc.config region in
+    let fs = Explore.mount region in
     let machine = Machine.create () in
     let race = Race.create ~threads in
     (* the block allocator's persistent segment lock words are read
@@ -483,7 +483,7 @@ let step6_scenarios =
 
 (* --- byte-range data-path scenarios ------------------------------------ *)
 
-(* All four mount with [range_locks] (plus the striped registry): one
+(* All four are formatted with [range_locks] (plus [scaled]): one
    shared file, concurrent byte-level traffic.  Writers of disjoint
    4 KiB rows must scale AND serialize correctly; the explorer proves
    the correctness half here, with zero race reports required — the
@@ -693,7 +693,7 @@ let build_crashed_image ~poison ~size =
   Fs.symlink fs ~target:"/d0/f0" "/d0/link";
   Fs.unmount fs;
   Region.persist_all region;
-  let fs = Explore.mount Explore.plain region in
+  let fs = Explore.mount region in
   Fs.create_file fs "/d1/extra0";
   Fs.create_file fs "/d1/extra1";
   Explore.crash_at [| region |]

@@ -89,8 +89,8 @@ let note_alloc_sources ~prefix t =
     short-lived shard sets under one collector, where exclusive named
     registration would (correctly) refuse the second set. *)
 let mkfs ?mode ?machine ?(obs = true) ?(prefix = "region") ?cores ?segments
-    ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks ?rcache
-    ?range_locks ?alloc_caches ?log_ring ?euid ?egid ~regions:n size =
+    ?call_mode ?relaxed_writes ?coarse_dir_locks ?scaled ?range_locks
+    ?log_ring ?euid ?egid ~regions:n size =
   if n < 1 then invalid_arg "Shard.mkfs: need at least one region";
   (match machine with
   | Some m -> Simurgh_sim.Machine.set_regions m n
@@ -105,8 +105,7 @@ let mkfs ?mode ?machine ?(obs = true) ?(prefix = "region") ?cores ?segments
     Array.mapi
       (fun i region ->
         Fs.mkfs ?cores ?segments ?call_mode ?relaxed_writes ?coarse_dir_locks
-          ?striped_locks ?rcache ?range_locks ?alloc_caches ?log_ring
-          ~shard:(i, n) ?euid ?egid region)
+          ?scaled ?range_locks ?log_ring ~shard:(i, n) ?euid ?egid region)
       regions
   in
   let t = { shards; regions } in
@@ -118,9 +117,8 @@ let mkfs ?mode ?machine ?(obs = true) ?(prefix = "region") ?cores ?segments
     region).  Each region's superblock must agree on the set size and
     carry its own index.  [~obs:false] skips the named alloc-source
     registration (see {!mkfs}). *)
-let mount ?machine ?(obs = true) ?(prefix = "region") ?call_mode
-    ?relaxed_writes ?coarse_dir_locks ?striped_locks ?rcache ?range_locks
-    ?alloc_caches ?euid ?egid regions =
+let mount ?machine ?(obs = true) ?(prefix = "region") ?call_mode ?euid ?egid
+    regions =
   let n = Array.length regions in
   if n < 1 then invalid_arg "Shard.mount: need at least one region";
   (match machine with
@@ -129,10 +127,7 @@ let mount ?machine ?(obs = true) ?(prefix = "region") ?call_mode
   let shards =
     Array.mapi
       (fun i region ->
-        let fs =
-          Fs.mount ?call_mode ?relaxed_writes ?coarse_dir_locks ?striped_locks
-            ?rcache ?range_locks ?alloc_caches ?euid ?egid region
-        in
+        let fs = Fs.mount ?call_mode ?euid ?egid region in
         let l = Fs.layout fs in
         if l.Layout.regions <> n || l.Layout.shard_index <> i then
           invalid_arg

@@ -39,14 +39,14 @@ let simurgh ?(relaxed_writes = false) () =
         Fx_simurgh.run machine fs bench ~threads ~ops);
   }
 
-(** Simurgh with the metadata-scalability features on: striped directory
-    locks, per-thread allocator caches and the DRAM resolve cache.  Same
-    on-media layout as {!fresh_simurgh} (only volatile behavior
-    differs), so seed-vs-scaled sweeps isolate the concurrency work. *)
+(** Simurgh formatted [scaled]: striped directory locks, per-thread
+    allocator caches and the DRAM resolve cache.  The image differs from
+    {!fresh_simurgh}'s only in the format word's protocol bits (the
+    rest is volatile behavior), so seed-vs-scaled sweeps isolate the
+    concurrency work. *)
 let fresh_simurgh_scaled ?(region_mb = default_region_mb) () =
   let region = Simurgh_nvmm.Region.create (region_mb * 1024 * 1024) in
-  Simurgh_core.Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true
-    ~alloc_caches:true region
+  Simurgh_core.Fs.mkfs ~euid:0 ~scaled:true region
 
 let simurgh_scaled () =
   {
@@ -61,12 +61,11 @@ let simurgh_scaled () =
 (** The scaled configuration plus the rename-log ring format: each
     directory's first hash block carries a ring of log slots, so
     concurrent renames stop serializing on the single per-directory log
-    lock.  The only target whose on-media layout differs from the seed
-    (format-time flag; mounts of seed images are unaffected). *)
+    lock.  The only target whose directory layout differs from the
+    seed. *)
 let fresh_simurgh_ring ?(region_mb = default_region_mb) () =
   let region = Simurgh_nvmm.Region.create (region_mb * 1024 * 1024) in
-  Simurgh_core.Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true
-    ~alloc_caches:true ~log_ring:16 region
+  Simurgh_core.Fs.mkfs ~euid:0 ~scaled:true ~log_ring:16 region
 
 let simurgh_ring () =
   {

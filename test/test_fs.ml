@@ -26,8 +26,7 @@ let expect_err expected f =
    allocator caches, DRAM resolve cache) must be semantically invisible:
    the whole POSIX suite runs again with every feature on. *)
 let fresh_scaled () =
-  Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true ~alloc_caches:true
-    (fresh_region ())
+  Fs.mkfs ~euid:0 ~scaled:true (fresh_region ())
 
 module Posix_scaled =
   Fs_suite.Make
@@ -295,9 +294,7 @@ let fsck_clean what region =
    still produce a correct, fsck-clean directory. *)
 let test_striped_chain_growth () =
   let region = fresh_region () in
-  let fs =
-    Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true ~alloc_caches:true region
-  in
+  let fs = Fs.mkfs ~euid:0 ~scaled:true region in
   Fs.mkdir fs "/d";
   let n = 2000 in
   for i = 0 to n - 1 do
@@ -320,9 +317,7 @@ let test_striped_chain_growth () =
 
 let test_striped_rename () =
   let region = fresh_region () in
-  let fs =
-    Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true ~alloc_caches:true region
-  in
+  let fs = Fs.mkfs ~euid:0 ~scaled:true region in
   Fs.mkdir fs "/s";
   Fs.mkdir fs "/t";
   for i = 0 to 99 do
@@ -346,27 +341,80 @@ let test_striped_rename () =
   Alcotest.(check bool) "untouched tail" true (Fs.exists fs "/s/a99");
   fsck_clean "after striped renames" region
 
-(* The scaled features are volatile-only: a region written by a scaled
-   mount must read back bit-compatibly through a stock (seed) mount. *)
-let test_striped_layout_compatible () =
+(* The protocol is a property of the format: a scaled image remounted
+   with no protocol argument reads back its data, is fsck-clean and runs
+   scaled again. *)
+let test_scaled_image_remounts_scaled () =
   let region = fresh_region () in
-  let fs =
-    Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true ~alloc_caches:true region
-  in
+  let fs = Fs.mkfs ~euid:0 ~scaled:true region in
   Fs.mkdir fs "/home";
   Fs.create_file fs "/home/file";
   let fd = Fs.openf fs Types.wronly "/home/file" in
   ignore (Fs.append fs fd (Bytes.of_string "same layout"));
   Fs.close fs fd;
   Fs.unmount fs;
-  Fs.invalidate_shared region;
-  (* stock mount: no striping, no caches *)
   let fs2 = Fs.mount ~euid:0 region in
   let fd = Fs.openf fs2 Types.rdonly "/home/file" in
-  Alcotest.(check string) "data readable by seed mount" "same layout"
+  Alcotest.(check string) "data read back" "same layout"
     (Bytes.to_string (Fs.pread fs2 fd ~pos:0 ~len:100));
   Fs.close fs2 fd;
-  fsck_clean "seed mount of scaled image" region
+  Alcotest.(check bool) "striped" true
+    (Simurgh_core.Locks.striped (Fs.locks fs2));
+  Alcotest.(check bool) "rcache" true (Option.is_some fs2.Fs.rcache);
+  fsck_clean "remount of scaled image" region
+
+(* The superblock's format word carries the ring size in its low byte
+   and the protocol flags above it; [Layout.attach] decodes both, and a
+   default format writes the bare ring size. *)
+let test_format_word_round_trip () =
+  let module L = Simurgh_core.Layout in
+  let protocols =
+    [
+      ("default", (false, false, false, false));
+      ("scaled", (true, false, false, false));
+      ("range_locks", (false, true, false, false));
+      ("coarse_dir_locks", (false, false, true, false));
+      ("relaxed_writes", (false, false, false, true));
+      ("all", (true, true, true, true));
+    ]
+  in
+  List.iter
+    (fun (name, (scaled, range_locks, coarse_dir_locks, relaxed_writes)) ->
+      List.iter
+        (fun log_ring ->
+          let region = Simurgh_nvmm.Region.create (1 lsl 20) in
+          let f =
+            L.format ~log_ring ~scaled ~range_locks ~coarse_dir_locks
+              ~relaxed_writes region ~cores:1
+          in
+          let label = Printf.sprintf "%s ring=%d" name log_ring in
+          let decoded (t : L.t) =
+            ( t.L.log_ring,
+              [ t.L.scaled; t.L.range_locks; t.L.coarse_dir_locks;
+                t.L.relaxed_writes ] )
+          in
+          let want =
+            ( log_ring,
+              [ scaled; range_locks; coarse_dir_locks; relaxed_writes ] )
+          in
+          Alcotest.(check (pair int (list bool))) (label ^ " format") want
+            (decoded f);
+          Alcotest.(check (pair int (list bool))) (label ^ " attach") want
+            (decoded (L.attach region));
+          if name = "default" then
+            Alcotest.(check int) (label ^ " word is the ring size") log_ring
+              (Simurgh_nvmm.Region.read_u32 region L.f_format))
+        [ 0; 1; 255 ])
+    protocols;
+  let region = Simurgh_nvmm.Region.create (1 lsl 20) in
+  (match L.format ~log_ring:256 region ~cores:1 with
+  | _ -> Alcotest.fail "log_ring 256 accepted"
+  | exception Invalid_argument _ -> ());
+  ignore (L.format region ~cores:1);
+  Simurgh_nvmm.Region.write_u32 region L.f_format 0x1000;
+  match L.attach region with
+  | _ -> Alcotest.fail "unknown format flag accepted"
+  | exception Invalid_argument _ -> ()
 
 (* --- resolve cache -------------------------------------------------------- *)
 
@@ -379,7 +427,7 @@ let rcache_of fs =
    a stale entry. *)
 let test_rcache_fs_invalidation () =
   let region = fresh_region () in
-  let fs = Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true region in
+  let fs = Fs.mkfs ~euid:0 ~scaled:true region in
   Fs.mkdir fs "/d";
   Fs.create_file fs "/d/a";
   ignore (Fs.stat fs "/d/a");
@@ -444,8 +492,7 @@ let test_rcache_unit () =
    whole POSIX suite runs a third time with range locking (and every
    scaled feature) on. *)
 let fresh_range () =
-  Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true ~alloc_caches:true
-    ~range_locks:true (fresh_region ())
+  Fs.mkfs ~euid:0 ~scaled:true ~range_locks:true (fresh_region ())
 
 module Posix_range =
   Fs_suite.Make
@@ -460,8 +507,7 @@ module Posix_range =
    semantically invisible: the whole POSIX suite runs a fourth time with
    the ring (and every scaled feature) on. *)
 let fresh_ring () =
-  Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true ~alloc_caches:true
-    ~log_ring:8 (fresh_region ())
+  Fs.mkfs ~euid:0 ~scaled:true ~log_ring:8 (fresh_region ())
 
 module Posix_ring =
   Fs_suite.Make
@@ -474,10 +520,7 @@ module Posix_ring =
    be picked up from the superblock, not from mount options. *)
 let test_ring_format_persists () =
   let region = fresh_region () in
-  let fs =
-    Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true ~alloc_caches:true
-      ~log_ring:8 region
-  in
+  let fs = Fs.mkfs ~euid:0 ~scaled:true ~log_ring:8 region in
   Alcotest.(check int) "formatted ring" 8
     (Fs.layout fs).Simurgh_core.Layout.log_ring;
   Fs.mkdir fs "/d";
@@ -499,10 +542,7 @@ let test_ring_format_persists () =
    observability counters record the slot traffic. *)
 let test_ring_rename_churn () =
   let region = fresh_region () in
-  let fs =
-    Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true ~alloc_caches:true
-      ~log_ring:4 region
-  in
+  let fs = Fs.mkfs ~euid:0 ~scaled:true ~log_ring:4 region in
   Fs.mkdir fs "/s";
   Fs.mkdir fs "/t";
   for i = 0 to 99 do
@@ -839,16 +879,10 @@ let test_persist_epochs () =
       expect "truncate-grow" 4 (fun () -> Fs.truncate fs "/a/data" (256 * 1024)))
     [
       ("default", fun r -> Fs.mkfs ~euid:0 r);
-      ( "scaled",
-        fun r ->
-          Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true ~alloc_caches:true
-            r );
-      ("log-ring", fun r -> Fs.mkfs ~euid:0 ~striped_locks:true ~log_ring:4 r);
+      ("scaled", fun r -> Fs.mkfs ~euid:0 ~scaled:true r);
+      ("log-ring", fun r -> Fs.mkfs ~euid:0 ~scaled:true ~log_ring:4 r);
       ("secure", fun r -> Fs.mkfs ~euid:0 ~secure:true r);
-      ( "ranged",
-        fun r ->
-          Fs.mkfs ~euid:0 ~striped_locks:true ~rcache:true ~alloc_caches:true
-            ~range_locks:true r );
+      ("ranged", fun r -> Fs.mkfs ~euid:0 ~scaled:true ~range_locks:true r);
     ]
 
 let () =
@@ -893,8 +927,8 @@ let () =
           Alcotest.test_case "striped chain growth" `Quick
             test_striped_chain_growth;
           Alcotest.test_case "striped rename" `Quick test_striped_rename;
-          Alcotest.test_case "striped layout compatible" `Quick
-            test_striped_layout_compatible;
+          Alcotest.test_case "scaled image remounts scaled" `Quick
+            test_scaled_image_remounts_scaled;
           Alcotest.test_case "rcache FS invalidation" `Quick
             test_rcache_fs_invalidation;
           Alcotest.test_case "rcache unit" `Quick test_rcache_unit;
@@ -903,6 +937,8 @@ let () =
       ( "log-ring",
         [
           Alcotest.test_case "format persists" `Quick test_ring_format_persists;
+          Alcotest.test_case "format word round trip" `Quick
+            test_format_word_round_trip;
           Alcotest.test_case "rename churn" `Quick test_ring_rename_churn;
         ] );
       ("posix-range", Posix_range.suite);

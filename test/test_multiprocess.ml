@@ -122,10 +122,10 @@ let test_virtual_time_contention_across_processes () =
   Alcotest.(check bool) "virtual time advanced" true
     (o.Engine.makespan_cycles > 0.0)
 
-(* A joining mount runs the data-path protocol of the region, not its
-   own default: after [mkfs ~range_locks:true] a plain mount's pwrite
-   goes through the range protocol's shared append/publish words, so
-   the two mounts exclude each other. *)
+(* A joining mount runs the data-path protocol of the region: after
+   [mkfs ~range_locks:true] a second mount's pwrite goes through the
+   range protocol's shared append/publish words, so the two mounts
+   exclude each other. *)
 let test_join_inherits_range_locks () =
   let region = Simurgh_nvmm.Region.create (32 * 1024 * 1024) in
   let p1 = Fs.mkfs ~euid:0 ~range_locks:true region in
@@ -137,32 +137,6 @@ let test_join_inherits_range_locks () =
   Fs.close p2 fd;
   Alcotest.(check bool) "joining mount used the range protocol" true
     (states > 0)
-
-(* An explicit flag that disagrees with the shared state is refused;
-   one that agrees is accepted. *)
-let test_join_refuses_other_flags () =
-  let region = Simurgh_nvmm.Region.create (32 * 1024 * 1024) in
-  let _ =
-    Fs.mkfs ~euid:0 ~range_locks:true ~striped_locks:true ~rcache:true
-      ~alloc_caches:true region
-  in
-  let refused name mount =
-    match mount () with
-    | _ -> Alcotest.failf "%s: disagreeing join accepted" name
-    | exception Invalid_argument _ -> ()
-  in
-  refused "range_locks" (fun () -> Fs.mount ~euid:0 ~range_locks:false region);
-  refused "striped_locks" (fun () ->
-      Fs.mount ~euid:0 ~striped_locks:false region);
-  refused "rcache" (fun () -> Fs.mount ~euid:0 ~rcache:false region);
-  refused "alloc_caches" (fun () -> Fs.mount ~euid:0 ~alloc_caches:false region);
-  let plain = Simurgh_nvmm.Region.create (32 * 1024 * 1024) in
-  let _ = Fs.mkfs ~euid:0 plain in
-  refused "range_locks on a plain region" (fun () ->
-      Fs.mount ~euid:0 ~range_locks:true plain);
-  ignore
-    (Fs.mount ~euid:0 ~range_locks:true ~striped_locks:true ~rcache:true
-       ~alloc_caches:true region)
 
 (* --- mount lifecycle ------------------------------------------------------ *)
 
@@ -233,6 +207,69 @@ let test_last_unmount_checkpoints () =
     (List.map Simurgh_core.Check.violation_to_string
        (Simurgh_core.Check.run region))
 
+(* The protocol is chosen at mkfs and read from the superblock by every
+   mount: a joining mount, a mount after a clean unmount, and both
+   recovering mounts after a crash run the format's locks and caches. *)
+let test_every_mount_runs_the_format_protocol () =
+  let protocol fs =
+    let l = Fs.locks fs in
+    [
+      Simurgh_core.Locks.striped l;
+      Simurgh_core.Locks.range l;
+      (Fs.layout fs).Layout.coarse_dir_locks;
+      (Fs.layout fs).Layout.relaxed_writes;
+      Option.is_some fs.Fs.rcache;
+      B.thread_segments (Fs.layout fs).Layout.balloc;
+    ]
+  in
+  List.iter
+    (fun (name, mkfs, want) ->
+      let region = Simurgh_nvmm.Region.create (16 * 1024 * 1024) in
+      let expect how fs =
+        Alcotest.(check (list bool)) (name ^ ": " ^ how) want (protocol fs);
+        Alcotest.(check int)
+          (name ^ ": " ^ how ^ " reads the data")
+          4096 (Fs.stat fs "/f").Types.size
+      in
+      let p1 = mkfs region in
+      let fd = Fs.openf p1 (Types.creat Types.rdwr) "/f" in
+      ignore (Fs.append p1 fd (Bytes.make 4096 'x'));
+      Fs.close p1 fd;
+      expect "mkfs" p1;
+      let p2 = Fs.mount ~euid:0 region in
+      expect "joining mount" p2;
+      Fs.unmount p2;
+      Fs.unmount p1;
+      let fs = Fs.mount ~euid:0 region in
+      expect "mount after a clean unmount" fs;
+      Fs.create_file fs "/g";
+      Fs.invalidate_shared region;
+      let fs, report = Recovery.mount_auto ~euid:0 region in
+      Alcotest.(check bool) (name ^ ": mount_auto recovers") true
+        (report <> None);
+      expect "mount_auto after a crash" fs;
+      Fs.invalidate_shared region;
+      let fs, _ = Recovery.mount_after_crash ~euid:0 region in
+      expect "mount_after_crash" fs;
+      Alcotest.(check bool) (name ^ ": file kept") true (Fs.exists fs "/g");
+      Alcotest.(check (list string)) (name ^ ": fsck clean") []
+        (List.map Simurgh_core.Check.violation_to_string
+           (Simurgh_core.Check.run region)))
+    [
+      ( "scaled",
+        (fun r -> Fs.mkfs ~euid:0 ~scaled:true r),
+        [ true; false; false; false; true; true ] );
+      ( "range_locks",
+        (fun r -> Fs.mkfs ~euid:0 ~range_locks:true r),
+        [ false; true; false; false; false; false ] );
+      ( "coarse_dir_locks",
+        (fun r -> Fs.mkfs ~euid:0 ~coarse_dir_locks:true r),
+        [ false; false; true; false; false; false ] );
+      ( "relaxed_writes",
+        (fun r -> Fs.mkfs ~euid:0 ~relaxed_writes:true r),
+        [ false; false; false; true; false; false ] );
+    ]
+
 let () =
   Alcotest.run "multiprocess"
     [
@@ -253,8 +290,6 @@ let () =
             test_virtual_time_contention_across_processes;
           Alcotest.test_case "join inherits range locks" `Quick
             test_join_inherits_range_locks;
-          Alcotest.test_case "join refuses disagreeing flags" `Quick
-            test_join_refuses_other_flags;
         ] );
       ( "mount-lifecycle",
         [
@@ -262,5 +297,7 @@ let () =
             test_mount_refuses_crash_image;
           Alcotest.test_case "only the last unmount checkpoints" `Quick
             test_last_unmount_checkpoints;
+          Alcotest.test_case "every mount runs the format's protocol" `Quick
+            test_every_mount_runs_the_format_protocol;
         ] );
     ]

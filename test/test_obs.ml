@@ -187,7 +187,7 @@ let test_collect_cache_counters () =
     ignore (Simurgh_baselines.Nova.stat kfs "/d/f")
   done;
   let region = Simurgh_nvmm.Region.create (64 * 1024 * 1024) in
-  let fs = Simurgh_core.Fs.mkfs ~euid:0 ~rcache:true region in
+  let fs = Simurgh_core.Fs.mkfs ~euid:0 ~scaled:true region in
   Simurgh_core.Fs.mkdir fs "/d";
   Simurgh_core.Fs.create_file fs "/d/f";
   for _ = 1 to 5 do

@@ -466,7 +466,7 @@ let test_golden_recovery () =
     "files=772 dirs=14 symlinks=1 completed_deletes=0 completed_renames=0 \
      rolled_back=1 reclaimed(inodes=9 fentries=6) busy_cleared=0 \
      blocks(used=1116 free=261009) quarantined=0 retries=0 passes=2 \
-     tasks(mark=15 sweep=25)"
+     tasks(mark=15 sweep=23)"
   in
   let digest = "c2b9f0e9b4cfcb2ae96dc28dacf3a768" in
   let accesses =
@@ -901,7 +901,7 @@ let test_fault_parity () =
     ( "files=772 dirs=14 symlinks=1 completed_deletes=0 completed_renames=0 \
        rolled_back=1 reclaimed(inodes=9 fentries=6) busy_cleared=0 \
        blocks(used=1096 free=261029) quarantined=1 retries=0 passes=2 \
-       tasks(mark=15 sweep=25)",
+       tasks(mark=15 sweep=23)",
       [ "media error at line 0xcca9 while checking" ] )
     (fault_case (fun layout resolve ->
          Inode.f_extent
@@ -912,7 +912,7 @@ let test_fault_parity () =
     ( "files=771 dirs=14 symlinks=1 completed_deletes=0 completed_renames=0 \
        rolled_back=1 reclaimed(inodes=10 fentries=6) busy_cleared=0 \
        blocks(used=1116 free=261009) quarantined=2 retries=2 passes=2 \
-       tasks(mark=15 sweep=25)",
+       tasks(mark=15 sweep=23)",
       [] )
     (fault_case (fun _ resolve ->
          let fe = resolve "/d5/f3" in
@@ -924,7 +924,7 @@ let test_fault_parity () =
     ( "files=772 dirs=14 symlinks=1 completed_deletes=0 completed_renames=0 \
        rolled_back=1 reclaimed(inodes=9 fentries=6) busy_cleared=0 \
        blocks(used=1116 free=261009) quarantined=1 retries=0 passes=2 \
-       tasks(mark=15 sweep=25)",
+       tasks(mark=15 sweep=23)",
       [ "media error at line 0xcca8 while checking" ] )
     (fault_case (fun layout resolve ->
          Fentry.target layout.Layout.region (resolve "/a/b/data")
@@ -934,7 +934,7 @@ let test_fault_parity () =
     ( "files=772 dirs=14 symlinks=1 completed_deletes=0 completed_renames=0 \
        rolled_back=1 reclaimed(inodes=8 fentries=6) busy_cleared=0 \
        blocks(used=1116 free=261009) quarantined=0 retries=0 passes=2 \
-       tasks(mark=15 sweep=25)",
+       tasks(mark=15 sweep=23)",
       [] )
     (fault_case (fun layout _ ->
          let slab = layout.Layout.inode_slab in
@@ -943,6 +943,52 @@ let test_fault_parity () =
              if !leaked = 0 && f = Slab.flag_valid lor Slab.flag_dirty then
                leaked := p);
          !leaked - Slab.obj_header))
+
+(* Long names live in spill blocks that only the sweep's spill tasks
+   mark: a crash image with more long-named entries than one task's
+   slice keeps every spill, and a long-named directory whose head is
+   unreadable is detached with its spill reclaimed.  The checker sees
+   any spill in the free list or any lost spill block. *)
+let test_long_names_keep_their_spills () =
+  let long i = Printf.sprintf "%s%04d" (String.make 180 'n') i in
+  let region = fresh_region () in
+  let fs = Fs.mkfs ~euid:0 region in
+  Fs.mkdir fs "/s";
+  for i = 0 to 599 do
+    Fs.create_file fs ("/s/" ^ long i)
+  done;
+  Fs.mkdir fs ("/" ^ long 0);
+  Fs.create_file fs ("/" ^ long 0 ^ "/" ^ long 1);
+  Fs.mkdir fs ("/q" ^ long 2);
+  Fs.create_file fs ("/q" ^ long 2 ^ "/" ^ long 3);
+  let r = region in
+  let head = Fentry.dirblock r (snd (Fs.resolve fs ("/q" ^ long 2))) in
+  let cp = Simurgh_nvmm.Region.checkpoint region in
+  let outcome ~poison par =
+    Simurgh_nvmm.Region.restore region cp;
+    if poison then Region.poison r head 1;
+    Fs.invalidate_shared region;
+    let _, rep = Recovery.run ~par region in
+    let fs' = Fs.mount ~euid:0 region in
+    let names = List.length (Fs.readdir fs' "/s") in
+    Fs.unmount fs';
+    ( (rep.Recovery.files, rep.Recovery.quarantined, names),
+      List.map Check.violation_to_string (Check.run region) )
+  in
+  let vtime () =
+    Recovery.Vtime { machine = Simurgh_sim.Machine.create (); workers = 4 }
+  in
+  List.iter
+    (fun (label, poison, want) ->
+      List.iter
+        (fun par ->
+          Alcotest.(check (pair (triple int int int) (list string)))
+            label want (outcome ~poison par))
+        [ Recovery.Seq; vtime () ])
+    [
+      ("every spill kept", false, ((602, 0, 600), []));
+      ("unreadable long-named directory", true, ((601, 1, 600), []));
+    ]
 
 let () =
   Alcotest.run "recovery"
@@ -979,6 +1025,8 @@ let () =
             test_parallel_matches_sequential;
           Alcotest.test_case "dropped mark shard is caught" `Quick
             test_drop_mark_shard_flags;
+          Alcotest.test_case "long names keep their spills" `Quick
+            test_long_names_keep_their_spills;
           Alcotest.test_case "golden crash image" `Quick test_golden_recovery;
           QCheck_alcotest.to_alcotest prop_recovery_preserves_random_trees;
           QCheck_alcotest.to_alcotest prop_reach_matches_hashtbl;

@@ -289,7 +289,7 @@ let test_crash_inside_protected_rename () =
 
 let test_two_tenant_quota_scenario () =
   let region = Region.create (64 * 1024 * 1024) in
-  let fs = Fs.mkfs ~euid:0 ~secure:true ~striped_locks:true region in
+  let fs = Fs.mkfs ~euid:0 ~secure:true ~scaled:true region in
   Fs.mkdir fs ~perm:0o777 "/shared";
   (* block size 256 B; each op appends 4 KiB = 16 blocks.  Tenant A has
      room for every write, tenant B hits the wall after 4 appends. *)
