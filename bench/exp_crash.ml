@@ -6,8 +6,8 @@
     + {b explore}: crash-image exploration of every machine of the
       shared table {!Simurgh_core.Explore.machines}: the four Fig. 5
       state machines (create / unlink / same-dir rename / cross-dir
-      rename), the mutating ones also scaled (striped locks + resolve
-      cache + allocator caches), the renames on log-ring media, the
+      rename), the mutating ones also scaled (resolve cache +
+      allocator caches + posted log writes), the renames on log-ring media, the
       byte-range append/extend and the cross-region shard machines.
       At every NVMM store and every labeled persist point the eviction
       adversary enumerates subsets of the unpersisted cache lines

@@ -1,16 +1,15 @@
 (** Run id [scale]: metadata-scalability sweep of the shared-directory
     path.
 
-    The paper's evaluation stops at 10 threads, where the seed
-    reproduction's single per-directory append lock barely shows.  This
-    experiment sweeps the four metadata FxMark microbenchmarks that
+    The paper's evaluation stops at 10 threads.  This experiment sweeps the four metadata FxMark microbenchmarks that
     stress one directory (7b createfile-shared, 7d renamefile-shared,
     7f resolvepath-shared, plus 7a createfile-private as the
     uncontended control) across thread counts well past that, comparing
-    seed Simurgh against the scaled configuration (striped directory
-    locks + per-thread allocator caches + DRAM resolve cache — see
-    DESIGN.md "Metadata scalability").  Both configurations share the
-    same on-media layout; only volatile coordination differs.
+    seed Simurgh against the scaled configuration (per-thread allocator
+    caches + DRAM resolve cache + posted rename-log writes — see
+    DESIGN.md "Metadata scalability").  Both run the one striped
+    directory protocol and share the same on-media layout; only the
+    volatile caches and the log window's write charging differ.
 
     Results are printed as the usual per-thread tables, mirrored into
     {!Simurgh_obs.Report} for the [--json] flow. *)
@@ -54,8 +53,8 @@ let sweep (t : Targets.target) bench ~ops =
 let run ~scale =
   Report.note
     "kops: virtual-time Kops/s; seed: stock configuration; scaled: \
-     striped directory locks + per-thread allocator caches + DRAM resolve \
-     cache (same on-media layout); logring: scaled plus the \
+     per-thread allocator caches + DRAM resolve cache + posted rename-log \
+     writes (same on-media layout); logring: scaled plus the \
      per-directory rename-log ring format (log_ring=16)";
   List.iter
     (fun (id, bench, base_ops) ->

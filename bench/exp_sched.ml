@@ -8,8 +8,8 @@
     same final namespace and a clean fsck; the race detector
     ({!Simurgh_sim.Race}) must stay silent on every gated scenario
     ({!Simurgh_core.Sched_explore.gated}: the decentralized
-    private-directory machines, the striped-lock shared-directory
-    ones, the byte-range data-path ones for the [range_locks]
+    private-directory machines, the shared-directory ones on the
+    default and the scaled configuration, the byte-range data-path ones for the [range_locks]
     configuration and the concurrent renames on a rename-log ring)
     and on parallel recovery.  Three extra parts keep the tooling
     honest:

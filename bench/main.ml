@@ -39,7 +39,7 @@ let experiments : (string * string * (scale:float -> unit)) list =
     ("ablation", "ablations of Simurgh design choices", Exp_ablation.run);
     ("region", "NVMM region data-path microbenchmark (wall-clock)",
      Exp_region.run);
-    ("scale", "metadata scalability: seed vs striped/cached Simurgh",
+    ("scale", "metadata scalability: seed vs scaled Simurgh",
      Exp_scale.run);
     ("data", "data-path scaling: byte-range locks + open-loop tail latency",
      Exp_data.run);

@@ -57,8 +57,8 @@ let point_label = function
 (* -- the explorer config ----------------------------------------------- *)
 
 (** How the explored file system is formatted.  [scaled] turns on the
-    scalability protocol (striped locks, resolve cache, allocator
-    caches), [range] the byte-range data-path locks, [ring] the
+    scalability protocol (resolve cache, allocator caches, posted
+    rename-log writes), [range] the byte-range data-path locks, [ring] the
     rename-log ring size (0 = single slot) and [secure] the security
     plane.  The format word records them, so recovery and post-crash
     traffic run through the configured paths. *)
@@ -682,10 +682,11 @@ let xregion_create =
           files);
   }
 
-(** Every explored crash machine: Fig. 5's four state machines, the
-    mutating ones again with the scalability features on (striped
-    insert, reserve-then-log rename window, per-thread allocator
-    caches), the renames on log-ring media (any ring slot may be left
+(** Every explored crash machine: Fig. 5's four state machines (one
+    directory protocol on every format: the striped insert and the
+    reserve-then-log rename window), the mutating ones again with the
+    scalability features on (per-thread allocator caches, resolve
+    cache, posted log writes), the renames on log-ring media (any ring slot may be left
     pending), the data path's append and extending pwrite (default and
     byte-range locking) and an append that links an overflow extent
     block, and the sharded cross-region rename and creates. *)

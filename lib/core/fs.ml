@@ -90,8 +90,8 @@ type t = {
   log_ring : int;
       (** format-time rename-log ring size (from the superblock): each
           directory's first hash block carries this many log slots, and
-          a rename claims one via its per-slot lock instead of the
-          directory-global log lock.  0 = the paper's single slot. *)
+          a rename claims one via its per-slot lock.  0 = the paper's
+          single slot, claimed the same way. *)
   mutable crash_hook : string -> unit;
   mutable logical_time : int;
   eio_returns : int ref;
@@ -244,14 +244,24 @@ let of_shared ?(call_mode = Protected) ?(euid = 1000) ?(egid = 1000) s =
       unmounted = false;
     }
   in
-  (* lock-registry sizes and allocator counters join the experiment's
-     observability snapshot (no-op outside the bench driver).  The source
-     holds only counter records and DRAM tables, never [fs] or [layout],
-     so a dropped mount's region can be freed before the drain. *)
+  (* the per-process counter joins the experiment's observability
+     snapshot (no-op outside the bench driver); the region's shared
+     counters are registered once, by {!bring_up} *)
+  let eio_returns = fs.eio_returns in
+  Simurgh_obs.Collect.note_source (fun () ->
+      [ ("faults/eio_returns", float_of_int !eio_returns) ]);
+  fs
+
+(* Lock-registry sizes and allocator counters of the region's shared
+   state [s], registered once per bring-up so a joining mount does not
+   count them again.  The source holds only counter records and DRAM
+   tables, never [s] or its layout, so a dropped region can be freed
+   before the drain. *)
+let note_shared_source s =
+  let layout = s.s_layout and locks = s.s_locks and rc = s.s_rcache in
   let ba = layout.Layout.balloc.Simurgh_alloc.Block_alloc.c
   and inodes_live = layout.Layout.inode_slab.Simurgh_alloc.Slab_alloc.live
-  and fentries_live = layout.Layout.fentry_slab.Simurgh_alloc.Slab_alloc.live
-  and eio_returns = fs.eio_returns in
+  and fentries_live = layout.Layout.fentry_slab.Simurgh_alloc.Slab_alloc.live in
   Simurgh_obs.Collect.note_source (fun () ->
       let rows, files, appends = Locks.sizes locks in
       let range_rows, file_states = Locks.range_sizes locks in
@@ -274,7 +284,6 @@ let of_shared ?(call_mode = Protected) ?(euid = 1000) ?(egid = 1000) s =
           float_of_int ba.Simurgh_alloc.Block_alloc.blocks_freed );
         ("alloc/inodes_live", float_of_int !inodes_live);
         ("alloc/fentries_live", float_of_int !fentries_live);
-        ("faults/eio_returns", float_of_int !eio_returns);
       ]
       @
       match rc with
@@ -286,8 +295,7 @@ let of_shared ?(call_mode = Protected) ?(euid = 1000) ?(egid = 1000) s =
             ("rcache/misses", float_of_int s.Rcache.misses);
             ("rcache/inserts", float_of_int s.Rcache.inserts);
             ("rcache/invalidations", float_of_int s.Rcache.invalidations);
-          ]);
-  fs
+          ])
 
 (** Bring [layout] up as the region's first live mount: fresh shared
     state on the format's protocol (with the allocators' per-thread
@@ -299,12 +307,13 @@ let bring_up ?call_mode ?euid ?egid layout =
   let s =
     {
       s_layout = layout;
-      s_locks = Locks.create ~striped:scaled ~range ();
+      s_locks = Locks.create ~range ();
       s_rcache = (if scaled then Some (Rcache.create ()) else None);
       s_quota = Quota.create ();
       s_mounts = 1;
     }
   in
+  note_shared_source s;
   let fs = of_shared ?call_mode ?euid ?egid s in
   if scaled then begin
     (* the per-thread structures hang off the (shared) layout, so one
@@ -323,9 +332,9 @@ let bring_up ?call_mode ?euid ?egid layout =
     selects the rename-log ring size (0 = the paper's single
     per-directory log slot, on-media bit-identical).  The protocol is
     chosen here and recorded in the superblock's format word, which
-    every later mount and recovery reads: [scaled] turns on striped
-    directory locks, the DRAM resolve cache and per-thread allocator
-    caches, [range_locks] the byte-range data path, [coarse_dir_locks]
+    every later mount and recovery reads: [scaled] turns on the DRAM
+    resolve cache, per-thread allocator caches and posted rename-log
+    writes, [range_locks] the byte-range data path, [coarse_dir_locks]
     one lock per directory (an ablation) and [relaxed_writes] no per-file
     write lock (Fig. 7k "relaxed"). *)
 let mkfs ?(cores = 10) ?segments ?call_mode ?relaxed_writes ?coarse_dir_locks
@@ -744,60 +753,48 @@ let rcache_invalidate_dir t dhead =
   | Some rc -> Rcache.invalidate_dir rc dhead
 
 (* The rename-log window of directory [dir]: run [f ~slot ~epoch] with
-   the chosen log slot held.
+   a claimed log slot held from its write to its clear.  A directory has
+   [max 1 log_ring] slots, each under its own lock, so N renames of one
+   directory run their Fig. 5 log windows concurrently on an N-slot
+   ring; without a ring the one slot at +80 serializes them.  The claim
+   probes from a rotating hint for a slot whose lock is free and falls
+   back to blocking on the hint slot when every slot is held (counted as
+   a ring-full wait).  The epoch is fetched inside the caller's row-lock
+   window, so slots of conflicting (row-sharing) renames — which row
+   locks serialize — are stamped in their serialization order;
+   row-disjoint renames commute, so their relative epoch order only
+   needs to be deterministic.  A slot without a ring stores no epoch.
 
-   Legacy media (log_ring = 0): the single persistent rename-log slot is
-   a genuinely directory-global resource.  Striped mode serializes the
-   write..clear window under the (dir, 1) log lock; legacy mode needs no
-   extra lock — the (coarser) row/append locking already serializes
-   conflicting renames.
-
-   Log-ring media: each rename claims one of the ring's slots via that
-   slot's own lock, so N renames of one directory run their Fig. 5 log
-   windows concurrently.  The claim probes from a rotating hint for a
-   slot whose lock is free and falls back to blocking on the hint slot
-   when the whole ring is held (counted as a ring-full wait).  The epoch
-   is fetched inside the caller's row-lock window, so slots of
-   conflicting (row-sharing) renames — which row locks serialize — are
-   stamped in their serialization order; row-disjoint renames commute,
-   so their relative epoch order only needs to be deterministic. *)
+   On a scaled or ring format the held window's line writes are charged
+   as posted ntstores, so a saturated device queue does not convoy the
+   renames queued on the slot locks; the default format keeps served
+   writes (ROADMAP item 13). *)
 let with_log_slot ?ctx t dir f =
-  let n = t.log_ring in
-  if n = 0 then
-    if Locks.striped t.locks then
-      (* the held window is a short exclusive persistent sequence: charge
-         its line writes as posted ntstores so a saturated device queue
-         does not convoy every rename behind the directory-global lock *)
-      Charge.with_spin ?ctx (Locks.log_lock t.locks dir) (fun () ->
-          Charge.posted ?ctx (fun () -> f ~slot:0 ~epoch:0))
-    else f ~slot:0 ~epoch:0
-  else begin
-    let start = Locks.next_log_slot_hint t.locks ~n in
-    let rec probe i =
-      if i = n then begin
-        Locks.note_log_ring_full_wait t.locks;
-        start
-      end
-      else
-        let s = (start + i) mod n in
-        if Simurgh_sim.Vlock.Spin.locked (Locks.log_slot_lock t.locks dir ~slot:s)
-        then probe (i + 1)
-        else s
-    in
-    let slot = probe 0 in
-    Charge.with_spin ?ctx (Locks.log_slot_lock t.locks dir ~slot) (fun () ->
-        Locks.note_log_slot_acquisition t.locks;
-        let epoch = Locks.next_log_epoch t.locks in
-        Charge.posted ?ctx (fun () -> f ~slot ~epoch))
-  end
+  let n = max 1 t.log_ring in
+  let start = Locks.next_log_slot_hint t.locks ~n in
+  let rec probe i =
+    if i = n then begin
+      Locks.note_log_ring_full_wait t.locks;
+      start
+    end
+    else
+      let s = (start + i) mod n in
+      if Simurgh_sim.Vlock.Spin.locked (Locks.log_slot_lock t.locks dir ~slot:s)
+      then probe (i + 1)
+      else s
+  in
+  let slot = probe 0 in
+  Charge.with_spin ?ctx (Locks.log_slot_lock t.locks dir ~slot) (fun () ->
+      Locks.note_log_slot_acquisition t.locks;
+      let epoch = Locks.next_log_epoch t.locks in
+      if t.layout.Layout.scaled || t.log_ring > 0 then
+        Charge.posted ?ctx (fun () -> f ~slot ~epoch)
+      else f ~slot ~epoch)
 
-(* Chain-structure mutations (linking/unlinking hash blocks).  Legacy
-   mode uses the per-directory append lock; striped mode a dedicated
-   short chain lock, because the append locks are per-row there. *)
+(* Chain-structure mutations (linking/unlinking hash blocks) take the
+   directory's short chain lock; the append locks are per row. *)
 let chain_guard ?ctx t dir f =
-  if Locks.striped t.locks then
-    Charge.with_spin ?ctx (Locks.chain_lock t.locks dir) f
-  else Charge.with_spin ?ctx (Locks.dir_append_lock t.locks dir) f
+  Charge.with_spin ?ctx (Locks.chain_lock t.locks dir) f
 
 (* --- create -------------------------------------------------------------- *)
 
@@ -821,21 +818,23 @@ let fill_slot t (r : Locks.row) (blk, row, s) fentry =
   Dirblock.stage_slot t.region blk row s fentry;
   r.Locks.pin <- 0
 
-(* Striped mode, a row full in every block: grow the chain from [last]
-   and return — pinned in [r], not written — a free slot for [hash]'s
-   row.  The caller holds the row lock of that row; since every mutator
-   of a row takes its lock first, the slot stays free until the caller
-   fills it (chain growth by other rows only adds slots).  Separating
-   the search from the write lets rename reserve its destination slot
-   ahead of the log window, so the directory-global log lock covers
-   only the short persistent rename sequence, never a chain scan. *)
-let rec striped_grow ?ctx ?owner t (d : dirref) (r : Locks.row) ~hash ~last =
+(* A row full in every block: grow the chain from [last] and return —
+   pinned in [r], not written — a free slot for [hash]'s row.  The
+   caller holds the row lock of that row; since every mutator of a row
+   takes its lock first, the slot stays free until the caller fills it
+   (chain growth by other rows only adds slots).  Separating the search
+   from the write lets rename reserve its destination slot ahead of the
+   log window, so the log slot's lock covers only the short persistent
+   rename sequence, never a chain scan.  Row-full inserts of different
+   rows grow in parallel under per-row append locks; only the physical
+   link of a new hash block takes the chain lock. *)
+let rec grow_chain ?ctx ?owner t (d : dirref) (r : Locks.row) ~hash ~last =
   let lock_row = Dirblock.lock_row_of_hash hash in
   set_row_busy ?ctx t d lock_row true;
   hook t "insert:busy";
   let reserved =
     Charge.with_spin ?ctx
-      (Locks.dir_append_lock ~row:lock_row t.locks d.dhead)
+      (Locks.dir_append_lock t.locks d.dhead ~row:lock_row)
       (fun () ->
         (* re-check under the row's append lock: the chain may have
            grown meanwhile *)
@@ -894,64 +893,19 @@ let rec striped_grow ?ctx ?owner t (d : dirref) (r : Locks.row) ~hash ~last =
           hook t "insert:slot";
           r.Locks.pin <- b;
           s
-      | None -> striped_grow ?ctx ?owner t d r ~hash ~last)
+      | None -> grow_chain ?ctx ?owner t d r ~hash ~last)
 
-(* Striped mode: the slot a probe of [hash]'s row found, or one the
-   chain grows for it. *)
-let striped_reserve ?ctx ?owner t (d : dirref) r ~hash (p : Dirblock.probe) =
+(* Fig. 5a steps 3-4 for [name] in directory [d]: the free slot probe
+   [p] found in its row, or one the chain grows for it.  The caller's
+   {!fill_slot} stages the pointer (step 5). *)
+let reserve_slot ?ctx ?owner t (d : dirref) r ~name (p : Dirblock.probe) =
   if p.Dirblock.blk <> 0 then begin
     hook t "insert:slot";
     (p.Dirblock.blk, p.Dirblock.row, p.Dirblock.slot)
   end
-  else striped_grow ?ctx ?owner t d r ~hash ~last:p.Dirblock.last
-
-(* Insert [fentry] into the slot probe [p] found for [name]'s row in
-   directory [d], growing the chain when the row is full (Fig. 5a steps
-   3-5).  The slot store itself is staged: the caller's epoch fences it
-   and charges its one line. *)
-let insert_entry ?ctx ?owner t (d : dirref) r ~name:n (p : Dirblock.probe)
-    fentry =
-  let hash = Name_hash.hash n in
-  let lock_row = Dirblock.lock_row_of_hash hash in
-  if p.Dirblock.blk <> 0 then begin
-    hook t "insert:slot";
-    fill_slot t r (p.Dirblock.blk, p.Dirblock.row, p.Dirblock.slot) fentry
-  end
-  else if not (Locks.striped t.locks) then begin
-    (* legacy path: every row-full insert of a directory serializes on
-       one chain-extension lock.  Fig. 5a: set the busy flag of the
-       whole line, create a new hash block, link it, then persist the
-       new entry's pointer. *)
-    set_row_busy ?ctx t d lock_row true;
-    hook t "insert:busy";
-    Charge.with_spin ?ctx (Locks.dir_append_lock t.locks d.dhead) (fun () ->
-        (* re-check under the append lock: another process may have
-           extended the chain meanwhile *)
-        let slot_ref', hops', last' =
-          Dirblock.find_free_slot ~retired:(Locks.retired t.locks) t.region
-            ~head:p.Dirblock.last ~hash
-        in
-        Charge.read_lines ?ctx (hops' + 1);
-        match slot_ref' with
-        | Some s -> fill_slot t r s fentry
-        | None ->
-            let new_rows =
-              min Dirblock.max_rows (2 * Dirblock.rows t.region last')
-            in
-            let nb = alloc_dirblock ?ctx ?owner t ~rows:new_rows in
-            hook t "insert:newblock";
-            Dirblock.set_next t.region last' nb;
-            Charge.write_lines ?ctx 2;
-            hook t "insert:link";
-            fill_slot t r (nb, hash mod new_rows, 0) fentry);
-    hook t "insert:unbusy";
-    set_row_busy ?ctx t d lock_row false
-  end
   else
-    (* striped path: row-full inserts of different rows proceed in
-       parallel under per-row append locks; only the physical link of a
-       new hash block takes the (short) directory-global chain lock *)
-    fill_slot t r (striped_reserve ?ctx ?owner t d r ~hash p) fentry
+    grow_chain ?ctx ?owner t d r ~hash:(Name_hash.hash name)
+      ~last:p.Dirblock.last
 
 (* Fig. 5a steps 1-6 of a create whose row lock [r] is held and whose
    probe [p] missed: inode, file entry, then the pointer into the slot
@@ -1014,8 +968,10 @@ let create_locked ?ctx t (d : dirref) r (p : Dirblock.probe) ~name:n ~kind
   in
   close_epoch ?ctx t ~lines:(inode_lines + 3 + dir_lines);
   hook t "create:fentry";
-  (* epoch 2, steps 3-5: the pointer into the row publishes the entry *)
-  insert_entry ?ctx ?owner:(dir_quota_uid t d) t d r ~name:n p fe;
+  (* epoch 2, steps 3-5: the pointer into the row publishes the entry;
+     the slot store is staged and this epoch fences its one line *)
+  let slot = reserve_slot ?ctx ?owner:(dir_quota_uid t d) t d r ~name:n p in
+  fill_slot t r slot fe;
   close_epoch ?ctx t ~lines:1;
   hook t "create:slot";
   (* epoch 3, step 6: unset the dirty bits.  Recovery reads a linked
@@ -1819,16 +1775,12 @@ let rename_same_dir ?ctx t w (d : dirref) ~old_n ~new_n =
           let nfe = stage_shadow ?ctx t ofe ~name:new_n in
           close_epoch ?ctx t ~lines:3;
           hook t "rename:shadow";
-          (* striped mode: reserve the destination slot before the log
-             window (the held row lock keeps it free), so the
-             directory-global log lock covers only the short persistent
-             rename sequence below, never a chain scan *)
-          let reserved =
-            if Locks.striped t.locks then
-              Some
-                (striped_reserve ?ctx ?owner:(dir_quota_uid t d) t d nr
-                   ~hash:(Name_hash.hash new_n) p)
-            else None
+          (* reserve the destination slot before the log window (the
+             held row lock keeps it free), so the log slot's lock covers
+             only the short persistent rename sequence below, never a
+             chain scan *)
+          let dst =
+            reserve_slot ?ctx ?owner:(dir_quota_uid t d) t d nr ~name:new_n p
           in
           (* the claimed persistent log slot is held from write to clear *)
           with_log_slot ?ctx t d.dhead (fun ~slot ~epoch ->
@@ -1850,11 +1802,7 @@ let rename_same_dir ?ctx t w (d : dirref) ~old_n ~new_n =
                  the shadow whichever of them is lost *)
               Simurgh_alloc.Slab_alloc.stage_free fentry_slab ofe;
               hook t "rename:oldfree";
-              (match reserved with
-              | Some s -> fill_slot t nr s nfe
-              | None ->
-                  insert_entry ?ctx ?owner:(dir_quota_uid t d) t d nr
-                    ~name:new_n p nfe);
+              fill_slot t nr dst nfe;
               close_epoch ?ctx t
                 ~lines:(Simurgh_alloc.Slab_alloc.free_lines fentry_slab + 1);
               Simurgh_alloc.Slab_alloc.recycle ?ctx fentry_slab ofe;
@@ -1904,14 +1852,10 @@ let rename_cross_dir ?ctx t w (ds : dirref) ~old_n (dd : dirref) ~new_n =
           let nfe = stage_shadow ?ctx t ofe ~name:new_n in
           close_epoch ?ctx t ~lines:3;
           hook t "xrename:shadow";
-          (* striped mode: reserve the destination slot ahead of the log
-             window, as in [rename_same_dir] *)
-          let reserved =
-            if Locks.striped t.locks then
-              Some
-                (striped_reserve ?ctx ?owner:(dir_quota_uid t dd) t dd dr
-                   ~hash:(Name_hash.hash new_n) p)
-            else None
+          (* the destination slot, reserved ahead of the log window as in
+             [rename_same_dir] *)
+          let dst =
+            reserve_slot ?ctx ?owner:(dir_quota_uid t dd) t dd dr ~name:new_n p
           in
           with_log_slot ?ctx t ds.dhead (fun ~slot ~epoch ->
               (* epochs 2-3, steps 1-2: the operation recorded in the
@@ -1927,11 +1871,7 @@ let rename_cross_dir ?ctx t w (ds : dirref) ~old_n (dd : dirref) ~new_n =
               Dirblock.stage_busy t.region ds.dhead src_row true;
               Dirblock.stage_busy t.region dd.dhead dst_row true;
               hook t "xrename:busy";
-              (match reserved with
-              | Some s -> fill_slot t dr s nfe
-              | None ->
-                  insert_entry ?ctx ?owner:(dir_quota_uid t dd) t dd dr
-                    ~name:new_n p nfe);
+              fill_slot t dr dst nfe;
               close_epoch ?ctx t ~lines:3;
               hook t "xrename:dstslot";
               (* epoch 5, the redo steps: clear the source slot, free the

@@ -56,8 +56,8 @@ type t = {
           single-region media stays bit-identical. *)
   shard_index : int;  (** this region's index within [regions] *)
   scaled : bool;
-      (** Metadata-scalability protocol: striped directory locks, the
-          DRAM resolve cache and per-thread allocator caches. *)
+      (** Metadata-scalability protocol: the DRAM resolve cache,
+          per-thread allocator caches and posted rename-log writes. *)
   range_locks : bool;
       (** Byte-range data-path locking: writers hold only the 4 KiB
           rows they touch, appends reserve bytes with a fetch-and-add

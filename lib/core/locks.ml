@@ -14,12 +14,11 @@
     lock; here the striping keeps the shared-DRAM model honest and the
     size accounting per-stripe).
 
-    [striped] additionally stripes the {e append} serialization of one
-    directory: instead of a single chain-extension lock per directory,
-    each hash row gets its own append lock, and only the two genuinely
-    directory-global actions keep a (short) global lock — physically
-    linking a new hash block into the chain ({!chain_lock}) and writing
-    the directory's single persistent rename-log entry ({!log_lock}). *)
+    One directory protocol serves every format.  Each hash row has its
+    own append lock, and a directory keeps only short locks for its two
+    shared structures: {!chain_lock} while a new hash block is linked
+    into the chain, and one {!log_slot_lock} per rename-log slot (a
+    directory without a ring has one slot). *)
 
 open Simurgh_sim
 
@@ -85,12 +84,10 @@ type stripe = {
   row_locks : row Ptbl.t;  (** (first dir block, row) -> lock row *)
   file_locks : Vlock.Rw.t Itbl.t;  (** inode pptr -> rwlock *)
   append_locks : Vlock.Spin.t Ptbl.t;
-      (** (first dir block, row) -> append lock; legacy mode keys
-          everything under row 0 (one chain-extension lock per dir) *)
+      (** (first dir block, row) -> append lock *)
   aux_locks : Vlock.Spin.t Ptbl.t;
-      (** striped mode only: (dir, 0) = chain-link lock,
-          (dir, 1) = rename-log lock (legacy single slot),
-          (dir, 2 + s) = lock of rename-log ring slot [s] *)
+      (** (dir, 0) = chain-link lock, (dir, 2 + s) = lock of rename-log
+          slot [s] *)
   range_locks : Vlock.Rw.t Ptbl.t;
       (** range-lock mode: (inode pptr, byte row) -> rwlock *)
   extent_locks : Vlock.Rw.t Itbl.t;
@@ -100,7 +97,6 @@ type stripe = {
 }
 
 type t = {
-  striped : bool;
   range : bool;
       (** the data-path protocol: byte-range row/extent locks and the
           append reservation words instead of one rwlock per file.
@@ -118,9 +114,10 @@ type t = {
       (** Rotating claim hint so concurrent renames start probing the
           ring at different slots instead of convoying on slot 0. *)
   mutable log_slot_acquisitions : int;
-      (** obs: ring slots successfully claimed ([rename_log/slot_acq]) *)
+      (** obs: log slots successfully claimed
+          ([rename_log/slot_acquisitions]) *)
   mutable log_ring_full_waits : int;
-      (** obs: claims that found every ring slot held and had to block
+      (** obs: claims that found every log slot held and had to block
           ([rename_log/ring_full_waits]) *)
   mutable retired : int list;
       (** chain blocks Fig. 5b step 6 is unlinking (empty and unpinned
@@ -132,9 +129,8 @@ type t = {
 let stripe_bits = 4
 let nstripes = 1 lsl stripe_bits
 
-let create ?(striped = false) ?(range = false) () =
+let create ?(range = false) () =
   {
-    striped;
     range;
     stripes =
       Array.init nstripes (fun _ ->
@@ -154,7 +150,6 @@ let create ?(striped = false) ?(range = false) () =
     retired = [];
   }
 
-let striped t = t.striped
 let range t = t.range
 
 (** Next rename-log epoch (monotone within this mount, starts at 1 so a
@@ -274,32 +269,26 @@ let file_state t inode =
   Itbl.find_or_create (stripe_of t inode).file_states inode (fun () ->
       { reserved = -1; published = -1 })
 
-(** Chain-extension serialization for an insert into [row] of directory
-    [dir].  Legacy mode: one lock for the whole directory (every row-full
-    insert funnels through it).  Striped mode: one lock per hash row. *)
-let dir_append_lock ?(row = 0) t dir =
-  let key = (dir, if t.striped then row else 0) in
+(** Chain-extension serialization for an insert into hash row [row] of
+    directory [dir]: row-full inserts of different rows grow the chain
+    in parallel. *)
+let dir_append_lock t dir ~row =
+  let key = (dir, row) in
   Ptbl.find_or_create (stripe_of_pair t key).append_locks key (fun () ->
       Vlock.Spin.create ~site:"dir-append" ())
 
-(** Striped mode: short directory-global lock held only while physically
-    linking a freshly initialized hash block into the chain. *)
+(** Short directory-global lock held only while physically linking a
+    freshly initialized hash block into the chain, or unlinking an
+    empty one. *)
 let chain_lock t dir =
   let key = (dir, 0) in
   Ptbl.find_or_create (stripe_of_pair t key).aux_locks key (fun () ->
       Vlock.Spin.create ~site:"dir-chain" ())
 
-(** Striped mode: serializes the directory's single persistent
-    rename-log entry (the first hash block has exactly one log slot). *)
-let log_lock t dir =
-  let key = (dir, 1) in
-  Ptbl.find_or_create (stripe_of_pair t key).aux_locks key (fun () ->
-      Vlock.Spin.create ~site:"dir-log" ())
-
-(** Log-ring mode: lock of ring slot [slot] of directory [dir].  Each
-    slot has its own lock, so N renames in one directory can run their
-    Fig. 5 log windows concurrently — the directory-global (dir, 1)
-    serialization point disappears. *)
+(** Lock of rename-log slot [slot] of directory [dir], held from the
+    log write to its clear.  Each slot has its own lock, so N renames
+    in one directory can run their Fig. 5 log windows concurrently on
+    an N-slot ring. *)
 let log_slot_lock t dir ~slot =
   let key = (dir, 2 + slot) in
   Ptbl.find_or_create (stripe_of_pair t key).aux_locks key (fun () ->

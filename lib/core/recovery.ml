@@ -145,7 +145,12 @@ let pp_report ppf r =
 type par =
   | Seq
   | Vtime of { machine : Machine.t; workers : int }
-  | Fibers of { schedule : Simurgh_sim.Schedule.t; workers : int }
+  | Fibers of {
+      schedule : Simurgh_sim.Schedule.t;
+      workers : int;
+      sink : Simurgh_sim.Engine.explore_outcome -> unit;
+          (** receives each pool phase's outcome (trace hash, yields) *)
+    }
 
 (* Bounded retry on a media fault before escalating to quarantine.  A
    real DIMM can return corrected data on a later read (transient
@@ -643,8 +648,8 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
             exec ~worker task;
             charge cs.(worker) s0);
         Workpool.barrier cl
-    | Fibers { schedule; _ } ->
-        Workpool.run_fibers pool ~schedule ~workers:nworkers exec
+    | Fibers { schedule; sink; _ } ->
+        sink (Workpool.run_fibers pool ~schedule ~workers:nworkers exec)
   in
   (* sequential sections run on worker 0's clock, fenced by barriers *)
   let seq_section f =

@@ -48,7 +48,7 @@ type scenario = {
   name : string;
   threads : int;
   config : Explore.config;
-      (** how the region is formatted: the striped, byte-range and
+      (** how the region is formatted: the scaled, byte-range and
           log-ring gates are base scenarios run under
           {!Explore.striped}, {!Explore.ranged} or a ring config *)
   invariant : bool;
@@ -349,10 +349,10 @@ let shared_scenario ~threads =
       site "unlink";
       Fs.unlink ~ctx fs (f 1))
 
-(* --- striped-mode scenarios -------------------------------------------- *)
+(* --- shared-directory scenarios ------------------------------------------ *)
 
-(* The striped shared-directory paths need names with controlled hash
-   rows: deterministically probe until one lands in [row]. *)
+(* The shared-directory paths need names with controlled hash rows:
+   deterministically probe until one lands in [row]. *)
 let name_in_row ~row i =
   let rec go j =
     let n = Printf.sprintf "r%d_%d_%d" row i j in
@@ -360,15 +360,15 @@ let name_in_row ~row i =
   in
   go 0
 
-(* Concurrent creates in ONE directory under striped locks, each thread
-   in its own hash row: the per-row spin and append locks, the
-   per-thread allocator caches and the resolve cache all see real
-   cross-thread traffic, yet every access is lock-ordered — zero races
-   required.  Rows stay under 8 entries, so the chain never grows (the
-   lock-free publication of a new hash block is benign-by-design and
-   covered informationally by [shared_scenario], not asserted here). *)
-let striped_create_scenario ~threads =
-  scenario ~config:Explore.striped ~threads "striped-create"
+(* Concurrent creates in ONE directory, each thread in its own hash row:
+   the per-row spin and append locks (plus, when scaled, the per-thread
+   allocator caches and the resolve cache) see real cross-thread
+   traffic, yet every access is lock-ordered — zero races required.
+   Rows stay under 8 entries, so the chain never grows (the lock-free
+   publication of a new hash block is benign-by-design and covered
+   informationally by [shared_scenario], not asserted here). *)
+let dir_create_scenario ~config ~threads name =
+  scenario ~config ~threads name
     ~setup:(fun fs -> Fs.mkdir fs "/s")
     (fun ~tid ~site fs ctx ->
       site "create";
@@ -377,8 +377,8 @@ let striped_create_scenario ~threads =
 
 (* All threads hammer the SAME hash row: the row lock must serialize
    the EEXIST probe + insert sequences completely. *)
-let striped_same_row_scenario ~threads =
-  scenario ~config:Explore.striped ~threads "striped-row"
+let dir_row_scenario ~config ~threads name =
+  scenario ~config ~threads name
     ~setup:(fun fs -> Fs.mkdir fs "/s")
     (fun ~tid ~site fs ctx ->
       site "create";
@@ -391,16 +391,16 @@ let one_file_per_thread ~threads ~dirs fs =
     Fs.create_file fs ("/s/" ^ name_in_row ~row:tid 0)
   done
 
-(* Same-directory renames from every thread: the directory's single
-   persistent log slot is written by all of them, serialized by the
-   striped-mode log lock — the explorer proves the write..clear windows
-   never interleave (any overlap would corrupt the slot and diverge the
-   namespace or trip fsck).  On log-ring media each rename instead
-   claims its own ring slot, so the log windows genuinely overlap in
-   time; with more threads than slots the claim loop takes its
-   ring-full fallback (blocking on the hint slot). *)
-let striped_rename_scenario ~threads =
-  scenario ~config:Explore.striped ~threads "striped-rename"
+(* Same-directory renames on disjoint rows from every thread.  Without
+   a ring the directory's single persistent log slot is written by all
+   of them, serialized by its slot lock — the explorer proves the
+   write..clear windows never interleave (any overlap would corrupt the
+   slot and diverge the namespace or trip fsck).  On log-ring media each
+   rename instead claims its own ring slot, so the log windows genuinely
+   overlap in time; with more threads than slots the claim loop takes
+   its ring-full fallback (blocking on the hint slot). *)
+let dir_rename_scenario ~config ~threads name =
+  scenario ~config ~threads name
     ~setup:(one_file_per_thread ~threads ~dirs:[ "/s" ])
     (fun ~tid ~site fs ctx ->
       site "rename";
@@ -409,9 +409,9 @@ let striped_rename_scenario ~threads =
         ("/s/" ^ name_in_row ~row:(tid + 8) 1))
 
 (* Cross-directory renames sharing one source directory (and hence one
-   source log slot, or one source ring) under striped locks. *)
-let striped_xrename_scenario ~threads =
-  scenario ~config:Explore.striped ~threads "striped-xrename"
+   source log slot, or one source ring). *)
+let dir_xrename_scenario ~config ~threads name =
+  scenario ~config ~threads name
     ~setup:(one_file_per_thread ~threads ~dirs:[ "/s"; "/d" ])
     (fun ~tid ~site fs ctx ->
       site "xrename";
@@ -419,14 +419,28 @@ let striped_xrename_scenario ~threads =
         ("/s/" ^ name_in_row ~row:tid 0)
         ("/d/" ^ name_in_row ~row:tid 1))
 
-(* The log-ring gate: the striped renames on media with a ring of
-   [slots] rename-log slots per directory.  The explorer proves the
-   per-slot claim discipline keeps every interleaving serializable
-   (identical namespace), fsck-clean (no slot left pending) and
-   race-free (distinct slots never share lines; a contended slot is
-   handed over lock-to-lock). *)
-let on_ring slots name sc =
-  { sc with name; config = { Explore.striped with ring = slots } }
+(** The shared-directory scenarios (creates on disjoint rows and on one
+    row, same- and cross-directory renames) on the default and the
+    scaled configuration: one directory protocol, so the same
+    zero-race bar. *)
+let shared_dir_scenarios ~threads =
+  List.concat_map
+    (fun (config, prefix) ->
+      [
+        dir_create_scenario ~config ~threads (prefix ^ "create");
+        dir_row_scenario ~config ~threads (prefix ^ "row");
+        dir_rename_scenario ~config ~threads (prefix ^ "rename");
+        dir_xrename_scenario ~config ~threads (prefix ^ "xrename");
+      ])
+    [ (Explore.plain, "shared-"); (Explore.striped, "striped-") ]
+
+(* The log-ring gate: the renames on media with a ring of [slots]
+   rename-log slots per directory.  The explorer proves the per-slot
+   claim discipline keeps every interleaving serializable (identical
+   namespace), fsck-clean (no slot left pending) and race-free
+   (distinct slots never share lines; a contended slot is handed over
+   lock-to-lock). *)
+let ring slots = { Explore.striped with ring = slots }
 
 (* --- step 6 against an in-flight insert ----------------------------------- *)
 
@@ -632,29 +646,28 @@ let range_append_truncate_scenario =
 
 (** The gated scenarios ([make races] and [test_sched] run every one):
     the private-directory state machines; shared-directory create and
-    rename traffic with the scalability features on; concurrent
-    byte-level traffic on one shared file under [range_locks]; and the
-    striped renames on a 4-slot ring and, with more threads than slots,
-    a 1-slot ring.  Each must be schedule-invariant (or pass its
-    final-state oracle), fsck-clean and race-free. *)
+    rename traffic on the default and the scaled configuration;
+    concurrent byte-level traffic on one shared file under
+    [range_locks]; and the renames on a 4-slot ring and, with more
+    threads than slots, a 1-slot ring.  Each must be schedule-invariant
+    (or pass its final-state oracle), fsck-clean and race-free. *)
 let gated ~threads =
   [
     create_scenario ~threads;
     unlink_scenario ~threads;
     rename_scenario ~threads;
     rw_scenario ~threads;
-    striped_create_scenario ~threads;
-    striped_same_row_scenario ~threads;
-    striped_rename_scenario ~threads;
-    striped_xrename_scenario ~threads;
-    range_write_scenario ~threads;
-    range_overlap_scenario ~threads;
-    range_append_scenario ~threads;
-    range_append_truncate_scenario;
-    on_ring 4 "ring-rename" (striped_rename_scenario ~threads);
-    on_ring 4 "ring-xrename" (striped_xrename_scenario ~threads);
-    on_ring 1 "ring-contention" (striped_rename_scenario ~threads);
   ]
+  @ shared_dir_scenarios ~threads
+  @ [
+      range_write_scenario ~threads;
+      range_overlap_scenario ~threads;
+      range_append_scenario ~threads;
+      range_append_truncate_scenario;
+      dir_rename_scenario ~config:(ring 4) ~threads "ring-rename";
+      dir_xrename_scenario ~config:(ring 4) ~threads "ring-xrename";
+      dir_rename_scenario ~config:(ring 1) ~threads "ring-contention";
+    ]
 
 (* --- parallel-recovery scenarios ---------------------------------------- *)
 
@@ -753,13 +766,20 @@ let recovery_run ?(seed = 23L) ?(budget = 24) ?(size = default_size)
     let layout = Layout.attach region in
     Simurgh_alloc.Block_alloc.iter_lock_words layout.Layout.balloc
       (fun ~off ~len -> Race.exclude race ~off ~len);
-    Workpool.fiber_outcomes := [];
+    let outs = ref [] in
     let sched =
       Schedule.random (Int64.add seed (Int64.of_int ((j * 7919) + 13)))
     in
     (match
        watched region race (fun () ->
-           Recovery.run ~par:(Recovery.Fibers { schedule = sched; workers })
+           Recovery.run
+             ~par:
+               (Recovery.Fibers
+                  {
+                    schedule = sched;
+                    workers;
+                    sink = (fun o -> outs := o :: !outs);
+                  })
              region)
      with
     | _, report ->
@@ -784,8 +804,7 @@ let recovery_run ?(seed = 23L) ?(budget = 24) ?(size = default_size)
     | exception e ->
         failures :=
           (label, "recovery raised " ^ Printexc.to_string e) :: !failures);
-    let outs = !Workpool.fiber_outcomes in
-    Workpool.fiber_outcomes := [];
+    let outs = !outs in
     List.iter (fun (o : Engine.explore_outcome) ->
         yields := !yields + o.Engine.yields) outs;
     Hashtbl.replace hashes

@@ -100,12 +100,9 @@ let run_vtime t ~(clocks : Sthread.t array) exec =
 
 (* -- cooperative fibers ----------------------------------------------- *)
 
-(** Telemetry for the schedule explorer: every {!run_fibers} phase
-    appends its {!Engine.explore_outcome} here (trace hash, yields,
-    switches).  The explorer resets the list before a run and reads it
-    after, proving the schedules it compared genuinely differed. *)
-let fiber_outcomes : Engine.explore_outcome list ref = ref []
-
+(** [run_fibers] returns the phase's {!Engine.explore_outcome} (trace
+    hash, yields, switches): the schedule explorer collects them to
+    prove the schedules it compared genuinely differed. *)
 let run_fibers t ~schedule ~workers exec =
   let body w () =
     (* Fork/join barrier semantics for the race detector: a pool run
@@ -136,5 +133,4 @@ let run_fibers t ~schedule ~workers exec =
     loop ();
     Race.on_fence ()
   in
-  let outcome = Engine.explore ~schedule (Array.init workers body) in
-  fiber_outcomes := outcome :: !fiber_outcomes
+  Engine.explore ~schedule (Array.init workers body)

@@ -39,8 +39,8 @@ let simurgh ?(relaxed_writes = false) () =
         Fx_simurgh.run machine fs bench ~threads ~ops);
   }
 
-(** Simurgh formatted [scaled]: striped directory locks, per-thread
-    allocator caches and the DRAM resolve cache.  The image differs from
+(** Simurgh formatted [scaled]: per-thread allocator caches, the DRAM
+    resolve cache and posted rename-log writes.  The image differs from
     {!fresh_simurgh}'s only in the format word's protocol bits (the
     rest is volatile behavior), so seed-vs-scaled sweeps isolate the
     concurrency work. *)

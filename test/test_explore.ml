@@ -7,7 +7,7 @@
    early), recovers from each resulting image and runs the offline
    checker — which must find nothing, for every image, for every
    machine of the shared table ({!Explore.machines}: the four Fig. 5
-   state machines and their striped, log-ring, byte-range and
+   state machines and their scaled, log-ring, byte-range and
    cross-region configurations).  A final negative test deliberately
    breaks recovery (skipping rename-log resolution) and proves the
    checker catches the damage, i.e. the oracle is not vacuous. *)

@@ -22,8 +22,8 @@ let expect_err expected f =
       Alcotest.(check string) "errno" (Errno.to_string expected)
         (Errno.to_string e)
 
-(* The scaled configuration (striped directory locks, per-thread
-   allocator caches, DRAM resolve cache) must be semantically invisible:
+(* The scaled configuration (per-thread allocator caches, DRAM resolve
+   cache, posted rename-log writes) must be semantically invisible:
    the whole POSIX suite runs again with every feature on. *)
 let fresh_scaled () =
   Fs.mkfs ~euid:0 ~scaled:true (fresh_region ())
@@ -358,9 +358,12 @@ let test_scaled_image_remounts_scaled () =
   Alcotest.(check string) "data read back" "same layout"
     (Bytes.to_string (Fs.pread fs2 fd ~pos:0 ~len:100));
   Fs.close fs2 fd;
-  Alcotest.(check bool) "striped" true
-    (Simurgh_core.Locks.striped (Fs.locks fs2));
+  Alcotest.(check bool) "scaled" true
+    (Fs.layout fs2).Simurgh_core.Layout.scaled;
   Alcotest.(check bool) "rcache" true (Option.is_some fs2.Fs.rcache);
+  Alcotest.(check bool) "thread segments" true
+    (Simurgh_alloc.Block_alloc.thread_segments
+       (Fs.layout fs2).Simurgh_core.Layout.balloc);
   fsck_clean "remount of scaled image" region
 
 (* The superblock's format word carries the ring size in its low byte

@@ -214,7 +214,7 @@ let test_every_mount_runs_the_format_protocol () =
   let protocol fs =
     let l = Fs.locks fs in
     [
-      Simurgh_core.Locks.striped l;
+      (Fs.layout fs).Layout.scaled;
       Simurgh_core.Locks.range l;
       (Fs.layout fs).Layout.coarse_dir_locks;
       (Fs.layout fs).Layout.relaxed_writes;

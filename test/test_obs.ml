@@ -290,6 +290,25 @@ let test_collect_no_retention () =
   Alcotest.(check bool) "alloc/block_allocs kept" true
     (Metrics.get run.Run.counters "alloc/block_allocs" > 0.0)
 
+(* The region's shared lock and allocator counters are one source per
+   region, not one per mount: a joining mount adds only its own
+   [faults/eio_returns].  The root inode and 10 files are live, and
+   mkfs made the only three block allocations (the creates fit in the
+   root directory's first block). *)
+let test_collect_shared_once () =
+  Collect.install ();
+  let region = Simurgh_nvmm.Region.create (8 * 1024 * 1024) in
+  let _root = Simurgh_core.Fs.mkfs ~euid:0 region in
+  let joined = Simurgh_core.Fs.mount ~euid:0 region in
+  for i = 1 to 10 do
+    Simurgh_core.Fs.create_file joined (Printf.sprintf "/f%d" i)
+  done;
+  let run = Collect.drain () in
+  check_float "inodes live" 11.0
+    (Metrics.get run.Run.counters "alloc/inodes_live");
+  check_float "block allocs" 3.0
+    (Metrics.get run.Run.counters "alloc/block_allocs")
+
 (* Recovery's counters belong to the collector that was active during
    the run: two runs under one collector drain [recovery/runs = 2], and
    a fresh collector starts from none. *)
@@ -417,6 +436,8 @@ let () =
             test_collect_region_namespacing;
           Alcotest.test_case "no region retention" `Quick
             test_collect_no_retention;
+          Alcotest.test_case "shared counters once per region" `Quick
+            test_collect_shared_once;
           Alcotest.test_case "recovery counters scoped" `Quick
             test_collect_recovery_scoped;
           Alcotest.test_case "recovery counters in the machine" `Quick

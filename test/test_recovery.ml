@@ -366,7 +366,11 @@ let test_parallel_matches_sequential () =
     Recovery.run
       ~par:
         (Recovery.Fibers
-           { schedule = Simurgh_sim.Schedule.random 5L; workers = 3 })
+           {
+             schedule = Simurgh_sim.Schedule.random 5L;
+             workers = 3;
+             sink = ignore;
+           })
       region
   in
   let df = Simurgh_nvmm.Region.media_digest region in

@@ -43,13 +43,14 @@ let check_invariant sc =
   Alcotest.(check int) "no races on the decentralized workload" 0
     (List.length st.Sched.races)
 
-(* Every gated scenario, one test per plain scenario and one per
-   configuration gate: the striped-lock shared-directory paths, the
-   byte-range data-path scenarios (disjoint writes, overlapping
-   read/write, concurrent appends, append vs truncate) for the
-   range_locks configuration, and the concurrent renames over one
-   directory's rename-log ring (independent slot claims, plus the
-   threads > slots contention fallback) for the log_ring format. *)
+(* Every gated scenario, one test per plain scenario (the default
+   config's shared-directory ones included) and one per configuration
+   gate: the scaled shared-directory paths, the byte-range data-path
+   scenarios (disjoint writes, overlapping read/write, concurrent
+   appends, append vs truncate) for the range_locks configuration,
+   and the concurrent renames over one directory's rename-log ring
+   (independent slot claims, plus the threads > slots contention
+   fallback) for the log_ring format. *)
 let invariance_cases =
   let title (sc : Sched.scenario) =
     let c = sc.Sched.config in
