@@ -42,9 +42,12 @@ bench-commit: build
 # figures when the permission flag is off: the deterministic
 # virtual-time outputs of fig7a/e/f, fig9, fig10 and tab1 are compared
 # byte for byte against the committed FIGS.txt, and a mismatch prints
-# the figure lines that moved.  A change that means to move them
+# the figure lines that moved.  The data figures fig7g/i/k/l ride the
+# same gate so the data path (whole-file and relaxed rows included) is
+# held to its published numbers too; fig7h stays out, its scale-1
+# region is killed for memory.  A change that means to move them
 # re-pins with `make figs-pin` and lists every changed line.
-FIGS = fig7a fig7e fig7f fig9 fig10 tab1
+FIGS = fig7a fig7e fig7f fig7g fig7i fig7k fig7l fig9 fig10 tab1
 figs-gate: build
 	dune exec bench/main.exe -- --scale 0.05 $(FIGS) | diff -u FIGS.txt - \
 	  || (echo "figs-gate: published figures diverged from FIGS.txt" && exit 1)
