@@ -10,7 +10,9 @@
     ({!Simurgh_core.Sched_explore.gated}: the decentralized
     private-directory machines, the shared-directory ones on the
     default and the scaled configuration, the byte-range data-path ones for the [range_locks]
-    configuration and the concurrent renames on a rename-log ring)
+    configuration, an append racing truncate and O_TRUNC on both
+    data-path disciplines and the concurrent renames on a rename-log
+    ring)
     and on parallel recovery.  Three extra parts keep the tooling
     honest:
 

@@ -493,12 +493,15 @@ let ensure_data_capacity n cap =
 
 (* Copy [src] into the node's buffer at [pos]: a single blit straight
    from the caller's buffer (no intermediate [Bytes.sub]), shared by the
-   journaled write path and the SplitFS staged-append path. *)
+   journaled write path and the SplitFS staged-append path.  No bytes
+   change nothing, even past EOF. *)
 let blit_into n ~pos src =
   let len = Bytes.length src in
-  ensure_data_capacity n (pos + len);
-  Bytes.blit src 0 n.data pos len;
-  if pos + len > n.size then n.size <- pos + len;
+  if len > 0 then begin
+    ensure_data_capacity n (pos + len);
+    Bytes.blit src 0 n.data pos len;
+    if pos + len > n.size then n.size <- pos + len
+  end;
   len
 
 let charge_read ?ctx t len =
@@ -550,7 +553,8 @@ let pread ?ctx t fd ~pos ~len =
 let do_write ?ctx t n ~pos src =
   let len = Bytes.length src in
   let new_blocks =
-    max 0 (((pos + len + 4095) / 4096) - ((n.size + 4095) / 4096))
+    if len = 0 then 0
+    else max 0 (((pos + len + 4095) / 4096) - ((n.size + 4095) / 4096))
   in
   if new_blocks > 0 then alloc_blocks ?ctx t new_blocks;
   let len = blit_into n ~pos src in

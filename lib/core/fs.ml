@@ -76,6 +76,15 @@ type penv = {
   g_statfs : (Hw.Protected.privileged -> fsstat) -> fsstat;
 }
 
+(** How the data path locks a file, fixed by the format (see {!mkfs}).
+    [Byte_range]: the file lock is a fence every data operation holds
+    shared, below it the 4 KiB row locks, the extent lock and the
+    append reservation words.  [Whole_file]: the same file lock, taken
+    exclusive by writers and shared by readers, which already covers
+    everything the inner levels protect.  [Relaxed]: no lock (Fig. 7k
+    "relaxed"). *)
+type discipline = Byte_range | Whole_file | Relaxed
+
 type t = {
   layout : Layout.t;
   region : Region.t;
@@ -87,6 +96,7 @@ type t = {
   rcache : Rcache.t option;
       (** Simurgh-side DRAM resolve cache (shared across mounts);
           [None] = seed behavior, every component scanned in NVMM *)
+  discipline : discipline;  (** the format's data-path locking *)
   log_ring : int;
       (** format-time rename-log ring size (from the superblock): each
           directory's first hash block carries this many log slots, and
@@ -234,6 +244,10 @@ let of_shared ?(call_mode = Protected) ?(euid = 1000) ?(egid = 1000) s =
       egid;
       call_mode;
       rcache = rc;
+      discipline =
+        (if layout.Layout.range_locks then Byte_range
+         else if layout.Layout.relaxed_writes then Relaxed
+         else Whole_file);
       log_ring = layout.Layout.log_ring;
       crash_hook = ignore;
       logical_time = 0;
@@ -303,11 +317,11 @@ let note_shared_source s =
     clean flag cleared, and a handle on it.  {!mkfs}, a {!mount} with no
     live mount and recovery all end here. *)
 let bring_up ?call_mode ?euid ?egid layout =
-  let scaled = layout.Layout.scaled and range = layout.Layout.range_locks in
+  let scaled = layout.Layout.scaled in
   let s =
     {
       s_layout = layout;
-      s_locks = Locks.create ~range ();
+      s_locks = Locks.create ();
       s_rcache = (if scaled then Some (Rcache.create ()) else None);
       s_quota = Quota.create ();
       s_mounts = 1;
@@ -397,6 +411,7 @@ let unmount t =
 let region t = t.region
 let layout t = t.layout
 let locks t = t.locks
+let discipline t = t.discipline
 let set_crash_hook t f = t.crash_hook <- f
 let set_creds t ~euid ~egid =
   t.euid <- euid;
@@ -1242,67 +1257,13 @@ let zero_span t inode ~from ~upto =
   end
   else 0
 
-(* Close an extending write's data epoch (DESIGN.md §18): its staged
-   extent slots, zeroed hole and payload become durable at one sfence,
-   before the size publish that exposes them, charged as one streaming
-   write of [bytes] plus a line per staged slot. *)
+(* Close a size change's data epoch (DESIGN.md §18): the extent slots it
+   staged and the hole it zeroed become durable at one sfence, before
+   the size word that exposes them, charged as one streaming write of
+   [bytes] plus a line per staged slot. *)
 let close_data_epoch ?ctx t ~bytes ~lines =
   Region.sfence t.region;
   Charge.nvmm_write ?ctx (bytes + (Region.line_size * lines))
-
-(* Copy [src] into the file at [pos] across extents.  Returns bytes
-   written (always all of them; capacity was ensured). *)
-let write_data ?ctx t w inode ~pos src =
-  let len = Bytes.length src in
-  let old_size = Inode.size t.region inode in
-  let lines = ensure_capacity ?ctx t w inode (pos + len) in
-  let hole = zero_span t inode ~from:old_size ~upto:pos in
-  let rec copy off remaining =
-    if remaining > 0 then begin
-      match map_offset t inode (pos + off) with
-      | None -> Errno.raise_ EINVAL "write_data: unmapped offset"
-      | Some (addr, avail) ->
-          let n = min avail remaining in
-          (* stream straight from the caller's buffer — no Bytes.sub *)
-          Region.write_bytes_from t.region addr src ~pos:off ~len:n;
-          Region.clwb t.region addr n;
-          copy (off + n) (remaining - n)
-    end
-  in
-  copy 0 len;
-  (* two epochs (paper: metadata updates occur after the data has been
-     persisted): extent slots, hole and payload, then the size publish.
-     The stores stream straight from the user buffer to NVMM, no extra
-     kernel copy (the device-rate charge covers the CPU's store stream) *)
-  close_data_epoch ?ctx t ~bytes:(hole + len) ~lines;
-  Charge.fence ?ctx ();
-  if pos + len > old_size then begin
-    Inode.set_size t.region inode (pos + len);
-    Inode.set_mtime t.region inode (now ?ctx t);
-    Region.persist t.region (Inode.f_size inode) 16;
-    Charge.write_lines ?ctx 1
-  end;
-  len
-
-let read_data ?ctx t inode ~pos ~len =
-  let size = Inode.size t.region inode in
-  let len = max 0 (min len (size - pos)) in
-  let out = Bytes.create len in
-  let rec copy off remaining =
-    if remaining > 0 then begin
-      match map_offset t inode (pos + off) with
-      | None -> Errno.raise_ EINVAL "read_data: unmapped offset"
-      | Some (addr, avail) ->
-          let n = min avail remaining in
-          (* fill the result in place — no intermediate copy *)
-          Region.read_bytes_into t.region addr out ~pos:off ~len:n;
-          copy (off + n) (remaining - n)
-    end
-  in
-  copy 0 len;
-  Charge.nvmm_read ?ctx len;
-  Charge.memcpy ?ctx len;
-  out
 
 let free_data ?ctx t _w inode =
   let balloc = t.layout.Layout.balloc in
@@ -1330,35 +1291,48 @@ let free_data ?ctx t _w inode =
   chain (Region.read_u62 t.region (Inode.f_overflow inode));
   match quid with Some uid -> quota_release t ~uid !freed | None -> ()
 
-(* --- byte-range data path (range_locks mode) ------------------------------ *)
+(* --- the data path ---------------------------------------------------------- *)
 
-(* Lock order, outermost first — every path acquires along this chain,
-   so no cycle is possible:
+(* One path serves every {!discipline}.  Lock order, outermost first —
+   every path acquires along this chain, so no cycle is possible:
 
      directory row (unlink only)
-       -> whole-file lock, used as a *fence*: shared by every data
+       -> the file lock.  Byte-range: a *fence*, shared by every data
           operation for its full duration, exclusive by truncate /
-          O_TRUNC / fallocate / unlink to drain and exclude them all
-         -> 4 KiB row locks, ascending row order, only the rows
-            covering [pos, pos+len) (appends take none: the reservation
-            already makes their byte range private)
-           -> extent-map lock, innermost: shared around every
-              map_offset/data copy, exclusive around extent staging and
-              the size publish
+          O_TRUNC / fallocate / unlink to drain and exclude them all.
+          Whole-file: exclusive by writers and by truncate / O_TRUNC /
+          fallocate, shared by readers; it then already excludes
+          everything the levels below protect, so they are skipped
+         -> 4 KiB row locks (byte-range), ascending row order, only the
+            rows covering [pos, pos+len) (appends take none: the
+            reservation already makes their byte range private)
+           -> extent-map lock (byte-range), innermost: shared around
+              every map_offset/data copy, exclusive around extent
+              staging and the size publish
 
    The append publish-wait holds only the fence (shared) — predecessors
-   need the extent lock and their own reservation, never ours. *)
+   need the extent lock and their own reservation, never ours.  The
+   byte-range levels build their closures on their own branch only, so
+   the whole-file path allocates nothing for them. *)
 
-let with_fence_shared ?ctx t inode f =
-  match ctx with
-  | None -> f ()
-  | Some c -> Simurgh_sim.Vlock.Rw.with_read c (Locks.file_lock t.locks inode) f
+let with_file_lock ?ctx t inode ~excl f =
+  match (ctx, t.discipline) with
+  | Some c, (Byte_range | Whole_file) ->
+      (* exception-safe: an EIO mid-write must not leave the file
+         locked — the process keeps running after a media error *)
+      let l = Locks.file_lock t.locks inode in
+      if excl then Simurgh_sim.Vlock.Rw.with_write c l f
+      else Simurgh_sim.Vlock.Rw.with_read c l f
+  | None, _ | Some _, Relaxed -> f ()
 
-let with_fence_excl ?ctx t inode f =
+(* The byte-range levels: called on byte-range branches only. *)
+let with_extent ?ctx t inode ~excl f =
   match ctx with
   | None -> f ()
   | Some c ->
-      Simurgh_sim.Vlock.Rw.with_write c (Locks.file_lock t.locks inode) f
+      let l = Locks.extent_lock t.locks inode in
+      if excl then Simurgh_sim.Vlock.Rw.with_write c l f
+      else Simurgh_sim.Vlock.Rw.with_read c l f
 
 (* Hold every row covering [pos, pos+len) across [f], acquired in
    ascending row order (two writers covering overlapping spans always
@@ -1371,176 +1345,231 @@ let with_rows ?ctx t inode ~pos ~len ~excl f =
         | [] -> f ()
         | row :: rest ->
             let l = Locks.range_lock t.locks inode ~row in
-            if excl then
-              Simurgh_sim.Vlock.Rw.with_write c l (fun () -> go rest)
+            if excl then Simurgh_sim.Vlock.Rw.with_write c l (fun () -> go rest)
             else Simurgh_sim.Vlock.Rw.with_read c l (fun () -> go rest)
       in
       go (Locks.rows_of_range ~pos ~len)
 
-let with_extent_read ?ctx t inode f =
-  match ctx with
-  | None -> f ()
-  | Some c ->
-      Simurgh_sim.Vlock.Rw.with_read c (Locks.extent_lock t.locks inode) f
-
-let with_extent_write ?ctx t inode f =
-  match ctx with
-  | None -> f ()
-  | Some c ->
-      Simurgh_sim.Vlock.Rw.with_write c (Locks.extent_lock t.locks inode) f
-
-(* The volatile size pair of an open file.  [reserved] is bumped by a
+(* The byte-range reservation words of a file: [reserved] is bumped by a
    fetch-and-add before any byte is written; [published] trails it and
    mirrors the persistent size word.  The registry mints the record
    atomically with both words [-1]; the first data operation fills them
    from the inode under the extent lock (shared), which orders the read
    after any in-flight publisher.  The sentinel check + store sequence
-   has no scheduling point, so exactly one thread performs the fill. *)
-let state_of ?ctx t inode =
-  let st = Locks.file_state t.locks inode in
-  if st.Locks.published < 0 then
-    with_extent_read ?ctx t inode (fun () ->
-        if st.Locks.published < 0 then begin
-          let size = Inode.size t.region inode in
-          st.Locks.reserved <- size;
-          st.Locks.published <- size
-        end);
-  st
+   has no scheduling point, so exactly one thread performs the fill.
+   [None] under the other disciplines, which keep no such words. *)
+let reservation ?ctx t inode =
+  match t.discipline with
+  | Whole_file | Relaxed -> None
+  | Byte_range ->
+      let st = Locks.file_state t.locks inode in
+      if st.Locks.published < 0 then
+        with_extent ?ctx t inode ~excl:false (fun () ->
+            if st.Locks.published < 0 then begin
+              let size = Inode.size t.region inode in
+              st.Locks.reserved <- size;
+              st.Locks.published <- size
+            end);
+      Some st
 
-(* Stream [src] into [pos, pos+len) without a fence: the caller closes
-   the epoch with one sfence.  Charged as one streaming write of the
-   payload plus [extra] bytes the epoch staged before it (a zeroed hole,
-   a line per staged extent slot), the same sum [close_data_epoch]
-   charges.  The charge stays inside the caller's extent-read hold:
-   issued after it, as [close_data_epoch] would, it changes how
-   concurrent appenders interleave on the extent lock (the data
-   benchmark's byte-range shared append at 4 threads fell from 1,938 to
-   1,659 Kops/s at scale 1). *)
-let range_copy ?ctx t inode ~pos ~extra src =
-  let len = Bytes.length src in
-  let rec copy off remaining =
-    if remaining > 0 then
-      match map_offset t inode (pos + off) with
-      | None -> Errno.raise_ EINVAL "write_data: unmapped offset"
-      | Some (addr, avail) ->
-          let n = min avail remaining in
-          Region.ntstore_from t.region addr src ~pos:off ~len:n;
-          copy (off + n) (remaining - n)
-  in
-  copy 0 len;
-  Charge.nvmm_write ?ctx (len + extra)
-
-let range_pwrite ?ctx t w inode ~pos src =
-  let len = Bytes.length src in
-  if len = 0 then 0
-  else
-    with_fence_shared ?ctx t inode @@ fun () ->
-    let st = state_of ?ctx t inode in
-    let overwrite () =
-      (* bytes below the published size: only the covered rows, extent
-         map shared — disjoint writers never touch the same lock *)
-      with_rows ?ctx t inode ~pos ~len ~excl:true @@ fun () ->
-      with_extent_read ?ctx t inode (fun () ->
-          range_copy ?ctx t inode ~pos ~extra:0 src);
-      Region.sfence t.region;
-      Charge.fence ?ctx ();
-      len
-    in
-    if pos + len <= st.Locks.published then overwrite ()
-    else begin
-      (* extending write: drain in-flight appends so the tail is
-         quiescent (holding only the fence shared), then claim it *)
-      Simurgh_sim.Schedule.wait_while (fun () ->
-          st.Locks.reserved <> st.Locks.published);
-      (* an append may have grown the file past us while we waited *)
-      if pos + len <= st.Locks.published then overwrite ()
-      else begin
-        let old_size = st.Locks.published in
+(* The size a write of [len] bytes at [pos] starts from, with the tail
+   claimed when the write extends the file.  Whole-file: the size word,
+   which the exclusive file lock holds still.  Byte-range: an append
+   reserves [r0, r0+len) with a fetch-and-add on the volatile size word
+   (no row locks — the reservation is the mutual exclusion); a pwrite
+   past the published size first drains in-flight appends (holding only
+   the fence shared) so the tail is quiescent, then claims it; an
+   overwrite below the published size claims nothing. *)
+let reserve ?ctx t inode st ~append ~pos ~len =
+  match st with
+  | None -> Inode.size t.region inode
+  | Some st ->
+      let claim old =
         st.Locks.reserved <- pos + len;
         Charge.atomic ?ctx ~contended:true ();
-        let from = min pos old_size in
-        with_rows ?ctx t inode ~pos:from ~len:(pos + len - from) ~excl:true
-        @@ fun () ->
-        let lines =
-          with_extent_write ?ctx t inode (fun () ->
-              ensure_capacity ?ctx t w inode (pos + len))
-        in
-        with_extent_read ?ctx t inode (fun () ->
-            let hole = zero_span t inode ~from:old_size ~upto:pos in
-            range_copy ?ctx t inode ~pos
-              ~extra:(hole + (Region.line_size * lines))
-              src);
-        Region.sfence t.region;
-        Charge.fence ?ctx ();
-        (* in-order publish; the drain above made this immediate *)
+        old
+      in
+      if append then claim st.Locks.reserved
+      else if pos + len <= st.Locks.published then st.Locks.published
+      else begin
         Simurgh_sim.Schedule.wait_while (fun () ->
-            st.Locks.published <> old_size);
-        with_extent_write ?ctx t inode (fun () ->
-            Inode.set_size t.region inode (pos + len);
-            Inode.set_mtime t.region inode (now ?ctx t);
-            Region.persist t.region (Inode.f_size inode) 16;
-            Charge.write_lines ?ctx 1;
-            st.Locks.published <- pos + len);
-        len
+            st.Locks.reserved <> st.Locks.published);
+        (* an append may have grown the file past us while we waited *)
+        if pos + len <= st.Locks.published then st.Locks.published
+        else claim st.Locks.published
       end
-    end
 
-(* Concurrent append: reserve [r0, r0+len) with a fetch-and-add on the
-   volatile size word (no row locks — the reservation is the mutual
-   exclusion), write the bytes, then publish the new size in reservation
-   order.  The size word is a single 8-aligned u62 store, so a crash
-   either shows the old size or the new one — never a size covering
-   bytes whose sfence had not retired. *)
-let range_append ?ctx t w inode src =
+let rec copy_in t inode ~pos src off remaining =
+  if remaining > 0 then
+    match map_offset t inode (pos + off) with
+    | None -> Errno.raise_ EINVAL "pwrite: unmapped offset"
+    | Some (addr, avail) ->
+        let n = min avail remaining in
+        (* stream straight from the caller's buffer — no Bytes.sub *)
+        Region.ntstore_from t.region addr src ~pos:off ~len:n;
+        copy_in t inode ~pos src (off + n) (remaining - n)
+
+(* The data epoch's stores, without its fence: the hole between the old
+   size [old] and [pos] zeroed (POSIX: it reads back as zeros), then
+   [src] streamed in at [pos] with non-temporal stores, charged as one
+   streaming write of both plus a line per staged extent slot.  Under
+   byte-range locking the charge stays inside the caller's extent-read
+   hold: issued after it, it changes how concurrent appenders
+   interleave on the extent lock (the data benchmark's byte-range
+   shared append at 4 threads fell from 1,938 to 1,659 Kops/s at scale
+   1). *)
+let stream_data ?ctx t inode ~old ~pos ~lines src =
+  let hole = zero_span t inode ~from:old ~upto:pos in
   let len = Bytes.length src in
-  with_fence_shared ?ctx t inode @@ fun () ->
-  let st = state_of ?ctx t inode in
-  let r0 = st.Locks.reserved in
-  st.Locks.reserved <- r0 + len;
-  Charge.atomic ?ctx ~contended:true ();
-  if len > 0 then begin
-    let lines =
-      with_extent_write ?ctx t inode (fun () ->
-          ensure_capacity ?ctx t w inode (r0 + len))
-    in
-    with_extent_read ?ctx t inode (fun () ->
-        range_copy ?ctx t inode ~pos:r0 ~extra:(Region.line_size * lines) src);
-    Region.sfence t.region;
-    Charge.fence ?ctx ();
-    (* wait for every earlier reservation to publish, so the size never
-       covers a hole another append has not written yet *)
-    Simurgh_sim.Schedule.wait_while (fun () -> st.Locks.published <> r0);
-    with_extent_write ?ctx t inode (fun () ->
-        Inode.set_size t.region inode (r0 + len);
-        Inode.set_mtime t.region inode (now ?ctx t);
-        Region.persist t.region (Inode.f_size inode) 16;
-        Charge.write_lines ?ctx 1;
-        st.Locks.published <- r0 + len)
-  end;
-  r0 + len
+  copy_in t inode ~pos src 0 len;
+  Charge.nvmm_write ?ctx (hole + len + (Region.line_size * lines))
 
-let range_pread ?ctx t inode ~pos ~len =
-  with_fence_shared ?ctx t inode @@ fun () ->
-  let st = state_of ?ctx t inode in
-  (* clamp against the volatile published size: reserved-but-unwritten
-     bytes are never readable *)
-  let len = max 0 (min len (st.Locks.published - pos)) in
-  with_rows ?ctx t inode ~pos ~len ~excl:false @@ fun () ->
-  with_extent_read ?ctx t inode @@ fun () ->
-  let out = Bytes.create len in
-  let rec copy off remaining =
-    if remaining > 0 then
-      match map_offset t inode (pos + off) with
-      | None -> Errno.raise_ EINVAL "read_data: unmapped offset"
-      | Some (addr, avail) ->
-          let n = min avail remaining in
-          Region.read_bytes_into t.region addr out ~pos:off ~len:n;
-          copy (off + n) (remaining - n)
+let store_size ?ctx t inode size =
+  Inode.set_size t.region inode size;
+  Inode.set_mtime t.region inode (now ?ctx t);
+  Region.persist t.region (Inode.f_size inode) 16;
+  Charge.write_lines ?ctx 1
+
+(* Publish [size] after the data epoch of a write that started from
+   [old].  Under byte-range locking in reservation order: wait for every
+   earlier reservation to publish, so the size never covers a hole
+   another append has not written yet.  The size word is a single
+   8-aligned u62 store, so a crash either shows the old size or the new
+   one — never a size covering bytes whose sfence had not retired. *)
+let publish ?ctx t inode st ~old ~size =
+  match st with
+  | None -> store_size ?ctx t inode size
+  | Some st ->
+      Simurgh_sim.Schedule.wait_while (fun () -> st.Locks.published <> old);
+      with_extent ?ctx t inode ~excl:true (fun () ->
+          store_size ?ctx t inode size;
+          st.Locks.published <- size)
+
+(* Stage, stream, fence, publish: the write of [src] at [pos] over a
+   file whose size was [old].  The whole-file path maps the range on
+   every write (an overwrite stages no slot); the byte-range path only
+   when the write extends the file, under the extent lock. *)
+let write_span ?ctx t w inode st ~old ~pos src =
+  let size = pos + Bytes.length src in
+  let extending = size > old in
+  let lines =
+    match st with
+    | None -> ensure_capacity ?ctx t w inode size
+    | Some _ when extending ->
+        with_extent ?ctx t inode ~excl:true (fun () ->
+            ensure_capacity ?ctx t w inode size)
+    | Some _ -> 0
   in
-  copy 0 len;
+  (match st with
+  | None -> stream_data ?ctx t inode ~old ~pos ~lines src
+  | Some _ ->
+      with_extent ?ctx t inode ~excl:false (fun () ->
+          stream_data ?ctx t inode ~old ~pos ~lines src));
+  Region.sfence t.region;
+  Charge.fence ?ctx ();
+  if extending then publish ?ctx t inode st ~old ~size
+
+(* The one write path of pwrite and append: [src] at [pos], or at the
+   end of the file when [append]; returns the end of the written range.
+   Two epochs (paper: metadata updates occur after the data has been
+   persisted): extent slots, hole and payload, then the size publish.
+   An empty [src] writes nothing (an append still takes its
+   reservation). *)
+let write_file ?ctx t w inode ~append ~pos src =
+  let len = Bytes.length src in
+  let excl = match t.discipline with Byte_range -> false | _ -> true in
+  with_file_lock ?ctx t inode ~excl @@ fun () ->
+  let st = reservation ?ctx t inode in
+  let pos =
+    if not append then pos
+    else
+      match st with
+      | None -> Inode.size t.region inode
+      | Some st -> st.Locks.reserved
+  in
+  let old = reserve ?ctx t inode st ~append ~pos ~len in
+  (if len > 0 then
+     match st with
+     | Some _ when not append ->
+         let from = min pos old in
+         with_rows ?ctx t inode ~pos:from ~len:(pos + len - from) ~excl:true
+           (fun () -> write_span ?ctx t w inode st ~old ~pos src)
+     | _ -> write_span ?ctx t w inode st ~old ~pos src);
+  pos + len
+
+let rec copy_out t inode ~pos out off remaining =
+  if remaining > 0 then
+    match map_offset t inode (pos + off) with
+    | None -> Errno.raise_ EINVAL "pread: unmapped offset"
+    | Some (addr, avail) ->
+        let n = min avail remaining in
+        (* fill the result in place — no intermediate copy *)
+        Region.read_bytes_into t.region addr out ~pos:off ~len:n;
+        copy_out t inode ~pos out (off + n) (remaining - n)
+
+let read_span ?ctx t inode ~pos ~len =
+  let out = Bytes.create len in
+  copy_out t inode ~pos out 0 len;
   Charge.nvmm_read ?ctx len;
   Charge.memcpy ?ctx len;
   out
+
+(* The one read path: clamped against the size word, or under byte-range
+   locking against the volatile published size (reserved-but-unwritten
+   bytes are never readable). *)
+let read_file ?ctx t inode ~pos ~len =
+  with_file_lock ?ctx t inode ~excl:false @@ fun () ->
+  match reservation ?ctx t inode with
+  | None ->
+      let len = max 0 (min len (Inode.size t.region inode - pos)) in
+      read_span ?ctx t inode ~pos ~len
+  | Some st ->
+      let len = max 0 (min len (st.Locks.published - pos)) in
+      with_rows ?ctx t inode ~pos ~len ~excl:false @@ fun () ->
+      with_extent ?ctx t inode ~excl:false @@ fun () ->
+      read_span ?ctx t inode ~pos ~len
+
+(* Truncate, fallocate and O_TRUNC: [body] runs with the file lock held
+   exclusive and returns the new size.  Under byte-range locking that
+   drained every reservation, so the volatile pair moves to the new
+   size (ctx or not — sequential callers rely on this bookkeeping
+   too). *)
+let exclusive ?ctx t inode body =
+  with_file_lock ?ctx t inode ~excl:true @@ fun () ->
+  let size = body () in
+  match reservation ?ctx t inode with
+  | None -> ()
+  | Some st ->
+      st.Locks.reserved <- size;
+      st.Locks.published <- size
+
+(* Set the size of [inode] to [len] (the body of truncate and O_TRUNC).
+   A shrink to zero frees every block (the simplest correct strategy);
+   a partial shrink keeps its blocks, so growing re-exposes stale file
+   contents — POSIX says they read zero. *)
+let resize ?ctx t w inode len =
+  let size = Inode.size t.region inode in
+  if len < size then begin
+    if len = 0 then begin
+      free_data ?ctx t w inode;
+      for k = 0 to Inode.inline_extents - 1 do
+        Inode.write_extent t.region inode k ~addr:0 ~blocks:0
+      done;
+      Region.write_u62 t.region (Inode.f_overflow inode) 0
+    end;
+    Inode.set_size t.region inode len;
+    Region.persist t.region inode Inode.payload_size;
+    Charge.write_lines ?ctx 2
+  end
+  else if len > size then begin
+    let lines = ensure_capacity ?ctx t w inode len in
+    let hole = zero_span t inode ~from:size ~upto:len in
+    close_data_epoch ?ctx t ~bytes:hole ~lines;
+    Inode.set_size t.region inode len;
+    Region.persist t.region (Inode.f_size inode) 8;
+    Charge.write_lines ?ctx 1
+  end;
+  len
 
 
 (* --- unlink / rmdir (Fig. 5b) --------------------------------------------- *)
@@ -1627,13 +1656,12 @@ let remove_entry ?ctx t (w : Hw.Protected.privileged) (d : dirref) ~name:n
                drains them all before the inode and its blocks go away.
                Safe under the directory row lock — data ops never wait
                on directory rows, so the holders always finish. *)
-            (if t.layout.Layout.range_locks then
-               match ctx with
-               | None -> ()
-               | Some c ->
-                   Simurgh_sim.Vlock.Rw.with_write c
-                     (Locks.file_lock t.locks inode)
-                     (fun () -> ()));
+            (match (ctx, t.discipline) with
+            | Some c, Byte_range ->
+                Simurgh_sim.Vlock.Rw.with_write c
+                  (Locks.file_lock t.locks inode)
+                  (fun () -> ())
+            | _ -> ());
             Simurgh_alloc.Slab_alloc.free ?ctx t.layout.Layout.inode_slab inode;
             Locks.drop_file_lock t.locks inode;
             (* the directory is gone: reclaim its row/append locks so the
@@ -2018,30 +2046,8 @@ let openf ?ctx t (flags : Types.open_flags) path =
   let inode = Fentry.target t.region fe in
   if flags.Types.read then check_perm_fe ?ctx t fe ~want:4;
   if flags.Types.write then check_perm_fe ?ctx t fe ~want:2;
-  (if flags.Types.trunc then
-     let trunc_body () =
-       if Inode.size t.region inode > 0 then begin
-         free_data ?ctx t w inode;
-         let rec clear_inline k =
-           if k < Inode.inline_extents then begin
-             Inode.write_extent t.region inode k ~addr:0 ~blocks:0;
-             clear_inline (k + 1)
-           end
-         in
-         clear_inline 0;
-         Region.write_u62 t.region (Inode.f_overflow inode) 0;
-         Inode.set_size t.region inode 0;
-         Region.persist t.region inode Inode.payload_size;
-         Charge.write_lines ?ctx 2
-       end
-     in
-     if t.layout.Layout.range_locks then
-       with_fence_excl ?ctx t inode (fun () ->
-           trunc_body ();
-           let st = state_of ?ctx t inode in
-           st.Locks.reserved <- 0;
-           st.Locks.published <- 0)
-     else trunc_body ());
+  if flags.Types.trunc then
+    exclusive ?ctx t inode (fun () -> resize ?ctx t w inode 0);
   let mode =
     match (flags.Types.read, flags.Types.write) with
     | true, true -> Openfile.Rdwr
@@ -2062,26 +2068,6 @@ let fd_entry t fd =
   | Some e -> e
   | None -> Errno.raise_ EBADF (string_of_int fd)
 
-let with_write_lock ?ctx t inode f =
-  if t.layout.Layout.relaxed_writes then f ()
-  else
-    match ctx with
-    | None -> f ()
-    | Some c ->
-        let l = Locks.file_lock t.locks inode in
-        (* exception-safe: an EIO mid-write must not leave the file
-           locked — the process keeps running after a media error *)
-        Simurgh_sim.Vlock.Rw.with_write c l f
-
-let with_read_lock ?ctx t inode f =
-  if t.layout.Layout.relaxed_writes then f ()
-  else
-    match ctx with
-    | None -> f ()
-    | Some c ->
-        let l = Locks.file_lock t.locks inode in
-        Simurgh_sim.Vlock.Rw.with_read c l f
-
 let pwrite ?ctx t fd ~pos src =
   entry_charge ?ctx t;
   media_guard t @@ fun () ->
@@ -2095,11 +2081,11 @@ let pwrite ?ctx t fd ~pos src =
     Errno.raise_ EINVAL (Printf.sprintf "pwrite pos %d + len overflow" pos);
   let e = fd_entry t fd in
   if e.Openfile.mode = Openfile.Rdonly then Errno.raise_ EBADF "read-only fd";
-  if t.layout.Layout.range_locks then
-    range_pwrite ?ctx t w e.Openfile.inode ~pos src
-  else
-    with_write_lock ?ctx t e.Openfile.inode (fun () ->
-        write_data ?ctx t w e.Openfile.inode ~pos src)
+  let len = Bytes.length src in
+  (* POSIX: a zero-byte write to a regular file has no other result *)
+  if len > 0 then
+    ignore (write_file ?ctx t w e.Openfile.inode ~append:false ~pos src);
+  len
 
 let append ?ctx t fd src =
   entry_charge ?ctx t;
@@ -2107,17 +2093,8 @@ let append ?ctx t fd src =
   t.penv.g_append @@ fun w ->
   let e = fd_entry t fd in
   if e.Openfile.mode = Openfile.Rdonly then Errno.raise_ EBADF "read-only fd";
-  if t.layout.Layout.range_locks then begin
-    let newpos = range_append ?ctx t w e.Openfile.inode src in
-    e.Openfile.pos <- newpos;
-    Bytes.length src
-  end
-  else
-    with_write_lock ?ctx t e.Openfile.inode (fun () ->
-        let pos = Inode.size t.region e.Openfile.inode in
-        let n = write_data ?ctx t w e.Openfile.inode ~pos src in
-        e.Openfile.pos <- pos + n;
-        n)
+  e.Openfile.pos <- write_file ?ctx t w e.Openfile.inode ~append:true ~pos:0 src;
+  Bytes.length src
 
 let pread ?ctx t fd ~pos ~len =
   entry_charge ?ctx t;
@@ -2129,11 +2106,7 @@ let pread ?ctx t fd ~pos ~len =
     Errno.raise_ EINVAL (Printf.sprintf "pread pos %d + len %d overflow" pos len);
   let e = fd_entry t fd in
   if e.Openfile.mode = Openfile.Wronly then Errno.raise_ EBADF "write-only fd";
-  if t.layout.Layout.range_locks then
-    range_pread ?ctx t e.Openfile.inode ~pos ~len
-  else
-    with_read_lock ?ctx t e.Openfile.inode (fun () ->
-        read_data ?ctx t e.Openfile.inode ~pos ~len)
+  read_file ?ctx t e.Openfile.inode ~pos ~len
 
 let fallocate ?ctx t fd ~len =
   entry_charge ?ctx t;
@@ -2142,25 +2115,17 @@ let fallocate ?ctx t fd ~len =
   let e = fd_entry t fd in
   if e.Openfile.mode = Openfile.Rdonly then Errno.raise_ EBADF "read-only fd";
   let inode = e.Openfile.inode in
-  let body () =
-    let lines = ensure_capacity ?ctx t w inode len in
-    if lines > 0 then close_data_epoch ?ctx t ~bytes:0 ~lines;
-    if Inode.size t.region inode < len then begin
-      Inode.set_size t.region inode len;
-      Region.persist t.region (Inode.f_size inode) 8;
-      Charge.write_lines ?ctx 1
-    end
-  in
-  if t.layout.Layout.range_locks then
-    with_fence_excl ?ctx t inode (fun () ->
-        body ();
-        (* the fence drained every reservation, so both words move *)
-        let st = state_of ?ctx t inode in
-        if len > st.Locks.published then begin
-          st.Locks.reserved <- len;
-          st.Locks.published <- len
-        end)
-  else with_write_lock ?ctx t inode body
+  exclusive ?ctx t inode @@ fun () ->
+  let lines = ensure_capacity ?ctx t w inode len in
+  if lines > 0 then close_data_epoch ?ctx t ~bytes:0 ~lines;
+  let size = Inode.size t.region inode in
+  if size >= len then size
+  else begin
+    Inode.set_size t.region inode len;
+    Region.persist t.region (Inode.f_size inode) 8;
+    Charge.write_lines ?ctx 1;
+    len
+  end
 
 (* Simurgh persists synchronously; fsync only needs the entry charge. *)
 let fsync ?ctx t fd =
@@ -2178,43 +2143,7 @@ let truncate ?ctx t path len =
   if Fentry.is_dir t.region fe then Errno.raise_ EISDIR path;
   let inode = Fentry.target t.region fe in
   check_perm_fe ?ctx t fe ~want:2;
-  let body () =
-    let size = Inode.size t.region inode in
-    if len < size then begin
-      (* shrink: simplest correct strategy — free everything beyond a
-         block boundary by rebuilding the extent list *)
-      if len = 0 then begin
-        free_data ?ctx t w inode;
-        for k = 0 to Inode.inline_extents - 1 do
-          Inode.write_extent t.region inode k ~addr:0 ~blocks:0
-        done;
-        Region.write_u62 t.region (Inode.f_overflow inode) 0
-      end;
-      Inode.set_size t.region inode len;
-      Region.persist t.region inode Inode.payload_size;
-      Charge.write_lines ?ctx 2
-    end
-    else if len > size then begin
-      let lines = ensure_capacity ?ctx t w inode len in
-      (* a partial shrink keeps its blocks, so the bytes re-exposed by
-         growing are stale file contents — POSIX says they read zero *)
-      let hole = zero_span t inode ~from:size ~upto:len in
-      close_data_epoch ?ctx t ~bytes:hole ~lines;
-      Inode.set_size t.region inode len;
-      Region.persist t.region (Inode.f_size inode) 8;
-      Charge.write_lines ?ctx 1
-    end
-  in
-  if t.layout.Layout.range_locks then
-    with_fence_excl ?ctx t inode (fun () ->
-        body ();
-        (* nothing is in flight behind the exclusive fence: reset the
-           volatile size pair to the new truth (ctx or not — sequential
-           callers rely on this bookkeeping too) *)
-        let st = state_of ?ctx t inode in
-        st.Locks.reserved <- len;
-        st.Locks.published <- len)
-  else with_write_lock ?ctx t inode body
+  exclusive ?ctx t inode (fun () -> resize ?ctx t w inode len)
 
 let readdir ?ctx t path =
   entry_charge ?ctx t;

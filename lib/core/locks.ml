@@ -97,11 +97,6 @@ type stripe = {
 }
 
 type t = {
-  range : bool;
-      (** the data-path protocol: byte-range row/extent locks and the
-          append reservation words instead of one rwlock per file.
-          Every mount of a region shares this registry, so they all run
-          the same protocol *)
   stripes : stripe array;
   mutable log_epoch : int;
       (** Mount-global rename-log epoch: each log-ring rename stamps the
@@ -129,9 +124,8 @@ type t = {
 let stripe_bits = 4
 let nstripes = 1 lsl stripe_bits
 
-let create ?(range = false) () =
+let create () =
   {
-    range;
     stripes =
       Array.init nstripes (fun _ ->
           {
@@ -149,8 +143,6 @@ let create ?(range = false) () =
     log_ring_full_waits = 0;
     retired = [];
   }
-
-let range t = t.range
 
 (** Next rename-log epoch (monotone within this mount, starts at 1 so a
     stamped slot is never confused with the zeroed legacy epoch). *)

@@ -142,11 +142,9 @@ let race_log () =
   in
   (watched, fun () -> List.rev !all)
 
-let default_size = 4 lsl 20
-
 (* --- the explorer ------------------------------------------------------ *)
 
-let run ?(seed = 11L) ?(budget = 128) ?(size = default_size) sc =
+let run ?(seed = 11L) ?(budget = 128) ?(size = Explore.default_size) sc =
   let threads = sc.threads in
   let region = Region.create size in
   let fs = Explore.mkfs ~cores:threads sc.config region in
@@ -495,32 +493,18 @@ let step6_scenarios =
       ])
     [ (Explore.plain, ""); (Explore.striped, "striped-") ]
 
-(* --- byte-range data-path scenarios ------------------------------------ *)
+(* --- data-path scenarios ---------------------------------------------------- *)
 
-(* All four are formatted with [range_locks] (plus [scaled]): one
-   shared file, concurrent byte-level traffic.  Writers of disjoint
+(* One shared file, concurrent byte-level traffic.  The first three are
+   formatted with [range_locks] (plus [scaled]): writers of disjoint
    4 KiB rows must scale AND serialize correctly; the explorer proves
    the correctness half here, with zero race reports required — the
    reservation/publish protocol and the row/extent locks must carry
-   every happens-before edge themselves. *)
+   every happens-before edge themselves.  The append-vs-truncation
+   scenarios run on both data-path disciplines. *)
 
-let page = 4096
+let page = Explore.page
 let fill tid = Char.chr (Char.code 'a' + tid)
-
-(* Oracle-side whole-file read (fresh fd, no ctx — sequential code). *)
-let read_all fs path =
-  let st = Fs.stat fs path in
-  let fd = Fs.openf fs Types.rdonly path in
-  let got = Fs.pread fs fd ~pos:0 ~len:st.Types.size in
-  Fs.close fs fd;
-  got
-
-let uniform b ~pos ~len c =
-  let ok = ref true in
-  for i = pos to pos + len - 1 do
-    if Bytes.get b i <> c then ok := false
-  done;
-  !ok
 
 (* one shared file "/f" of [len] bytes of [c] *)
 let shared_file ~len c fs =
@@ -528,23 +512,24 @@ let shared_file ~len c fs =
   ignore (Fs.pwrite fs fd ~pos:0 (Bytes.make len c));
   Fs.close fs fd
 
+(* The oracles read "/f" with a fresh fd and no ctx (sequential code);
+   a torn page raises from {!Explore.expect_uniform}, which [run]
+   records as a final-state failure. *)
+let expect_size got want =
+  if Bytes.length got = want then None
+  else Some (Printf.sprintf "size %d, want %d" (Bytes.length got) want)
+
 (* Every thread overwrites its own 4 KiB row of one shared file: fully
    deterministic outcome, and the per-row write locks never collide. *)
 let range_write_scenario ~threads =
   scenario ~config:Explore.ranged ~threads "range-write"
     ~check_final:(fun fs ->
-      let got = read_all fs "/f" in
-      if Bytes.length got <> threads * page then
-        Some
-          (Printf.sprintf "size %d, want %d" (Bytes.length got) (threads * page))
-      else begin
-        let bad = ref None in
-        for tid = 0 to threads - 1 do
-          if not (uniform got ~pos:(tid * page) ~len:page (fill tid)) then
-            bad := Some (Printf.sprintf "row %d not thread %d's" tid tid)
-        done;
-        !bad
-      end)
+      let got = Explore.read_file fs "/f" in
+      for tid = 0 to (Bytes.length got / page) - 1 do
+        Explore.expect_uniform got ~pos:(tid * page) ~len:page (fill tid)
+          ~what:(Printf.sprintf "row %d" tid)
+      done;
+      expect_size got (threads * page))
     ~setup:(shared_file ~len:(threads * page) 'o')
     (fun ~tid ~site fs ctx ->
       site "pwrite";
@@ -558,9 +543,10 @@ let range_write_scenario ~threads =
 let range_overlap_scenario ~threads =
   scenario ~config:Explore.ranged ~threads "range-rw"
     ~check_final:(fun fs ->
-      let got = read_all fs "/f" in
-      if Bytes.length got = page && uniform got ~pos:0 ~len:page 'b' then None
-      else Some "writer's bytes did not land")
+      let got = Explore.read_file fs "/f" in
+      Explore.expect_uniform got ~pos:0 ~len:(Bytes.length got) 'b'
+        ~what:"writer's bytes";
+      expect_size got page)
     ~setup:(shared_file ~len:page 'a')
     (fun ~tid ~site fs ctx ->
       let fd = Fs.openf ~ctx fs Types.rdwr "/f" in
@@ -571,10 +557,9 @@ let range_overlap_scenario ~threads =
        else begin
          site "pread";
          let got = Fs.pread ~ctx fs fd ~pos:0 ~len:page in
-         if
-           not
-             (uniform got ~pos:0 ~len:page 'a' || uniform got ~pos:0 ~len:page 'b')
-         then failwith "range-rw: torn read"
+         Explore.expect_uniform got ~pos:0 ~len:page
+           (if Bytes.get got 0 = 'a' then 'a' else 'b')
+           ~what:"range-rw: torn read"
        end);
       Fs.close ~ctx fs fd)
 
@@ -585,28 +570,19 @@ let range_overlap_scenario ~threads =
 let range_append_scenario ~threads =
   scenario ~config:Explore.ranged ~threads "range-append"
     ~check_final:(fun fs ->
-      let got = read_all fs "/f" in
-      if Bytes.length got <> threads * page then
-        Some
-          (Printf.sprintf "size %d, want %d" (Bytes.length got) (threads * page))
-      else begin
-        let seen = Array.make threads 0 in
-        let bad = ref None in
-        for k = 0 to threads - 1 do
-          let c = Bytes.get got (k * page) in
-          let tid = Char.code c - Char.code 'a' in
-          if tid < 0 || tid >= threads
-             || not (uniform got ~pos:(k * page) ~len:page c)
-          then bad := Some (Printf.sprintf "page %d torn" k)
-          else seen.(tid) <- seen.(tid) + 1
-        done;
-        (match !bad with
-        | None ->
-            if Array.exists (fun n -> n <> 1) seen then
-              bad := Some "pages are not a permutation of the appends"
-        | Some _ -> ());
-        !bad
-      end)
+      let got = Explore.read_file fs "/f" in
+      let pages = List.init (Bytes.length got / page) (fun k -> k * page) in
+      List.iter
+        (fun pos ->
+          Explore.expect_uniform got ~pos ~len:page (Bytes.get got pos)
+            ~what:(Printf.sprintf "page at %d" pos))
+        pages;
+      match expect_size got (threads * page) with
+      | Some _ as bad -> bad
+      | None ->
+          let owners = List.sort compare (List.map (Bytes.get got) pages) in
+          if owners = List.init threads fill then None
+          else Some "pages are not a permutation of the appends")
     ~setup:(fun fs ->
       let fd = Fs.openf fs (Types.creat Types.wronly) "/f" in
       Fs.close fs fd)
@@ -616,20 +592,21 @@ let range_append_scenario ~threads =
       ignore (Fs.append ~ctx fs fd (Bytes.make page (fill tid)));
       Fs.close ~ctx fs fd)
 
-(* Append racing truncate(0): the whole-file fence serializes them, so
-   the result is one of exactly two legal serializations — truncated
-   after the append (empty file) or before it (just the appended page).
-   Not schedule-invariant by design. *)
-let range_append_truncate_scenario =
-  scenario ~config:Explore.ranged ~invariant:false ~threads:2
-    "range-append-trunc"
+(* An append of one page of 'b' to a one-page file of 'a', racing its
+   truncation to zero by [truncate] ([otrunc = false]) or by an O_TRUNC
+   open.  The file lock serializes them — both take it exclusive on
+   either discipline — so the result is one of exactly two legal
+   serializations: truncated after the append (empty file) or before it
+   (just the appended page).  Not schedule-invariant by design. *)
+let append_truncate_scenario ~config ~otrunc name =
+  scenario ~config ~invariant:false ~threads:2 name
     ~check_final:(fun fs ->
-      let got = read_all fs "/f" in
+      let got = Explore.read_file fs "/f" in
       match Bytes.length got with
       | 0 -> None
       | n when n = page ->
-          if uniform got ~pos:0 ~len:page 'b' then None
-          else Some "surviving page is not the append's bytes"
+          Explore.expect_uniform got ~pos:0 ~len:page 'b' ~what:"surviving page";
+          None
       | n -> Some (Printf.sprintf "size %d, want 0 or %d" n page))
     ~setup:(shared_file ~len:page 'a')
     (fun ~tid ~site fs ctx ->
@@ -639,17 +616,34 @@ let range_append_truncate_scenario =
         ignore (Fs.append ~ctx fs fd (Bytes.make page 'b'));
         Fs.close ~ctx fs fd
       end
+      else if otrunc then begin
+        site "O_TRUNC";
+        Fs.close ~ctx fs
+          (Fs.openf ~ctx fs { Types.wronly with Types.trunc = true } "/f")
+      end
       else begin
         site "truncate";
         Fs.truncate ~ctx fs "/f" 0
       end)
 
+(** Append racing [truncate] and an O_TRUNC open, under byte-range
+    locking and under whole-file locking. *)
+let append_truncate_scenarios =
+  List.concat_map
+    (fun (config, prefix) ->
+      [
+        append_truncate_scenario ~config ~otrunc:false (prefix ^ "append-trunc");
+        append_truncate_scenario ~config ~otrunc:true (prefix ^ "append-otrunc");
+      ])
+    [ (Explore.ranged, "range-"); (Explore.plain, "") ]
+
 (** The gated scenarios ([make races] and [test_sched] run every one):
     the private-directory state machines; shared-directory create and
     rename traffic on the default and the scaled configuration;
     concurrent byte-level traffic on one shared file under
-    [range_locks]; and the renames on a 4-slot ring and, with more
-    threads than slots, a 1-slot ring.  Each must be schedule-invariant
+    [range_locks]; an append racing [truncate] and an O_TRUNC open on
+    both data-path disciplines; and the renames on a 4-slot ring and,
+    with more threads than slots, a 1-slot ring.  Each must be schedule-invariant
     (or pass its final-state oracle), fsck-clean and race-free. *)
 let gated ~threads =
   [
@@ -663,7 +657,9 @@ let gated ~threads =
       range_write_scenario ~threads;
       range_overlap_scenario ~threads;
       range_append_scenario ~threads;
-      range_append_truncate_scenario;
+    ]
+  @ append_truncate_scenarios
+  @ [
       dir_rename_scenario ~config:(ring 4) ~threads "ring-rename";
       dir_xrename_scenario ~config:(ring 4) ~threads "ring-xrename";
       dir_rename_scenario ~config:(ring 1) ~threads "ring-contention";
@@ -732,7 +728,7 @@ let build_crashed_image ~poison ~size =
     schedule-independent — and {!Check.run} must be clean.  Zero race
     reports are required: mark/sweep tasks only write task-owned bytes;
     everything order-sensitive runs in the fenced sequential steps. *)
-let recovery_run ?(seed = 23L) ?(budget = 24) ?(size = default_size)
+let recovery_run ?(seed = 23L) ?(budget = 24) ?(size = Explore.default_size)
     ?(workers = 3) ?(poison = false) () =
   let name = if poison then "recovery-poison" else "recovery" in
   let region = build_crashed_image ~poison ~size in

@@ -265,6 +265,18 @@ struct
     Alcotest.(check int) "eof read" 0 (Bytes.length b2);
     F.close fs fd
 
+  (* POSIX: a zero-byte write to a regular file has no other result —
+     not even past EOF, where any byte written would grow the file *)
+  let test_zero_byte_pwrite_past_eof () =
+    let fs = Fresh.fresh () in
+    F.create_file fs "/f";
+    let fd = F.openf fs Types.rdwr "/f" in
+    ignore (F.pwrite fs fd ~pos:0 (Bytes.make 10 'x'));
+    Alcotest.(check int) "nothing written" 0
+      (F.pwrite fs fd ~pos:100_000 Bytes.empty);
+    F.close fs fd;
+    Alcotest.(check int) "size unchanged" 10 (F.stat fs "/f").Types.size
+
   let test_open_create_trunc () =
     let fs = Fresh.fresh () in
     let fd = F.openf fs (Types.creat Types.wronly) "/new" in
@@ -464,5 +476,7 @@ struct
       Alcotest.test_case "dotdot" `Quick test_dotdot;
       Alcotest.test_case "1500 files in a dir" `Quick test_many_files_one_dir;
       Alcotest.test_case "fsync" `Quick test_fsync_noop_ok;
+      Alcotest.test_case "zero-byte pwrite past EOF" `Quick
+        test_zero_byte_pwrite_past_eof;
     ]
 end

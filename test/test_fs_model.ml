@@ -1,5 +1,6 @@
 (* Model-based testing: Simurgh against a pure functional specification
-   (a map from paths to contents) under random operation sequences. *)
+   (a map from paths to contents) under random operation sequences, on
+   both data-path disciplines (whole-file and byte-range locking). *)
 
 open Simurgh_fs_common
 module Fs = Simurgh_core.Fs
@@ -21,6 +22,10 @@ type op =
   | Rename of string * string
   | Write of string * string
   | Append of string * string
+  | Pwrite of string * int * string
+      (** positional write: may start past EOF (the hole reads back as
+          zeros) and may write nothing *)
+  | Truncate of string * int  (** shrink, grow (zero-filled) or keep *)
   | StatCheck of string
 
 let pp_op = function
@@ -31,6 +36,9 @@ let pp_op = function
   | Rename (a, b) -> Printf.sprintf "rename %s %s" a b
   | Write (p, s) -> Printf.sprintf "write %s (%d bytes)" p (String.length s)
   | Append (p, s) -> Printf.sprintf "append %s (%d bytes)" p (String.length s)
+  | Pwrite (p, pos, s) ->
+      Printf.sprintf "pwrite %s @%d (%d bytes)" p pos (String.length s)
+  | Truncate (p, n) -> Printf.sprintf "truncate %s %d" p n
   | StatCheck p -> "stat " ^ p
 
 (* Candidate paths: two directory levels, small name space, so ops
@@ -64,6 +72,14 @@ let op_gen =
           map2
             (fun p n -> Append (p, String.make (n + 1) 'a'))
             path_gen (int_range 0 100) );
+        ( 2,
+          map3
+            (fun p pos n ->
+              Pwrite
+                (p, pos, String.init n (fun i -> Char.chr (97 + ((pos + i) mod 26)))))
+            path_gen (int_range 0 6000)
+            (frequency [ (1, return 0); (4, int_range 1 100) ]) );
+        (1, map2 (fun p n -> Truncate (p, n)) path_gen (int_range 0 6000));
         (2, map (fun p -> StatCheck p) path_gen);
       ])
 
@@ -109,6 +125,26 @@ let model_apply m op =
         let old = M.find p m.files in
         ({ m with files = M.add p (old ^ s) m.files }, true)
       else (m, false)
+  | Pwrite (p, pos, s) -> (
+      match M.find_opt p m.files with
+      | None -> (m, false)
+      | Some _ when s = "" -> (m, true)
+      | Some old ->
+          let n = String.length old and len = String.length s in
+          let b = Bytes.make (max n (pos + len)) '\000' in
+          Bytes.blit_string old 0 b 0 n;
+          Bytes.blit_string s 0 b pos len;
+          ({ m with files = M.add p (Bytes.to_string b) m.files }, true))
+  | Truncate (p, len) -> (
+      match M.find_opt p m.files with
+      | None -> (m, false)
+      | Some old ->
+          let n = String.length old in
+          let c =
+            if len <= n then String.sub old 0 len
+            else old ^ String.make (len - n) '\000'
+          in
+          ({ m with files = M.add p c m.files }, true))
   | StatCheck _ -> (m, true)
 
 let is_file fs p =
@@ -146,6 +182,16 @@ let fs_apply fs op =
           Fs.close fs fd;
           true
         with Errno.Err _ -> false)
+  | Pwrite (p, pos, s) -> (
+      if not (is_file fs p) then false
+      else
+        try
+          let fd = Fs.openf fs Types.wronly p in
+          let n = Fs.pwrite fs fd ~pos (Bytes.of_string s) in
+          Fs.close fs fd;
+          n = String.length s
+        with Errno.Err _ -> false)
+  | Truncate (p, n) -> ( try Fs.truncate fs p n; true with Errno.Err _ -> false)
   | StatCheck _ -> true
 
 let read_file fs p =
@@ -173,7 +219,7 @@ let check_against_model fs m =
          | exception Errno.Err _ -> false)
        m.dirs
 
-let run_ops fs ops ~remount_every =
+let run_ops ~format fs ops ~remount_every =
   let fsr = ref fs in
   let region = Fs.region fs in
   let count = ref 0 in
@@ -188,32 +234,42 @@ let run_ops fs ops ~remount_every =
         let m', model_ok = model_apply m op in
         let fs_ok = fs_apply !fsr op in
         if model_ok <> fs_ok then
-          QCheck.Test.fail_reportf "divergence on %s: model=%b fs=%b"
-            (pp_op op) model_ok fs_ok;
+          QCheck.Test.fail_reportf "%s format: divergence on %s: model=%b fs=%b"
+            format (pp_op op) model_ok fs_ok;
         m')
       empty_model ops
   in
   check_against_model !fsr final_model
+
+(* Every operation sequence runs on a default format (whole-file
+   locking) and on a [range_locks] one (byte-range locking, whose
+   volatile reservation words a remount rebuilds). *)
+let formats =
+  [
+    ("default", fun r -> Fs.mkfs ~euid:0 r);
+    ("range_locks", fun r -> Fs.mkfs ~euid:0 ~range_locks:true r);
+  ]
+
+let on_every_format ops ~remount_every =
+  List.for_all
+    (fun (format, mkfs) ->
+      let fs = mkfs (Simurgh_nvmm.Region.create (64 * 1024 * 1024)) in
+      run_ops ~format fs ops ~remount_every)
+    formats
 
 let prop_model =
   QCheck.Test.make ~name:"Simurgh matches the map model" ~count:60
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
        QCheck.Gen.(list_size (int_range 1 60) op_gen))
-    (fun ops ->
-      let region = Simurgh_nvmm.Region.create (64 * 1024 * 1024) in
-      let fs = Fs.mkfs ~euid:0 region in
-      run_ops fs ops ~remount_every:0)
+    (fun ops -> on_every_format ops ~remount_every:0)
 
 let prop_model_with_remounts =
   QCheck.Test.make ~name:"model holds across remounts" ~count:25
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
        QCheck.Gen.(list_size (int_range 20 80) op_gen))
-    (fun ops ->
-      let region = Simurgh_nvmm.Region.create (64 * 1024 * 1024) in
-      let fs = Fs.mkfs ~euid:0 region in
-      run_ops fs ops ~remount_every:20)
+    (fun ops -> on_every_format ops ~remount_every:20)
 
 let () =
   Alcotest.run "fs-model"

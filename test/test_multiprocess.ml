@@ -212,10 +212,9 @@ let test_last_unmount_checkpoints () =
    recovering mounts after a crash run the format's locks and caches. *)
 let test_every_mount_runs_the_format_protocol () =
   let protocol fs =
-    let l = Fs.locks fs in
     [
       (Fs.layout fs).Layout.scaled;
-      Simurgh_core.Locks.range l;
+      Fs.discipline fs = Fs.Byte_range;
       (Fs.layout fs).Layout.coarse_dir_locks;
       (Fs.layout fs).Layout.relaxed_writes;
       Option.is_some fs.Fs.rcache;

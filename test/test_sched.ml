@@ -44,10 +44,11 @@ let check_invariant sc =
     (List.length st.Sched.races)
 
 (* Every gated scenario, one test per plain scenario (the default
-   config's shared-directory ones included) and one per configuration
-   gate: the scaled shared-directory paths, the byte-range data-path
-   scenarios (disjoint writes, overlapping read/write, concurrent
-   appends, append vs truncate) for the range_locks configuration,
+   config's shared-directory ones and its append vs truncate and
+   O_TRUNC included) and one per configuration gate: the scaled
+   shared-directory paths, the byte-range data-path scenarios
+   (disjoint writes, overlapping read/write, concurrent appends, append
+   vs truncate and O_TRUNC) for the range_locks configuration,
    and the concurrent renames over one directory's rename-log ring
    (independent slot claims, plus the threads > slots contention
    fallback) for the log_ring format. *)
