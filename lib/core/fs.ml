@@ -1291,7 +1291,7 @@ let free_data ?ctx t _w inode =
   chain (Region.read_u62 t.region (Inode.f_overflow inode));
   match quid with Some uid -> quota_release t ~uid !freed | None -> ()
 
-(* --- the data path ---------------------------------------------------------- *)
+(* --- the data path ------------------------------------------------------- *)
 
 (* One path serves every {!discipline}.  Lock order, outermost first —
    every path acquires along this chain, so no cycle is possible:
@@ -1345,7 +1345,8 @@ let with_rows ?ctx t inode ~pos ~len ~excl f =
         | [] -> f ()
         | row :: rest ->
             let l = Locks.range_lock t.locks inode ~row in
-            if excl then Simurgh_sim.Vlock.Rw.with_write c l (fun () -> go rest)
+            if excl then
+              Simurgh_sim.Vlock.Rw.with_write c l (fun () -> go rest)
             else Simurgh_sim.Vlock.Rw.with_read c l (fun () -> go rest)
       in
       go (Locks.rows_of_range ~pos ~len)
@@ -2093,7 +2094,8 @@ let append ?ctx t fd src =
   t.penv.g_append @@ fun w ->
   let e = fd_entry t fd in
   if e.Openfile.mode = Openfile.Rdonly then Errno.raise_ EBADF "read-only fd";
-  e.Openfile.pos <- write_file ?ctx t w e.Openfile.inode ~append:true ~pos:0 src;
+  e.Openfile.pos <-
+    write_file ?ctx t w e.Openfile.inode ~append:true ~pos:0 src;
   Bytes.length src
 
 let pread ?ctx t fd ~pos ~len =

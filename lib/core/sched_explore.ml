@@ -493,7 +493,7 @@ let step6_scenarios =
       ])
     [ (Explore.plain, ""); (Explore.striped, "striped-") ]
 
-(* --- data-path scenarios ---------------------------------------------------- *)
+(* --- data-path scenarios ------------------------------------------------ *)
 
 (* One shared file, concurrent byte-level traffic.  The first three are
    formatted with [range_locks] (plus [scaled]): writers of disjoint

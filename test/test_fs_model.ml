@@ -75,8 +75,8 @@ let op_gen =
         ( 2,
           map3
             (fun p pos n ->
-              Pwrite
-                (p, pos, String.init n (fun i -> Char.chr (97 + ((pos + i) mod 26)))))
+              let c i = Char.chr (97 + ((pos + i) mod 26)) in
+              Pwrite (p, pos, String.init n c))
             path_gen (int_range 0 6000)
             (frequency [ (1, return 0); (4, int_range 1 100) ]) );
         (1, map2 (fun p n -> Truncate (p, n)) path_gen (int_range 0 6000));
@@ -234,8 +234,9 @@ let run_ops ~format fs ops ~remount_every =
         let m', model_ok = model_apply m op in
         let fs_ok = fs_apply !fsr op in
         if model_ok <> fs_ok then
-          QCheck.Test.fail_reportf "%s format: divergence on %s: model=%b fs=%b"
-            format (pp_op op) model_ok fs_ok;
+          QCheck.Test.fail_reportf
+            "%s format: divergence on %s: model=%b fs=%b" format (pp_op op)
+            model_ok fs_ok;
         m')
       empty_model ops
   in
