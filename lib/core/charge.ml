@@ -30,6 +30,12 @@ let fence ?ctx () = match ctx with None -> () | Some c -> Machine.fence c
 let atomic ?ctx ~contended () =
   match ctx with None -> () | Some c -> Machine.atomic c ~contended
 
+(** One atomic on a word whose last toucher is [last], charged by
+    {!Vlock.touch_word}; returns the word's next last toucher ([last]
+    itself without a context). *)
+let touch_word ?ctx last =
+  match ctx with None -> last | Some c -> Vlock.touch_word c ~last
+
 (** Run [f] with NVMM line writes charged as posted ntstores (see
     {!Machine.with_posted_writes}); identity without a context. *)
 let posted ?ctx f =

@@ -1377,7 +1377,8 @@ let reservation ?ctx t inode =
    claimed when the write extends the file.  Whole-file: the size word,
    which the exclusive file lock holds still.  Byte-range: an append
    reserves [r0, r0+len) with a fetch-and-add on the volatile size word
-   (no row locks — the reservation is the mutual exclusion); a pwrite
+   (no row locks — the reservation is the mutual exclusion), local when
+   this thread touched the word last; a pwrite
    past the published size first drains in-flight appends (holding only
    the fence shared) so the tail is quiescent, then claims it; an
    overwrite below the published size claims nothing. *)
@@ -1387,7 +1388,7 @@ let reserve ?ctx t inode st ~append ~pos ~len =
   | Some st ->
       let claim old =
         st.Locks.reserved <- pos + len;
-        Charge.atomic ?ctx ~contended:true ();
+        st.Locks.toucher <- Charge.touch_word ?ctx st.Locks.toucher;
         old
       in
       if append then claim st.Locks.reserved

@@ -32,10 +32,14 @@ open Simurgh_sim
 type file_state = {
   mutable reserved : int;  (** end of the highest handed-out byte range *)
   mutable published : int;  (** persistent size already made visible *)
+  mutable toucher : int;
+      (** the thread whose fetch-and-add last touched [reserved] ([-1]:
+          none), which {!Simurgh_sim.Vlock.touch_word} charges by *)
 }
-(** Both [-1] until the first data operation fills them from the inode
-    (under the file's extent lock — registry code must not take locks,
-    so it cannot read the size itself without racing a publisher). *)
+(** [reserved] and [published] are [-1] until the first data operation
+    fills them from the inode (under the file's extent lock — registry
+    code must not take locks, so it cannot read the size itself without
+    racing a publisher). *)
 
 (* Registry keys are ints and int pairs, hashed with {!Simurgh_util.mix}
    instead of the polymorphic [Hashtbl.hash]/[compare] (directory heads
@@ -259,7 +263,7 @@ let file_state t inode =
   (* lookup + insert runs without a scheduling point, so two threads can
      never each mint their own state for one inode *)
   Itbl.find_or_create (stripe_of t inode).file_states inode (fun () ->
-      { reserved = -1; published = -1 })
+      { reserved = -1; published = -1; toucher = -1 })
 
 (** Chain-extension serialization for an insert into hash row [row] of
     directory [dir]: row-full inserts of different rows grow the chain

@@ -1,9 +1,20 @@
 (** Locks in virtual time.
 
     Acquisition moves the acquiring thread's clock to the lock's release
-    time (if in the future) and charges the atomic-operation cost —
-    contended when the previous holder was another thread (the cache line
-    has to move between cores).
+    time (if in the future) and charges the atomic-operation cost of the
+    lock word's cache line.  Every lock word follows one rule
+    ({!touch_cycles}):
+
+    - {b local} ([atomic_uncontended]): this thread touched the word
+      last, or no thread has yet;
+    - {b one line transfer} ([atomic_contended]): another thread touched
+      it last and that touch has completed — a serialized hand-off moves
+      the line once;
+    - {b retry storm} ([contended_factor] × [atomic_contended]): another
+      thread touched it last and an earlier touch is still queued on the
+      word's line, so the touches overlap and the atomic retries while
+      the line bounces.  Only {!Rw}'s shared counter is a line server;
+      the other words never storm ({!touch_word}).
 
     Contention diagnostics (wait cycles, acquisition counts, contended
     vs. uncontended, hold time) are recorded per call-site into the
@@ -52,6 +63,30 @@ let[@inline] record_hold (ctx : Machine.ctx) site ~hold =
   let run = Machine.ctx_obs ctx in
   Contention.held (Contention.resolve site run.Run.contention) ~hold
 
+(* Under many-way overlapping access a lockref-style counter costs far
+   more than a single line transfer (retry storms); factor 8 over the
+   base contended-atomic cost matches observed rw_semaphore scaling. *)
+let contended_factor = 8.0
+
+(** Cycles of one atomic on a lock word whose last toucher is [last]
+    ([-1]: never touched), by thread [tid], with [pending] cycles of
+    earlier touches still queued on the word's line. *)
+let touch_cycles (cm : Cost_model.t) ~last ~tid ~pending =
+  if last < 0 || last = tid then cm.atomic_uncontended
+  else if pending > 0.0 then contended_factor *. cm.atomic_contended
+  else cm.atomic_contended
+
+(** One atomic on a word without a line server (a spin lock's word, the
+    byte-range reservation word): no touch ever queues on its line, so
+    it is local or one line transfer, never a storm.  A legal preemption
+    point like {!Machine.atomic}.  Returns the caller's tid, the word's
+    next [last]. *)
+let touch_word (ctx : Machine.ctx) ~last =
+  let tid = ctx.Machine.thr.Sthread.tid in
+  Schedule.point Schedule.Atomic;
+  Machine.cpu ctx (touch_cycles (Machine.cm ctx) ~last ~tid ~pending:0.0);
+  tid
+
 (* The acquire time of a held lock, in an all-float record (unboxed). *)
 type stamp = { mutable at : float }
 
@@ -63,7 +98,9 @@ type stamp = { mutable at : float }
     granularity, so a thread whose operation started earlier in virtual
     time must not jump to another thread's later wall-clock release — the
     backlog formulation gives exactly the serialization the critical
-    sections impose and nothing more. *)
+    sections impose and nothing more.  The acquiring cmpxchg is a
+    {!touch_word}: local for the last holder or a fresh lock, else one
+    line transfer — the wait itself is the hold backlog's. *)
 module Spin = struct
   type t = {
     id : int;
@@ -103,7 +140,7 @@ module Spin = struct
       t.owner <- tid;
       t.depth <- 1
     end;
-    Machine.atomic ctx ~contended:(t.last_holder <> tid);
+    ignore (touch_word ctx ~last:t.last_holder : int);
     let done_at = Resource.serve t.server ~now:thr.Sthread.now ~dur:0.0 in
     record_acquire ctx t.site ~wait:(done_at -. thr.Sthread.now);
     Sthread.wait_until thr done_at;
@@ -167,10 +204,16 @@ module Mutex = struct
   let contentions t = t.contentions
 end
 
-(** Reader-writer lock.  Readers overlap; each acquisition still bounces
+(** Reader-writer lock.  Readers overlap; each acquisition still touches
     the shared counter cache line, which is precisely why Linux's
     per-file rw_semaphore limits shared-file read scalability (Fig. 7i)
-    while writers serialize fully (Fig. 7k).
+    while writers serialize fully (Fig. 7k).  The counter is a line
+    server charged by {!touch_cycles}: a touch by the last toucher (or
+    the first touch ever) is local, a touch after another thread's has
+    drained is one line transfer, and a touch that arrives while
+    another's is still queued on the line is a retry storm — the cap on
+    overlapping readers and writers.  Striped (per-core) counters are
+    always local.
 
     Acquisitions return a token (the acquisition's virtual entry time)
     that must be passed back to the matching release.  The lock used to
@@ -212,24 +255,21 @@ module Rw = struct
       striped;
     }
 
-  (* Under many-way alternating access a lockref-style counter costs far
-     more than a single line transfer (retry storms); factor 8 over the
-     base contended-atomic cost matches observed rw_semaphore scaling. *)
-  let contended_factor = 8.0
-
   (* Concurrent readers overlap: a writer waits for roughly the residual
      of the overlapping reads, approximated by scaling reader holds down
      by the typical read parallelism. *)
   let read_parallelism = 4.0
 
+  (* The counter line is a server: a touch queues behind the touches
+     still in flight on it, and their backlog is what makes it a storm. *)
   let touch_counter ctx t =
     let thr = ctx.Machine.thr in
-    let cm = Machine.cm ctx in
+    let now = thr.Sthread.now in
     let dur =
-      if t.last_toucher = thr.Sthread.tid then cm.Cost_model.atomic_uncontended
-      else contended_factor *. cm.Cost_model.atomic_contended
+      touch_cycles (Machine.cm ctx) ~last:t.last_toucher ~tid:thr.Sthread.tid
+        ~pending:(Resource.pending t.counter ~now)
     in
-    let done_at = Resource.serve t.counter ~now:thr.Sthread.now ~dur in
+    let done_at = Resource.serve t.counter ~now ~dur in
     Sthread.wait_until thr done_at;
     t.last_toucher <- thr.Sthread.tid
 

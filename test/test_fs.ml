@@ -839,6 +839,57 @@ let test_shard_remount () =
   | _ -> Alcotest.fail "expected invalid_arg on permuted regions"
   | exception Invalid_argument _ -> ()
 
+(* A file's lock words start out local to the first thread that touches
+   them (Vlock.touch_cycles): its creator's first 4 KiB append costs what
+   the second one does, 2,594 cycles on the default format.  Charging a
+   never-touched lock as another thread's (the 8x retry storm on the
+   file lock's counter, a line transfer on each spin word) makes it
+   3,634. *)
+let test_fresh_append_is_local () =
+  let module M = Simurgh_sim.Machine in
+  let fs = Fs.mkfs ~euid:0 (Simurgh_nvmm.Region.create (16 * 1024 * 1024)) in
+  let thr = Simurgh_sim.Sthread.create 0 in
+  let ctx = M.ctx (M.create ()) thr in
+  Fs.create_file ~ctx fs "/f";
+  let fd = Fs.openf ~ctx fs Types.wronly "/f" in
+  let append () =
+    let t0 = thr.Simurgh_sim.Sthread.now in
+    ignore (Fs.append ~ctx fs fd (Bytes.make 4096 'x'));
+    thr.Simurgh_sim.Sthread.now -. t0
+  in
+  let first = append () in
+  let second = append () in
+  Alcotest.(check (float 1.0)) "first append costs the second's" second first;
+  Alcotest.(check bool) "no fresh-lock charge" true (first < 3634.0 -. 900.0)
+
+(* The byte-range reservation's fetch-and-add follows the same rule: it
+   has no line server, so it is local for its last toucher (or a fresh
+   file) and one line transfer for another thread, never a storm. *)
+let test_reserve_touch_rule () =
+  let module M = Simurgh_sim.Machine in
+  let fs =
+    Fs.mkfs ~euid:0 ~range_locks:true
+      (Simurgh_nvmm.Region.create (16 * 1024 * 1024))
+  in
+  let m = M.create () in
+  let thr = Array.init 2 Simurgh_sim.Sthread.create in
+  let cm = M.cm (M.ctx m thr.(0)) in
+  let st = { Simurgh_core.Locks.reserved = 0; published = 0; toucher = -1 } in
+  let claim i =
+    let t0 = thr.(i).Simurgh_sim.Sthread.now in
+    ignore
+      (Fs.reserve ~ctx:(M.ctx m thr.(i)) fs 0 (Some st) ~append:true ~pos:0
+         ~len:4096);
+    thr.(i).Simurgh_sim.Sthread.now -. t0
+  in
+  let local = cm.Simurgh_sim.Cost_model.atomic_uncontended
+  and transfer = cm.Simurgh_sim.Cost_model.atomic_contended in
+  Alcotest.(check (float 1e-6)) "fresh word is local" local (claim 0);
+  Alcotest.(check (float 1e-6)) "same thread again is local" local (claim 0);
+  Alcotest.(check (float 1e-6)) "another thread moves the line" transfer
+    (claim 1);
+  Alcotest.(check int) "last toucher recorded" 1 st.Simurgh_core.Locks.toucher
+
 (* Fig. 5 persist epochs (DESIGN.md §18): each namespace
    op fences exactly where recovery needs an order, in every
    configuration.  A create is three epochs (inode and entry, slot,
@@ -914,6 +965,8 @@ let () =
             test_dir_hash_block_freed_on_rmdir;
           Alcotest.test_case "rename directory" `Quick test_rename_directory;
           Alcotest.test_case "persist epochs" `Quick test_persist_epochs;
+          Alcotest.test_case "fresh-file append is local" `Quick
+            test_fresh_append_is_local;
           Alcotest.test_case "symlink intermediate" `Quick
             test_symlink_intermediate;
           Alcotest.test_case "interleaved unlink" `Quick
@@ -976,5 +1029,7 @@ let () =
           Alcotest.test_case "rows_of_range edges" `Quick
             test_rows_of_range_edges;
           QCheck_alcotest.to_alcotest prop_rows_of_range;
+          Alcotest.test_case "reservation touch rule" `Quick
+            test_reserve_touch_rule;
         ] );
     ]

@@ -232,6 +232,62 @@ let test_rw_writer_excludes () =
   Alcotest.(check bool) "writer waits for reader" true
     (t1.Sthread.now >= 1000.0 /. 4.0)
 
+(* The one charge rule of a lock word's line (Vlock.touch_cycles): local
+   when this thread or no thread touched it last, one line transfer when
+   another thread's touch has completed, a retry storm only while an
+   earlier touch is still queued on the line. *)
+let three_threads () =
+  let m = Machine.create () in
+  let t = Array.init 3 Sthread.create in
+  (t, Array.map (Machine.ctx m) t, Machine.cm (Machine.ctx m t.(0)))
+
+let test_spin_touch_rule () =
+  let t, c, cm = three_threads () in
+  let local = cm.Cost_model.atomic_uncontended
+  and transfer = cm.Cost_model.atomic_contended in
+  let l = Vlock.Spin.create () in
+  Vlock.Spin.acquire c.(0) l;
+  check_float "fresh lock is local" local t.(0).Sthread.now;
+  Vlock.Spin.release c.(0) l;
+  Vlock.Spin.acquire c.(0) l;
+  check_float "same thread again is local" (2.0 *. local) t.(0).Sthread.now;
+  Vlock.Spin.release c.(0) l;
+  Machine.cpu c.(1) 10_000.0;
+  Vlock.Spin.acquire c.(1) l;
+  check_float "drained hand-off is one transfer" (10_000.0 +. transfer)
+    t.(1).Sthread.now;
+  Machine.cpu c.(1) 50.0;
+  Vlock.Spin.release c.(1) l;
+  (* the hold is still pending at 10,100; a spin word has no line server,
+     so nothing is queued on its line and the waiter pays one transfer *)
+  Machine.cpu c.(2) 10_100.0;
+  Alcotest.(check bool) "hold pending" true (Vlock.Spin.busy l ~now:10_100.0);
+  Vlock.Spin.acquire c.(2) l;
+  check_float "spin word never storms" (10_100.0 +. transfer)
+    t.(2).Sthread.now
+
+let test_rw_touch_rule () =
+  let t, c, cm = three_threads () in
+  let local = cm.Cost_model.atomic_uncontended
+  and transfer = cm.Cost_model.atomic_contended in
+  let l = Vlock.Rw.create () in
+  let write i = Vlock.Rw.write_release c.(i) l (Vlock.Rw.write_acquire c.(i) l) in
+  write 0;
+  check_float "fresh lock is local" local t.(0).Sthread.now;
+  write 0;
+  check_float "same thread again is local" (2.0 *. local) t.(0).Sthread.now;
+  Machine.cpu c.(1) 10_000.0;
+  write 1;
+  check_float "drained hand-off is one transfer" (10_000.0 +. transfer)
+    t.(1).Sthread.now;
+  (* thread 1's touch occupies the counter line until 10,000 + transfer:
+     thread 2 arriving inside it storms and queues behind it *)
+  Machine.cpu c.(2) (10_000.0 +. (transfer /. 2.0));
+  write 2;
+  check_float "overlapping touch storms"
+    (10_000.0 +. transfer +. (Vlock.contended_factor *. transfer))
+    t.(2).Sthread.now
+
 (* Posted ntstores: inside with_posted_writes the writer pays only its
    local store latency, yet the device still consumes the bandwidth —
    later FIFO writers queue behind the posted work. *)
@@ -658,6 +714,8 @@ let () =
           Alcotest.test_case "posted writes" `Quick test_posted_writes;
           Alcotest.test_case "readers overlap" `Quick test_rw_readers_overlap;
           Alcotest.test_case "writer excludes" `Quick test_rw_writer_excludes;
+          Alcotest.test_case "spin touch rule" `Quick test_spin_touch_rule;
+          Alcotest.test_case "rw touch rule" `Quick test_rw_touch_rule;
           Alcotest.test_case "spin releases on raise" `Quick
             test_spin_with_lock_releases_on_raise;
           Alcotest.test_case "rw releases on raise" `Quick
