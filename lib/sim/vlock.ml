@@ -140,12 +140,11 @@ module Spin = struct
       t.owner <- tid;
       t.depth <- 1
     end;
-    ignore (touch_word ctx ~last:t.last_holder : int);
+    t.last_holder <- touch_word ctx ~last:t.last_holder;
     let done_at = Resource.serve t.server ~now:thr.Sthread.now ~dur:0.0 in
     record_acquire ctx t.site ~wait:(done_at -. thr.Sthread.now);
     Sthread.wait_until thr done_at;
     t.entered.at <- thr.Sthread.now;
-    t.last_holder <- tid;
     Race.on_acquire t.id
 
   let release (ctx : Machine.ctx) t =
