@@ -56,7 +56,7 @@ figs-pin: build
 	dune exec bench/main.exe -- --scale 0.05 $(FIGS) > FIGS.txt
 
 # Offline fsck-style self-check: the checker must pass a correctly
-# recovered crash image (legacy and log-ring media) and flag both
+# recovered crash image (one-slot and 4-slot log rings) and flag both
 # deliberately mis-recovered ones — skipped log resolution AND a
 # broken parallel sweep (dropped mark shard).
 fsck: build

@@ -176,7 +176,7 @@ let run ~scale =
 (** Standalone fsck self-check, used by [--check] / [make fsck]: the
     checker must pass a correctly recovered crash image AND flag a
     deliberately mis-recovered one (negative control, so a trivially
-    empty checker cannot pass).  After the legacy and log-ring
+    empty checker cannot pass).  After the one-slot and 4-slot ring
     recoveries, the slabs' free caches recovery installed must also
     equal a fresh rebuild ({!Check.free_caches}); a mismatch is listed
     with the violations.  Two positive controls cover the block free

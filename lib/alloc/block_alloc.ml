@@ -33,9 +33,8 @@ let magic = 0xb10ca1
 let header_fixed = 32
 let seg_header_size = 24
 (* Free-range node of the media checkpoint, stored in the first 16
-   bytes of the range itself. *)
+   bytes of the range itself: the next node, then the range's count. *)
 let node_next = 0
-let node_count = 8
 
 (* Volatile operation counters (diagnostics; see Simurgh_obs), in a
    record of their own so an observability source can read them without

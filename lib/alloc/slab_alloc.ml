@@ -429,6 +429,7 @@ let free_slots t = List.of_seq (Queue.to_seq t.free_cache)
 
 let obj_size t = t.obj_size
 let blocks_per_segment t = t.blocks_per_seg
+let objs_per_segment t = t.objs_per_seg
 
 type stats = { live : int; allocs : int; frees : int }
 

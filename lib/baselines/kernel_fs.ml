@@ -126,7 +126,6 @@ let create ?(region = 0) profile =
   t
 
 let name t = t.profile.Profile.name
-let set_region t r = t.home_region <- r
 
 let now ?ctx t =
   match ctx with

@@ -21,8 +21,9 @@
     It is the oracle of the crash-image explorer ({!Explore}): after
     recovery from {e any} crash image, [run] must return [[]].  Poisoned
     lines encountered while checking are reported as [Media] violations
-    instead of aborting the scan.  Read-only: the checker never mutates
-    the region. *)
+    instead of aborting the scan, and so are slots and chain links that
+    no directory could hold ([Dangling_slot], [Structure]).  Read-only:
+    the checker never mutates the region. *)
 
 open Simurgh_nvmm
 module Slab = Simurgh_alloc.Slab_alloc
@@ -45,8 +46,8 @@ type violation =
   | Block_accounting of string
       (** free lists vs. reachable references disagree *)
   | Log_pending of { block : int; slot : int }
-      (** unresolved rename log (slot 0 = legacy single entry; log-ring
-          media can flag several slots of one block) *)
+      (** unresolved rename log in one of a first block's [log_ring]
+          slots (several can be flagged in one block) *)
   | Busy_flag of { block : int; row : int }  (** stuck busy flag *)
   | Media of { line : int }  (** poisoned line hit while checking *)
   | Free_cache of string
@@ -114,14 +115,52 @@ let run ?(include_leaks = true) region =
       let reach_fentry = new_marks () in
       let reach_inode = new_marks () in
       let reach_dirhead = new_marks () in
+      (* every directory block walked, with its size, for the block
+         accounting *)
+      let dir_blocks = ref [] in
+      (* Values read from a corrupt image are checked before they are
+         followed: a slot must hold a file-entry slab object, and a
+         chain link a managed block, not seen before in its chain, whose
+         header {!Dirblock.header_ok} accepts. *)
+      let fentry_objs = new_marks () in
+      Slab.iter_segments fentry_slab (fun seg ->
+          for i = 0 to Slab.objs_per_segment fentry_slab - 1 do
+            Reach.add fentry_objs
+              (Slab.payload (Slab.obj_addr fentry_slab seg i))
+          done);
+      let bs = Balloc.block_size balloc and base = Balloc.base balloc in
+      let limit = base + (Balloc.total_blocks balloc * bs) in
+      let dir_block ~head ~seen b =
+        b >= base && b < limit
+        && (b - base) mod bs = 0
+        && (not (Dirblock.mem_block b seen))
+        && Dirblock.header_ok ~first:(b = head)
+             ~log_ring:layout.Layout.log_ring ~rows:(Dirblock.rows r b)
+             ~ring:(Dirblock.ring r b)
+        && b + Dirblock.size_of r b <= limit
+      in
       let rec walk_dir head =
         if head <> 0 && not (Reach.mem reach_dirhead head) then begin
           Reach.add reach_dirhead head;
           let names = Hashtbl.create 16 in
+          let rec chain seen b =
+            if b = 0 then List.rev seen
+            else if dir_block ~head ~seen b then begin
+              dir_blocks := (b, Dirblock.size_of r b) :: !dir_blocks;
+              chain (b :: seen) (Dirblock.next r b)
+            end
+            else begin
+              add
+                (Structure
+                   (Printf.sprintf "directory %#x links non-directory block %#x"
+                      head b));
+              List.rev seen
+            end
+          in
           try
-            Dirblock.iter_chain r head (fun _ b ->
-                (* ring emptiness: every log slot — the legacy single
-                   entry or each of the ring's — must be clear *)
+            List.iter
+              (fun b ->
+                (* ring emptiness: every log slot must be clear *)
                 List.iter
                   (fun (slot, _) -> add (Log_pending { block = b; slot }))
                   (Dirblock.Log.pending_slots r b);
@@ -129,32 +168,33 @@ let run ?(include_leaks = true) region =
                   for row = 0 to Dirblock.first_rows - 1 do
                     if Dirblock.busy r b row then
                       add (Busy_flag { block = b; row })
-                  done);
-            Dirblock.iter_entries r head (fun b row s p ->
-                try
-                  if not (Slab.is_live fentry_slab p) then
-                    add (Dangling_slot { block = b; row; slot = s; target = p })
-                  else begin
-                    let name = Fentry.name r p in
-                    let want = Name_hash.hash name mod Dirblock.rows r b in
-                    if want <> row then
-                      add (Misplaced_entry { block = b; row; want; name });
-                    if Hashtbl.mem names name then
-                      add (Duplicate_name { dir = head; name })
-                    else Hashtbl.replace names name ();
-                    if Reach.mem reach_fentry p then
-                      add (Duplicate_slot { fentry = p })
-                    else begin
-                      Reach.add reach_fentry p;
-                      Reach.add reach_inode (Fentry.target r p);
-                      if Fentry.is_dir r p then walk_dir (Fentry.dirblock r p)
-                    end
-                  end
-                with Region.Media_error off ->
-                  add (Media { line = off / Region.line_size }))
+                  done;
+                Dirblock.iter_block r b (check_entry head names b))
+              (chain [] head)
           with Region.Media_error off ->
             add (Media { line = off / Region.line_size })
         end
+      and check_entry head names b row s p =
+        try
+          if not (Reach.mem fentry_objs p && Slab.is_live fentry_slab p) then
+            add (Dangling_slot { block = b; row; slot = s; target = p })
+          else begin
+            let name = Fentry.name r p in
+            let want = Name_hash.hash name mod Dirblock.rows r b in
+            if want <> row then
+              add (Misplaced_entry { block = b; row; want; name });
+            if Hashtbl.mem names name then
+              add (Duplicate_name { dir = head; name })
+            else Hashtbl.replace names name ();
+            if Reach.mem reach_fentry p then add (Duplicate_slot { fentry = p })
+            else begin
+              Reach.add reach_fentry p;
+              Reach.add reach_inode (Fentry.target r p);
+              if Fentry.is_dir r p then walk_dir (Fentry.dirblock r p)
+            end
+          end
+        with Region.Media_error off ->
+          add (Media { line = off / Region.line_size })
       in
       let root = Layout.root_fentry layout in
       Reach.add reach_fentry root;
@@ -185,9 +225,7 @@ let run ?(include_leaks = true) region =
 
       (* --- block accounting ----------------------------------------- *)
       (try
-         let bs = Balloc.block_size balloc in
          let nblocks = Balloc.total_blocks balloc in
-         let base = Balloc.base balloc in
          (* 0 = unaccounted, 1 = reachable-used, 2 = free-listed *)
          let state = Bytes.make nblocks '\000' in
          let claim tag what addr bytes =
@@ -216,14 +254,9 @@ let run ?(include_leaks = true) region =
          Slab.iter_segments fentry_slab (fun seg ->
              used "fentry slab segment" seg
                (Slab.blocks_per_segment fentry_slab * bs));
-         Reach.iter
-           (fun head ->
-             try
-               Dirblock.iter_chain r head (fun _ b ->
-                   used "directory block" b (Dirblock.size_of r b))
-             with Region.Media_error off ->
-               add (Media { line = off / Region.line_size }))
-           reach_dirhead;
+         List.iter
+           (fun (b, size) -> used "directory block" b size)
+           (List.rev !dir_blocks);
          Reach.iter
            (fun inode ->
              try

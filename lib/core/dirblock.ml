@@ -12,35 +12,35 @@
     their O(1)-ish behaviour at millions of entries and is documented as
     a deviation in DESIGN.md.
 
-    The *first* block of a directory carries a busy flag per row and one
-    log entry used by renames.  Slot updates are single 8-byte stores, so
-    a torn update is impossible; crash recovery relies on the file-entry
-    valid/dirty bits plus the row/log flags (Fig. 5).
+    The *first* block of a directory carries a busy flag per row and
+    [ring] rename-log slots (the format's [log_ring], at least one).
+    Slot updates are single 8-byte stores, so a torn update is
+    impossible; crash recovery relies on the file-entry valid/dirty bits
+    plus the row/log flags (Fig. 5).
 
     Block layout:
     {v
       +0    next pptr u62
       +8    rows u32, ring u32
       +16   busy flags, 1 byte per lock row   (64 bytes; first block only)
-      +80   log entry                          (40 bytes; first block only)
-      +120  ring log slots: ring x 48 bytes    (first block only; ring > 0)
-      +120+ring*48  slots: rows x 8 x 8 bytes
+      +80   log slots: ring x 48 bytes        (first block only)
+      +80+ring*48  slots: rows x 8 x 8 bytes
     v}
 
-    The [ring] word (always zero before the log-ring feature existed)
-    makes each block self-describing: when non-zero, the legacy +80 log
-    entry is unused and the block instead carries a ring of [ring]
-    48-byte log slots so that concurrent renames in one directory each
-    run the Fig. 5 protocol in their own slot.  A ring slot is the
-    legacy 40-byte entry plus an epoch word at +40 that orders pending
-    slots for recovery. *)
+    The [ring] word makes each block self-describing: a first block
+    carries [ring] log slots, so that concurrent renames in one
+    directory each run the Fig. 5 protocol in their own slot, and a
+    chain block carries none.  Slot 0 is the paper's log entry at +80;
+    every slot ends in an epoch word at +40 that orders pending slots
+    for recovery.  On the default one-slot format the rows start at
+    +128. *)
 
 open Simurgh_nvmm
 
 let first_rows = 64
 let max_rows = 65536
 let slots_per_row = 8
-let header = 120
+let header = 80
 let ring_slot_bytes = 48
 
 let size_for_rows ?(ring = 0) rows =
@@ -50,7 +50,6 @@ let f_next b = b
 let f_rows b = b + 8
 let f_ring b = b + 12
 let f_busy b row = b + 16 + row
-let f_log b = b + 80
 
 let next r b = Region.read_u62 r (f_next b)
 
@@ -60,11 +59,21 @@ let set_next r b v =
 
 let rows r b = Region.read_u32 r (f_rows b)
 
-(** Number of ring log slots in this block; 0 means the legacy single
-    +80 log entry. *)
+(** Number of log slots in this block: the format's [log_ring] on a
+    directory's first block, 0 on a chain block. *)
 let ring r b = Region.read_u32 r (f_ring b)
 
-(** On-media size of this block (ring-aware). *)
+(** Whether a header of [rows] rows and [ring] log slots can belong to a
+    directory: a first block has [first_rows] rows and the format's
+    [log_ring] slots, a chain block a power of two up to [max_rows] rows
+    and none.  A freed block's free-range node (next, count) fails it. *)
+let header_ok ~first ~log_ring ~rows ~ring =
+  if first then rows = first_rows && ring = log_ring
+  else
+    ring = 0 && rows >= first_rows && rows <= max_rows
+    && rows land (rows - 1) = 0
+
+(** On-media size of this block. *)
 let size_of r b = size_for_rows ~ring:(ring r b) (rows r b)
 
 (* row 0 of a block with [ring] log slots *)
@@ -118,9 +127,8 @@ let set_busy r b row v =
   stage_busy r b row v;
   Region.sfence r
 
-(** Initialize a freshly allocated block of [rows] rows.  [ring] ring
-    log slots (first blocks of log-ring directories only; 0 keeps the
-    legacy single +80 log entry and a bit-identical layout). *)
+(** Initialize a freshly allocated block of [rows] rows with [ring] log
+    slots (a directory's first block; chain blocks have none). *)
 let init r b ~rows:nrows ?(ring = 0) () =
   Region.zero r b (size_for_rows ~ring nrows);
   Region.write_u32 r (f_rows b) nrows;
@@ -130,13 +138,11 @@ let init r b ~rows:nrows ?(ring = 0) () =
 (* --- log entry for renames --------------------------------------------- *)
 
 module Log = struct
-  (* A log slot is the Fig. 5 rename log: state u8, kind u8, then four
-     u62 payload words.  Legacy blocks (ring = 0) have exactly one slot,
-     at +80, with no epoch word.  Ring blocks have [ring] slots of
-     [ring_slot_bytes] each starting at +120, each ending in an epoch
-     word at +40 that totally orders pending slots for recovery. *)
-  let base r b slot =
-    if ring r b = 0 then f_log b else b + header + (slot * ring_slot_bytes)
+  (* A log slot is the Fig. 5 rename log: state u8, kind u8, four u62
+     payload words, then an epoch word at +40 that totally orders
+     pending slots for recovery.  A first block's [ring] slots of
+     [ring_slot_bytes] each start at +80. *)
+  let base b slot = b + header + (slot * ring_slot_bytes)
 
   let f_state o = o
   let f_kind o = o + 1
@@ -148,55 +154,47 @@ module Log = struct
 
   let kind_cross_rename = 1
 
-  (** Number of log slots in this block (1 for legacy blocks). *)
-  let nslots r b =
-    let n = ring r b in
-    if n = 0 then 1 else n
+  let pending r b ~slot = Region.read_u8 r (f_state (base b slot)) <> 0
 
-  let pending r b ~slot = Region.read_u8 r (f_state (base r b slot)) <> 0
-
-  (** Epoch stamp of [slot]; legacy slots read as epoch 0. *)
-  let epoch r b ~slot =
-    if ring r b = 0 then 0 else Region.read_u62 r (f_epoch (base r b slot))
+  (** Epoch stamp of [slot]. *)
+  let epoch r b ~slot = Region.read_u62 r (f_epoch (base b slot))
 
   (** True when any log slot in this block is pending. *)
   let any_pending r b =
-    let n = nslots r b in
+    let n = ring r b in
     let rec go s = s < n && (pending r b ~slot:s || go (s + 1)) in
     go 0
 
   (** All pending slots of this block as [(slot, epoch)], unordered. *)
   let pending_slots r b =
-    let n = nslots r b in
     let acc = ref [] in
-    for s = n - 1 downto 0 do
+    for s = ring r b - 1 downto 0 do
       if pending r b ~slot:s then acc := (s, epoch r b ~slot:s) :: !acc
     done;
     !acc
 
   let write r b ~slot ~epoch ~src ~dst ~fentry ~new_entry =
-    let o = base r b slot in
-    let is_ring = ring r b > 0 in
+    let o = base b slot in
     Region.write_u8 r (f_kind o) kind_cross_rename;
     Region.write_u62 r (f_src o) src;
     Region.write_u62 r (f_dst o) dst;
     Region.write_u62 r (f_fentry o) fentry;
     Region.write_u62 r (f_newentry o) new_entry;
-    if is_ring then Region.write_u62 r (f_epoch o) epoch;
-    Region.persist r o (if is_ring then ring_slot_bytes else 40);
+    Region.write_u62 r (f_epoch o) epoch;
+    Region.persist r o ring_slot_bytes;
     (* the state bit is set only once the payload is durable *)
     Region.write_u8 r (f_state o) 1;
     Region.persist r (f_state o) 1
 
   let read r b ~slot =
-    let o = base r b slot in
+    let o = base b slot in
     ( Region.read_u62 r (f_src o),
       Region.read_u62 r (f_dst o),
       Region.read_u62 r (f_fentry o),
       Region.read_u62 r (f_newentry o) )
 
   let clear r b ~slot =
-    let o = base r b slot in
+    let o = base b slot in
     Region.write_u8 r (f_state o) 0;
     Region.persist r (f_state o) 1
 end
@@ -331,18 +329,19 @@ let find_free_slot ?(retired = []) r ~head ~hash =
   in
   go 0 head head
 
-(** Iterate every non-null slot in the chain: [f block row slot fentry]. *)
-let iter_entries r head f =
+(** Iterate every non-null slot of block [b]: [f row slot fentry]. *)
+let iter_block r b f =
   let rowbuf = Bytes.create row_bytes in
-  iter_chain r head (fun _ b ->
-      let nrows = rows r b in
-      for row = 0 to nrows - 1 do
-        load_row r b row rowbuf;
-        for s = 0 to slots_per_row - 1 do
-          let p = slot_of_row rowbuf s in
-          if p <> 0 then f b row s p
-        done
-      done)
+  for row = 0 to rows r b - 1 do
+    load_row r b row rowbuf;
+    for s = 0 to slots_per_row - 1 do
+      let p = slot_of_row rowbuf s in
+      if p <> 0 then f row s p
+    done
+  done
+
+(** Iterate every non-null slot in the chain: [f block row slot fentry]. *)
+let iter_entries r head f = iter_chain r head (fun _ b -> iter_block r b (f b))
 
 (** Number of live entries in the chain. *)
 let count_entries r head =

@@ -58,13 +58,13 @@ let point_label = function
 
 (** How the explored file system is formatted.  [scaled] turns on the
     scalability protocol (resolve cache, allocator caches, posted
-    rename-log writes), [range] the byte-range data-path locks, [ring] the
-    rename-log ring size (0 = single slot) and [secure] the security
-    plane.  The format word records them, so recovery and post-crash
-    traffic run through the configured paths. *)
+    rename-log writes), [range] the byte-range data-path locks, [ring]
+    the rename-log ring size (1 = the paper's single log entry) and
+    [secure] the security plane.  The format word records them, so
+    recovery and post-crash traffic run through the configured paths. *)
 type config = { scaled : bool; range : bool; ring : int; secure : bool }
 
-let plain = { scaled = false; range = false; ring = 0; secure = false }
+let plain = { scaled = false; range = false; ring = 1; secure = false }
 let striped = { plain with scaled = true }
 let ranged = { striped with range = true }
 

@@ -49,10 +49,6 @@ let is_dir r e = flags r e land fl_dir <> 0
 let is_symlink r e = flags r e land fl_symlink <> 0
 let target r e = Region.read_u62 r (f_target e)
 let dirblock r e = Region.read_u62 r (f_dirblock e)
-let set_target r e v =
-  Region.write_u62 r (f_target e) v;
-  Region.persist r (f_target e) 8
-
 let stage_dirblock r e v =
   Region.write_u62 r (f_dirblock e) v;
   Region.clwb r (f_dirblock e) 8

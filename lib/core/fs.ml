@@ -100,8 +100,8 @@ type t = {
   log_ring : int;
       (** format-time rename-log ring size (from the superblock): each
           directory's first hash block carries this many log slots, and
-          a rename claims one via its per-slot lock.  0 = the paper's
-          single slot, claimed the same way. *)
+          a rename claims one via its per-slot lock.  1 = the paper's
+          single log entry. *)
   mutable crash_hook : string -> unit;
   mutable logical_time : int;
   eio_returns : int ref;
@@ -343,8 +343,8 @@ let bring_up ?call_mode ?euid ?egid layout =
   fs
 
 (** Format a fresh region and return a mounted file system.  [log_ring]
-    selects the rename-log ring size (0 = the paper's single
-    per-directory log slot, on-media bit-identical).  The protocol is
+    selects the rename-log ring size (default 1, the paper's single
+    per-directory log entry).  The protocol is
     chosen here and recorded in the superblock's format word, which
     every later mount and recovery reads: [scaled] turns on the DRAM
     resolve cache, per-thread allocator caches and posted rename-log
@@ -430,7 +430,6 @@ let protected_universe t = t.penv.puniv
 let set_quota t ~uid ~blocks = Quota.set_limit t.quota ~uid ~blocks
 
 let quota_used t ~uid = Quota.used t.quota ~uid
-let quota_limit t ~uid = Quota.limit t.quota ~uid
 
 (* Charge [blocks] to [uid], failing with EDQUOT before any allocation
    happens.  One uncontended atomic models the DRAM fetch-and-add; when
@@ -769,23 +768,23 @@ let rcache_invalidate_dir t dhead =
 
 (* The rename-log window of directory [dir]: run [f ~slot ~epoch] with
    a claimed log slot held from its write to its clear.  A directory has
-   [max 1 log_ring] slots, each under its own lock, so N renames of one
+   [log_ring] slots, each under its own lock, so N renames of one
    directory run their Fig. 5 log windows concurrently on an N-slot
-   ring; without a ring the one slot at +80 serializes them.  The claim
+   ring; the default one slot serializes them.  The claim
    probes from a rotating hint for a slot whose lock is free and falls
    back to blocking on the hint slot when every slot is held (counted as
    a ring-full wait).  The epoch is fetched inside the caller's row-lock
    window, so slots of conflicting (row-sharing) renames — which row
    locks serialize — are stamped in their serialization order;
    row-disjoint renames commute, so their relative epoch order only
-   needs to be deterministic.  A slot without a ring stores no epoch.
+   needs to be deterministic.
 
-   On a scaled or ring format the held window's line writes are charged
-   as posted ntstores, so a saturated device queue does not convoy the
+   On a scaled format the held window's line writes are charged as
+   posted ntstores, so a saturated device queue does not convoy the
    renames queued on the slot locks; the default format keeps served
    writes (ROADMAP item 13). *)
 let with_log_slot ?ctx t dir f =
-  let n = max 1 t.log_ring in
+  let n = t.log_ring in
   let start = Locks.next_log_slot_hint t.locks ~n in
   let rec probe i =
     if i = n then begin
@@ -802,7 +801,7 @@ let with_log_slot ?ctx t dir f =
   Charge.with_spin ?ctx (Locks.log_slot_lock t.locks dir ~slot) (fun () ->
       Locks.note_log_slot_acquisition t.locks;
       let epoch = Locks.next_log_epoch t.locks in
-      if t.layout.Layout.scaled || t.log_ring > 0 then
+      if t.layout.Layout.scaled then
         Charge.posted ?ctx (fun () -> f ~slot ~epoch)
       else f ~slot ~epoch)
 

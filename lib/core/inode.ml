@@ -155,9 +155,3 @@ let iter_extents r i f =
     end
   in
   chain (Region.read_u62 r (f_overflow i))
-
-(** Count of extents (diagnostics / recovery accounting). *)
-let extent_count r i =
-  let n = ref 0 in
-  iter_extents r i (fun _ _ -> incr n);
-  !n

@@ -11,7 +11,8 @@
 open Simurgh_nvmm
 
 let magic = 0x51309 (* "SIMURGH" would not fit a u32 tag; this does *)
-let version = 1
+(* 2: every first directory block carries [log_ring >= 1] log slots *)
+let version = 2
 let superblock_size = 4096
 let block_size = 256
 let segments_per_core = 2
@@ -30,9 +31,8 @@ let f_regions = 60 (* region count of the sharded namespace; 0 = legacy 1 *)
 let f_shard = 64 (* this region's shard index within [f_regions] *)
 let f_secure = 68 (* security plane: per-fentry owner words; 0 = legacy *)
 
-(* protocol flags of the format word, above the ring size (0 = legacy
-   single slot); a default format sets none, so its word is the bare
-   ring size *)
+(* protocol flags of the format word, above the ring size; a default
+   format sets none, so its word is the bare ring size 1 *)
 let bit_scaled = 0x100
 let bit_range_locks = 0x200
 let bit_coarse_dir_locks = 0x400
@@ -44,11 +44,10 @@ type t = {
   inode_slab : Simurgh_alloc.Slab_alloc.t;
   fentry_slab : Simurgh_alloc.Slab_alloc.t;
   log_ring : int;
-      (** Format-time rename-log ring size: each directory's first hash
-          block carries this many 48-byte log slots instead of the
-          single legacy +80 entry.  0 (the default, and the value every
-          pre-ring region reads back) keeps the on-media layout
-          bit-identical to the paper's single-slot design. *)
+      (** Format-time rename-log ring size, 1-255: each directory's
+          first hash block carries this many 48-byte log slots from +80.
+          The default 1 is the paper's single log entry (Fig. 5) with
+          an epoch word. *)
   regions : int;
       (** Region count of the multi-region (sharded) namespace this
           region belongs to.  Legacy media reads back 0 and is treated
@@ -93,14 +92,16 @@ let set_clean_shutdown t v =
   Region.write_u8 t.region f_clean (if v then 1 else 0);
   Region.persist t.region f_clean 1
 
-(** Format [region].  The protocol flags decide which locks a mount
-    takes, so they go to the format word, where every mount reads them. *)
-let format ?segments ?(log_ring = 0) ?(shard = (0, 1)) ?(secure = false)
+(** Format [region].  [log_ring] (1-255, default 1) is the number of
+    rename-log slots each directory's first block carries.  The protocol
+    flags decide which locks a mount takes, so they go to the format
+    word, where every mount reads them. *)
+let format ?segments ?(log_ring = 1) ?(shard = (0, 1)) ?(secure = false)
     ?(scaled = false) ?(range_locks = false) ?(coarse_dir_locks = false)
     ?(relaxed_writes = false) region ~cores =
   let size = Region.size region in
   if size < 1 lsl 20 then invalid_arg "Layout.format: region too small";
-  if log_ring < 0 || log_ring > 255 then
+  if log_ring < 1 || log_ring > 255 then
     invalid_arg "Layout.format: log_ring out of range";
   let shard_index, regions = shard in
   if regions < 1 || shard_index < 0 || shard_index >= regions then
@@ -196,8 +197,10 @@ let attach region =
     Simurgh_alloc.Slab_alloc.attach region ~off ~block_alloc:balloc
   in
   let w = Region.read_u32 region f_format in
-  (* a flag this code does not know would be a protocol it cannot run *)
-  if w lsr 12 <> 0 then invalid_arg "Layout.attach: unknown format flags";
+  (* a flag this code does not know would be a protocol it cannot run,
+     and every format has a log slot *)
+  if w lsr 12 <> 0 || w land 0xff = 0 then
+    invalid_arg "Layout.attach: bad format word";
   {
     region;
     balloc;

@@ -17,8 +17,8 @@
     One directory protocol serves every format.  Each hash row has its
     own append lock, and a directory keeps only short locks for its two
     shared structures: {!chain_lock} while a new hash block is linked
-    into the chain, and one {!log_slot_lock} per rename-log slot (a
-    directory without a ring has one slot). *)
+    into the chain, and one {!log_slot_lock} per rename-log slot (one
+    on the default format). *)
 
 open Simurgh_sim
 
@@ -103,7 +103,7 @@ type stripe = {
 type t = {
   stripes : stripe array;
   mutable log_epoch : int;
-      (** Mount-global rename-log epoch: each log-ring rename stamps the
+      (** Mount-global rename-log epoch: each rename stamps the
           next value into its slot so recovery can totally order pending
           slots.  Volatile on purpose — a crash clears every pending
           slot, so only relative order within one mount matters.  Plain
@@ -149,7 +149,7 @@ let create () =
   }
 
 (** Next rename-log epoch (monotone within this mount, starts at 1 so a
-    stamped slot is never confused with the zeroed legacy epoch). *)
+    stamped slot is never confused with a never-written one). *)
 let next_log_epoch t =
   let e = t.log_epoch + 1 in
   t.log_epoch <- e;

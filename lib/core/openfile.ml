@@ -55,14 +55,3 @@ let close ?ctx t fd =
       t.table.(fd) <- None;
       t.free <- fd :: t.free;
       true
-
-let open_count t =
-  Array.fold_left (fun n -> function Some _ -> n + 1 | None -> n) 0 t.table
-
-(** Descriptors of this process currently open on [inode].  Unlink uses
-    it to decide whether in-flight data operations must be fenced out
-    (whole-file exclusive) before the file's blocks are freed. *)
-let inode_open_count t inode =
-  Array.fold_left
-    (fun n -> function Some e when e.inode = inode -> n + 1 | _ -> n)
-    0 t.table

@@ -577,6 +577,8 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   let fentry_slab = layout.Layout.fentry_slab in
   let fentry_obj_size = Slab.obj_size fentry_slab in
   let balloc = layout.Layout.balloc in
+  let log_ring = layout.Layout.log_ring in
+  let head_bytes = Dirblock.header + (log_ring * Dirblock.ring_slot_bytes) in
   let nworkers =
     match par with
     | Seq -> 1
@@ -732,12 +734,13 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
       if retry then try_read f
       else try Some (f ()) with Region.Media_error _ -> None
     in
-    (* one block's header and a copy of its rows; a row that stays
-       unreadable is flagged in [bad] *)
+    (* one chain block's header and a copy of its rows; a row that stays
+       unreadable is flagged in [bad], and a header that cannot belong to
+       a chain block reads as unreadable *)
     let read_block ~retry b =
       match attempt ~retry (fun () -> read_header r b hb) with
-      | None -> None
-      | Some (nrows, nxt, ring) ->
+      | Some (nrows, nxt, ring)
+        when Dirblock.header_ok ~first:false ~log_ring ~rows:nrows ~ring ->
           let rows, bad =
             read_rows r b ~ring ~nrows ~row_read:(fun row buf ~pos ->
                 Option.is_some
@@ -745,55 +748,42 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
                        Dirblock.load_row ~pos r b row buf)))
           in
           Some (nrows, nxt, rows, bad)
+      | _ -> None
     in
-    (* the head's pending log slots as [(slot, epoch)]: a ring's slots in
-       one copy; after a fault, the per-slot reads *)
-    let pending_slots () =
-      try Dirblock.Log.pending_slots r head
-      with Region.Media_error _ -> []
-    in
-    let ring_logs ring =
-      let n = ring * Dirblock.ring_slot_bytes in
-      let b = Bytes.create n in
-      match
-        Region.read_bytes_into r (head + Dirblock.header) b ~pos:0 ~len:n
-      with
-      | () ->
-          List.filter_map
-            (fun slot ->
-              let o = slot * Dirblock.ring_slot_bytes in
-              if Bytes.get_uint8 b (Dirblock.Log.f_state o) = 0 then None
-              else Some (slot, Region.get_u62 b (Dirblock.Log.f_epoch o)))
-            (List.init ring Fun.id)
-      | exception Region.Media_error _ -> pending_slots ()
-    in
-    (* The head's [Dirblock.header] bytes in one copy: next, rows, ring,
-       the busy flags and the legacy log slot; after a fault, the reads
-       it replaces.  [(nrows, next, ring, busy, logs)]. *)
+    (* The head's header and its [log_ring] log slots in one copy:
+       next, rows, ring, the busy flags and the pending slots as
+       [(slot, epoch)]; after a fault, the reads it replaces, where an
+       unreadable log slot makes the head unreadable as an unreadable
+       header does.  [(nrows, next, ring, busy, logs)]. *)
     let read_head () =
-      let h = Bytes.create Dirblock.header in
-      match Region.read_bytes_into r head h ~pos:0 ~len:Dirblock.header with
+      let h = Bytes.create head_bytes in
+      match Region.read_bytes_into r head h ~pos:0 ~len:head_bytes with
       | () ->
-          let ring = Region.get_u32 h (Dirblock.f_ring 0) in
           Some
             ( Region.get_u32 h (Dirblock.f_rows 0),
               Region.get_u62 h (Dirblock.f_next 0),
-              ring,
+              Region.get_u32 h (Dirblock.f_ring 0),
               (fun row -> Bytes.get_uint8 h (Dirblock.f_busy 0 row) <> 0),
-              if ring > 0 then ring_logs ring
-              else if Bytes.get_uint8 h (Dirblock.f_log 0) <> 0 then [ (0, 0) ]
-              else [] )
-      | exception Region.Media_error _ ->
-          Option.map
-            (fun (nrows, nxt, ring) ->
-              ( nrows,
-                nxt,
-                ring,
-                (fun row ->
-                  try Dirblock.busy r head row
-                  with Region.Media_error _ -> false),
-                pending_slots () ))
-            (try_read (fun () -> read_header r head hb))
+              List.filter_map
+                (fun slot ->
+                  let o = Dirblock.Log.base 0 slot in
+                  if Bytes.get_uint8 h (Dirblock.Log.f_state o) = 0 then None
+                  else Some (slot, Region.get_u62 h (Dirblock.Log.f_epoch o)))
+                (List.init log_ring Fun.id) )
+      | exception Region.Media_error _ -> (
+          match try_read (fun () -> read_header r head hb) with
+          | None -> None
+          | Some (nrows, nxt, ring) ->
+              Option.map
+                (fun logs ->
+                  ( nrows,
+                    nxt,
+                    ring,
+                    (fun row ->
+                      try Dirblock.busy r head row
+                      with Region.Media_error _ -> false),
+                    logs ))
+                (try_read (fun () -> Dirblock.Log.pending_slots r head)))
     in
     let mark p tgt =
       Reach.Vec.push sh.s_marks p;
@@ -891,12 +881,13 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
           (read_block ~retry:false nxt)
     in
     (* The head block is validated in full before anything below it is
-       marked: an unreadable header or row quarantines the whole
-       directory by detaching the parent slot, with no marks made (a
+       marked: an unreadable header, log slot or row, or a header that
+       cannot belong to a first block, quarantines the whole directory
+       by detaching the parent slot, with no marks made (a
        partially-marked quarantined subtree would leak). *)
     match read_head () with
-    | None -> d.d_unreadable <- true
-    | Some (nrows, nxt, ring, busy, logs) ->
+    | Some (nrows, nxt, ring, busy, logs)
+      when Dirblock.header_ok ~first:true ~log_ring ~rows:nrows ~ring ->
         List.iter
           (fun (slot, epoch) -> sh.s_logs <- (epoch, head, slot) :: sh.s_logs)
           logs;
@@ -935,6 +926,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
           in
           walk head nxt
         end
+    | _ -> d.d_unreadable <- true
   in
   (* one frontier drain from [heads], marked even if claimed before (a
      confirming pass replaces their records) *)

@@ -389,14 +389,14 @@ let one_file_per_thread ~threads ~dirs fs =
     Fs.create_file fs ("/s/" ^ name_in_row ~row:tid 0)
   done
 
-(* Same-directory renames on disjoint rows from every thread.  Without
-   a ring the directory's single persistent log slot is written by all
-   of them, serialized by its slot lock — the explorer proves the
-   write..clear windows never interleave (any overlap would corrupt the
-   slot and diverge the namespace or trip fsck).  On log-ring media each
-   rename instead claims its own ring slot, so the log windows genuinely
-   overlap in time; with more threads than slots the claim loop takes
-   its ring-full fallback (blocking on the hint slot). *)
+(* Same-directory renames on disjoint rows from every thread.  On the
+   default one-slot format the directory's single persistent log slot
+   is written by all of them, serialized by its slot lock: every claim
+   past the first takes the ring-full fallback (blocking on the hint
+   slot), and the explorer proves the write..clear windows never
+   interleave (any overlap would corrupt the slot and diverge the
+   namespace or trip fsck).  On a larger ring each rename instead claims
+   its own slot, so the log windows genuinely overlap in time. *)
 let dir_rename_scenario ~config ~threads name =
   scenario ~config ~threads name
     ~setup:(one_file_per_thread ~threads ~dirs:[ "/s" ])
@@ -407,7 +407,7 @@ let dir_rename_scenario ~config ~threads name =
         ("/s/" ^ name_in_row ~row:(tid + 8) 1))
 
 (* Cross-directory renames sharing one source directory (and hence one
-   source log slot, or one source ring). *)
+   source ring). *)
 let dir_xrename_scenario ~config ~threads name =
   scenario ~config ~threads name
     ~setup:(one_file_per_thread ~threads ~dirs:[ "/s"; "/d" ])
@@ -642,8 +642,8 @@ let append_truncate_scenarios =
     rename traffic on the default and the scaled configuration;
     concurrent byte-level traffic on one shared file under
     [range_locks]; an append racing [truncate] and an O_TRUNC open on
-    both data-path disciplines; and the renames on a 4-slot ring and,
-    with more threads than slots, a 1-slot ring.  Each must be schedule-invariant
+    both data-path disciplines; and the renames on a 4-slot ring.  Each
+    must be schedule-invariant
     (or pass its final-state oracle), fsck-clean and race-free. *)
 let gated ~threads =
   [
@@ -662,7 +662,6 @@ let gated ~threads =
   @ [
       dir_rename_scenario ~config:(ring 4) ~threads "ring-rename";
       dir_xrename_scenario ~config:(ring 4) ~threads "ring-xrename";
-      dir_rename_scenario ~config:(ring 1) ~threads "ring-contention";
     ]
 
 (* --- parallel-recovery scenarios ---------------------------------------- *)

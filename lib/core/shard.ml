@@ -39,7 +39,6 @@ type fd = { fd_region : int; fd_inner : Fs.fd }
 let name = "Simurgh-sharded"
 let shard_count t = Array.length t.shards
 let fs_of t i = t.shards.(i)
-let region_of t i = t.regions.(i)
 let regions t = t.regions
 
 (* first path component, or [None] for the root itself *)

@@ -28,13 +28,6 @@
     an NVMM store, or a persist barrier (clwb+sfence). *)
 type point = Acquire | Release | Atomic | Store | Persist
 
-let point_name = function
-  | Acquire -> "acquire"
-  | Release -> "release"
-  | Atomic -> "atomic"
-  | Store -> "store"
-  | Persist -> "persist"
-
 (* ---------------------------------------------------------------------- *)
 (* Depth-first schedule enumeration                                       *)
 (* ---------------------------------------------------------------------- *)

@@ -35,14 +35,3 @@ let min_max a =
   Array.fold_left
     (fun (lo, hi) x -> (min lo x, max hi x))
     (infinity, neg_infinity) a
-
-(** Format ops/s with a unit suffix, e.g. [1.23 Mops/s]. *)
-let pp_rate ppf r =
-  if r >= 1e6 then Fmt.pf ppf "%.2f Mops/s" (r /. 1e6)
-  else if r >= 1e3 then Fmt.pf ppf "%.2f Kops/s" (r /. 1e3)
-  else Fmt.pf ppf "%.2f ops/s" r
-
-let pp_bytes_rate ppf r =
-  if r >= 1e9 then Fmt.pf ppf "%.2f GB/s" (r /. 1e9)
-  else if r >= 1e6 then Fmt.pf ppf "%.2f MB/s" (r /. 1e6)
-  else Fmt.pf ppf "%.2f KB/s" (r /. 1e3)

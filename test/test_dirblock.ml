@@ -12,7 +12,7 @@ type harness = {
   head : int;
 }
 
-let mk ?(ring = 0) () =
+let mk ?(ring = 1) () =
   let region = Region.create (16 * 1024 * 1024) in
   let h = { region; cursor = 4096; head = 4096 } in
   let size = Dirblock.size_for_rows ~ring Dirblock.first_rows in
@@ -139,15 +139,23 @@ let test_busy_flags () =
   Dirblock.set_busy h.region h.head row false;
   Alcotest.(check bool) "cleared" false (Dirblock.busy h.region h.head row)
 
+(* The default one-slot ring: slot 0 is the paper's entry at +80 with
+   its epoch word at +120, and the rows start at +128. *)
 let test_log_roundtrip () =
   let h = mk () in
-  Alcotest.(check int) "legacy nslots" 1 (Dirblock.Log.nslots h.region h.head);
+  Alcotest.(check int) "one slot" 1 (Dirblock.ring h.region h.head);
+  Alcotest.(check int) "rows at +128" (h.head + 128)
+    (Dirblock.f_slot h.region h.head 0 0);
   Alcotest.(check bool) "idle" false
     (Dirblock.Log.pending h.region h.head ~slot:0);
-  Dirblock.Log.write h.region h.head ~slot:0 ~epoch:0 ~src:111 ~dst:222
+  Dirblock.Log.write h.region h.head ~slot:0 ~epoch:9 ~src:111 ~dst:222
     ~fentry:333 ~new_entry:444;
   Alcotest.(check bool) "pending" true
     (Dirblock.Log.pending h.region h.head ~slot:0);
+  Alcotest.(check bool) "state byte at +80" true
+    (Region.read_u8 h.region (h.head + 80) <> 0);
+  Alcotest.(check int) "epoch word at +120" 9
+    (Region.read_u62 h.region (h.head + 120));
   let s, d, f, n = Dirblock.Log.read h.region h.head ~slot:0 in
   Alcotest.(check (list int)) "payload" [ 111; 222; 333; 444 ] [ s; d; f; n ];
   Dirblock.Log.clear h.region h.head ~slot:0;
@@ -160,7 +168,6 @@ let test_log_ring_roundtrip () =
   let ring = 4 in
   let h = mk ~ring () in
   Alcotest.(check int) "ring size" ring (Dirblock.ring h.region h.head);
-  Alcotest.(check int) "nslots" ring (Dirblock.Log.nslots h.region h.head);
   Alcotest.(check bool) "fresh ring empty" false
     (Dirblock.Log.any_pending h.region h.head);
   (* write slots 1 and 3, leave 0 and 2 clear *)

@@ -407,17 +407,32 @@ let test_format_word_round_trip () =
           if name = "default" then
             Alcotest.(check int) (label ^ " word is the ring size") log_ring
               (Simurgh_nvmm.Region.read_u32 region L.f_format))
-        [ 0; 1; 255 ])
+        [ 1; 2; 255 ])
     protocols;
   let region = Simurgh_nvmm.Region.create (1 lsl 20) in
-  (match L.format ~log_ring:256 region ~cores:1 with
-  | _ -> Alcotest.fail "log_ring 256 accepted"
-  | exception Invalid_argument _ -> ());
+  List.iter
+    (fun log_ring ->
+      match L.format ~log_ring region ~cores:1 with
+      | _ -> Alcotest.failf "log_ring %d accepted" log_ring
+      | exception Invalid_argument _ -> ())
+    [ 0; 256 ];
   ignore (L.format region ~cores:1);
+  Alcotest.(check int) "default word is one slot" 1
+    (Simurgh_nvmm.Region.read_u32 region L.f_format);
+  let refused what =
+    match L.attach region with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
   Simurgh_nvmm.Region.write_u32 region L.f_format 0x1000;
-  match L.attach region with
-  | _ -> Alcotest.fail "unknown format flag accepted"
-  | exception Invalid_argument _ -> ()
+  refused "unknown format flag";
+  Simurgh_nvmm.Region.write_u32 region L.f_format 0x100;
+  refused "a format word of no log slots";
+  Simurgh_nvmm.Region.write_u32 region L.f_format 1;
+  ignore (L.attach region);
+  (* a version-1 image has the ring-0 directory layout *)
+  Simurgh_nvmm.Region.write_u32 region L.f_version 1;
+  refused "superblock version 1"
 
 (* --- resolve cache -------------------------------------------------------- *)
 

@@ -121,7 +121,7 @@ let test_quarantine_poisoned_subdir_block () =
   let head = Fentry.dirblock (Fs.region fs) sfe in
   (* poison the first row line (not the block header) of the child's
      hash block: traversal into the subtree faults *)
-  Region.poison region (head + Dirblock.header) 1;
+  Region.poison region (Dirblock.f_slot region head 0 0) 1;
   let fs', report = Recovery.mount_after_crash ~euid:0 region in
   Alcotest.(check bool) "quarantine reported" true
     (report.Recovery.quarantined >= 1);
@@ -132,6 +132,42 @@ let test_quarantine_poisoned_subdir_block () =
   Fs.create_file fs' "/d/sub/fresh";
   Alcotest.(check (list string)) "checker clean after quarantine" []
     (List.map Check.violation_to_string (Check.run region))
+
+exception Crash_now
+
+(* A poisoned log slot hides whether a rename is pending, so the head is
+   as unreadable as with a poisoned header: a rename crashed after its
+   swap, with slot 0's line poisoned, quarantines the directory, and the
+   checker is clean.  Read as "no log", the slot lost both names and
+   leaked their objects. *)
+let test_quarantine_unreadable_log_slot () =
+  List.iter
+    (fun log_ring ->
+      let region = Region.create (32 * 1024 * 1024) in
+      let fs = Fs.mkfs ~euid:0 ~log_ring region in
+      Fs.mkdir fs "/d";
+      for i = 0 to 3 do
+        Fs.create_file fs (Printf.sprintf "/d/f%d" i)
+      done;
+      Fs.create_file fs "/x";
+      let _, dfe = Fs.resolve fs "/d" in
+      let head = Fentry.dirblock region dfe in
+      Fs.set_crash_hook fs (fun l -> if l = "rename:swap" then raise Crash_now);
+      (try Fs.rename fs "/d/f0" "/d/g0" with Crash_now -> ());
+      Alcotest.(check bool) "rename left its log pending" true
+        (Dirblock.Log.pending region head ~slot:0);
+      Region.poison region (Dirblock.Log.base head 0) 1;
+      let label = Printf.sprintf "ring %d: " log_ring in
+      let fs', report = Recovery.mount_after_crash ~euid:0 region in
+      Alcotest.(check bool) (label ^ "quarantine reported") true
+        (report.Recovery.quarantined >= 1);
+      Alcotest.(check bool) (label ^ "directory detached") false
+        (Fs.exists fs' "/d");
+      Alcotest.(check bool) (label ^ "sibling intact") true
+        (Fs.exists fs' "/x");
+      Alcotest.(check (list string)) (label ^ "checker clean") []
+        (List.map Check.violation_to_string (Check.run region)))
+    [ 1; 4 ]
 
 (* Regression: poison in the ROOT directory's own chain used to escape
    [Recovery.run] as a raised [Media_error] from deep in the mark
@@ -234,6 +270,8 @@ let () =
             test_quarantine_poisoned_fentry;
           Alcotest.test_case "quarantine poisoned subdir block" `Quick
             test_quarantine_poisoned_subdir_block;
+          Alcotest.test_case "quarantine unreadable log slot" `Quick
+            test_quarantine_unreadable_log_slot;
           Alcotest.test_case "media error in the root chain" `Quick
             test_media_error_in_root_chain;
           Alcotest.test_case "statfs accounting after poisoned free" `Quick

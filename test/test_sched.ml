@@ -49,13 +49,14 @@ let check_invariant sc =
    shared-directory paths, the byte-range data-path scenarios
    (disjoint writes, overlapping read/write, concurrent appends, append
    vs truncate and O_TRUNC) for the range_locks configuration,
-   and the concurrent renames over one directory's rename-log ring
-   (independent slot claims, plus the threads > slots contention
-   fallback) for the log_ring format. *)
+   and the concurrent renames over one directory's 4-slot rename-log
+   ring (independent slot claims) for the log_ring format; the
+   default one-slot format's renames take the threads > slots
+   fallback. *)
 let invariance_cases =
   let title (sc : Sched.scenario) =
     let c = sc.Sched.config in
-    if c.Explore.ring > 0 then "log ring"
+    if c.Explore.ring > 1 then "log ring"
     else if c.Explore.range then "data range"
     else if c.Explore.scaled then "striped"
     else sc.Sched.name
