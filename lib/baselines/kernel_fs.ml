@@ -115,13 +115,13 @@ let create ?(region = 0) profile =
   in
   (* fold dcache effectiveness into the active experiment's snapshot
      (no-op outside the bench driver), mirroring what the Simurgh side
-     reports as rcache/* *)
-  let dcache = t.dcache in
+     reports as rcache/* ; the source holds the counters only, so the
+     nodes and their data can be freed before the drain *)
+  let c = Simurgh_vfs.Dcache.counters t.dcache in
   Simurgh_obs.Collect.note_source (fun () ->
-      let hits, misses = Simurgh_vfs.Dcache.stats dcache in
       [
-        ("dcache/hits", float_of_int hits);
-        ("dcache/misses", float_of_int misses);
+        ("dcache/hits", float_of_int c.Simurgh_vfs.Dcache.hits);
+        ("dcache/misses", float_of_int c.Simurgh_vfs.Dcache.misses);
       ]);
   t
 

@@ -15,19 +15,28 @@
       (real caches may evict early), which is what recovery code must
       survive.
 
+    The persistent image is sparse, like the DAX mapping it stands for:
+    an array of 4 KiB pages, each the shared all-zero {!zero_page} until
+    the first store of a non-zero byte allocates it.  A load reads
+    through whatever page is there, so an absent page reads zeros;
+    [zero] leaves an absent page absent; a page once allocated stays.
+    A region therefore costs host memory only for the pages written.
+
     The data path is word- and line-granular: scalar accessors are
     single-shot [Bytes.get_int64_le]-style loads/stores (one guard check,
-    one bounds check, one stats update per access), bulk accessors blit
-    one overlapped cache line at a time, and [sfence] walks an explicit
-    pending-flush worklist instead of the whole overlay, so a fence costs
-    O(lines actually marked by [clwb] since the previous fence).  Every
-    layer above (allocators, directory blocks, the file data path, the
-    baselines, the KV store) funnels through here, so the substrate must
-    run at memcpy speed to avoid hiding the mechanisms being measured.
-    A region with nothing to intercept — [Fast], no guard, no store or
-    access hook, no poisoned line — is [plain]: every accessor then
-    tests that flag and the range once, bumps the same statistics and
-    touches the image directly; anything else takes the checked path.
+    one bounds check, one stats update per access), bulk accessors walk
+    the pages (Fast) or cache lines (Strict) they cover with one blit
+    each, and [sfence] walks an explicit pending-flush worklist instead
+    of the whole overlay, so a fence costs O(lines actually marked by
+    [clwb] since the previous fence).  Every layer above (allocators,
+    directory blocks, the file data path, the baselines, the KV store)
+    funnels through here, so the substrate must run at memcpy speed to
+    avoid hiding the mechanisms being measured.  A region with nothing
+    to intercept — [Fast], no guard, no store or access hook, no
+    poisoned line — is [plain]: every accessor then tests that flag, the
+    range and that the access stays inside one page, bumps the same
+    statistics and touches that page directly (a store also needs the
+    page allocated); anything else takes the checked path.
 
     An optional [guard] models the protected-page check: when installed,
     every access calls it first, and the Simurgh security layer makes it
@@ -35,11 +44,13 @@
 
 let line_size = 64
 
-(* Checkpoints share or copy the image a page at a time. *)
+(* The image, its versions and checkpoints are kept a page at a time. *)
 let page_bits = 12
 let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
 
-(* Shared by every checkpoint page that was never written; never mutated. *)
+(* Every absent image page, and every checkpoint page that was never
+   written; never mutated. *)
 let zero_page = Bytes.make page_size '\000'
 
 type mode = Fast | Strict
@@ -71,10 +82,13 @@ type counters = {
   mutable fences : int;
   mutable media_errors : int;  (** loads that hit a poisoned line *)
   mutable crash_images : int;  (** crash / crash_image applications *)
+  mutable resident_pages : int;  (** image pages allocated *)
 }
 
 type t = {
-  image : Bytes.t;  (** the persistent image *)
+  pages : Bytes.t array;
+      (** the persistent image, [page_size] bytes a page; {!zero_page}
+          stands for a page no non-zero byte was ever stored to *)
   size : int;
   mode : mode;
   overlay : (int, Bytes.t * line_state ref) Hashtbl.t;
@@ -113,13 +127,14 @@ type t = {
   mutable last_epoch : int;  (** epoch of the latest checkpoint, 0 if none *)
   mutable last_pages : Bytes.t array;  (** that checkpoint's pages *)
   mutable page_copies : int;
-      (** pages that checkpoint copied and restore copied or zero-filled *)
+      (** pages that checkpoint captured and restore rewound *)
 }
 
 let create ?(mode = Fast) ?name size =
+  let n_pages = (size + page_size - 1) / page_size in
   let t =
     {
-      image = Bytes.make size '\000';
+      pages = Array.make n_pages zero_page;
       size;
       mode;
       overlay = Hashtbl.create 1024;
@@ -141,8 +156,9 @@ let create ?(mode = Fast) ?name size =
           fences = 0;
           media_errors = 0;
           crash_images = 0;
+          resident_pages = 0;
         };
-      versions = Array.make ((size + page_size - 1) / page_size) 0;
+      versions = Array.make n_pages 0;
       epoch = 1;
       last_epoch = 0;
       last_pages = [||];
@@ -170,6 +186,7 @@ let create ?(mode = Fast) ?name size =
         (k "flush_lines", float_of_int c.flushes);
         (k "fences", float_of_int c.fences);
         (k "bytes", float_of_int size);
+        (k "resident_bytes", float_of_int (c.resident_pages * page_size));
         (f "poisoned_lines", float_of_int (Hashtbl.length poisoned));
         (f "media_errors", float_of_int c.media_errors);
         (f "crash_images", float_of_int c.crash_images);
@@ -200,18 +217,44 @@ let check t ~write =
 
 let line_of off = off / line_size
 
-(* Fetch (creating from the persistent image) the overlay line. *)
-let overlay_line t ln =
-  match Hashtbl.find_opt t.overlay ln with
-  | Some (buf, st) -> (buf, st)
-  | None ->
-      let buf = Bytes.create line_size in
-      let base = ln * line_size in
-      let len = min line_size (t.size - base) in
-      Bytes.blit t.image base buf 0 len;
-      let cell = (buf, ref Dirty) in
-      Hashtbl.replace t.overlay ln cell;
-      cell
+(* --- the paged image --------------------------------------------------- *)
+
+(* The image page under [off]; {!zero_page} if absent, which reads as
+   zeros.  The caller has range-checked [off]. *)
+let[@inline] page t off = Array.unsafe_get t.pages (off lsr page_bits)
+
+(* [off, off+len) lies in one page: its last byte's page is its first's.
+   False for an empty range at a page boundary, so a range that [fits]
+   and passes always names a page of the region. *)
+let[@inline] in_page off len = (off lxor (off + len - 1)) lsr page_bits = 0
+
+let alloc_page t p =
+  let b = Bytes.make page_size '\000' in
+  Array.unsafe_set t.pages p b;
+  t.c.resident_pages <- t.c.resident_pages + 1;
+  b
+
+(* The page under [off] to store into, allocated if absent and [nz] (the
+   store writes a non-zero byte); otherwise an absent page stays absent
+   and {!zero_page} comes back, which the caller must leave alone. *)
+let store_page t off nz =
+  let b = page t off in
+  if b != zero_page || not nz then b else alloc_page t (off lsr page_bits)
+
+(* Are the [n] bytes of [b] from [pos] all zero? *)
+let is_zero b pos n =
+  let rec go i = i >= pos + n || (Bytes.unsafe_get b i = '\000' && go (i + 1)) in
+  go pos
+
+(* Copy [len] image bytes at [off] into [dst] at [pos], a page at a time. *)
+let image_read_into t off dst pos len =
+  let cur = ref off and stop = off + len in
+  while !cur < stop do
+    let o = !cur land page_mask in
+    let n = min (page_size - o) (stop - !cur) in
+    Bytes.blit (page t !cur) o dst (pos + (!cur - off)) n;
+    cur := !cur + n
+  done
 
 (* --- bounds / accounting ---------------------------------------------- *)
 
@@ -240,6 +283,26 @@ let[@inline] stamp t off len =
       Array.unsafe_set t.versions p t.epoch
     done
 
+(* Store [len] bytes at [off] into the image, a page at a time:
+   [write b o doff n] stores the [n] source bytes from source offset
+   [doff] at [o] of page [b].  An absent page is allocated first unless
+   [zeros doff n] says those bytes are all zero. *)
+let image_write t off len ~zeros write =
+  let cur = ref off and stop = off + len in
+  while !cur < stop do
+    let o = !cur land page_mask in
+    let n = min (page_size - o) (stop - !cur) in
+    let doff = !cur - off in
+    let b = page t !cur in
+    let b =
+      if b == zero_page && not (zeros doff n) then alloc_page t (!cur lsr page_bits)
+      else b
+    in
+    if b != zero_page then write b o doff n;
+    cur := !cur + n
+  done;
+  stamp t off len
+
 let count_load t off len =
   (match t.on_access with None -> () | Some f -> f ~off ~len ~write:false);
   note_load t len
@@ -262,10 +325,38 @@ let check_poison t off len =
     done
   end
 
+(* The checked path's prologue: hooks and statistics, guard, bounds,
+   poison, in that order. *)
+let enter_load t off len =
+  count_load t off len;
+  check t ~write:false;
+  bounds t off len;
+  check_poison t off len
+
+let enter_store t off len =
+  count_store t off len;
+  check t ~write:true;
+  bounds t off len;
+  check_poison t off len
+
 (* --- line-granular bulk helpers (Strict mode) --------------------------
 
    Each walks the lines overlapping [off, off+len) once, doing one
-   overlay lookup and one [Bytes.blit]/[fill] per line. *)
+   overlay lookup and one [Bytes.blit]/[fill] per line.  A line never
+   crosses a page. *)
+
+(* Fetch (creating from the persistent image) the overlay line. *)
+let overlay_line t ln =
+  match Hashtbl.find_opt t.overlay ln with
+  | Some (buf, st) -> (buf, st)
+  | None ->
+      let buf = Bytes.create line_size in
+      let base = ln * line_size in
+      let len = min line_size (t.size - base) in
+      Bytes.blit (page t base) (base land page_mask) buf 0 len;
+      let cell = (buf, ref Dirty) in
+      Hashtbl.replace t.overlay ln cell;
+      cell
 
 (* Copy [len] bytes at [off] into [dst] at [pos], merging the overlay. *)
 let strict_read_into t off dst pos len =
@@ -278,7 +369,8 @@ let strict_read_into t off dst pos len =
     let n = stop - !cur + 1 in
     (match Hashtbl.find_opt t.overlay !ln with
     | Some (buf, _) -> Bytes.blit buf (!cur - base) dst (pos + (!cur - off)) n
-    | None -> Bytes.blit t.image !cur dst (pos + (!cur - off)) n);
+    | None ->
+        Bytes.blit (page t !cur) (!cur land page_mask) dst (pos + (!cur - off)) n);
     cur := stop + 1;
     incr ln
   done
@@ -301,75 +393,125 @@ let strict_write_lines t off len write_line =
     incr ln
   done
 
+(* The checked path's bulk moves: [len] bytes at [off] into [dst] at
+   [pos], and [len] bytes of [src] from [pos] to [off] — page by page in
+   the image (Fast), line by line through the overlay (Strict). *)
+let read_into t off dst pos len =
+  match t.mode with
+  | Fast -> image_read_into t off dst pos len
+  | Strict -> strict_read_into t off dst pos len
+
+let write_from t off src pos len =
+  match t.mode with
+  | Fast ->
+      image_write t off len
+        ~zeros:(fun doff n -> is_zero src (pos + doff) n)
+        (fun b o doff n -> Bytes.blit src (pos + doff) b o n)
+  | Strict ->
+      strict_write_lines t off len (fun buf boff doff n ->
+          Bytes.blit src (pos + doff) buf boff n)
+
 (* --- raw byte access --------------------------------------------------
 
    Every accessor [f] is a one-test fast path for a [plain] region and an
-   in-range access, and otherwise [f_checked]: hooks, guard, bounds,
-   poison and the Strict overlay, in that order.  Both bump the same
+   in-range access inside one page (a store also needs that page
+   allocated), and otherwise [f_checked]: hooks, guard, bounds, poison,
+   then the paged image or the Strict overlay.  Both bump the same
    statistics, so [loads]/[stores]/[load_bytes]/[store_bytes] do not
    depend on which path ran. *)
 
+(* --- fixed-width little-endian accessors ------------------------------
+
+   Single-shot loads/stores when the word lies within one cache line
+   (always the case for naturally aligned accesses, since the line size
+   is a multiple of 8, and a line lies within a page); an unaligned
+   straddler goes through a small buffer and the bulk walk. *)
+
+(* A [len]-byte word at [off] crosses a line boundary? *)
+let straddles_line off len = off land (line_size - 1) > line_size - len
+
+(* A [w]-byte word at [off] that [get b o] reads in place. *)
+let load_word t off w get =
+  if straddles_line off w then begin
+    let tmp = Bytes.create w in
+    read_into t off tmp 0 w;
+    get tmp 0
+  end
+  else
+    match t.mode with
+    | Fast -> get (page t off) (off land page_mask)
+    | Strict -> (
+        let ln = line_of off in
+        match Hashtbl.find_opt t.overlay ln with
+        | Some (buf, _) -> get buf (off - (ln * line_size))
+        | None -> get (page t off) (off land page_mask))
+
+(* Store the [w]-byte word [v] at [off] with [set b o v]; [nz] says the
+   stored bytes are not all zero. *)
+let store_word t off w set v nz =
+  if straddles_line off w then begin
+    let tmp = Bytes.create w in
+    set tmp 0 v;
+    write_from t off tmp 0 w
+  end
+  else
+    match t.mode with
+    | Fast ->
+        let b = store_page t off nz in
+        if b != zero_page then set b (off land page_mask) v;
+        stamp t off w
+    | Strict ->
+        let ln = line_of off in
+        let buf, st = overlay_line t ln in
+        st := Dirty;
+        set buf (off - (ln * line_size)) v
+
+let get_u8 b o = Char.code (Bytes.unsafe_get b o)
+let set_u8 b o v = Bytes.unsafe_set b o (Char.unsafe_chr v)
+
 let read_byte_checked t off =
-  count_load t off 1;
-  check t ~write:false;
-  bounds t off 1;
-  check_poison t off 1;
-  match t.mode with
-  | Fast -> Char.code (Bytes.unsafe_get t.image off)
-  | Strict -> (
-      let ln = line_of off in
-      match Hashtbl.find_opt t.overlay ln with
-      | Some (buf, _) -> Char.code (Bytes.get buf (off - (ln * line_size)))
-      | None -> Char.code (Bytes.get t.image off))
+  enter_load t off 1;
+  load_word t off 1 get_u8
 
 let read_byte t off =
   if t.plain && fits t off 1 then begin
     note_load t 1;
-    Char.code (Bytes.unsafe_get t.image off)
+    get_u8 (page t off) (off land page_mask)
   end
   else read_byte_checked t off
 
 let write_byte_checked t off v =
-  count_store t off 1;
-  check t ~write:true;
-  bounds t off 1;
-  check_poison t off 1;
-  match t.mode with
-  | Fast ->
-      Bytes.unsafe_set t.image off (Char.chr (v land 0xff));
-      stamp t off 1
-  | Strict ->
-      let ln = line_of off in
-      let buf, st = overlay_line t ln in
-      st := Dirty;
-      Bytes.set buf (off - (ln * line_size)) (Char.chr (v land 0xff))
+  enter_store t off 1;
+  let v = v land 0xff in
+  store_word t off 1 set_u8 v (v <> 0)
 
 let write_byte t off v =
   if t.plain && fits t off 1 then begin
-    note_store t 1;
-    Bytes.unsafe_set t.image off (Char.unsafe_chr (v land 0xff));
-    stamp t off 1
+    let b = page t off in
+    if b != zero_page then begin
+      note_store t 1;
+      set_u8 b (off land page_mask) (v land 0xff);
+      Array.unsafe_set t.versions (off lsr page_bits) t.epoch
+    end
+    else write_byte_checked t off v
   end
   else write_byte_checked t off v
 
 let read_bytes_into_checked t off dst ~pos ~len =
-  count_load t off len;
-  check t ~write:false;
-  bounds t off len;
-  check_poison t off len;
+  enter_load t off len;
   if pos < 0 || len < 0 || pos + len > Bytes.length dst then
     invalid_arg "Region.read_bytes_into: destination range";
-  match t.mode with
-  | Fast -> Bytes.blit t.image off dst pos len
-  | Strict -> strict_read_into t off dst pos len
+  read_into t off dst pos len
 
 (** Read [len] bytes at [off] into [dst] starting at [pos] — the
     allocation-free variant of {!read_bytes} for hot loops. *)
 let read_bytes_into t off dst ~pos ~len =
-  if t.plain && fits t off len && pos >= 0 && pos <= Bytes.length dst - len
+  if
+    t.plain && fits t off len && in_page off len && pos >= 0
+    && pos <= Bytes.length dst - len
   then begin
     note_load t len;
-    Bytes.unsafe_blit t.image off dst pos len
+    Bytes.unsafe_blit (page t off) (off land page_mask) dst pos len
   end
   else read_bytes_into_checked t off dst ~pos ~len
 
@@ -379,28 +521,22 @@ let read_bytes t off len =
   out
 
 let write_bytes_from_checked t off src ~pos ~len =
-  count_store t off len;
-  check t ~write:true;
-  bounds t off len;
-  check_poison t off len;
+  enter_store t off len;
   if pos < 0 || len < 0 || pos + len > Bytes.length src then
     invalid_arg "Region.write_bytes_from: source range";
-  match t.mode with
-  | Fast ->
-      Bytes.blit src pos t.image off len;
-      stamp t off len
-  | Strict ->
-      strict_write_lines t off len (fun buf boff doff n ->
-          Bytes.blit src (pos + doff) buf boff n)
+  write_from t off src pos len
 
 (** Write [len] bytes of [src] starting at [pos] to [off] — the
     allocation-free variant of {!write_bytes} for hot loops (no
     intermediate [Bytes.sub]). *)
 let write_bytes_from t off src ~pos ~len =
-  if t.plain && fits t off len && pos >= 0 && pos <= Bytes.length src - len
+  if
+    t.plain && fits t off len && in_page off len && pos >= 0
+    && pos <= Bytes.length src - len
+    && page t off != zero_page
   then begin
     note_store t len;
-    Bytes.unsafe_blit src pos t.image off len;
+    Bytes.unsafe_blit src pos (page t off) (off land page_mask) len;
     stamp t off len
   end
   else write_bytes_from_checked t off src ~pos ~len
@@ -408,47 +544,34 @@ let write_bytes_from t off src ~pos ~len =
 let write_bytes t off src =
   write_bytes_from t off src ~pos:0 ~len:(Bytes.length src)
 
-let write_string_checked t off s =
-  let len = String.length s in
-  count_store t off len;
-  check t ~write:true;
-  bounds t off len;
-  check_poison t off len;
-  match t.mode with
-  | Fast ->
-      Bytes.blit_string s 0 t.image off len;
-      stamp t off len
-  | Strict ->
-      strict_write_lines t off len (fun buf boff doff n ->
-          Bytes.blit_string s doff buf boff n)
-
 (* Write straight from a string: no [Bytes.of_string] copy. *)
 let write_string t off s =
   let len = String.length s in
-  if t.plain && fits t off len then begin
+  if t.plain && fits t off len && in_page off len && page t off != zero_page
+  then begin
     note_store t len;
-    Bytes.unsafe_blit_string s 0 t.image off len;
+    Bytes.unsafe_blit_string s 0 (page t off) (off land page_mask) len;
     stamp t off len
   end
-  else write_string_checked t off s
+  else write_bytes_from_checked t off (Bytes.unsafe_of_string s) ~pos:0 ~len
 
 let zero_checked t off len =
-  count_store t off len;
-  check t ~write:true;
-  bounds t off len;
-  check_poison t off len;
+  enter_store t off len;
   match t.mode with
   | Fast ->
-      Bytes.fill t.image off len '\000';
-      stamp t off len
+      image_write t off len
+        ~zeros:(fun _ _ -> true)
+        (fun b o _ n -> Bytes.fill b o n '\000')
   | Strict ->
       strict_write_lines t off len (fun buf boff _ n ->
           Bytes.fill buf boff n '\000')
 
+(* An absent page is left absent: it already reads zeros. *)
 let zero t off len =
-  if t.plain && fits t off len then begin
+  if t.plain && fits t off len && in_page off len then begin
     note_store t len;
-    Bytes.unsafe_fill t.image off len '\000';
+    let b = page t off in
+    if b != zero_page then Bytes.unsafe_fill b (off land page_mask) len '\000';
     stamp t off len
   end
   else zero_checked t off len
@@ -459,12 +582,10 @@ let zero t off len =
     byte included. *)
 let equal_string t off s =
   let len = String.length s in
-  if t.plain && fits t off len then begin
+  if t.plain && fits t off len && in_page off len then begin
+    let b = page t off and o = off land page_mask in
     let i = ref 0 in
-    while
-      !i < len
-      && Bytes.unsafe_get t.image (off + !i) = String.unsafe_get s !i
-    do
+    while !i < len && Bytes.unsafe_get b (o + !i) = String.unsafe_get s !i do
       incr i
     done;
     let n = if !i < len then !i + 1 else len in
@@ -479,77 +600,34 @@ let equal_string t off s =
     in
     go 0
 
-(* --- fixed-width little-endian accessors ------------------------------
-
-   Single-shot loads/stores when the word lies within one cache line
-   (always the case for naturally aligned accesses, since the line size
-   is a multiple of 8); an unaligned straddler falls back to the
-   line-granular bulk path via a small stack buffer. *)
-
 let read_u8 = read_byte
 let write_u8 = write_byte
 
-(* A [len]-byte word at [off] crosses a line boundary? *)
-let straddles off len = off land (line_size - 1) > line_size - len
-
-let strict_read_word t off get =
-  let ln = line_of off in
-  match Hashtbl.find_opt t.overlay ln with
-  | Some (buf, _) -> get buf (off - (ln * line_size))
-  | None -> get t.image off
-
-let strict_write_word t off set v =
-  let ln = line_of off in
-  let buf, st = overlay_line t ln in
-  st := Dirty;
-  set buf (off - (ln * line_size)) v
-
 let read_u16_checked t off =
-  count_load t off 2;
-  check t ~write:false;
-  bounds t off 2;
-  check_poison t off 2;
-  match t.mode with
-  | Fast -> Bytes.get_uint16_le t.image off
-  | Strict ->
-      if straddles off 2 then begin
-        let tmp = Bytes.create 2 in
-        strict_read_into t off tmp 0 2;
-        Bytes.get_uint16_le tmp 0
-      end
-      else strict_read_word t off Bytes.get_uint16_le
+  enter_load t off 2;
+  load_word t off 2 Bytes.get_uint16_le
 
 let read_u16 t off =
-  if t.plain && fits t off 2 then begin
+  if t.plain && fits t off 2 && in_page off 2 then begin
     note_load t 2;
-    Bytes.get_uint16_le t.image off
+    Bytes.get_uint16_le (page t off) (off land page_mask)
   end
   else read_u16_checked t off
 
 let write_u16_checked t off v =
-  count_store t off 2;
-  check t ~write:true;
-  bounds t off 2;
-  check_poison t off 2;
+  enter_store t off 2;
   let v = v land 0xffff in
-  match t.mode with
-  | Fast ->
-      Bytes.set_uint16_le t.image off v;
-      stamp t off 2
-  | Strict ->
-      if straddles off 2 then begin
-        let tmp = Bytes.create 2 in
-        Bytes.set_uint16_le tmp 0 v;
-        strict_write_lines t off 2 (fun buf boff doff n ->
-            Bytes.blit tmp doff buf boff n)
-      end
-      else strict_write_word t off Bytes.set_uint16_le v
+  store_word t off 2 Bytes.set_uint16_le v (v <> 0)
 
 let write_u16 t off v =
-  if t.plain && fits t off 2 then begin
-    note_store t 2;
-    Bytes.set_uint16_le t.image off (v land 0xffff);
-    stamp t off 2
+  if t.plain && fits t off 2 && in_page off 2 then begin
+    let b = page t off in
+    if b != zero_page then begin
+      note_store t 2;
+      Bytes.set_uint16_le b (off land page_mask) (v land 0xffff);
+      Array.unsafe_set t.versions (off lsr page_bits) t.epoch
+    end
+    else write_u16_checked t off v
   end
   else write_u16_checked t off v
 
@@ -557,50 +635,29 @@ let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
 let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
 let read_u32_checked t off =
-  count_load t off 4;
-  check t ~write:false;
-  bounds t off 4;
-  check_poison t off 4;
-  match t.mode with
-  | Fast -> get_u32 t.image off
-  | Strict ->
-      if straddles off 4 then begin
-        let tmp = Bytes.create 4 in
-        strict_read_into t off tmp 0 4;
-        get_u32 tmp 0
-      end
-      else strict_read_word t off get_u32
+  enter_load t off 4;
+  load_word t off 4 get_u32
 
 let read_u32 t off =
-  if t.plain && fits t off 4 then begin
+  if t.plain && fits t off 4 && in_page off 4 then begin
     note_load t 4;
-    get_u32 t.image off
+    get_u32 (page t off) (off land page_mask)
   end
   else read_u32_checked t off
 
 let write_u32_checked t off v =
-  count_store t off 4;
-  check t ~write:true;
-  bounds t off 4;
-  check_poison t off 4;
-  match t.mode with
-  | Fast ->
-      set_u32 t.image off v;
-      stamp t off 4
-  | Strict ->
-      if straddles off 4 then begin
-        let tmp = Bytes.create 4 in
-        set_u32 tmp 0 v;
-        strict_write_lines t off 4 (fun buf boff doff n ->
-            Bytes.blit tmp doff buf boff n)
-      end
-      else strict_write_word t off set_u32 v
+  enter_store t off 4;
+  store_word t off 4 set_u32 v (v land 0xffffffff <> 0)
 
 let write_u32 t off v =
-  if t.plain && fits t off 4 then begin
-    note_store t 4;
-    set_u32 t.image off v;
-    stamp t off 4
+  if t.plain && fits t off 4 && in_page off 4 then begin
+    let b = page t off in
+    if b != zero_page then begin
+      note_store t 4;
+      set_u32 b (off land page_mask) v;
+      Array.unsafe_set t.versions (off lsr page_bits) t.epoch
+    end
+    else write_u32_checked t off v
   end
   else write_u32_checked t off v
 
@@ -609,129 +666,88 @@ let write_u32 t off v =
    bit-identical to composing the word from byte loads. *)
 let get_u62 b off = Int64.to_int (Bytes.get_int64_le b off)
 
+let u62_mask = 0x3fff_ffff_ffff_ffff
+
 (* Stores drop the two bits that do not survive a round-trip, exactly as
    the byte-at-a-time encoding did (bits 0-61 land in the image, the
    top two image bytes' bits stay zero). *)
-let set_u62 b off v =
-  Bytes.set_int64_le b off (Int64.of_int (v land 0x3fff_ffff_ffff_ffff))
+let set_u62 b off v = Bytes.set_int64_le b off (Int64.of_int (v land u62_mask))
 
 let read_u62_checked t off =
-  count_load t off 8;
-  check t ~write:false;
-  bounds t off 8;
-  check_poison t off 8;
-  match t.mode with
-  | Fast -> get_u62 t.image off
-  | Strict ->
-      if straddles off 8 then begin
-        let tmp = Bytes.create 8 in
-        strict_read_into t off tmp 0 8;
-        get_u62 tmp 0
-      end
-      else strict_read_word t off get_u62
+  enter_load t off 8;
+  load_word t off 8 get_u62
 
 let read_u62 t off =
-  if t.plain && fits t off 8 then begin
+  if t.plain && fits t off 8 && in_page off 8 then begin
     note_load t 8;
-    get_u62 t.image off
+    get_u62 (page t off) (off land page_mask)
   end
   else read_u62_checked t off
 
 let write_u62_checked t off v =
-  count_store t off 8;
-  check t ~write:true;
-  bounds t off 8;
-  check_poison t off 8;
-  match t.mode with
-  | Fast ->
-      set_u62 t.image off v;
-      stamp t off 8
-  | Strict ->
-      if straddles off 8 then begin
-        let tmp = Bytes.create 8 in
-        set_u62 tmp 0 v;
-        strict_write_lines t off 8 (fun buf boff doff n ->
-            Bytes.blit tmp doff buf boff n)
-      end
-      else strict_write_word t off set_u62 v
+  enter_store t off 8;
+  store_word t off 8 set_u62 v (v land u62_mask <> 0)
 
 let write_u62 t off v =
-  if t.plain && fits t off 8 then begin
-    note_store t 8;
-    set_u62 t.image off v;
-    stamp t off 8
+  if t.plain && fits t off 8 && in_page off 8 then begin
+    let b = page t off in
+    if b != zero_page then begin
+      note_store t 8;
+      set_u62 b (off land page_mask) v;
+      Array.unsafe_set t.versions (off lsr page_bits) t.epoch
+    end
+    else write_u62_checked t off v
   end
   else write_u62_checked t off v
 
 let read_u62_pair_checked t off =
-  count_load t off 16;
-  check t ~write:false;
-  bounds t off 16;
-  check_poison t off 16;
-  match t.mode with
-  | Fast -> (get_u62 t.image off, get_u62 t.image (off + 8))
-  | Strict ->
-      if straddles off 16 then begin
-        let tmp = Bytes.create 16 in
-        strict_read_into t off tmp 0 16;
-        (get_u62 tmp 0, get_u62 tmp 8)
-      end
-      else
-        let ln = line_of off in
-        let b, boff =
+  enter_load t off 16;
+  if straddles_line off 16 then begin
+    let tmp = Bytes.create 16 in
+    read_into t off tmp 0 16;
+    (get_u62 tmp 0, get_u62 tmp 8)
+  end
+  else
+    let b, o =
+      match t.mode with
+      | Fast -> (page t off, off land page_mask)
+      | Strict -> (
+          let ln = line_of off in
           match Hashtbl.find_opt t.overlay ln with
           | Some (buf, _) -> (buf, off - (ln * line_size))
-          | None -> (t.image, off)
-        in
-        (get_u62 b boff, get_u62 b (boff + 8))
+          | None -> (page t off, off land page_mask))
+    in
+    (get_u62 b o, get_u62 b (o + 8))
 
 (** Load two adjacent u62 words (e.g. a free-list node's next/count pair)
     with one guard/bounds/stats round and, in Strict mode, a single
     overlay lookup when the pair does not straddle a line. *)
 let read_u62_pair t off =
-  if t.plain && fits t off 16 then begin
+  if t.plain && fits t off 16 && in_page off 16 then begin
     note_load t 16;
-    (get_u62 t.image off, get_u62 t.image (off + 8))
+    let b = page t off and o = off land page_mask in
+    (get_u62 b o, get_u62 b (o + 8))
   end
   else read_u62_pair_checked t off
 
 let write_u62_pair_checked t off v0 v1 =
-  count_store t off 16;
-  check t ~write:true;
-  bounds t off 16;
-  check_poison t off 16;
-  match t.mode with
-  | Fast ->
-      set_u62 t.image off v0;
-      set_u62 t.image (off + 8) v1;
-      stamp t off 16
-  | Strict ->
-      if straddles off 16 then begin
-        let tmp = Bytes.create 16 in
-        set_u62 tmp 0 v0;
-        set_u62 tmp 8 v1;
-        strict_write_lines t off 16 (fun buf boff doff n ->
-            Bytes.blit tmp doff buf boff n)
-      end
-      else begin
-        let ln = line_of off in
-        let buf, st = overlay_line t ln in
-        st := Dirty;
-        let boff = off - (ln * line_size) in
-        set_u62 buf boff v0;
-        set_u62 buf (boff + 8) v1
-      end
+  enter_store t off 16;
+  let tmp = Bytes.create 16 in
+  set_u62 tmp 0 v0;
+  set_u62 tmp 8 v1;
+  write_from t off tmp 0 16
 
 (** Store two adjacent u62 words in one round (see {!read_u62_pair}). *)
 let write_u62_pair t off v0 v1 =
-  if t.plain && fits t off 16 then begin
+  if t.plain && fits t off 16 && in_page off 16 && page t off != zero_page
+  then begin
     note_store t 16;
-    set_u62 t.image off v0;
-    set_u62 t.image (off + 8) v1;
-    stamp t off 16
+    let b = page t off and o = off land page_mask in
+    set_u62 b o v0;
+    set_u62 b (o + 8) v1;
+    Array.unsafe_set t.versions (off lsr page_bits) t.epoch
   end
   else write_u62_pair_checked t off v0 v1
-
 (* --- persistence primitives ------------------------------------------ *)
 
 (** [clwb t off len]: initiate write-back of the lines covering
@@ -773,7 +789,14 @@ let ntstore_from t off src ~pos ~len =
 (* Commit one overlay line to the persistent image (a fence, or an early eviction). *)
 let commit_line t ln buf =
   let base = ln * line_size in
-  Bytes.blit buf 0 t.image base (min line_size (t.size - base));
+  let len = min line_size (t.size - base) in
+  let b = page t base in
+  let b =
+    if b == zero_page && not (is_zero buf 0 len) then
+      alloc_page t (base lsr page_bits)
+    else b
+  in
+  if b != zero_page then Bytes.blit buf 0 b (base land page_mask) len;
   stamp t base 1
 
 (** Commit all pending (Flushing) lines to the persistent image.  Walks
@@ -856,17 +879,15 @@ let persist_all t =
     independence (parallel recovery must produce one media image under
     every interleaving). *)
 let media_digest t =
-  match t.mode with
-  | Fast -> Digest.bytes t.image
-  | Strict ->
-      let merged = Bytes.copy t.image in
-      Hashtbl.iter
-        (fun ln (buf, _st) ->
-          let base = ln * line_size in
-          let len = min line_size (t.size - base) in
-          Bytes.blit buf 0 merged base len)
-        t.overlay;
-      Digest.bytes merged
+  let merged = Bytes.create t.size in
+  image_read_into t 0 merged 0 t.size;
+  Hashtbl.iter
+    (fun ln (buf, _st) ->
+      let base = ln * line_size in
+      let len = min line_size (t.size - base) in
+      Bytes.blit buf 0 merged base len)
+    t.overlay;
+  Digest.bytes merged
 
 (* --- media-error plane ------------------------------------------------ *)
 
@@ -943,10 +964,11 @@ let clear_fence_hook t = t.on_fence <- None
 (** Snapshot of the region state (image, overlay, pending worklist,
     poison set, user slot) so an explorer can replay many crash images
     from one crash point without re-running the workload.  The image is
-    held as immutable pages: a page never written shares {!zero_page}, a
-    page unchanged since the region's previous checkpoint shares that
-    checkpoint's page, and only the pages written since are copied.  A
-    checkpoint can only be restored into the region it came from. *)
+    held as immutable pages: an absent page shares {!zero_page}, a page
+    unchanged since the region's previous checkpoint shares that
+    checkpoint's page, and only the allocated pages written since are
+    copied.  A checkpoint can only be restored into the region it came
+    from. *)
 type checkpoint = {
   cp_region : t;
   cp_epoch : int;  (** pages with a newer version changed after it *)
@@ -957,8 +979,6 @@ type checkpoint = {
   cp_user_slot : exn option;
 }
 
-let page_len t p = min page_size (t.size - (p lsl page_bits))
-
 let checkpoint t =
   let pages =
     Array.mapi
@@ -967,7 +987,8 @@ let checkpoint t =
         else if v <= t.last_epoch then t.last_pages.(p)
         else begin
           t.page_copies <- t.page_copies + 1;
-          Bytes.sub t.image (p lsl page_bits) (page_len t p)
+          let b = t.pages.(p) in
+          if b == zero_page then zero_page else Bytes.copy b
         end)
       t.versions
   in
@@ -991,8 +1012,9 @@ let checkpoint t =
   cp
 
 (** Rewind [t] to [cp]: only the pages changed since [cp] are copied
-    back (or zero-filled, if blank in [cp]), and each is stamped with the
-    current epoch, so later checkpoints see it as changed.  Raises
+    back (or zero-filled, if blank in [cp] and allocated since), and each
+    is stamped with the current epoch, so later checkpoints see it as
+    changed.  A page allocated since [cp] stays allocated.  Raises
     [Invalid_argument] if [cp] was taken of another region. *)
 let restore t cp =
   if cp.cp_region != t then
@@ -1000,9 +1022,9 @@ let restore t cp =
   Array.iteri
     (fun p v ->
       if v > cp.cp_epoch then begin
-        let src = cp.cp_pages.(p) and base = p lsl page_bits in
-        if src == zero_page then Bytes.fill t.image base (page_len t p) '\000'
-        else Bytes.blit src 0 t.image base (page_len t p);
+        let src = cp.cp_pages.(p) in
+        if src != zero_page || t.pages.(p) != zero_page then
+          Bytes.blit src 0 (store_page t (p lsl page_bits) true) 0 page_size;
         t.versions.(p) <- t.epoch;
         t.page_copies <- t.page_copies + 1
       end)
@@ -1022,13 +1044,16 @@ let restore t cp =
 (** Write the persistent image to [path] (the volatile overlay of a
     strict region is NOT included — exactly what would survive power
     loss). *)
+let page_len t p = min page_size (t.size - (p lsl page_bits))
+
 let save_to_file t path =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_bytes oc t.image)
+    (fun () -> Array.iteri (fun p b -> output oc b 0 (page_len t p)) t.pages)
 
-(** Load a region image previously written by [save_to_file]. *)
+(** Load a region image previously written by [save_to_file]; its
+    all-zero pages stay absent. *)
 let load_from_file ?(mode = Fast) path =
   let ic = open_in_bin path in
   Fun.protect
@@ -1036,7 +1061,16 @@ let load_from_file ?(mode = Fast) path =
     (fun () ->
       let size = in_channel_length ic in
       let t = create ~mode size in
-      really_input ic t.image 0 size;
+      (* [buf] is all zeros whenever a page is read into it *)
+      let buf = ref (Bytes.make page_size '\000') in
+      for p = 0 to Array.length t.pages - 1 do
+        really_input ic !buf 0 (page_len t p);
+        if not (is_zero !buf 0 page_size) then begin
+          t.pages.(p) <- !buf;
+          t.c.resident_pages <- t.c.resident_pages + 1;
+          buf := Bytes.make page_size '\000'
+        end
+      done;
       stamp t 0 size;
       t)
 
@@ -1050,7 +1084,8 @@ type stats = {
   media_errors : int;  (** loads that hit a poisoned line *)
   crash_images : int;  (** crash / crash_image applications *)
   page_copies : int;
-      (** pages that checkpoint copied and restore copied or zero-filled *)
+      (** pages that checkpoint captured and restore rewound *)
+  resident_pages : int;  (** image pages allocated by a non-zero store *)
 }
 
 let stats (t : t) : stats =
@@ -1064,4 +1099,5 @@ let stats (t : t) : stats =
     media_errors = t.c.media_errors;
     crash_images = t.c.crash_images;
     page_copies = t.page_copies;
+    resident_pages = t.c.resident_pages;
   }

@@ -15,26 +15,28 @@ type 'node dentry = {
   mutable last_toucher : int;
 }
 
+(* Kept in a record of their own so an observability source can read
+   them without keeping the cache, and every node it maps, alive. *)
+type counters = { mutable hits : int; mutable misses : int }
+
 type 'node t = {
   table : (int * string, 'node dentry) Hashtbl.t;
       (** (parent identity, component) -> dentry *)
   lock : Vlock.Spin.t;  (** insertion/eviction lock *)
-  mutable hits : int;
-  mutable misses : int;
+  c : counters;
 }
 
 let create () =
   {
     table = Hashtbl.create 4096;
     lock = Vlock.Spin.create ~site:"dcache" ();
-    hits = 0;
-    misses = 0;
+    c = { hits = 0; misses = 0 };
   }
 
 let clear t =
   Hashtbl.reset t.table;
-  t.hits <- 0;
-  t.misses <- 0
+  t.c.hits <- 0;
+  t.c.misses <- 0
 
 (* Taking a reference bounces the dentry's lockref line when the previous
    toucher was another thread. *)
@@ -55,7 +57,7 @@ let take_ref (ctx : Machine.ctx) d =
 let lookup ?ctx t ~parent name =
   match Hashtbl.find_opt t.table (parent, name) with
   | Some d ->
-      t.hits <- t.hits + 1;
+      t.c.hits <- t.c.hits + 1;
       (match ctx with
       | Some c ->
           Machine.cpu c (Machine.cm c).Cost_model.dcache_hit_cycles;
@@ -63,7 +65,7 @@ let lookup ?ctx t ~parent name =
       | None -> ());
       Some d.node
   | None ->
-      t.misses <- t.misses + 1;
+      t.c.misses <- t.c.misses + 1;
       (match ctx with
       | Some c -> Machine.cpu c (Machine.cm c).Cost_model.dcache_miss_cycles
       | None -> ());
@@ -94,4 +96,5 @@ let remove ?ctx t ~parent name =
       Vlock.Spin.release c t.lock
   | None -> rm ()
 
-let stats t = (t.hits, t.misses)
+let counters t = t.c
+let stats t = (t.c.hits, t.c.misses)
