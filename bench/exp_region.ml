@@ -1,12 +1,14 @@
 (** Run id [region]: wall-clock microbenchmark of the NVMM region data
     path (the substrate every other experiment runs on).
 
-    Reports ns/op and ops/s for u62 load/store, 4 KB blits and
+    Reports ns/op and ops/s for u62 load/store, 4 KB blits (page-aligned
+    and straddling two pages), the first store into a page and
     Strict-mode persist-barrier cycles, each against a byte-at-a-time
     reference that decomposes the access exactly like the seed
     implementation did (one guard/bounds/stats round per byte).  The
     report table also carries the seed implementation's numbers measured
-    on the same machine before the word/line-granular rewrite. *)
+    on the same machine before the word/line-granular rewrite, for the
+    rows it had. *)
 
 open Simurgh_nvmm
 module Report = Simurgh_obs.Report
@@ -74,7 +76,8 @@ let run ~scale =
     "ns_per_op: current word/line-granular implementation; \
      byte_ref_ns_per_op: byte-at-a-time decomposition through the same \
      region (the seed access pattern); seed_ns_per_op: the actual seed \
-     implementation measured before the rewrite (commit cdceb37)";
+     implementation measured before the rewrite (commit cdceb37), null \
+     for rows added since";
   let bench name ~iters ~main ~reference =
     let iters = max 200 (int_of_float (float_of_int iters *. scale)) in
     (* warm up, then measure *)
@@ -84,7 +87,8 @@ let run ~scale =
     let ref_ns = time_ns_per_op iters reference in
     Printf.printf "%-28s %9.1f ns/op  %11.0f ops/s   byte-ref %9.1f ns/op  (%.1fx)\n"
       name ns (1e9 /. ns) ref_ns (ref_ns /. ns);
-    Report.row name [ ns; ref_ns; List.assoc name seed_ns ]
+    Report.row name
+      [ ns; ref_ns; Option.value (List.assoc_opt name seed_ns) ~default:nan ]
   in
   let mask = (1 lsl 16) - 1 in
   let fast = Region.create (1 lsl 22) in
@@ -120,6 +124,27 @@ let run ~scale =
       for i = 1 to n do
         ref_write_bytes fast ((i land 0xff) * 4096) page
       done);
+  (* the same blit, starting mid-page: two pages, the checked path *)
+  bench "blit_4k_straddle_fast" ~iters:100_000
+    ~main:(fun n ->
+      for i = 1 to n do
+        Region.write_bytes fast (((i land 0xfe) * 4096) + 2048) page
+      done)
+    ~reference:(fun n ->
+      for i = 1 to n do
+        ref_write_bytes fast (((i land 0xfe) * 4096) + 2048) page
+      done);
+  (* a u62 store into a page never written: each allocates its page, in
+     a region made for the loop *)
+  let first_touch store n =
+    let r = Region.create (n * Region.page_size) in
+    for i = 0 to n - 1 do
+      store r (i * Region.page_size) (i + 1)
+    done
+  in
+  bench "u62_first_touch_fast" ~iters:20_000
+    ~main:(first_touch Region.write_u62)
+    ~reference:(first_touch ref_write_u62);
   let strict () = Region.create ~mode:Region.Strict (1 lsl 22) in
   let s1 = strict () and s2 = strict () in
   bench "strict_4k_write_persist" ~iters:4_000

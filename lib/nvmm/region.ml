@@ -33,10 +33,10 @@
     funnels through here, so the substrate must run at memcpy speed to
     avoid hiding the mechanisms being measured.  A region with nothing
     to intercept — [Fast], no guard, no store or access hook, no
-    poisoned line — is [plain]: every accessor then tests that flag, the
-    range and that the access stays inside one page, bumps the same
-    statistics and touches that page directly (a store also needs the
-    page allocated); anything else takes the checked path.
+    poisoned line — is [plain]: every accessor then tests that flag and
+    the range, bumps the same statistics and touches the pages directly
+    (a word also needs to lie inside one page, and a word store needs
+    its page allocated); anything else takes the checked path.
 
     An optional [guard] models the protected-page check: when installed,
     every access calls it first, and the Simurgh security layer makes it
@@ -228,6 +228,9 @@ let[@inline] page t off = Array.unsafe_get t.pages (off lsr page_bits)
    and passes always names a page of the region. *)
 let[@inline] in_page off len = (off lxor (off + len - 1)) lsr page_bits = 0
 
+(* The same for a [w]-byte word, [w >= 1]: one mask and one compare. *)
+let[@inline] word_in_page off w = off land page_mask <= page_size - w
+
 let alloc_page t p =
   let b = Bytes.make page_size '\000' in
   Array.unsafe_set t.pages p b;
@@ -246,13 +249,18 @@ let is_zero b pos n =
   let rec go i = i >= pos + n || (Bytes.unsafe_get b i = '\000' && go (i + 1)) in
   go pos
 
-(* Copy [len] image bytes at [off] into [dst] at [pos], a page at a time. *)
+(* --- page walks over the image ------------------------------------------
+
+   Each visits the pages under [off, off+len) once, one blit or fill
+   each.  The caller has checked both ranges. *)
+
+(* Copy [len] image bytes at [off] into [dst] at [pos]. *)
 let image_read_into t off dst pos len =
   let cur = ref off and stop = off + len in
   while !cur < stop do
     let o = !cur land page_mask in
     let n = min (page_size - o) (stop - !cur) in
-    Bytes.blit (page t !cur) o dst (pos + (!cur - off)) n;
+    Bytes.unsafe_blit (page t !cur) o dst (pos + (!cur - off)) n;
     cur := !cur + n
   done
 
@@ -283,22 +291,35 @@ let[@inline] stamp t off len =
       Array.unsafe_set t.versions p t.epoch
     done
 
-(* Store [len] bytes at [off] into the image, a page at a time:
-   [write b o doff n] stores the [n] source bytes from source offset
-   [doff] at [o] of page [b].  An absent page is allocated first unless
-   [zeros doff n] says those bytes are all zero. *)
-let image_write t off len ~zeros write =
+(* Store [len] bytes of [src] from [pos] at [off] of the image.  An
+   absent page is allocated first unless the bytes bound for it are all
+   zero. *)
+let image_write_from t off src pos len =
   let cur = ref off and stop = off + len in
   while !cur < stop do
     let o = !cur land page_mask in
     let n = min (page_size - o) (stop - !cur) in
-    let doff = !cur - off in
+    let from = pos + (!cur - off) in
     let b = page t !cur in
     let b =
-      if b == zero_page && not (zeros doff n) then alloc_page t (!cur lsr page_bits)
+      if b == zero_page && not (is_zero src from n) then
+        alloc_page t (!cur lsr page_bits)
       else b
     in
-    if b != zero_page then write b o doff n;
+    if b != zero_page then Bytes.unsafe_blit src from b o n;
+    cur := !cur + n
+  done;
+  stamp t off len
+
+(* Zero [len] image bytes at [off]; an absent page already reads zeros
+   and stays absent. *)
+let image_zero t off len =
+  let cur = ref off and stop = off + len in
+  while !cur < stop do
+    let o = !cur land page_mask in
+    let n = min (page_size - o) (stop - !cur) in
+    let b = page t !cur in
+    if b != zero_page then Bytes.unsafe_fill b o n '\000';
     cur := !cur + n
   done;
   stamp t off len
@@ -403,10 +424,7 @@ let read_into t off dst pos len =
 
 let write_from t off src pos len =
   match t.mode with
-  | Fast ->
-      image_write t off len
-        ~zeros:(fun doff n -> is_zero src (pos + doff) n)
-        (fun b o doff n -> Bytes.blit src (pos + doff) b o n)
+  | Fast -> image_write_from t off src pos len
   | Strict ->
       strict_write_lines t off len (fun buf boff doff n ->
           Bytes.blit src (pos + doff) buf boff n)
@@ -414,17 +432,16 @@ let write_from t off src pos len =
 (* --- raw byte access --------------------------------------------------
 
    Every accessor [f] is a one-test fast path for a [plain] region and an
-   in-range access inside one page (a store also needs that page
-   allocated), and otherwise [f_checked]: hooks, guard, bounds, poison,
-   then the paged image or the Strict overlay.  Both bump the same
-   statistics, so [loads]/[stores]/[load_bytes]/[store_bytes] do not
-   depend on which path ran. *)
+   in-range access, and otherwise [f_checked]: hooks, guard, bounds,
+   poison, then the paged image or the Strict overlay.  A word's fast
+   path also needs the word inside one page (and, for a store, that page
+   allocated); a bulk access walks the pages it covers.  Both paths bump
+   the same statistics, so [loads]/[stores]/[load_bytes]/[store_bytes]
+   do not depend on which ran.
 
-(* --- fixed-width little-endian accessors ------------------------------
-
-   Single-shot loads/stores when the word lies within one cache line
-   (always the case for naturally aligned accesses, since the line size
-   is a multiple of 8, and a line lies within a page); an unaligned
+   Words are single-shot loads/stores when they lie within one cache
+   line (always the case for naturally aligned accesses, since the line
+   size is a multiple of 8, and a line lies within a page); an unaligned
    straddler goes through a small buffer and the bulk walk. *)
 
 (* A [len]-byte word at [off] crosses a line boundary? *)
@@ -506,12 +523,12 @@ let read_bytes_into_checked t off dst ~pos ~len =
 (** Read [len] bytes at [off] into [dst] starting at [pos] — the
     allocation-free variant of {!read_bytes} for hot loops. *)
 let read_bytes_into t off dst ~pos ~len =
-  if
-    t.plain && fits t off len && in_page off len && pos >= 0
-    && pos <= Bytes.length dst - len
+  if t.plain && fits t off len && pos >= 0 && pos <= Bytes.length dst - len
   then begin
     note_load t len;
-    Bytes.unsafe_blit (page t off) (off land page_mask) dst pos len
+    if in_page off len then
+      Bytes.unsafe_blit (page t off) (off land page_mask) dst pos len
+    else image_read_into t off dst pos len
   end
   else read_bytes_into_checked t off dst ~pos ~len
 
@@ -530,14 +547,14 @@ let write_bytes_from_checked t off src ~pos ~len =
     allocation-free variant of {!write_bytes} for hot loops (no
     intermediate [Bytes.sub]). *)
 let write_bytes_from t off src ~pos ~len =
-  if
-    t.plain && fits t off len && in_page off len && pos >= 0
-    && pos <= Bytes.length src - len
-    && page t off != zero_page
+  if t.plain && fits t off len && pos >= 0 && pos <= Bytes.length src - len
   then begin
     note_store t len;
-    Bytes.unsafe_blit src pos (page t off) (off land page_mask) len;
-    stamp t off len
+    if in_page off len && page t off != zero_page then begin
+      Bytes.unsafe_blit src pos (page t off) (off land page_mask) len;
+      stamp t off len
+    end
+    else image_write_from t off src pos len
   end
   else write_bytes_from_checked t off src ~pos ~len
 
@@ -546,33 +563,22 @@ let write_bytes t off src =
 
 (* Write straight from a string: no [Bytes.of_string] copy. *)
 let write_string t off s =
-  let len = String.length s in
-  if t.plain && fits t off len && in_page off len && page t off != zero_page
-  then begin
-    note_store t len;
-    Bytes.unsafe_blit_string s 0 (page t off) (off land page_mask) len;
-    stamp t off len
-  end
-  else write_bytes_from_checked t off (Bytes.unsafe_of_string s) ~pos:0 ~len
+  write_bytes_from t off (Bytes.unsafe_of_string s) ~pos:0
+    ~len:(String.length s)
 
 let zero_checked t off len =
   enter_store t off len;
   match t.mode with
-  | Fast ->
-      image_write t off len
-        ~zeros:(fun _ _ -> true)
-        (fun b o _ n -> Bytes.fill b o n '\000')
+  | Fast -> image_zero t off len
   | Strict ->
       strict_write_lines t off len (fun buf boff _ n ->
           Bytes.fill buf boff n '\000')
 
 (* An absent page is left absent: it already reads zeros. *)
 let zero t off len =
-  if t.plain && fits t off len && in_page off len then begin
+  if t.plain && fits t off len then begin
     note_store t len;
-    let b = page t off in
-    if b != zero_page then Bytes.unsafe_fill b (off land page_mask) len '\000';
-    stamp t off len
+    image_zero t off len
   end
   else zero_checked t off len
 
@@ -608,7 +614,7 @@ let read_u16_checked t off =
   load_word t off 2 Bytes.get_uint16_le
 
 let read_u16 t off =
-  if t.plain && fits t off 2 && in_page off 2 then begin
+  if t.plain && fits t off 2 && word_in_page off 2 then begin
     note_load t 2;
     Bytes.get_uint16_le (page t off) (off land page_mask)
   end
@@ -620,7 +626,7 @@ let write_u16_checked t off v =
   store_word t off 2 Bytes.set_uint16_le v (v <> 0)
 
 let write_u16 t off v =
-  if t.plain && fits t off 2 && in_page off 2 then begin
+  if t.plain && fits t off 2 && word_in_page off 2 then begin
     let b = page t off in
     if b != zero_page then begin
       note_store t 2;
@@ -639,7 +645,7 @@ let read_u32_checked t off =
   load_word t off 4 get_u32
 
 let read_u32 t off =
-  if t.plain && fits t off 4 && in_page off 4 then begin
+  if t.plain && fits t off 4 && word_in_page off 4 then begin
     note_load t 4;
     get_u32 (page t off) (off land page_mask)
   end
@@ -650,7 +656,7 @@ let write_u32_checked t off v =
   store_word t off 4 set_u32 v (v land 0xffffffff <> 0)
 
 let write_u32 t off v =
-  if t.plain && fits t off 4 && in_page off 4 then begin
+  if t.plain && fits t off 4 && word_in_page off 4 then begin
     let b = page t off in
     if b != zero_page then begin
       note_store t 4;
@@ -678,7 +684,7 @@ let read_u62_checked t off =
   load_word t off 8 get_u62
 
 let read_u62 t off =
-  if t.plain && fits t off 8 && in_page off 8 then begin
+  if t.plain && fits t off 8 && word_in_page off 8 then begin
     note_load t 8;
     get_u62 (page t off) (off land page_mask)
   end
@@ -689,7 +695,7 @@ let write_u62_checked t off v =
   store_word t off 8 set_u62 v (v land u62_mask <> 0)
 
 let write_u62 t off v =
-  if t.plain && fits t off 8 && in_page off 8 then begin
+  if t.plain && fits t off 8 && word_in_page off 8 then begin
     let b = page t off in
     if b != zero_page then begin
       note_store t 8;
@@ -723,7 +729,7 @@ let read_u62_pair_checked t off =
     with one guard/bounds/stats round and, in Strict mode, a single
     overlay lookup when the pair does not straddle a line. *)
 let read_u62_pair t off =
-  if t.plain && fits t off 16 && in_page off 16 then begin
+  if t.plain && fits t off 16 && word_in_page off 16 then begin
     note_load t 16;
     let b = page t off and o = off land page_mask in
     (get_u62 b o, get_u62 b (o + 8))
@@ -739,7 +745,7 @@ let write_u62_pair_checked t off v0 v1 =
 
 (** Store two adjacent u62 words in one round (see {!read_u62_pair}). *)
 let write_u62_pair t off v0 v1 =
-  if t.plain && fits t off 16 && in_page off 16 && page t off != zero_page
+  if t.plain && fits t off 16 && word_in_page off 16 && page t off != zero_page
   then begin
     note_store t 16;
     let b = page t off and o = off land page_mask in

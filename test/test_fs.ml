@@ -242,6 +242,18 @@ let prop_random_file_population =
 (* Regression: the volatile lock registries used to grow forever —
    rmdir left the directory's row and append locks behind (and pre-fix
    this test fails with hundreds of leaked row locks). *)
+(* A fresh format writes its superblock, allocator heads and root
+   directory, not the whole device: on a 1 GiB region fewer than 1% of
+   the image pages are allocated, the rest stay absent and read zeros. *)
+let test_mkfs_footprint () =
+  let module Region = Simurgh_nvmm.Region in
+  let region = Region.create (1 lsl 30) in
+  ignore (Fs.mkfs ~euid:0 region);
+  let pages = (1 lsl 30) / Region.page_size in
+  let resident = (Region.stats region).Region.resident_pages in
+  if resident = 0 || resident * 100 >= pages then
+    Alcotest.failf "mkfs left %d of %d pages resident" resident pages
+
 let test_lock_registries_reclaimed () =
   let fs = fresh () in
   let rows0, files0, appends0 = Simurgh_core.Locks.sizes (Fs.locks fs) in
@@ -988,6 +1000,7 @@ let () =
             test_unlink_during_shared_names;
           Alcotest.test_case "lock registries reclaimed" `Quick
             test_lock_registries_reclaimed;
+          Alcotest.test_case "mkfs footprint" `Quick test_mkfs_footprint;
           QCheck_alcotest.to_alcotest prop_random_file_population;
         ] );
       ("posix-scaled", Posix_scaled.suite);

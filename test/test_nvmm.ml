@@ -231,6 +231,59 @@ let test_checkpoint_page_costs () =
   Region.persist s page 8;
   ck_on s "fence commits one page" 1 (fun () -> ignore (Region.checkpoint s))
 
+(* The image is sparse: a page is allocated by the first store of a
+   non-zero byte, and only then.  Loads, [zero] and zero-valued stores
+   leave absent pages absent; checkpoints and restores neither allocate
+   nor free; a saved image loads back with its all-zero pages absent. *)
+let test_sparse_pages () =
+  let page = Region.page_size in
+  let resident r = (Region.stats r).Region.resident_pages in
+  let r = Region.create ((8 * page) + 100) in
+  let ck_resident name want = Alcotest.(check int) name want (resident r) in
+  (* never-written pages read zeros through every accessor *)
+  Alcotest.(check int) "u8" 0 (Region.read_u8 r 5);
+  Alcotest.(check int) "u16 across pages" 0 (Region.read_u16 r (page - 1));
+  Alcotest.(check int) "u32 across pages" 0 (Region.read_u32 r ((2 * page) - 2));
+  Alcotest.(check int) "u62 across pages" 0 (Region.read_u62 r ((3 * page) - 4));
+  Alcotest.(check (pair int int)) "u62 pair across pages" (0, 0)
+    (Region.read_u62_pair r ((4 * page) - 8));
+  Alcotest.(check string) "bytes over four pages" (String.make (3 * page) '\000')
+    (Bytes.to_string (Region.read_bytes r (page / 2) (3 * page)));
+  Alcotest.(check bool) "equal_string over three pages" true
+    (Region.equal_string r 100 (String.make (2 * page) '\000'));
+  ck_resident "loads allocate nothing" 0;
+  Region.zero r 0 (8 * page);
+  Region.write_u62 r 64 0;
+  Region.write_u62_pair r ((2 * page) - 8) 0 0;
+  Region.write_bytes r page (Bytes.make (2 * page) '\000');
+  ck_resident "zero and zero-valued stores allocate nothing" 0;
+  (* a straddling word allocates the pages its non-zero bytes reach *)
+  Region.write_u16 r ((5 * page) - 1) 0x0100;
+  ck_resident "only the page of the non-zero byte" 1;
+  Alcotest.(check int) "straddler reads back" 0x0100
+    (Region.read_u16 r ((5 * page) - 1));
+  Region.write_u62 r ((2 * page) - 4) 0x1234_5678_9abc;
+  ck_resident "both pages of a non-zero straddler" 3;
+  let cp = Region.checkpoint r in
+  Region.write_string r ((7 * page) + 10) "tail";
+  Region.zero r ((2 * page) - 4) 8;
+  ck_resident "zero keeps a page allocated" 4;
+  Region.restore r cp;
+  ck_resident "restore frees nothing" 4;
+  Alcotest.(check int) "restored straddler" 0x1234_5678_9abc
+    (Region.read_u62 r ((2 * page) - 4));
+  Alcotest.(check string) "page allocated since the checkpoint is zero again"
+    "\000\000\000\000"
+    (Bytes.to_string (Region.read_bytes r ((7 * page) + 10) 4));
+  let path = Filename.temp_file "simurgh" ".img" in
+  Region.save_to_file r path;
+  let loaded = Region.load_from_file path in
+  Sys.remove path;
+  Alcotest.(check int) "saved size" (Region.size r) (Region.size loaded);
+  Alcotest.(check int) "all-zero pages load absent" 3 (resident loaded);
+  Alcotest.(check bool) "loaded image equal" true
+    (Region.media_digest loaded = Region.media_digest r)
+
 let test_foreign_checkpoint_rejected () =
   let a = Region.create 8192 and b = Region.create 8192 in
   let cp = Region.checkpoint a in
@@ -289,11 +342,15 @@ let test_save_excludes_unflushed () =
 (* --- differential: wide accessors vs byte-at-a-time reference ------------- *)
 
 (* An independent transcription of the original byte-at-a-time region
-   (per-byte overlay access, full-table-scan sfence).  The word/line
-   granular implementation must be bit-identical to it, in both modes,
-   including crash-drop behaviour. *)
+   (per-byte overlay access, full-table-scan sfence) over a flat image.
+   The word/line granular paged implementation must be bit-identical to
+   it, in both modes, including crash-drop behaviour.  [resident] marks
+   every page a non-zero byte ever reached in the persistent image: the
+   pages the region must have allocated, and the only ones.  Residency
+   never goes back, so every copy shares one array. *)
 module Ref = struct
   let line_size = 64
+  let page_size = 4096
 
   type t = {
     image : Bytes.t;
@@ -301,10 +358,37 @@ module Ref = struct
     strict : bool;
     overlay : (int, Bytes.t * bool ref) Hashtbl.t;
         (** line -> contents * flushing? *)
+    resident : bool array;
   }
 
   let create ~strict size =
-    { image = Bytes.make size '\000'; size; strict; overlay = Hashtbl.create 64 }
+    {
+      image = Bytes.make size '\000';
+      size;
+      strict;
+      overlay = Hashtbl.create 64;
+      resident = Array.make ((size + page_size - 1) / page_size) false;
+    }
+
+  (* store [c] at [off] of the persistent image *)
+  let set_image t off c =
+    Bytes.set t.image off c;
+    if c <> '\000' then t.resident.(off / page_size) <- true
+
+  let resident_pages t =
+    Array.fold_left (fun n r -> if r then n + 1 else n) 0 t.resident
+
+  (* pages of the persistent image holding a non-zero byte *)
+  let nonzero_pages t =
+    let n = ref 0 in
+    Array.iteri
+      (fun p _ ->
+        let base = p * page_size in
+        let len = min page_size (t.size - base) in
+        if Bytes.exists (fun c -> c <> '\000') (Bytes.sub t.image base len) then
+          incr n)
+      t.resident;
+    !n
 
   let overlay_line t ln =
     match Hashtbl.find_opt t.overlay ln with
@@ -326,7 +410,7 @@ module Ref = struct
       | None -> Char.code (Bytes.get t.image off)
 
   let write_byte t off v =
-    if not t.strict then Bytes.set t.image off (Char.chr (v land 0xff))
+    if not t.strict then set_image t off (Char.chr (v land 0xff))
     else begin
       let ln = off / line_size in
       let buf, fl = overlay_line t ln in
@@ -384,7 +468,9 @@ module Ref = struct
         (fun ln (buf, fl) ->
           if !fl then begin
             let base = ln * line_size in
-            Bytes.blit buf 0 t.image base (min line_size (t.size - base));
+            for i = 0 to min line_size (t.size - base) - 1 do
+              set_image t (base + i) (Bytes.get buf i)
+            done;
             committed := ln :: !committed
           end)
         t.overlay;
@@ -414,13 +500,17 @@ end
    [m] tracks every op that did not raise.  An op may raise only where
    it must: out of range, or over a poisoned line.  Guard toggles,
    poison, scrub, checkpoint/restore and out-of-range accesses move [r]
-   on and off the fast path.  The region spans three 4 KiB pages and a
-   partial tail line, a quarter of the accesses sit on a page boundary,
-   and the last three checkpoints can each be restored, so older ones
-   are restored after newer ones and checkpoints follow restores. *)
+   on and off the fast path.  The region spans six 4 KiB pages and a
+   partial tail line, a quarter of the accesses (paired words included)
+   sit on a page boundary, one bulk access in ten spans three to five
+   pages, and the last three checkpoints can each be restored, so older
+   ones are restored after newer ones and checkpoints follow restores.
+   The pages the region allocates are exactly those a non-zero byte
+   reached, and a saved image loads back with its all-zero pages
+   absent. *)
 let differential_run ~strict ~seed ~ops =
   let page = 4096 in
-  let size = (3 * page) + 40 (* partial tail cache line *) in
+  let size = (6 * page) + 40 (* partial tail cache line *) in
   let rng = Simurgh_sim.Rng.create (Int64.of_int seed) in
   let rand n = Simurgh_sim.Rng.int rng n in
   let mode = if strict then Region.Strict else Region.Fast in
@@ -473,25 +563,35 @@ let differential_run ~strict ~seed ~ops =
   let compare_all ?(durable = true) i =
     ck "visible image" i
       (Region.media_digest r = Digest.bytes (Ref.read_bytes !m 0 size));
-    if strict then begin
+    if strict then
       ck "unpersisted lines" i
         (Region.unpersisted_lines r = Ref.unpersisted_lines !m);
-      if durable then begin
-        let path = Filename.temp_file "simurgh_diff" ".img" in
-        Region.save_to_file r path;
-        let persisted = Region.load_from_file path in
-        Sys.remove path;
-        ck "persistent image" i
-          (Bytes.equal (Region.read_bytes persisted 0 size) !m.Ref.image)
-      end
+    if durable then begin
+      let path = Filename.temp_file "simurgh_diff" ".img" in
+      Region.save_to_file r path;
+      let persisted = Region.load_from_file path in
+      Sys.remove path;
+      ck "persistent image" i
+        (Bytes.equal (Region.read_bytes persisted 0 size) !m.Ref.image);
+      ck "loaded pages" i
+        ((Region.stats persisted).Region.resident_pages = Ref.nonzero_pages !m)
     end
   in
+  let boundary () = page * (1 + rand 6) in
   let rand_off len =
-    if rand 4 = 0 then min (size - len) (page * (1 + rand 3) - rand (len + 1))
+    if rand 4 = 0 then max 0 (min (size - len) (boundary () - rand (len + 1)))
     else rand (size - len + 1)
   in
-  let rand_len () = rand 300 in
-  let rand_payload len = Bytes.init len (fun _ -> Char.chr (rand 256)) in
+  let rand_len () =
+    if rand 10 = 0 then (2 * page) + 1 + rand (2 * page) else rand 300
+  in
+  (* one value and one payload in eight is zero: a store that must not
+     allocate an absent page *)
+  let rand_v bound = if rand 8 = 0 then 0 else rand bound in
+  let rand_payload len =
+    if rand 8 = 0 then Bytes.make len '\000'
+    else Bytes.init len (fun _ -> Char.chr (rand 256))
+  in
   let read_u8_loop off s region =
     let rec go k =
       k >= String.length s
@@ -554,7 +654,7 @@ let differential_run ~strict ~seed ~ops =
   in
   (* [equal_string] on [r] against the [read_u8] loop on the twin *)
   let equal_string_case i =
-    let len = 1 + rand 70 in
+    let len = if rand 8 = 0 then (2 * page) + 1 + rand page else 1 + rand 70 in
     let off = rand_off len in
     let cur = Bytes.to_string (Ref.read_bytes !m off len) in
     let flip k =
@@ -588,19 +688,19 @@ let differential_run ~strict ~seed ~ops =
   for i = 1 to ops do
     (match rand 24 with
     | 0 ->
-        let off = rand_off 1 and v = rand 256 in
+        let off = rand_off 1 and v = rand_v 256 in
         store i "write_u8" ~expect:(expect_at off 1) (fun r -> Region.write_u8 r off v) (fun () ->
             Ref.write_byte !m off v)
     | 1 ->
-        let off = rand_off 2 and v = rand 65536 in
+        let off = rand_off 2 and v = rand_v 65536 in
         store i "write_u16" ~expect:(expect_at off 2) (fun r -> Region.write_u16 r off v) (fun () ->
             Ref.write_u16 !m off v)
     | 2 ->
-        let off = rand_off 4 and v = rand max_int in
+        let off = rand_off 4 and v = rand_v max_int in
         store i "write_u32" ~expect:(expect_at off 4) (fun r -> Region.write_u32 r off v) (fun () ->
             Ref.write_u32 !m off v)
     | 3 ->
-        let off = rand_off 8 and v = rand max_int in
+        let off = rand_off 8 and v = rand_v max_int in
         store i "write_u62" ~expect:(expect_at off 8) (fun r -> Region.write_u62 r off v) (fun () ->
             Ref.write_u62 !m off v)
     | 4 ->
@@ -656,8 +756,11 @@ let differential_run ~strict ~seed ~ops =
             Ref.persist !m off len)
     | 15 ->
         (* paired-word path (block-allocator node access) *)
-        let off = 8 * rand ((size - 16) / 8 + 1) in
-        let v0 = rand max_int and v1 = rand max_int in
+        let off =
+          if rand 4 = 0 then boundary () - 1 - rand 15
+          else 8 * rand (((size - 16) / 8) + 1)
+        in
+        let v0 = rand_v max_int and v1 = rand_v max_int in
         store i "write_u62_pair" ~expect:(expect_at off 16)
           (fun r -> Region.write_u62_pair r off v0 v1)
           (fun () ->
@@ -702,6 +805,8 @@ let differential_run ~strict ~seed ~ops =
     | _ -> equal_string_case i);
     ck "guard calls" i (!(fst guard_calls) = !(snd guard_calls));
     ck "media" i (Region.media_digest r = Region.media_digest twin);
+    ck "resident pages" i
+      ((Region.stats r).Region.resident_pages = Ref.resident_pages !m);
     if i mod 100 = 0 then compare_all i
   done;
   compare_all ops;
@@ -799,6 +904,7 @@ let () =
             test_checkpoint_restore;
           Alcotest.test_case "checkpoint/restore page costs" `Quick
             test_checkpoint_page_costs;
+          Alcotest.test_case "sparse pages" `Quick test_sparse_pages;
           Alcotest.test_case "foreign checkpoint rejected" `Quick
             test_foreign_checkpoint_rejected;
           Alcotest.test_case "fast-mode crash rejected" `Quick
