@@ -44,6 +44,52 @@
 
 let line_size = 64
 
+(* Every [min]/[max] here is on ints: these compare inline, where the
+   polymorphic ones call the generic compare. *)
+let[@inline] min (a : int) b = if a <= b then a else b
+let[@inline] max (a : int) b = if a >= b then a else b
+
+(* Little-endian words without a bounds check.  Every caller has checked
+   the range against the region and the page (or buffer), and the check
+   would read the page's header, one more cache line per access. *)
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap16 : int -> int = "%bswap16"
+external swap32 : int32 -> int32 = "%bswap_int32"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] get_u16 b o =
+  if Sys.big_endian then swap16 (get16u b o) else get16u b o
+
+let[@inline] set_u16 b o v = set16u b o (if Sys.big_endian then swap16 v else v)
+
+let[@inline] get_u32 b o =
+  Int32.to_int (if Sys.big_endian then swap32 (get32u b o) else get32u b o)
+  land 0xffffffff
+
+let[@inline] set_u32 b o v =
+  let x = Int32.of_int v in
+  set32u b o (if Sys.big_endian then swap32 x else x)
+
+(* 62 usable bits: offsets, sizes and persistent pointers all fit.
+   [Int64.to_int] keeps the low 63 bits with OCaml-int wraparound —
+   bit-identical to composing the word from byte loads. *)
+let[@inline] get_u62 b o =
+  Int64.to_int (if Sys.big_endian then swap64 (get64u b o) else get64u b o)
+
+let u62_mask = 0x3fff_ffff_ffff_ffff
+
+(* Stores drop the two bits that do not survive a round-trip, exactly as
+   the byte-at-a-time encoding did (bits 0-61 land in the image, the
+   top two image bytes' bits stay zero). *)
+let[@inline] set_u62 b o v =
+  let x = Int64.of_int (v land u62_mask) in
+  set64u b o (if Sys.big_endian then swap64 x else x)
+
 (* The image, its versions and checkpoints are kept a page at a time. *)
 let page_bits = 12
 let page_size = 1 lsl page_bits
@@ -611,34 +657,31 @@ let write_u8 = write_byte
 
 let read_u16_checked t off =
   enter_load t off 2;
-  load_word t off 2 Bytes.get_uint16_le
+  load_word t off 2 get_u16
 
 let read_u16 t off =
   if t.plain && fits t off 2 && word_in_page off 2 then begin
     note_load t 2;
-    Bytes.get_uint16_le (page t off) (off land page_mask)
+    get_u16 (page t off) (off land page_mask)
   end
   else read_u16_checked t off
 
 let write_u16_checked t off v =
   enter_store t off 2;
   let v = v land 0xffff in
-  store_word t off 2 Bytes.set_uint16_le v (v <> 0)
+  store_word t off 2 set_u16 v (v <> 0)
 
 let write_u16 t off v =
   if t.plain && fits t off 2 && word_in_page off 2 then begin
     let b = page t off in
     if b != zero_page then begin
       note_store t 2;
-      Bytes.set_uint16_le b (off land page_mask) (v land 0xffff);
+      set_u16 b (off land page_mask) (v land 0xffff);
       Array.unsafe_set t.versions (off lsr page_bits) t.epoch
     end
     else write_u16_checked t off v
   end
   else write_u16_checked t off v
-
-let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
-let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
 let read_u32_checked t off =
   enter_load t off 4;
@@ -666,18 +709,6 @@ let write_u32 t off v =
     else write_u32_checked t off v
   end
   else write_u32_checked t off v
-
-(* 62 usable bits: offsets, sizes and persistent pointers all fit.
-   [Int64.to_int] keeps the low 63 bits with OCaml-int wraparound —
-   bit-identical to composing the word from byte loads. *)
-let get_u62 b off = Int64.to_int (Bytes.get_int64_le b off)
-
-let u62_mask = 0x3fff_ffff_ffff_ffff
-
-(* Stores drop the two bits that do not survive a round-trip, exactly as
-   the byte-at-a-time encoding did (bits 0-61 land in the image, the
-   top two image bytes' bits stay zero). *)
-let set_u62 b off v = Bytes.set_int64_le b off (Int64.of_int (v land u62_mask))
 
 let read_u62_checked t off =
   enter_load t off 8;
