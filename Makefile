@@ -30,8 +30,8 @@ check: test races fsck figs-gate
 # process per experiment so that each file's host.peak_rss_mb is that
 # experiment's own.  This is the only target that writes them; compare
 # against the previous commit with `git diff BENCH_*.json`.  recovery's
-# 10^6-file point peaks near 5 GB (5,017 MB in BENCH_recovery.json):
-# run this alone on an 8 GB host.
+# 10^6-file point peaks near 2.3 GB (2,255 MB in BENCH_recovery.json),
+# the largest of the six.
 BENCH_COMMIT = region scale data recovery numa secure
 bench-commit: build
 	for id in $(BENCH_COMMIT); do \
