@@ -30,7 +30,7 @@ check: test races fsck figs-gate
 # process per experiment so that each file's host.peak_rss_mb is that
 # experiment's own.  This is the only target that writes them; compare
 # against the previous commit with `git diff BENCH_*.json`.  recovery's
-# 10^6-file point peaks near 2.3 GB (2,255 MB in BENCH_recovery.json),
+# 10^6-file point peaks near 2.3 GB (2,293 MB in BENCH_recovery.json),
 # the largest of the six.
 BENCH_COMMIT = region scale data recovery numa secure
 bench-commit: build

@@ -37,6 +37,7 @@ module Recovery = Simurgh_core.Recovery
 module Check = Simurgh_core.Check
 module Explore = Simurgh_core.Explore
 module Fentry = Simurgh_core.Fentry
+module Dirblock = Simurgh_core.Dirblock
 module Inode = Simurgh_core.Inode
 module Region = Simurgh_nvmm.Region
 module Slab = Simurgh_alloc.Slab_alloc
@@ -179,8 +180,11 @@ let run ~scale =
     empty checker cannot pass).  After the one-slot and 4-slot ring
     recoveries, the slabs' free caches recovery installed must also
     equal a fresh rebuild ({!Check.free_caches}); a mismatch is listed
-    with the violations.  Two positive controls cover the block free
-    lists, which live in shared DRAM: fsck of a live mount after
+    with the violations.  A damaged image is a positive control too: a
+    row slot that links no file entry must be detached by recovery
+    (one quarantine) and leave the checker clean.  Two positive
+    controls cover the block free lists, which live in shared DRAM:
+    fsck of a live mount after
     allocation churn (it must read the live allocator, the media copy
     being stale) and fsck across a clean unmount and a mount (the media
     checkpoint, then the lists loaded from it).  Returns a process exit
@@ -259,6 +263,32 @@ let fsck () =
   List.iter
     (fun v -> print_endline ("  " ^ Check.violation_to_string v))
     par_clean;
+  (* a row slot holding an address inside a directory block, the
+     head's ring word, instead of a file entry: recovery detaches it as
+     it does an unreadable entry *)
+  let slot_region = Region.create ~mode:Region.Strict (32 * 1024 * 1024) in
+  let sfs = Fs.mkfs ~euid:0 slot_region in
+  Fs.mkdir sfs "/d";
+  for i = 0 to 15 do
+    Fs.create_file sfs (Printf.sprintf "/d/f%d" i)
+  done;
+  let head = Fentry.dirblock slot_region (snd (Fs.resolve sfs "/d")) in
+  let s =
+    List.find
+      (fun s -> Dirblock.slot slot_region head 0 s = 0)
+      (List.init Dirblock.slots_per_row Fun.id)
+  in
+  Dirblock.set_slot slot_region head 0 s (Dirblock.f_ring head + 8);
+  Region.persist_all slot_region;
+  Fs.invalidate_shared slot_region;
+  let _, slot_report = Recovery.run slot_region in
+  let slot_clean = Check.run slot_region in
+  Printf.printf
+    "fsck: slot linking no file entry: %d quarantined, %d violation(s)\n"
+    slot_report.Recovery.quarantined (List.length slot_clean);
+  List.iter
+    (fun v -> print_endline ("  " ^ Check.violation_to_string v))
+    slot_clean;
   (* the free-list controls: churn allocates and frees blocks (data
      extents, directory blocks) long after the format's checkpoint *)
   let live_region = Region.create ~mode:Region.Strict (32 * 1024 * 1024) in
@@ -290,6 +320,7 @@ let fsck () =
     (fun v -> print_endline ("  " ^ Check.violation_to_string v))
     (live_clean @ remount_clean);
   if negative <> [] && clean = [] && ring_clean = [] && par_negative <> []
-     && par_clean = [] && live_clean = [] && remount_clean = []
+     && par_clean = [] && slot_report.Recovery.quarantined = 1
+     && slot_clean = [] && live_clean = [] && remount_clean = []
   then 0
   else 1

@@ -306,43 +306,57 @@ let is_live t paddr = obj_flags t paddr = flag_valid
 let is_unprocessed t paddr = obj_flags t paddr = flag_valid lor flag_dirty
 let live_objects t = !(t.live)
 
+(** [seg]'s header and slot area as one bulk line-granular load, or
+    [None] when it hits a poisoned line. *)
+let read_segment t seg =
+  let snap = Bytes.create (seg_header + (t.objs_per_seg * slot_size t)) in
+  match Region.read_bytes_into t.region seg snap ~pos:0 ~len:(Bytes.length snap)
+  with
+  | () -> Some snap
+  | exception Region.Media_error _ -> None
+
+(** Read slot [paddr]'s bytes again into [snap], the {!read_segment}
+    copy of its segment [seg], after a store to the slot: one load of
+    the slot.  Raises [Media_error]. *)
+let refresh_slot t snap seg paddr =
+  let addr = paddr - obj_header in
+  Region.read_bytes_into t.region addr snap ~pos:(addr - seg)
+    ~len:(slot_size t)
+
 (** Enumerate every object slot with its flags and its bytes:
     [f payload_addr flags slot].
 
     The walk snapshots each segment's slot area with one bulk
-    line-granular load and scans the flag bytes in DRAM — one region
-    round per segment instead of one per object, which is what recovery
-    pays when it sweeps every slab after a crash.  [slot] is
-    [Some (snap, off)]: the slot's bytes, header first, at [off] of the
-    segment's snapshot [snap], so a visitor parses the object without
-    reading it again.  A callback may mutate the object it is visiting
-    (the snapshot is only consulted for later objects, which no callback
-    touches); the snapshot of that slot is then stale.
+    line-granular load ({!read_segment}), or takes [snapshot], an
+    earlier one, and scans the flag bytes in DRAM — one region round per
+    segment instead of one per object, which is what recovery pays when
+    it sweeps every slab after a crash.  [slot] is [Some (snap, off)]:
+    the slot's bytes, header first, at [off] of the segment's snapshot
+    [snap], so a visitor parses the object without reading it again.  A
+    callback may mutate the object it is visiting (the snapshot is only
+    consulted for later objects, which no callback touches); the
+    snapshot of that slot is then stale.
 
-    After a poisoned line anywhere in the segment the walk degrades to
-    one header load per slot, [slot] is [None] (the visitor reads the
-    fields it needs itself), and a slot whose header is unreadable goes
-    to [unreadable payload_addr] instead (it stays allocated —
-    quarantined, never recycled).
+    After a poisoned line anywhere in the segment (a [snapshot] of
+    [None]) the walk degrades to one header load per slot, [slot] is
+    [None] (the visitor reads the fields it needs itself), and a slot
+    whose header is unreadable goes to [unreadable payload_addr] instead
+    (it stays allocated — quarantined, never recycled).
 
     [iter_segment_objects] visits one segment — the unit of work for a
     parallel sweep worker; [iter_objects] walks the whole segment list,
     without the bytes. *)
-let iter_segment_objects ?(unreadable = ignore) t seg f =
-  let seg_bytes = seg_header + (t.objs_per_seg * slot_size t) in
-  let snap = Bytes.create seg_bytes in
-  match
-    try
-      Region.read_bytes_into t.region seg snap ~pos:0 ~len:seg_bytes;
-      `Snapshot
-    with Region.Media_error _ -> `Faulted
-  with
-  | `Snapshot ->
+let iter_segment_objects ?(unreadable = ignore) ?snapshot t seg f =
+  let snapshot =
+    match snapshot with Some s -> s | None -> read_segment t seg
+  in
+  match snapshot with
+  | Some snap ->
       for i = 0 to t.objs_per_seg - 1 do
         let off = obj_addr t seg i - seg in
         f (payload (seg + off)) (Bytes.get_uint8 snap off) (Some (snap, off))
       done
-  | `Faulted ->
+  | None ->
       for i = 0 to t.objs_per_seg - 1 do
         let addr = obj_addr t seg i in
         match Region.read_u8 t.region addr with
@@ -369,6 +383,46 @@ let iter_segments t f =
   in
   go (Region.read_u62 t.region (seg_list_head t))
 
+(** A slab's segments: [segs] in segment-list order, and [addrs] the
+    same addresses sorted, [index] giving each one's place in [segs]; to
+    tell a slot's payload address from any other word ({!locate}). *)
+type seg_map = { segs : int array; addrs : int array; index : int array }
+
+let seg_map t =
+  let l = ref [] in
+  iter_segments t (fun seg -> l := seg :: !l);
+  let segs = Array.of_list (List.rev !l) in
+  let index = Array.init (Array.length segs) Fun.id in
+  Array.sort (fun a b -> compare segs.(a) segs.(b)) index;
+  { segs; addrs = Array.map (fun i -> segs.(i)) index; index }
+
+(* [p] is the payload address of a slot of segment [seg] *)
+let payload_in t seg p =
+  let off = p - seg - seg_header - obj_header in
+  let slot = slot_size t in
+  off >= 0 && off < t.objs_per_seg * slot && off mod slot = 0
+
+(** [locate t m p] is the segment-list index of the segment of [m] in
+    which [p] is the payload address of a slot, or [-1] when [p] is no
+    slot's payload address: the one definition of "a pointer to an
+    object of this slab" for values read from a possibly corrupt image.
+    [near], a likely index (the previous answer of a caller walking
+    neighbouring slots), is tried before the search. *)
+let locate ?(near = -1) t m p =
+  let segs = m.segs and a = m.addrs in
+  let n = Array.length a in
+  if near >= 0 && near < n && payload_in t segs.(near) p then near
+  else if n = 0 || p < a.(0) then -1
+  else begin
+    (* the last segment starting at or below [p] *)
+    let lo = ref 0 and hi = ref n in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) lsr 1 in
+      if Array.unsafe_get a mid <= p then lo := mid else hi := mid
+    done;
+    if payload_in t a.(!lo) p then m.index.(!lo) else -1
+  end
+
 (** One segment's share of the volatile caches: its free slots in
     ascending address order and its live-object count. *)
 type seg_cache = { free : int list; live : int }
@@ -380,9 +434,9 @@ type seg_cache = { free : int list; live : int }
     an uncorrectable line is never cached.  [final] may rewrite the slot
     it visits; [unreadable] gets the slots whose header is unreadable,
     which are neither cached nor counted. *)
-let segment_cache ?unreadable t seg final =
+let segment_cache ?unreadable ?snapshot t seg final =
   let free = ref [] and live = ref 0 in
-  iter_segment_objects ?unreadable t seg (fun paddr f slot ->
+  iter_segment_objects ?unreadable ?snapshot t seg (fun paddr f slot ->
       let f = final paddr f slot in
       let addr = paddr - obj_header in
       if Region.range_poisoned t.region addr (slot_size t) then

@@ -119,15 +119,11 @@ let run ?(include_leaks = true) region =
          accounting *)
       let dir_blocks = ref [] in
       (* Values read from a corrupt image are checked before they are
-         followed: a slot must hold a file-entry slab object, and a
+         followed: a slot must hold a file-entry slab object (by
+         {!Slab.locate}, the predicate recovery's mark applies), and a
          chain link a managed block, not seen before in its chain, whose
          header {!Dirblock.header_ok} accepts. *)
-      let fentry_objs = new_marks () in
-      Slab.iter_segments fentry_slab (fun seg ->
-          for i = 0 to Slab.objs_per_segment fentry_slab - 1 do
-            Reach.add fentry_objs
-              (Slab.payload (Slab.obj_addr fentry_slab seg i))
-          done);
+      let fentry_map = Slab.seg_map fentry_slab in
       let bs = Balloc.block_size balloc and base = Balloc.base balloc in
       let limit = base + (Balloc.total_blocks balloc * bs) in
       let dir_block ~head ~seen b =
@@ -176,7 +172,11 @@ let run ?(include_leaks = true) region =
         end
       and check_entry head names b row s p =
         try
-          if not (Reach.mem fentry_objs p && Slab.is_live fentry_slab p) then
+          if
+            not
+              (Slab.locate fentry_slab fentry_map p >= 0
+              && Slab.is_live fentry_slab p)
+          then
             add (Dangling_slot { block = b; row; slot = s; target = p })
           else begin
             let name = Fentry.name r p in

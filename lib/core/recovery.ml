@@ -2,16 +2,22 @@
 
     Full-system recovery is a mark-and-sweep pass:
 
-    1. {b Mark}: one traversal of the metadata graph from the root reads
-       every directory once.  It records what mark needs — the entries
-       to mark, the subdirectories to follow, the repairs to make — and
-       the directory's pending rename logs.  It follows every
-       {e allocated} entry, live or dirty, so that a log reachable only
-       through an unresolved rename shadow is found too.
+    1. {b Mark}: every slab segment, inode and file-entry alike, is read
+       once into a DRAM snapshot.  Then one traversal of the metadata
+       graph from the root reads every directory's blocks once and
+       parses each linked entry out of its segment's snapshot.  It
+       records what mark needs — the entries to mark, the
+       subdirectories to follow, the repairs to make, the chain blocks
+       that survive — and the directory's pending rename logs.  It
+       follows every {e allocated} entry, live or dirty, so that a log
+       reachable only through an unresolved rename shadow is found too.
+       A row slot whose value is no file-entry slot is detached like an
+       unreadable entry.
     2. {b Resolve}: every pending log (an interrupted intra- or
        cross-directory rename) is rolled forward if the shadow entry
        became reachable, rolled back otherwise, in epoch order; the
-       directories a log touched are then read again.
+       slots it stores into are read again into their snapshots, and
+       the blocks of the directories a log touched are read again.
     3. {b Commit}: the directories reached through live entries are
        committed from the root, repairing as they go — slots that point
        to non-live file entries are completed deletions (Fig. 5b: "the
@@ -22,11 +28,12 @@
        a rename's dirty shadow looks like an interrupted delete until
        its log is resolved.
     4. {b Sweep}: reclaim every allocated-but-unreachable metadata object
-       and block-mark what is reachable: directory chains, slab
-       segments, spill blocks, and the extents and overflow blocks of
-       every reachable inode, which its segment's sweep parses from the
-       segment's snapshot.  Each segment's sweep also builds its share
-       of the slab's volatile free cache.
+       and block-mark what is reachable: directory chains (the blocks
+       mark recorded), slab segments, spill blocks, and the extents and
+       overflow blocks of every reachable inode, which its segment's
+       sweep parses from the segment's snapshot.  Each segment's sweep
+       also builds its share of the slab's volatile free cache.  The
+       sweep reads no segment and no chain header again.
     5. {b Rebuild}: the block allocator's free lists from the marks
        (unreachable directory blocks and extents are implicitly
        reclaimed), then the relinks that grow a chain, and the caches
@@ -34,14 +41,15 @@
 
     The report times three passes: [mark] (steps 1-3), [segments] (4)
     and [rebuild] (5).  Every pass reads each metadata object once, as
-    one copy parsed in DRAM: a directory block's header and rows, a file
-    entry's slab slot, a slab segment (with its inodes' extent slots),
-    an overflow block (DESIGN.md §14).
+    one copy parsed in DRAM: a slab segment (with its file entries and
+    its inodes' extent slots), a directory block's header and rows, an
+    overflow block (DESIGN.md §14).
 
-    {b Parallel recovery} (DESIGN.md §14).  Mark and sweep decompose
-    into tasks over a {!Simurgh_sim.Workpool} frontier — one task per
-    directory for mark, one per slab segment / directory chain / spill
-    slice for sweep — and the same task set runs under one of three
+    {b Parallel recovery} (DESIGN.md §14).  The snapshots, mark and
+    sweep decompose into tasks over a {!Simurgh_sim.Workpool} frontier —
+    one task per slab segment for the snapshots, one per directory for
+    mark, one per slab segment / directory chain / spill slice for
+    sweep — and the same task set runs under one of three
     drivers, chosen by [?par]:
 
     + {!Seq} (default): the reference sequential execution;
@@ -53,8 +61,9 @@
       interleaved at every store/lock/atomic — this is what the
       schedule explorer and the race detector drive.
 
-    Parallel recovery is {e schedule-independent}: mark tasks write no
-    media and append only to per-worker shards; sweep tasks make
+    Parallel recovery is {e schedule-independent}: snapshot tasks each
+    fill their own segment's copy; mark tasks write no media and append
+    only to per-worker shards; sweep tasks make
     commutative, idempotent updates to shared state (bitmap ORs,
     counter increments) and only write media no other sweep task reads.
     Log resolution and every repair mark finds run in
@@ -239,7 +248,8 @@ let move_entry ~grow layout ~head p ~old =
 (* --- pending rename logs ------------------------------------------------ *)
 
 (* Resolve the pending log in [slot] of first-block [b].  Returns
-   [`Forward] or [`Back], with the log's source and destination heads.
+   [`Forward] or [`Back], with the log's source and destination heads
+   and its two entries, the only slab slots resolution stores into.
    A roll-forward whose shadow needs a chain to grow with [grow] false
    leaves the shadow's stale link for the mark pass to relink. *)
 let resolve_log ~grow layout b ~slot =
@@ -299,13 +309,13 @@ let resolve_log ~grow layout b ~slot =
     end
   in
   Dirblock.Log.clear region b ~slot;
-  (outcome, src, dst)
+  (outcome, src, dst, ofe, nfe)
 
 (* --- one read per object ------------------------------------------------- *)
 
 (* Recovery reads each metadata object once, as one copy parsed in DRAM
-   (DESIGN.md §14).  Each reader has a per-field twin that makes the
-   reads the parsers replace: the reference the parsers are tested
+   (DESIGN.md §14).  Each parser has a per-field twin that makes the
+   reads the parser replaces: the reference the parsers are tested
    against, and the fallback when a copy hits a poisoned line, so that a
    fault's retries and quarantines are those of the per-field reads. *)
 
@@ -322,44 +332,43 @@ type entry =
       spill : (int * int) option;  (** a long name's spill: (addr, bytes) *)
     }
 
-(** The entry at [p] from one copy of its slab slot,
-    [\[p - 8, p + obj_size)], and for a long name one read of its spill
-    block.  Raises [Media_error]. *)
-let read_entry r ~obj_size p =
-  let h = Slab.obj_header in
-  let b = Bytes.create (h + obj_size) in
-  Region.read_bytes_into r (p - h) b ~pos:0 ~len:(h + obj_size);
-  let f = Bytes.get_uint8 b (Fentry.f_flags h) in
-  let slab_flags = Bytes.get_uint8 b 0 in
+(** The entry at [p], parsed from its slab slot at [off] of [snap],
+    header first, as {!Slab.iter_segment_objects} hands it; a long name
+    costs one read of its spill block.  Raises [Media_error] on the
+    spill. *)
+let parse_entry r (snap, off) p =
+  let b = snap and e = off + Slab.obj_header in
+  let f = Bytes.get_uint8 b (Fentry.f_flags e) in
+  let slab_flags = Bytes.get_uint8 b off in
   if slab_flags <> Slab.flag_valid then
     Dead
       (if slab_flags <> 0 && f land Fentry.fl_dir <> 0 then
-         Region.get_u62 b (Fentry.f_dirblock h)
+         Region.get_u62 b (Fentry.f_dirblock e)
        else 0)
   else
     let name, spill =
       if f land Fentry.fl_longname = 0 then
-        let len = Bytes.get_uint8 b (Fentry.f_name_len h) in
+        let len = Bytes.get_uint8 b (Fentry.f_name_len e) in
         if len <= Fentry.inline_name_max then
-          (Bytes.sub_string b (Fentry.f_name h) len, None)
+          (Bytes.sub_string b (Fentry.f_name e) len, None)
         else
           ( Bytes.unsafe_to_string (Region.read_bytes r (Fentry.f_name p) len),
             None )
       else
-        let s = Region.get_u62 b (Fentry.f_longname h) in
+        let s = Region.get_u62 b (Fentry.f_longname e) in
         let len = Region.read_u16 r s in
         ( Bytes.unsafe_to_string (Region.read_bytes r (s + 2) len),
           Some (s, 2 + len) )
     in
     let kind =
       if f land Fentry.fl_dir <> 0 then
-        `Dir (Region.get_u62 b (Fentry.f_dirblock h))
+        `Dir (Region.get_u62 b (Fentry.f_dirblock e))
       else if f land Fentry.fl_symlink <> 0 then `Sym
       else `File
     in
-    Live { name; target = Region.get_u62 b (Fentry.f_target h); kind; spill }
+    Live { name; target = Region.get_u62 b (Fentry.f_target e); kind; spill }
 
-(** {!read_entry} from per-field reads. *)
+(** {!parse_entry} from per-field reads. *)
 let read_entry_fields r slab p =
   if not (Slab.is_live slab p) then
     Dead
@@ -488,14 +497,18 @@ let row_slot rows row s =
 
 (* The unit of work on the pool frontier. *)
 type task =
+  | Snapshot of [ `Inode | `Fentry ] * int
+      (* read one slab segment, by its index in the segment list, into
+         the snapshot mark and sweep parse its slots from *)
   | Mark of int
       (* read one directory (its head block's address) and record what
          mark and log discovery need of it in a [dir_mark] *)
-  | Sweep_seg of [ `Inode | `Fentry ] * int * int
-      (* one slab segment and its index in the segment list; an inode
+  | Sweep_seg of [ `Inode | `Fentry ] * int
+      (* one slab segment, by its index in the segment list; an inode
          segment's task also scrubs and block-marks its reachable
          inodes' extents *)
-  | Sweep_chain of int  (* block-mark one directory chain *)
+  | Sweep_chain of (int * int) list
+      (* block-mark one directory chain: its blocks' (address, size) *)
   | Sweep_spills of int array * int * int
       (* spill-block mark of the long-named entries [lo,hi) *)
 
@@ -544,6 +557,9 @@ type dir_mark = {
   mutable d_repairs : repair list;  (* reversed *)
   mutable d_spills : (int * (int * int)) list;
       (* long-named entries: (entry, spill range) *)
+  mutable d_blocks : (int * int) list;
+      (* the chain blocks that survive its truncate and splice repairs:
+         (address, size), reversed *)
   mutable d_files : int;
   mutable d_dirs : int;
   mutable d_symlinks : int;
@@ -575,7 +591,6 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   let r = region in
   let inode_slab = layout.Layout.inode_slab in
   let fentry_slab = layout.Layout.fentry_slab in
-  let fentry_obj_size = Slab.obj_size fentry_slab in
   let balloc = layout.Layout.balloc in
   let log_ring = layout.Layout.log_ring in
   let head_bytes = Dirblock.header + (log_ring * Dirblock.ring_slot_bytes) in
@@ -693,6 +708,74 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
         { s_marks = Reach.Vec.create (); s_logs = [] })
   in
 
+  (* ---- segment snapshots ----------------------------------------------- *)
+  (* One pool ahead of mark reads every slab segment once, inode and
+     file-entry segments alike, in segment-list order: mark parses each
+     linked entry out of its segment's snapshot and the sweep works on
+     the same snapshots, so no slot is read twice (DESIGN.md §14).  A
+     segment whose read faults has no snapshot ([None]): its entries and
+     inodes are read field by field, with the per-field reads' retries
+     and quarantines.  The snapshots are dropped when [run] returns. *)
+  let inode_map = Slab.seg_map inode_slab
+  and fentry_map = Slab.seg_map fentry_slab in
+  let inode_segs = inode_map.Slab.segs and fentry_segs = fentry_map.Slab.segs in
+  let inode_snaps = Array.make (Array.length inode_segs) None in
+  let fentry_snaps = Array.make (Array.length fentry_segs) None in
+  let slab_of = function
+    | `Inode -> (inode_slab, inode_segs, inode_snaps)
+    | `Fentry -> (fentry_slab, fentry_segs, fentry_snaps)
+  in
+  let pool = Workpool.create () in
+  Array.iteri (fun i _ -> Workpool.push pool (Snapshot (`Inode, i))) inode_segs;
+  Array.iteri
+    (fun i _ -> Workpool.push pool (Snapshot (`Fentry, i)))
+    fentry_segs;
+  run_pool pool (fun ~worker:_ task ->
+      match task with
+      | Snapshot (which, i) ->
+          let slab, segs, snaps = slab_of which in
+          snaps.(i) <- Slab.read_segment slab segs.(i)
+      | _ -> assert false);
+  (* The entry that row slot value [p] links, from its segment's
+     snapshot; field by field under [fields] when the segment has no
+     snapshot or the parse faults on a spill.  [None] when [fields]
+     gives up, and when [p] is no file-entry slot's payload address (a
+     word of another structure in a reused or overwritten block), which
+     mark treats as an unreadable entry.  [near] holds the segment of
+     the caller's previous entry, the likely one of the next. *)
+  let by_fields fields p =
+    fields (fun () -> read_entry_fields r fentry_slab p)
+  in
+  let entry_at ~near ~fields p =
+    let i = Slab.locate ~near:!near fentry_slab fentry_map p in
+    if i < 0 then None
+    else begin
+      near := i;
+      match fentry_snaps.(i) with
+      | None -> by_fields fields p
+      | Some snap -> (
+          match
+            parse_entry r (snap, p - Slab.obj_header - fentry_segs.(i)) p
+          with
+          | e -> Some e
+          | exception Region.Media_error _ -> by_fields fields p)
+    end
+  in
+  (* Snapshot coherence: a file-entry slot that recovery stores into
+     before the sweep (log resolution's frees and shadow commits, a
+     relink's commit) is read again into its segment's snapshot, one
+     load as a mark read of the entry was.  A refresh that faults drops
+     the snapshot, and the segment takes the per-field path. *)
+  let refresh p =
+    let i = Slab.locate fentry_slab fentry_map p in
+    if i >= 0 then
+      Option.iter
+        (fun snap ->
+          try Slab.refresh_slot fentry_slab snap fentry_segs.(i) p
+          with Region.Media_error _ -> fentry_snaps.(i) <- None)
+        fentry_snaps.(i)
+  in
+
   (* ---- pass 1: mark, with rename-log discovery ------------------------- *)
   (* One traversal from the root reads every directory once, as a [Mark]
      task that records what mark needs of it in a [dir_mark] and the
@@ -728,6 +811,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
       end
     in
     let repair x = d.d_repairs <- x :: d.d_repairs in
+    let near = ref (-1) in
     let hb = Bytes.create header_words in
     (* a read under the retry budget, or without [retry] just once *)
     let attempt ~retry f =
@@ -797,14 +881,10 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
        repairs that would touch it are skipped and live entries are
        queued for relinking instead. *)
     let process_entry ~salvage ~nrows b row s p =
-      match
-        match read_entry r ~obj_size:fentry_obj_size p with
-        | e -> Some e
-        | exception Region.Media_error _ ->
-            try_read (fun () -> read_entry_fields r fentry_slab p)
-      with
+      match entry_at ~near ~fields:try_read p with
       | None ->
-          (* unreadable entry metadata: detach the slot *)
+          (* unreadable entry metadata, or no entry at all: detach the
+             slot *)
           if salvage then d.d_quarantined <- d.d_quarantined + 1
           else repair (Quarantine_slot (b, row, s))
       | Some (Dead child) ->
@@ -866,13 +946,11 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
             let p = row_slot rows row s in
             if p <> 0 then
               match
-                try read_entry r ~obj_size:fentry_obj_size p
-                with Region.Media_error _ -> (
-                  try read_entry_fields r fentry_slab p
-                  with Region.Media_error _ -> Dead 0)
+                entry_at ~near p ~fields:(fun f ->
+                    try Some (f ()) with Region.Media_error _ -> None)
               with
-              | Live { kind = `Dir h; _ } | Dead h -> discover h
-              | Live _ -> ()
+              | Some (Live { kind = `Dir h; _ } | Dead h) -> discover h
+              | Some (Live _) | None -> ()
           done
       done;
       if nxt <> 0 then
@@ -906,6 +984,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
             if busy row then repair (Clear_busy row)
           done;
           process_block ~salvage:false head nrows rows bad;
+          d.d_blocks <- [ (head, Dirblock.size_for_rows ~ring nrows) ];
           (* chain blocks degrade per-block, never per-directory: an
              unreadable header truncates the chain there (the orphaned
              tail is swept); a block with unreadable rows is spliced
@@ -922,6 +1001,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
                   walk prev nxt
               | Some (nrows, nxt, rows, bad) ->
                   process_block ~salvage:false b nrows rows bad;
+                  d.d_blocks <- (b, Dirblock.size_for_rows nrows) :: d.d_blocks;
                   walk b nxt
           in
           walk head nxt
@@ -951,6 +1031,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
                 d_relinks = [];
                 d_repairs = [];
                 d_spills = [];
+                d_blocks = [];
                 d_files = 0;
                 d_dirs = 0;
                 d_symlinks = 0;
@@ -997,15 +1078,23 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
                   Hashtbl.replace log_seen (head, slot) ();
                   hook "recovery:resolve-log";
                   match resolve_log ~grow:false layout head ~slot with
-                  | outcome, src, dst ->
+                  | outcome, src, dst, ofe, nfe ->
+                      refresh ofe;
+                      refresh nfe;
                       if outcome = `Forward then incr completed_renames
                       else incr rolled_back;
                       [ src; dst ]
                   | exception Region.Media_error _ -> (
-                      (* a fault mid-resolution: its directories may
-                         still have changed *)
+                      (* a fault mid-resolution: its directories and
+                         entries may still have changed.  A log that
+                         cannot be read again could not be read before
+                         (poison persists), so nothing was stored *)
                       try
-                        let src, dst, _, _ = Dirblock.Log.read r head ~slot in
+                        let src, dst, ofe, nfe =
+                          Dirblock.Log.read r head ~slot
+                        in
+                        refresh ofe;
+                        refresh nfe;
                         [ src; dst ]
                       with Region.Media_error _ -> []))
                 fresh)
@@ -1130,6 +1219,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
                   | None -> incr quarantined);
                   None
               | Some placed ->
+                  if placed <> None then refresh j.rl_p;
                   if j.rl_move then incr completed_renames;
                   if placed = None then waiting := j :: !waiting;
                   (* a waiting entry's child is traversed from its old
@@ -1178,12 +1268,6 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   in
   let reclaimed_inodes = ref 0 in
   let reclaimed_fentries = ref 0 in
-  let segments slab =
-    let l = ref [] in
-    Slab.iter_segments slab (fun seg -> l := seg :: !l);
-    Array.of_list (List.rev !l)
-  in
-  let inode_segs = segments inode_slab and fentry_segs = segments fentry_slab in
   (* each segment task leaves its share of the slab's free cache here,
      at its segment-list index; the last sequential step installs them
      in that order *)
@@ -1205,11 +1289,13 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
         with Region.Media_error _ -> fields ())
     | None -> fields ()
   in
-  let sweep_segment which seg i bm =
-    let slab, reach, counter, caches =
+  let sweep_segment which i bm =
+    let slab, segs, snaps = slab_of which in
+    let seg = segs.(i) in
+    let reach, counter, caches =
       match which with
-      | `Inode -> (inode_slab, g_inode, reclaimed_inodes, inode_caches)
-      | `Fentry -> (fentry_slab, g_fentry, reclaimed_fentries, fentry_caches)
+      | `Inode -> (g_inode, reclaimed_inodes, inode_caches)
+      | `Fentry -> (g_fentry, reclaimed_fentries, fentry_caches)
     in
     mark_range bm seg (Slab.blocks_per_segment slab * bs);
     let slot_bytes = Slab.obj_header + Slab.obj_size slab in
@@ -1218,7 +1304,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
       if which = `Inode && Reach.mem reach p then scan_extents bm p slot
     in
     let cache =
-      Slab.segment_cache slab seg
+      Slab.segment_cache slab seg ~snapshot:snaps.(i)
         ~unreadable:(fun p -> scan p None)
         (fun p flags slot ->
           scan p slot;
@@ -1258,35 +1344,33 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
     incr sweep_tasks;
     let bm = bitmaps.(worker) in
     match task with
-    | Sweep_seg (which, seg, i) -> sweep_segment which seg i bm
-    | Sweep_chain head -> (
-        try
-          Dirblock.iter_chain r head (fun _ b ->
-              mark_range bm b (Dirblock.size_of r b))
-        with Region.Media_error _ -> ())
+    | Sweep_seg (which, i) -> sweep_segment which i bm
+    | Sweep_chain blocks ->
+        List.iter (fun (b, size) -> mark_range bm b size) blocks
     | Sweep_spills (arr, lo, hi) ->
         (* the ranges mark read with each long-named entry *)
         for k = lo to hi - 1 do
           let addr, len = Hashtbl.find g_spill arr.(k) in
           mark_range bm addr len
         done
-    | Mark _ -> assert false
+    | Snapshot _ | Mark _ -> assert false
   in
-  (* One pool.  A segment task bulk-snapshots its segment, scrubs and
-     block-marks the extents of its reachable inodes from that snapshot,
-     frees its unreachable slots and builds its share of the free cache;
-     chain and spill tasks block-mark.  Writes stay disjoint from every
+  (* One pool.  A segment task scrubs and block-marks the extents of its
+     reachable inodes from its segment's snapshot, frees its unreachable
+     slots and builds its share of the free cache; chain and spill tasks
+     block-mark from what mark recorded, and read nothing.  Writes stay disjoint from every
      other task's reads: a segment task writes only its own slots and its
      own inodes' overflow blocks, and chain and spill tasks write nothing,
      so no phase split or barrier is needed between them. *)
   let pool = Workpool.create () in
   let push_segs which =
-    Array.iteri (fun i seg -> Workpool.push pool (Sweep_seg (which, seg, i)))
+    Array.iteri (fun i _ -> Workpool.push pool (Sweep_seg (which, i)))
   in
   push_segs `Inode inode_segs;
   push_segs `Fentry fentry_segs;
   Array.iter
-    (fun head -> Workpool.push pool (Sweep_chain head))
+    (fun head ->
+      Workpool.push pool (Sweep_chain (Hashtbl.find marked head).d_blocks))
     (Reach.to_sorted_array g_dirhead);
   (* an entry mark recorded a spill for can have lost its mark since, to
      a quarantine or a failed relink: its spill is reclaimed *)
@@ -1470,7 +1554,9 @@ let repair_directory fs dirpath =
      can hold several after a multi-process crash) *)
   List.iter
     (fun (slot, _) ->
-      let _ : _ * int * int = resolve_log ~grow:true layout head ~slot in
+      let _ : _ * int * int * int * int =
+        resolve_log ~grow:true layout head ~slot
+      in
       incr repaired)
     (List.sort
        (fun (_, e1) (_, e2) -> compare e1 e2)
