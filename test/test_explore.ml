@@ -34,6 +34,32 @@ let assert_no_failures name (st : Explore.stats) =
   Alcotest.(check bool) (name ^ ": explored images") true
     (st.Explore.images >= st.Explore.crash_points)
 
+(* Each machine's coverage at the default 64 samples: crash points,
+   fences, images and max pending lines.  These are the per-machine
+   counts [bench/main.exe --scale 0.05 crash] prints; they move only
+   when what the explorer explores moves. *)
+let coverage =
+  [
+    ("create", (35, 3, 243, 5));
+    ("unlink", (24, 9, 41, 3));
+    ("rename", (39, 7, 93, 3));
+    ("cross-rename", (39, 6, 217, 6));
+    ("striped-create", (35, 3, 243, 5));
+    ("striped-rename", (39, 7, 93, 3));
+    ("striped-xrename", (39, 6, 217, 6));
+    ("ring-rename", (39, 7, 93, 3));
+    ("ring-xrename", (39, 6, 217, 6));
+    ("append", (12, 4, 82, 65));
+    ("extend", (13, 4, 146, 129));
+    ("range-append", (12, 4, 82, 65));
+    ("range-extend", (13, 4, 146, 129));
+    ("spill-append", (20, 7, 113, 66));
+    ("xregion-rename", (78, 19, 345, 5));
+    ("xregion-create", (70, 6, 486, 5));
+  ]
+
+let quad = Alcotest.(pair (pair int int) (pair int int))
+
 (* Every machine of the shared table (the one [bench/main.exe crash]
    prints), with its atomicity oracle on every recovered image. *)
 let machine_case (m : Explore.machine) =
@@ -49,6 +75,14 @@ let machine_case (m : Explore.machine) =
   Alcotest.test_case title `Quick (fun () ->
       let st = Explore.run_machine m in
       assert_no_failures m.Explore.name st;
+      let points, fences, images, pending =
+        List.assoc m.Explore.name coverage
+      in
+      Alcotest.check quad
+        (m.Explore.name ^ ": points, fences, images, max pending")
+        ((points, fences), (images, pending))
+        ( (st.Explore.crash_points, st.Explore.fences),
+          (st.Explore.images, st.Explore.max_pending) );
       (* a Fig. 5 persist epoch must stay small enough that every crash
          point's eviction subsets are all explored; only the data path,
          whose fences each commit a 4 KiB page (64 lines), is sampled *)
@@ -197,9 +231,8 @@ let test_reentrant_rename () =
       Alcotest.failf "rename: %d failing re-entry image(s); first: %s"
         (List.length st.Explore.reentry_failures)
         l);
-  Alcotest.(check bool) "explored mid-recovery points" true
-    (st.Explore.recovery_points > 0);
-  Alcotest.(check bool) "re-entered images" true (st.Explore.reentry_images > 0);
+  Alcotest.(check (pair int int)) "mid-recovery points, images" (43, 62)
+    (st.Explore.recovery_points, st.Explore.reentry_images);
   Alcotest.(check bool) "recovery idempotent (fixpoint in 2 passes)" true
     (st.Explore.max_passes <= 2)
 
@@ -218,6 +251,8 @@ let test_reentrant_create () =
       Alcotest.failf "create: %d failing re-entry image(s); first: %s"
         (List.length st.Explore.reentry_failures)
         l);
+  Alcotest.(check (pair int int)) "mid-recovery points, images" (15, 24)
+    (st.Explore.recovery_points, st.Explore.reentry_images);
   Alcotest.(check bool) "recovery idempotent (fixpoint in 2 passes)" true
     (st.Explore.max_passes <= 2)
 
