@@ -82,97 +82,65 @@ let run ~scale =
   Util.header
     "crash: adversarial crash images, media faults, fsck-style checker";
   let samples = max 8 (Util.scaled ~scale 32) in
-  let points = ref 0
-  and images = ref 0
-  and failures = ref 0
-  and quarantined = ref 0
-  and eio = ref 0
-  and violations = ref 0 in
-  let tally name (st : Explore.stats) =
-    points := !points + st.Explore.crash_points;
-    images := !images + st.Explore.images;
-    failures := !failures + List.length st.Explore.failures;
-    Printf.printf
-      "  explore %-13s crash points %3d, fences %2d, images %4d, max pending \
-       lines %2d, violating images %d\n"
-      name st.Explore.crash_points st.Explore.fences st.Explore.images
-      st.Explore.max_pending
-      (List.length st.Explore.failures);
-    List.iter
-      (fun (label, viols) ->
-        Printf.printf "    FAIL %s: %s\n" label
-          (String.concat "; " (List.map Check.violation_to_string viols)))
-      st.Explore.failures
+  let machines =
+    List.map (Explore.run_machine ~samples) Explore.machines
   in
-  List.iter
-    (fun (m : Explore.machine) ->
-      tally m.Explore.name (Explore.run_machine ~samples m))
-    Explore.machines;
   (* crash-during-recovery: crash the op, then crash RECOVERY at its
      own store points and labeled hooks, re-enter on every eviction
      subset — each image must reach a media fixpoint (idempotence: 2
      passes) and end checker-clean *)
-  let reentrant_ops =
-    [
-      ( "reenter-rename",
-        (fun fs ->
-          Fs.mkdir fs "/d1";
-          Fs.mkdir fs "/d2";
-          Fs.create_file fs "/d1/a"),
-        fun fs -> Fs.rename fs "/d1/a" "/d2/b" );
-      ( "reenter-create",
-        (fun fs -> Fs.mkdir fs "/d"),
-        fun fs ->
-          Fs.create_file fs "/d/f";
-          Fs.create_file fs "/d/g" );
-    ]
+  let reentries =
+    List.map Explore.run_reentrant
+      [
+        Explore.scenario "reenter-rename"
+          ~setup:(fun fs ->
+            Fs.mkdir fs "/d1";
+            Fs.mkdir fs "/d2";
+            Fs.create_file fs "/d1/a")
+          (Explore.seq (fun fs -> Fs.rename fs "/d1/a" "/d2/b"));
+        Explore.scenario "reenter-create"
+          ~setup:(fun fs -> Fs.mkdir fs "/d")
+          (Explore.seq (fun fs ->
+               Fs.create_file fs "/d/f";
+               Fs.create_file fs "/d/g"));
+      ]
   in
-  let rec_points = ref 0 and rec_images = ref 0 and rec_passes = ref 0 in
-  List.iter
-    (fun (name, setup, op) ->
-      let st = Explore.run_reentrant ~setup ~op () in
-      rec_points := !rec_points + st.Explore.recovery_points;
-      rec_images := !rec_images + st.Explore.reentry_images;
-      rec_passes := max !rec_passes st.Explore.max_passes;
-      failures := !failures + List.length st.Explore.reentry_failures;
-      Printf.printf
-        "  reenter %-13s mid-recovery points %3d, images %4d, fixpoint in \
-         <= %d pass(es), failing images %d\n"
-        name st.Explore.recovery_points st.Explore.reentry_images
-        st.Explore.max_passes
-        (List.length st.Explore.reentry_failures);
-      List.iter
-        (fun l -> Printf.printf "    FAIL %s\n" l)
-        st.Explore.reentry_failures)
-    reentrant_ops;
+  let explored = machines @ reentries in
+  List.iter Util.print_explored explored;
+  let sum f = List.fold_left (fun acc st -> acc + f st) 0 in
+  let failures = sum (fun st -> List.length st.Explore.failures) explored in
   let media_eio, media_quarantined, media_viols = media_plane () in
-  eio := media_eio;
-  quarantined := media_quarantined;
-  violations := !failures + List.length media_viols;
+  let violations = failures + List.length media_viols in
   Printf.printf
     "  media plane: %d EIO returns (process alive), %d entries \
      quarantined, post-recovery checker violations %d\n"
     media_eio media_quarantined
     (List.length media_viols);
+  let points = sum (fun st -> st.Explore.points) machines
+  and images = sum (fun st -> st.Explore.runs) machines in
   Obs.Collect.add
-    [
-      ("faults/crash_points", float_of_int !points);
-      ("faults/images_explored", float_of_int !images);
-      ("faults/explorer_failures", float_of_int !failures);
-      ("faults/quarantined", float_of_int !quarantined);
-      ("faults/checker_violations", float_of_int !violations);
-      ("faults/recovery_crash_points", float_of_int !rec_points);
-      ("faults/recovery_reentry_images", float_of_int !rec_images);
-      ("faults/recovery_fixpoint_passes", float_of_int !rec_passes);
-    ];
+    (List.map
+       (fun (k, v) -> (k, float_of_int v))
+       [
+         ("faults/crash_points", points);
+         ("faults/images_explored", images);
+         ("faults/explorer_failures", failures);
+         ("faults/quarantined", media_quarantined);
+         ("faults/checker_violations", violations);
+         ("faults/recovery_crash_points", sum (fun st -> st.Explore.points) reentries);
+         ("faults/recovery_reentry_images", sum (fun st -> st.Explore.runs) reentries);
+         ( "faults/recovery_fixpoint_passes",
+           List.fold_left (fun m st -> max m st.Explore.max_passes) 0 reentries );
+       ]);
   Printf.printf
     "  total: %d crash points, %d images explored, %d checker \
      violations%s\n"
-    !points !images !violations
-    (if !violations = 0 then " -- all images recover clean" else " (BUG)");
+    points images violations
+    (if violations = 0 then " -- all images recover clean" else " (BUG)");
   (* a violating image fails the run, so the smoke run in [make check]
      gates exploration the way [--check] and [--races] gate theirs *)
-  if !violations <> 0 then exit 1
+  if List.concat_map Util.explore_gate explored <> [] || media_viols <> []
+  then exit 1
 
 (** Standalone fsck self-check, used by [--check] / [make fsck]: the
     checker must pass a correctly recovered crash image AND flag a

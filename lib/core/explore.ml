@@ -1,58 +1,57 @@
-(** Adversarial crash-image exploration.
+(** The explorer: one driver, two adversaries, one judge.
 
-    The Strict-mode region already models the persistence rules of real
-    NVMM (store -> volatile line, clwb+sfence -> durable).  The classic
-    [Region.crash] tests exactly one adversary — "every unpersisted line
-    is lost" — but hardware is worse: the cache may evict any dirty line
-    {e early}, so at a crash point every unpersisted line is
-    {e independently} lost or already durable ([Region.crash_image]).
+    A {!scenario} is a unit of FS work: how the file system is formatted
+    ({!config}), a pre-state [setup], one [body] per simulated thread
+    and an [oracle] that raises on a wrong final state.  {!explore}
+    builds the pre-state once (format, setup, unmount, persist every
+    line, checkpoint) and an adversary then decides how the bodies run,
+    each run restoring the checkpoint first:
 
-    {!explore} turns that into a systematic search over a region array.
-    For one unit of work it
+    + {!crashes}, for a one-thread scenario: the body is stopped at
+      every {e crash point} — before every NVMM store of any region
+      ([Region.set_store_hook]), at every [sfence] before it commits
+      ([Region.set_fence_hook]: the point where a persist epoch's lines
+      are all pending at once) and at every labelled hook firing
+      ({!points}, {!crash_at}).  The cache may evict any dirty line
+      early, so at a crash point every unpersisted line is
+      {e independently} lost or already durable ([Region.crash_image]):
+      each subset is one crash image, all of them up to
+      {!max_exhaustive} pending lines, seeded samples beyond
+      ({!each_image}).
+    + {!schedules}: the bodies run as preemptible fibers
+      ({!Simurgh_sim.Engine.explore}); at every lock acquire/release,
+      atomic, NVMM store and persist barrier a {!Simurgh_sim.Schedule}
+      policy picks freely among runnable threads: depth-first
+      enumeration for half the budget (two-thread scenarios), seeded
+      random sampling for the rest.  A happens-before race detector
+      ({!Simurgh_sim.Race}) watches every region access; its sync edges
+      are the {!Simurgh_sim.Vlock} operations and fences the work
+      performs.
 
-    + replays the work once per {e crash point} — before every NVMM
-      store of any region ([Region.set_store_hook]), at every [sfence]
-      before it commits ([Region.set_fence_hook]: the point where a
-      persist epoch's lines are all pending at once) and at every
-      labeled hook firing ({!points}, {!crash_at}) — restoring a
-      checkpoint of the post-setup state each time;
-    + at each crash point enumerates eviction subsets of the unpersisted
-      lines of every region ({!each_image});
-    + for every crash image runs full recovery ({!Recovery.run_all}) and
-      then the offline checker ({!Check.run_all}), which must report
-      zero violations; an optional [verify] callback can additionally
-      inspect the recovered file system.
+    One judge ({!judge}) decides every run.  A crash image is recovered
+    ({!Recovery.run_all}), must pass the offline checker
+    ({!Check.run_all}) and then the oracle on a fresh mount.  A finished
+    schedule must leave the namespace snapshot the first schedule left
+    (the decentralized locking serializes to one final state), pass the
+    oracle, then the checker.
 
-    {!run} is the one-region call, {!run_multi} the sharded one, and
-    {!run_reentrant} reuses the same three steps with recovery itself as
-    the unit of work.  The returned {!stats} aggregates points, images
-    and any violating images (which make the calling test fail with a
-    precise reproduction label). *)
+    Recovery is a unit of work too, with one harness ({!recover}):
+    {!run_reentrant} crashes recovery itself and re-enters it until the
+    media reach a fixpoint, and {!parallel_recovery} runs fiber-mode
+    recovery under random schedules against the sequential reference.
+
+    Every exploration fills one {!stats} record; a failure is a
+    [(label, what)] pair whose label reproduces the run. *)
 
 open Simurgh_fs_common
 open Simurgh_nvmm
+module Engine = Simurgh_sim.Engine
+module Schedule = Simurgh_sim.Schedule
+module Race = Simurgh_sim.Race
+module Machine = Simurgh_sim.Machine
+module Sthread = Simurgh_sim.Sthread
 
 exception Crash_now
-
-type stats = {
-  crash_points : int;  (** store-granular, fence and labeled hook points *)
-  fences : int;  (** sfences of one uninterrupted run of the work *)
-  images : int;  (** crash images explored (recoveries performed) *)
-  max_pending : int;  (** largest unpersisted-line set at any point *)
-  failures : (string * Check.violation list) list;
-      (** crash images whose post-recovery check failed, labeled
-          ["<point> keep={lines}"] *)
-}
-
-type point =
-  | Store of int  (** crash before the [n]-th store (1-based) *)
-  | Fence of int  (** crash at the [n]-th sfence, before it commits *)
-  | Hook of string * int  (** crash at n-th firing of a label *)
-
-let point_label = function
-  | Store n -> Printf.sprintf "store:%d" n
-  | Fence n -> Printf.sprintf "fence:%d" n
-  | Hook (l, n) -> Printf.sprintf "hook:%s#%d" l n
 
 (* -- the explorer config ----------------------------------------------- *)
 
@@ -67,10 +66,7 @@ type config = { scaled : bool; range : bool; ring : int; secure : bool }
 let plain = { scaled = false; range = false; ring = 1; secure = false }
 let striped = { plain with scaled = true }
 let ranged = { striped with range = true }
-
-let mkfs ?(cores = 2) c region =
-  Fs.mkfs ~cores ~euid:0 ~scaled:c.scaled ~range_locks:c.range
-    ~log_ring:c.ring ~secure:c.secure region
+let ring slots = { striped with ring = slots }
 
 (* Mount a fresh FS handle on [region] as a new "process" would: the
    shared volatile state is discarded (a crash wiped DRAM) and rebuilt
@@ -86,13 +82,93 @@ let mount region =
 
 let default_size = 4 lsl 20
 
-(* -- the driver ---------------------------------------------------------
+(* -- scenarios ----------------------------------------------------------- *)
+
+(** One explored unit of work on a file-system handle ['fs] ({!Fs.t}, or
+    {!Shard.t} for a sharded namespace). *)
+type 'fs scenario = {
+  name : string;
+  config : config;
+  threads : int;  (** concurrent bodies; a crash scenario has one *)
+  invariant : bool;
+      (** schedules only: the final namespace must be the same under
+          every schedule.  Off for scenarios whose outcome legitimately
+          depends on the serialization order (append racing truncate);
+          the oracle then carries the correctness burden alone *)
+  setup : 'fs -> unit;
+  body : tid:int -> site:(string -> unit) -> ?ctx:Machine.ctx -> 'fs -> unit;
+      (** thread [tid]'s work.  [site] labels the current operation for
+          race reports; [ctx] is the thread's clock under schedules and
+          absent under crashes *)
+  oracle : 'fs -> unit;  (** raises on a wrong final state *)
+}
+
+let scenario ?(config = plain) ?(threads = 1) ?(invariant = true)
+    ?(oracle = ignore) ~setup name body =
+  { name; config; threads; invariant; setup; body; oracle }
+
+(** The one-thread body that runs [op]: a crash machine's work. *)
+let seq op ~tid:_ ~site:_ ?ctx:_ fs = op fs
+
+(** What exploring one scenario found; the driver fills it in. *)
+type stats = {
+  name : string;
+  mutable points : int;  (** crash points explored *)
+  mutable fences : int;  (** sfences of one uninterrupted run of the work *)
+  mutable runs : int;  (** crash images judged, or schedules run *)
+  mutable distinct : int;  (** distinct pick sequences among the schedules *)
+  mutable exhaustive : bool;  (** the DFS enumerated every schedule *)
+  mutable max_pending : int;  (** largest unpersisted-line set at any point *)
+  mutable max_passes : int;
+      (** most recovery passes an image needed to reach a media fixpoint
+          (2 = idempotent: the second pass only confirms) *)
+  mutable yields : int;  (** preemption points offered, summed over runs *)
+  mutable switches : int;  (** scheduling decisions, summed over runs *)
+  mutable lines_tracked : int;  (** most cache lines raced over in one run *)
+  mutable accesses : int;  (** region accesses tracked, summed over runs *)
+  mutable failures : (string * string) list;
+      (** (run label, what failed), in run order *)
+  mutable races : Race.report list;  (** deduplicated race reports *)
+}
+
+let stats name =
+  {
+    name;
+    points = 0;
+    fences = 0;
+    runs = 0;
+    distinct = 0;
+    exhaustive = false;
+    max_pending = 0;
+    max_passes = 0;
+    yields = 0;
+    switches = 0;
+    lines_tracked = 0;
+    accesses = 0;
+    failures = [];
+    races = [];
+  }
+
+let fail st label what = st.failures <- st.failures @ [ (label, what) ]
+let describe = function Failure m -> m | e -> Printexc.to_string e
+
+(* -- the crash adversary ------------------------------------------------
 
    A unit of work is [start : unit -> (string -> unit) -> unit]: [start ()]
    mounts (or otherwise prepares) without observation and returns a
    closure that runs the work, calling the hook at each labeled point.
    Store hooks are armed only after [start ()] returns, so the mount's
    own stores are never crash points. *)
+
+type point =
+  | Store of int  (** crash before the [n]-th store (1-based) *)
+  | Fence of int  (** crash at the [n]-th sfence, before it commits *)
+  | Hook of string * int  (** crash at n-th firing of a label *)
+
+let point_label = function
+  | Store n -> Printf.sprintf "store:%d" n
+  | Fence n -> Printf.sprintf "fence:%d" n
+  | Hook (l, n) -> Printf.sprintf "hook:%s#%d" l n
 
 let clear_hooks regions =
   Array.iter
@@ -148,6 +224,12 @@ let crash_at regions start point =
     ~finally:(fun () -> clear_hooks regions)
     (fun () -> try work hook with Crash_now -> ())
 
+(** {!crash_at}, then drop every unpersisted line: the dirtiest image
+    recovery can be handed. *)
+let crash_dirty regions start point =
+  crash_at regions start point;
+  Array.iter (fun r -> Region.crash_image r ~keep:(fun _ -> false)) regions
+
 (** The unpersisted lines of every region, tagged [(region, line)]. *)
 let pending regions =
   Array.concat
@@ -181,17 +263,6 @@ let each_image rng ~max_exhaustive ~samples pending f =
     done
   end
 
-(* Restore [cps] and apply the crash image [keep]: the volatile state of
-   every region is gone with the power. *)
-let crash_image regions cps keep =
-  Array.iteri
-    (fun i r ->
-      Region.restore r cps.(i);
-      Region.crash_image r ~keep:(fun ln -> keep (i, ln));
-      Fs.invalidate_shared r;
-      Region.clear_guard r)
-    regions
-
 (* "keep={...}": the kept lines, region-tagged only across regions *)
 let keep_label regions pending keep =
   let line (i, ln) =
@@ -206,122 +277,309 @@ let keep_label regions pending keep =
     explored; past it they are sampled. *)
 let max_exhaustive = 10
 
-(** [explore ~regions ~mount ~fss op] explores [op] over the set-up
-    [regions].  [mount ()] attaches a fresh handle, [fss] lists its
-    per-region FS handles (whose crash hooks label the points; labels
-    get a ["<region>:"] tag when there are several regions).  Each image
-    is recovered with {!Recovery.run_all}, checked with
-    {!Check.run_all} and, when clean, handed to [verify] on a fresh
-    mount. *)
-let explore ?(seed = 7L) ?(max_exhaustive = max_exhaustive) ?(samples = 64)
-    ~regions ~mount ~fss ?verify op =
-  (* the operation's own writes must be the only unpersisted lines at
-     the crash point; drain everything setup left behind (e.g. zeroed
-     directory-block tails that were never clwb'd) *)
-  Array.iter Region.persist_all regions;
-  let cp0 = Array.map Region.checkpoint regions in
-  let tag = Array.length regions > 1 in
-  let start () =
-    let h = mount () in
-    fun hook ->
-      Array.iteri
-        (fun i fs ->
-          Fs.set_crash_hook fs
-            (if tag then fun l -> hook (Printf.sprintf "%d:%s" i l) else hook))
-        (fss h);
-      op h
-  in
-  let points = points regions start in
-  let rng = Simurgh_sim.Rng.create seed in
-  let images = ref 0 and max_pending = ref 0 and failures = ref [] in
+(* The crash adversary over [points] of [start]'s work: restore [cps],
+   stop the work at the point and apply each eviction image of the
+   lines left pending (the volatile state of every region is gone with
+   the power), then hand it to [judge] under its label. *)
+let crash_images rng ~max_exhaustive ~samples st regions cps start points
+    judge =
   List.iter
     (fun point ->
-      Array.iteri (fun i r -> Region.restore r cp0.(i)) regions;
+      Array.iteri (fun i r -> Region.restore r cps.(i)) regions;
       crash_at regions start point;
       let pending = pending regions in
-      max_pending := max !max_pending (Array.length pending);
+      st.max_pending <- max st.max_pending (Array.length pending);
       let cp = Array.map Region.checkpoint regions in
       each_image rng ~max_exhaustive ~samples pending (fun keep ->
-          incr images;
-          crash_image regions cp keep;
-          let fail viols =
-            failures :=
-              ( Printf.sprintf "%s %s" (point_label point)
-                  (keep_label regions pending keep),
-                viols )
-              :: !failures
-          in
-          match Recovery.run_all regions with
-          | _ -> (
-              match Check.run_all regions with
-              | [] -> (
-                  match verify with
-                  | None -> ()
-                  | Some v -> (
-                      try v (mount ())
-                      with e ->
-                        fail
-                          [ Check.Structure ("verify: " ^ Printexc.to_string e) ]
-                      ))
-              | viols -> fail (List.map snd viols))
-          | exception e ->
-              failures :=
-                ( Printf.sprintf "%s: recovery raised %s" (point_label point)
-                    (Printexc.to_string e),
-                  [] )
-                :: !failures))
-    points;
+          st.runs <- st.runs + 1;
+          Array.iteri
+            (fun i r ->
+              Region.restore r cp.(i);
+              Region.crash_image r ~keep:(fun ln -> keep (i, ln));
+              Fs.invalidate_shared r;
+              Region.clear_guard r)
+            regions;
+          judge
+            (Printf.sprintf "%s %s" (point_label point)
+               (keep_label regions pending keep))))
+    points
+
+(* -- the schedule adversary's instruments ------------------------------- *)
+
+let rec snapshot_dir fs path acc =
+  let names = List.sort compare (Fs.readdir fs path) in
+  List.fold_left
+    (fun acc n ->
+      let p = if path = "/" then "/" ^ n else path ^ "/" ^ n in
+      let st = Fs.stat fs p in
+      let line =
+        Printf.sprintf "%s %s %d" p
+          (match st.Types.kind with
+          | Types.File -> "f"
+          | Types.Dir -> "d"
+          | Types.Symlink -> "l")
+          st.Types.size
+      in
+      if st.Types.kind = Types.Dir then snapshot_dir fs p (line :: acc)
+      else line :: acc)
+    acc names
+
+(** The namespace as text: sorted paths with kinds and sizes. *)
+let snapshot fs = String.concat "\n" (List.rev (snapshot_dir fs "/" []))
+
+(* [let watched, reports = race_log ()]: [watched region race f] runs
+   [f] with [race] active, watching every access and fence of [region].
+   A store yields before its bytes change, so another thread can slip
+   in between intent and store, and is recorded atomically with it; a
+   fence is a persist point and a happens-before edge.  The run's
+   reports join [reports ()], deduplicated by (line, site, site). *)
+let race_log () =
+  let seen = Hashtbl.create 16 and all = ref [] in
+  let collect race =
+    List.iter
+      (fun (r : Race.report) ->
+        let k = (r.Race.line, r.Race.site_a, r.Race.site_b) in
+        if not (Hashtbl.mem seen k) then begin
+          Hashtbl.replace seen k ();
+          all := r :: !all
+        end)
+      (Race.reports race)
+  in
+  let watched region race f =
+    Region.set_access_hook region (fun ~off ~len ~write ->
+        if write then Schedule.point Schedule.Store;
+        Race.on_access ~off ~len ~write);
+    Region.set_fence_hook region (fun () ->
+        Schedule.point Schedule.Persist;
+        Race.on_fence ());
+    Fun.protect
+      ~finally:(fun () ->
+        Region.clear_access_hook region;
+        Region.clear_fence_hook region;
+        collect race)
+      (fun () -> Race.with_active race f)
+  in
+  (watched, fun () -> List.rev !all)
+
+(* the block allocator's persistent segment lock words are read
+   lock-free by the crash-detection scan: synchronization internals,
+   not data *)
+let exclude_lock_words race (layout : Layout.t) =
+  Simurgh_alloc.Block_alloc.iter_lock_words layout.Layout.balloc
+    (fun ~off ~len -> Race.exclude race ~off ~len)
+
+let random_schedule seed j =
+  Schedule.random (Int64.add seed (Int64.of_int ((j * 7919) + 13)))
+
+(* -- the driver ---------------------------------------------------------- *)
+
+(** What the driver formats, mounts and hooks: one region ({!single}) or
+    a sharded namespace ({!sharded}). *)
+type 'fs target = {
+  format : mode:Region.mode -> cores:int -> config -> 'fs * Region.t array;
+  unmount : 'fs -> unit;
+  remount : Region.t array -> 'fs;
+  fss : 'fs -> Fs.t array;  (** per-region handles: their hooks label points *)
+}
+
+let single =
   {
-    crash_points = List.length points;
-    fences =
-      List.length (List.filter (function Fence _ -> true | _ -> false) points);
-    images = !images;
-    max_pending = !max_pending;
-    failures = List.rev !failures;
+    format =
+      (fun ~mode ~cores c ->
+        let region = Region.create ~mode default_size in
+        ( Fs.mkfs ~cores ~euid:0 ~scaled:c.scaled ~range_locks:c.range
+            ~log_ring:c.ring ~secure:c.secure region,
+          [| region |] ));
+    unmount = Fs.unmount;
+    remount = (fun regions -> mount regions.(0));
+    fss = (fun fs -> [| fs |]);
   }
 
-(** One Strict region formatted with [config]: the single-region
-    explorer. *)
-let run ?seed ?max_exhaustive ?samples ?(size = default_size)
-    ?(config = plain) ?verify ~setup ~op () =
-  let region = Region.create ~mode:Region.Strict size in
-  let fs = mkfs config region in
-  setup fs;
-  Fs.unmount fs;
-  explore ?seed ?max_exhaustive ?samples ~regions:[| region |]
-    ~mount:(fun () -> mount region)
-    ~fss:(fun fs -> [| fs |])
-    ?verify op
+(** Two regions, each its own crash domain: an image can lose lines on
+    the source region of a cross-region rename while keeping them on the
+    destination, and vice versa. *)
+let sharded =
+  {
+    format =
+      (fun ~mode ~cores:_ c ->
+        let sh =
+          Shard.mkfs ~mode ~obs:false ~scaled:c.scaled ~range_locks:c.range
+            ~log_ring:c.ring ~regions:2 ~euid:0 default_size
+        in
+        (sh, Shard.regions sh));
+    unmount = Shard.unmount;
+    remount =
+      (fun regions ->
+        Array.iter Fs.invalidate_shared regions;
+        Shard.mount ~obs:false ~euid:0 regions);
+    fss = (fun sh -> Array.init 2 (Shard.fs_of sh));
+  }
 
-(** [run_multi ~regions ~setup ~op ()] is {!run} lifted to a sharded
-    namespace: the operation runs against a {!Shard.t} over [regions]
-    Strict regions, so an image can lose lines on the source region of a
-    cross-region rename while keeping them on the destination, and vice
-    versa.  Each region recovers as its own crash domain. *)
-let run_multi ?seed ?max_exhaustive ?samples ?(size = default_size)
-    ?(regions = 2) ?verify ~setup ~op () =
-  let sh0 = Shard.mkfs ~mode:Region.Strict ~obs:false ~regions ~euid:0 size in
-  let rs = Shard.regions sh0 in
-  setup sh0;
-  Shard.unmount sh0;
-  explore ?seed ?max_exhaustive ?samples ~regions:rs
-    ~mount:(fun () ->
-      Array.iter Fs.invalidate_shared rs;
-      Shard.mount ~obs:false ~euid:0 rs)
-    ~fss:(fun sh -> Array.init regions (Shard.fs_of sh))
-    ?verify op
+(** How the runs of a scenario are chosen.  Crash images need the
+    Strict region's volatile overlay; schedules run on a Fast region of
+    one {!Fs.t}, whose offsets the race detector watches. *)
+type _ adversary =
+  | Crashes : {
+      seed : int64;
+      max_exhaustive : int;
+      samples : int;
+    }
+      -> 'fs adversary
+  | Schedules : { seed : int64; budget : int } -> Fs.t adversary
 
-(* -- crash-during-recovery re-entrancy -------------------------------- *)
+let crashes ?(seed = 7L) ?(max_exhaustive = max_exhaustive) ?(samples = 64) () =
+  Crashes { seed; max_exhaustive; samples }
 
-type reentrant_stats = {
-  recovery_points : int;  (** mid-recovery crash points explored *)
-  reentry_images : int;  (** crash images re-entered through recovery *)
-  max_passes : int;
-      (** most recovery passes any image needed to reach a media
-          fixpoint (2 = idempotent: the second pass only confirms) *)
-  reentry_failures : string list;
-      (** images that diverged, raised, or failed the offline checker *)
-}
+let schedules ?(seed = 11L) ?(budget = 128) () = Schedules { seed; budget }
+
+(* The pre-state every run restores: formatted, set up, unmounted, and
+   every line persisted so that a run's own writes are the only
+   unpersisted lines at a crash point (setup leaves e.g. zeroed
+   directory-block tails that were never clwb'd). *)
+let prestate target ~mode sc =
+  let fs, regions = target.format ~mode ~cores:(max 2 sc.threads) sc.config in
+  sc.setup fs;
+  target.unmount fs;
+  Array.iter Region.persist_all regions;
+  (regions, Array.map Region.checkpoint regions)
+
+(* The body as a unit of work for the crash adversary (hook labels get
+   a "<region>:" tag when there are several regions). *)
+let body_work target regions sc () =
+  let h = target.remount regions in
+  let tag = Array.length regions > 1 in
+  fun hook ->
+    Array.iteri
+      (fun i fs ->
+        Fs.set_crash_hook fs
+          (if tag then fun l -> hook (Printf.sprintf "%d:%s" i l) else hook))
+      (target.fss h);
+    sc.body ~tid:0 ~site:ignore h
+
+(* The checker over [regions]; a violation fails [label]. *)
+let clean st label regions =
+  match Check.run_all regions with
+  | [] -> true
+  | viols ->
+      fail st label
+        ("fsck: "
+        ^ String.concat "; "
+            (List.map (fun (_, v) -> Check.violation_to_string v) viols));
+      false
+
+(** What a run leaves the judge. *)
+type _ run =
+  | Crashed : 'fs target -> 'fs run  (** a crash image, not yet recovered *)
+  | Scheduled : Fs.t * string option ref -> Fs.t run
+      (** a finished schedule's mount and the first schedule's snapshot *)
+
+(** The one judge, recording failures under [label]: a crash image is
+    recovered, must pass the checker and then the oracle on a fresh
+    mount; a schedule's namespace must match the first schedule's (when
+    the scenario is invariant), then pass the oracle and the checker. *)
+let judge : type fs. stats -> fs scenario -> Region.t array -> fs run -> string -> unit =
+ fun st sc regions run label ->
+  let oracle mount =
+    try sc.oracle (mount ()) with e -> fail st label ("oracle: " ^ describe e)
+  in
+  match run with
+  | Crashed target -> (
+      match Recovery.run_all regions with
+      | exception e -> fail st label ("recovery raised " ^ Printexc.to_string e)
+      | _ ->
+          if clean st label regions then
+            oracle (fun () -> target.remount regions))
+  | Scheduled (fs, reference) ->
+      (if sc.invariant then
+         match (snapshot fs, !reference) with
+         | snap, None -> reference := Some snap
+         | snap, Some r ->
+             if r <> snap then
+               fail st label
+                 (Printf.sprintf "result diverged:\n%s\n-- want --\n%s" snap r)
+         | exception e -> fail st label ("snapshot: " ^ Printexc.to_string e));
+      oracle (fun () -> fs);
+      ignore (clean st label regions)
+
+(** [explore target adversary sc]: every run the adversary picks from
+    [sc]'s pre-state on [target], each decided by {!judge}. *)
+let explore : type fs. fs target -> fs adversary -> fs scenario -> stats =
+ fun target adversary sc ->
+  let st = stats sc.name in
+  (match adversary with
+  | Crashes { seed; max_exhaustive; samples } ->
+      let regions, cp0 = prestate target ~mode:Region.Strict sc in
+      let start = body_work target regions sc in
+      let points = points regions start in
+      st.points <- List.length points;
+      st.fences <-
+        List.length (List.filter (function Fence _ -> true | _ -> false) points);
+      crash_images
+        (Simurgh_sim.Rng.create seed)
+        ~max_exhaustive ~samples st regions cp0 start points
+        (judge st sc regions (Crashed target))
+  | Schedules { seed; budget } ->
+      let regions, cp0 = prestate target ~mode:Region.Fast sc in
+      let region = regions.(0) in
+      let watched, races = race_log () in
+      let hashes = Hashtbl.create (2 * budget) and reference = ref None in
+      let run label policy =
+        st.runs <- st.runs + 1;
+        Region.restore region cp0.(0);
+        let fs = target.remount regions in
+        let machine = Machine.create () in
+        let race = Race.create ~threads:sc.threads in
+        exclude_lock_words race (Fs.layout fs);
+        let bodies =
+          Array.init sc.threads (fun tid () ->
+              let ctx = Machine.ctx machine (Sthread.create ~seed tid) in
+              sc.body ~tid ~site:(Race.set_site race ~tid) ~ctx fs)
+        in
+        (match
+           watched region race (fun () -> Engine.explore ~schedule:policy bodies)
+         with
+        | (o : Engine.explore_outcome) ->
+            st.yields <- st.yields + o.Engine.yields;
+            st.switches <- st.switches + o.Engine.switches;
+            Hashtbl.replace hashes o.Engine.trace_hash ()
+        | exception e ->
+            fail st label ("run: " ^ Printexc.to_string e);
+            Hashtbl.replace hashes (Hashtbl.hash label) ());
+        st.lines_tracked <- max st.lines_tracked (Race.lines_tracked race);
+        st.accesses <- st.accesses + Race.accesses race;
+        judge st sc regions (Scheduled (fs, reference)) label
+      in
+      (* systematic DFS for half the budget (small scenarios often
+         exhaust it), seeded random sampling for the rest *)
+      let dfs = Schedule.Dfs.create () in
+      let dfs_budget = if sc.threads <= 2 then (budget + 1) / 2 else 0 in
+      let more = ref (dfs_budget > 0) and i = ref 0 in
+      while !more && !i < dfs_budget do
+        Schedule.Dfs.start dfs;
+        run (Printf.sprintf "%s/dfs%d" sc.name !i) (Schedule.driven dfs);
+        more := Schedule.Dfs.advance dfs;
+        incr i
+      done;
+      st.exhaustive <- dfs_budget > 0 && Schedule.Dfs.exhausted dfs;
+      for j = 0 to budget - st.runs - 1 do
+        run (Printf.sprintf "%s/rnd%d" sc.name j) (random_schedule seed j)
+      done;
+      st.distinct <- Hashtbl.length hashes;
+      st.races <- races ());
+  st
+
+(* -- recovery as the unit of work --------------------------------------- *)
+
+(** The recovery harness: one pass on [region]'s current image as a
+    fresh process runs it (shared DRAM and the page guard gone),
+    {!Recovery.run} under the [par] driver inside [watch], then every
+    line persisted.  Returns the durable media digest and the report. *)
+let recover ?par ?(watch = fun f -> f ()) region =
+  Fs.invalidate_shared region;
+  Region.clear_guard region;
+  let _, report = watch (fun () -> Recovery.run ?par region) in
+  Region.persist_all region;
+  (Region.media_digest region, report)
 
 (* [count] points strided over 1..[total] *)
 let strided ~count total =
@@ -333,59 +591,33 @@ let strided ~count total =
 let stores points =
   List.length (List.filter (function Store _ -> true | _ -> false) points)
 
-(** [run_reentrant ~setup ~op ()] crashes recovery {e itself} and
-    re-enters it.  For a strided sample of the operation's store points
-    it takes the dirtiest crash image (every unpersisted line dropped),
-    discovers recovery's own crash points — strided NVMM stores plus
-    first/middle/last firing of every labeled {!Recovery} hook
-    (pending-log resolution, mark repairs, quarantine detaches, sweep
-    frees) — then crashes recovery at each, enumerates eviction subsets
-    of recovery's unpersisted lines exactly like {!explore}, and re-runs
-    recovery on every image until the durable media digest reaches a
-    fixpoint.  Convergence must take at most 4 passes (idempotence
-    predicts 2: repair, then confirm) and every terminal image must pass
-    {!Check.run}. *)
-let run_reentrant ?(seed = 11L) ?(max_exhaustive = 8) ?(samples = 12)
-    ?(size = default_size) ?(op_points = 5) ?(rec_stores = 8) ~setup ~op () =
-  let region = Region.create ~mode:Region.Strict size in
-  let regions = [| region |] in
-  let fs = mkfs plain region in
-  setup fs;
-  Fs.unmount fs;
-  Region.persist_all region;
-  let cp0 = Region.checkpoint region in
-  let start_op () =
-    let fs = mount region in
-    fun hook ->
-      Fs.set_crash_hook fs hook;
-      op fs
-  in
+(** [run_reentrant sc] crashes recovery {e itself} and re-enters it.
+    For a strided sample of [op_points] of the one-thread scenario's
+    store points it takes the dirtiest crash image ({!crash_dirty}),
+    discovers recovery's own crash points — [rec_stores] strided NVMM
+    stores plus the first, middle and last firing of every labeled
+    {!Recovery} hook (pending-log resolution, mark repairs, quarantine
+    detaches, sweep frees) — and runs the crash adversary over them,
+    re-running recovery ({!recover}) on every image until the durable
+    media digest reaches a fixpoint.  Convergence must take at most 4
+    passes (idempotence predicts 2: repair, then confirm) and every
+    terminal image must pass {!Check.run}. *)
+let run_reentrant ?(op_points = 5) ?(rec_stores = 8) (sc : Fs.t scenario) =
+  let st = stats sc.name in
+  let regions, cp0 = prestate single ~mode:Region.Strict sc in
+  let region = regions.(0) in
+  let start_op = body_work single regions sc in
   let start_recovery () =
     Fs.invalidate_shared region;
     fun crash_hook -> ignore (Recovery.run ~crash_hook region)
   in
-  let op_crashes = strided ~count:op_points (stores (points regions start_op)) in
-
-  let rng = Simurgh_sim.Rng.create seed in
-  let rec_points = ref 0 in
-  let images = ref 0 in
-  let max_passes = ref 0 in
-  let failures = ref [] in
-
+  let rng = Simurgh_sim.Rng.create 11L in
   List.iter
     (fun opn ->
-      (* 1. crash the op at store [opn]; drop every unpersisted line —
-            the dirtiest image recovery can be handed *)
-      Region.restore region cp0;
-      crash_at regions start_op (Store opn);
-      Region.crash_image region ~keep:(fun _ -> false);
-      let cp_dirty = Region.checkpoint region in
-
-      (* 2. discover recovery's own crash points on the dirty image *)
+      Region.restore region cp0.(0);
+      crash_dirty regions start_op (Store opn);
+      let dirty = Array.map Region.checkpoint regions in
       let rpoints = points regions start_recovery in
-      let store_pts =
-        List.map (fun n -> Store n) (strided ~count:rec_stores (stores rpoints))
-      in
       let hook_pts =
         let fires = Hashtbl.create 8 in
         List.iter
@@ -400,103 +632,172 @@ let run_reentrant ?(seed = 11L) ?(max_exhaustive = 8) ?(samples = 12)
           fires []
         |> List.sort compare
       in
+      let rpoints =
+        List.map (fun n -> Store n) (strided ~count:rec_stores (stores rpoints))
+        @ hook_pts
+      in
+      st.points <- st.points + List.length rpoints;
+      crash_images rng ~max_exhaustive:8 ~samples:12 st regions dirty
+        start_recovery rpoints (fun label ->
+          let label = Printf.sprintf "op-store:%d %s" opn label in
+          let rec fix prev passes =
+            if passes > 4 then None
+            else
+              let d, _ = recover region in
+              if prev = Some d then Some passes else fix (Some d) (passes + 1)
+          in
+          match fix None 1 with
+          | Some passes ->
+              st.max_passes <- max st.max_passes passes;
+              ignore (clean st label regions)
+          | None -> fail st label "no media fixpoint after 4 passes"
+          | exception e ->
+              fail st label ("recovery raised " ^ Printexc.to_string e)))
+    (strided ~count:op_points (stores (points regions start_op)));
+  st
 
-      (* 3. crash recovery at each point; re-enter on every eviction
-            subset of its unpersisted lines; require media fixpoint and
-            a clean checker *)
-      List.iter
-        (fun point ->
-          incr rec_points;
-          Region.restore region cp_dirty;
-          crash_at regions start_recovery point;
-          let pending = pending regions in
-          let cp_crash = [| Region.checkpoint region |] in
-          each_image rng ~max_exhaustive ~samples pending (fun keep ->
-              incr images;
-              crash_image regions cp_crash keep;
-              let label () =
-                Printf.sprintf "op-store:%d %s %s" opn (point_label point)
-                  (keep_label regions pending keep)
-              in
-              let rec fix prev passes =
-                if passes > 4 then Error "no media fixpoint after 4 passes"
-                else begin
-                  Fs.invalidate_shared region;
-                  Region.clear_guard region;
-                  ignore (Recovery.run region);
-                  Region.persist_all region;
-                  let d = Region.media_digest region in
-                  if prev = Some d then Ok passes else fix (Some d) (passes + 1)
-                end
-              in
-              match fix None 1 with
-              | Ok passes -> (
-                  if passes > !max_passes then max_passes := passes;
-                  match Check.run region with
-                  | [] -> ()
-                  | v :: _ as viols ->
-                      failures :=
-                        Printf.sprintf "%s: %d checker violations (%s)"
-                          (label ()) (List.length viols)
-                          (Format.asprintf "%a" Check.pp_violation v)
-                        :: !failures)
-              | Error msg -> failures := (label () ^ ": " ^ msg) :: !failures
-              | exception e ->
-                  failures :=
-                    (label () ^ ": recovery raised " ^ Printexc.to_string e)
-                    :: !failures))
-        (store_pts @ hook_pts))
-    op_crashes;
-  {
-    recovery_points = !rec_points;
-    reentry_images = !images;
-    max_passes = !max_passes;
-    reentry_failures = List.rev !failures;
-  }
+(* A populated, genuinely crashed image for recovery to chew on: a
+   durable tree (directories, files, a nested subdir, a symlink), then
+   a dirty tail — two creates and a rename crashed at the fence of its
+   log payload, so its shadow entry is durable and unprocessed — with
+   every unpersisted line dropped.  [poison] additionally poisons one
+   subdirectory's head-block line, so the parallel mark pass exercises
+   the quarantine escalation under contention. *)
+let build_crashed_image ~poison =
+  let region = Region.create ~mode:Region.Strict default_size in
+  let fs = Fs.mkfs ~cores:4 ~euid:0 region in
+  for d = 0 to 3 do
+    let dir = Printf.sprintf "/d%d" d in
+    Fs.mkdir fs dir;
+    for i = 0 to 5 do
+      Fs.create_file fs (Printf.sprintf "%s/f%d" dir i)
+    done
+  done;
+  Fs.mkdir fs "/d0/sub";
+  Fs.create_file fs "/d0/sub/leaf";
+  Fs.symlink fs ~target:"/d0/f0" "/d0/link";
+  Fs.unmount fs;
+  Region.persist_all region;
+  let fs = mount region in
+  Fs.create_file fs "/d1/extra0";
+  Fs.create_file fs "/d1/extra1";
+  crash_dirty [| region |]
+    (fun () _ -> Fs.rename fs "/d2/f0" "/d3/moved")
+    (Fence 2);
+  if poison then begin
+    let layout = Layout.attach region in
+    let root = Layout.root_fentry layout in
+    let root_head = Fentry.dirblock region root in
+    match Dirblock.find region ~head:root_head ~name:"d3" with
+    | Some (_, _, _, p), _ -> Region.poison region (Fentry.dirblock region p) 64
+    | None, _ -> failwith "build_crashed_image: /d3 vanished"
+  end;
+  region
+
+(** [parallel_recovery ~poison ()]: one crashed image, one sequential
+    {!recover} as the reference, then [budget] fiber-mode recoveries
+    under seeded random schedules, each watched by the race detector.
+    Oracles, per schedule: the durable media digest and the recovery
+    report (modulo virtual time) must equal the sequential reference —
+    parallel recovery is schedule-independent — and {!Check.run} must be
+    clean.  Zero race reports are required: mark/sweep tasks only write
+    task-owned bytes; everything order-sensitive runs in the fenced
+    sequential steps.  [runs] counts the reference too. *)
+let parallel_recovery ?(seed = 23L) ?(budget = 24) ?(workers = 3) ~poison () =
+  let st = stats (if poison then "recovery-poison" else "recovery") in
+  let region = build_crashed_image ~poison in
+  let cp0 = Region.checkpoint region in
+  let ref_digest, ref_report = recover region in
+  ignore (clean st (st.name ^ "/seq") [| region |]);
+  let ref_report = Recovery.untimed ref_report in
+  let watched, races = race_log () in
+  let hashes = Hashtbl.create (2 * budget) in
+  for j = 0 to budget - 1 do
+    let label = Printf.sprintf "%s/rnd%d" st.name j in
+    Region.restore region cp0;
+    let outs = ref [] in
+    let watch f =
+      let race = Race.create ~threads:workers in
+      exclude_lock_words race (Layout.attach region);
+      watched region race f
+    in
+    let par =
+      Recovery.Fibers
+        {
+          schedule = random_schedule seed j;
+          workers;
+          sink = (fun o -> outs := o :: !outs);
+        }
+    in
+    (match recover ~par ~watch region with
+    | digest, report ->
+        if digest <> ref_digest then
+          fail st label "durable media diverged from sequential recovery";
+        if Recovery.untimed report <> ref_report then
+          fail st label "recovery report diverged from sequential recovery";
+        ignore (clean st label [| region |])
+    | exception e -> fail st label ("recovery raised " ^ Printexc.to_string e));
+    List.iter
+      (fun (o : Engine.explore_outcome) -> st.yields <- st.yields + o.Engine.yields)
+      !outs;
+    Hashtbl.replace hashes
+      (Hashtbl.hash
+         (List.map (fun (o : Engine.explore_outcome) -> o.Engine.trace_hash) !outs))
+      ()
+  done;
+  st.runs <- budget + 1;
+  st.distinct <- Hashtbl.length hashes;
+  st.races <- races ();
+  st
+
+(** Two fibers store to the same NVMM word with no lock: the detector
+    must flag it under any schedule.  Returns the deduplicated reports
+    (empty = the detector is broken). *)
+let negative_control ?(seed = 3L) ?(schedules = 8) () =
+  let region = Region.create 4096 in
+  let watched, races = race_log () in
+  for s = 0 to schedules - 1 do
+    let race = Race.create ~threads:2 in
+    let bodies =
+      Array.init 2 (fun tid () ->
+          Race.set_site race ~tid (Printf.sprintf "racer%d" tid);
+          (* unsynchronized read-modify-write of the same word *)
+          let v = Region.read_u62 region 512 in
+          Region.write_u62 region 512 (v + tid + 1))
+    in
+    ignore
+      (watched region race (fun () ->
+           Engine.explore
+             ~schedule:(Schedule.random (Int64.add seed (Int64.of_int (s * 31))))
+             bodies))
+  done;
+  races ()
 
 (* -- the Fig. 5 crash machines ------------------------------------------ *)
 
-(** One explored state machine: [setup] builds the pre-state, [op] is
-    the operation crashed at every point, [verify] is the atomicity
-    oracle every recovered image must pass. *)
-type 'fs steps = {
-  setup : 'fs -> unit;
-  op : 'fs -> unit;
-  verify : 'fs -> unit;
-}
-
-type machine = { name : string; config : config; steps : target }
-
-and target =
-  | Single of Fs.t steps  (** one region formatted with [config] *)
-  | Sharded of Shard.t steps  (** a plain 2-region shard *)
-
-(* create/unlink/rename/cross-rename are Fig. 5's four state machines *)
+(* create/unlink/rename/cross-rename are Fig. 5's four state machines;
+   each oracle is the atomicity property every recovered image must
+   have *)
 let create =
-  {
-    setup = (fun fs -> Fs.mkdir fs "/d");
-    op = (fun fs -> Fs.create_file fs "/d/f");
-    verify =
-      (fun fs ->
-        (* the file exists as a valid file or not at all; a retry must
-           succeed either way *)
-        match Fs.stat fs "/d/f" with
-        | st -> if st.Types.kind <> Types.File then failwith "create: not a file"
-        | exception Errno.Err (ENOENT, _) -> Fs.create_file fs "/d/f");
-  }
+  scenario "create"
+    ~setup:(fun fs -> Fs.mkdir fs "/d")
+    ~oracle:(fun fs ->
+      (* the file exists as a valid file or not at all; a retry must
+         succeed either way *)
+      match Fs.stat fs "/d/f" with
+      | st -> if st.Types.kind <> Types.File then failwith "create: not a file"
+      | exception Errno.Err (ENOENT, _) -> Fs.create_file fs "/d/f")
+    (seq (fun fs -> Fs.create_file fs "/d/f"))
 
 let unlink =
-  {
-    setup =
-      (fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.create_file fs "/d/f");
-    op = (fun fs -> Fs.unlink fs "/d/f");
-    verify =
-      (fun fs ->
-        if Fs.exists fs "/d/f" then Fs.unlink fs "/d/f";
-        Fs.create_file fs "/d/f");
-  }
+  scenario "unlink"
+    ~setup:(fun fs ->
+      Fs.mkdir fs "/d";
+      Fs.create_file fs "/d/f")
+    ~oracle:(fun fs ->
+      if Fs.exists fs "/d/f" then Fs.unlink fs "/d/f";
+      Fs.create_file fs "/d/f")
+    (seq (fun fs -> Fs.unlink fs "/d/f"))
 
 (* exactly one of [a] and [b] names the file *)
 let one_of exists a b fs =
@@ -504,25 +805,21 @@ let one_of exists a b fs =
   if x = y then failwith (Printf.sprintf "not atomic: %s=%b %s=%b" a x b y)
 
 let rename =
-  {
-    setup =
-      (fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.create_file fs "/d/old");
-    op = (fun fs -> Fs.rename fs "/d/old" "/d/new");
-    verify = one_of Fs.exists "/d/old" "/d/new";
-  }
+  scenario "rename"
+    ~setup:(fun fs ->
+      Fs.mkdir fs "/d";
+      Fs.create_file fs "/d/old")
+    ~oracle:(one_of Fs.exists "/d/old" "/d/new")
+    (seq (fun fs -> Fs.rename fs "/d/old" "/d/new"))
 
 let xrename =
-  {
-    setup =
-      (fun fs ->
-        Fs.mkdir fs "/d";
-        Fs.mkdir fs "/e";
-        Fs.create_file fs "/d/m");
-    op = (fun fs -> Fs.rename fs "/d/m" "/e/m2");
-    verify = one_of Fs.exists "/d/m" "/e/m2";
-  }
+  scenario "cross-rename"
+    ~setup:(fun fs ->
+      Fs.mkdir fs "/d";
+      Fs.mkdir fs "/e";
+      Fs.create_file fs "/d/m")
+    ~oracle:(one_of Fs.exists "/d/m" "/e/m2")
+    (seq (fun fs -> Fs.rename fs "/d/m" "/e/m2"))
 
 (* The data path, under the file lock or the byte-range locks: the
    data epoch (staged extent slots, hole and payload) and the
@@ -554,29 +851,24 @@ let one_page_setup fs =
 
 (* [write fs fd] grows the one-page file to [pages] pages whose tail
    page is [c]; any page in between is a hole *)
-let grow ~pages ~c write =
-  {
-    setup = one_page_setup;
-    op =
-      (fun fs ->
-        let fd = Fs.openf fs Types.rdwr "/f" in
-        ignore (write fs fd (Bytes.make page c));
-        Fs.close fs fd);
-    verify =
-      (fun fs ->
-        let got = read_file fs "/f" in
-        (match Bytes.length got with
-        | n when n = page -> ()
-        | n when n = pages * page ->
-            expect_uniform got ~pos:page ~len:((pages - 2) * page) '\000'
-              ~what:"hole";
-            expect_uniform got ~pos:((pages - 1) * page) ~len:page c
-              ~what:"published bytes"
-        | n ->
-            failwith
-              (Printf.sprintf "size %d, want %d or %d" n page (pages * page)));
-        expect_uniform got ~pos:0 ~len:page 'a' ~what:"pre-crash prefix");
-  }
+let grow name ~pages ~c write =
+  scenario name ~setup:one_page_setup
+    ~oracle:(fun fs ->
+      let got = read_file fs "/f" in
+      (match Bytes.length got with
+      | n when n = page -> ()
+      | n when n = pages * page ->
+          expect_uniform got ~pos:page ~len:((pages - 2) * page) '\000'
+            ~what:"hole";
+          expect_uniform got ~pos:((pages - 1) * page) ~len:page c
+            ~what:"published bytes"
+      | n ->
+          failwith (Printf.sprintf "size %d, want %d or %d" n page (pages * page)));
+      expect_uniform got ~pos:0 ~len:page 'a' ~what:"pre-crash prefix")
+    (seq (fun fs ->
+         let fd = Fs.openf fs Types.rdwr "/f" in
+         ignore (write fs fd (Bytes.make page c));
+         Fs.close fs fd))
 
 (* An append past a file whose inline extent slots are all full: its
    allocation links a new overflow block (zeroed and persisted first)
@@ -586,40 +878,35 @@ let grow ~pages ~c write =
 let spill_append =
   let slack fs = Fs.append_slack_blocks * Fs.block_size fs in
   let cap fs = page + (3 * slack fs) in
-  {
-    setup =
-      (fun fs ->
-        one_page_setup fs;
-        let fd = Fs.openf fs Types.rdwr "/f" in
-        for k = 0 to 2 do
-          Fs.fallocate fs fd ~len:(page + (k * slack fs) + Fs.block_size fs)
-        done;
-        Fs.fallocate fs fd ~len:(cap fs);
+  scenario "spill-append"
+    ~setup:(fun fs ->
+      one_page_setup fs;
+      let fd = Fs.openf fs Types.rdwr "/f" in
+      for k = 0 to 2 do
+        Fs.fallocate fs fd ~len:(page + (k * slack fs) + Fs.block_size fs)
+      done;
+      Fs.fallocate fs fd ~len:(cap fs);
+      Fs.close fs fd;
+      let inode = (Fs.stat fs "/f").Types.ino in
+      let region = (Fs.layout fs).Layout.region in
+      if
+        fst (Inode.read_extent region inode (Inode.inline_extents - 1)) = 0
+        || Region.read_u62 region (Inode.f_overflow inode) <> 0
+      then failwith "spill-append: setup did not fill the inline slots")
+    ~oracle:(fun fs ->
+      let size = (Fs.stat fs "/f").Types.size and old = cap fs in
+      if size = old + page then begin
+        let fd = Fs.openf fs Types.rdonly "/f" in
+        let got = Fs.pread fs fd ~pos:old ~len:page in
         Fs.close fs fd;
-        let inode = (Fs.stat fs "/f").Types.ino in
-        let region = (Fs.layout fs).Layout.region in
-        if
-          fst (Inode.read_extent region inode (Inode.inline_extents - 1)) = 0
-          || Region.read_u62 region (Inode.f_overflow inode) <> 0
-        then failwith "spill-append: setup did not fill the inline slots");
-    op =
-      (fun fs ->
-        let fd = Fs.openf fs Types.rdwr "/f" in
-        ignore (Fs.append fs fd (Bytes.make page 'c'));
-        Fs.close fs fd);
-    verify =
-      (fun fs ->
-        let size = (Fs.stat fs "/f").Types.size and old = cap fs in
-        if size = old + page then begin
-          let fd = Fs.openf fs Types.rdonly "/f" in
-          let got = Fs.pread fs fd ~pos:old ~len:page in
-          Fs.close fs fd;
-          expect_uniform got ~pos:0 ~len:page 'c' ~what:"published bytes"
-        end
-        else if size <> old then
-          failwith
-            (Printf.sprintf "size %d, want %d or %d" size old (old + page)));
-  }
+        expect_uniform got ~pos:0 ~len:page 'c' ~what:"published bytes"
+      end
+      else if size <> old then
+        failwith (Printf.sprintf "size %d, want %d or %d" size old (old + page)))
+    (seq (fun fs ->
+         let fd = Fs.openf fs Types.rdwr "/f" in
+         ignore (Fs.append fs fd (Bytes.make page 'c'));
+         Fs.close fs fd))
 
 (* a top-level dir name that routes to region [r] of a 2-region shard *)
 let shard_dir r =
@@ -636,51 +923,48 @@ let xfile_bytes = 256
 let xregion_rename =
   let d0 = shard_dir 0 and d1 = shard_dir 1 in
   let src = d0 ^ "/m" and dst = d1 ^ "/m2" in
-  {
-    setup =
-      (fun sh ->
-        Shard.mkdir sh d0;
-        Shard.mkdir sh d1;
-        let fd = Shard.openf sh (Types.creat Types.rdwr) src in
-        ignore (Shard.pwrite sh fd ~pos:0 (Bytes.make xfile_bytes 'x'));
-        Shard.close sh fd);
-    op = (fun sh -> Shard.rename sh src dst);
-    verify =
-      (fun sh ->
-        if not (Shard.exists sh src) then begin
-          let st = Shard.stat sh dst in
-          if st.Types.size <> xfile_bytes then
-            failwith
-              (Printf.sprintf "dest size %d after source unlink, want %d"
-                 st.Types.size xfile_bytes);
-          let fd = Shard.openf sh Types.rdonly dst in
-          let got = Shard.pread sh fd ~pos:0 ~len:xfile_bytes in
-          Shard.close sh fd;
-          Bytes.iter
-            (fun c -> if c <> 'x' then failwith "torn dest after unlink")
-            got
-        end);
-  }
+  scenario "xregion-rename"
+    ~setup:(fun sh ->
+      Shard.mkdir sh d0;
+      Shard.mkdir sh d1;
+      let fd = Shard.openf sh (Types.creat Types.rdwr) src in
+      ignore (Shard.pwrite sh fd ~pos:0 (Bytes.make xfile_bytes 'x'));
+      Shard.close sh fd)
+    ~oracle:(fun sh ->
+      if not (Shard.exists sh src) then begin
+        let st = Shard.stat sh dst in
+        if st.Types.size <> xfile_bytes then
+          failwith
+            (Printf.sprintf "dest size %d after source unlink, want %d"
+               st.Types.size xfile_bytes);
+        let fd = Shard.openf sh Types.rdonly dst in
+        let got = Shard.pread sh fd ~pos:0 ~len:xfile_bytes in
+        Shard.close sh fd;
+        Bytes.iter (fun c -> if c <> 'x' then failwith "torn dest after unlink") got
+      end)
+    (seq (fun sh -> Shard.rename sh src dst))
 
 (* One create on each region: each file exists whole or not at all. *)
 let xregion_create =
   let files = [ shard_dir 0 ^ "/a"; shard_dir 1 ^ "/b" ] in
-  {
-    setup =
-      (fun sh ->
-        Shard.mkdir sh (shard_dir 0);
-        Shard.mkdir sh (shard_dir 1));
-    op = (fun sh -> List.iter (Shard.create_file sh) files);
-    verify =
-      (fun sh ->
-        List.iter
-          (fun f ->
-            match Shard.stat sh f with
-            | st ->
-                if st.Types.kind <> Types.File then failwith (f ^ ": not a file")
-            | exception Errno.Err (ENOENT, _) -> Shard.create_file sh f)
-          files);
-  }
+  scenario "xregion-create"
+    ~setup:(fun sh ->
+      Shard.mkdir sh (shard_dir 0);
+      Shard.mkdir sh (shard_dir 1))
+    ~oracle:(fun sh ->
+      List.iter
+        (fun f ->
+          match Shard.stat sh f with
+          | st -> if st.Types.kind <> Types.File then failwith (f ^ ": not a file")
+          | exception Errno.Err (ENOENT, _) -> Shard.create_file sh f)
+        files)
+    (seq (fun sh -> List.iter (Shard.create_file sh) files))
+
+(** A crash machine: one region formatted with its config, or a plain
+    2-region shard. *)
+type machine = Single of Fs.t scenario | Sharded of Shard.t scenario
+
+let machine_name = function Single sc -> sc.name | Sharded sc -> sc.name
 
 (** Every explored crash machine: Fig. 5's four state machines (one
     directory protocol on every format: the striped insert and the
@@ -691,11 +975,12 @@ let xregion_create =
     byte-range locking) and an append that links an overflow extent
     block, and the sharded cross-region rename and creates. *)
 let machines =
-  let fs name config s = { name; config; steps = Single s } in
-  let ring = { striped with ring = 4 } in
-  let append = grow ~pages:2 ~c:'b' (fun fs fd b -> Fs.append fs fd b) in
-  let extend =
-    grow ~pages:3 ~c:'c' (fun fs fd b -> Fs.pwrite fs fd ~pos:(2 * page) b)
+  let fs name config sc = Single { sc with name; config } in
+  let append =
+    grow "append" ~pages:2 ~c:'b' (fun fs fd b -> Fs.append fs fd b)
+  and extend =
+    grow "extend" ~pages:3 ~c:'c' (fun fs fd b ->
+        Fs.pwrite fs fd ~pos:(2 * page) b)
   in
   [
     fs "create" plain create;
@@ -705,19 +990,415 @@ let machines =
     fs "striped-create" striped create;
     fs "striped-rename" striped rename;
     fs "striped-xrename" striped xrename;
-    fs "ring-rename" ring rename;
-    fs "ring-xrename" ring xrename;
+    fs "ring-rename" (ring 4) rename;
+    fs "ring-xrename" (ring 4) xrename;
     fs "append" plain append;
     fs "extend" plain extend;
     fs "range-append" ranged append;
     fs "range-extend" ranged extend;
     fs "spill-append" plain spill_append;
-    { name = "xregion-rename"; config = plain; steps = Sharded xregion_rename };
-    { name = "xregion-create"; config = plain; steps = Sharded xregion_create };
+    Sharded xregion_rename;
+    Sharded xregion_create;
   ]
 
-let run_machine ?samples m =
-  match m.steps with
-  | Single s ->
-      run ?samples ~config:m.config ~setup:s.setup ~op:s.op ~verify:s.verify ()
-  | Sharded s -> run_multi ?samples ~setup:s.setup ~op:s.op ~verify:s.verify ()
+(** The crash adversary over one machine ([samples] per sampled point). *)
+let run_machine ?samples = function
+  | Single sc -> explore single (crashes ?samples ()) sc
+  | Sharded sc -> explore sharded (crashes ?samples ()) sc
+
+(* -- the schedule scenarios ----------------------------------------------- *)
+
+(* Each thread works in its own directory (fxmark-private, the paper's
+   decentralized target): cross-thread shared state is exactly the
+   metadata allocators, lock registries and the root directory — all of
+   it lock-protected or read-only, so zero race reports are required. *)
+
+let tdir tid = Printf.sprintf "/t%d" tid
+
+let mk_private_dirs threads fs =
+  for tid = 0 to threads - 1 do
+    Fs.mkdir fs (tdir tid)
+  done
+
+let create_scenario ~threads =
+  scenario ~threads "create" ~setup:(mk_private_dirs threads)
+    (fun ~tid ~site ?ctx fs ->
+      site "create";
+      Fs.create_file ?ctx fs (tdir tid ^ "/a");
+      Fs.create_file ?ctx fs (tdir tid ^ "/b"))
+
+let unlink_scenario ~threads =
+  scenario ~threads "unlink"
+    ~setup:(fun fs ->
+      mk_private_dirs threads fs;
+      for tid = 0 to threads - 1 do
+        Fs.create_file fs (tdir tid ^ "/a");
+        Fs.create_file fs (tdir tid ^ "/b")
+      done)
+    (fun ~tid ~site ?ctx fs ->
+      site "unlink";
+      Fs.unlink ?ctx fs (tdir tid ^ "/a");
+      Fs.unlink ?ctx fs (tdir tid ^ "/b"))
+
+let rename_scenario ~threads =
+  scenario ~threads "rename"
+    ~setup:(fun fs ->
+      for tid = 0 to threads - 1 do
+        Fs.mkdir fs (tdir tid);
+        Fs.mkdir fs (Printf.sprintf "/u%d" tid);
+        Fs.create_file fs (tdir tid ^ "/a")
+      done)
+    (fun ~tid ~site ?ctx fs ->
+      site "rename";
+      Fs.rename ?ctx fs (tdir tid ^ "/a") (tdir tid ^ "/b");
+      site "xrename";
+      Fs.rename ?ctx fs (tdir tid ^ "/b") (Printf.sprintf "/u%d/c" tid))
+
+let rw_scenario ~threads =
+  scenario ~threads "read-write"
+    ~setup:(fun fs ->
+      mk_private_dirs threads fs;
+      for tid = 0 to threads - 1 do
+        Fs.create_file fs (tdir tid ^ "/f")
+      done)
+    (fun ~tid ~site ?ctx fs ->
+      site "open";
+      let fd = Fs.openf ?ctx fs Types.rdwr (tdir tid ^ "/f") in
+      site "append";
+      ignore (Fs.append ?ctx fs fd (Bytes.make 200 (Char.chr (97 + tid))));
+      site "pread";
+      let got = Fs.pread ?ctx fs fd ~pos:0 ~len:200 in
+      if Bytes.length got <> 200 || Bytes.get got 0 <> Char.chr (97 + tid)
+      then failwith "read-write scenario: wrong data read back";
+      site "close";
+      Fs.close ?ctx fs fd)
+
+(* Shared-directory variant: disjoint names in ONE directory, so the
+   per-row spin locks, the append lock and the lock-free lookup path all
+   see real cross-thread traffic.  The result oracle still holds (name
+   sets are disjoint); race reports are expected occasionally — the
+   lock-free resolve reads a dirblock row another thread may be
+   inserting into, Simurgh's by-design benign race (atomic 8-byte slot
+   publish on real hardware) — and are reported, not asserted zero. *)
+let shared_scenario ~threads =
+  scenario ~threads "shared-dir"
+    ~setup:(fun fs -> Fs.mkdir fs "/s")
+    (fun ~tid ~site ?ctx fs ->
+      let f i = Printf.sprintf "/s/f%d_%d" tid i in
+      site "create";
+      Fs.create_file ?ctx fs (f 0);
+      Fs.create_file ?ctx fs (f 1);
+      site "append";
+      let fd = Fs.openf ?ctx fs Types.rdwr (f 0) in
+      ignore (Fs.append ?ctx fs fd (Bytes.make 64 'x'));
+      Fs.close ?ctx fs fd;
+      site "unlink";
+      Fs.unlink ?ctx fs (f 1))
+
+(* --- shared-directory scenarios ------------------------------------------ *)
+
+(* The shared-directory paths need names with controlled hash rows:
+   deterministically probe until one lands in [row]. *)
+let name_in_row ~row i =
+  let rec go j =
+    let n = Printf.sprintf "r%d_%d_%d" row i j in
+    if Dirblock.lock_row_of_name n = row then n else go (j + 1)
+  in
+  go 0
+
+(* Concurrent creates in ONE directory, each thread in its own hash row:
+   the per-row spin and append locks (plus, when scaled, the per-thread
+   allocator caches and the resolve cache) see real cross-thread
+   traffic, yet every access is lock-ordered — zero races required.
+   Rows stay under 8 entries, so the chain never grows (the lock-free
+   publication of a new hash block is benign-by-design and covered
+   informationally by [shared_scenario], not asserted here). *)
+let dir_create_scenario ~config ~threads name =
+  scenario ~config ~threads name
+    ~setup:(fun fs -> Fs.mkdir fs "/s")
+    (fun ~tid ~site ?ctx fs ->
+      site "create";
+      Fs.create_file ?ctx fs ("/s/" ^ name_in_row ~row:tid 0);
+      Fs.create_file ?ctx fs ("/s/" ^ name_in_row ~row:tid 1))
+
+(* All threads hammer the SAME hash row: the row lock must serialize
+   the EEXIST probe + insert sequences completely. *)
+let dir_row_scenario ~config ~threads name =
+  scenario ~config ~threads name
+    ~setup:(fun fs -> Fs.mkdir fs "/s")
+    (fun ~tid ~site ?ctx fs ->
+      site "create";
+      Fs.create_file ?ctx fs ("/s/" ^ name_in_row ~row:0 (2 * tid));
+      Fs.create_file ?ctx fs ("/s/" ^ name_in_row ~row:0 ((2 * tid) + 1)))
+
+let one_file_per_thread ~threads ~dirs fs =
+  List.iter (Fs.mkdir fs) dirs;
+  for tid = 0 to threads - 1 do
+    Fs.create_file fs ("/s/" ^ name_in_row ~row:tid 0)
+  done
+
+(* Same-directory renames on disjoint rows from every thread.  On the
+   default one-slot format the directory's single persistent log slot
+   is written by all of them, serialized by its slot lock: every claim
+   past the first takes the ring-full fallback (blocking on the hint
+   slot), and the explorer proves the write..clear windows never
+   interleave (any overlap would corrupt the slot and diverge the
+   namespace or trip fsck).  On a larger ring each rename instead claims
+   its own slot, so the log windows genuinely overlap in time. *)
+let dir_rename_scenario ~config ~threads name =
+  scenario ~config ~threads name
+    ~setup:(one_file_per_thread ~threads ~dirs:[ "/s" ])
+    (fun ~tid ~site ?ctx fs ->
+      site "rename";
+      Fs.rename ?ctx fs
+        ("/s/" ^ name_in_row ~row:tid 0)
+        ("/s/" ^ name_in_row ~row:(tid + 8) 1))
+
+(* Cross-directory renames sharing one source directory (and hence one
+   source ring). *)
+let dir_xrename_scenario ~config ~threads name =
+  scenario ~config ~threads name
+    ~setup:(one_file_per_thread ~threads ~dirs:[ "/s"; "/d" ])
+    (fun ~tid ~site ?ctx fs ->
+      site "xrename";
+      Fs.rename ?ctx fs
+        ("/s/" ^ name_in_row ~row:tid 0)
+        ("/d/" ^ name_in_row ~row:tid 1))
+
+(** The shared-directory scenarios (creates on disjoint rows and on one
+    row, same- and cross-directory renames) on the default and the
+    scaled configuration: one directory protocol, so the same
+    zero-race bar. *)
+let shared_dir_scenarios ~threads =
+  List.concat_map
+    (fun (config, prefix) ->
+      [
+        dir_create_scenario ~config ~threads (prefix ^ "create");
+        dir_row_scenario ~config ~threads (prefix ^ "row");
+        dir_rename_scenario ~config ~threads (prefix ^ "rename");
+        dir_xrename_scenario ~config ~threads (prefix ^ "xrename");
+      ])
+    [ (plain, "shared-"); (striped, "striped-") ]
+
+(* --- step 6 against an in-flight insert ----------------------------------- *)
+
+(* Fig. 5b step 6 frees a non-head chain block that an unlink emptied.
+   Head rows 1 and 2 of "/s" are full and one more row-1 name sits
+   alone in the second block; thread 0 unlinks it, so step 6 frees that
+   block, while thread 1 creates (or renames a file to) a row-2 name
+   whose first free slot is in that block.  The insert holds that slot
+   across yield points (inode and file-entry stores, the rename log
+   window), so step 6 must leave a pinned block alone and probes must
+   skip a retired one: otherwise the new entry lands in a freed block
+   and is lost.  The lock-free reads of chain and row lines make
+   benign, informational race reports, as in [shared_scenario]. *)
+let step6_scenario ~config ~rename name =
+  let lone = name_in_row ~row:1 8 and target = name_in_row ~row:2 8 in
+  scenario ~config ~threads:2 name
+    ~oracle:(fun fs ->
+      if not (Fs.exists fs ("/s/" ^ target)) then failwith "new entry lost"
+      else if Fs.exists fs ("/s/" ^ lone) then failwith "unlinked entry back")
+    ~setup:(fun fs ->
+      Fs.mkdir fs "/s";
+      for i = 0 to 7 do
+        Fs.create_file fs ("/s/" ^ name_in_row ~row:1 i);
+        Fs.create_file fs ("/s/" ^ name_in_row ~row:2 i)
+      done;
+      Fs.create_file fs ("/s/" ^ lone);
+      if rename then Fs.create_file fs ("/s/" ^ name_in_row ~row:3 0))
+    (fun ~tid ~site ?ctx fs ->
+      if tid = 0 then begin
+        site "unlink";
+        Fs.unlink ?ctx fs ("/s/" ^ lone)
+      end
+      else if rename then begin
+        site "rename";
+        Fs.rename ?ctx fs ("/s/" ^ name_in_row ~row:3 0) ("/s/" ^ target)
+      end
+      else begin
+        site "create";
+        Fs.create_file ?ctx fs ("/s/" ^ target)
+      end)
+
+(** The step-6 scenarios: create and rename, on the default and the
+    striped configuration.  Oracle-gated like every scenario; their
+    race reports are informational. *)
+let step6_scenarios =
+  List.concat_map
+    (fun (config, prefix) ->
+      [
+        step6_scenario ~config ~rename:false (prefix ^ "step6-create");
+        step6_scenario ~config ~rename:true (prefix ^ "step6-rename");
+      ])
+    [ (plain, ""); (striped, "striped-") ]
+
+(* --- data-path scenarios ------------------------------------------------ *)
+
+(* One shared file, concurrent byte-level traffic.  The first three are
+   formatted with [range_locks] (plus [scaled]): writers of disjoint
+   4 KiB rows must scale AND serialize correctly; the explorer proves
+   the correctness half here, with zero race reports required — the
+   reservation/publish protocol and the row/extent locks must carry
+   every happens-before edge themselves.  The append-vs-truncation
+   scenarios run on both data-path disciplines. *)
+
+let fill tid = Char.chr (Char.code 'a' + tid)
+
+(* one shared file "/f" of [len] bytes of [c] *)
+let shared_file ~len c fs =
+  let fd = Fs.openf fs (Types.creat Types.rdwr) "/f" in
+  ignore (Fs.pwrite fs fd ~pos:0 (Bytes.make len c));
+  Fs.close fs fd
+
+(* The oracles read "/f" with a fresh fd and no ctx (sequential code);
+   a torn page raises from {!expect_uniform}, which the judge records
+   as an oracle failure. *)
+let expect_size got want =
+  if Bytes.length got <> want then
+    failwith (Printf.sprintf "size %d, want %d" (Bytes.length got) want)
+
+(* Every thread overwrites its own 4 KiB row of one shared file: fully
+   deterministic outcome, and the per-row write locks never collide. *)
+let range_write_scenario ~threads =
+  scenario ~config:ranged ~threads "range-write"
+    ~oracle:(fun fs ->
+      let got = read_file fs "/f" in
+      for tid = 0 to (Bytes.length got / page) - 1 do
+        expect_uniform got ~pos:(tid * page) ~len:page (fill tid)
+          ~what:(Printf.sprintf "row %d" tid)
+      done;
+      expect_size got (threads * page))
+    ~setup:(shared_file ~len:(threads * page) 'o')
+    (fun ~tid ~site ?ctx fs ->
+      site "pwrite";
+      let fd = Fs.openf ?ctx fs Types.rdwr "/f" in
+      ignore (Fs.pwrite ?ctx fs fd ~pos:(tid * page) (Bytes.make page (fill tid)));
+      Fs.close ?ctx fs fd)
+
+(* Writer overwrites the row a reader is reading: the row lock must
+   make the read atomic — all old bytes or all new bytes, never a mix.
+   (Thread 0 writes; every other thread reads.) *)
+let range_overlap_scenario ~threads =
+  scenario ~config:ranged ~threads "range-rw"
+    ~oracle:(fun fs ->
+      let got = read_file fs "/f" in
+      expect_uniform got ~pos:0 ~len:(Bytes.length got) 'b'
+        ~what:"writer's bytes";
+      expect_size got page)
+    ~setup:(shared_file ~len:page 'a')
+    (fun ~tid ~site ?ctx fs ->
+      let fd = Fs.openf ?ctx fs Types.rdwr "/f" in
+      (if tid = 0 then begin
+         site "pwrite";
+         ignore (Fs.pwrite ?ctx fs fd ~pos:0 (Bytes.make page 'b'))
+       end
+       else begin
+         site "pread";
+         let got = Fs.pread ?ctx fs fd ~pos:0 ~len:page in
+         expect_uniform got ~pos:0 ~len:page
+           (if Bytes.get got 0 = 'a' then 'a' else 'b')
+           ~what:"range-rw: torn read"
+       end);
+      Fs.close ?ctx fs fd)
+
+(* Concurrent appends to one file: sizes reserved by fetch-and-add,
+   published in order.  The final size is deterministic; the block
+   order is whatever the reservation order was, so the content oracle
+   accepts any permutation of uniform per-thread pages. *)
+let range_append_scenario ~threads =
+  scenario ~config:ranged ~threads "range-append"
+    ~oracle:(fun fs ->
+      let got = read_file fs "/f" in
+      let pages = List.init (Bytes.length got / page) (fun k -> k * page) in
+      List.iter
+        (fun pos ->
+          expect_uniform got ~pos ~len:page (Bytes.get got pos)
+            ~what:(Printf.sprintf "page at %d" pos))
+        pages;
+      expect_size got (threads * page);
+      let owners = List.sort compare (List.map (Bytes.get got) pages) in
+      if owners <> List.init threads fill then
+        failwith "pages are not a permutation of the appends")
+    ~setup:(fun fs ->
+      let fd = Fs.openf fs (Types.creat Types.wronly) "/f" in
+      Fs.close fs fd)
+    (fun ~tid ~site ?ctx fs ->
+      site "append";
+      let fd = Fs.openf ?ctx fs Types.rdwr "/f" in
+      ignore (Fs.append ?ctx fs fd (Bytes.make page (fill tid)));
+      Fs.close ?ctx fs fd)
+
+(* An append of one page of 'b' to a one-page file of 'a', racing its
+   truncation to zero by [truncate] ([otrunc = false]) or by an O_TRUNC
+   open.  The file lock serializes them — both take it exclusive on
+   either discipline — so the result is one of exactly two legal
+   serializations: truncated after the append (empty file) or before it
+   (just the appended page).  Not schedule-invariant by design. *)
+let append_truncate_scenario ~config ~otrunc name =
+  scenario ~config ~invariant:false ~threads:2 name
+    ~oracle:(fun fs ->
+      let got = read_file fs "/f" in
+      match Bytes.length got with
+      | 0 -> ()
+      | n when n = page ->
+          expect_uniform got ~pos:0 ~len:page 'b' ~what:"surviving page"
+      | n -> failwith (Printf.sprintf "size %d, want 0 or %d" n page))
+    ~setup:(shared_file ~len:page 'a')
+    (fun ~tid ~site ?ctx fs ->
+      if tid = 0 then begin
+        site "append";
+        let fd = Fs.openf ?ctx fs Types.rdwr "/f" in
+        ignore (Fs.append ?ctx fs fd (Bytes.make page 'b'));
+        Fs.close ?ctx fs fd
+      end
+      else if otrunc then begin
+        site "O_TRUNC";
+        Fs.close ?ctx fs
+          (Fs.openf ?ctx fs { Types.wronly with Types.trunc = true } "/f")
+      end
+      else begin
+        site "truncate";
+        Fs.truncate ?ctx fs "/f" 0
+      end)
+
+(** Append racing [truncate] and an O_TRUNC open, under byte-range
+    locking and under whole-file locking. *)
+let append_truncate_scenarios =
+  List.concat_map
+    (fun (config, prefix) ->
+      [
+        append_truncate_scenario ~config ~otrunc:false (prefix ^ "append-trunc");
+        append_truncate_scenario ~config ~otrunc:true (prefix ^ "append-otrunc");
+      ])
+    [ (ranged, "range-"); (plain, "") ]
+
+(** The gated scenarios ([make races] and [test_sched] run every one):
+    the private-directory state machines; shared-directory create and
+    rename traffic on the default and the scaled configuration;
+    concurrent byte-level traffic on one shared file under
+    [range_locks]; an append racing [truncate] and an O_TRUNC open on
+    both data-path disciplines; and the renames on a 4-slot ring.  Each
+    must be schedule-invariant
+    (or pass its final-state oracle), fsck-clean and race-free. *)
+let gated ~threads =
+  [
+    create_scenario ~threads;
+    unlink_scenario ~threads;
+    rename_scenario ~threads;
+    rw_scenario ~threads;
+  ]
+  @ shared_dir_scenarios ~threads
+  @ [
+      range_write_scenario ~threads;
+      range_overlap_scenario ~threads;
+      range_append_scenario ~threads;
+    ]
+  @ append_truncate_scenarios
+  @ [
+      (* on a 4-slot ring each rename claims its own slot: the claim
+         discipline must keep every interleaving serializable, leave no
+         slot pending and share no line between slots *)
+      dir_rename_scenario ~config:(ring 4) ~threads "ring-rename";
+      dir_xrename_scenario ~config:(ring 4) ~threads "ring-xrename";
+    ]
+

@@ -24,15 +24,14 @@ exception Crash_now
 let assert_no_failures name (st : Explore.stats) =
   (match st.Explore.failures with
   | [] -> ()
-  | (label, viols) :: _ ->
+  | (label, what) :: _ ->
       Alcotest.failf "%s: %d violating crash image(s); first at %s: %s" name
         (List.length st.Explore.failures)
-        label
-        (String.concat "; " (List.map Check.violation_to_string viols)));
+        label what);
   Alcotest.(check bool) (name ^ ": has crash points") true
-    (st.Explore.crash_points > 0);
+    (st.Explore.points > 0);
   Alcotest.(check bool) (name ^ ": explored images") true
-    (st.Explore.images >= st.Explore.crash_points)
+    (st.Explore.runs >= st.Explore.points)
 
 (* Each machine's coverage at the default 64 samples: crash points,
    fences, images and max pending lines.  These are the per-machine
@@ -63,8 +62,9 @@ let quad = Alcotest.(pair (pair int int) (pair int int))
 (* Every machine of the shared table (the one [bench/main.exe crash]
    prints), with its atomicity oracle on every recovered image. *)
 let machine_case (m : Explore.machine) =
+  let name = Explore.machine_name m in
   let title =
-    match m.Explore.name with
+    match name with
     | "cross-rename" -> "cross rename: all images recover clean"
     | "ring-rename" -> "rename on log ring: all images clean"
     | "ring-xrename" -> "cross rename on log ring: all images clean"
@@ -74,38 +74,33 @@ let machine_case (m : Explore.machine) =
   in
   Alcotest.test_case title `Quick (fun () ->
       let st = Explore.run_machine m in
-      assert_no_failures m.Explore.name st;
-      let points, fences, images, pending =
-        List.assoc m.Explore.name coverage
-      in
+      assert_no_failures name st;
+      let points, fences, images, pending = List.assoc name coverage in
       Alcotest.check quad
-        (m.Explore.name ^ ": points, fences, images, max pending")
+        (name ^ ": points, fences, images, max pending")
         ((points, fences), (images, pending))
-        ( (st.Explore.crash_points, st.Explore.fences),
-          (st.Explore.images, st.Explore.max_pending) );
+        ( (st.Explore.points, st.Explore.fences),
+          (st.Explore.runs, st.Explore.max_pending) );
       (* a Fig. 5 persist epoch must stay small enough that every crash
          point's eviction subsets are all explored; only the data path,
          whose fences each commit a 4 KiB page (64 lines), is sampled *)
       if
         not
-          (List.mem m.Explore.name
+          (List.mem name
              [
                "append"; "extend"; "range-append"; "range-extend";
                "spill-append";
              ])
       then
         Alcotest.(check bool)
-          (Printf.sprintf "%s: max pending lines %d <= %d" m.Explore.name
+          (Printf.sprintf "%s: max pending lines %d <= %d" name
              st.Explore.max_pending Explore.max_exhaustive)
           true
           (st.Explore.max_pending <= Explore.max_exhaustive))
 
 let single, sharded =
   List.partition
-    (fun (m : Explore.machine) ->
-      match m.Explore.steps with
-      | Explore.Single _ -> true
-      | Explore.Sharded _ -> false)
+    (function Explore.Single _ -> true | Explore.Sharded _ -> false)
     Explore.machines
 
 (* Multi-slot pending states: a crash image that already carries TWO
@@ -168,18 +163,19 @@ let test_explore_create_chain_growth () =
     go [] 0
   in
   let st =
-    Explore.run ~samples:24
-      ~setup:(fun fs ->
-        Fs.mkdir fs "/d";
-        List.iter (fun n -> Fs.create_file fs ("/d/" ^ n)) fillers)
-      ~op:(fun fs -> Fs.create_file fs "/d/t")
-      ~verify:(fun fs ->
-        List.iter
-          (fun n ->
-            Alcotest.(check bool) ("filler " ^ n) true
-              (Fs.exists fs ("/d/" ^ n)))
-          fillers)
-      ()
+    Explore.explore Explore.single
+      (Explore.crashes ~samples:24 ())
+      (Explore.scenario "create with chain growth"
+         ~setup:(fun fs ->
+           Fs.mkdir fs "/d";
+           List.iter (fun n -> Fs.create_file fs ("/d/" ^ n)) fillers)
+         ~oracle:(fun fs ->
+           List.iter
+             (fun n ->
+               Alcotest.(check bool) ("filler " ^ n) true
+                 (Fs.exists fs ("/d/" ^ n)))
+             fillers)
+         (Explore.seq (fun fs -> Fs.create_file fs "/d/t")))
   in
   assert_no_failures "create with chain growth" st;
   Alcotest.(check bool) "hit the sampled branch" true (st.Explore.max_pending > 10)
@@ -214,45 +210,44 @@ let test_checker_catches_broken_recovery () =
    recovery on every eviction subset, and demand convergence — a media
    fixpoint within 4 passes (idempotence predicts 2) and a clean
    checker on every terminal image. *)
+let assert_no_reentry_failures (st : Explore.stats) =
+  match st.Explore.failures with
+  | [] -> ()
+  | (label, what) :: _ ->
+      Alcotest.failf "%s: %d failing re-entry image(s); first at %s: %s"
+        st.Explore.name
+        (List.length st.Explore.failures)
+        label what
+
 let test_reentrant_rename () =
   let st =
     Explore.run_reentrant
-      ~setup:(fun fs ->
-        Fs.mkdir fs "/d1";
-        Fs.mkdir fs "/d2";
-        Fs.create_file fs "/d1/a";
-        Fs.create_file fs "/d2/c")
-      ~op:(fun fs -> Fs.rename fs "/d1/a" "/d2/b")
-      ()
+      (Explore.scenario "rename"
+         ~setup:(fun fs ->
+           Fs.mkdir fs "/d1";
+           Fs.mkdir fs "/d2";
+           Fs.create_file fs "/d1/a";
+           Fs.create_file fs "/d2/c")
+         (Explore.seq (fun fs -> Fs.rename fs "/d1/a" "/d2/b")))
   in
-  (match st.Explore.reentry_failures with
-  | [] -> ()
-  | l :: _ ->
-      Alcotest.failf "rename: %d failing re-entry image(s); first: %s"
-        (List.length st.Explore.reentry_failures)
-        l);
+  assert_no_reentry_failures st;
   Alcotest.(check (pair int int)) "mid-recovery points, images" (43, 62)
-    (st.Explore.recovery_points, st.Explore.reentry_images);
+    (st.Explore.points, st.Explore.runs);
   Alcotest.(check bool) "recovery idempotent (fixpoint in 2 passes)" true
     (st.Explore.max_passes <= 2)
 
 let test_reentrant_create () =
   let st =
     Explore.run_reentrant ~op_points:3 ~rec_stores:5
-      ~setup:(fun fs -> Fs.mkdir fs "/d")
-      ~op:(fun fs ->
-        Fs.create_file fs "/d/f";
-        Fs.create_file fs "/d/g")
-      ()
+      (Explore.scenario "create"
+         ~setup:(fun fs -> Fs.mkdir fs "/d")
+         (Explore.seq (fun fs ->
+              Fs.create_file fs "/d/f";
+              Fs.create_file fs "/d/g")))
   in
-  (match st.Explore.reentry_failures with
-  | [] -> ()
-  | l :: _ ->
-      Alcotest.failf "create: %d failing re-entry image(s); first: %s"
-        (List.length st.Explore.reentry_failures)
-        l);
+  assert_no_reentry_failures st;
   Alcotest.(check (pair int int)) "mid-recovery points, images" (15, 24)
-    (st.Explore.recovery_points, st.Explore.reentry_images);
+    (st.Explore.points, st.Explore.runs);
   Alcotest.(check bool) "recovery idempotent (fixpoint in 2 passes)" true
     (st.Explore.max_passes <= 2)
 

@@ -4,8 +4,10 @@
    pre-fix with_lock leak as a deadlock. *)
 
 open Simurgh_sim
-module Sched = Simurgh_core.Sched_explore
 module Explore = Simurgh_core.Explore
+
+let run ~budget sc =
+  Explore.explore Explore.single (Explore.schedules ~budget ()) sc
 
 exception Poison
 
@@ -69,15 +71,15 @@ let check_coverage name got =
     (List.assoc name coverage) got
 
 let check_invariant sc =
-  let st = Sched.run ~budget:16 sc in
-  check_coverage st.Sched.scenario
-    (st.Sched.schedules, st.Sched.distinct, st.Sched.yields);
-  (match st.Sched.failures with
+  let st = run ~budget:16 sc in
+  check_coverage st.Explore.name
+    (st.Explore.runs, st.Explore.distinct, st.Explore.yields);
+  (match st.Explore.failures with
   | [] -> ()
   | (label, detail) :: _ ->
       Alcotest.failf "oracle failure under %s: %s" label detail);
   Alcotest.(check int) "no races on the decentralized workload" 0
-    (List.length st.Sched.races)
+    (List.length st.Explore.races)
 
 (* Every gated scenario, one test per plain scenario (the default
    config's shared-directory ones and its append vs truncate and
@@ -90,19 +92,19 @@ let check_invariant sc =
    default one-slot format's renames take the threads > slots
    fallback. *)
 let invariance_cases =
-  let title (sc : Sched.scenario) =
-    let c = sc.Sched.config in
+  let title (sc : _ Explore.scenario) =
+    let c = sc.Explore.config in
     if c.Explore.ring > 1 then "log ring"
     else if c.Explore.range then "data range"
     else if c.Explore.scaled then "striped"
-    else sc.Sched.name
+    else sc.Explore.name
   in
   List.fold_right
     (fun sc groups ->
       match groups with
       | (t, scs) :: rest when t = title sc -> (t, sc :: scs) :: rest
       | _ -> (title sc, [ sc ]) :: groups)
-    (Sched.gated ~threads:2) []
+    (Explore.gated ~threads:2) []
   |> List.map (fun (t, scs) ->
          Alcotest.test_case t `Quick (fun () -> List.iter check_invariant scs))
 
@@ -115,20 +117,20 @@ let invariance_cases =
    benignly; their reports are printed, not asserted. *)
 let step6_cases =
   List.map
-    (fun (sc : Sched.scenario) ->
-      Alcotest.test_case sc.Sched.name `Quick (fun () ->
-          let st = Sched.run ~budget:4096 sc in
+    (fun (sc : _ Explore.scenario) ->
+      Alcotest.test_case sc.Explore.name `Quick (fun () ->
+          let st = run ~budget:4096 sc in
           List.iter
             (fun r ->
-              Printf.printf "  %s RACE %s\n" sc.Sched.name
+              Printf.printf "  %s RACE %s\n" sc.Explore.name
                 (Race.report_to_string r))
-            st.Sched.races;
-          match st.Sched.failures with
+            st.Explore.races;
+          match st.Explore.failures with
           | [] -> ()
           | (label, detail) :: _ ->
               Alcotest.failf "%d schedules fail; first, %s: %s"
-                (List.length st.Sched.failures) label detail))
-    Sched.step6_scenarios
+                (List.length st.Explore.failures) label detail))
+    Explore.step6_scenarios
 
 (* --- parallel recovery --------------------------------------------------- *)
 
@@ -137,15 +139,15 @@ let step6_cases =
    report, stay fsck-clean and race-free — including with a poisoned
    subtree forcing quarantine escalation mid-mark. *)
 let check_recovery ~poison () =
-  let st = Sched.recovery_run ~budget:8 ~poison () in
-  (match st.Sched.rfailures with
+  let st = Explore.parallel_recovery ~budget:8 ~poison () in
+  (match st.Explore.failures with
   | [] -> ()
   | (label, detail) :: _ ->
       Alcotest.failf "oracle failure under %s: %s" label detail);
   Alcotest.(check int) "no races in parallel recovery" 0
-    (List.length st.Sched.rraces);
-  check_coverage st.Sched.rscenario
-    (st.Sched.rschedules, st.Sched.rdistinct, st.Sched.ryields)
+    (List.length st.Explore.races);
+  check_coverage st.Explore.name
+    (st.Explore.runs, st.Explore.distinct, st.Explore.yields)
 
 let test_recovery_schedule_independent () = check_recovery ~poison:false ()
 let test_recovery_poison_schedule_independent () = check_recovery ~poison:true ()
@@ -153,7 +155,7 @@ let test_recovery_poison_schedule_independent () = check_recovery ~poison:true (
 (* --- race detector ------------------------------------------------------- *)
 
 let test_negative_control_fires () =
-  let reports = Sched.negative_control () in
+  let reports = Explore.negative_control () in
   Alcotest.(check bool) "unlocked racing stores are reported" true
     (reports <> [])
 

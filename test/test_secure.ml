@@ -263,27 +263,27 @@ let test_readdir_needs_read_permission () =
    (a fresh "process" with its own protected universe) stays atomic. *)
 let test_crash_inside_protected_rename () =
   let st =
-    Explore.run ~config:{ Explore.plain with secure = true }
-      ~setup:(fun fs ->
-        Fs.mkdir fs "/a";
-        Fs.mkdir fs "/b";
-        Fs.create_file fs "/a/f")
-      ~op:(fun fs -> Fs.rename fs "/a/f" "/b/g")
-      ~verify:(fun fs ->
-        let s = Fs.exists fs "/a/f" and d = Fs.exists fs "/b/g" in
-        if s = d then
-          Alcotest.failf "protected rename not atomic: src=%b dst=%b" s d)
-      ()
+    Explore.explore Explore.single (Explore.crashes ())
+      (Explore.scenario "protected rename"
+         ~config:{ Explore.plain with secure = true }
+         ~setup:(fun fs ->
+           Fs.mkdir fs "/a";
+           Fs.mkdir fs "/b";
+           Fs.create_file fs "/a/f")
+         ~oracle:(fun fs ->
+           let s = Fs.exists fs "/a/f" and d = Fs.exists fs "/b/g" in
+           if s = d then
+             Alcotest.failf "protected rename not atomic: src=%b dst=%b" s d)
+         (Explore.seq (fun fs -> Fs.rename fs "/a/f" "/b/g")))
   in
   (match st.Explore.failures with
   | [] -> ()
-  | (label, viols) :: _ ->
+  | (label, what) :: _ ->
       Alcotest.failf "%d violating crash image(s); first at %s: %s"
         (List.length st.Explore.failures)
-        label
-        (String.concat "; " (List.map Check.violation_to_string viols)));
+        label what);
   Alcotest.(check bool) "explored crash points inside the gate" true
-    (st.Explore.crash_points > 0)
+    (st.Explore.points > 0)
 
 (* --- adversarial: two tenants under per-uid quotas --------------------- *)
 
