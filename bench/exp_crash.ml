@@ -148,9 +148,10 @@ let run ~scale =
     empty checker cannot pass).  After the one-slot and 4-slot ring
     recoveries, the slabs' free caches recovery installed must also
     equal a fresh rebuild ({!Check.free_caches}); a mismatch is listed
-    with the violations.  A damaged image is a positive control too: a
-    row slot that links no file entry must be detached by recovery
-    (one quarantine) and leave the checker clean.  Two positive
+    with the violations.  Damaged images are positive controls too: a
+    row slot that links no file entry, a chain link and a directory
+    entry's head past the region's end must each cost recovery one
+    quarantine and leave the checker clean.  Two positive
     controls cover the block free lists, which live in shared DRAM:
     fsck of a live mount after
     allocation churn (it must read the live allocator, the media copy
@@ -257,6 +258,34 @@ let fsck () =
   List.iter
     (fun v -> print_endline ("  " ^ Check.violation_to_string v))
     slot_clean;
+  (* a chain link and a directory entry's head past the region's end:
+     mark truncates the chain, or quarantines the entry *)
+  let wild_clean =
+    List.for_all
+      (fun (what, head) ->
+        let region = Region.create ~mode:Region.Strict (32 * 1024 * 1024) in
+        let wfs = Fs.mkfs ~euid:0 region in
+        Fs.mkdir wfs "/d";
+        Fs.mkdir wfs "/d/sub";
+        for i = 0 to 15 do
+          Fs.create_file wfs (Printf.sprintf "/d/f%d" i)
+        done;
+        let past = Region.size region + 4096 in
+        let _, fe = Fs.resolve wfs (if head then "/d/sub" else "/d") in
+        if head then Fentry.set_dirblock region fe past
+        else
+          Region.write_u62 region (Dirblock.f_next (Fentry.dirblock region fe)) past;
+        Region.persist_all region;
+        Fs.invalidate_shared region;
+        let _, report = Recovery.run region in
+        let viols = Check.run region in
+        Printf.printf
+          "fsck: %s past the region: %d quarantined, %d violation(s)\n" what
+          report.Recovery.quarantined (List.length viols);
+        List.iter (fun v -> print_endline ("  " ^ Check.violation_to_string v)) viols;
+        report.Recovery.quarantined = 1 && viols = [])
+      [ ("chain link", false); ("directory head", true) ]
+  in
   (* the free-list controls: churn allocates and frees blocks (data
      extents, directory blocks) long after the format's checkpoint *)
   let live_region = Region.create ~mode:Region.Strict (32 * 1024 * 1024) in
@@ -289,6 +318,6 @@ let fsck () =
     (live_clean @ remount_clean);
   if negative <> [] && clean = [] && ring_clean = [] && par_negative <> []
      && par_clean = [] && slot_report.Recovery.quarantined = 1
-     && slot_clean = [] && live_clean = [] && remount_clean = []
+     && slot_clean = [] && wild_clean && live_clean = [] && remount_clean = []
   then 0
   else 1

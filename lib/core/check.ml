@@ -119,21 +119,17 @@ let run ?(include_leaks = true) region =
          accounting *)
       let dir_blocks = ref [] in
       (* Values read from a corrupt image are checked before they are
-         followed: a slot must hold a file-entry slab object (by
-         {!Slab.locate}, the predicate recovery's mark applies), and a
-         chain link a managed block, not seen before in its chain, whose
-         header {!Dirblock.header_ok} accepts. *)
+         followed, by the predicates recovery's mark applies: a slot must
+         hold a file-entry slab object ({!Slab.locate}), and a chain link
+         a directory block ({!Layout.dir_block}) not seen before in its
+         chain. *)
       let fentry_map = Slab.seg_map fentry_slab in
       let bs = Balloc.block_size balloc and base = Balloc.base balloc in
-      let limit = base + (Balloc.total_blocks balloc * bs) in
       let dir_block ~head ~seen b =
-        b >= base && b < limit
-        && (b - base) mod bs = 0
+        Layout.dir_block_addr layout b
         && (not (Dirblock.mem_block b seen))
-        && Dirblock.header_ok ~first:(b = head)
-             ~log_ring:layout.Layout.log_ring ~rows:(Dirblock.rows r b)
+        && Layout.dir_block layout ~first:(b = head) b ~rows:(Dirblock.rows r b)
              ~ring:(Dirblock.ring r b)
-        && b + Dirblock.size_of r b <= limit
       in
       let rec walk_dir head =
         if head <> 0 && not (Reach.mem reach_dirhead head) then begin

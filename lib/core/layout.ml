@@ -215,3 +215,27 @@ let attach region =
     relaxed_writes = w land bit_relaxed_writes <> 0;
     secure = Region.read_u32 region f_secure <> 0;
   }
+
+module Balloc = Simurgh_alloc.Block_alloc
+
+(* the end of the block area *)
+let block_end t =
+  Balloc.base t.balloc + (Balloc.total_blocks t.balloc * Balloc.block_size t.balloc)
+
+(** [dir_block_addr t b]: [b] is a block-aligned address inside the
+    block area, where a directory block can sit.  Nothing is read at an
+    address that fails it. *)
+let dir_block_addr t b =
+  let base = Balloc.base t.balloc in
+  b >= base && b < block_end t && (b - base) mod Balloc.block_size t.balloc = 0
+
+(** [dir_block t ~first b ~rows ~ring]: a block at [b] whose header
+    reads [rows] and [ring] can be a first ([first]) or chain directory
+    block of [t]: {!dir_block_addr}, a header {!Dirblock.header_ok}
+    accepts, and the block ends inside the block area.  Recovery's mark
+    and {!Check.run} follow a chain link or a directory entry's head only
+    to a block that passes. *)
+let dir_block t ~first b ~rows ~ring =
+  dir_block_addr t b
+  && Dirblock.header_ok ~first ~log_ring:t.log_ring ~rows ~ring
+  && b + Dirblock.size_for_rows ~ring rows <= block_end t

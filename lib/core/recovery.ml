@@ -739,26 +739,37 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
   (* The entry that row slot value [p] links, from its segment's
      snapshot; field by field under [fields] when the segment has no
      snapshot or the parse faults on a spill.  [None] when [fields]
-     gives up, and when [p] is no file-entry slot's payload address (a
-     word of another structure in a reused or overwritten block), which
-     mark treats as an unreadable entry.  [near] holds the segment of
+     gives up, when [p] is no file-entry slot's payload address (a word
+     of another structure in a reused or overwritten block) and when a
+     live directory entry's head is no directory-block address
+     ({!Layout.dir_block_addr}), which mark treats as an unreadable
+     entry; a dead entry's such head reads as none.  [near] holds the segment of
      the caller's previous entry, the likely one of the next. *)
   let by_fields fields p =
     fields (fun () -> read_entry_fields r fentry_slab p)
+  in
+  let followable = function
+    | Live { kind = `Dir h; _ } when not (Layout.dir_block_addr layout h) ->
+        None
+    | Dead h when h <> 0 && not (Layout.dir_block_addr layout h) ->
+        Some (Dead 0)
+    | e -> Some e
   in
   let entry_at ~near ~fields p =
     let i = Slab.locate ~near:!near fentry_slab fentry_map p in
     if i < 0 then None
     else begin
       near := i;
-      match fentry_snaps.(i) with
-      | None -> by_fields fields p
-      | Some snap -> (
-          match
-            parse_entry r (snap, p - Slab.obj_header - fentry_segs.(i)) p
-          with
-          | e -> Some e
-          | exception Region.Media_error _ -> by_fields fields p)
+      Option.bind
+        (match fentry_snaps.(i) with
+        | None -> by_fields fields p
+        | Some snap -> (
+            match
+              parse_entry r (snap, p - Slab.obj_header - fentry_segs.(i)) p
+            with
+            | e -> Some e
+            | exception Region.Media_error _ -> by_fields fields p))
+        followable
     end
   in
   (* Snapshot coherence: a file-entry slot that recovery stores into
@@ -819,20 +830,22 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
       else try Some (f ()) with Region.Media_error _ -> None
     in
     (* one chain block's header and a copy of its rows; a row that stays
-       unreadable is flagged in [bad], and a header that cannot belong to
-       a chain block reads as unreadable *)
+       unreadable is flagged in [bad], and a link or header that cannot
+       belong to a chain block reads as unreadable *)
     let read_block ~retry b =
-      match attempt ~retry (fun () -> read_header r b hb) with
-      | Some (nrows, nxt, ring)
-        when Dirblock.header_ok ~first:false ~log_ring ~rows:nrows ~ring ->
-          let rows, bad =
-            read_rows r b ~ring ~nrows ~row_read:(fun row buf ~pos ->
-                Option.is_some
-                  (attempt ~retry (fun () ->
-                       Dirblock.load_row ~pos r b row buf)))
-          in
-          Some (nrows, nxt, rows, bad)
-      | _ -> None
+      if not (Layout.dir_block_addr layout b) then None
+      else
+        match attempt ~retry (fun () -> read_header r b hb) with
+        | Some (nrows, nxt, ring)
+          when Layout.dir_block layout ~first:false b ~rows:nrows ~ring ->
+            let rows, bad =
+              read_rows r b ~ring ~nrows ~row_read:(fun row buf ~pos ->
+                  Option.is_some
+                    (attempt ~retry (fun () ->
+                         Dirblock.load_row ~pos r b row buf)))
+            in
+            Some (nrows, nxt, rows, bad)
+        | _ -> None
     in
     (* The head's header and its [log_ring] log slots in one copy:
        next, rows, ring, the busy flags and the pending slots as
@@ -965,7 +978,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
        partially-marked quarantined subtree would leak). *)
     match read_head () with
     | Some (nrows, nxt, ring, busy, logs)
-      when Dirblock.header_ok ~first:true ~log_ring ~rows:nrows ~ring ->
+      when Layout.dir_block layout ~first:true head ~rows:nrows ~ring ->
         List.iter
           (fun (slot, epoch) -> sh.s_logs <- (epoch, head, slot) :: sh.s_logs)
           logs;

@@ -1061,6 +1061,55 @@ let test_damaged_slot_quarantined () =
       );
     ]
 
+(* --- links that lead outside the region ----------------------------------- *)
+
+(* The last chain block's [next] of "/a" ([head = false]), or the head
+   of the directory entry "/a/b" ([head = true]), set to an address past
+   the region's end. *)
+let wild_link_fixture ~head =
+  let region = fresh_region () in
+  let fs = Fs.mkfs ~euid:0 region in
+  populate fs;
+  let wild = Region.size region + 4096 in
+  if head then Fentry.set_dirblock region (snd (Fs.resolve fs "/a/b")) wild
+  else begin
+    let rec last b =
+      match Simurgh_core.Dirblock.next region b with 0 -> b | n -> last n
+    in
+    Region.write_u62 region
+      (Simurgh_core.Dirblock.f_next (last (dir_head fs "/a")))
+      wild
+  end;
+  region
+
+(* Mark truncates the chain at the wild link, or quarantines the entry
+   whose head it is: recovery returns with one quarantine, the checker
+   finds nothing, and only the quarantined subtree is gone. *)
+let test_wild_links_quarantined () =
+  List.iter
+    (fun (what, head) ->
+      List.iter
+        (fun (mode, par) ->
+          let what = what ^ ", " ^ mode in
+          let region = wild_link_fixture ~head in
+          Fs.invalidate_shared region;
+          let layout, rep = Recovery.run ~par region in
+          Alcotest.(check int) (what ^ ": quarantined") 1
+            rep.Recovery.quarantined;
+          fsck_clean (what ^ ": fsck") region;
+          let fs = Fs.bring_up ~euid:0 layout in
+          Alcotest.(check (list bool))
+            (what ^ ": /a/f49, /a/hard, /a/b")
+            [ true; true; not head ]
+            (List.map (Fs.exists fs) [ "/a/f49"; "/a/hard"; "/a/b" ]))
+        [
+          ("seq", Recovery.Seq);
+          ( "vtime 4 workers",
+            Recovery.Vtime
+              { machine = Simurgh_sim.Machine.create (); workers = 4 } );
+        ])
+    [ ("chain link", false); ("directory head", true) ]
+
 (* --- recovery reads per block, not per entry ------------------------------ *)
 
 (* One directory of [n] files: recovery's load operations, the slab
@@ -1137,6 +1186,8 @@ let () =
           Alcotest.test_case "golden crash image" `Quick test_golden_recovery;
           Alcotest.test_case "slot that links no file entry" `Quick
             test_damaged_slot_quarantined;
+          Alcotest.test_case "links outside the region" `Quick
+            test_wild_links_quarantined;
           QCheck_alcotest.to_alcotest prop_recovery_preserves_random_trees;
           QCheck_alcotest.to_alcotest prop_reach_matches_hashtbl;
         ] );
