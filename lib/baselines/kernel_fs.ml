@@ -631,7 +631,11 @@ let truncate ?ctx t path len =
   if n.kind = Types.Dir then Errno.raise_ EISDIR path;
   with_write_sem ?ctx n (fun () ->
       journal_op ?ctx t (fun () -> ());
-      if len < n.size then n.size <- len
+      if len < n.size then begin
+        (* the dropped bytes read as zeros if the file grows again *)
+        Bytes.fill n.data len (n.size - len) '\000';
+        n.size <- len
+      end
       else begin
         ensure_data_capacity n len;
         n.size <- len

@@ -303,7 +303,22 @@ struct
     Alcotest.(check int) "fallocated" 100_000 (F.stat fs "/big").Types.size;
     F.close fs fd;
     F.truncate fs "/big" 10;
-    Alcotest.(check int) "shrunk" 10 (F.stat fs "/big").Types.size
+    Alcotest.(check int) "shrunk" 10 (F.stat fs "/big").Types.size;
+    (* bytes a shrink drops read back as zeros when the file grows
+       again, by truncate or by a write past the end *)
+    F.create_file fs "/t";
+    let fd = F.openf fs Types.rdwr "/t" in
+    ignore (F.pwrite fs fd ~pos:0 (Bytes.of_string "abcdefgh"));
+    F.truncate fs "/t" 0;
+    F.truncate fs "/t" 8;
+    Alcotest.(check string) "regrown by truncate" (String.make 8 '\000')
+      (Bytes.to_string (F.pread fs fd ~pos:0 ~len:8));
+    ignore (F.pwrite fs fd ~pos:0 (Bytes.of_string "abcdefgh"));
+    F.truncate fs "/t" 2;
+    ignore (F.pwrite fs fd ~pos:6 (Bytes.of_string "Z"));
+    Alcotest.(check string) "regrown by a write" "ab\000\000\000\000Z"
+      (Bytes.to_string (F.pread fs fd ~pos:0 ~len:8));
+    F.close fs fd
 
   let test_symlink () =
     let fs = Fresh.fresh () in
