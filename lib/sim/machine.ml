@@ -104,21 +104,25 @@ let is_remote ctx =
 (** Pure CPU work. *)
 let cpu ctx cycles = Sthread.advance ctx.thr cycles
 
+(* The one device wait: the thread waits until the device [srv] has
+   served [dur] cycles of work queued behind what it already holds, and
+   until its own [local] cycles have passed, whichever is later. *)
+let[@inline] device_wait ctx srv ~dur ~local =
+  let t = ctx.thr in
+  let dev_done = Resource.serve srv ~now:t.Sthread.now ~dur in
+  let local_done = t.Sthread.now +. local in
+  Sthread.wait_until t (if dev_done > local_done then dev_done else local_done)
+
 (* A bulk transfer is limited by both the single-thread achievable rate
    and the shared device: the device server is charged at the aggregate
    rate, the thread additionally pays its core-local rate.  Under low
    load the core-local rate dominates; once concurrent demand exceeds the
    device, queueing at the server produces the saturation plateau. *)
 let transfer ctx srv ~bytes ~thread_rate ~agg_rate =
-  if bytes > 0 then begin
-    let t = ctx.thr in
-    let dev_done =
-      Resource.serve srv ~now:t.Sthread.now
-        ~dur:(float_of_int bytes /. agg_rate)
-    in
-    let local_done = t.Sthread.now +. (float_of_int bytes /. thread_rate) in
-    Sthread.wait_until t (if dev_done > local_done then dev_done else local_done)
-  end
+  if bytes > 0 then
+    device_wait ctx srv
+      ~dur:(float_of_int bytes /. agg_rate)
+      ~local:(float_of_int bytes /. thread_rate)
 
 (* Remote streaming traffic keeps the device's aggregate rate (the
    DIMMs behind the region serve at their own speed) but the requesting
@@ -153,42 +157,23 @@ let nvmm_write ctx bytes =
    a handful of misses in flight (memory-level parallelism ~4). *)
 let mlp = 4.0
 
-(** [n] random (dependent chains of) cache-line reads from NVMM. *)
-let nvmm_read_lines ctx n =
+(* [n] random cache-line reads from NVMM at [latency] cycles a line *)
+let[@inline] read_lines ctx n latency =
   if n > 0 then begin
     let cm = cm ctx in
-    let lat = line_lat_of ctx (float_of_int n *. cm.nvmm_read_latency /. mlp) in
-    let bytes = n * cm.cacheline in
-    let dev_done =
-      Resource.serve
-        (read_srv ctx.m ctx.thr.Sthread.cur_region)
-        ~now:ctx.thr.Sthread.now
-        ~dur:(float_of_int bytes /. cm.nvmm_read_bw)
-    in
-    let local_done = ctx.thr.Sthread.now +. lat in
-    Sthread.wait_until ctx.thr
-      (if dev_done > local_done then dev_done else local_done)
+    device_wait ctx
+      (read_srv ctx.m ctx.thr.Sthread.cur_region)
+      ~dur:(float_of_int (n * cm.cacheline) /. cm.nvmm_read_bw)
+      ~local:(line_lat_of ctx (float_of_int n *. latency /. mlp))
   end
+
+(** [n] random (dependent chains of) cache-line reads from NVMM. *)
+let nvmm_read_lines ctx n = read_lines ctx n (cm ctx).nvmm_read_latency
 
 (** [n] metadata cache-line reads: same device accounting, but latency
     blended with CPU-cache hits (see {!Cost_model.nvmm_meta_read_latency}). *)
 let nvmm_meta_read_lines ctx n =
-  if n > 0 then begin
-    let cm = cm ctx in
-    let lat =
-      line_lat_of ctx (float_of_int n *. cm.nvmm_meta_read_latency /. mlp)
-    in
-    let bytes = n * cm.cacheline in
-    let dev_done =
-      Resource.serve
-        (read_srv ctx.m ctx.thr.Sthread.cur_region)
-        ~now:ctx.thr.Sthread.now
-        ~dur:(float_of_int bytes /. cm.nvmm_read_bw)
-    in
-    let local_done = ctx.thr.Sthread.now +. lat in
-    Sthread.wait_until ctx.thr
-      (if dev_done > local_done then dev_done else local_done)
-  end
+  read_lines ctx n (cm ctx).nvmm_meta_read_latency
 
 (** [n] random cache-line (non-temporal) writes to NVMM.
 
@@ -210,12 +195,7 @@ let nvmm_write_lines ctx n =
       Resource.push_work srv ~now:ctx.thr.Sthread.now ~dur;
       Sthread.advance ctx.thr lat
     end
-    else begin
-      let dev_done = Resource.serve srv ~now:ctx.thr.Sthread.now ~dur in
-      let local_done = ctx.thr.Sthread.now +. lat in
-      Sthread.wait_until ctx.thr
-        (if dev_done > local_done then dev_done else local_done)
-    end
+    else device_wait ctx srv ~dur ~local:lat
   end
 
 (** Run [f] with this thread's NVMM line writes charged as posted
