@@ -82,9 +82,7 @@ let run ~scale =
   Util.header
     "crash: adversarial crash images, media faults, fsck-style checker";
   let samples = max 8 (Util.scaled ~scale 32) in
-  let machines =
-    List.map (Explore.run_machine ~samples) Explore.machines
-  in
+  let machines = List.map (Explore.run_machine ~samples) Explore.machines in
   (* crash-during-recovery: crash the op, then crash RECOVERY at its
      own store points and labeled hooks, re-enter on every eviction
      subset — each image must reach a media fixpoint (idempotence: 2
@@ -127,10 +125,13 @@ let run ~scale =
          ("faults/explorer_failures", failures);
          ("faults/quarantined", media_quarantined);
          ("faults/checker_violations", violations);
-         ("faults/recovery_crash_points", sum (fun st -> st.Explore.points) reentries);
-         ("faults/recovery_reentry_images", sum (fun st -> st.Explore.runs) reentries);
+         ( "faults/recovery_crash_points",
+           sum (fun st -> st.Explore.points) reentries );
+         ( "faults/recovery_reentry_images",
+           sum (fun st -> st.Explore.runs) reentries );
          ( "faults/recovery_fixpoint_passes",
-           List.fold_left (fun m st -> max m st.Explore.max_passes) 0 reentries );
+           List.fold_left (fun m st -> max m st.Explore.max_passes) 0 reentries
+         );
        ]);
   Printf.printf
     "  total: %d crash points, %d images explored, %d checker \
@@ -274,7 +275,9 @@ let fsck () =
         let _, fe = Fs.resolve wfs (if head then "/d/sub" else "/d") in
         if head then Fentry.set_dirblock region fe past
         else
-          Region.write_u62 region (Dirblock.f_next (Fentry.dirblock region fe)) past;
+          Region.write_u62 region
+            (Dirblock.f_next (Fentry.dirblock region fe))
+            past;
         Region.persist_all region;
         Fs.invalidate_shared region;
         let _, report = Recovery.run region in
@@ -282,7 +285,9 @@ let fsck () =
         Printf.printf
           "fsck: %s past the region: %d quarantined, %d violation(s)\n" what
           report.Recovery.quarantined (List.length viols);
-        List.iter (fun v -> print_endline ("  " ^ Check.violation_to_string v)) viols;
+        List.iter
+          (fun v -> print_endline ("  " ^ Check.violation_to_string v))
+          viols;
         report.Recovery.quarantined = 1 && viols = [])
       [ ("chain link", false); ("directory head", true) ]
   in

@@ -75,7 +75,9 @@ let explore ~scale =
   let shared =
     run ~budget:(max 12 (budget / 2)) (Explore.shared_scenario ~threads:3)
   in
-  let informational = shared :: List.map (run ~budget) Explore.step6_scenarios in
+  let informational =
+    shared :: List.map (run ~budget) Explore.step6_scenarios
+  in
   let negative = Explore.negative_control () in
   Printf.printf "  negative control (unlocked stores): %s\n"
     (match negative with
@@ -102,7 +104,9 @@ let run ~scale =
   let sum f = List.fold_left (fun acc (st : Explore.stats) -> acc + f st) 0 in
   let gated f = sum f (r.gated @ r.recovery) in
   let failures =
-    sum (fun st -> n st.Explore.failures) (r.gated @ r.recovery @ r.informational)
+    sum
+      (fun st -> n st.Explore.failures)
+      (r.gated @ r.recovery @ r.informational)
   and races = gated (fun st -> n st.Explore.races) in
   Obs.Collect.add
     (List.map
@@ -120,7 +124,8 @@ let run ~scale =
          ("race/accesses", gated (fun st -> st.Explore.accesses));
          ("race/negative_control_reports", n r.negative);
          ("race/shared_dir_reports", n (List.hd r.informational).Explore.races);
-         ("sched/recovery_failures", sum (fun st -> n st.Explore.failures) r.recovery);
+         ( "sched/recovery_failures",
+           sum (fun st -> n st.Explore.failures) r.recovery );
          ("sched/recovery_races", sum (fun st -> n st.Explore.races) r.recovery);
        ]);
   Printf.printf

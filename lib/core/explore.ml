@@ -477,7 +477,9 @@ type _ run =
     recovered, must pass the checker and then the oracle on a fresh
     mount; a schedule's namespace must match the first schedule's (when
     the scenario is invariant), then pass the oracle and the checker. *)
-let judge : type fs. stats -> fs scenario -> Region.t array -> fs run -> string -> unit =
+let judge :
+    type fs.
+    stats -> fs scenario -> Region.t array -> fs run -> string -> unit =
  fun st sc regions run label ->
   let oracle mount =
     try sc.oracle (mount ()) with e -> fail st label ("oracle: " ^ describe e)
@@ -513,7 +515,8 @@ let explore : type fs. fs target -> fs adversary -> fs scenario -> stats =
       let points = points regions start in
       st.points <- List.length points;
       st.fences <-
-        List.length (List.filter (function Fence _ -> true | _ -> false) points);
+        List.length
+          (List.filter (function Fence _ -> true | _ -> false) points);
       crash_images
         (Simurgh_sim.Rng.create seed)
         ~max_exhaustive ~samples st regions cp0 start points
@@ -536,7 +539,8 @@ let explore : type fs. fs target -> fs adversary -> fs scenario -> stats =
               sc.body ~tid ~site:(Race.set_site race ~tid) ~ctx fs)
         in
         (match
-           watched region race (fun () -> Engine.explore ~schedule:policy bodies)
+           watched region race (fun () ->
+               Engine.explore ~schedule:policy bodies)
          with
         | (o : Engine.explore_outcome) ->
             st.yields <- st.yields + o.Engine.yields;
@@ -738,11 +742,14 @@ let parallel_recovery ?(seed = 23L) ?(budget = 24) ?(workers = 3) ~poison () =
         ignore (clean st label [| region |])
     | exception e -> fail st label ("recovery raised " ^ Printexc.to_string e));
     List.iter
-      (fun (o : Engine.explore_outcome) -> st.yields <- st.yields + o.Engine.yields)
+      (fun (o : Engine.explore_outcome) ->
+        st.yields <- st.yields + o.Engine.yields)
       !outs;
     Hashtbl.replace hashes
       (Hashtbl.hash
-         (List.map (fun (o : Engine.explore_outcome) -> o.Engine.trace_hash) !outs))
+         (List.map
+            (fun (o : Engine.explore_outcome) -> o.Engine.trace_hash)
+            !outs))
       ()
   done;
   st.runs <- budget + 1;
@@ -863,7 +870,8 @@ let grow name ~pages ~c write =
           expect_uniform got ~pos:((pages - 1) * page) ~len:page c
             ~what:"published bytes"
       | n ->
-          failwith (Printf.sprintf "size %d, want %d or %d" n page (pages * page)));
+          failwith
+            (Printf.sprintf "size %d, want %d or %d" n page (pages * page)));
       expect_uniform got ~pos:0 ~len:page 'a' ~what:"pre-crash prefix")
     (seq (fun fs ->
          let fd = Fs.openf fs Types.rdwr "/f" in
@@ -902,7 +910,8 @@ let spill_append =
         expect_uniform got ~pos:0 ~len:page 'c' ~what:"published bytes"
       end
       else if size <> old then
-        failwith (Printf.sprintf "size %d, want %d or %d" size old (old + page)))
+        failwith
+          (Printf.sprintf "size %d, want %d or %d" size old (old + page)))
     (seq (fun fs ->
          let fd = Fs.openf fs Types.rdwr "/f" in
          ignore (Fs.append fs fd (Bytes.make page 'c'));
@@ -940,7 +949,9 @@ let xregion_rename =
         let fd = Shard.openf sh Types.rdonly dst in
         let got = Shard.pread sh fd ~pos:0 ~len:xfile_bytes in
         Shard.close sh fd;
-        Bytes.iter (fun c -> if c <> 'x' then failwith "torn dest after unlink") got
+        Bytes.iter
+          (fun c -> if c <> 'x' then failwith "torn dest after unlink")
+          got
       end)
     (seq (fun sh -> Shard.rename sh src dst))
 
@@ -955,7 +966,8 @@ let xregion_create =
       List.iter
         (fun f ->
           match Shard.stat sh f with
-          | st -> if st.Types.kind <> Types.File then failwith (f ^ ": not a file")
+          | st ->
+              if st.Types.kind <> Types.File then failwith (f ^ ": not a file")
           | exception Errno.Err (ENOENT, _) -> Shard.create_file sh f)
         files)
     (seq (fun sh -> List.iter (Shard.create_file sh) files))
@@ -1272,7 +1284,8 @@ let range_write_scenario ~threads =
     (fun ~tid ~site ?ctx fs ->
       site "pwrite";
       let fd = Fs.openf ?ctx fs Types.rdwr "/f" in
-      ignore (Fs.pwrite ?ctx fs fd ~pos:(tid * page) (Bytes.make page (fill tid)));
+      ignore
+        (Fs.pwrite ?ctx fs fd ~pos:(tid * page) (Bytes.make page (fill tid)));
       Fs.close ?ctx fs fd)
 
 (* Writer overwrites the row a reader is reading: the row lock must
@@ -1367,8 +1380,10 @@ let append_truncate_scenarios =
   List.concat_map
     (fun (config, prefix) ->
       [
-        append_truncate_scenario ~config ~otrunc:false (prefix ^ "append-trunc");
-        append_truncate_scenario ~config ~otrunc:true (prefix ^ "append-otrunc");
+        append_truncate_scenario ~config ~otrunc:false
+          (prefix ^ "append-trunc");
+        append_truncate_scenario ~config ~otrunc:true
+          (prefix ^ "append-otrunc");
       ])
     [ (ranged, "range-"); (plain, "") ]
 

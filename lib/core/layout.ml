@@ -220,7 +220,8 @@ module Balloc = Simurgh_alloc.Block_alloc
 
 (* the end of the block area *)
 let block_end t =
-  Balloc.base t.balloc + (Balloc.total_blocks t.balloc * Balloc.block_size t.balloc)
+  Balloc.base t.balloc
+  + (Balloc.total_blocks t.balloc * Balloc.block_size t.balloc)
 
 (** [dir_block_addr t b]: [b] is a block-aligned address inside the
     block area, where a directory block can sit.  Nothing is read at an

@@ -28,7 +28,8 @@ let fresh_simurgh ?scaled ?log_ring ?(relaxed_writes = false)
 (* Fxmark over the file system [F]: each run formats a fresh one with
    [fresh], then creates its machine (the order the collector sees). *)
 let target (type t) name
-    (module F : Simurgh_fs_common.Fs_intf.S with type t = t) (fresh : ?region_mb:int -> unit -> t) =
+    (module F : Simurgh_fs_common.Fs_intf.S with type t = t)
+    (fresh : ?region_mb:int -> unit -> t) =
   let module Fx = Fxmark.Make (F) in
   {
     name;
