@@ -952,7 +952,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
        still resolved: its readable rows and chain are read for
        subdirectories only, without retries (the sweep reclaims the
        rest). *)
-    let rec discover_only nrows nxt rows bad =
+    let rec discover_only seen nrows nxt rows bad =
       for row = 0 to nrows - 1 do
         if not bad.(row) then
           for s = 0 to Dirblock.slots_per_row - 1 do
@@ -966,9 +966,10 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
               | Some (Live _) | None -> ()
           done
       done;
-      if nxt <> 0 then
+      if nxt <> 0 && not (Dirblock.mem_block nxt seen) then
         Option.iter
-          (fun (nrows, nxt, rows, bad) -> discover_only nrows nxt rows bad)
+          (fun (nrows, nxt', rows, bad) ->
+            discover_only (nxt :: seen) nrows nxt' rows bad)
           (read_block ~retry:false nxt)
     in
     (* The head block is validated in full before anything below it is
@@ -989,7 +990,7 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
         in
         if Array.exists Fun.id bad then begin
           d.d_unreadable <- true;
-          discover_only nrows nxt rows bad
+          discover_only [ head ] nrows nxt rows bad
         end
         else begin
           (* busy flags left behind by crashed lock holders *)
@@ -999,25 +1000,29 @@ let run ?(par = Seq) ?(skip_log_resolution = false) ?(drop_mark_shard = false)
           process_block ~salvage:false head nrows rows bad;
           d.d_blocks <- [ (head, Dirblock.size_for_rows ~ring nrows) ];
           (* chain blocks degrade per-block, never per-directory: an
-             unreadable header truncates the chain there (the orphaned
-             tail is swept); a block with unreadable rows is spliced
-             out and its readable entries salvaged *)
-          let rec walk prev b =
+             unreadable header, or a link that is no chain block or
+             leads back into the chain, truncates the chain there (the
+             orphaned tail is swept); a block with unreadable rows is
+             spliced out and its readable entries salvaged *)
+          let rec walk seen prev b =
             if b <> 0 then
-              match read_block ~retry:true b with
+              match
+                if Dirblock.mem_block b seen then None
+                else read_block ~retry:true b
+              with
               | None ->
                   d.d_quarantined <- d.d_quarantined + 1;
                   repair (Set_next (prev, 0))
               | Some (nrows, nxt, rows, bad) when Array.exists Fun.id bad ->
                   process_block ~salvage:true b nrows rows bad;
                   repair (Set_next (prev, nxt));
-                  walk prev nxt
+                  walk (b :: seen) prev nxt
               | Some (nrows, nxt, rows, bad) ->
                   process_block ~salvage:false b nrows rows bad;
                   d.d_blocks <- (b, Dirblock.size_for_rows nrows) :: d.d_blocks;
-                  walk b nxt
+                  walk (b :: seen) b nxt
           in
-          walk head nxt
+          walk [ head ] head nxt
         end
     | _ -> d.d_unreadable <- true
   in

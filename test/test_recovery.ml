@@ -1061,37 +1061,40 @@ let test_damaged_slot_quarantined () =
       );
     ]
 
-(* --- links that lead outside the region ----------------------------------- *)
+(* --- damaged directory links ---------------------------------------------- *)
 
-(* The last chain block's [next] of "/a" ([head = false]), or the head
-   of the directory entry "/a/b" ([head = true]), set to an address past
-   the region's end. *)
-let wild_link_fixture ~head =
+(* The head of the directory entry "/a/b" ([`Head]) or the last chain
+   block's [next] of "/a" ([`Next]) set to an address past the region's
+   end, or the last chain block of "/a" linked to itself ([`Cycle]). *)
+let damaged_link_fixture damage =
   let region = fresh_region () in
   let fs = Fs.mkfs ~euid:0 region in
   populate fs;
-  let wild = Region.size region + 4096 in
-  if head then Fentry.set_dirblock region (snd (Fs.resolve fs "/a/b")) wild
-  else begin
-    let rec last b =
-      match Simurgh_core.Dirblock.next region b with 0 -> b | n -> last n
-    in
-    Region.write_u62 region
-      (Simurgh_core.Dirblock.f_next (last (dir_head fs "/a")))
-      wild
-  end;
+  let module Dirblock = Simurgh_core.Dirblock in
+  let wild = Region.size region + 4096 and head = dir_head fs "/a" in
+  let rec last b = match Dirblock.next region b with 0 -> b | n -> last n in
+  (match damage with
+  | `Head -> Fentry.set_dirblock region (snd (Fs.resolve fs "/a/b")) wild
+  | `Next -> Region.write_u62 region (Dirblock.f_next (last head)) wild
+  | `Cycle ->
+      let i = ref 0 in
+      while Dirblock.next region head = 0 do
+        Fs.create_file fs (Printf.sprintf "/a/g%d" !i);
+        incr i
+      done;
+      Region.write_u62 region (Dirblock.f_next (last head)) (last head));
   region
 
-(* Mark truncates the chain at the wild link, or quarantines the entry
-   whose head it is: recovery returns with one quarantine, the checker
-   finds nothing, and only the quarantined subtree is gone. *)
-let test_wild_links_quarantined () =
+(* Mark truncates the chain at the damaged link, or quarantines the
+   entry whose head it is: recovery returns with one quarantine, the
+   checker finds nothing, and only the quarantined subtree is gone. *)
+let test_damaged_links_quarantined () =
   List.iter
-    (fun (what, head) ->
+    (fun (what, damage) ->
       List.iter
         (fun (mode, par) ->
           let what = what ^ ", " ^ mode in
-          let region = wild_link_fixture ~head in
+          let region = damaged_link_fixture damage in
           Fs.invalidate_shared region;
           let layout, rep = Recovery.run ~par region in
           Alcotest.(check int) (what ^ ": quarantined") 1
@@ -1100,7 +1103,7 @@ let test_wild_links_quarantined () =
           let fs = Fs.bring_up ~euid:0 layout in
           Alcotest.(check (list bool))
             (what ^ ": /a/f49, /a/hard, /a/b")
-            [ true; true; not head ]
+            [ true; true; damage <> `Head ]
             (List.map (Fs.exists fs) [ "/a/f49"; "/a/hard"; "/a/b" ]))
         [
           ("seq", Recovery.Seq);
@@ -1108,7 +1111,11 @@ let test_wild_links_quarantined () =
             Recovery.Vtime
               { machine = Simurgh_sim.Machine.create (); workers = 4 } );
         ])
-    [ ("chain link", false); ("directory head", true) ]
+    [
+      ("chain link past the region", `Next);
+      ("directory head past the region", `Head);
+      ("chain block linked to itself", `Cycle);
+    ]
 
 (* --- recovery reads per block, not per entry ------------------------------ *)
 
@@ -1186,8 +1193,8 @@ let () =
           Alcotest.test_case "golden crash image" `Quick test_golden_recovery;
           Alcotest.test_case "slot that links no file entry" `Quick
             test_damaged_slot_quarantined;
-          Alcotest.test_case "links outside the region" `Quick
-            test_wild_links_quarantined;
+          Alcotest.test_case "damaged directory links" `Quick
+            test_damaged_links_quarantined;
           QCheck_alcotest.to_alcotest prop_recovery_preserves_random_trees;
           QCheck_alcotest.to_alcotest prop_reach_matches_hashtbl;
         ] );
