@@ -508,9 +508,13 @@ let judge :
 let explore : type fs. fs target -> fs adversary -> fs scenario -> stats =
  fun target adversary sc ->
   let st = stats sc.name in
+  let regions, cp0 =
+    prestate target sc
+      ~mode:
+        (match adversary with Crashes _ -> Region.Strict | Schedules _ -> Fast)
+  in
   (match adversary with
   | Crashes { seed; max_exhaustive; samples } ->
-      let regions, cp0 = prestate target ~mode:Region.Strict sc in
       let start = body_work target regions sc in
       let points = points regions start in
       st.points <- List.length points;
@@ -522,7 +526,6 @@ let explore : type fs. fs target -> fs adversary -> fs scenario -> stats =
         ~max_exhaustive ~samples st regions cp0 start points
         (judge st sc regions (Crashed target))
   | Schedules { seed; budget } ->
-      let regions, cp0 = prestate target ~mode:Region.Fast sc in
       let region = regions.(0) in
       let watched, races = race_log () in
       let hashes = Hashtbl.create (2 * budget) and reference = ref None in
